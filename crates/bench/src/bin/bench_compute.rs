@@ -16,12 +16,26 @@
 //!   shape the tiled kernel replaced. Reported as ns per element moved,
 //!   with an informational GB/s (read+write traffic).
 //!
+//! * **Distributed transform roundtrip** — forward + inverse in the
+//!   transposed layout on 2 thread ranks, complex (`dfft_roundtrip/c2c`)
+//!   against the real-field pair the Z-Model calls
+//!   (`dfft_roundtrip/r2c`), at the benchmark's bandwidth-bound (256²)
+//!   and latency-bound (32²) meshes. ns per grid point per roundtrip.
+//! * **Reshape** — one row-slab → column-slab `redistribute` on 2 ranks
+//!   (`redistribute/owned`: pack, move, unpack) against the flat-buffer
+//!   shape it replaced (`redistribute/flat`: pack, concat, split,
+//!   flatten, split, unpack — four extra payload copies). ns per grid
+//!   point.
+//!
 //! Best-of-N trials: noise on a shared host only ever slows a trial
 //! down, so the minimum is the honest kernel time.
 //!
 //! Usage: `bench_compute [output.json]` (default `BENCH_compute.json`).
 
-use beatnik_dfft::layout::{gather_cols, scatter_cols, COL_TILE};
+use beatnik_comm::{AllToAllAlgo, Communicator, World};
+use beatnik_dfft::layout::{gather_cols, pack, scatter_cols, unpack, COL_TILE};
+use beatnik_dfft::redistribute::redistribute;
+use beatnik_dfft::{Dist, DistributedFft2d, FftConfig, Rect};
 use beatnik_fft::{Complex, Fft};
 use beatnik_json::Value;
 use std::time::Instant;
@@ -177,6 +191,124 @@ fn bench_pack(rows: &mut Vec<Row>, nrows: usize, ncols: usize, reps: usize) {
     );
 }
 
+/// Ranks of the distributed rows.
+const RANKS: usize = 2;
+
+/// Time `f` on every rank of a 2-rank thread world (the ranks run the
+/// same trial and rep counts, so collectives inside `f` line up) and
+/// return rank 0's best-of-TRIALS ns per call.
+fn best_ns_2rank(reps: usize, f: impl Fn(&Communicator) -> Box<dyn FnMut() + '_> + Sync) -> f64 {
+    World::builder(RANKS).run(|comm| {
+        let mut call = f(&comm);
+        call(); // warmup
+        best_ns(reps, &mut call)
+    })[0]
+}
+
+/// Transposed forward + inverse on an `n x n` grid over 2 ranks:
+/// complex transforms vs the real-field pair, ns per grid point.
+fn bench_dfft_roundtrip(rows: &mut Vec<Row>, n: usize, reps: usize) {
+    let c2c_ns = best_ns_2rank(reps, |comm| {
+        let plan = DistributedFft2d::new(comm, [RANKS, 1], n, n, FftConfig::default());
+        let block = noise(plan.local_rect().area());
+        Box::new(move || {
+            let (_, spec) = plan.forward_transposed(block.clone());
+            std::hint::black_box(plan.inverse_transposed(spec));
+        })
+    });
+    let r2c_ns = best_ns_2rank(reps, |comm| {
+        let plan = DistributedFft2d::new(comm, [RANKS, 1], n, n, FftConfig::default());
+        let block: Vec<f64> = noise(plan.local_rect().area())
+            .iter()
+            .map(|z| z.re)
+            .collect();
+        Box::new(move || {
+            let (_, spec) = plan.forward_real_transposed(&block);
+            std::hint::black_box(plan.inverse_real_transposed(spec));
+        })
+    });
+    let points = n * n;
+    for (variant, ns) in [("c2c", c2c_ns), ("r2c", r2c_ns)] {
+        rows.push(Row {
+            kernel: "dfft_roundtrip",
+            variant,
+            n: points,
+            ns_per_elem: ns / points as f64,
+            gbps: (points * 16) as f64 / ns,
+        });
+    }
+    eprintln!(
+        "dfft_roundtrip   {n}x{n:<5} c2c {:>7.2} ns/pt  r2c {:>7.2} ns/pt  speedup {:.2}x",
+        c2c_ns / points as f64,
+        r2c_ns / points as f64,
+        c2c_ns / r2c_ns
+    );
+}
+
+/// The reshape as it ran before blocks moved by ownership: packed blocks
+/// concatenated into one send buffer, split again inside the flat
+/// `alltoallv_with`, its flattened result split once more, then
+/// unpacked. Kept here as the measured reference.
+fn redistribute_flat(
+    comm: &Communicator,
+    data: &[Complex],
+    src: &dyn Fn(usize) -> Rect,
+    dst: &dyn Fn(usize) -> Rect,
+) -> Vec<Complex> {
+    let (my_src, my_dst) = (src(comm.rank()), dst(comm.rank()));
+    let blocks: Vec<Vec<Complex>> = (0..comm.size())
+        .map(|d| pack(data, &my_src, &my_src.intersect(&dst(d))))
+        .collect();
+    let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
+    let (flat, rcounts) = comm.alltoallv_with(&blocks.concat(), &counts, AllToAllAlgo::Adaptive);
+    let mut out = vec![Complex::default(); my_dst.area()];
+    let mut rest = flat.as_slice();
+    for (s, &len) in rcounts.iter().enumerate() {
+        let (head, tail) = rest.split_at(len);
+        rest = tail;
+        let block = head.to_vec();
+        unpack(&mut out, &my_dst, &src(s).intersect(&my_dst), &block);
+    }
+    out
+}
+
+/// One row-slab -> column-slab reshape of an `n x n` complex grid over
+/// 2 ranks: ownership-passing `redistribute` vs the flat-buffer shape,
+/// ns per grid point.
+fn bench_redistribute(rows: &mut Vec<Row>, n: usize, reps: usize) {
+    let row_slab = move |r: usize| Rect::new(Dist::new(n, RANKS).range(r), 0..n);
+    let col_slab = move |r: usize| Rect::new(0..n, Dist::new(n, RANKS).range(r));
+    let flat_ns = best_ns_2rank(reps, |comm| {
+        let slab = noise(row_slab(comm.rank()).area());
+        Box::new(move || {
+            std::hint::black_box(redistribute_flat(comm, &slab, &row_slab, &col_slab));
+        })
+    });
+    let owned_ns = best_ns_2rank(reps, |comm| {
+        let slab = noise(row_slab(comm.rank()).area());
+        Box::new(move || {
+            let algo = AllToAllAlgo::Adaptive;
+            std::hint::black_box(redistribute(comm, &slab, &row_slab, &col_slab, algo));
+        })
+    });
+    let points = n * n;
+    for (variant, ns) in [("flat", flat_ns), ("owned", owned_ns)] {
+        rows.push(Row {
+            kernel: "redistribute",
+            variant,
+            n: points,
+            ns_per_elem: ns / points as f64,
+            gbps: (points * 16) as f64 / ns,
+        });
+    }
+    eprintln!(
+        "redistribute     {n}x{n:<5} flat {:>7.3} ns/pt  owned {:>7.3} ns/pt  speedup {:.2}x",
+        flat_ns / points as f64,
+        owned_ns / points as f64,
+        flat_ns / owned_ns
+    );
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -191,6 +323,13 @@ fn main() {
     // 16 B each = 16 KiB row stride) over enough rows that columns do
     // not stay resident between passes.
     bench_pack(&mut rows, 512, 1024, 20);
+
+    // Distributed rows at the repo benchmark's two low-order meshes:
+    // 256 KiB reshape blocks (bandwidth) and 4 KiB blocks (latency).
+    bench_dfft_roundtrip(&mut rows, 256, 40);
+    bench_dfft_roundtrip(&mut rows, 32, 1000);
+    bench_redistribute(&mut rows, 256, 200);
+    bench_redistribute(&mut rows, 32, 2000);
 
     let doc = Value::Object(vec![(
         "benches".into(),

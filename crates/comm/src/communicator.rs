@@ -1419,9 +1419,42 @@ impl Communicator {
                 head.to_vec()
             })
             .collect();
-        let recv = collectives::alltoall::alltoallv_with(self, blocks, algo)?;
+        let recv = self.try_alltoallv_owned(blocks, algo)?;
         let recv_counts: Vec<usize> = recv.iter().map(Vec::len).collect();
         Ok((recv.into_iter().flatten().collect(), recv_counts))
+    }
+
+    /// Irregular all-to-all over **owned** per-destination blocks:
+    /// `blocks[d]` moves to rank `d` by ownership transfer and the result
+    /// holds the block received from each source rank — no flattening on
+    /// either side, so a caller that packs per destination and unpacks
+    /// per source (the dfft reshapes) pays pack + move + unpack and
+    /// nothing else. Same exchange core, message schedule and trace
+    /// accounting as [`Communicator::alltoallv_with`]; the receiver of a
+    /// block frees it.
+    pub fn alltoallv_owned<T: CommData + Clone>(
+        &self,
+        blocks: Vec<Vec<T>>,
+        algo: collectives::alltoall::AllToAllAlgo,
+    ) -> Vec<Vec<T>> {
+        self.try_alltoallv_owned(blocks, algo)
+            .unwrap_or_else(|e| self.escalate("alltoallv", e))
+    }
+
+    /// Fallible [`Communicator::alltoallv_owned`].
+    pub fn try_alltoallv_owned<T: CommData + Clone>(
+        &self,
+        blocks: Vec<Vec<T>>,
+        algo: collectives::alltoall::AllToAllAlgo,
+    ) -> Result<Vec<Vec<T>>, CommError> {
+        if blocks.len() != self.size {
+            return Err(CommError::SizeMismatch {
+                what: "alltoallv block count",
+                expected: self.size,
+                got: blocks.len(),
+            });
+        }
+        collectives::alltoall::alltoallv_with(self, blocks, algo)
     }
 
     /// Inclusive prefix reduction: rank r gets `v_0 ⊕ … ⊕ v_r`.

@@ -7,7 +7,7 @@
 //! inter-rank envelopes, which droppy element types cannot survive (and
 //! the runtime enforces that with a panic).
 
-use beatnik_comm::{backend_matrix, AllToAllAlgo, CommError, FaultPlan, SumOp, World};
+use beatnik_comm::{backend_matrix, AllToAllAlgo, CommError, FaultPlan, OpKind, SumOp, World};
 use beatnik_comm::TransportKind;
 use std::time::Duration;
 
@@ -46,6 +46,55 @@ backend_matrix! {
             assert_eq!(counts, [1, 2, 3, 4]);
             assert_eq!(flat.len(), 10);
         });
+    }
+
+    /// The block-owning alltoallv delivers what the flat call delivers,
+    /// copies no payload byte on any backend, and is counted exactly
+    /// like it: same calls, messages, bytes and handoff bytes per rank.
+    fn alltoallv_owned_matches_flat_call_with_zero_copies(kind: TransportKind) {
+        let p = 4usize;
+        for algo in [AllToAllAlgo::Pairwise, AllToAllAlgo::Direct, AllToAllAlgo::Adaptive] {
+            let run = |owned: bool| {
+                let (_, trace) = World::builder(p)
+                    .transport(kind)
+                    .recv_timeout(TIMEOUT)
+                    .run_traced(move |c| {
+                        // Ragged: rank r sends r+d+1 copies of 100r+d to d.
+                        let counts: Vec<usize> = (0..p).map(|d| c.rank() + d + 1).collect();
+                        let blocks: Vec<Vec<u64>> = (0..p)
+                            .map(|d| vec![(100 * c.rank() + d) as u64; counts[d]])
+                            .collect();
+                        let got: Vec<Vec<u64>> = if owned {
+                            c.alltoallv_owned(blocks, algo)
+                        } else {
+                            let (flat, rcounts) = c.alltoallv_with(&blocks.concat(), &counts, algo);
+                            let mut rest = flat.as_slice();
+                            rcounts
+                                .iter()
+                                .map(|&n| {
+                                    let (head, tail) = rest.split_at(n);
+                                    rest = tail;
+                                    head.to_vec()
+                                })
+                                .collect()
+                        };
+                        for (s, block) in got.iter().enumerate() {
+                            let want = vec![(100 * s + c.rank()) as u64; s + c.rank() + 1];
+                            assert_eq!(block, &want, "{algo:?} owned={owned} from {s}");
+                        }
+                    });
+                trace
+            };
+            let (flat, owned) = (run(false), run(true));
+            for r in 0..p {
+                let (f, o) = (flat.rank(r), owned.rank(r));
+                assert_eq!(o.copied_bytes(), 0, "{algo:?} rank {r}");
+                assert_eq!(o.get(OpKind::Alltoallv), f.get(OpKind::Alltoallv), "{algo:?} rank {r}");
+                assert_eq!(o.total_messages(), f.total_messages(), "{algo:?} rank {r}");
+                assert_eq!(o.total_bytes(), f.total_bytes(), "{algo:?} rank {r}");
+                assert_eq!(o.handoff_bytes(), f.handoff_bytes(), "{algo:?} rank {r}");
+            }
+        }
     }
 
     /// Both the eager and the rendezvous protocol move bytes intact

@@ -271,6 +271,26 @@ mod tests {
     }
 
     #[test]
+    fn low_order_step_runs_fifteen_transforms_each_way() {
+        // Three Runge-Kutta stages of 5 forward + 5 inverse transforms:
+        // the call pattern the benchmark's per-step message count pins.
+        let p = 2;
+        let (_, _, timeline) = World::builder(p).run_profiled(|comm| {
+            let mesh = periodic_mesh(&comm, 16);
+            let bc = BoundaryCondition::Periodic {
+                periods: [2.0 * PI, 2.0 * PI],
+            };
+            Solver::new(mesh, bc, config(Order::Low, BrChoice::None)).step();
+        });
+        let calls = |phase: &str| {
+            let rows = timeline.phase_attribution();
+            rows.iter().find(|r| r.name == phase).map_or(0, |r| r.calls)
+        };
+        assert_eq!(calls("dfft-forward"), 15 * p as u64);
+        assert_eq!(calls("dfft-inverse"), 15 * p as u64);
+    }
+
+    #[test]
     fn all_three_orders_run_with_each_br_solver() {
         World::builder(2).run(|comm| {
             let l = 2.0 * PI;

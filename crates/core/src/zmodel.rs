@@ -14,7 +14,7 @@ use crate::problem::ProblemManager;
 use beatnik_dfft::{DistributedFft2d, FftConfig, Rect};
 use beatnik_fft::spectral::wavenumbers;
 use beatnik_fft::Complex;
-use beatnik_mesh::stencil::{ddx4, ddy4, laplacian9};
+use beatnik_mesh::stencil::{ddx4, ddy4, laplacian};
 use beatnik_mesh::Field;
 
 /// The Z-Model solver for one rank.
@@ -181,8 +181,8 @@ impl ZModel {
                 for (lr, lc, _, _) in mesh.owned_indices() {
                     let ds_dx = ddx4(&s_field, lr, lc, 0, dx);
                     let ds_dy = ddy4(&s_field, lr, lc, 0, dy);
-                    let lap1 = laplacian9(w, lr, lc, 0, dx);
-                    let lap2 = laplacian9(w, lr, lc, 1, dx);
+                    let lap1 = laplacian(w, lr, lc, 0, dy, dx);
+                    let lap2 = laplacian(w, lr, lc, 1, dy, dx);
                     wdot.set(lr, lc, 0, a2 * ds_dy + mu * lap1);
                     wdot.set(lr, lc, 1, -a2 * ds_dx + mu * lap2);
                 }
@@ -257,7 +257,7 @@ impl ZModel {
                     // Normalized amplitude (forward transform is
                     // unnormalized: divide by the mode count).
                     if v.abs() / n_total < tolerance {
-                        *v = beatnik_fft::Complex::default();
+                        *v = Complex::default();
                     }
                 }
                 self.inverse_re(spec)
@@ -292,20 +292,19 @@ impl ZModel {
         self.forward_vals(&vals)
     }
 
-    /// Forward transform into the *transposed* spectrum layout (its
-    /// rectangle is returned so multipliers can map global wavenumbers).
+    /// Forward transform of a real owned-order field into the
+    /// *transposed half* spectrum (its rectangle is returned so
+    /// multipliers can map global wavenumbers). Every multiplier below is
+    /// Hermitian-symmetric in `k`, so acting on columns `0..=nc/2` alone
+    /// acts on the whole spectrum.
     fn forward_vals(&self, vals: &[f64]) -> (Rect, Vec<Complex>) {
         let plan = self.dfft.as_ref().expect("fft not configured");
-        let block: Vec<Complex> = vals.iter().map(|&v| Complex::real(v)).collect();
-        plan.forward_transposed(block)
+        plan.forward_real_transposed(vals)
     }
 
     fn inverse_re(&self, spec: Vec<Complex>) -> Vec<f64> {
         let plan = self.dfft.as_ref().expect("fft not configured");
-        plan.inverse_transposed(spec)
-            .into_iter()
-            .map(|z| z.re)
-            .collect()
+        plan.inverse_real_transposed(spec)
     }
 
     #[inline]
@@ -484,6 +483,54 @@ mod tests {
                     "high gc={gc}: {} vs {want}",
                     high[i]
                 );
+            }
+        });
+    }
+
+    /// Viscous term on a non-square domain (`dy = 2·dx`): the high-order
+    /// stencil Laplacian must track the medium order's spectral one. A
+    /// 9-point stencil fed `dx` alone overweights `∂²/∂y²` fourfold here.
+    #[test]
+    fn high_order_viscous_term_matches_spectral_on_anisotropic_spacing() {
+        World::builder(2).run(|comm| {
+            let (n, ly, lx) = (32, 4.0 * PI, 2.0 * PI);
+            let params = Params {
+                mu: 1.0,
+                epsilon: 0.1,
+                ..Params::default()
+            };
+            let run = |order: Order| -> Vec<[f64; 2]> {
+                let mesh = SurfaceMesh::new(&comm, [n, n], [true, true], 2, [0.0, 0.0], [ly, lx]);
+                let mut pm =
+                    ProblemManager::new(mesh, BoundaryCondition::Periodic { periods: [ly, lx] });
+                let coords: Vec<_> = pm.mesh().owned_indices().collect();
+                for (lr, lc, gr, gc) in coords {
+                    let [y, x] = pm.mesh().coord_of(gr as i64, gc as i64);
+                    pm.z_mut().set_node(lr, lc, &[x, y, 0.0]);
+                    // Small amplitude keeps the |V|² forcing far below
+                    // the viscous term: Δw = −(1 + ¼)·w.
+                    let w = 1e-3 * x.sin() * (0.5 * y).cos();
+                    pm.w_mut().set_node(lr, lc, &[w, -w]);
+                }
+                let br: Box<dyn BrSolver> = Box::new(ExactBrSolver);
+                let zm = ZModel::new(&pm, order, params, Some(br), FftConfig::default());
+                let mut zdot = pm.mesh().make_field(3);
+                let mut wdot = pm.mesh().make_field(2);
+                zm.derivatives(&mut pm, &mut zdot, &mut wdot);
+                pm.mesh()
+                    .owned_indices()
+                    .map(|(lr, lc, _, _)| [wdot.get(lr, lc, 0), wdot.get(lr, lc, 1)])
+                    .collect()
+            };
+            let spectral = run(Order::Medium);
+            let stencil = run(Order::High);
+            let peak = spectral
+                .iter()
+                .flatten()
+                .fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(peak > 1e-3, "viscous term missing: {peak}");
+            for (a, b) in stencil.iter().flatten().zip(spectral.iter().flatten()) {
+                assert!((a - b).abs() < 0.02 * peak, "stencil {a} vs spectral {b}");
             }
         });
     }

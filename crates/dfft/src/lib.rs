@@ -28,14 +28,24 @@
 //! message pattern and local memory traffic, which is the point of the
 //! benchmark.
 //!
+//! ## Real fields
+//!
+//! The Z-Model only ever transforms real fields, so beside the complex
+//! transforms the plan offers a real pair,
+//! [`DistributedFft2d::forward_real_transposed`] and
+//! [`DistributedFft2d::inverse_real_transposed`]: same reshapes, same
+//! message pattern under every configuration, but `f64` payloads into
+//! the row transforms and only the `nc/2 + 1` non-redundant spectrum
+//! columns out of them (DESIGN.md §18).
+//!
 //! ## Structure
 //!
 //! * [`layout`] — balanced 1D/2D index distributions and rectangle
 //!   pack/unpack helpers.
 //! * [`redistribute`] — the generic rectangle redistribution engine
-//!   (compute intersections analytically, exchange with `alltoallv`).
+//!   (compute intersections analytically, move one owned block per peer).
 //! * [`plan`] — [`DistributedFft2d`]: slab and pencil pipelines, forward
-//!   and inverse.
+//!   and inverse, complex and real.
 //! * [`config`] — [`FftConfig`] and the Table-1 enumeration.
 
 pub mod config;

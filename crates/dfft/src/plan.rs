@@ -15,12 +15,22 @@
 //! Both paths perform three reshapes; the pencil path keeps two of them
 //! inside `Pc`- and `Pr`-sized groups, trading message count against
 //! message size — the tradeoff the paper's Figure 9 explores.
+//!
+//! ## Real fields
+//!
+//! [`DistributedFft2d::forward_real_transposed`] and
+//! [`DistributedFft2d::inverse_real_transposed`] run the same two
+//! reshapes per direction on half the data: `f64` blocks travel to the
+//! row layout, real-to-complex row transforms keep the `nc/2 + 1`
+//! non-redundant bins, and the column layout (with its column FFTs)
+//! covers only those columns, dealt out evenly over the ranks.
 
 use crate::config::FftConfig;
-use crate::layout::{Dist, Rect};
+use crate::layout::{gather_cols, scatter_cols, Dist, Rect, COL_TILE};
 use crate::redistribute::{no_reorder_penalty, redistribute};
 use beatnik_comm::{AllToAllAlgo, CartComm, Communicator};
-use beatnik_fft::{Complex, Fft};
+use beatnik_fft::{Complex, Fft, RealFft};
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// Split `base` into `parts` balanced sub-ranges and return part `i`.
@@ -28,6 +38,21 @@ fn subrange(base: Range<usize>, parts: usize, i: usize) -> Range<usize> {
     let d = Dist::new(base.len(), parts);
     let r = d.range(i);
     base.start + r.start..base.start + r.end
+}
+
+/// The ranks of one block ↔ intermediate-layout reshape: the
+/// communicator it runs on and the world rank `base + q·stride` of its
+/// member `q`.
+struct Group<'a> {
+    comm: &'a Communicator,
+    base: usize,
+    stride: usize,
+}
+
+impl Group<'_> {
+    fn world_rank(&self, q: usize) -> usize {
+        self.base + q * self.stride
+    }
 }
 
 /// A planned distributed 2D FFT bound to one rank of a Cartesian grid.
@@ -43,6 +68,9 @@ pub struct DistributedFft2d {
     config: FftConfig,
     row_plan: Fft,
     col_plan: Fft,
+    real_row_plan: RealFft,
+    /// Column-tile work space of `fft_cols` (`nr × COL_TILE`).
+    col_scratch: RefCell<Vec<Complex>>,
 }
 
 impl DistributedFft2d {
@@ -70,6 +98,8 @@ impl DistributedFft2d {
             config,
             row_plan: Fft::new(nc),
             col_plan: Fft::new(nr),
+            real_row_plan: RealFft::new(nc),
+            col_scratch: RefCell::new(vec![Complex::default(); nr * COL_TILE]),
         }
     }
 
@@ -101,6 +131,10 @@ impl DistributedFft2d {
         }
     }
 
+    // ------------------------------------------------------------------
+    // Layouts
+    // ------------------------------------------------------------------
+
     /// Block rectangle of a world rank.
     fn block_rect_of(&self, rank: usize) -> Rect {
         let rd = Dist::new(self.nr, self.pr());
@@ -113,18 +147,98 @@ impl DistributedFft2d {
         self.block_rect_of(self.cart.comm().rank())
     }
 
+    /// Row-layout rectangle of world rank `w` over a `width`-column grid
+    /// (`nc` for full rows, `nc/2 + 1` for half-spectrum rows), every
+    /// column present. Slabs deal the rows over all ranks; pencils give
+    /// rank `(pr, pc)` the `pc`-th slice of block-row `pr`'s rows.
+    fn row_rect_of(&self, w: usize, width: usize) -> Rect {
+        let rows = if self.config.pencils {
+            let rd = Dist::new(self.nr, self.pr());
+            subrange(rd.range(w / self.pc()), self.pc(), w % self.pc())
+        } else {
+            Dist::new(self.nr, self.pr() * self.pc()).range(w)
+        };
+        Rect::new(rows, 0..width)
+    }
+
+    /// Column-layout rectangle of world rank `w` over a `width`-column
+    /// grid, every row present. Slabs deal the `width` columns over all
+    /// ranks; pencils give rank `(pr, pc)` the `pr`-th slice of the
+    /// `pc`-th of `Pc` column groups.
+    fn col_rect_of(&self, w: usize, width: usize) -> Rect {
+        let cols = if self.config.pencils {
+            let cd = Dist::new(width, self.pc());
+            subrange(cd.range(w % self.pc()), self.pr(), w / self.pc())
+        } else {
+            Dist::new(width, self.pr() * self.pc()).range(w)
+        };
+        Rect::new(0..self.nr, cols)
+    }
+
+    /// Ranks of the block ↔ row-layout reshape: my row subcommunicator
+    /// for pencils (member `q` is world rank `(my_pr, q)`), the world
+    /// for slabs.
+    fn row_group(&self) -> Group<'_> {
+        if self.config.pencils {
+            let base = self.cart.coords()[0] * self.pc();
+            Group {
+                comm: &self.row_comm,
+                base,
+                stride: 1,
+            }
+        } else {
+            Group {
+                comm: self.cart.comm(),
+                base: 0,
+                stride: 1,
+            }
+        }
+    }
+
+    /// Ranks of the column-layout ↔ block reshape: my column
+    /// subcommunicator for pencils (member `q` is world rank
+    /// `(q, my_pc)`), the world for slabs.
+    fn col_group(&self) -> Group<'_> {
+        if self.config.pencils {
+            let base = self.cart.coords()[1];
+            Group {
+                comm: &self.col_comm,
+                base,
+                stride: self.pc(),
+            }
+        } else {
+            Group {
+                comm: self.cart.comm(),
+                base: 0,
+                stride: 1,
+            }
+        }
+    }
+
+    fn check_block(&self, len: usize) {
+        assert_eq!(
+            len,
+            self.local_rect().area(),
+            "distributed fft: block buffer does not match local rectangle"
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Complex transforms
+    // ------------------------------------------------------------------
+
     /// Forward transform: consumes block-layout data, returns the
     /// block-layout spectrum (unnormalized). Collective.
     pub fn forward(&self, block: Vec<Complex>) -> Vec<Complex> {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
-        self.run(block, true)
+        self.run(block, Fft::forward)
     }
 
     /// Inverse transform: consumes a block-layout spectrum, returns
     /// block-layout data normalized by `1/(nr·nc)`. Collective.
     pub fn inverse(&self, block: Vec<Complex>) -> Vec<Complex> {
         let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
-        self.run(block, false)
+        self.run(block, Fft::inverse)
     }
 
     /// Forward transform that *stays* in the final intermediate layout
@@ -135,37 +249,7 @@ impl DistributedFft2d {
     /// reshapes. Returns the spectrum's rectangle and data.
     pub fn forward_transposed(&self, block: Vec<Complex>) -> (Rect, Vec<Complex>) {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
-        assert_eq!(
-            block.len(),
-            self.local_rect().area(),
-            "distributed fft: block buffer does not match local rectangle"
-        );
-        let algo = self.algo();
-        if self.config.pencils {
-            let [my_pr, _my_pc] = self.cart.coords();
-            let pc_n = self.pc();
-            let src = |q: usize| self.block_rect_of(my_pr * pc_n + q);
-            let dst = |q: usize| self.row_pencil_of(my_pr, q);
-            let (rect, mut buf) = redistribute(&self.row_comm, &block, &src, &dst, algo);
-            self.fft_rows(&mut buf, &rect, true);
-            let src = |w: usize| self.row_pencil_of(w / pc_n, w % pc_n);
-            let dst = |w: usize| self.col_pencil_of(w / pc_n, w % pc_n);
-            let (rect, mut buf) = redistribute(self.cart.comm(), &buf, &src, &dst, algo);
-            self.fft_cols(&mut buf, &rect, true);
-            (rect, buf)
-        } else {
-            let comm = self.cart.comm();
-            let p = comm.size();
-            let (nr, nc) = (self.nr, self.nc);
-            let block_rect = |r: usize| self.block_rect_of(r);
-            let row_slab = move |r: usize| Rect::new(Dist::new(nr, p).range(r), 0..nc);
-            let col_slab = move |r: usize| Rect::new(0..nr, Dist::new(nc, p).range(r));
-            let (rect, mut buf) = redistribute(comm, &block, &block_rect, &row_slab, algo);
-            self.fft_rows(&mut buf, &rect, true);
-            let (rect, mut buf) = redistribute(comm, &buf, &row_slab, &col_slab, algo);
-            self.fft_cols(&mut buf, &rect, true);
-            (rect, buf)
-        }
+        self.to_transposed(&block, Fft::forward)
     }
 
     /// Inverse transform starting from the transposed (column slab /
@@ -174,168 +258,159 @@ impl DistributedFft2d {
     /// normalized by `1/(nr·nc)`.
     pub fn inverse_transposed(&self, spectrum: Vec<Complex>) -> Vec<Complex> {
         let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
+        let world = self.cart.comm();
         let algo = self.algo();
-        if self.config.pencils {
-            let [my_pr, my_pc] = self.cart.coords();
-            let pc_n = self.pc();
-            let my_rect = self.col_pencil_of(my_pr, my_pc);
-            assert_eq!(spectrum.len(), my_rect.area(), "bad transposed spectrum");
-            let mut buf = spectrum;
-            self.fft_cols(&mut buf, &my_rect, false);
-            // col pencils -> row pencils (global), inverse row FFT, then
-            // row pencils -> block (row comm).
-            let src = |w: usize| self.col_pencil_of(w / pc_n, w % pc_n);
-            let dst = |w: usize| self.row_pencil_of(w / pc_n, w % pc_n);
-            let (rect, mut buf) = redistribute(self.cart.comm(), &buf, &src, &dst, algo);
-            self.fft_rows(&mut buf, &rect, false);
-            let src = |q: usize| self.row_pencil_of(my_pr, q);
-            let dst = |q: usize| self.block_rect_of(my_pr * pc_n + q);
-            let (_, out) = redistribute(&self.row_comm, &buf, &src, &dst, algo);
-            out
-        } else {
-            let comm = self.cart.comm();
-            let p = comm.size();
-            let (nr, nc) = (self.nr, self.nc);
-            let block_rect = |r: usize| self.block_rect_of(r);
-            let row_slab = move |r: usize| Rect::new(Dist::new(nr, p).range(r), 0..nc);
-            let col_slab = move |r: usize| Rect::new(0..nr, Dist::new(nc, p).range(r));
-            let my_rect = col_slab(comm.rank());
-            assert_eq!(spectrum.len(), my_rect.area(), "bad transposed spectrum");
-            let mut buf = spectrum;
-            self.fft_cols(&mut buf, &my_rect, false);
-            let (rect, mut buf) = redistribute(comm, &buf, &col_slab, &row_slab, algo);
-            self.fft_rows(&mut buf, &rect, false);
-            let (_, out) = redistribute(comm, &buf, &row_slab, &block_rect, algo);
-            out
-        }
+        let nc = self.nc;
+        let my_rect = self.col_rect_of(world.rank(), nc);
+        assert_eq!(spectrum.len(), my_rect.area(), "bad transposed spectrum");
+        let mut buf = spectrum;
+        self.fft_cols(&mut buf, &my_rect, Fft::inverse);
+        let cols_of = |w: usize| self.col_rect_of(w, nc);
+        let rows_of = |w: usize| self.row_rect_of(w, nc);
+        let (_, mut buf) = redistribute(world, &buf, &cols_of, &rows_of, algo);
+        self.fft_rows(&mut buf, Fft::inverse);
+        let g = self.row_group();
+        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
+        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
+        redistribute(g.comm, &buf, &rows_of, &block_of, algo).1
     }
 
-    fn run(&self, block: Vec<Complex>, forward: bool) -> Vec<Complex> {
-        assert_eq!(
-            block.len(),
-            self.local_rect().area(),
-            "distributed fft: block buffer does not match local rectangle"
-        );
-        if self.config.pencils {
-            self.run_pencils(block, forward)
-        } else {
-            self.run_slabs(block, forward)
-        }
+    /// Block → row layout → row transforms → column layout → column
+    /// transforms, `kernel` applied along both axes.
+    fn to_transposed(
+        &self,
+        block: &[Complex],
+        kernel: fn(&Fft, &mut [Complex]),
+    ) -> (Rect, Vec<Complex>) {
+        self.check_block(block.len());
+        let algo = self.algo();
+        let nc = self.nc;
+        let g = self.row_group();
+        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
+        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
+        let (_, mut buf) = redistribute(g.comm, block, &block_of, &rows_of, algo);
+        self.fft_rows(&mut buf, kernel);
+        let rows_of = |w: usize| self.row_rect_of(w, nc);
+        let cols_of = |w: usize| self.col_rect_of(w, nc);
+        let (rect, mut buf) = redistribute(self.cart.comm(), &buf, &rows_of, &cols_of, algo);
+        self.fft_cols(&mut buf, &rect, kernel);
+        (rect, buf)
     }
 
-    fn fft_rows(&self, buf: &mut [Complex], rect: &Rect, forward: bool) {
-        if rect.ncols() == 0 {
-            return;
-        }
-        debug_assert_eq!(rect.ncols(), self.nc);
+    /// The three-reshape pipeline, block layout in and out.
+    fn run(&self, block: Vec<Complex>, kernel: fn(&Fft, &mut [Complex])) -> Vec<Complex> {
+        let (_, buf) = self.to_transposed(&block, kernel);
+        let nc = self.nc;
+        let g = self.col_group();
+        let cols_of = |q: usize| self.col_rect_of(g.world_rank(q), nc);
+        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
+        redistribute(g.comm, &buf, &cols_of, &block_of, self.algo()).1
+    }
+
+    /// Transform every full-width row of `buf` in place.
+    fn fft_rows(&self, buf: &mut [Complex], kernel: fn(&Fft, &mut [Complex])) {
         if !self.config.reorder {
             no_reorder_penalty(buf);
         }
         for row in buf.chunks_exact_mut(self.nc) {
-            if forward {
-                self.row_plan.forward(row);
-            } else {
-                self.row_plan.inverse(row);
-            }
+            kernel(&self.row_plan, row);
         }
     }
 
-    fn fft_cols(&self, buf: &mut [Complex], rect: &Rect, forward: bool) {
+    /// Transform every full-height column of the `rect`-shaped `buf` in
+    /// place.
+    fn fft_cols(&self, buf: &mut [Complex], rect: &Rect, kernel: fn(&Fft, &mut [Complex])) {
         debug_assert_eq!(rect.nrows(), self.nr);
         if !self.config.reorder {
             no_reorder_penalty(buf);
         }
         let ncols = rect.ncols();
-        if ncols == 0 {
-            return;
-        }
         // Cache-blocked column transform: gather a tile of COL_TILE
         // columns into contiguous scratch in one row-streaming pass
         // (each source cache line fetched once per tile, not once per
         // column), transform each contiguous column, scatter back.
-        use crate::layout::{gather_cols, scatter_cols, COL_TILE};
-        let mut scratch = vec![Complex::default(); self.nr * COL_TILE.min(ncols)];
+        let mut scratch = self.col_scratch.borrow_mut();
         for c0 in (0..ncols).step_by(COL_TILE) {
             let tc = COL_TILE.min(ncols - c0);
             let tile = &mut scratch[..self.nr * tc];
             gather_cols(buf, ncols, c0, tc, tile);
             for col in tile.chunks_exact_mut(self.nr) {
-                if forward {
-                    self.col_plan.forward(col);
-                } else {
-                    self.col_plan.inverse(col);
-                }
+                kernel(&self.col_plan, col);
             }
             scatter_cols(tile, ncols, c0, tc, buf);
         }
     }
 
     // ------------------------------------------------------------------
-    // Slab path
+    // Real-field transforms
     // ------------------------------------------------------------------
 
-    fn run_slabs(&self, block: Vec<Complex>, forward: bool) -> Vec<Complex> {
-        let comm = self.cart.comm();
-        let p = comm.size();
+    /// Forward transform of a **real** block-layout field into the
+    /// transposed *half* spectrum: global columns `0..=nc/2` only, the
+    /// rest following from `X[r, nc−c] = conj(X[(nr−r) mod nr, c])`.
+    /// Same two reshapes as [`DistributedFft2d::forward_transposed`], on
+    /// half the bytes: `f64` blocks to the row layout, real-to-complex
+    /// row transforms, half-spectrum rows to a column layout that deals
+    /// the `nc/2 + 1` columns evenly over the ranks, complex column
+    /// transforms. Returns this rank's half-spectrum rectangle (global
+    /// indices) and its unnormalized data. Collective.
+    pub fn forward_real_transposed(&self, block: &[f64]) -> (Rect, Vec<Complex>) {
+        let _phase = self.cart.comm().telemetry().phase("dfft-forward");
+        self.check_block(block.len());
         let algo = self.algo();
-        let (nr, nc) = (self.nr, self.nc);
-        let block_rect = |r: usize| self.block_rect_of(r);
-        let row_slab = move |r: usize| Rect::new(Dist::new(nr, p).range(r), 0..nc);
-        let col_slab = move |r: usize| Rect::new(0..nr, Dist::new(nc, p).range(r));
-
-        // block -> row slabs
-        let (rect, mut buf) = redistribute(comm, &block, &block_rect, &row_slab, algo);
-        self.fft_rows(&mut buf, &rect, forward);
-        // row slabs -> column slabs
-        let (rect, mut buf) = redistribute(comm, &buf, &row_slab, &col_slab, algo);
-        self.fft_cols(&mut buf, &rect, forward);
-        // column slabs -> block
-        let (_, out) = redistribute(comm, &buf, &col_slab, &block_rect, algo);
-        out
+        let (nc, nh) = (self.nc, self.real_row_plan.bins());
+        let g = self.row_group();
+        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
+        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
+        let (_, mut rows) = redistribute(g.comm, block, &block_of, &rows_of, algo);
+        if !self.config.reorder {
+            no_reorder_penalty(&mut rows);
+        }
+        let mut half = vec![Complex::default(); rows.len() / nc * nh];
+        for (row, bins) in rows.chunks_exact(nc).zip(half.chunks_exact_mut(nh)) {
+            self.real_row_plan.forward_into(row, bins);
+        }
+        let rows_of = |w: usize| self.row_rect_of(w, nh);
+        let cols_of = |w: usize| self.col_rect_of(w, nh);
+        let (rect, mut buf) = redistribute(self.cart.comm(), &half, &rows_of, &cols_of, algo);
+        self.fft_cols(&mut buf, &rect, Fft::forward);
+        (rect, buf)
     }
 
-    // ------------------------------------------------------------------
-    // Pencil path
-    // ------------------------------------------------------------------
-
-    /// Row-pencil rectangle of world rank `(pr, pc)`: the `pc`-th slice of
-    /// block-row `pr`'s rows, full width.
-    fn row_pencil_of(&self, pr: usize, pc: usize) -> Rect {
-        let rd = Dist::new(self.nr, self.pr());
-        Rect::new(subrange(rd.range(pr), self.pc(), pc), 0..self.nc)
-    }
-
-    /// Column-pencil rectangle of world rank `(pr, pc)`: the `pr`-th slice
-    /// of block-column `pc`'s columns, full height.
-    fn col_pencil_of(&self, pr: usize, pc: usize) -> Rect {
-        let cd = Dist::new(self.nc, self.pc());
-        Rect::new(0..self.nr, subrange(cd.range(pc), self.pr(), pr))
-    }
-
-    fn run_pencils(&self, block: Vec<Complex>, forward: bool) -> Vec<Complex> {
-        let [my_pr, my_pc] = self.cart.coords();
-        let pc_n = self.pc();
+    /// Inverse of [`DistributedFft2d::forward_real_transposed`]: consumes
+    /// this rank's half-spectrum columns, returns the real block-layout
+    /// field normalized by `1/(nr·nc)` (applied once, inside the
+    /// complex-to-real row transforms). The spectrum must be Hermitian
+    /// in the sense above; the imaginary parts that symmetry forces to
+    /// zero are ignored. Collective.
+    pub fn inverse_real_transposed(&self, spectrum: Vec<Complex>) -> Vec<f64> {
+        let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
+        let world = self.cart.comm();
         let algo = self.algo();
-
-        // block -> row pencils, within my row subcommunicator: peer q in
-        // the row comm is world rank (my_pr, q).
-        let src = |q: usize| self.block_rect_of(my_pr * pc_n + q);
-        let dst = |q: usize| self.row_pencil_of(my_pr, q);
-        let (rect, mut buf) = redistribute(&self.row_comm, &block, &src, &dst, algo);
-        self.fft_rows(&mut buf, &rect, forward);
-
-        // row pencils -> column pencils, global.
-        let src = |w: usize| self.row_pencil_of(w / pc_n, w % pc_n);
-        let dst = |w: usize| self.col_pencil_of(w / pc_n, w % pc_n);
-        let (rect, mut buf) = redistribute(self.cart.comm(), &buf, &src, &dst, algo);
-        self.fft_cols(&mut buf, &rect, forward);
-
-        // column pencils -> block, within my column subcommunicator: peer
-        // q in the column comm is world rank (q, my_pc).
-        let src = |q: usize| self.col_pencil_of(q, my_pc);
-        let dst = |q: usize| self.block_rect_of(q * pc_n + my_pc);
-        let (_, out) = redistribute(&self.col_comm, &buf, &src, &dst, algo);
-        out
+        let (nc, nh) = (self.nc, self.real_row_plan.bins());
+        let my_rect = self.col_rect_of(world.rank(), nh);
+        assert_eq!(
+            spectrum.len(),
+            my_rect.area(),
+            "bad transposed half spectrum"
+        );
+        let mut buf = spectrum;
+        self.fft_cols(&mut buf, &my_rect, Fft::inverse_unnormalized);
+        let cols_of = |w: usize| self.col_rect_of(w, nh);
+        let rows_of = |w: usize| self.row_rect_of(w, nh);
+        let (_, mut half) = redistribute(world, &buf, &cols_of, &rows_of, algo);
+        if !self.config.reorder {
+            no_reorder_penalty(&mut half);
+        }
+        let scale = 1.0 / (self.nr * nc) as f64;
+        let mut rows = vec![0.0; half.len() / nh * nc];
+        for (bins, row) in half.chunks_exact_mut(nh).zip(rows.chunks_exact_mut(nc)) {
+            self.real_row_plan.inverse_scaled_into(bins, row, scale);
+        }
+        let g = self.row_group();
+        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
+        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
+        redistribute(g.comm, &rows, &rows_of, &block_of, algo).1
     }
 }
 
@@ -603,5 +678,130 @@ mod transposed_tests {
         // Slab path: 6 reshapes -> 4 reshapes.
         assert_eq!(plain, 6 * 4 * 3);
         assert_eq!(fast, 4 * 4 * 3);
+    }
+}
+
+#[cfg(test)]
+mod real_tests {
+    use super::*;
+    use crate::config::FftConfig;
+    use beatnik_comm::{dims_create, OpKind, World};
+    use beatnik_fft::fft2d::Fft2d;
+
+    fn field(r: usize, c: usize) -> f64 {
+        (r as f64 * 0.7 + c as f64 * 1.3).sin() + 0.25 * (r as f64 - 0.2 * c as f64).cos()
+    }
+
+    fn fill(rect: &Rect) -> Vec<f64> {
+        let mut block = Vec::with_capacity(rect.area());
+        for r in rect.rows.clone() {
+            for c in rect.cols.clone() {
+                block.push(field(r, c));
+            }
+        }
+        block
+    }
+
+    /// Differential check of one (config, mesh, rank count) cell: the
+    /// half spectrum equals the serial 2D transform at columns
+    /// `0..=nc/2`, the ranks' rectangles tile exactly those columns, and
+    /// the inverse returns the input. Returns how many ranks own no
+    /// half-spectrum column.
+    fn check(p: usize, nr: usize, nc: usize, config: FftConfig) -> usize {
+        let mut reference: Vec<Complex> = (0..nr * nc)
+            .map(|i| Complex::real(field(i / nc, i % nc)))
+            .collect();
+        Fft2d::new(nr, nc).forward(&mut reference);
+        let owned = World::builder(p).run(move |comm| {
+            let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, config);
+            let block = fill(&plan.local_rect());
+            let (rect, spec) = plan.forward_real_transposed(&block);
+            assert_eq!(rect.rows, 0..nr, "{config} p={p} {nr}x{nc}");
+            assert!(
+                rect.cols.end <= nc / 2 + 1,
+                "{config} p={p} {nr}x{nc}: {rect:?}"
+            );
+            let mut i = 0;
+            for r in rect.rows.clone() {
+                for c in rect.cols.clone() {
+                    let want = reference[r * nc + c];
+                    assert!(
+                        (spec[i] - want).abs() < 1e-10,
+                        "{config} p={p} {nr}x{nc} ({r},{c}): {} vs {want}",
+                        spec[i]
+                    );
+                    i += 1;
+                }
+            }
+            let back = plan.inverse_real_transposed(spec);
+            assert_eq!(back.len(), block.len());
+            for (a, b) in back.iter().zip(&block) {
+                assert!(
+                    (a - b).abs() < 1e-12,
+                    "{config} p={p} {nr}x{nc}: {a} vs {b}"
+                );
+            }
+            rect.area()
+        });
+        assert_eq!(owned.iter().sum::<usize>(), nr * (nc / 2 + 1));
+        owned.iter().filter(|&&a| a == 0).count()
+    }
+
+    #[test]
+    fn half_spectrum_matches_serial_fft_and_roundtrips_everywhere() {
+        for config in FftConfig::table1() {
+            for (nr, nc) in [(8, 8), (12, 10), (16, 9), (4, 4)] {
+                for p in [1, 2, 3, 4, 6, 9] {
+                    let idle = check(p, nr, nc, config);
+                    // 4x4 has three half-spectrum columns: nine ranks
+                    // cannot all own one.
+                    assert!(
+                        (nr, nc, p) != (4, 4, 9) || idle >= 6,
+                        "{config}: {idle} idle"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `(messages, bytes)` of one transposed forward + inverse pair over
+    /// a 16x16 grid, summed over ranks and over both exchange engines.
+    fn traffic(p: usize, config: FftConfig, real: bool) -> (u64, u64) {
+        let (_, trace) = World::builder(p).run_traced(move |comm| {
+            let plan = DistributedFft2d::new(&comm, dims_create(p), 16, 16, config);
+            let block = fill(&plan.local_rect());
+            if real {
+                let (_, spec) = plan.forward_real_transposed(&block);
+                let _ = plan.inverse_real_transposed(spec);
+            } else {
+                let block = block.into_iter().map(Complex::real).collect();
+                let (_, spec) = plan.forward_transposed(block);
+                let _ = plan.inverse_transposed(spec);
+            }
+        });
+        let (a, s) = (trace.total(OpKind::Alltoallv), trace.total(OpKind::Send));
+        (a.messages + s.messages, a.bytes + s.bytes)
+    }
+
+    #[test]
+    fn real_pair_sends_its_complex_twins_messages_and_the_analytic_bytes() {
+        // cfg7 (collective, pencils), cfg5 (collective, slabs), cfg3
+        // (p2p, pencils) on 2 and 4 ranks.
+        for cfg in [7usize, 5, 3] {
+            let config = FftConfig::from_index(cfg);
+            for p in [2usize, 4] {
+                let (c_msgs, c_bytes) = traffic(p, config, false);
+                let (r_msgs, r_bytes) = traffic(p, config, true);
+                assert_eq!(r_msgs, c_msgs, "{config} p={p}");
+                // Rows split evenly, so each direction's row<->column
+                // reshape moves (1 - 1/p) of the 16x16 complex grid off
+                // rank; the block<->row reshapes carry the rest.
+                let (n, nh) = (16u64 * 16, 16u64 * 9);
+                let spectrum = 2 * 16 * n * (p as u64 - 1) / p as u64;
+                let half_spectrum = 2 * 16 * nh * (p as u64 - 1) / p as u64;
+                let field = c_bytes - spectrum;
+                assert_eq!(r_bytes, field / 2 + half_spectrum, "{config} p={p}");
+            }
+        }
     }
 }

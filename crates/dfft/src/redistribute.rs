@@ -7,8 +7,8 @@
 //! payloads, exactly as in production transpose engines.
 
 use crate::layout::{pack, unpack, Rect};
+use beatnik_comm::message::CommData;
 use beatnik_comm::{wait_all, AllToAllAlgo, Communicator};
-use beatnik_fft::Complex;
 
 /// Message tag for p2p reshape traffic. One message per `(source, tag)`
 /// per reshape plus the mailbox's non-overtaking guarantee keeps
@@ -30,13 +30,18 @@ const DFFT_TAG: u64 = 0x4446_4654; // "DFFT"
 /// `alltoallv` with that algorithm — including
 /// [`AllToAllAlgo::Adaptive`], which picks the engine per call from
 /// this rank's send volume.
-pub fn redistribute(
+///
+/// Either way the packed per-destination blocks are handed to the
+/// exchange by ownership and unpacked straight from the received blocks:
+/// a reshape copies each element twice (pack, unpack) and the receiver
+/// frees the block it was sent.
+pub fn redistribute<T: CommData + Copy + Default>(
     comm: &Communicator,
-    data: &[Complex],
+    data: &[T],
     src_rect: &dyn Fn(usize) -> Rect,
     dest_rect: &dyn Fn(usize) -> Rect,
     algo: AllToAllAlgo,
-) -> (Rect, Vec<Complex>) {
+) -> (Rect, Vec<T>) {
     let _phase = comm.telemetry().phase("dfft-redistribute");
     let p = comm.size();
     let me = comm.rank();
@@ -45,7 +50,7 @@ pub fn redistribute(
     debug_assert_eq!(data.len(), my_src.area(), "redistribute: bad source buffer");
 
     // Pack the intersection of my source data with every destination.
-    let mut blocks: Vec<Vec<Complex>> = (0..p)
+    let mut blocks: Vec<Vec<T>> = (0..p)
         .map(|d| {
             let inter = my_src.intersect(&dest_rect(d));
             if inter.is_empty() {
@@ -56,7 +61,7 @@ pub fn redistribute(
         })
         .collect();
 
-    let received: Vec<Vec<Complex>> = match algo {
+    let received: Vec<Vec<T>> = match algo {
         AllToAllAlgo::Direct => {
             // Both sides compute the same intersections, so receiver and
             // sender agree on exactly which peers exchange a message.
@@ -65,7 +70,7 @@ pub fn redistribute(
                 .collect();
             let reqs = expect
                 .iter()
-                .map(|&s| comm.irecv::<Complex>(s, DFFT_TAG))
+                .map(|&s| comm.irecv::<T>(s, DFFT_TAG))
                 .collect();
             // Pairwise destination order spreads traffic instead of having
             // every rank hit rank 0 first. The packed per-destination
@@ -86,31 +91,18 @@ pub fn redistribute(
             for s in sends {
                 s.wait();
             }
-            let mut received: Vec<Vec<Complex>> = (0..p).map(|_| Vec::new()).collect();
+            let mut received: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
             received[me] = std::mem::take(&mut blocks[me]);
             for (s, block) in expect.into_iter().zip(got) {
                 received[s] = block;
             }
             received
         }
-        collective => {
-            let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-            let send = blocks.concat();
-            let (flat, rcounts) = comm.alltoallv_with(&send, &counts, collective);
-            let mut rest = flat.as_slice();
-            rcounts
-                .iter()
-                .map(|&n| {
-                    let (head, tail) = rest.split_at(n);
-                    rest = tail;
-                    head.to_vec()
-                })
-                .collect()
-        }
+        collective => comm.alltoallv_owned(blocks, collective),
     };
 
     // Place every received block into my destination rectangle.
-    let mut out = vec![Complex::default(); my_dst.area()];
+    let mut out = vec![T::default(); my_dst.area()];
     for (s, block) in received.into_iter().enumerate() {
         let inter = src_rect(s).intersect(&my_dst);
         if inter.is_empty() {
@@ -127,8 +119,8 @@ pub fn redistribute(
 /// through an element-wise strided pass (scratch copy + per-element
 /// placement). Data is unchanged; local memory traffic roughly doubles,
 /// matching the cost of operating on non-contiguous layouts.
-pub fn no_reorder_penalty(buf: &mut [Complex]) {
-    let scratch: Vec<Complex> = buf.to_vec();
+pub fn no_reorder_penalty<T: Copy>(buf: &mut [T]) {
+    let scratch: Vec<T> = buf.to_vec();
     // Reverse-order element-wise writeback defeats the memcpy fast path,
     // behaving like a strided gather/scatter.
     let n = buf.len();
@@ -142,6 +134,7 @@ mod tests {
     use super::*;
     use crate::layout::Dist;
     use beatnik_comm::World;
+    use beatnik_fft::Complex;
 
     /// Global 8x6 grid with value = row*100 + col, moved between layouts.
     fn value(r: usize, c: usize) -> Complex {

@@ -44,4 +44,4 @@ pub mod spectral;
 pub use complex::Complex;
 pub use fft2d::Fft2d;
 pub use plan::Fft;
-pub use real::{rfft_pair, RealFft};
+pub use real::RealFft;

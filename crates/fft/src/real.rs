@@ -1,42 +1,65 @@
 //! Real-input transforms via Hermitian symmetry.
 //!
 //! The Z-Model's fields (vorticity, heights, |V|²) are real, so their
-//! spectra are Hermitian and half the complex work is redundant. This
-//! module provides:
+//! spectra are Hermitian and half the complex work is redundant.
+//! [`RealFft`] maps `n` reals to the `n/2 + 1` bins `0..=n/2` (the rest
+//! follow from `X[n−k] = conj(X[k])`) and back, with one of two row
+//! kernels behind the same entry points:
 //!
-//! * [`rfft`] / [`irfft`] — real→half-spectrum and back, using the
-//!   classic pack-two-reals trick: an even/odd split of one length-`n`
-//!   real signal through a length-`n/2` complex transform;
-//! * [`rfft_pair`] — two real signals of length `n` through a *single*
-//!   length-`n` complex transform (the workhorse for transforming the
-//!   two vorticity components together, halving the low-order solver's
-//!   transform count).
+//! * even `n` — the classic pack-two-reals trick: the even/odd samples
+//!   ride the real/imaginary lanes of one length-`n/2` complex
+//!   transform, recombined **in place** in the output slice, so a row
+//!   costs no allocation and half the butterflies;
+//! * odd `n` — a plain length-`n` complex transform through plan-held
+//!   scratch, keeping bins `0..=n/2`.
+//!
+//! [`RealFft::forward_into`] / [`RealFft::inverse_scaled_into`] are the
+//! slice entry points the distributed row transforms call once per row;
+//! [`RealFft::forward`] / [`RealFft::inverse`] are allocating wrappers.
 
 use crate::complex::Complex;
 use crate::plan::Fft;
+use std::cell::RefCell;
 
-/// Planned real-input FFT of even length `n` (half-spectrum output of
+/// Planned real-input FFT of length `n ≥ 1` (half-spectrum output of
 /// `n/2 + 1` bins).
 pub struct RealFft {
     n: usize,
-    half_plan: Fft,
-    /// Twiddles `e^{-πik/ (n/2) /2}`… the post-processing factors
-    /// `e^{-2πik/n}` for the split-radix recombination.
-    twiddles: Vec<Complex>,
+    kind: Kind,
+}
+
+enum Kind {
+    /// Even `n`: a length-`n/2` complex plan plus the recombination
+    /// factors `e^{-2πik/n}` for `k < n/2`.
+    Packed {
+        half_plan: Fft,
+        twiddles: Vec<Complex>,
+    },
+    /// Odd `n`: the full complex plan and its length-`n` work row.
+    Plain {
+        plan: Fft,
+        scratch: RefCell<Vec<Complex>>,
+    },
 }
 
 impl RealFft {
-    /// Plan for even `n ≥ 2`.
+    /// Plan for any `n ≥ 1`.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 2 && n.is_multiple_of(2), "real fft requires even length >= 2");
-        let twiddles = (0..n / 2)
-            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        RealFft {
-            n,
-            half_plan: Fft::new(n / 2),
-            twiddles,
-        }
+        assert!(n >= 1, "real fft requires length >= 1");
+        let kind = if n.is_multiple_of(2) {
+            Kind::Packed {
+                half_plan: Fft::new(n / 2),
+                twiddles: (0..n / 2)
+                    .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+                    .collect(),
+            }
+        } else {
+            Kind::Plain {
+                plan: Fft::new(n),
+                scratch: RefCell::new(vec![Complex::default(); n]),
+            }
+        };
+        RealFft { n, kind }
     }
 
     /// Input length.
@@ -50,83 +73,137 @@ impl RealFft {
         false
     }
 
-    /// Forward transform: `n` reals → `n/2 + 1` spectrum bins
-    /// (bins `0..=n/2`; the rest follow from `X[n−k] = conj(X[k])`).
-    pub fn forward(&self, input: &[f64]) -> Vec<Complex> {
+    /// Number of spectrum bins kept: `n/2 + 1`.
+    pub fn bins(&self) -> usize {
+        self.n / 2 + 1
+    }
+
+    /// Forward transform of `n` reals into the `n/2 + 1` bins of `out`
+    /// (unnormalized). Allocation-free.
+    pub fn forward_into(&self, input: &[f64], out: &mut [Complex]) {
         assert_eq!(input.len(), self.n, "real fft: length mismatch");
-        let half = self.n / 2;
-        // Pack even samples into re, odd into im.
-        let mut z: Vec<Complex> = (0..half)
-            .map(|i| Complex::new(input[2 * i], input[2 * i + 1]))
-            .collect();
-        self.half_plan.forward(&mut z);
-        // Unpack: X[k] = E[k] + e^{-2πik/n}·O[k], where E/O come from the
-        // Hermitian split of the packed transform.
-        let mut out = Vec::with_capacity(half + 1);
-        for k in 0..=half {
-            let zk = z[k % half];
-            let znk = z[(half - k) % half].conj();
-            let e = (zk + znk).scale(0.5);
-            let o = (zk - znk) * Complex::new(0.0, -0.5);
-            let w = if k == half {
-                Complex::new(-1.0, 0.0)
-            } else {
-                self.twiddles[k]
-            };
-            out.push(e + w * o);
+        assert_eq!(out.len(), self.bins(), "real fft: spectrum length mismatch");
+        match &self.kind {
+            Kind::Packed {
+                half_plan,
+                twiddles,
+            } => {
+                let h = self.n / 2;
+                // Even samples in re, odd in im; transform in place in
+                // the first h output slots.
+                for (z, pair) in out.iter_mut().zip(input.chunks_exact(2)) {
+                    *z = Complex::new(pair[0], pair[1]);
+                }
+                half_plan.forward(&mut out[..h]);
+                // X[k] = E[k] + w_k·O[k] with E/O the Hermitian split of
+                // the packed transform Z; bins k and h−k read and write
+                // the same two slots, so each pair recombines in place.
+                let z0 = out[0];
+                out[0] = Complex::real(z0.re + z0.im);
+                out[h] = Complex::real(z0.re - z0.im);
+                for k in 1..h.div_ceil(2) {
+                    let (a, b) = (out[k], out[h - k]);
+                    let (e, o) = split(a, b.conj());
+                    out[k] = e + twiddles[k] * o;
+                    // w_{h−k} = −conj(w_k), and E/O of the mirrored bin
+                    // are the conjugates.
+                    out[h - k] = e.conj() - twiddles[k].conj() * o.conj();
+                }
+                if h >= 2 && h.is_multiple_of(2) {
+                    // Self-paired middle bin: w = −i collapses to conj.
+                    out[h / 2] = out[h / 2].conj();
+                }
+            }
+            Kind::Plain { plan, scratch } => {
+                let mut z = scratch.borrow_mut();
+                for (z, &x) in z.iter_mut().zip(input) {
+                    *z = Complex::real(x);
+                }
+                plan.forward(&mut z);
+                out.copy_from_slice(&z[..self.bins()]);
+            }
         }
+    }
+
+    /// Inverse transform of the `n/2 + 1` bins in `spectrum` into the `n`
+    /// reals of `out`: `scale` times the *unnormalized* inverse, so
+    /// `scale = 1/n` is the normalized transform and a 2D caller folds
+    /// both axes' factors into one pass. `spectrum` is used as work space
+    /// and left clobbered; the imaginary parts of the self-conjugate bins
+    /// (0 and, for even `n`, `n/2`) are ignored, exactly as taking the
+    /// real part of a complex inverse would. Allocation-free.
+    pub fn inverse_scaled_into(&self, spectrum: &mut [Complex], out: &mut [f64], scale: f64) {
+        assert_eq!(spectrum.len(), self.bins(), "real ifft: length mismatch");
+        assert_eq!(out.len(), self.n, "real ifft: output length mismatch");
+        match &self.kind {
+            Kind::Packed {
+                half_plan,
+                twiddles,
+            } => {
+                let h = self.n / 2;
+                // Invert the recombination pairwise in place:
+                // Z[k] = (X[k] + conj X[h−k]) + i·conj(w_k)·(X[k] − conj X[h−k]),
+                // the ½ of the E/O split absorbed by the half-length
+                // transform's missing factor of two.
+                let (x0, xh) = (spectrum[0].re, spectrum[h].re);
+                spectrum[0] = Complex::new(x0 + xh, x0 - xh).scale(scale);
+                for k in 1..h.div_ceil(2) {
+                    let (a, b) = (spectrum[k], spectrum[h - k]);
+                    let sum = a + b.conj();
+                    let rot = (a - b.conj()) * twiddles[k].conj();
+                    // Z[k] = E + iO and, E and O being spectra of real
+                    // signals, Z[h−k] = conj(E) + i·conj(O) = conj(E) − conj(iO).
+                    let irot = Complex::new(-rot.im, rot.re);
+                    spectrum[k] = (sum + irot).scale(scale);
+                    spectrum[h - k] = (sum.conj() - irot.conj()).scale(scale);
+                }
+                if h >= 2 && h.is_multiple_of(2) {
+                    spectrum[h / 2] = spectrum[h / 2].conj().scale(2.0 * scale);
+                }
+                half_plan.inverse_unnormalized(&mut spectrum[..h]);
+                for (pair, z) in out.chunks_exact_mut(2).zip(spectrum.iter()) {
+                    pair[0] = z.re;
+                    pair[1] = z.im;
+                }
+            }
+            Kind::Plain { plan, scratch } => {
+                let mut z = scratch.borrow_mut();
+                z[0] = Complex::real(spectrum[0].re);
+                for k in 1..self.bins() {
+                    z[k] = spectrum[k];
+                    z[self.n - k] = spectrum[k].conj();
+                }
+                plan.inverse_unnormalized(&mut z);
+                for (x, z) in out.iter_mut().zip(z.iter()) {
+                    *x = z.re * scale;
+                }
+            }
+        }
+    }
+
+    /// Forward transform: `n` reals → `n/2 + 1` spectrum bins.
+    pub fn forward(&self, input: &[f64]) -> Vec<Complex> {
+        let mut out = vec![Complex::default(); self.bins()];
+        self.forward_into(input, &mut out);
         out
     }
 
     /// Inverse transform: `n/2 + 1` spectrum bins → `n` reals
     /// (normalized by `1/n`).
     pub fn inverse(&self, spectrum: &[Complex]) -> Vec<f64> {
-        let half = self.n / 2;
-        assert_eq!(spectrum.len(), half + 1, "real ifft: length mismatch");
-        // Repack the half spectrum into the length-n/2 complex transform.
-        let mut z = Vec::with_capacity(half);
-        // Invert the recombination: E[k] = (X[k] + conj(X[h−k]))/2 and
-        // O[k] = conj(w_k)·(X[k] − conj(X[h−k]))/2 (w is unimodular, so
-        // w⁻¹ = conj(w)), then Z[k] = E[k] + i·O[k].
-        for k in 0..half {
-            let xk = spectrum[k];
-            let xnk = spectrum[half - k].conj();
-            let e = (xk + xnk).scale(0.5);
-            let o = (xk - xnk).scale(0.5) * self.twiddles[k].conj();
-            z.push(e + Complex::new(0.0, 1.0) * o);
-        }
-        self.half_plan.inverse(&mut z);
-        let mut out = Vec::with_capacity(self.n);
-        for v in z {
-            out.push(v.re);
-            out.push(v.im);
-        }
+        let mut work = spectrum.to_vec();
+        let mut out = vec![0.0; self.n];
+        self.inverse_scaled_into(&mut work, &mut out, 1.0 / self.n as f64);
         out
     }
 }
 
-/// Transform two real signals with one complex FFT: pack `a + i·b`,
-/// transform, split by Hermitian symmetry. Returns full-length spectra
-/// of `a` and `b`.
-pub fn rfft_pair(plan: &Fft, a: &[f64], b: &[f64]) -> (Vec<Complex>, Vec<Complex>) {
-    let n = plan.len();
-    assert_eq!(a.len(), n, "rfft_pair: length mismatch");
-    assert_eq!(b.len(), n, "rfft_pair: length mismatch");
-    let mut z: Vec<Complex> = a
-        .iter()
-        .zip(b)
-        .map(|(&x, &y)| Complex::new(x, y))
-        .collect();
-    plan.forward(&mut z);
-    let mut fa = Vec::with_capacity(n);
-    let mut fb = Vec::with_capacity(n);
-    for k in 0..n {
-        let zk = z[k];
-        let znk = z[(n - k) % n].conj();
-        fa.push((zk + znk).scale(0.5));
-        fb.push((zk - znk) * Complex::new(0.0, -0.5));
-    }
-    (fa, fb)
+/// Hermitian split of a packed bin pair: `E = (a + b)/2` and
+/// `O = −i·(a − b)/2`, where `b` is the conjugated mirror bin.
+#[inline]
+fn split(a: Complex, b: Complex) -> (Complex, Complex) {
+    let d = a - b;
+    ((a + b).scale(0.5), Complex::new(d.im * 0.5, -d.re * 0.5))
 }
 
 #[cfg(test)]
@@ -135,12 +212,15 @@ mod tests {
     use crate::dft::dft_naive;
 
     fn real_signal(n: usize) -> Vec<f64> {
-        (0..n).map(|i| (i as f64 * 0.73).sin() + 0.2 * i as f64).collect()
+        (0..n)
+            .map(|i| (i as f64 * 0.73).sin() + 0.2 * i as f64)
+            .collect()
     }
 
     #[test]
-    fn rfft_matches_complex_fft_half_spectrum() {
-        for n in [2usize, 4, 8, 16, 64, 128] {
+    fn rfft_matches_naive_dft_half_spectrum() {
+        // Even (radix-2 and Bluestein half plans) and odd lengths.
+        for n in [1usize, 2, 3, 4, 6, 7, 8, 9, 10, 12, 15, 16, 64, 100, 128] {
             let x = real_signal(n);
             let plan = RealFft::new(n);
             let half = plan.forward(&x);
@@ -159,7 +239,7 @@ mod tests {
 
     #[test]
     fn rfft_roundtrip() {
-        for n in [4usize, 8, 32, 100] {
+        for n in [1usize, 2, 3, 4, 5, 6, 8, 9, 32, 99, 100] {
             let x = real_signal(n);
             let plan = RealFft::new(n);
             let back = plan.inverse(&plan.forward(&x));
@@ -170,35 +250,36 @@ mod tests {
     }
 
     #[test]
-    fn rfft_pair_matches_individual_transforms() {
-        for n in [8usize, 16, 60] {
-            let a = real_signal(n);
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.37).cos()).collect();
-            let plan = Fft::new(n);
-            let (fa, fb) = rfft_pair(&plan, &a, &b);
-            let sa = dft_naive(&a.iter().map(|&v| Complex::real(v)).collect::<Vec<_>>());
-            let sb = dft_naive(&b.iter().map(|&v| Complex::real(v)).collect::<Vec<_>>());
-            for k in 0..n {
-                assert!((fa[k] - sa[k]).abs() < 1e-8 * (1.0 + sa[k].abs()), "a n={n} k={k}");
-                assert!((fb[k] - sb[k]).abs() < 1e-8 * (1.0 + sb[k].abs()), "b n={n} k={k}");
+    fn inverse_scale_is_applied_once_to_the_unnormalized_transform() {
+        for n in [8usize, 9, 12] {
+            let x = real_signal(n);
+            let plan = RealFft::new(n);
+            let spec = plan.forward(&x);
+            let mut out = vec![0.0; n];
+            plan.inverse_scaled_into(&mut spec.clone(), &mut out, 3.0);
+            for (a, b) in out.iter().zip(&x) {
+                assert!((a - 3.0 * n as f64 * b).abs() < 1e-9 * (1.0 + b.abs()) * n as f64);
             }
         }
     }
 
     #[test]
-    fn spectrum_of_real_input_is_hermitian() {
-        let n = 32;
-        let x = real_signal(n);
-        let plan = Fft::new(n);
-        let (fa, _) = rfft_pair(&plan, &x, &vec![0.0; n]);
-        for k in 1..n {
-            assert!((fa[k] - fa[n - k].conj()).abs() < 1e-9);
+    fn inverse_ignores_imaginary_parts_of_self_conjugate_bins() {
+        for n in [8usize, 9] {
+            let plan = RealFft::new(n);
+            let clean = plan.forward(&real_signal(n));
+            let mut dirty = clean.clone();
+            dirty[0].im = 0.37;
+            if n % 2 == 0 {
+                dirty[n / 2].im = -1.1;
+            }
+            assert_eq!(plan.inverse(&clean), plan.inverse(&dirty), "n={n}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "even length")]
-    fn odd_lengths_rejected() {
-        let _ = RealFft::new(7);
+    #[should_panic(expected = "length >= 1")]
+    fn zero_length_rejected() {
+        let _ = RealFft::new(0);
     }
 }

@@ -188,12 +188,17 @@ grep -q '"metric": "deadline_margin_slack"' BENCH_serve.json
 grep -q '"lost_jobs": 0' BENCH_serve.json
 
 echo "== compute-kernel bench -> BENCH_compute.json =="
-# Rows pair each fast kernel (SIMD butterflies, tiled pack) with its
-# measured reference so the gate pins both.
+# Rows pair each fast kernel (SIMD butterflies, tiled pack, r2c dfft
+# roundtrip, owned-block reshape) with its measured reference so the
+# gate pins both.
 target/release/bench_compute BENCH_compute.json
 test -s BENCH_compute.json
 grep -q '"kernel": "fft_forward"' BENCH_compute.json
 grep -q '"variant": "tiled"' BENCH_compute.json
+# Distributed rows: the real-field transform pair beside its complex
+# twin, and the ownership-passing reshape beside the flat-buffer one.
+grep -q '"variant": "r2c"' BENCH_compute.json
+grep -q '"variant": "owned"' BENCH_compute.json
 
 echo "== bench regression gate vs crates/bench/baselines =="
 # Fresh numbers above must stay under the committed-baseline ceilings
