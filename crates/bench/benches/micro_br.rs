@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the Birkhoff–Rott solvers: exact
-//! ring-pass vs cutoff (migrate/halo/neighbor/force/return), at matched
+//! ring-pass vs cutoff (migrate/halo/bin/pairs/return), at matched
 //! point counts — the compute-vs-communication tradeoff at the heart of
 //! the benchmark.
 

@@ -27,17 +27,29 @@
 //!   flatten, split, unpack — four extra payload copies). ns per grid
 //!   point.
 //!
+//! * **Birkhoff–Rott pair kernels** — the lane-parallel all-pairs block
+//!   kernel under the exact solver (`br_pairs/exact`, 2304 targets ×
+//!   2304 sources, ns per pair) and the fused cell-sorted cutoff
+//!   evaluation (`br_cutoff/fused`: one 1-rank `CutoffBrSolver` call on
+//!   the 96² single-mode point set at cutoff 0.5, ns per target —
+//!   binning, distance filter and pair kernel together).
+//!
 //! Best-of-N trials: noise on a shared host only ever slows a trial
 //! down, so the minimum is the honest kernel time.
 //!
 //! Usage: `bench_compute [output.json]` (default `BENCH_compute.json`).
 
 use beatnik_comm::{AllToAllAlgo, Communicator, World};
+use beatnik_core::br::kernel::accumulate_block;
+use beatnik_core::br::{BrPoint, BrSolver, CutoffBrSolver};
+use beatnik_core::{geometry, Order, ProblemManager};
 use beatnik_dfft::layout::{gather_cols, pack, scatter_cols, unpack, COL_TILE};
 use beatnik_dfft::redistribute::redistribute;
 use beatnik_dfft::{Dist, DistributedFft2d, FftConfig, Rect};
 use beatnik_fft::{Complex, Fft};
 use beatnik_json::Value;
+use beatnik_rocketrig::{Deck, RigConfig};
+use beatnik_spatial::neighbors::Backend;
 use std::time::Instant;
 
 const TRIALS: usize = 7;
@@ -309,6 +321,86 @@ fn bench_redistribute(rows: &mut Vec<Row>, n: usize, reps: usize) {
     );
 }
 
+/// The all-pairs block kernel on `n` targets × `n` sources, ns per pair.
+fn bench_br_pairs(rows: &mut Vec<Row>, n: usize, reps: usize) {
+    let noise = noise(3 * n);
+    let sources: Vec<([f64; 3], [f64; 3])> = noise
+        .chunks(3)
+        .map(|c| ([c[0].re, c[1].re, c[2].re], [c[0].im, c[1].im, c[2].im]))
+        .collect();
+    let targets: Vec<[f64; 3]> = sources.iter().map(|s| s.0).collect();
+    let mut vel = vec![[0.0f64; 3]; n];
+    let ns = best_ns(reps, || {
+        accumulate_block(&mut vel, std::hint::black_box(&targets), &sources, 0.01);
+    });
+    std::hint::black_box(&vel);
+    let pairs = (n * n) as f64;
+    rows.push(Row {
+        kernel: "br_pairs",
+        variant: "exact",
+        n,
+        ns_per_elem: ns / pairs,
+        // Nominal: one 48-byte source record per pair; the gated metric
+        // is the time per pair.
+        gbps: pairs * 48.0 / ns,
+    });
+    eprintln!(
+        "br_pairs         {n}x{n:<5} exact {:>7.3} ns/pair",
+        ns / pairs
+    );
+}
+
+/// The Birkhoff–Rott input of `rig`'s deck at its initial condition,
+/// built the way `ZModel::derivatives` builds it.
+fn br_points(comm: &Communicator, rig: &RigConfig) -> Vec<BrPoint> {
+    let mut pm = ProblemManager::new(rig.build_mesh(comm), rig.boundary_condition());
+    rig.solver_config().ic.apply(&mut pm);
+    let [dy, dx] = pm.mesh().spacing();
+    pm.mesh()
+        .owned_indices()
+        .map(|(lr, lc, _, _)| {
+            let p = pm.z().node(lr, lc);
+            let s = geometry::sheet_strength(pm.z(), pm.w(), lr, lc, dy, dx);
+            BrPoint {
+                pos: [p[0], p[1], p[2]],
+                strength: s.map(|c| c * dy * dx),
+            }
+        })
+        .collect()
+}
+
+/// One whole cutoff evaluation of the `n`² single-mode open deck on a
+/// 1-rank world (the two migrations are self-copies), ns per target.
+fn bench_br_cutoff(rows: &mut Vec<Row>, n: usize, reps: usize) {
+    let rig = RigConfig {
+        deck: Deck::SingleModeOpen,
+        order: Order::High,
+        mesh_n: n,
+        ..RigConfig::default()
+    };
+    let ns = World::builder(1).run(|comm| {
+        let points = br_points(&comm, &rig);
+        let solver = CutoffBrSolver::new(rig.spatial_mesh(1), rig.params.cutoff, Backend::Grid);
+        let eps = rig.params.epsilon;
+        std::hint::black_box(solver.velocities(&comm, &points, eps)); // warmup
+        best_ns(reps, || {
+            std::hint::black_box(solver.velocities(&comm, &points, eps));
+        })
+    })[0];
+    let targets = (n * n) as f64;
+    rows.push(Row {
+        kernel: "br_cutoff",
+        variant: "fused",
+        n: n * n,
+        ns_per_elem: ns / targets,
+        gbps: targets * 48.0 / ns,
+    });
+    eprintln!(
+        "br_cutoff        {n}x{n:<5} fused {:>7.1} ns/target",
+        ns / targets
+    );
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -330,6 +422,11 @@ fn main() {
     bench_dfft_roundtrip(&mut rows, 32, 1000);
     bench_redistribute(&mut rows, 256, 200);
     bench_redistribute(&mut rows, 32, 2000);
+
+    // Birkhoff-Rott kernels at the repo benchmark's sizes: one ring
+    // stage of `exact_ring` at 1 rank, one `cutoff_imb` evaluation.
+    bench_br_pairs(&mut rows, 2304, 3);
+    bench_br_cutoff(&mut rows, 96, 3);
 
     let doc = Value::Object(vec![(
         "benches".into(),

@@ -136,7 +136,11 @@ fn disabled_telemetry_adds_no_allocations_to_pooled_sends() {
         let right = (comm.rank() + 1) % p;
         let left = (comm.rank() + p - 1) % p;
         let mut token = vec![comm.rank() as u64; 128];
+        // Nested solver-style phases around the sends: with the recorder
+        // off they must record no span and leave the send pool alone.
+        let _outer = comm.telemetry().phase("laps");
         for lap in 0..laps {
+            let _inner = comm.telemetry().phase("lap");
             let recv = comm.irecv::<u64>(left, lap);
             let send = comm.isend(right, lap, &token);
             token = recv.wait();

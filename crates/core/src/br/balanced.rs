@@ -8,15 +8,11 @@
 //! communication step (an allgather of positions) — exactly the extra
 //! pattern the paper wants a benchmark to expose.
 
-use super::kernel::br_pair_velocity;
+use super::cutoff::cutoff_cycle;
 use super::{BrPoint, BrSolver};
 use beatnik_comm::Communicator;
-use beatnik_mesh::migrate::{
-    halo_exchange_points, migrate_results_home, migrate_to_spatial,
-};
-use beatnik_mesh::{PointResult, RcbDecomposition, SurfacePoint};
-use beatnik_spatial::neighbors::{Backend, NeighborList};
-use crate::par::prelude::*;
+use beatnik_mesh::RcbDecomposition;
+use beatnik_spatial::neighbors::Backend;
 
 /// Cutoff solver over a per-evaluation RCB decomposition.
 pub struct BalancedCutoffBrSolver {
@@ -61,67 +57,11 @@ impl BrSolver for BalancedCutoffBrSolver {
         points: &[BrPoint],
         epsilon: f64,
     ) -> Vec<[f64; 3]> {
-        let eps2 = epsilon * epsilon;
-        let me = comm.rank() as u32;
-
         // Load-balancing step: rebuild the decomposition from current
-        // positions (allgather).
+        // positions (allgather), then run the cutoff cycle over the
+        // balanced regions.
         let decomp = self.decompose(comm, points);
-
-        // Steps 1-5 of the cutoff cycle, over the balanced regions.
-        let outgoing: Vec<SurfacePoint> = points
-            .iter()
-            .enumerate()
-            .map(|(i, b)| SurfacePoint {
-                pos: b.pos,
-                payload: b.strength,
-                home_rank: me,
-                home_idx: i as u32,
-            })
-            .collect();
-        let owned = migrate_to_spatial(comm, &decomp, outgoing);
-        let ghosts = halo_exchange_points(comm, &decomp, &owned, self.cutoff);
-
-        let targets: Vec<[f64; 3]> = owned.iter().map(|p| p.pos).collect();
-        let mut sources = targets.clone();
-        sources.extend(ghosts.iter().map(|p| p.pos));
-        let mut strengths: Vec<[f64; 3]> = owned.iter().map(|p| p.payload).collect();
-        strengths.extend(ghosts.iter().map(|p| p.payload));
-        let nlist = NeighborList::build(&targets, &sources, self.cutoff, self.backend);
-
-        let velocities: Vec<[f64; 3]> = (0..targets.len())
-            .into_par_iter()
-            .map(|t| {
-                let mut acc = [0.0f64; 3];
-                for &s in nlist.neighbors(t) {
-                    let u = br_pair_velocity(
-                        targets[t],
-                        sources[s as usize],
-                        strengths[s as usize],
-                        eps2,
-                    );
-                    acc[0] += u[0];
-                    acc[1] += u[1];
-                    acc[2] += u[2];
-                }
-                acc
-            })
-            .collect();
-
-        let results: Vec<(usize, PointResult)> = owned
-            .iter()
-            .zip(&velocities)
-            .map(|(pt, v)| {
-                (
-                    pt.home_rank as usize,
-                    PointResult {
-                        home_idx: pt.home_idx,
-                        value: *v,
-                    },
-                )
-            })
-            .collect();
-        migrate_results_home(comm, results, points.len())
+        cutoff_cycle(comm, &decomp, points, self.cutoff, self.backend, epsilon)
     }
 
     fn name(&self) -> &'static str {

@@ -7,8 +7,9 @@
 //! * [`ExactBrSolver`] — O(n²) all-pairs with a ring-pass exchange
 //!   (regular communication, compute bound; the accuracy oracle);
 //! * [`CutoffBrSolver`] — only pairs within a cutoff distance, via the
-//!   spatial-mesh migrate → halo → neighbor-list → force → return cycle
-//!   (dynamic, irregular communication; the scalable solver);
+//!   spatial-mesh migrate → halo → cell-sort → filtered pair pass →
+//!   return cycle (dynamic, irregular communication; the scalable
+//!   solver);
 //! * [`TreeBrSolver`] — Barnes–Hut tree code over a ring-allgathered
 //!   global surface (the paper's §6 fast-multipole-style future work);
 //! * [`BalancedCutoffBrSolver`] — the cutoff cycle over a per-evaluation

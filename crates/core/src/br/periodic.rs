@@ -11,10 +11,9 @@
 //! count, exactly how production periodic summation behaves short of an
 //! Ewald decomposition).
 
-use super::kernel::br_pair_velocity;
+use super::kernel::accumulate_block;
 use super::{BrPoint, BrSolver};
 use beatnik_comm::Communicator;
-use crate::par::prelude::*;
 
 /// Ring-pass exact solver with x/y periodic images.
 pub struct PeriodicExactBrSolver {
@@ -72,22 +71,17 @@ impl BrSolver for PeriodicExactBrSolver {
             points.iter().map(|b| (b.pos, b.strength)).collect();
 
         const TAG: u64 = 0x5052_4e47; // "PRNG"... ring tag for the periodic pass
+        let mut image = Vec::with_capacity(circ.len());
         for step in 0..p {
-            vel.par_iter_mut().zip(targets.par_iter()).for_each(|(v, &t)| {
-                let mut acc = [0.0f64; 3];
-                for &(pos, strength) in &circ {
-                    for s in &shifts {
-                        let img = [pos[0] + s[0], pos[1] + s[1], pos[2] + s[2]];
-                        let u = br_pair_velocity(t, img, strength, eps2);
-                        acc[0] += u[0];
-                        acc[1] += u[1];
-                        acc[2] += u[2];
-                    }
-                }
-                v[0] += acc[0];
-                v[1] += acc[1];
-                v[2] += acc[2];
-            });
+            // Each image of the circulating block is one more source
+            // block for the shared all-pairs kernel.
+            for s in &shifts {
+                image.clear();
+                image.extend(circ.iter().map(|&(pos, strength)| {
+                    ([pos[0] + s[0], pos[1] + s[1], pos[2] + s[2]], strength)
+                }));
+                accumulate_block(&mut vel, &targets, &image, eps2);
+            }
             if step + 1 < p {
                 let right = (me + 1) % p;
                 let left = (me + p - 1) % p;

@@ -1,23 +1,17 @@
 //! Uniform-grid (cell-list) neighbor search.
 //!
-//! Points are binned into cubic cells whose edge is at least the query
-//! radius, so every neighbor of a query point lies in the 3×3×3 block of
-//! cells around it. Build is O(n); a query touches only nearby points.
+//! Points are binned by [`CellBins`] into cubic cells whose edge is at
+//! least the query radius, so every neighbor of a query point lies in
+//! the 3×3×3 block of cells around it. Build is O(n); a query touches
+//! only nearby points.
 
-use crate::aabb::Aabb;
+use crate::cells::CellBins;
 use crate::dist2;
 
 /// A cell-list acceleration structure over a fixed point set.
 pub struct UniformGrid {
     points: Vec<[f64; 3]>,
-    bounds: Aabb,
-    /// Cell edge length (≥ the radius the grid was built for).
-    cell: f64,
-    /// Cells per axis.
-    dims: [usize; 3],
-    /// CSR cell → point-index lists.
-    cell_start: Vec<usize>,
-    cell_points: Vec<u32>,
+    bins: CellBins,
 }
 
 impl UniformGrid {
@@ -26,51 +20,8 @@ impl UniformGrid {
     /// # Panics
     /// Panics on a non-positive radius. An empty point set is fine.
     pub fn build(points: Vec<[f64; 3]>, radius: f64) -> Self {
-        assert!(radius > 0.0, "uniform grid requires a positive radius");
-        let bounds = Aabb::bounding(&points)
-            .unwrap_or(Aabb::new([0.0; 3], [0.0; 3]))
-            .expanded(radius * 1e-9 + 1e-12); // guard exact-edge binning
-        let ext = bounds.extents();
-        let cell = radius;
-        let dims = [
-            ((ext[0] / cell).ceil() as usize).max(1),
-            ((ext[1] / cell).ceil() as usize).max(1),
-            ((ext[2] / cell).ceil() as usize).max(1),
-        ];
-        let ncells = dims[0] * dims[1] * dims[2];
-
-        // Counting sort of points into cells.
-        let mut counts = vec![0usize; ncells + 1];
-        let cell_of = |p: &[f64; 3]| -> usize {
-            let mut idx = [0usize; 3];
-            for d in 0..3 {
-                let t = ((p[d] - bounds.lo[d]) / cell) as usize;
-                idx[d] = t.min(dims[d] - 1);
-            }
-            (idx[2] * dims[1] + idx[1]) * dims[0] + idx[0]
-        };
-        for p in &points {
-            counts[cell_of(p) + 1] += 1;
-        }
-        for i in 1..=ncells {
-            counts[i] += counts[i - 1];
-        }
-        let mut cell_points = vec![0u32; points.len()];
-        let mut cursor = counts.clone();
-        for (i, p) in points.iter().enumerate() {
-            let c = cell_of(p);
-            cell_points[cursor[c]] = i as u32;
-            cursor[c] += 1;
-        }
-
-        UniformGrid {
-            points,
-            bounds,
-            cell,
-            dims,
-            cell_start: counts,
-            cell_points,
-        }
+        let bins = CellBins::build(points.iter().copied(), radius);
+        UniformGrid { points, bins }
     }
 
     /// The indexed points.
@@ -98,26 +49,15 @@ impl UniformGrid {
             return;
         }
         assert!(
-            radius <= self.cell * (1.0 + 1e-12),
+            radius <= self.bins.cell() * (1.0 + 1e-12),
             "query radius {radius} exceeds build radius {}",
-            self.cell
+            self.bins.cell()
         );
         let r2 = radius * radius;
-        let mut c0 = [0i64; 3];
-        let mut c1 = [0i64; 3];
-        for d in 0..3 {
-            c0[d] = (((q[d] - radius) - self.bounds.lo[d]) / self.cell).floor() as i64;
-            c1[d] = (((q[d] + radius) - self.bounds.lo[d]) / self.cell).floor() as i64;
-        }
-        for z in c0[2].max(0)..=c1[2].min(self.dims[2] as i64 - 1) {
-            for y in c0[1].max(0)..=c1[1].min(self.dims[1] as i64 - 1) {
-                for x in c0[0].max(0)..=c1[0].min(self.dims[0] as i64 - 1) {
-                    let c = (z as usize * self.dims[1] + y as usize) * self.dims[0] + x as usize;
-                    for &pi in &self.cell_points[self.cell_start[c]..self.cell_start[c + 1]] {
-                        if dist2(self.points[pi as usize], q) <= r2 {
-                            out.push(pi);
-                        }
-                    }
+        for run in self.bins.runs(q, radius) {
+            for &pi in &self.bins.order()[run] {
+                if dist2(self.points[pi as usize], q) <= r2 {
+                    out.push(pi);
                 }
             }
         }
@@ -169,10 +109,7 @@ mod tests {
         let grid = UniformGrid::build(pts.clone(), 1.0);
         let mut a = Vec::new();
         grid.query(pts[0], 0.3, &mut a);
-        let want = pts
-            .iter()
-            .filter(|p| dist2(**p, pts[0]) <= 0.09)
-            .count();
+        let want = pts.iter().filter(|p| dist2(**p, pts[0]) <= 0.09).count();
         assert_eq!(a.len(), want);
     }
 

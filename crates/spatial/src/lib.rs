@@ -1,8 +1,8 @@
 //! # beatnik-spatial — geometric neighbor search (the ArborX substitute)
 //!
-//! The paper's cutoff solver uses ArborX to build fixed-radius neighbor
-//! lists over the points each rank owns plus its halo ghosts. This crate
-//! implements that capability from scratch with two interchangeable
+//! The paper's cutoff solver uses ArborX to find, for every point a rank
+//! owns, the owned and halo-ghost points within a fixed radius. This
+//! crate implements that capability from scratch with two interchangeable
 //! backends:
 //!
 //! * [`UniformGrid`] — bin points into cells of edge ≥ radius, then scan
@@ -13,16 +13,20 @@
 //!   interfaces).
 //!
 //! Both produce [`NeighborList`]s in CSR form; property tests pin them to
-//! each other and to the O(n²) brute-force reference.
+//! each other and to the O(n²) brute-force reference. The grid's binning
+//! is [`CellBins`], which the cutoff BR solver also drives directly: it
+//! evaluates over the cell-sorted points without materialising a list.
 
 pub mod aabb;
 pub mod bhtree;
+pub mod cells;
 pub mod grid;
 pub mod kdtree;
 pub mod neighbors;
 
 pub use aabb::Aabb;
 pub use bhtree::BhTree;
+pub use cells::CellBins;
 pub use grid::UniformGrid;
 pub use kdtree::KdTree;
 pub use neighbors::{brute_force_neighbors, NeighborList};

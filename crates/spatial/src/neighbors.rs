@@ -1,14 +1,18 @@
-//! CSR neighbor lists — the product the cutoff BR solver consumes.
+//! CSR neighbor lists — the explicit form of a fixed-radius search.
 //!
 //! For each *target* point, the list holds the indices of all *source*
 //! points within the cutoff radius. Targets are typically a rank's owned
-//! points; sources are owned + ghost points delivered by the halo.
+//! points; sources are owned + ghost points delivered by the halo. The
+//! cutoff BR solver evaluates the same pairs straight from
+//! [`crate::CellBins`] without building a list; the list is what
+//! diagnostics, benchmarks and the brute-force comparison read.
 
 use crate::grid::UniformGrid;
 use crate::kdtree::KdTree;
 use crate::dist2;
 
-/// Which acceleration structure builds the list.
+/// Which acceleration structure proposes a target's neighbours — for a
+/// [`NeighborList`] and for the cutoff BR solver alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Cell-list binning (ArborX-style default).
@@ -158,6 +162,42 @@ mod tests {
         let nl = NeighborList::build(&pts, &pts, 0.4, Backend::KdTree);
         for t in 0..pts.len() {
             assert!(nl.neighbors(t).contains(&(t as u32)), "target {t}");
+        }
+    }
+
+    #[test]
+    fn far_apart_points_do_not_size_the_grid_by_volume() {
+        // 1e21 radius-sized cells between them: the grid used to allocate
+        // by volume and panic with `capacity overflow`.
+        let pts = [[0.0; 3], [1e5, 1e5, 1e5], [1e5, 1e5, 1e5 + 5e-3]];
+        let want = brute_force_neighbors(&pts, &pts, 1e-2);
+        assert_eq!(want.indices, [0, 1, 2, 1, 2]);
+        for backend in [Backend::Grid, Backend::KdTree] {
+            assert_eq!(
+                NeighborList::build(&pts, &pts, 1e-2, backend),
+                want,
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_neighbours_of_nothing() {
+        let mut pts = cloud(30, 0.0);
+        pts[4][0] = f64::NAN;
+        pts[9][1] = f64::INFINITY;
+        pts[17][2] = f64::NEG_INFINITY;
+        let want = brute_force_neighbors(&pts, &pts, 0.8);
+        for bad in [4, 9, 17] {
+            assert!(want.neighbors(bad).is_empty());
+            assert!(!want.indices.contains(&(bad as u32)));
+        }
+        for backend in [Backend::Grid, Backend::KdTree] {
+            assert_eq!(
+                NeighborList::build(&pts, &pts, 0.8, backend),
+                want,
+                "{backend:?}"
+            );
         }
     }
 

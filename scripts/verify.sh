@@ -39,8 +39,9 @@ grep -q -- '-- stragglers:' "$PROF_DIR/low-summary.txt"
 "$RIG" --order medium --n 16 --steps 2 --ranks 4 \
     --profile "$PROF_DIR/medium.json" \
     --metrics "$PROF_DIR/medium-metrics.om" >/dev/null
-"$CHECK" --flows "$PROF_DIR/medium.json" step br-cutoff migrate-to-spatial \
-    halo-points migrate-home dfft-forward dfft-redistribute
+"$CHECK" --flows "$PROF_DIR/medium.json" step br-cutoff br-cutoff-bin \
+    br-cutoff-pairs migrate-to-spatial halo-points migrate-home dfft-forward \
+    dfft-redistribute
 
 "$RIG" --order high --solver exact --n 12 --steps 2 --ranks 4 \
     --profile "$PROF_DIR/high.json" \
@@ -199,6 +200,10 @@ grep -q '"variant": "tiled"' BENCH_compute.json
 # twin, and the ownership-passing reshape beside the flat-buffer one.
 grep -q '"variant": "r2c"' BENCH_compute.json
 grep -q '"variant": "owned"' BENCH_compute.json
+# Birkhoff-Rott rows: the lane-parallel all-pairs block kernel and the
+# fused cell-sorted cutoff evaluation.
+grep -q '"kernel": "br_pairs"' BENCH_compute.json
+grep -q '"kernel": "br_cutoff"' BENCH_compute.json
 
 echo "== bench regression gate vs crates/bench/baselines =="
 # Fresh numbers above must stay under the committed-baseline ceilings
