@@ -104,6 +104,32 @@ fn bench_alltoall(
     )
 }
 
+/// Best-of-[`TRIALS`] `alltoallv_with(.., Adaptive)` — the call the
+/// distributed FFT's reshape makes — with `block` bytes per
+/// destination; returns (ns/op, copied bytes/op summed over ranks).
+fn bench_alltoallv(p: usize, block: usize, reps: usize, kind: TransportKind) -> (f64, f64) {
+    let mut best = (f64::INFINITY, 0.0);
+    for _ in 0..TRIALS {
+        let (elapsed, trace) = World::builder(p).transport(kind).recv_timeout(TIMEOUT).run_traced(move |c| {
+            let send = vec![0u8; p * block];
+            let counts = vec![block; p];
+            c.barrier();
+            let start = Instant::now();
+            for _ in 0..reps {
+                let _ = c.alltoallv_with(&send, &counts, AllToAllAlgo::Adaptive);
+            }
+            c.barrier();
+            start.elapsed()
+        });
+        let slowest = elapsed.iter().max().expect("no ranks");
+        let ns = slowest.as_nanos() as f64 / reps as f64;
+        if ns < best.0 {
+            best = (ns, trace.copied_bytes() as f64 / reps as f64);
+        }
+    }
+    best
+}
+
 /// One ping-pong trial: `reps` exchanges of a `bytes`-sized isend/irecv
 /// pair under an explicit eager limit (0 forces rendezvous on every
 /// send). `profiled` arms span recording + causal flow contexts.
@@ -315,6 +341,33 @@ fn main() {
             copied_per_op: copied,
         });
     }
+
+    // Two more rows on the socket path, the shapes the low-order step
+    // puts on it: the owned-buffer ping-pong on the same 64 KiB, and
+    // the reshape's 2-rank alltoallv at 16 KiB per destination.
+    let _ = bench_p2p_owned(p2p_bytes, 5, TransportKind::Tcp);
+    let (ns, copied, _) = bench_p2p_owned(p2p_bytes, 30, TransportKind::Tcp);
+    rows.push(Row {
+        op: "p2p_owned",
+        algo: "-",
+        transport: TransportKind::Tcp,
+        ranks: 2,
+        bytes: p2p_bytes,
+        ns_per_op: ns,
+        copied_per_op: copied,
+    });
+    let block = 16 * 1024;
+    let _ = bench_alltoallv(2, block, 5, TransportKind::Tcp);
+    let (ns, copied) = bench_alltoallv(2, block, 30, TransportKind::Tcp);
+    rows.push(Row {
+        op: "alltoallv",
+        algo: "adaptive",
+        transport: TransportKind::Tcp,
+        ranks: 2,
+        bytes: block,
+        ns_per_op: ns,
+        copied_per_op: copied,
+    });
 
     // Tracing overhead: the same op with and without span recording +
     // causal flow contexts, trials interleaved so a noisy window hits

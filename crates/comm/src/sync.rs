@@ -32,6 +32,17 @@ impl<T> Mutex<T> {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
     }
+
+    /// Take the lock if nobody holds it right now; never waits.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        use std::sync::TryLockError;
+        let inner = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(inner) })
+    }
 }
 
 /// RAII guard for [`Mutex`]; released on drop.
@@ -155,6 +166,11 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
+        {
+            let _held = m.lock();
+            assert!(m.try_lock().is_none());
+        }
+        assert_eq!(m.try_lock().map(|g| *g), Some(2));
         let rw = RwLock::new(5);
         assert_eq!(*rw.read(), 5);
         *rw.write() = 6;

@@ -62,7 +62,8 @@ pub struct FrameFate {
 }
 
 impl FrameFate {
-    fn clean() -> FrameFate {
+    /// The fate of a frame no action touches.
+    pub(super) fn clean() -> FrameFate {
         FrameFate {
             deliver: true,
             corrupt: false,

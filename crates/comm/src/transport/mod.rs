@@ -43,6 +43,7 @@
 //! copy-count invariant tests pin the thread backend.
 
 pub mod chaos;
+mod crc32c;
 pub mod shmem;
 pub mod tcp;
 pub mod thread;

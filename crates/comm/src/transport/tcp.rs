@@ -5,17 +5,56 @@
 //!
 //! ## Reliability layer
 //!
-//! Every steady-state frame on a stream is either a **MSG** (`0x10`:
-//! `seq u64 | crc32 u32 | inner wire frame`) or a **HB** (`0x12`:
-//! `cumulative ack u64`), inside the `u32`-length outer framing. Each
-//! directed link keeps a send window of unacked MSG frames; heartbeats
-//! carry cumulative acks that prune it, and a go-back-N retransmit
-//! timer replays the window when acks stall. The receiver applies
-//! frames strictly in sequence (duplicates and out-of-order futures
-//! are discarded), so a frame the chaos interposer drops, corrupts, or
-//! duplicates on the wire is healed *below* the application: the CRC
-//! rejects mangled bytes, the replay timer retransmits, and the seq
-//! check deduplicates.
+//! Every steady-state frame on a stream is a `u32` length followed by
+//! either a **MSG** (`0x10 | seq u64 | crc32c u32 | inner wire frame`)
+//! or a **HB** (`0x12 | cumulative ack u64`). Each directed link keeps a
+//! send window of unacked MSG frames; acks prune it, and a go-back-N
+//! retransmit timer replays the window when acks stall. The receiver
+//! applies frames strictly in sequence (duplicates and out-of-order
+//! futures are discarded), so a frame the chaos interposer drops,
+//! corrupts, or duplicates on the wire is healed *below* the
+//! application: the CRC rejects mangled bytes, the replay timer
+//! retransmits, and the seq check deduplicates.
+//!
+//! Acks are cumulative and ride HB frames. The receiving side sends one
+//! every heartbeat period and also whenever [`ACK_EVERY_BYTES`] of data
+//! have been delivered since the last, so a window holds what the
+//! socket buffers hold plus that much, whatever the heartbeat period.
+//!
+//! ## One pass over the payload
+//!
+//! A MSG frame is built once, length prefix included: the sender
+//! reserves the [`HEADER`], [`wire::encode_data_into`] appends the inner
+//! frame behind it (the one copy of the payload), the CRC-32C is patched
+//! in, the buffer goes to the socket as it is and then *moves* into the
+//! send window, where replay writes the same bytes again. The receiver
+//! reads into the free end of one buffer per stream, walks complete
+//! frames with a cursor, sums each where it lies and copies the payload
+//! out once, into the envelope.
+//!
+//! ## Locks
+//!
+//! Sockets are nonblocking and one thread — the event loop — drains
+//! every stream this process reads, so in a loopback world the reader a
+//! sender waits on is that loop. The rule that keeps large messages
+//! moving: **the event loop never waits on a lock a sender can hold
+//! across socket I/O.** Each link therefore has two locks. `order` is
+//! the write-order lock: a sender holds it from taking a sequence
+//! number until its frame is written and in the window, spinning
+//! through `WouldBlock` for as long as the peer takes to drain; the
+//! event loop only ever `try_lock`s it (heartbeats and replay wait for
+//! the next tick when a sender is mid-frame). `state` guards the
+//! window, ack point, installed stream and reconnect clock; it is held
+//! for field updates only, never across a write that can wait, so the
+//! event loop takes it freely. Liveness stamps (`last_heard`, miss
+//! counts) are atomics touched once per read batch. Lock order is
+//! `order` then `state`.
+//!
+//! The event loop's own writes ([`pump`]) are nonblocking: what the
+//! socket will not take now — the tail of a half-written frame, the
+//! rest of a replay — is kept and finished on a later tick or by the
+//! next sender. Heartbeats, retransmit timers, reconnect dials and the
+//! listener run every [`TEND_PERIOD`], not on every sweep.
 //!
 //! ## Link state machine (DESIGN.md §16)
 //!
@@ -25,7 +64,7 @@
 //! jitter, sending a `RECON` handshake naming both ranks and its
 //! highest delivered seq) → back to Established (window replayed from
 //! the peer's ack point) or → Down (backoff budget exhausted). A link
-//! that goes Down feeds [`Registry::mark_failed`] — tagged with a
+//! that goes Down feeds [`Registry::record_link_down`] — tagged with a
 //! typed [`CommError::LinkDown`] — so ULFM revoke/shrink recovery
 //! fires on genuine peer death instead of hanging, while transient
 //! tears (including injected partitions) heal transparently.
@@ -41,7 +80,8 @@
 //! every process keeps its listener and the address table afterwards
 //! so torn links can be re-dialed).
 
-use super::chaos::LinkChaos;
+use super::chaos::{FrameFate, LinkChaos};
+use super::crc32c::crc32c;
 use super::{wire, CtrlMsg, LinkStats, Route, Transport, TransportKind};
 use crate::config::CommConfig;
 use crate::error::CommError;
@@ -51,36 +91,83 @@ use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Steady-state frame tags (first payload byte inside the outer
-/// `u32`-length framing).
+/// Steady-state frame tags (first byte after the `u32` length).
 const TAG_MSG: u8 = 0x10;
 const TAG_HB: u8 = 0x12;
 const TAG_RECON: u8 = 0x13;
 
+/// Stored layout of a MSG frame, as it crosses the socket and as it
+/// sits in the send window:
+/// `len u32 | TAG_MSG | seq u64 | crc32c u32 | inner`, with `len`
+/// counting everything after itself and the CRC covering `inner`.
+const HEADER: usize = 17;
+const SEQ_AT: usize = 5;
+const CRC_AT: usize = 13;
+
+/// Largest stream frame either side accepts. The prefix arrives from
+/// outside the process, so it is bounded before a buffer is sized
+/// from it.
+const MAX_FRAME: usize = 1 << 30;
+
+/// The receiving side acks after delivering this much data, without
+/// waiting for the heartbeat period.
+const ACK_EVERY_BYTES: u64 = 1 << 20;
+
+/// How often the event loop runs its timed duties: heartbeats, acks,
+/// retransmits, reconnect dials, the listener.
+const TEND_PERIOD: Duration = Duration::from_millis(1);
+
+/// Receive-buffer sizing: the initial size, and the least free space a
+/// read is given.
+const INBOX_BYTES: usize = 64 * 1024;
+const READ_MIN: usize = 16 * 1024;
+
+/// Reads taken from one stream before the sweep moves on, so one busy
+/// peer cannot hold off the others or the timed duties.
+const READS_PER_SWEEP: usize = 8;
+
 /// Per-dial allowance for the RECON handshake round-trip.
 const RECON_IO_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Write one length-prefixed frame, tolerating `WouldBlock` (the write
-/// half shares its fd with the nonblocking reader clone).
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + frame.len());
-    buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    buf.extend_from_slice(frame);
+/// Write `bytes` and return how many went out. With `wait`, yield
+/// through `WouldBlock` until all of them have (every socket here is
+/// nonblocking once its link exists); without, stop at the first.
+fn write_bytes(mut stream: &TcpStream, bytes: &[u8], wait: bool) -> io::Result<usize> {
     let mut off = 0;
-    while off < buf.len() {
-        match stream.write(&buf[off..]) {
+    while off < bytes.len() {
+        match stream.write(&bytes[off..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock && wait => std::thread::yield_now(),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(off)
+}
+
+/// Write all of `bytes`, however long the peer takes to drain them.
+/// For senders and handshakes; the event loop uses [`write_some`].
+fn write_all(stream: &TcpStream, bytes: &[u8]) -> io::Result<()> {
+    write_bytes(stream, bytes, true).map(|_| ())
+}
+
+/// Write as much of `bytes` as the socket takes right now; never waits.
+fn write_some(stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    write_bytes(stream, bytes, false)
+}
+
+/// Write one length-prefixed handshake frame.
+fn write_frame(stream: &TcpStream, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    write_all(stream, &buf)
 }
 
 /// Read exactly `buf.len()` bytes, spinning through `WouldBlock` until
@@ -103,43 +190,37 @@ fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant
     Ok(())
 }
 
-/// Table-driven CRC-32 (IEEE polynomial) over a frame's inner bytes.
-fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        let mut i = 0u32;
-        while i < 256 {
-            let mut c = i;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            t[i as usize] = c;
-            i += 1;
-        }
-        t
-    });
-    let mut c = !0u32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+/// Build a MSG frame in one buffer: reserve the header, let `fill`
+/// append the inner frame (`inner_len` bytes, a capacity hint) behind
+/// it, then fill in length, tag, and the CRC-32C of the inner bytes.
+/// The sequence number is stamped later, under the link's order lock.
+fn msg_frame(inner_len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER + inner_len);
+    frame.resize(HEADER, 0);
+    fill(&mut frame);
+    assert!(
+        frame.len() <= MAX_FRAME,
+        "a {}-byte message exceeds the tcp transport's frame limit",
+        frame.len()
+    );
+    let crc = crc32c(&frame[HEADER..]);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4] = TAG_MSG;
+    frame[CRC_AT..HEADER].copy_from_slice(&crc.to_le_bytes());
+    frame
 }
 
-/// Encode a MSG frame: tag, sequence, CRC over the inner frame, inner.
-fn encode_msg(seq: u64, inner: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13 + inner.len());
-    out.push(TAG_MSG);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&crc32(inner).to_le_bytes());
-    out.extend_from_slice(inner);
-    out
+fn seq_of(frame: &[u8]) -> u64 {
+    u64::from_le_bytes(frame[SEQ_AT..CRC_AT].try_into().expect("8-byte seq"))
 }
 
-fn encode_hb(ack: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(TAG_HB);
-    out.extend_from_slice(&ack.to_le_bytes());
+/// A HB frame, length prefix included.
+fn hb_frame(ack: u64) -> [u8; 13] {
+    let mut out = [0u8; 13];
+    out[..4].copy_from_slice(&9u32.to_le_bytes());
+    out[4] = TAG_HB;
+    out[5..].copy_from_slice(&ack.to_le_bytes());
     out
 }
 
@@ -161,15 +242,15 @@ fn decode_recon(frame: &[u8]) -> io::Result<(usize, usize, u64)> {
 }
 
 /// Flip bytes inside a MSG frame's inner region, leaving the header
-/// (tag, seq, CRC) intact so the stream framing survives and the
-/// receiver's CRC check is what catches the damage.
-fn corrupt_copy(msg: &[u8]) -> Vec<u8> {
-    let mut bad = msg.to_vec();
-    let start = 13.min(bad.len());
-    for b in bad[start..].iter_mut().take(8) {
+/// (length, tag, seq, CRC) intact so the stream framing survives and
+/// the receiver's CRC check is what catches the damage. Its own
+/// inverse: the sender mangles the frame, writes it, and restores it
+/// before it enters the window.
+fn flip_inner_bytes(frame: &mut [u8]) {
+    let start = HEADER.min(frame.len());
+    for b in frame[start..].iter_mut().take(8) {
         *b ^= 0xFF;
     }
-    bad
 }
 
 /// Aggregate link-health counters, shared with the event loop.
@@ -215,16 +296,25 @@ impl Knobs {
     }
 }
 
-/// Send-side state of one directed link, guarded by the link mutex.
-struct Tx {
-    /// Blocking write half; `None` while torn.
-    stream: Option<TcpStream>,
-    /// Sequence the next new frame gets (first frame is 1).
-    next_seq: u64,
+/// Window, ack point, installed stream and reconnect clock of one
+/// directed link. Guarded by `Link::state`, which is never held across
+/// a write that can wait (see the module docs).
+struct State {
+    /// The installed stream, shared with the link's reader; `None`
+    /// while torn. Nonblocking.
+    stream: Option<Arc<TcpStream>>,
     /// Highest cumulative ack heard from the peer.
     acked: u64,
-    /// Unacked MSG frames (encoded, header included), oldest first.
-    window: VecDeque<(u64, Vec<u8>)>,
+    /// Unacked MSG frames in their stored layout, consecutive
+    /// sequence numbers, oldest first.
+    window: VecDeque<Vec<u8>>,
+    /// How many leading window frames the installed stream has been
+    /// given. Equal to `window.len()` in steady state; a reconnect or an
+    /// ack stall resets it to zero and [`pump`] replays from there.
+    resend: usize,
+    /// Unwritten tail of the frame the event loop last started; goes
+    /// out before anything else does.
+    stash: Vec<u8>,
     /// When the stream tore (drives the backoff / give-up schedule).
     torn_at: Option<Instant>,
     /// Dials made since the tear.
@@ -236,14 +326,21 @@ struct Tx {
     next_dial: Instant,
     /// Terminal state: no more reconnects (peer dead or said BYE).
     down: bool,
-    /// Last time any frame arrived from the peer.
-    last_heard: Instant,
     /// Last time we sent a heartbeat.
     last_hb: Instant,
-    /// Heartbeat periods of silence already counted as misses.
-    misses_counted: u32,
     /// Last time the window made progress (ack advance / retransmit).
     last_progress: Instant,
+}
+
+impl State {
+    /// Drop every window frame a cumulative `ack` covers.
+    fn prune(&mut self, ack: u64) {
+        self.acked = self.acked.max(ack);
+        while self.window.front().is_some_and(|f| seq_of(f) <= ack) {
+            self.window.pop_front();
+            self.resend = self.resend.saturating_sub(1);
+        }
+    }
 }
 
 /// One directed link endpoint this process owns: `owner` (local) writes
@@ -254,13 +351,26 @@ struct Link {
     /// Where to re-dial after a tear; `None` means the far end dials us
     /// (the higher-ranked endpoint dials the lower-ranked listener).
     dial_addr: Option<String>,
-    tx: Mutex<Tx>,
+    /// Zero of the `last_heard_ns` clock.
+    born: Instant,
+    state: Mutex<State>,
+    /// Write order: the sequence number the next new frame gets (the
+    /// first is 1). Whoever holds this lock owns the tail of the byte
+    /// stream; senders hold it across their socket write, the event
+    /// loop only `try_lock`s it.
+    order: Mutex<u64>,
     /// Highest seq applied from the peer (receive side).
     last_delivered: AtomicU64,
+    /// Delivered MSG bytes no ack of ours covers yet. Event loop only.
+    unacked_bytes: AtomicU64,
+    /// When bytes last arrived from the peer, in ns since `born`.
+    last_heard_ns: AtomicU64,
+    /// Heartbeat periods of silence already counted as misses.
+    misses_counted: AtomicU32,
     /// Peer announced a clean shutdown; its EOF is not a failure.
     saw_bye: AtomicBool,
-    /// Bumped on every (re)install so stale readers don't tear the
-    /// fresh connection.
+    /// Bumped on every tear and (re)install so stale readers don't tear
+    /// the fresh connection.
     generation: AtomicU64,
     /// Test hook: suppress heartbeat sends so peers observe silence.
     mute: AtomicBool,
@@ -269,56 +379,101 @@ struct Link {
 impl Link {
     fn new(owner: usize, peer: usize, dial_addr: Option<String>, stream: TcpStream) -> io::Result<(Arc<Link>, Reader)> {
         stream.set_nodelay(true)?;
-        let write_half = stream.try_clone()?;
         stream.set_nonblocking(true)?;
+        let stream = Arc::new(stream);
         let now = Instant::now();
         let link = Arc::new(Link {
             owner,
             peer,
             dial_addr,
-            tx: Mutex::new(Tx {
-                stream: Some(write_half),
-                next_seq: 1,
+            born: now,
+            state: Mutex::new(State {
+                stream: Some(Arc::clone(&stream)),
                 acked: 0,
                 window: VecDeque::new(),
+                resend: 0,
+                stash: Vec::new(),
                 torn_at: None,
                 attempts_made: 0,
                 dialing: false,
                 next_dial: now,
                 down: false,
-                last_heard: now,
                 last_hb: now,
-                misses_counted: 0,
                 last_progress: now,
             }),
+            order: Mutex::new(1),
             last_delivered: AtomicU64::new(0),
+            unacked_bytes: AtomicU64::new(0),
+            last_heard_ns: AtomicU64::new(0),
+            misses_counted: AtomicU32::new(0),
             saw_bye: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             mute: AtomicBool::new(false),
         });
-        let reader = Reader {
-            link: Arc::clone(&link),
-            generation: 0,
-            stream,
-            buf: Vec::new(),
-            open: true,
-        };
+        let reader = Reader::new(&link, 0, stream);
         Ok((link, reader))
     }
 
-    /// Tear the connection: close our end (so the peer sees EOF) and
+    /// Record that bytes arrived from the peer at `now`.
+    fn heard(&self, now: Instant) {
+        let ns = now.duration_since(self.born).as_nanos() as u64;
+        self.last_heard_ns.store(ns, Ordering::Relaxed);
+        self.misses_counted.store(0, Ordering::Relaxed);
+    }
+
+    /// Tear the connection: close the socket (the peer sees EOF, and a
+    /// sender still writing to it gets an error instead of waiting) and
     /// start the reconnect clock. Idempotent.
-    fn tear(&self, tx: &mut Tx, now: Instant) {
-        if let Some(s) = tx.stream.take() {
+    fn tear(&self, st: &mut State, now: Instant) {
+        if let Some(s) = st.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        if tx.torn_at.is_none() {
-            tx.torn_at = Some(now);
-            tx.attempts_made = 0;
-            tx.next_dial = now;
+        if st.torn_at.is_none() {
+            st.torn_at = Some(now);
+            st.attempts_made = 0;
+            st.next_dial = now;
         }
         self.generation.fetch_add(1, Ordering::Release);
-        tx.misses_counted = 0;
+        self.misses_counted.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Receive buffer of one stream. Bytes land at `tail`, complete frames
+/// are consumed from `head`, and `buf` stays fully initialised so a
+/// read goes straight into its free end.
+struct Inbox {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl Inbox {
+    /// Length prefix of the frame at `head`, once all four bytes of it
+    /// have arrived.
+    fn frame_len(&self) -> Option<usize> {
+        let prefix = self.buf[self.head..self.tail].first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*prefix) as usize)
+    }
+
+    /// The free end to read into: room for the rest of the frame at
+    /// `head` when its length is known, [`READ_MIN`] bytes otherwise.
+    /// Unconsumed bytes move to the front only when the end of the
+    /// buffer is reached, and the buffer grows only for a frame larger
+    /// than itself.
+    fn spare(&mut self) -> &mut [u8] {
+        let need = match self.frame_len() {
+            Some(len) => 4 + len.min(MAX_FRAME),
+            None => self.tail - self.head + READ_MIN,
+        };
+        if self.head + need > self.buf.len() {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+            if need > self.buf.len() {
+                self.buf.resize(need, 0);
+            }
+        }
+        &mut self.buf[self.tail..]
     }
 }
 
@@ -326,9 +481,25 @@ impl Link {
 struct Reader {
     link: Arc<Link>,
     generation: u64,
-    stream: TcpStream,
-    buf: Vec<u8>,
+    stream: Arc<TcpStream>,
+    inbox: Inbox,
     open: bool,
+}
+
+impl Reader {
+    fn new(link: &Arc<Link>, generation: u64, stream: Arc<TcpStream>) -> Reader {
+        Reader {
+            link: Arc::clone(link),
+            generation,
+            stream,
+            inbox: Inbox {
+                buf: vec![0; INBOX_BYTES],
+                head: 0,
+                tail: 0,
+            },
+            open: true,
+        }
+    }
 }
 
 /// Everything the event loop shares with the transport facade.
@@ -484,7 +655,7 @@ impl TcpTransport {
             links.push((rank, stream));
         }
         let table = encode_table(&tab);
-        for (_, stream) in links.iter_mut() {
+        for (_, stream) in &links {
             stream.set_nodelay(true)?;
             write_frame(stream, &table)?;
         }
@@ -513,7 +684,7 @@ impl TcpTransport {
         let mut mesh = MeshBuilder::new();
 
         let mut parent = TcpStream::connect(parent_addr)?;
-        write_hello(&mut parent, my_rank, &listener.local_addr()?.to_string())?;
+        write_hello(&parent, my_rank, &listener.local_addr()?.to_string())?;
         let table = decode_table(&read_one_frame(&mut parent, deadline)?)?;
         mesh.add_link(my_rank, 0, Some(parent_addr.to_owned()), parent)?;
 
@@ -521,8 +692,8 @@ impl TcpTransport {
             let addr = table.get(&peer).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("rank {peer} not in table"))
             })?;
-            let mut stream = TcpStream::connect(addr.as_str())?;
-            write_hello(&mut stream, my_rank, "")?;
+            let stream = TcpStream::connect(addr.as_str())?;
+            write_hello(&stream, my_rank, "")?;
             mesh.add_link(my_rank, peer, Some(addr.clone()), stream)?;
         }
         listener.set_nonblocking(true)?;
@@ -549,7 +720,7 @@ impl TcpTransport {
     }
 }
 
-fn write_hello(stream: &mut TcpStream, rank: usize, listen_addr: &str) -> io::Result<()> {
+fn write_hello(stream: &TcpStream, rank: usize, listen_addr: &str) -> io::Result<()> {
     let mut frame = Vec::with_capacity(10 + listen_addr.len());
     frame.extend_from_slice(&(rank as u64).to_le_bytes());
     frame.extend_from_slice(&(listen_addr.len() as u16).to_le_bytes());
@@ -616,10 +787,13 @@ fn decode_table(frame: &[u8]) -> io::Result<HashMap<usize, String>> {
     Ok(tab)
 }
 
-/// Install a fresh stream into a torn link: prune the window to the
-/// peer's delivered point, replay the rest in order, and register a new
-/// reader generation. `torn_at` (if any) feeds the reconnect-latency
-/// stat.
+/// Install a fresh stream into a link: prune the window to the peer's
+/// delivered point, mark the rest for replay (which [`pump`] carries
+/// out, starting on the next tick), and register a new reader
+/// generation. `torn_at` (if any) feeds the reconnect-latency stat.
+/// Takes only the state lock: a sender still inside a write on the old
+/// socket fails out of it, finds its stream no longer installed, and
+/// leaves its frame to the replay.
 fn install_stream(
     link: &Arc<Link>,
     stream: TcpStream,
@@ -628,46 +802,28 @@ fn install_stream(
     stats: &Stats,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut write_half = stream.try_clone()?;
     stream.set_nonblocking(true)?;
+    let stream = Arc::new(stream);
     let now = Instant::now();
-    let mut tx = link.tx.lock();
-    if let Some(old) = tx.stream.take() {
+    let mut st = link.state.lock();
+    if let Some(old) = st.stream.replace(Arc::clone(&stream)) {
         let _ = old.shutdown(Shutdown::Both);
     }
-    if tx.acked < peer_delivered {
-        tx.acked = peer_delivered;
-    }
-    while tx.window.front().is_some_and(|(seq, _)| *seq <= peer_delivered) {
-        tx.window.pop_front();
-    }
-    let mut replayed = 0u64;
-    for (_, frame) in tx.window.iter() {
-        write_frame(&mut write_half, frame)?;
-        replayed += 1;
-    }
-    if let Some(torn) = tx.torn_at.take() {
+    st.prune(peer_delivered);
+    st.resend = 0;
+    st.stash.clear();
+    if let Some(torn) = st.torn_at.take() {
         stats
             .last_reconnect_ns
             .store(now.duration_since(torn).as_nanos() as u64, Ordering::Relaxed);
     }
-    stats.replayed_frames.fetch_add(replayed, Ordering::Relaxed);
     stats.reconnects.fetch_add(1, Ordering::Relaxed);
-    tx.stream = Some(write_half);
-    tx.attempts_made = 0;
-    tx.down = false;
-    tx.last_heard = now;
-    tx.last_hb = now;
-    tx.misses_counted = 0;
-    tx.last_progress = now;
+    st.attempts_made = 0;
+    st.last_hb = now;
+    st.last_progress = now;
+    link.heard(now);
     let generation = link.generation.fetch_add(1, Ordering::AcqRel) + 1;
-    readers.push(Reader {
-        link: Arc::clone(link),
-        generation,
-        stream,
-        buf: Vec::new(),
-        open: true,
-    });
+    readers.push(Reader::new(link, generation, stream));
     Ok(())
 }
 
@@ -679,7 +835,7 @@ fn dial_reconnect(link: &Link) -> io::Result<(TcpStream, u64)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     write_frame(
-        &mut stream,
+        &stream,
         &encode_recon(link.owner, link.peer, link.last_delivered.load(Ordering::Acquire)),
     )?;
     let deadline = Instant::now() + RECON_IO_TIMEOUT;
@@ -694,51 +850,59 @@ fn dial_reconnect(link: &Link) -> io::Result<(TcpStream, u64)> {
     Ok((stream, peer_delivered))
 }
 
-/// Declare a link Down under the caller's tx guard. Returns true when
-/// this call made the transition, in which case the caller must drop
-/// the guard and then call [`Registry::record_link_down`] — the
-/// registry's failure broadcast re-enters this transport's tx locks
-/// (`publish_ctrl` walks every link), so posting it under the guard
-/// would self-deadlock the event loop.
-#[must_use]
-fn declare_down(link: &Link, tx: &mut Tx, attempts: u32) -> bool {
-    if tx.down {
-        return false;
+/// Declare a link Down and report it. The registry's failure broadcast
+/// comes back into this transport as `publish_ctrl`, which takes every
+/// link's order lock like any sender — so the report runs on a thread
+/// of its own, never on the event loop.
+fn declare_down(link: &Link, st: &mut State, attempts: u32, registry: &Arc<Registry>) {
+    if st.down {
+        return;
     }
-    tx.down = true;
-    tx.window.clear();
+    st.down = true;
+    st.window.clear();
+    st.resend = 0;
     let err = CommError::LinkDown {
         peer: link.peer,
         attempts,
     };
     eprintln!("beatnik-comm: {err} (observed by rank {})", link.owner);
-    true
+    let (registry, peer) = (Arc::clone(registry), link.peer);
+    std::thread::Builder::new()
+        .name("beatnik-tcp-down".into())
+        .spawn(move || registry.record_link_down(peer, attempts))
+        .expect("spawning the link-down reporter");
 }
 
-/// Handle every complete frame in `reader.buf`. Returns false when the
-/// stream must be torn (protocol error after a clean CRC).
+/// Handle every complete frame in the reader's inbox. Returns false
+/// when the stream must be torn (protocol error after a clean CRC).
 fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
     let link = &reader.link;
-    let mut pos = 0;
+    let inbox = &mut reader.inbox;
     let mut healthy = true;
-    while reader.buf.len() - pos >= 4 {
-        let len = u32::from_le_bytes(reader.buf[pos..pos + 4].try_into().unwrap()) as usize;
-        if reader.buf.len() - pos < 4 + len {
+    let mut delivered_bytes = 0;
+    while let Some(len) = inbox.frame_len() {
+        if len > MAX_FRAME {
+            eprintln!(
+                "beatnik-comm: {len}-byte frame announced by rank {}; tearing link",
+                link.peer
+            );
+            healthy = false;
             break;
         }
-        let frame = &reader.buf[pos + 4..pos + 4 + len];
-        pos += 4 + len;
-        {
-            let mut tx = link.tx.lock();
-            tx.last_heard = Instant::now();
-            tx.misses_counted = 0;
+        let end = inbox.head + 4 + len;
+        if end > inbox.tail {
+            break;
         }
-        match frame.first().copied() {
-            Some(TAG_MSG) if frame.len() >= 13 => {
-                let seq = u64::from_le_bytes(frame[1..9].try_into().unwrap());
-                let sum = u32::from_le_bytes(frame[9..13].try_into().unwrap());
-                let inner = &frame[13..];
-                if crc32(inner) != sum {
+        // The whole stream frame, length prefix included: the stored
+        // layout the offsets above describe.
+        let frame = &inbox.buf[inbox.head..end];
+        inbox.head = end;
+        match frame.get(4).copied() {
+            Some(TAG_MSG) if frame.len() >= HEADER => {
+                let seq = seq_of(frame);
+                let sum = u32::from_le_bytes(frame[CRC_AT..HEADER].try_into().unwrap());
+                let inner = &frame[HEADER..];
+                if crc32c(inner) != sum {
                     // Mangled on the wire: drop it. The sender's
                     // go-back-N timer replays everything unacked.
                     continue;
@@ -770,16 +934,14 @@ fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
                     }
                 }
                 link.last_delivered.store(seq, Ordering::Release);
+                delivered_bytes += frame.len() as u64;
             }
-            Some(TAG_HB) if frame.len() == 9 => {
-                let ack = u64::from_le_bytes(frame[1..9].try_into().unwrap());
-                let mut tx = link.tx.lock();
-                if ack > tx.acked {
-                    tx.acked = ack;
-                    tx.last_progress = Instant::now();
-                    while tx.window.front().is_some_and(|(seq, _)| *seq <= ack) {
-                        tx.window.pop_front();
-                    }
+            Some(TAG_HB) if frame.len() == 13 => {
+                let ack = u64::from_le_bytes(frame[5..].try_into().unwrap());
+                let mut st = link.state.lock();
+                if ack > st.acked {
+                    st.prune(ack);
+                    st.last_progress = Instant::now();
                 }
             }
             _ => {
@@ -792,19 +954,55 @@ fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
             }
         }
     }
-    reader.buf.drain(..pos);
+    if inbox.head == inbox.tail {
+        inbox.head = 0;
+        inbox.tail = 0;
+    }
+    link.unacked_bytes.fetch_add(delivered_bytes, Ordering::Relaxed);
     healthy
+}
+
+/// Read what one stream has ready — at most [`READS_PER_SWEEP`] reads —
+/// and handle the frames that completes. Returns whether any bytes
+/// arrived.
+fn drain_reader(reader: &mut Reader, registry: &Registry, now: Instant) -> bool {
+    let mut heard = false;
+    let mut finished = false;
+    for _ in 0..READS_PER_SWEEP {
+        match (&*reader.stream).read(reader.inbox.spare()) {
+            Ok(0) => finished = true,
+            Ok(n) => {
+                heard = true;
+                reader.inbox.tail += n;
+                finished = !drain_reader_frames(reader, registry);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => finished = true,
+        }
+        if finished {
+            break;
+        }
+    }
+    let link = &reader.link;
+    if heard {
+        link.heard(now);
+    }
+    if finished {
+        // EOF, a socket error or a protocol error: tear, unless a
+        // reconnect already replaced this reader's stream.
+        reader.open = false;
+        if reader.generation == link.generation.load(Ordering::Acquire) {
+            link.tear(&mut link.state.lock(), now);
+        }
+    }
+    heard
 }
 
 /// Accept one reconnect dial on the listener: match it to the torn
 /// local link, refuse it while the pair is partitioned, reply with our
 /// delivered point, and install the stream.
-fn accept_reconnect(
-    shared: &Shared,
-    mut stream: TcpStream,
-    readers: &mut Vec<Reader>,
-    stats: &Stats,
-) {
+fn accept_reconnect(shared: &Shared, mut stream: TcpStream, readers: &mut Vec<Reader>) {
     let deadline = Instant::now() + RECON_IO_TIMEOUT;
     let Ok(frame) = read_one_frame(&mut stream, deadline) else {
         return;
@@ -822,132 +1020,136 @@ fn accept_reconnect(
             return;
         }
     }
-    {
-        let tx = link.tx.lock();
-        if tx.down || link.saw_bye.load(Ordering::Acquire) {
-            return;
-        }
+    if link.state.lock().down || link.saw_bye.load(Ordering::Acquire) {
+        return;
     }
     if write_frame(
-        &mut stream,
+        &stream,
         &encode_recon(target, dialer, link.last_delivered.load(Ordering::Acquire)),
     )
     .is_err()
     {
         return;
     }
-    let _ = install_stream(link, stream, dialer_delivered, readers, stats);
+    let _ = install_stream(link, stream, dialer_delivered, readers, &shared.stats);
 }
 
-/// Per-link periodic duties: heartbeats, silence accounting, go-back-N
-/// retransmits, reconnect dials, and give-up deadlines.
+/// The event loop's writes on one link, in stream order: the tail of a
+/// frame left half-written, then every window frame the installed
+/// stream has not been given, then a heartbeat when one is due. Never
+/// waits — what the socket will not take stays for the next tick. The
+/// caller holds the link's order lock (by `try_lock`) and its state
+/// lock.
+fn pump(link: &Link, st: &mut State, stream: &TcpStream, hb_due: bool, now: Instant, stats: &Stats) -> io::Result<()> {
+    let sent = write_some(stream, &st.stash)?;
+    st.stash.drain(..sent);
+    while st.stash.is_empty() && st.resend < st.window.len() {
+        let frame = &st.window[st.resend];
+        let sent = write_some(stream, frame)?;
+        if sent == 0 {
+            return Ok(());
+        }
+        st.stash.extend_from_slice(&frame[sent..]);
+        st.resend += 1;
+        stats.replayed_frames.fetch_add(1, Ordering::Relaxed);
+    }
+    if hb_due && st.stash.is_empty() {
+        let hb = hb_frame(link.last_delivered.load(Ordering::Acquire));
+        let sent = write_some(stream, &hb)?;
+        if sent > 0 {
+            st.stash.extend_from_slice(&hb[sent..]);
+            st.last_hb = now;
+            link.unacked_bytes.store(0, Ordering::Relaxed);
+        }
+    }
+    Ok(())
+}
+
+/// Per-link periodic duties: heartbeats and acks, silence accounting,
+/// go-back-N retransmits, reconnect dials, and give-up deadlines.
 fn tend_link(
     shared: &Arc<Shared>,
     link: &Arc<Link>,
-    registry: &Registry,
+    registry: &Arc<Registry>,
     stopping: bool,
+    now: Instant,
 ) {
     let knobs = &shared.knobs;
-    let now = Instant::now();
-    let mut tx = link.tx.lock();
-    if tx.down {
+    let mut st = link.state.lock();
+    if st.down {
         return;
     }
-    if tx.stream.is_some() {
+    if let Some(stream) = st.stream.clone() {
         // Silence accounting: every full heartbeat period without
         // inbound traffic is one miss; enough misses mark the link
         // Suspect and tear it for reconnection.
-        let silent = now.duration_since(tx.last_heard);
+        let heard = link.born + Duration::from_nanos(link.last_heard_ns.load(Ordering::Relaxed));
+        let silent = now.saturating_duration_since(heard);
         let periods = (silent.as_nanos() / knobs.hb_period.as_nanos().max(1)) as u32;
-        if periods > tx.misses_counted {
+        let counted = link.misses_counted.load(Ordering::Relaxed);
+        if periods > counted {
             shared
                 .stats
                 .heartbeat_misses
-                .fetch_add((periods - tx.misses_counted) as u64, Ordering::Relaxed);
-            tx.misses_counted = periods;
+                .fetch_add((periods - counted) as u64, Ordering::Relaxed);
+            link.misses_counted.store(periods, Ordering::Relaxed);
         }
         if periods >= knobs.hb_misses && !stopping {
-            link.tear(&mut tx, now);
+            link.tear(&mut st, now);
             return;
         }
-        if now.duration_since(tx.last_hb) >= knobs.hb_period
-            && !link.mute.load(Ordering::Acquire)
-        {
-            let hb = encode_hb(link.last_delivered.load(Ordering::Acquire));
-            let mut stream = tx.stream.take().unwrap();
-            let ok = write_frame(&mut stream, &hb).is_ok();
-            tx.stream = Some(stream);
-            tx.last_hb = now;
-            if !ok && !stopping {
-                link.tear(&mut tx, now);
-                return;
-            }
-        }
-        if !tx.window.is_empty() && now.duration_since(tx.last_progress) > knobs.rto {
+        if !st.window.is_empty() && now.duration_since(st.last_progress) > knobs.rto {
             // Acks stalled: go-back-N replay of everything unacked.
-            let frames: Vec<Vec<u8>> = tx.window.iter().map(|(_, f)| f.clone()).collect();
-            let mut stream = tx.stream.take().unwrap();
-            let mut ok = true;
-            for frame in &frames {
-                if write_frame(&mut stream, frame).is_err() {
-                    ok = false;
-                    break;
+            st.resend = 0;
+            st.last_progress = now;
+        }
+        let hb_due = !link.mute.load(Ordering::Acquire)
+            && (now.duration_since(st.last_hb) >= knobs.hb_period
+                || link.unacked_bytes.load(Ordering::Relaxed) >= ACK_EVERY_BYTES);
+        if hb_due || st.resend < st.window.len() || !st.stash.is_empty() {
+            // A sender mid-frame owns the stream's tail; try next tick.
+            if let Some(_order) = link.order.try_lock() {
+                let written = pump(link, &mut st, &stream, hb_due, now, &shared.stats);
+                if written.is_err() && !stopping {
+                    link.tear(&mut st, now);
                 }
-            }
-            tx.stream = Some(stream);
-            tx.last_progress = now;
-            shared
-                .stats
-                .replayed_frames
-                .fetch_add(frames.len() as u64, Ordering::Relaxed);
-            if !ok && !stopping {
-                link.tear(&mut tx, now);
             }
         }
         return;
     }
     // Torn. A clean goodbye or world teardown ends the link quietly.
     if link.saw_bye.load(Ordering::Acquire) {
-        tx.down = true;
+        st.down = true;
         return;
     }
     if stopping {
         return;
     }
-    let torn_at = match tx.torn_at {
-        Some(t) => t,
-        None => {
-            tx.torn_at = Some(now);
-            now
-        }
-    };
+    let torn_at = *st.torn_at.get_or_insert(now);
     if link.dial_addr.is_none() {
         // Accept side: the peer dials us. Give it the dialer's whole
         // backoff budget before declaring the link dead.
-        if now.duration_since(torn_at) > knobs.reconnect_window
-            && declare_down(link, &mut tx, knobs.attempts)
-        {
-            drop(tx);
-            registry.record_link_down(link.peer, knobs.attempts);
+        if now.duration_since(torn_at) > knobs.reconnect_window {
+            declare_down(link, &mut st, knobs.attempts, registry);
         }
         return;
     }
     // Dial side.
-    if tx.dialing || now < tx.next_dial {
+    if st.dialing || now < st.next_dial {
         return;
     }
     if let Some(chaos) = &shared.chaos {
         if chaos.pair_partitioned(link.owner, link.peer) {
             // Known partition window: defer without spending attempts.
-            tx.next_dial = now + knobs.backoff;
+            st.next_dial = now + knobs.backoff;
             return;
         }
     }
     // Dial on a detached thread: the handshake round-trip must not
     // block this loop, which (in loopback mode) is also the loop that
     // accepts the dial on the listener side.
-    tx.dialing = true;
-    drop(tx);
+    st.dialing = true;
+    drop(st);
     let link2 = Arc::clone(link);
     let shared2 = Arc::clone(shared);
     let _ = std::thread::Builder::new()
@@ -966,7 +1168,7 @@ fn tend_link(
 fn drain_dial_results(
     shared: &Arc<Shared>,
     readers: &mut Vec<Reader>,
-    registry: &Registry,
+    registry: &Arc<Registry>,
 ) {
     let results = std::mem::take(&mut *shared.dial_results.lock());
     for (owner, peer, result) in results {
@@ -974,37 +1176,34 @@ fn drain_dial_results(
             continue;
         };
         let knobs = &shared.knobs;
-        let mut tx = link.tx.lock();
-        tx.dialing = false;
-        if tx.down || tx.stream.is_some() {
+        let mut st = link.state.lock();
+        st.dialing = false;
+        if st.down || st.stream.is_some() {
             continue; // raced with an inbound accept
         }
         match result {
             Ok((stream, peer_delivered)) => {
-                drop(tx);
+                drop(st);
                 let _ = install_stream(link, stream, peer_delivered, readers, &shared.stats);
             }
             Err(_) => {
-                tx.attempts_made += 1;
-                if tx.attempts_made >= knobs.attempts {
-                    let attempts = tx.attempts_made;
-                    if declare_down(link, &mut tx, attempts) {
-                        drop(tx);
-                        registry.record_link_down(link.peer, attempts);
-                    }
+                st.attempts_made += 1;
+                if st.attempts_made >= knobs.attempts {
+                    let attempts = st.attempts_made;
+                    declare_down(link, &mut st, attempts, registry);
                     continue;
                 }
                 // Capped exponential backoff with deterministic jitter
                 // so both ends of a flapping mesh don't dial in
                 // lockstep.
-                let shift = tx.attempts_made.min(5);
+                let shift = st.attempts_made.min(5);
                 let base = knobs.backoff * (1u32 << shift);
                 let capped = base.min(knobs.backoff * 32);
                 let jitter = 0.75
                     + 0.5
-                        * ((link.owner as u64 * 31 + tx.attempts_made as u64 * 17) % 16) as f64
+                        * ((link.owner as u64 * 31 + st.attempts_made as u64 * 17) % 16) as f64
                         / 16.0;
-                tx.next_dial = Instant::now()
+                st.next_dial = Instant::now()
                     + Duration::from_nanos((capped.as_nanos() as f64 * jitter) as u64);
             }
         }
@@ -1012,70 +1211,34 @@ fn drain_dial_results(
 }
 
 fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec<Reader>) {
-    let mut scratch = vec![0u8; 64 * 1024];
     let mut idle_sweeps = 0u32;
+    let mut next_tend = Instant::now();
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
+        let now = Instant::now();
         let mut drained = false;
         for reader in readers.iter_mut() {
-            if !reader.open {
-                continue;
+            if reader.generation != reader.link.generation.load(Ordering::Acquire) {
+                reader.open = false; // superseded by a tear or reconnect
             }
-            let current_gen = reader.link.generation.load(Ordering::Acquire);
-            if reader.generation != current_gen {
-                reader.open = false; // superseded by a reconnect
-                continue;
+            if reader.open {
+                drained |= drain_reader(reader, &registry, now);
             }
-            loop {
-                match reader.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        reader.open = false;
-                        if reader.generation == reader.link.generation.load(Ordering::Acquire) {
-                            let mut tx = reader.link.tx.lock();
-                            reader.link.tear(&mut tx, Instant::now());
-                        }
-                        break;
-                    }
-                    Ok(n) => {
-                        drained = true;
-                        reader.buf.extend_from_slice(&scratch[..n]);
-                        if !drain_reader_frames(reader, &registry) {
-                            reader.open = false;
-                            let mut tx = reader.link.tx.lock();
-                            reader.link.tear(&mut tx, Instant::now());
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        reader.open = false;
-                        if reader.generation == reader.link.generation.load(Ordering::Acquire) {
-                            let mut tx = reader.link.tx.lock();
-                            reader.link.tear(&mut tx, Instant::now());
-                        }
-                        break;
-                    }
+        }
+        if now >= next_tend {
+            next_tend = now + TEND_PERIOD;
+            if let Some(listener) = &shared.listener {
+                while let Ok((stream, _)) = listener.accept() {
+                    drained = true;
+                    accept_reconnect(&shared, stream, &mut readers);
                 }
             }
-        }
-        if let Some(listener) = &shared.listener {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        drained = true;
-                        accept_reconnect(&shared, stream, &mut readers, &shared.stats);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
+            drain_dial_results(&shared, &mut readers, &registry);
+            for link in shared.links.values() {
+                tend_link(&shared, link, &registry, stopping, now);
             }
+            readers.retain(|r| r.open);
         }
-        drain_dial_results(&shared, &mut readers, &registry);
-        for link in shared.links.values() {
-            tend_link(&shared, link, &registry, stopping);
-        }
-        readers.retain(|r| r.open);
         if drained {
             idle_sweeps = 0;
             continue;
@@ -1089,6 +1252,76 @@ fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec
         } else {
             std::thread::sleep(Duration::from_micros(100));
         }
+    }
+}
+
+/// Send one sealed MSG frame on `link`: stamp its sequence number,
+/// write it (subject to `fate`), and move it into the send window. The
+/// order lock is held throughout, so frames reach the socket and the
+/// window in sequence order; the state lock only around the field
+/// updates at either end.
+fn send_frame(link: &Link, mut frame: Vec<u8>, fate: FrameFate) {
+    let mut next_seq = link.order.lock();
+    let (stream, stash) = {
+        let mut st = link.state.lock();
+        if st.down {
+            // The ledger already names this peer; senders above us get
+            // their error from the collective layer, not a panic here.
+            return;
+        }
+        // While a replay is under way the pump sends the whole window,
+        // this frame included, in order; writing it now would only
+        // hand the receiver a gap to discard.
+        match &st.stream {
+            Some(s) if st.resend == st.window.len() => {
+                (Some(Arc::clone(s)), std::mem::take(&mut st.stash))
+            }
+            _ => (None, Vec::new()),
+        }
+    };
+    let seq = *next_seq;
+    *next_seq += 1;
+    frame[SEQ_AT..CRC_AT].copy_from_slice(&seq.to_le_bytes());
+    let mut written = Ok(());
+    if let (Some(stream), false) = (&stream, fate.partitioned) {
+        written = write_all(stream, &stash);
+        // A frame chaos drops never reaches the wire; the window plus
+        // the go-back-N timer deliver it eventually.
+        if written.is_ok() && fate.deliver {
+            if fate.corrupt {
+                flip_inner_bytes(&mut frame);
+            }
+            written = write_all(stream, &frame);
+            if fate.corrupt {
+                flip_inner_bytes(&mut frame);
+            } else if fate.duplicate && written.is_ok() {
+                written = write_all(stream, &frame);
+            }
+        }
+    }
+    let now = Instant::now();
+    let mut st = link.state.lock();
+    if st.down {
+        return;
+    }
+    let installed = match (&stream, &st.stream) {
+        (Some(mine), Some(current)) => Arc::ptr_eq(mine, current),
+        _ => false,
+    };
+    if fate.partitioned || (written.is_err() && installed) {
+        // A partition severs the pair now; a socket that died mid-write
+        // is torn so the reconnect path (backed by the window) heals it
+        // or declares the peer dead. No panic, no failure mark here.
+        link.tear(&mut st, now);
+    }
+    if seq > st.acked {
+        if st.window.is_empty() {
+            st.last_progress = now;
+        }
+        if installed && written.is_ok() && st.resend == st.window.len() {
+            st.resend += 1;
+        }
+        st.window.push_back(frame);
     }
 }
 
@@ -1122,62 +1355,20 @@ impl Transport for TcpTransport {
             .unwrap_or_else(|| {
                 panic!("no tcp link for {} -> {}", route.src_world, route.dst_world)
             });
-        let inner = wire::encode_data(route.comm, route.dst_local, &env);
+        let frame = msg_frame(wire::data_len(&env), |out| {
+            wire::encode_data_into(out, route.comm, route.dst_local, &env)
+        });
         // Chaos counts exactly the first transmission of each data
         // frame; retransmits, heartbeats, and handshakes are invisible
         // to it, which keeps the ledger identical across backends.
         let fate = match &self.shared.chaos {
             Some(chaos) => chaos.on_frame(route.src_world, route.dst_world),
-            None => super::chaos::FrameFate {
-                deliver: true,
-                corrupt: false,
-                duplicate: false,
-                delay: None,
-                partitioned: false,
-            },
+            None => FrameFate::clean(),
         };
         if let Some(d) = fate.delay {
             std::thread::sleep(d);
         }
-        let mut tx = link.tx.lock();
-        if tx.down {
-            // The ledger already names this peer; senders above us get
-            // their error from the collective layer, not a panic here.
-            return;
-        }
-        let seq = tx.next_seq;
-        tx.next_seq += 1;
-        let msg = encode_msg(seq, &inner);
-        if tx.window.is_empty() {
-            tx.last_progress = Instant::now();
-        }
-        tx.window.push_back((seq, msg.clone()));
-        if fate.partitioned {
-            // Sever the pair now; the frame stays in the window and
-            // replays after the reconnect.
-            link.tear(&mut tx, Instant::now());
-            return;
-        }
-        if !fate.deliver || tx.stream.is_none() {
-            // Dropped on the wire (or already torn): the window plus
-            // the go-back-N timer will deliver it eventually.
-            return;
-        }
-        let mut stream = tx.stream.take().unwrap();
-        let result = if fate.corrupt {
-            write_frame(&mut stream, &corrupt_copy(&msg))
-        } else if fate.duplicate {
-            write_frame(&mut stream, &msg).and_then(|()| write_frame(&mut stream, &msg))
-        } else {
-            write_frame(&mut stream, &msg)
-        };
-        tx.stream = Some(stream);
-        if result.is_err() {
-            // The socket died mid-write: tear and let the reconnect
-            // path (backed by the window) heal or declare the peer
-            // dead. No panic, no immediate failure mark.
-            link.tear(&mut tx, Instant::now());
-        }
+        send_frame(link, frame, fate);
     }
 
     fn publish_ctrl(&self, ctrl: CtrlMsg) {
@@ -1187,25 +1378,9 @@ impl Transport for TcpTransport {
             return;
         }
         let inner = wire::encode_ctrl(ctrl);
+        let frame = msg_frame(inner.len(), |out| out.extend_from_slice(&inner));
         for link in self.shared.links.values() {
-            let mut tx = link.tx.lock();
-            if tx.down {
-                continue;
-            }
-            let seq = tx.next_seq;
-            tx.next_seq += 1;
-            let msg = encode_msg(seq, &inner);
-            if tx.window.is_empty() {
-                tx.last_progress = Instant::now();
-            }
-            tx.window.push_back((seq, msg.clone()));
-            if let Some(mut stream) = tx.stream.take() {
-                let ok = write_frame(&mut stream, &msg).is_ok();
-                tx.stream = Some(stream);
-                if !ok {
-                    link.tear(&mut tx, Instant::now());
-                }
-            }
+            send_frame(link, frame.clone(), FrameFate::clean());
         }
     }
 
@@ -1263,16 +1438,23 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC-32 test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        let msg = encode_msg(7, b"payload-bytes");
-        let mangled = corrupt_copy(&msg);
-        assert_ne!(msg, mangled);
-        // Header (tag, seq, crc) intact; inner bytes no longer match it.
-        assert_eq!(msg[..13], mangled[..13]);
-        let sum = u32::from_le_bytes(mangled[9..13].try_into().unwrap());
-        assert_ne!(crc32(&mangled[13..]), sum);
+    fn sealed_frames_carry_a_crc_that_corruption_breaks() {
+        let inner = b"payload-bytes";
+        let frame = msg_frame(inner.len(), |out| out.extend_from_slice(inner));
+        assert_eq!(frame.len(), HEADER + inner.len());
+        assert_eq!(u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize, frame.len() - 4);
+        assert_eq!(frame[4], TAG_MSG);
+        let sum = u32::from_le_bytes(frame[CRC_AT..HEADER].try_into().unwrap());
+        assert_eq!(sum, crc32c(inner));
+        let mut mangled = frame.clone();
+        flip_inner_bytes(&mut mangled);
+        // Header (length, tag, seq, crc) intact; inner bytes no longer
+        // match it.
+        assert_eq!(frame[..HEADER], mangled[..HEADER]);
+        assert_ne!(crc32c(&mangled[HEADER..]), sum);
+        // Flipping again restores the frame the window keeps.
+        flip_inner_bytes(&mut mangled);
+        assert_eq!(frame, mangled);
     }
 
     #[test]
@@ -1280,7 +1462,7 @@ mod tests {
         let frame = encode_recon(3, 1, 0xABCD);
         assert_eq!(decode_recon(&frame).unwrap(), (3, 1, 0xABCD));
         assert!(decode_recon(&frame[..24]).is_err());
-        assert!(decode_recon(&encode_hb(9)).is_err());
+        assert!(decode_recon(&hb_frame(9)[4..]).is_err());
     }
 
     #[test]
@@ -1292,7 +1474,7 @@ mod tests {
             assert_eq!(link.peer, *peer);
             // Reconnect dial rule matches rendezvous: higher rank dials.
             assert_eq!(link.dial_addr.is_some(), owner > peer);
-            assert!(link.tx.lock().stream.is_some());
+            assert!(link.state.lock().stream.is_some());
         }
         assert!(t.shared.listener.is_some());
         t.shutdown();
@@ -1309,6 +1491,93 @@ mod tests {
         t.deliver(&registry, route(1, 1), Envelope::new(1, 8, vec![9u64]));
         assert_eq!(recv_u64(&registry, 1, 8), vec![9]);
         t.shutdown();
+    }
+
+    /// `(tag, payload)` of each message a test stream carries, in order.
+    type Expect = Vec<(u64, Vec<u64>)>;
+
+    /// A byte stream of MSG and HB frames — small ones and one larger
+    /// than the inbox — as rank 0 would write it toward rank 1; what
+    /// each MSG should deliver; and where the third MSG frame lies.
+    fn mixed_stream() -> (Vec<u8>, Expect, std::ops::Range<usize>) {
+        let mut stream = Vec::new();
+        let mut expect = Vec::new();
+        let mut third = 0..0;
+        let sizes = [3usize, 0, 700, 1, INBOX_BYTES / 8 + 5, 64];
+        for (i, &n) in sizes.iter().enumerate() {
+            let tag = 100 + i as u64;
+            let data: Vec<u64> = (0..n as u64).map(|k| k * 7 + tag).collect();
+            let env = Envelope::new(0, tag, data.clone());
+            let mut frame = msg_frame(wire::data_len(&env), |out| {
+                wire::encode_data_into(out, WORLD_COMM_ID, 1, &env)
+            });
+            frame[SEQ_AT..CRC_AT].copy_from_slice(&(i as u64 + 1).to_le_bytes());
+            if i == 2 {
+                third = stream.len()..stream.len() + frame.len();
+            }
+            stream.extend_from_slice(&frame);
+            stream.extend_from_slice(&hb_frame(i as u64));
+            expect.push((tag, data));
+        }
+        (stream, expect, third)
+    }
+
+    /// Feed `pieces` of a byte stream through rank 1's reader of a
+    /// fresh, unattached loopback pair — as reads of exactly those
+    /// sizes would — and return what landed in rank 1's mailbox plus
+    /// the ack point the HB frames left on the link.
+    fn feed(pieces: &[&[u8]], expect: &[(u64, Vec<u64>)]) -> (Vec<Vec<u64>>, u64) {
+        let registry = Registry::new();
+        let t = TcpTransport::loopback(2, &CommConfig::default(), None).unwrap();
+        let mut readers = std::mem::take(&mut *t.readers.lock());
+        let reader = readers
+            .iter_mut()
+            .find(|r| (r.link.owner, r.link.peer) == (1, 0))
+            .unwrap();
+        for piece in pieces {
+            let mut rest = *piece;
+            while !rest.is_empty() {
+                let spare = reader.inbox.spare();
+                let n = rest.len().min(spare.len());
+                spare[..n].copy_from_slice(&rest[..n]);
+                reader.inbox.tail += n;
+                rest = &rest[n..];
+                assert!(drain_reader_frames(reader, &registry));
+            }
+        }
+        assert_eq!((reader.inbox.head, reader.inbox.tail), (0, 0), "bytes left unparsed");
+        let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
+        let got = expect
+            .iter()
+            .map(|(tag, _)| {
+                mailbox
+                    .recv_matching_timeout(1, 0, *tag, Duration::ZERO)
+                    .unwrap_or_else(|e| panic!("tag {tag} not delivered: {e}"))
+                    .into_data::<u64>()
+            })
+            .collect();
+        let acked = reader.link.state.lock().acked;
+        (got, acked)
+    }
+
+    #[test]
+    fn a_stream_split_anywhere_yields_the_same_envelopes_as_one_read() {
+        let (stream, expect, third) = mixed_stream();
+        let want: Vec<Vec<u64>> = expect.iter().map(|(_, d)| d.clone()).collect();
+        let last_ack = expect.len() as u64 - 1;
+
+        let whole = feed(&[&stream], &expect);
+        assert_eq!(whole, (want, last_ack));
+
+        let bytes: Vec<&[u8]> = stream.chunks(1).collect();
+        assert_eq!(feed(&bytes, &expect), whole, "one byte at a time");
+
+        // Every split point of one frame: before it, inside the length
+        // prefix, the header and the payload, and after it.
+        for cut in third.start..=third.end {
+            let (a, b) = stream.split_at(cut);
+            assert_eq!(feed(&[a, b], &expect), whole, "split at byte {cut}");
+        }
     }
 
     /// Messages pushed through a lossy link all arrive, in order, with
@@ -1369,6 +1638,47 @@ mod tests {
         assert!(stats.last_reconnect_ns > 0);
     }
 
+    /// The receiving side acks by volume, so the sender's window stays
+    /// near [`ACK_EVERY_BYTES`] even when heartbeats are 10 s apart —
+    /// without that, all 80 MB below would sit in it until the first
+    /// heartbeat.
+    #[test]
+    fn acks_by_volume_bound_the_window_whatever_the_heartbeat_period() {
+        let config = CommConfig {
+            heartbeat_period: Duration::from_secs(10),
+            ..CommConfig::default()
+        };
+        let registry = Arc::new(Registry::new());
+        let t = TcpTransport::loopback(2, &config, None).unwrap();
+        t.attach(&registry);
+        let payload = vec![0xA5u8; 8 * 1024];
+        for i in 0..10_000u64 {
+            t.deliver(&registry, route(0, 1), Envelope::new(0, i, payload.clone()));
+            if i % 64 == 63 {
+                // Keep the mailbox from holding the whole run.
+                for tag in i - 63..=i {
+                    let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
+                    let env = mailbox.recv_matching_timeout(1, 0, tag, Duration::from_secs(10));
+                    assert_eq!(env.unwrap().into_data::<u8>().len(), payload.len());
+                }
+            }
+        }
+        let window_bytes = || -> u64 {
+            let st = t.shared.links[&(0, 1)].state.lock();
+            st.window.iter().map(|f| f.len() as u64).sum()
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while window_bytes() > ACK_EVERY_BYTES {
+            assert!(
+                Instant::now() < deadline,
+                "{} B still unacked with everything delivered",
+                window_bytes()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        t.shutdown();
+    }
+
     #[test]
     fn muted_heartbeats_drive_suspect_then_reconnect() {
         let registry = Arc::new(Registry::new());
@@ -1411,15 +1721,13 @@ mod tests {
         let parent_reg = Arc::new(Registry::new());
         parent.attach(&parent_reg);
         // Install the transport the way a real world does, so the
-        // failure broadcast (`mark_failed` → `publish_ctrl`) re-enters
-        // this transport's tx locks from the event-loop thread — the
-        // re-entrancy that once self-deadlocked `declare_down`.
+        // failure broadcast (`mark_failed` → `publish_ctrl`) comes back
+        // into this transport's link locks while the event loop runs.
         parent_reg.install_transport(Arc::clone(&parent) as Arc<dyn Transport>);
         // Sever the child's sockets abruptly: no Bye, no live listener.
         {
             let link = &child_t.shared.links[&(1, 0)];
-            let mut tx = link.tx.lock();
-            if let Some(s) = tx.stream.take() {
+            if let Some(s) = link.state.lock().stream.take() {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }

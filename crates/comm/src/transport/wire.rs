@@ -28,10 +28,13 @@
 //! shares the sender's slab) may apply one — [`apply`] refuses it.
 //!
 //! Frames are self-delimiting inside a shmem ring record; on TCP each
-//! frame is additionally length-prefixed with a `u32` by the stream
-//! layer. `comm` carries the collective-channel bit exactly as the
-//! mailbox key does, so decoding pushes straight into the right
-//! mailbox without knowing about channels.
+//! frame is the tail of a stream frame whose header (`u32` length, tag,
+//! sequence number, CRC-32C) the stream layer reserves in front of it —
+//! [`encode_data_into`] appends behind that header, so the payload is
+//! copied into its outgoing buffer exactly once. `comm` carries the
+//! collective-channel bit exactly as the mailbox key does, so decoding
+//! pushes straight into the right mailbox without knowing about
+//! channels.
 
 use super::CtrlMsg;
 use crate::message::Envelope;
@@ -73,11 +76,13 @@ const CTRL_REVOKE: u8 = 1;
 const CTRL_ABORT: u8 = 2;
 const CTRL_BYE: u8 = 3;
 
-/// Encode an envelope delivery. Panics with a diagnostic when the
-/// payload's element type cannot legally cross a process boundary
-/// (drop glue) — the same class of fatal protocol error as an MPI
-/// datatype mismatch.
-pub fn encode_data(comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
+/// Append one encoded envelope delivery to `out`, leaving whatever
+/// `out` already holds in front of it: the TCP transport reserves its
+/// stream header there, so header and payload are one buffer built
+/// once. Panics with a diagnostic when the payload's element type
+/// cannot legally cross a process boundary (drop glue) — the same class
+/// of fatal protocol error as an MPI datatype mismatch.
+pub fn encode_data_into(out: &mut Vec<u8>, comm: u64, dst_local: usize, env: &Envelope) {
     let payload = env.wire_view().unwrap_or_else(|| {
         panic!(
             "payload type `{}` cannot cross a wire transport (it has drop \
@@ -87,7 +92,7 @@ pub fn encode_data(comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
     });
     let name = env.type_name.as_bytes();
     assert!(name.len() <= u16::MAX as usize, "absurd type name length");
-    let mut out = Vec::with_capacity(51 + name.len() + payload.len());
+    out.reserve(data_len(env));
     out.push(KIND_DATA);
     out.extend_from_slice(&comm.to_le_bytes());
     out.extend_from_slice(&(dst_local as u32).to_le_bytes());
@@ -100,6 +105,18 @@ pub fn encode_data(comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
     out.extend_from_slice(name);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Bytes [`encode_data_into`] appends for `env`.
+pub fn data_len(env: &Envelope) -> usize {
+    55 + env.type_name.len() + env.bytes
+}
+
+/// Encode an envelope delivery as a frame of its own (see
+/// [`encode_data_into`]).
+pub fn encode_data(comm: u64, dst_local: usize, env: &Envelope) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_data_into(&mut out, comm, dst_local, env);
     out
 }
 
@@ -173,8 +190,7 @@ pub fn decode(buf: &[u8]) -> Result<Frame, String> {
             let elem_size = r.u32()? as usize;
             let name_len = r.u16()? as usize;
             let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|e| format!("bad type name: {e}"))?
-                .to_owned();
+                .map_err(|e| format!("bad type name: {e}"))?;
             let payload_len = r.u64()? as usize;
             if payload_len != count.saturating_mul(elem_size) {
                 return Err(format!(
@@ -188,7 +204,7 @@ pub fn decode(buf: &[u8]) -> Result<Frame, String> {
             Ok(Frame::Data {
                 comm,
                 dst_local,
-                env: Envelope::from_wire(src, tag, count, elem_size, &name, payload).with_ctx(ctx),
+                env: Envelope::from_wire(src, tag, count, elem_size, name, payload).with_ctx(ctx),
             })
         }
         KIND_HANDOFF => {
@@ -263,6 +279,17 @@ mod tests {
             }
             other => panic!("wrong frame: {other:?}"),
         }
+    }
+
+    #[test]
+    fn encode_data_into_appends_behind_what_the_buffer_holds() {
+        let env = Envelope::new(3, 42, vec![1u64, 2, 3]);
+        let alone = encode_data(7, 5, &env);
+        assert_eq!(alone.len(), data_len(&env));
+        let mut out = vec![0xAA; 17];
+        encode_data_into(&mut out, 7, 5, &env);
+        assert_eq!(out[..17], [0xAA; 17]);
+        assert_eq!(out[17..], alone[..]);
     }
 
     #[test]

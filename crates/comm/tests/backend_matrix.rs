@@ -309,9 +309,91 @@ backend_matrix! {
             }
         }
     }
+    /// One message larger than any socket buffer, one way: the sender
+    /// must be able to finish while the receiver's side of the
+    /// transport keeps draining.
+    fn a_16_mib_send_arrives_intact(kind: TransportKind) {
+        finishes(move || {
+            World::builder(2).transport(kind).recv_timeout(TIMEOUT).run(|c| {
+                let n = (16 << 20) / 8;
+                if c.rank() == 0 {
+                    c.send(1, 1, pattern(16, n));
+                } else {
+                    let got: Vec<u64> = c.recv(0, 1);
+                    assert_eq!(got.len(), n);
+                    assert_eq!(checksum(&got), checksum(&pattern(16, n)));
+                }
+            });
+        });
+    }
+
+    /// Both ranks send 8 MiB before either receives: each sender waits
+    /// on a socket only the other side's progress can drain.
+    fn an_8_mib_sendrecv_both_ways_arrives_intact(kind: TransportKind) {
+        finishes(move || {
+            World::builder(2).transport(kind).recv_timeout(TIMEOUT).run(|c| {
+                let n = (8 << 20) / 8;
+                let peer = 1 - c.rank();
+                let got = c.sendrecv(peer, pattern(c.rank() as u64, n), peer, 2);
+                assert_eq!(got.len(), n);
+                assert_eq!(checksum(&got), checksum(&pattern(peer as u64, n)));
+            });
+        });
+    }
+
+    /// Four ranks exchange 2 MiB blocks all-to-all, every rank sending
+    /// to and receiving from every other at once.
+    fn an_alltoallv_of_2_mib_blocks_arrives_intact(kind: TransportKind) {
+        finishes(move || {
+            World::builder(4).transport(kind).recv_timeout(TIMEOUT).run(|c| {
+                let n = (2 << 20) / 8;
+                let seed = |src: usize, dst: usize| (src * 4 + dst) as u64;
+                let blocks = (0..4).map(|d| pattern(seed(c.rank(), d), n)).collect();
+                let got = c.alltoallv_owned(blocks, AllToAllAlgo::Adaptive);
+                for (src, block) in got.iter().enumerate() {
+                    assert_eq!(block.len(), n, "block from {src}");
+                    assert_eq!(
+                        checksum(block),
+                        checksum(&pattern(seed(src, c.rank()), n)),
+                        "block from {src}"
+                    );
+                }
+            });
+        });
+    }
 }
 
 
+
+/// Run a world on a thread of its own and fail — not hang the suite —
+/// if it is still running after 30 s.
+fn finishes(world: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (done, wait) = channel();
+    std::thread::spawn(move || {
+        world();
+        let _ = done.send(());
+    });
+    match wait.recv_timeout(Duration::from_secs(30)) {
+        Ok(()) => {}
+        Err(RecvTimeoutError::Timeout) => panic!("world still running after 30 s: a message is stuck"),
+        Err(RecvTimeoutError::Disconnected) => panic!("world panicked"),
+    }
+}
+
+/// `n` words that depend on `seed` and on their position.
+fn pattern(seed: u64, n: usize) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| (i ^ seed.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect()
+}
+
+/// Order-sensitive fold of a payload (FNV-1a over words).
+fn checksum(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &w| (h ^ w).wrapping_mul(0x0000_0100_0000_01B3))
+}
 
 /// Run the shared link-chaos scenario on `kind`: rank 0 pushes 8 tagged
 /// messages at rank 1 through a seeded wire-fault plan, rank 1 collects

@@ -106,6 +106,10 @@ grep -q 'process-ranks over shmem' "$PROF_DIR/procs-shmem.log"
 "$RIG" --transport tcp --procs --n 16 --steps 2 --ranks 2 \
     > "$PROF_DIR/procs-tcp.log"
 grep -q 'process-ranks over tcp' "$PROF_DIR/procs-tcp.log"
+# Messages larger than the socket buffers (16 MiB one way, 8 MiB both
+# ways, 2 MiB alltoallv blocks) must complete on every backend; each
+# test fails after 30 s instead of hanging.
+cargo test -q -p beatnik-comm --test backend_matrix mib
 
 echo "== wire-chaos smoke: seeded drop/dup/corrupt/partition over 2-process tcp =="
 # The self-healing link layer (CRC discard, ack-driven replay, redial
@@ -168,6 +172,11 @@ grep -q '"transport": "tcp"' BENCH_comm.json
 grep -q '"op": "p2p_owned"' BENCH_comm.json
 grep -q '"op": "p2p_traced"' BENCH_comm.json
 grep -q '"op": "alltoall_traced"' BENCH_comm.json
+# The socket-path rows beside p2p_eager: owned ping-pong and the
+# reshape-shaped 2-rank alltoallv. (No -q on the second grep: it must
+# read the whole pipe, or pipefail sees the first one's SIGPIPE.)
+grep -A2 '"op": "p2p_owned"' BENCH_comm.json | grep '"transport": "tcp"' >/dev/null
+grep -A2 '"op": "alltoallv"' BENCH_comm.json | grep '"transport": "tcp"' >/dev/null
 
 echo "== fault-tolerance bench -> BENCH_fault.json =="
 target/release/bench_fault BENCH_fault.json
