@@ -34,6 +34,15 @@
 //!   the 96² single-mode point set at cutoff 0.5, ns per target —
 //!   binning, distance filter and pair kernel together).
 //!
+//! * **Z-Model stage remainder** — what one `ZModel::derivatives` call
+//!   spends outside the phases it invokes (halo exchanges, distributed
+//!   transforms, the Birkhoff–Rott solve): unit normals or sheet
+//!   strengths, gathers, spectral multipliers, the `S` and `∂t w`
+//!   passes. `zmodel_stage/low` on the 256² periodic deck and
+//!   `zmodel_stage/high` on the 96² open deck with the cutoff solver,
+//!   1 rank, ns per owned node per stage, read off the span timeline as
+//!   the self time of a phase wrapped around the call.
+//!
 //! Best-of-N trials: noise on a shared host only ever slows a trial
 //! down, so the minimum is the honest kernel time.
 //!
@@ -42,7 +51,7 @@
 use beatnik_comm::{AllToAllAlgo, Communicator, World};
 use beatnik_core::br::kernel::accumulate_block;
 use beatnik_core::br::{BrPoint, BrSolver, CutoffBrSolver};
-use beatnik_core::{geometry, Order, ProblemManager};
+use beatnik_core::{geometry, Order, ProblemManager, ZModel};
 use beatnik_dfft::layout::{gather_cols, pack, scatter_cols, unpack, COL_TILE};
 use beatnik_dfft::redistribute::redistribute;
 use beatnik_dfft::{Dist, DistributedFft2d, FftConfig, Rect};
@@ -401,6 +410,53 @@ fn bench_br_cutoff(rows: &mut Vec<Row>, n: usize, reps: usize) {
     );
 }
 
+/// What a `ZModel::derivatives` call on `rig`'s initial state spends
+/// outside the phases it invokes, on a 1-rank world: the self time of a
+/// phase around the call, ns per owned node per stage.
+fn bench_zmodel_stage(rows: &mut Vec<Row>, variant: &'static str, rig: &RigConfig, reps: usize) {
+    const PHASE: &str = "zmodel-stage";
+    let mut best = f64::INFINITY;
+    for _ in 0..TRIALS {
+        let (_, _, timeline) = World::builder(1).run_profiled(|comm| {
+            let mut pm = ProblemManager::new(rig.build_mesh(&comm), rig.boundary_condition());
+            let cfg = rig.solver_config();
+            cfg.ic.apply(&mut pm);
+            let br: Option<Box<dyn BrSolver>> = cfg.order.needs_br_solver().then(|| {
+                let mesh = rig.spatial_mesh(1);
+                Box::new(CutoffBrSolver::new(mesh, cfg.params.cutoff, Backend::Grid)) as _
+            });
+            let zmodel = ZModel::new(&pm, cfg.order, cfg.params, br, cfg.fft);
+            let mut zdot = pm.mesh().make_field(3);
+            let mut wdot = pm.mesh().make_field(2);
+            zmodel.derivatives(&mut pm, &mut zdot, &mut wdot); // warmup
+            for _ in 0..reps {
+                let _stage = comm.telemetry().phase(PHASE);
+                zmodel.derivatives(&mut pm, &mut zdot, &mut wdot);
+            }
+            std::hint::black_box((&zdot, &wdot));
+        });
+        assert_eq!(timeline.total_dropped(), 0, "span ring wrapped: lower reps");
+        let phases = timeline.phase_attribution();
+        let stage = phases.iter().find(|r| r.name == PHASE).expect("stage phase recorded");
+        assert_eq!(stage.calls, reps as u64);
+        best = best.min(stage.self_s * 1e9 / reps as f64);
+    }
+    let nodes = (rig.mesh_n * rig.mesh_n) as f64;
+    rows.push(Row {
+        kernel: "zmodel_stage",
+        variant,
+        n: rig.mesh_n * rig.mesh_n,
+        ns_per_elem: best / nodes,
+        // Nominal: the 40 state bytes of a node read once per stage.
+        gbps: nodes * 40.0 / best,
+    });
+    eprintln!(
+        "zmodel_stage     {n}x{n:<5} {variant} {:>7.2} ns/node-stage",
+        best / nodes,
+        n = rig.mesh_n
+    );
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -427,6 +483,21 @@ fn main() {
     // stage of `exact_ring` at 1 rank, one `cutoff_imb` evaluation.
     bench_br_pairs(&mut rows, 2304, 3);
     bench_br_cutoff(&mut rows, 96, 3);
+
+    // The Z-Model's own share of a stage on the `low_bw` and
+    // `cutoff_imb` problems.
+    let low = RigConfig {
+        mesh_n: 256,
+        ..RigConfig::default()
+    };
+    bench_zmodel_stage(&mut rows, "low", &low, 10);
+    let high = RigConfig {
+        deck: Deck::SingleModeOpen,
+        order: Order::High,
+        mesh_n: 96,
+        ..RigConfig::default()
+    };
+    bench_zmodel_stage(&mut rows, "high", &high, 6);
 
     let doc = Value::Object(vec![(
         "benches".into(),

@@ -43,7 +43,7 @@ impl TimeIntegrator {
         // Stage 1: u¹ = u⁰ + dt·L(u⁰).
         zmodel.derivatives(pm, &mut self.zdot, &mut self.wdot);
         {
-            let (z, w) = pm.state_mut();
+            let (_, z, w) = pm.state_mut();
             z.axpby(1.0, &self.zdot, dt);
             w.axpby(1.0, &self.wdot, dt);
         }
@@ -51,7 +51,7 @@ impl TimeIntegrator {
         // Stage 2: u² = 3/4·u⁰ + 1/4·u¹ + 1/4·dt·L(u¹).
         zmodel.derivatives(pm, &mut self.zdot, &mut self.wdot);
         {
-            let (z, w) = pm.state_mut();
+            let (_, z, w) = pm.state_mut();
             z.axpby(0.25, &self.z0, 0.75);
             z.axpby(1.0, &self.zdot, 0.25 * dt);
             w.axpby(0.25, &self.w0, 0.75);
@@ -61,7 +61,7 @@ impl TimeIntegrator {
         // Stage 3: uⁿ⁺¹ = 1/3·u⁰ + 2/3·u² + 2/3·dt·L(u²).
         zmodel.derivatives(pm, &mut self.zdot, &mut self.wdot);
         {
-            let (z, w) = pm.state_mut();
+            let (_, z, w) = pm.state_mut();
             z.axpby(2.0 / 3.0, &self.z0, 1.0 / 3.0);
             z.axpby(1.0, &self.zdot, 2.0 / 3.0 * dt);
             w.axpby(2.0 / 3.0, &self.w0, 1.0 / 3.0);
@@ -73,7 +73,7 @@ impl TimeIntegrator {
     /// against RK3.
     pub fn step_euler(&mut self, zmodel: &ZModel, pm: &mut ProblemManager, dt: f64) {
         zmodel.derivatives(pm, &mut self.zdot, &mut self.wdot);
-        let (z, w) = pm.state_mut();
+        let (_, z, w) = pm.state_mut();
         z.axpby(1.0, &self.zdot, dt);
         w.axpby(1.0, &self.wdot, dt);
     }

@@ -57,9 +57,10 @@ impl ProblemManager {
         &mut self.w
     }
 
-    /// Both fields mutably (RK stages update them together).
-    pub fn state_mut(&mut self) -> (&mut Field, &mut Field) {
-        (&mut self.z, &mut self.w)
+    /// Both fields mutably (RK stages update them together), with the
+    /// mesh whose owned-block helpers write them.
+    pub fn state_mut(&mut self) -> (&SurfaceMesh, &mut Field, &mut Field) {
+        (&self.mesh, &mut self.z, &mut self.w)
     }
 
     /// Refresh halos and boundary ghosts of both state fields. Must be
@@ -85,22 +86,12 @@ impl ProblemManager {
 
     /// Copy the owned positions in row-major owned order.
     pub fn owned_positions(&self) -> Vec<[f64; 3]> {
-        let mut out = Vec::with_capacity(self.owned_count());
-        for (lr, lc, _, _) in self.mesh.owned_indices() {
-            let n = self.z.node(lr, lc);
-            out.push([n[0], n[1], n[2]]);
-        }
-        out
+        self.mesh.owned_nodes(&self.z)
     }
 
     /// Copy the owned vorticity in row-major owned order.
     pub fn owned_vorticity(&self) -> Vec<[f64; 2]> {
-        let mut out = Vec::with_capacity(self.owned_count());
-        for (lr, lc, _, _) in self.mesh.owned_indices() {
-            let n = self.w.node(lr, lc);
-            out.push([n[0], n[1]]);
-        }
-        out
+        self.mesh.owned_nodes(&self.w)
     }
 }
 

@@ -291,6 +291,23 @@ mod tests {
     }
 
     #[test]
+    fn low_order_step_sends_168_messages_on_two_ranks() {
+        // The count the repo benchmark's `low_lat` workload reports as
+        // `comm.msgs_per_step` (15 + 15 transforms plus the stage halo refreshes).
+        let sent = World::builder(2).run(|comm| {
+            let mesh = periodic_mesh(&comm, 32);
+            let bc = BoundaryCondition::Periodic {
+                periods: [2.0 * PI, 2.0 * PI],
+            };
+            let mut s = Solver::new(mesh, bc, config(Order::Low, BrChoice::None));
+            let before = comm.trace().total_messages();
+            s.step();
+            comm.trace().total_messages() - before
+        });
+        assert_eq!(sent.iter().sum::<u64>(), 168);
+    }
+
+    #[test]
     fn all_three_orders_run_with_each_br_solver() {
         World::builder(2).run(|comm| {
             let l = 2.0 * PI;

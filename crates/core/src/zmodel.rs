@@ -5,6 +5,17 @@
 //! it *invokes* components that do: the surface-mesh halo exchange, the
 //! distributed FFT (low/medium order), and a Birkhoff–Rott solver
 //! (medium/high order).
+//!
+//! What it does itself, between those calls, is a handful of passes over
+//! the owned block, all written as loops over owned *rows* on
+//! [`Field::row`] slices: the row kernels of `beatnik_mesh::stencil` and
+//! [`crate::geometry`] for stencils, normals and sheet strengths, the
+//! mesh's owned-order gather/scatter for the transforms' real blocks,
+//! and spectral multipliers that walk the spectrum row by row with the
+//! per-row wavenumber hoisted. Each is the per-node arithmetic in the
+//! same order, so the stage is bit-identical to the per-node
+//! implementation kept in `zmodel/per_node.rs` for the tests
+//! (DESIGN.md §20).
 
 use crate::br::{BrPoint, BrSolver};
 use crate::geometry;
@@ -14,7 +25,7 @@ use crate::problem::ProblemManager;
 use beatnik_dfft::{DistributedFft2d, FftConfig, Rect};
 use beatnik_fft::spectral::wavenumbers;
 use beatnik_fft::Complex;
-use beatnik_mesh::stencil::{ddx4, ddy4, laplacian};
+use beatnik_mesh::stencil::{ddx4_row, ddy4_row, laplacian_row};
 use beatnik_mesh::Field;
 
 /// The Z-Model solver for one rank.
@@ -104,87 +115,95 @@ impl ZModel {
         let pm = &*pm;
         let mesh = pm.mesh();
         let [dy, dx] = mesh.spacing();
-        let da = dy * dx;
         let n_own = mesh.owned_count();
-        let z = pm.z();
-        let w = pm.w();
+        let (z, w) = (pm.z(), pm.w());
+        let rows = mesh.owned_row_range();
+        let cols = mesh.owned_col_range();
+        let (c0, n) = (cols.start, cols.len());
+        let zspan = 3 * c0..3 * (c0 + n);
+        let wspan = 2 * c0..2 * (c0 + n);
 
-        // --- geometry at owned nodes -----------------------------------
-        let mut normals = Vec::with_capacity(n_own);
-        for (lr, lc, _, _) in mesh.owned_indices() {
-            normals.push(geometry::unit_normal(z, lr, lc, dy, dx));
-        }
-
-        // --- interface velocity ----------------------------------------
-        let vel: Vec<[f64; 3]> = match self.order {
+        // --- ∂t z = V, and S = g·z₃ − |V|²/8 from it, row by row --------
+        let g = self.params.gravity;
+        let mut s_vals = Vec::with_capacity(n_own);
+        let mut push_s = |v: &[f64], z: &[f64]| {
+            s_vals.extend(v.chunks_exact(3).zip(z.chunks_exact(3)).map(|(v, z)| {
+                let v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
+                g * z[2] - v2 / 8.0
+            }));
+        };
+        zdot.fill(0.0);
+        match self.order {
             Order::Low => {
+                // V = W₃·n̂: the only order that needs the unit normals.
                 // Transposed-layout spectra: the multipliers are diagonal
                 // in k, so staying in the intermediate layout saves a
                 // third of the FFT reshapes (heFFTe's transposed-output
                 // optimization).
                 let (rect, w1_spec) = self.forward_comp(pm, w, 0);
                 let (_, w2_spec) = self.forward_comp(pm, w, 1);
-                let riesz = self.riesz_block(&w1_spec, &w2_spec, &rect);
-                let w3 = self.inverse_re(riesz);
-                w3.iter()
-                    .zip(&normals)
-                    .map(|(&m, n)| [m * n[0], m * n[1], m * n[2]])
-                    .collect()
+                let w3 = self.inverse_re(self.riesz_block(w1_spec, &w2_spec, &rect));
+                for (i, r) in rows.clone().enumerate() {
+                    let v = &mut zdot.row_mut(r)[zspan.clone()];
+                    geometry::unit_normals_row(&z.rows5(r), c0, dy, dx, v);
+                    #[cfg(test)]
+                    NORMAL_ROWS.with(|rows| rows.set(rows.get() + 1));
+                    for (v, &m) in v.chunks_exact_mut(3).zip(&w3[i * n..(i + 1) * n]) {
+                        v[0] *= m;
+                        v[1] *= m;
+                        v[2] *= m;
+                    }
+                    push_s(v, &z.row(r)[zspan.clone()]);
+                }
             }
             Order::Medium | Order::High => {
+                let da = dy * dx;
                 let mut points = Vec::with_capacity(n_own);
-                for (lr, lc, _, _) in mesh.owned_indices() {
-                    let p = z.node(lr, lc);
-                    let s = geometry::sheet_strength(z, w, lr, lc, dy, dx);
-                    points.push(BrPoint {
+                let mut strength = vec![0.0; 3 * n];
+                for r in rows.clone() {
+                    geometry::sheet_strength_row(&z.rows5(r), w.row(r), c0, dy, dx, &mut strength);
+                    let pos = z.row(r)[zspan.clone()].chunks_exact(3);
+                    points.extend(pos.zip(strength.chunks_exact(3)).map(|(p, s)| BrPoint {
                         pos: [p[0], p[1], p[2]],
                         strength: [s[0] * da, s[1] * da, s[2] * da],
-                    });
+                    }));
                 }
-                self.br
+                let vel = self
+                    .br
                     .as_ref()
                     .expect("BR solver required")
-                    .velocities(mesh.comm(), &points, self.params.epsilon)
+                    .velocities(mesh.comm(), &points, self.params.epsilon);
+                for (i, r) in rows.clone().enumerate() {
+                    let v = &mut zdot.row_mut(r)[zspan.clone()];
+                    for (v, vel) in v.chunks_exact_mut(3).zip(&vel[i * n..(i + 1) * n]) {
+                        v.copy_from_slice(vel);
+                    }
+                    push_s(v, &z.row(r)[zspan.clone()]);
+                }
             }
-        };
-
-        // --- ∂t z = V ---------------------------------------------------
-        zdot.fill(0.0);
-        for ((lr, lc, _, _), v) in mesh.owned_indices().zip(&vel) {
-            zdot.set_node(lr, lc, v);
         }
 
-        // --- ∂t w -------------------------------------------------------
-        // S = g·z₃ − |V|²/8; ∂t w = 2A·(∂₂S, −∂₁S) + μ·Δw.
+        // --- ∂t w = 2A·(∂₂S, −∂₁S) + μ·Δw -------------------------------
         let a2 = 2.0 * self.params.atwood;
         let mu = self.params.mu;
-        let g = self.params.gravity;
-        let s_vals: Vec<f64> = mesh
-            .owned_indices()
-            .zip(&vel)
-            .map(|((lr, lc, _, _), v)| {
-                let z3 = z.get(lr, lc, 2);
-                let v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
-                g * z3 - v2 / 8.0
-            })
-            .collect();
-
         wdot.fill(0.0);
         match self.order {
             Order::High => {
                 // Stencil path: S needs halos of its own.
                 let mut s_field = mesh.make_field(1);
-                for ((lr, lc, _, _), &s) in mesh.owned_indices().zip(&s_vals) {
-                    s_field.set(lr, lc, 0, s);
-                }
+                mesh.set_owned_comp(&mut s_field, 0, &s_vals);
                 pm.halo_aux(&mut s_field);
-                for (lr, lc, _, _) in mesh.owned_indices() {
-                    let ds_dx = ddx4(&s_field, lr, lc, 0, dx);
-                    let ds_dy = ddy4(&s_field, lr, lc, 0, dy);
-                    let lap1 = laplacian(w, lr, lc, 0, dy, dx);
-                    let lap2 = laplacian(w, lr, lc, 1, dy, dx);
-                    wdot.set(lr, lc, 0, a2 * ds_dy + mu * lap1);
-                    wdot.set(lr, lc, 1, -a2 * ds_dx + mu * lap2);
+                let (mut ds_dx, mut ds_dy) = (vec![0.0; n], vec![0.0; n]);
+                let mut lap = vec![0.0; 2 * n];
+                for r in rows {
+                    ddx4_row(s_field.row(r), 1, c0, dx, &mut ds_dx);
+                    ddy4_row(&s_field.rows5(r), 1, c0, dy, &mut ds_dy);
+                    laplacian_row(&w.rows5(r), 2, c0, dy, dx, &mut lap);
+                    let out = wdot.row_mut(r)[wspan.clone()].chunks_exact_mut(2);
+                    for (j, (out, lap)) in out.zip(lap.chunks_exact(2)).enumerate() {
+                        out[0] = a2 * ds_dy[j] + mu * lap[0];
+                        out[1] = -a2 * ds_dx[j] + mu * lap[1];
+                    }
                 }
             }
             Order::Low | Order::Medium => {
@@ -204,9 +223,14 @@ impl ZModel {
                 self.mul_minus_k2(&mut l2, &rect);
                 let lap1 = self.inverse_re(l1);
                 let lap2 = self.inverse_re(l2);
-                for (i, (lr, lc, _, _)) in mesh.owned_indices().enumerate() {
-                    wdot.set(lr, lc, 0, a2 * ds_dy[i] + mu * lap1[i]);
-                    wdot.set(lr, lc, 1, -a2 * ds_dx[i] + mu * lap2[i]);
+                for (i, out) in mesh.owned_rows_mut(wdot).enumerate() {
+                    let at = i * n..(i + 1) * n;
+                    let s = ds_dx[at.clone()].iter().zip(&ds_dy[at.clone()]);
+                    let lap = lap1[at.clone()].iter().zip(&lap2[at]);
+                    for ((out, (sx, sy)), (l1, l2)) in out.chunks_exact_mut(2).zip(s).zip(lap) {
+                        out[0] = a2 * sy + mu * l1;
+                        out[1] = -a2 * sx + mu * l2;
+                    }
                 }
             }
         }
@@ -225,58 +249,42 @@ impl ZModel {
             "krasny filter requires an FFT-capable (low/medium) model order"
         );
         pm.halo_all();
-        let mesh = pm.mesh();
         let n_total = (self.global[0] * self.global[1]) as f64;
-        // Reference-plane coordinates for the position deviation.
-        let refs: Vec<[f64; 2]> = mesh
-            .owned_indices()
-            .map(|(_, _, gr, gc)| {
-                let c = mesh.coord_of(gr as i64, gc as i64);
-                [c[1], c[0]]
-            })
+        let (mesh, z, w) = pm.state_mut();
+        // Reference-plane coordinates of the owned nodes, owned order:
+        // x varies along a row, y from row to row.
+        let xs: Vec<f64> = mesh.own_cols().map(|gc| mesh.coord_of(0, gc as i64)[1]).collect();
+        let ref_x: Vec<f64> = mesh.own_rows().flat_map(|_| xs.iter().copied()).collect();
+        let ref_y: Vec<f64> = mesh
+            .own_rows()
+            .flat_map(|gr| std::iter::repeat_n(mesh.coord_of(gr as i64, 0)[0], xs.len()))
             .collect();
 
-        // Gather the five perturbation fields in owned order.
-        let mut fields: Vec<Vec<f64>> =
-            std::iter::repeat_with(|| Vec::with_capacity(refs.len())).take(5).collect();
-        for (i, (lr, lc, _, _)) in mesh.owned_indices().enumerate() {
-            let z = pm.z().node(lr, lc);
-            let w = pm.w().node(lr, lc);
-            fields[0].push(z[0] - refs[i][0]);
-            fields[1].push(z[1] - refs[i][1]);
-            fields[2].push(z[2]);
-            fields[3].push(w[0]);
-            fields[4].push(w[1]);
-        }
-
-        let filtered: Vec<Vec<f64>> = fields
-            .iter()
-            .map(|vals| {
-                let (_, mut spec) = self.forward_vals(vals);
-                for v in spec.iter_mut() {
-                    // Normalized amplitude (forward transform is
-                    // unnormalized: divide by the mode count).
-                    if v.abs() / n_total < tolerance {
-                        *v = Complex::default();
-                    }
+        // Filter component `k` of `f` as a deviation from `reference`.
+        let filter = |f: &mut Field, k: usize, reference: Option<&[f64]>| {
+            let mut vals = mesh.owned_comp(f, k);
+            if let Some(reference) = reference {
+                vals.iter_mut().zip(reference).for_each(|(v, r)| *v -= r);
+            }
+            let (_, mut spec) = self.forward_vals(&vals);
+            for v in spec.iter_mut() {
+                // Normalized amplitude (forward transform is
+                // unnormalized: divide by the mode count).
+                if v.abs() / n_total < tolerance {
+                    *v = Complex::default();
                 }
-                self.inverse_re(spec)
-            })
-            .collect();
-
-        let coords: Vec<_> = pm.mesh().owned_indices().collect();
-        for (i, (lr, lc, _, _)) in coords.into_iter().enumerate() {
-            pm.z_mut().set_node(
-                lr,
-                lc,
-                &[
-                    filtered[0][i] + refs[i][0],
-                    filtered[1][i] + refs[i][1],
-                    filtered[2][i],
-                ],
-            );
-            pm.w_mut().set_node(lr, lc, &[filtered[3][i], filtered[4][i]]);
-        }
+            }
+            let mut vals = self.inverse_re(spec);
+            if let Some(reference) = reference {
+                vals.iter_mut().zip(reference).for_each(|(v, r)| *v += r);
+            }
+            mesh.set_owned_comp(f, k, &vals);
+        };
+        filter(z, 0, Some(&ref_x));
+        filter(z, 1, Some(&ref_y));
+        filter(z, 2, None);
+        filter(w, 0, None);
+        filter(w, 1, None);
     }
 
     // ------------------------------------------------------------------
@@ -284,12 +292,7 @@ impl ZModel {
     // ------------------------------------------------------------------
 
     fn forward_comp(&self, pm: &ProblemManager, f: &Field, comp: usize) -> (Rect, Vec<Complex>) {
-        let vals: Vec<f64> = pm
-            .mesh()
-            .owned_indices()
-            .map(|(lr, lc, _, _)| f.get(lr, lc, comp))
-            .collect();
-        self.forward_vals(&vals)
+        self.forward_vals(&pm.mesh().owned_comp(f, comp))
     }
 
     /// Forward transform of a real owned-order field into the
@@ -307,62 +310,97 @@ impl ZModel {
         plan.inverse_real_transposed(spec)
     }
 
-    #[inline]
-    fn is_nyquist(&self, gr: usize, gc: usize) -> bool {
-        let [nr, nc] = self.global;
-        (nr % 2 == 0 && gr == nr / 2) || (nc % 2 == 0 && gc == nc / 2)
+    /// The rows of a spectrum block over `rect`, each with its global row
+    /// index, its `k_y`, and whether it is the Nyquist row — everything a
+    /// multiplier needs that is constant along a row.
+    fn spectrum_rows<'a>(
+        &'a self,
+        spec: &'a mut [Complex],
+        rect: &Rect,
+    ) -> impl Iterator<Item = (f64, bool, &'a mut [Complex])> + 'a {
+        let nr = self.global[0];
+        let width = rect.cols.len().max(1);
+        rect.rows
+            .clone()
+            .zip(spec.chunks_exact_mut(width))
+            .map(move |(gr, row)| (self.ky[gr], nr.is_multiple_of(2) && gr == nr / 2, row))
     }
 
+    /// Position within `rect.cols` of the Nyquist column, if it is there.
+    fn nyquist_col(&self, rect: &Rect) -> Option<usize> {
+        let nc = self.global[1];
+        (nc.is_multiple_of(2) && rect.cols.contains(&(nc / 2))).then(|| nc / 2 - rect.cols.start)
+    }
+
+    /// `spec ← i·k·spec` along `axis`, Nyquist bins zeroed.
     fn mul_ik(&self, spec: &mut [Complex], rect: &Rect, axis: Axis) {
-        let mut i = 0;
-        for gr in rect.rows.clone() {
-            for gc in rect.cols.clone() {
-                let v = &mut spec[i];
-                if self.is_nyquist(gr, gc) {
-                    *v = Complex::default();
-                } else {
-                    let k = match axis {
-                        Axis::X => self.kx[gc],
-                        Axis::Y => self.ky[gr],
-                    };
-                    *v = Complex::new(-v.im * k, v.re * k);
+        let kx = &self.kx[rect.cols.clone()];
+        let nyquist_col = self.nyquist_col(rect);
+        for (ky, nyquist_row, row) in self.spectrum_rows(spec, rect) {
+            if nyquist_row {
+                row.fill(Complex::default());
+                continue;
+            }
+            match axis {
+                Axis::X => {
+                    for (v, &k) in row.iter_mut().zip(kx) {
+                        *v = Complex::new(-v.im * k, v.re * k);
+                    }
                 }
-                i += 1;
+                Axis::Y => {
+                    for v in row.iter_mut() {
+                        *v = Complex::new(-v.im * ky, v.re * ky);
+                    }
+                }
+            }
+            if let Some(j) = nyquist_col {
+                row[j] = Complex::default();
             }
         }
     }
 
+    /// `spec ← −|k|²·spec`.
     fn mul_minus_k2(&self, spec: &mut [Complex], rect: &Rect) {
-        let mut i = 0;
-        for gr in rect.rows.clone() {
-            for gc in rect.cols.clone() {
-                let k2 = self.kx[gc] * self.kx[gc] + self.ky[gr] * self.ky[gr];
-                spec[i] = spec[i].scale(-k2);
-                i += 1;
+        let kx = &self.kx[rect.cols.clone()];
+        for (ky, _, row) in self.spectrum_rows(spec, rect) {
+            let ky2 = ky * ky;
+            for (v, &kx) in row.iter_mut().zip(kx) {
+                *v = v.scale(-(kx * kx + ky2));
             }
         }
     }
 
     /// The linearized Birkhoff–Rott normal velocity:
-    /// `Ŵ₃ = (i/2)(k̂₁·ŵ₂ − k̂₂·ŵ₁)`, mean and Nyquist bins zeroed.
-    fn riesz_block(&self, w1: &[Complex], w2: &[Complex], rect: &Rect) -> Vec<Complex> {
-        let mut out = vec![Complex::default(); w1.len()];
-        let mut i = 0;
-        for gr in rect.rows.clone() {
-            for gc in rect.cols.clone() {
-                let kx = self.kx[gc];
-                let ky = self.ky[gr];
-                let kmag = (kx * kx + ky * ky).sqrt();
-                if kmag > 0.0 && !self.is_nyquist(gr, gc) {
-                    let re = (kx * w2[i].re - ky * w1[i].re) / kmag;
-                    let im = (kx * w2[i].im - ky * w1[i].im) / kmag;
+    /// `Ŵ₃ = (i/2)(k̂₁·ŵ₂ − k̂₂·ŵ₁)`, mean and Nyquist bins zeroed;
+    /// written over `w1`.
+    fn riesz_block(&self, mut w1: Vec<Complex>, w2: &[Complex], rect: &Rect) -> Vec<Complex> {
+        let kx = &self.kx[rect.cols.clone()];
+        let nyquist_col = self.nyquist_col(rect);
+        let width = rect.cols.len().max(1);
+        let rows = self.spectrum_rows(&mut w1, rect).zip(w2.chunks_exact(width));
+        for ((ky, nyquist_row, out), w2) in rows {
+            if nyquist_row {
+                out.fill(Complex::default());
+                continue;
+            }
+            let ky2 = ky * ky;
+            for ((out, w2), &kx) in out.iter_mut().zip(w2).zip(kx) {
+                let w1 = *out;
+                let kmag = (kx * kx + ky2).sqrt();
+                *out = if kmag > 0.0 {
+                    let re = (kx * w2.re - ky * w1.re) / kmag;
+                    let im = (kx * w2.im - ky * w1.im) / kmag;
                     // (i/2)·(re + i·im) = −im/2 + i·re/2
-                    out[i] = Complex::new(-im * 0.5, re * 0.5);
-                }
-                i += 1;
+                    Complex::new(-im * 0.5, re * 0.5)
+                } else {
+                    Complex::default()
+                };
+            }
+            if let Some(j) = nyquist_col {
+                out[j] = Complex::default();
             }
         }
-        out
+        w1
     }
 }
 
@@ -370,6 +408,15 @@ enum Axis {
     X,
     Y,
 }
+
+#[cfg(test)]
+thread_local! {
+    /// Rows this rank's thread has computed unit normals for.
+    static NORMAL_ROWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+mod per_node;
 
 #[cfg(test)]
 mod tests {
@@ -617,6 +664,151 @@ mod tests {
                 "{plain} vs {filtered}"
             );
         });
+    }
+
+    // ------------------------------------------------------------------
+    // Row-sliced stage == per-node reference, bit for bit
+    // ------------------------------------------------------------------
+
+    /// The two meshes the bitwise tests run on: `dy ≠ dx` (5-point
+    /// Laplacian) and `dy = dx` (9-point), neither dividing evenly over
+    /// every rank grid. Returns `(global, hi)`.
+    fn awkward_meshes(periodic: bool) -> [([usize; 2], [f64; 2]); 2] {
+        let ends = if periodic { 0 } else { 1 };
+        [
+            ([12, 10], [2.0 * PI, 2.0 * PI]),
+            ([16, 9], [0.1 * (16 - ends) as f64, 0.1 * (9 - ends) as f64]),
+        ]
+    }
+
+    /// A problem with a rippled interface and vorticity with no symmetry
+    /// (so a transposed or shifted index shows), plus noise at the
+    /// 1e-13 level for the Krasny filter to remove.
+    fn rough_pm(
+        comm: &beatnik_comm::Communicator,
+        global: [usize; 2],
+        hi: [f64; 2],
+        periodic: bool,
+    ) -> ProblemManager {
+        let mesh = SurfaceMesh::new(comm, global, [periodic; 2], 2, [0.0, 0.0], hi);
+        let bc = if periodic {
+            BoundaryCondition::Periodic { periods: hi }
+        } else {
+            BoundaryCondition::Free
+        };
+        let mut pm = ProblemManager::new(mesh, bc);
+        let coords: Vec<_> = pm.mesh().owned_indices().collect();
+        for (lr, lc, gr, gc) in coords {
+            let [y, x] = pm.mesh().coord_of(gr as i64, gc as i64);
+            // Phases periodic in the global index.
+            let a = 2.0 * PI * gc as f64 / global[1] as f64;
+            let b = 2.0 * PI * gr as f64 / global[0] as f64;
+            let noise = 1e-13 * ((gr * 31 + gc * 17) % 13) as f64;
+            let z = [
+                x + 0.02 * (a + b).sin(),
+                y + 0.03 * (2.0 * a - b).cos(),
+                0.1 * a.sin() * (b + 0.3).cos() + 0.05 * (3.0 * b).sin() + noise,
+            ];
+            let w = [0.4 * (a - 2.0 * b).sin() + noise, 0.3 * (2.0 * a).cos() * b.sin() - 0.1];
+            pm.z_mut().set_node(lr, lc, &z);
+            pm.w_mut().set_node(lr, lc, &w);
+        }
+        pm
+    }
+
+    fn bits(f: &Field) -> Vec<u64> {
+        f.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_sliced_derivatives_equal_per_node_reference_bitwise() {
+        let params = Params {
+            atwood: 0.5,
+            gravity: 2.0,
+            mu: 0.1,
+            epsilon: 0.25,
+            cutoff: 1.5,
+            ..Params::default()
+        };
+        // (order, cutoff BR instead of exact, periodic)
+        let cases = [
+            (Order::Low, false, true),
+            (Order::Medium, false, true),
+            (Order::High, false, true),
+            (Order::High, true, true),
+            (Order::High, false, false),
+            (Order::High, true, false),
+        ];
+        for p in [1usize, 2, 3, 4, 6] {
+            World::builder(p).run(|comm| {
+                for (order, cutoff, periodic) in cases {
+                    for (global, hi) in awkward_meshes(periodic) {
+                        let what = format!(
+                            "p={p} {order} cutoff={cutoff} periodic={periodic} {global:?}"
+                        );
+                        let br: Option<Box<dyn BrSolver>> = match (order, cutoff) {
+                            (Order::Low, _) => None,
+                            (_, false) => Some(Box::new(ExactBrSolver)),
+                            (_, true) => Some(Box::new(crate::br::CutoffBrSolver::new(
+                                beatnik_mesh::SpatialMesh::new(
+                                    [-1.0, -1.0, -2.0],
+                                    [hi[1] + 1.0, hi[0] + 1.0, 2.0],
+                                    beatnik_comm::dims_create(p),
+                                ),
+                                params.cutoff,
+                                beatnik_spatial::neighbors::Backend::Grid,
+                            ))),
+                        };
+                        let mut pm = rough_pm(&comm, global, hi, periodic);
+                        let mut reference = rough_pm(&comm, global, hi, periodic);
+                        let zm = ZModel::new(&pm, order, params, br, FftConfig::default());
+                        // Garbage in the outputs: both must overwrite all of it.
+                        let garbage = |ncomp| {
+                            let mut f = pm.mesh().make_field(ncomp);
+                            f.fill(7.0);
+                            f
+                        };
+                        let (mut zdot, mut wdot) = (garbage(3), garbage(2));
+                        let (mut zdot_ref, mut wdot_ref) = (garbage(3), garbage(2));
+
+                        NORMAL_ROWS.with(|rows| rows.set(0));
+                        zm.derivatives(&mut pm, &mut zdot, &mut wdot);
+                        let normal_rows = NORMAL_ROWS.with(|rows| rows.get());
+                        zm.derivatives_per_node(&mut reference, &mut zdot_ref, &mut wdot_ref);
+
+                        assert_eq!(bits(&zdot), bits(&zdot_ref), "zdot {what}");
+                        assert_eq!(bits(&wdot), bits(&wdot_ref), "wdot {what}");
+                        assert!(zdot.max_abs() > 1e-3 && wdot.max_abs() > 1e-3, "{what}");
+                        // Halos refreshed identically too.
+                        assert_eq!(bits(pm.z()), bits(reference.z()), "z {what}");
+                        // Unit normals: every owned row in low order, none
+                        // in the orders whose velocity is a full vector.
+                        let want = if order == Order::Low { pm.mesh().own_rows().len() } else { 0 };
+                        assert_eq!(normal_rows, want, "normal rows {what}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn row_sliced_krasny_filter_equals_per_node_reference_bitwise() {
+        for p in [1usize, 2, 3, 4, 6] {
+            World::builder(p).run(|comm| {
+                for (global, hi) in awkward_meshes(true) {
+                    let mut pm = rough_pm(&comm, global, hi, true);
+                    let mut reference = rough_pm(&comm, global, hi, true);
+                    let before = bits(pm.w());
+                    let zm =
+                        ZModel::new(&pm, Order::Low, Params::default(), None, FftConfig::default());
+                    zm.apply_krasny_filter(&mut pm, 1e-10);
+                    zm.apply_krasny_filter_per_node(&mut reference, 1e-10);
+                    assert_eq!(bits(pm.z()), bits(reference.z()), "z p={p} {global:?}");
+                    assert_eq!(bits(pm.w()), bits(reference.w()), "w p={p} {global:?}");
+                    assert_ne!(bits(pm.w()), before, "filter removed nothing");
+                }
+            });
+        }
     }
 
     #[test]

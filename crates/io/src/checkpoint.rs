@@ -86,11 +86,16 @@ pub fn load(pm: &mut ProblemManager, path: impl AsRef<Path>) -> std::io::Result<
         "checkpoint mesh shape mismatch"
     );
     let [_, nc] = ck.global;
-    let coords: Vec<_> = pm.mesh().owned_indices().collect();
-    for (lr, lc, gr, gc) in coords {
-        let (z, w) = ck.nodes[gr * nc + gc];
-        pm.z_mut().set_node(lr, lc, &z);
-        pm.w_mut().set_node(lr, lc, &w);
+    let (mesh, z, w) = pm.state_mut();
+    let cols = mesh.own_cols();
+    let rows = mesh.owned_rows_mut(z).zip(mesh.owned_rows_mut(w));
+    for (gr, (z_row, w_row)) in mesh.own_rows().zip(rows) {
+        let nodes = &ck.nodes[gr * nc + cols.start..gr * nc + cols.end];
+        let state = z_row.chunks_exact_mut(3).zip(w_row.chunks_exact_mut(2));
+        for ((z, w), (z_saved, w_saved)) in state.zip(nodes) {
+            z.copy_from_slice(z_saved);
+            w.copy_from_slice(w_saved);
+        }
     }
     Ok((ck.step, ck.time))
 }

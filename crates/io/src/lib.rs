@@ -43,12 +43,12 @@ pub fn gather_surface(pm: &ProblemManager) -> Option<GatheredSurface> {
     let mesh = pm.mesh();
     let [nr, nc] = mesh.global();
     // Each rank contributes (gr, gc, x, y, z, w1, w2) tuples.
-    let mut local = Vec::with_capacity(mesh.owned_count());
-    for (lr, lc, gr, gc) in mesh.owned_indices() {
-        let z = pm.z().node(lr, lc);
-        let w = pm.w().node(lr, lc);
-        local.push((gr as u64, gc as u64, [z[0], z[1], z[2]], [w[0], w[1]]));
-    }
+    let state = pm.owned_positions().into_iter().zip(pm.owned_vorticity());
+    let local: Vec<_> = mesh
+        .owned_indices()
+        .zip(state)
+        .map(|((_, _, gr, gc), (z, w))| (gr as u64, gc as u64, z, w))
+        .collect();
     let gathered = mesh.comm().gather(0, &local)?;
     let mut out = vec![([0.0; 3], [0.0; 2]); nr * nc];
     let mut seen = 0usize;

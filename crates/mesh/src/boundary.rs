@@ -53,22 +53,29 @@ impl BoundaryCondition {
 }
 
 /// Add ±period offsets to ghost positions that wrapped around the domain.
+/// Only halo cells can have wrapped, so whole rows are shifted in `y`
+/// where the row did and single entries in `x` where the column did.
 fn correct_periodic(mesh: &SurfaceMesh, z: &mut Field, periods: [f64; 2]) {
     let [nr, nc] = mesh.global();
     let [lr, lc] = mesh.local_shape();
+    // Number of whole periods a logical index lies outside the domain
+    // (…, -1, 0, +1, …), as the offset it calls for; `None` inside.
+    let offset = |g: i64, n: usize, period: f64| {
+        let k = g.div_euclid(n as i64);
+        (k != 0).then_some(k as f64 * period)
+    };
+    let wrapped_cols: Vec<(usize, f64)> = (0..lc)
+        .filter_map(|c| Some((c, offset(mesh.global_of(0, c)[1], nc, periods[1])?)))
+        .collect();
     for r in 0..lr {
-        for c in 0..lc {
-            let [gr, gc] = mesh.global_of(r, c);
-            // Number of whole periods the logical index lies outside the
-            // domain (…, -1, 0, +1, …).
-            let kr = gr.div_euclid(nr as i64);
-            let kc = gc.div_euclid(nc as i64);
-            if kr != 0 {
-                z.add(r, c, 1, kr as f64 * periods[0]);
+        let row = z.row_mut(r);
+        if let Some(dy) = offset(mesh.global_of(r, 0)[0], nr, periods[0]) {
+            for node in row.chunks_exact_mut(3) {
+                node[1] += dy;
             }
-            if kc != 0 {
-                z.add(r, c, 0, kc as f64 * periods[1]);
-            }
+        }
+        for &(c, dx) in &wrapped_cols {
+            row[3 * c] += dx;
         }
     }
 }
@@ -196,6 +203,44 @@ mod tests {
                         assert!((z.get(r, c, 2) - 1.0).abs() < 1e-12);
                     }
                 }
+            });
+        }
+    }
+
+    #[test]
+    fn periodic_correction_equals_the_per_cell_walk_bitwise() {
+        // The correction as it was before it skipped owned cells: every
+        // local cell asked how many periods away it is.
+        fn per_cell(mesh: &SurfaceMesh, z: &mut Field, periods: [f64; 2]) {
+            let [nr, nc] = mesh.global();
+            let [lr, lc] = mesh.local_shape();
+            for r in 0..lr {
+                for c in 0..lc {
+                    let [gr, gc] = mesh.global_of(r, c);
+                    let kr = gr.div_euclid(nr as i64);
+                    let kc = gc.div_euclid(nc as i64);
+                    if kr != 0 {
+                        z.add(r, c, 1, kr as f64 * periods[0]);
+                    }
+                    if kc != 0 {
+                        z.add(r, c, 0, kc as f64 * periods[1]);
+                    }
+                }
+            }
+        }
+        for p in [1usize, 2, 4, 6, 9] {
+            World::builder(p).run(|comm| {
+                let mesh =
+                    SurfaceMesh::new(&comm, [12, 10], [true, true], 2, [0.0, 0.0], [0.7, 1.3]);
+                let mut z = mesh.make_field(3);
+                for (i, v) in z.as_mut_slice().iter_mut().enumerate() {
+                    *v = (i as f64 * 0.618).sin();
+                }
+                let mut want = z.clone();
+                correct_periodic(&mesh, &mut z, [0.7, 1.3]);
+                per_cell(&mesh, &mut want, [0.7, 1.3]);
+                let bits = |f: &Field| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&z), bits(&want), "p={p}");
             });
         }
     }

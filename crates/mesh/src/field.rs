@@ -4,6 +4,14 @@
 //! owned nodes plus halo frame — in row-major, component-interleaved
 //! layout (`(row, col, comp)`, comp fastest). This is the unit that halo
 //! exchange, boundary conditions, and stencils operate on.
+//!
+//! Two ways in: per node (`get`/`node`, what tests and the stencil
+//! oracles use) and per row ([`Field::row`]: one local row as a
+//! `cols × ncomp` slice, what every per-stage loop uses — the row
+//! kernels in [`crate::stencil`] and the component gather/scatter
+//! below all read and write row slices).
+
+use std::ops::Range;
 
 /// Dense `rows × cols × ncomp` array of `f64` (rows/cols include halos).
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +91,82 @@ impl Field {
         assert_eq!(vals.len(), self.ncomp);
         let i = self.idx(r, c, 0);
         self.data[i..i + self.ncomp].copy_from_slice(vals);
+    }
+
+    /// One local row: the interleaved `cols × ncomp` slice of row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        let w = self.cols * self.ncomp;
+        &self.data[r * w..(r + 1) * w]
+    }
+
+    /// Mutable view of one local row.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        let w = self.cols * self.ncomp;
+        &mut self.data[r * w..(r + 1) * w]
+    }
+
+    /// The five rows `r − 2 ..= r + 2` a width-2 stencil centred on row
+    /// `r` reads (`[2]` is row `r` itself).
+    #[inline]
+    pub fn rows5(&self, r: usize) -> [&[f64]; 5] {
+        [
+            self.row(r - 2),
+            self.row(r - 1),
+            self.row(r),
+            self.row(r + 1),
+            self.row(r + 2),
+        ]
+    }
+
+    /// The `cols` span of each row in `rows`, all components: the block
+    /// `rows × cols` one contiguous slice per row.
+    pub fn block_rows(
+        &self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> impl Iterator<Item = &[f64]> + '_ {
+        let span = cols.start * self.ncomp..cols.end * self.ncomp;
+        rows.map(move |r| &self.row(r)[span.clone()])
+    }
+
+    /// Mutable [`Field::block_rows`].
+    pub fn block_rows_mut(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> impl Iterator<Item = &mut [f64]> + '_ {
+        let w = self.cols * self.ncomp;
+        let span = cols.start * self.ncomp..cols.end * self.ncomp;
+        self.data[rows.start * w..rows.end * w]
+            .chunks_exact_mut(w.max(1))
+            .map(move |row| &mut row[span.clone()])
+    }
+
+    /// Component `k` over the block `rows × cols`, row-major — the order
+    /// the distributed transforms take.
+    pub fn gather_comp(&self, rows: Range<usize>, cols: Range<usize>, k: usize) -> Vec<f64> {
+        assert!(k < self.ncomp, "gather_comp: component out of range");
+        let mut out = Vec::with_capacity(rows.len() * cols.len());
+        for row in self.block_rows(rows, cols) {
+            out.extend(row.iter().skip(k).step_by(self.ncomp));
+        }
+        out
+    }
+
+    /// Write `vals` (row-major over the block `rows × cols`) into
+    /// component `k`: the inverse of [`Field::gather_comp`].
+    pub fn scatter_comp(&mut self, rows: Range<usize>, cols: Range<usize>, k: usize, vals: &[f64]) {
+        assert!(k < self.ncomp, "scatter_comp: component out of range");
+        assert_eq!(vals.len(), rows.len() * cols.len(), "scatter_comp: length mismatch");
+        let ncomp = self.ncomp;
+        let mut vals = vals.iter();
+        for row in self.block_rows_mut(rows, cols) {
+            for (dst, &v) in row.iter_mut().skip(k).step_by(ncomp).zip(&mut vals) {
+                *dst = v;
+            }
+        }
     }
 
     /// Raw storage (row-major, component-interleaved).
@@ -176,6 +260,75 @@ mod tests {
         assert_eq!(g.get(2, 3, 0), 23.0);
         assert_eq!(g.get(2, 3, 1), -23.0);
         assert_eq!(g.get(0, 0, 0), 0.0);
+    }
+
+    /// Field with every entry distinct: `1000·r + 10·c + k`.
+    fn numbered(rows: usize, cols: usize, ncomp: usize) -> Field {
+        let mut f = Field::zeros(rows, cols, ncomp);
+        for r in 0..rows {
+            for c in 0..cols {
+                for k in 0..ncomp {
+                    f.set(r, c, k, (1000 * r + 10 * c + k) as f64);
+                }
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn row_views_are_the_interleaved_rows() {
+        let mut f = numbered(6, 5, 3);
+        for r in 0..6 {
+            let want: Vec<f64> = (0..5).flat_map(|c| f.node(r, c).to_vec()).collect();
+            assert_eq!(f.row(r), want);
+        }
+        let w = f.rows5(3);
+        for (i, row) in w.iter().enumerate() {
+            assert_eq!(*row, f.row(1 + i));
+        }
+        f.row_mut(2)[4] = -1.0;
+        assert_eq!(f.get(2, 1, 1), -1.0);
+        // Block rows: the column span of each row, mutable and not.
+        let spans: Vec<Vec<f64>> = f.block_rows(1..3, 2..4).map(<[f64]>::to_vec).collect();
+        assert_eq!(spans, [f.pack(1, 2, 2, 4), f.pack(2, 3, 2, 4)]);
+        for row in f.block_rows_mut(4..6, 0..1) {
+            row.fill(7.0);
+        }
+        assert_eq!(f.pack(4, 6, 0, 1), [7.0; 6]);
+        assert_eq!(f.get(4, 1, 0), 4010.0);
+    }
+
+    #[test]
+    fn gather_scatter_comp_match_per_node_access() {
+        // Owned blocks 1x1 .. 16x9 inside a halo-2 frame, 1-3 components.
+        for (nr, nc) in [(1, 1), (1, 7), (5, 1), (12, 10), (16, 9)] {
+            for ncomp in 1..=3 {
+                let f = numbered(nr + 4, nc + 4, ncomp);
+                let (rows, cols) = (2..2 + nr, 2..2 + nc);
+                for k in 0..ncomp {
+                    let got = f.gather_comp(rows.clone(), cols.clone(), k);
+                    let want: Vec<f64> = rows
+                        .clone()
+                        .flat_map(|r| cols.clone().map(move |c| (r, c)))
+                        .map(|(r, c)| f.get(r, c, k))
+                        .collect();
+                    assert_eq!(got, want, "{nr}x{nc}x{ncomp} comp {k}");
+
+                    // Scatter writes exactly that component of the block.
+                    let mut g = Field::zeros(nr + 4, nc + 4, ncomp);
+                    g.scatter_comp(rows.clone(), cols.clone(), k, &got);
+                    for r in 0..nr + 4 {
+                        for c in 0..nc + 4 {
+                            for j in 0..ncomp {
+                                let inside = rows.contains(&r) && cols.contains(&c) && j == k;
+                                let want = if inside { f.get(r, c, j) } else { 0.0 };
+                                assert_eq!(g.get(r, c, j), want);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

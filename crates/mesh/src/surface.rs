@@ -195,6 +195,45 @@ impl SurfaceMesh {
         self.own_rows.len() * self.own_cols.len()
     }
 
+    /// The owned block of `f`, one slice per owned row (owned columns,
+    /// all components interleaved), top to bottom.
+    pub fn owned_rows<'a>(&self, f: &'a Field) -> impl Iterator<Item = &'a [f64]> + 'a {
+        f.block_rows(self.owned_row_range(), self.owned_col_range())
+    }
+
+    /// Mutable [`SurfaceMesh::owned_rows`].
+    pub fn owned_rows_mut<'a>(
+        &self,
+        f: &'a mut Field,
+    ) -> impl Iterator<Item = &'a mut [f64]> + 'a {
+        f.block_rows_mut(self.owned_row_range(), self.owned_col_range())
+    }
+
+    /// Component `k` of `f` at the owned nodes in row-major owned order
+    /// (the order of [`SurfaceMesh::owned_indices`] and of the
+    /// distributed transforms' real blocks).
+    pub fn owned_comp(&self, f: &Field, k: usize) -> Vec<f64> {
+        f.gather_comp(self.owned_row_range(), self.owned_col_range(), k)
+    }
+
+    /// Write owned-order `vals` into component `k` of `f`'s owned nodes.
+    pub fn set_owned_comp(&self, f: &mut Field, k: usize, vals: &[f64]) {
+        f.scatter_comp(self.owned_row_range(), self.owned_col_range(), k, vals);
+    }
+
+    /// Every component of `f` (which has `N` of them) at the owned nodes,
+    /// in row-major owned order.
+    pub fn owned_nodes<const N: usize>(&self, f: &Field) -> Vec<[f64; N]> {
+        assert_eq!(f.ncomp(), N, "owned_nodes: component count mismatch");
+        let mut out = Vec::with_capacity(self.owned_count());
+        for row in self.owned_rows(f) {
+            out.extend(row.chunks_exact(N).map(|n| -> [f64; N] {
+                n.try_into().expect("chunks_exact yields N-element chunks")
+            }));
+        }
+        out
+    }
+
     // ------------------------------------------------------------------
     // Halo exchange
     // ------------------------------------------------------------------
@@ -411,6 +450,40 @@ mod tests {
             let total = mesh.comm().allreduce_sum(count as f64) as usize;
             assert_eq!(total, 100);
         });
+    }
+
+    #[test]
+    fn owned_block_helpers_follow_owned_indices() {
+        for p in [1usize, 4, 6] {
+            World::builder(p).run(|comm| {
+                let mesh =
+                    SurfaceMesh::new(&comm, [12, 10], [true, true], 2, [0.0, 0.0], [1.0, 1.0]);
+                let mut f = mesh.make_field(2);
+                fill_owned(&mesh, &mut f);
+                let nodes: Vec<[f64; 2]> = mesh
+                    .owned_indices()
+                    .map(|(lr, lc, _, _)| [f.get(lr, lc, 0), f.get(lr, lc, 1)])
+                    .collect();
+                assert_eq!(mesh.owned_nodes::<2>(&f), nodes);
+                let flat: Vec<f64> = mesh.owned_rows(&f).flatten().copied().collect();
+                assert_eq!(flat, nodes.concat());
+                for k in 0..2 {
+                    let comp = mesh.owned_comp(&f, k);
+                    assert_eq!(comp, nodes.iter().map(|n| n[k]).collect::<Vec<_>>());
+                    // Scatter into a fresh field touches owned nodes only.
+                    let mut g = mesh.make_field(2);
+                    mesh.set_owned_comp(&mut g, k, &comp);
+                    assert_eq!(mesh.owned_comp(&g, k), comp);
+                    assert_eq!(g.as_slice().iter().filter(|v| **v != 0.0).count(), {
+                        comp.iter().filter(|v| **v != 0.0).count()
+                    });
+                }
+                for row in mesh.owned_rows_mut(&mut f) {
+                    row.fill(0.0);
+                }
+                assert_eq!(f.max_abs(), 0.0);
+            });
+        }
     }
 
     #[test]

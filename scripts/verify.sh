@@ -163,7 +163,7 @@ echo "== transport microbench -> BENCH_comm.json =="
 # Asserts internally: the owned ping-pong rows copied exactly zero
 # payload bytes with the full payload on the handoff counter, and the
 # traced arms stayed within the 5% tracing-overhead budget of their
-# untraced twins.
+# untraced twins (median of paired traced/untraced trial ratios).
 target/release/bench_comm BENCH_comm.json
 test -s BENCH_comm.json
 grep -q '"algo": "bruck"' BENCH_comm.json
@@ -213,6 +213,10 @@ grep -q '"variant": "owned"' BENCH_compute.json
 # fused cell-sorted cutoff evaluation.
 grep -q '"kernel": "br_pairs"' BENCH_compute.json
 grep -q '"kernel": "br_cutoff"' BENCH_compute.json
+# Z-Model rows: what a derivatives call spends outside halo exchanges,
+# transforms and the Birkhoff-Rott solve, low and high order.
+grep -A1 '"kernel": "zmodel_stage"' BENCH_compute.json | grep '"variant": "low"' >/dev/null
+grep -A1 '"kernel": "zmodel_stage"' BENCH_compute.json | grep '"variant": "high"' >/dev/null
 
 echo "== bench regression gate vs crates/bench/baselines =="
 # Fresh numbers above must stay under the committed-baseline ceilings
