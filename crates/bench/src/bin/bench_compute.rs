@@ -10,11 +10,14 @@
 //!   forced lane-serial path (`fft_forward/scalar`). Reported as
 //!   ns per element per transform; the two paths are bit-for-bit
 //!   identical in output, so the delta is pure kernel speed.
-//! * **Column pack** — the cache-blocked tiled column gather/scatter
-//!   from `beatnik-dfft` (`pack_gather/tiled`) against a
-//!   column-at-a-time strided gather (`pack_gather/columnwise`), the
-//!   shape the tiled kernel replaced. Reported as ns per element moved,
-//!   with an informational GB/s (read+write traffic).
+//! * **Column transforms** — every column of a row-major block through
+//!   the batched transform (`fft_columns/batched`: butterflies between
+//!   whole rows, nothing copied) against the shape it replaced
+//!   (`fft_columns/per_line`: gather a 16-column tile into contiguous
+//!   scratch, per-line transforms, scatter back), on the column-layout
+//!   blocks of the benchmark's 256² and 32² meshes on 2 ranks. ns per
+//!   element per transform over a forward + inverse pair, copies
+//!   included.
 //!
 //! * **Distributed transform roundtrip** — forward + inverse in the
 //!   transposed layout on 2 thread ranks, complex (`dfft_roundtrip/c2c`)
@@ -52,10 +55,10 @@ use beatnik_comm::{AllToAllAlgo, Communicator, World};
 use beatnik_core::br::kernel::accumulate_block;
 use beatnik_core::br::{BrPoint, BrSolver, CutoffBrSolver};
 use beatnik_core::{geometry, Order, ProblemManager, ZModel};
-use beatnik_dfft::layout::{gather_cols, pack, scatter_cols, unpack, COL_TILE};
+use beatnik_dfft::layout::{pack, unpack};
 use beatnik_dfft::redistribute::redistribute;
 use beatnik_dfft::{Dist, DistributedFft2d, FftConfig, Rect};
-use beatnik_fft::{Complex, Fft};
+use beatnik_fft::{Complex, Fft, Transform};
 use beatnik_json::Value;
 use beatnik_rocketrig::{Deck, RigConfig};
 use beatnik_spatial::neighbors::Backend;
@@ -150,65 +153,72 @@ fn bench_fft(rows: &mut Vec<Row>, n: usize, reps: usize) {
     );
 }
 
-/// Column-at-a-time strided gather/scatter: the element-wise shape the
-/// tiled kernels replaced, kept here as the measured reference.
-fn gather_scatter_columnwise(buf: &mut [Complex], nrows: usize, ncols: usize, col: &mut [Complex]) {
-    for c in 0..ncols {
+/// Columns per tile of [`fft_cols_per_line`].
+const TILE_COLS: usize = 16;
+
+/// The column transform as it ran before `Fft::batched`: gather a tile
+/// of columns into contiguous scratch (`nrows x TILE_COLS`), transform
+/// each contiguous column, scatter back. Kept here as the measured
+/// reference.
+fn fft_cols_per_line(
+    plan: &Fft,
+    transform: Transform,
+    buf: &mut [Complex],
+    ncols: usize,
+    scratch: &mut [Complex],
+) {
+    let nrows = plan.len();
+    for c0 in (0..ncols).step_by(TILE_COLS) {
+        let tc = TILE_COLS.min(ncols - c0);
+        let tile = &mut scratch[..nrows * tc];
         for r in 0..nrows {
-            col[r] = buf[r * ncols + c];
+            for j in 0..tc {
+                tile[j * nrows + r] = buf[r * ncols + c0 + j];
+            }
+        }
+        for col in tile.chunks_exact_mut(nrows) {
+            plan.apply(transform, col);
         }
         for r in 0..nrows {
-            buf[r * ncols + c] = col[r];
+            for j in 0..tc {
+                buf[r * ncols + c0 + j] = tile[j * nrows + r];
+            }
         }
     }
 }
 
-/// Tiled gather/scatter roundtrip over every column, matching the
-/// traffic of the columnwise reference.
-fn gather_scatter_tiled(buf: &mut [Complex], nrows: usize, ncols: usize, tile: &mut [Complex]) {
-    for c0 in (0..ncols).step_by(COL_TILE) {
-        let tc = COL_TILE.min(ncols - c0);
-        let t = &mut tile[..nrows * tc];
-        gather_cols(buf, ncols, c0, tc, t);
-        scatter_cols(t, ncols, c0, tc, buf);
-    }
-}
-
-/// Column pack kernels over an `nrows x ncols` grid: tiled vs
-/// columnwise, ns per element moved (one gather + one scatter).
-fn bench_pack(rows: &mut Vec<Row>, nrows: usize, ncols: usize, reps: usize) {
+/// Every column of an `nrows x ncols` block, forward then inverse (so
+/// the values stay bounded with no reset copy in the timed loop):
+/// batched vs gather / per-line / scatter, ns per element per transform.
+fn bench_fft_columns(rows: &mut Vec<Row>, nrows: usize, ncols: usize, reps: usize) {
     let n = nrows * ncols;
+    let plan = Fft::new(nrows);
     let mut buf = noise(n);
-    let mut col = vec![Complex::default(); nrows];
-    let mut tile = vec![Complex::default(); nrows * COL_TILE.min(ncols)];
-
-    gather_scatter_tiled(&mut buf, nrows, ncols, &mut tile); // warmup
-    let tiled_ns = best_ns(reps, || gather_scatter_tiled(&mut buf, nrows, ncols, &mut tile));
-    gather_scatter_columnwise(&mut buf, nrows, ncols, &mut col); // warmup
-    let columnwise_ns =
-        best_ns(reps, || gather_scatter_columnwise(&mut buf, nrows, ncols, &mut col));
-
-    // Each element is read+written twice per roundtrip: 64 B of traffic.
-    let gbps = |ns: f64| (n * 64) as f64 / ns;
-    rows.push(Row {
-        kernel: "pack_gather",
-        variant: "tiled",
-        n,
-        ns_per_elem: tiled_ns / n as f64,
-        gbps: gbps(tiled_ns),
-    });
-    rows.push(Row {
-        kernel: "pack_gather",
-        variant: "columnwise",
-        n,
-        ns_per_elem: columnwise_ns / n as f64,
-        gbps: gbps(columnwise_ns),
-    });
+    let mut scratch = vec![Complex::default(); nrows * TILE_COLS];
+    let mut pair = |f: &mut dyn FnMut(Transform, &mut [Complex])| {
+        f(Transform::Forward, &mut buf); // warmup
+        f(Transform::Inverse, &mut buf);
+        best_ns(reps, || {
+            f(Transform::Forward, &mut buf);
+            f(Transform::Inverse, &mut buf);
+        }) / 2.0
+    };
+    let batched_ns = pair(&mut |t, buf| plan.batched(t, buf, ncols, ncols));
+    let per_line_ns = pair(&mut |t, buf| fft_cols_per_line(&plan, t, buf, ncols, &mut scratch));
+    for (variant, ns) in [("batched", batched_ns), ("per_line", per_line_ns)] {
+        rows.push(Row {
+            kernel: "fft_columns",
+            variant,
+            n,
+            ns_per_elem: ns / n as f64,
+            gbps: (n * 16) as f64 / ns,
+        });
+    }
     eprintln!(
-        "pack_gather      {nrows}x{ncols:<5} tiled {:>6.2} GB/s  columnwise {:>6.2} GB/s  speedup {:.2}x",
-        gbps(tiled_ns),
-        gbps(columnwise_ns),
-        columnwise_ns / tiled_ns
+        "fft_columns      {nrows}x{ncols:<5} batched {:>6.3} ns/elem  per_line {:>6.3} ns/elem  speedup {:.2}x",
+        batched_ns / n as f64,
+        per_line_ns / n as f64,
+        per_line_ns / batched_ns
     );
 }
 
@@ -463,14 +473,24 @@ fn main() {
         .unwrap_or_else(|| "BENCH_compute.json".into());
     let mut rows: Vec<Row> = Vec::new();
 
+    // glibc serves a request above its mmap threshold with fresh zero
+    // pages, unmaps them on free, and raises the threshold to the size
+    // of the largest such block freed so far. A solver frees a field
+    // larger than any reshape block before its first transform, so its
+    // blocks come from the heap; free one large block here too, or the
+    // 2-rank rows time page faults (256² c2c reads 23–28 ns/pt instead
+    // of 12–17).
+    drop(std::hint::black_box(vec![0u8; 8 << 20]));
+
     // Butterfly kernels: an L1-resident size and an L2-resident size.
     bench_fft(&mut rows, 1024, 2000);
     bench_fft(&mut rows, 16384, 200);
 
-    // Pack kernels: a column count past any cache line (1024 columns of
-    // 16 B each = 16 KiB row stride) over enough rows that columns do
-    // not stay resident between passes.
-    bench_pack(&mut rows, 512, 1024, 20);
+    // Column transforms on the widest column-layout block a rank of the
+    // repo benchmark's `low_bw` (256 rows x 65 half-spectrum columns)
+    // and `low_lat` (32 x 9) workloads holds.
+    bench_fft_columns(&mut rows, 256, 65, 200);
+    bench_fft_columns(&mut rows, 32, 9, 20000);
 
     // Distributed rows at the repo benchmark's two low-order meshes:
     // 256 KiB reshape blocks (bandwidth) and 4 KiB blocks (latency).

@@ -314,11 +314,20 @@ pub fn gate_serve(
     Ok(report)
 }
 
+/// How many times faster than gather / per-line / scatter the batched
+/// column transform must measure in the same run (it measures 2.2–4×).
+const COLUMNS_MIN_SPEEDUP: f64 = 1.5;
+
 /// Gate a fresh `BENCH_compute.json` against its baseline. Rows join on
 /// `(kernel, variant, n)`; `ns_per_elem` is time-like with the tight
 /// compute floor (these are single-node kernel timings, not
 /// communication). Informational fields like `gbps` are not gated —
 /// throughput is the reciprocal view of the gated time.
+///
+/// `fft_columns/batched` is also held against `fft_columns/per_line` of
+/// the *fresh* run, where host speed cancels: at 2–3 ns per element the
+/// ceiling above cannot tell the batched column transform falling back
+/// to its reference's speed (2–4× slower) from a slow host.
 pub fn gate_compute(
     baseline: &Value,
     fresh: &Value,
@@ -352,6 +361,24 @@ pub fn gate_compute(
             policy.time_ratio,
             policy.compute_floor_ns,
         );
+        if (kernel, variant) == ("fft_columns", "batched") {
+            let per_line = fresh_by_key
+                .get(&(kernel.to_string(), "per_line".to_string(), n))
+                .map(|r| field_f64(r, "ns_per_elem"))
+                .transpose()?;
+            // A missing row already failed the comparison above.
+            if let (Some(fast), Some(slow)) = (fresh_ns, per_line) {
+                let limit = slow / COLUMNS_MIN_SPEEDUP;
+                report.rows.push(GateRow {
+                    key,
+                    metric: "vs fresh per_line".to_string(),
+                    baseline: slow,
+                    fresh: Some(fast),
+                    limit,
+                    pass: fast <= limit,
+                });
+            }
+        }
     }
     Ok(report)
 }
@@ -513,6 +540,29 @@ mod tests {
         let empty = beatnik_json::parse(r#"{"benches": []}"#).unwrap();
         let report = gate_compute(&doc(0.8), &empty, &GatePolicy::default()).unwrap();
         assert_eq!(report.regressions(), 1);
+    }
+
+    #[test]
+    fn batched_columns_must_beat_per_line_in_the_fresh_run() {
+        let doc = |batched: f64, per_line: f64| {
+            beatnik_json::parse(&format!(
+                r#"{{"benches": [
+                     {{"kernel": "fft_columns", "variant": "batched", "n": 288,
+                       "ns_per_elem": {batched}, "gbps": 1.0}},
+                     {{"kernel": "fft_columns", "variant": "per_line", "n": 288,
+                       "ns_per_elem": {per_line}, "gbps": 1.0}}]}}"#
+            ))
+            .unwrap()
+        };
+        let policy = GatePolicy::default();
+        // A host twice as slow moves both rows: still a pass.
+        let report = gate_compute(&doc(2.0, 4.7), &doc(4.0, 9.4), &policy).unwrap();
+        assert_eq!(report.regressions(), 0, "{}", report.text());
+        // The batched path at its reference's speed passes the absolute
+        // ceiling (2.0 + 5 ns) and fails against the fresh `per_line`.
+        let report = gate_compute(&doc(2.0, 4.7), &doc(4.7, 4.7), &policy).unwrap();
+        assert_eq!(report.regressions(), 1, "{}", report.text());
+        assert!(!report.rows.iter().find(|r| r.metric == "vs fresh per_line").unwrap().pass);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Index distributions, rectangle helpers, and the cache-blocked
-//! pack/gather kernels for data redistribution.
+//! Index distributions, rectangle helpers, and the pack/unpack kernels
+//! for data redistribution.
 //!
-//! The reshape engine ([`crate::redistribute`]) and the column-FFT
-//! driver both reduce to strided rectangle copies. The kernels here are
-//! written to be stride-aware rather than element-wise: row runs move
-//! as single `memcpy`s (collapsing to ONE memcpy when the sub-rectangle
-//! spans every column of its parent), and column gathers are tiled so
-//! each cache line of the row-major source is fetched once per tile of
-//! columns instead of once per column.
+//! The reshape engine ([`crate::redistribute`]) reduces to strided
+//! rectangle copies. The kernels here are stride-aware rather than
+//! element-wise: row runs move as single `memcpy`s, collapsing to ONE
+//! memcpy when the sub-rectangle spans every column of its parent.
+//! (Nothing here moves columns: the column transforms run in place
+//! across the row-major buffer, see [`crate::plan`].)
 
 use std::ops::Range;
 
@@ -153,49 +152,6 @@ pub fn unpack<T: Copy>(buf: &mut [T], into: &Rect, sub: &Rect, data: &[T]) {
     }
 }
 
-/// Column-tile width (elements) for [`gather_cols`]/[`scatter_cols`]:
-/// wide enough that every cache line a source row segment touches is
-/// fully consumed for all of the tile's columns in one fetch, narrow
-/// enough that the tile's write streams stay cache-resident.
-pub const COL_TILE: usize = 16;
-
-/// Blocked transpose-gather: copy columns `[c0, c0 + cols)` of a
-/// row-major `nrows × ncols` buffer into `out`, column-major (each
-/// gathered column contiguous with length `nrows`).
-///
-/// Streaming over rows with a *tile* of columns is what makes this
-/// cache-blocked: one pass reads each source cache line once for all
-/// `cols` columns, where a column-at-a-time gather re-fetches every
-/// line once per column. Callers tile with [`COL_TILE`].
-pub fn gather_cols<T: Copy>(buf: &[T], ncols: usize, c0: usize, cols: usize, out: &mut [T]) {
-    debug_assert!(ncols > 0 && c0 + cols <= ncols);
-    let nrows = buf.len() / ncols;
-    debug_assert_eq!(buf.len(), nrows * ncols);
-    debug_assert_eq!(out.len(), nrows * cols);
-    for r in 0..nrows {
-        let run = &buf[r * ncols + c0..r * ncols + c0 + cols];
-        for (j, &v) in run.iter().enumerate() {
-            out[j * nrows + r] = v;
-        }
-    }
-}
-
-/// Inverse of [`gather_cols`]: scatter `cols` contiguous columns from
-/// `data` (column-major) back into columns `[c0, c0 + cols)` of the
-/// row-major `buf`.
-pub fn scatter_cols<T: Copy>(data: &[T], ncols: usize, c0: usize, cols: usize, buf: &mut [T]) {
-    debug_assert!(ncols > 0 && c0 + cols <= ncols);
-    let nrows = buf.len() / ncols;
-    debug_assert_eq!(buf.len(), nrows * ncols);
-    debug_assert_eq!(data.len(), nrows * cols);
-    for r in 0..nrows {
-        let run = &mut buf[r * ncols + c0..r * ncols + c0 + cols];
-        for (j, v) in run.iter_mut().enumerate() {
-            *v = data[j * nrows + r];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,42 +231,6 @@ mod tests {
         unpack(&mut a, &from, &sub, &packed);
         assert_eq!(&a[10..25], &buf[10..25]);
         assert!(a[..10].iter().chain(&a[25..]).all(|&v| v == 0));
-    }
-
-    #[test]
-    fn gather_scatter_cols_roundtrip_all_tilings() {
-        let (nrows, ncols) = (7usize, 13usize);
-        let buf: Vec<u64> = (0..(nrows * ncols) as u64).collect();
-        for c0 in [0usize, 3, 12] {
-            for cols in [1usize, 2, 5] {
-                if c0 + cols > ncols {
-                    continue;
-                }
-                let mut tile = vec![0u64; nrows * cols];
-                gather_cols(&buf, ncols, c0, cols, &mut tile);
-                for j in 0..cols {
-                    for r in 0..nrows {
-                        assert_eq!(
-                            tile[j * nrows + r],
-                            buf[r * ncols + c0 + j],
-                            "c0={c0} cols={cols} col {j} row {r}"
-                        );
-                    }
-                }
-                let mut back = vec![u64::MAX; nrows * ncols];
-                scatter_cols(&tile, ncols, c0, cols, &mut back);
-                for r in 0..nrows {
-                    for c in 0..ncols {
-                        let want = if (c0..c0 + cols).contains(&c) {
-                            buf[r * ncols + c]
-                        } else {
-                            u64::MAX
-                        };
-                        assert_eq!(back[r * ncols + c], want);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

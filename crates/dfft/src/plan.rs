@@ -24,13 +24,22 @@
 //! row layout, real-to-complex row transforms keep the `nc/2 + 1`
 //! non-redundant bins, and the column layout (with its column FFTs)
 //! covers only those columns, dealt out evenly over the ranks.
+//!
+//! ## Local transforms
+//!
+//! In the row layout each row is one contiguous line and goes through
+//! the per-line transform. In the column layout the lines are the
+//! columns of the row-major buffer; they are transformed where they
+//! lie, all at once, by the batched transform ([`Fft::batched`]:
+//! butterflies between whole rows, across the columns) — no column is
+//! gathered into scratch or scattered back, and each comes out bitwise
+//! as the per-line transform would leave it.
 
 use crate::config::FftConfig;
-use crate::layout::{gather_cols, scatter_cols, Dist, Rect, COL_TILE};
+use crate::layout::{Dist, Rect};
 use crate::redistribute::{no_reorder_penalty, redistribute};
 use beatnik_comm::{AllToAllAlgo, CartComm, Communicator};
-use beatnik_fft::{Complex, Fft, RealFft};
-use std::cell::RefCell;
+use beatnik_fft::{Complex, Fft, RealFft, Transform};
 use std::ops::Range;
 
 /// Split `base` into `parts` balanced sub-ranges and return part `i`.
@@ -69,8 +78,10 @@ pub struct DistributedFft2d {
     row_plan: Fft,
     col_plan: Fft,
     real_row_plan: RealFft,
-    /// Column-tile work space of `fft_cols` (`nr × COL_TILE`).
-    col_scratch: RefCell<Vec<Complex>>,
+    /// Tests flip this to run `fft_cols` through the gather / per-line /
+    /// scatter code it replaced, as the bitwise reference.
+    #[cfg(test)]
+    per_line_cols: std::cell::Cell<bool>,
 }
 
 impl DistributedFft2d {
@@ -99,7 +110,8 @@ impl DistributedFft2d {
             row_plan: Fft::new(nc),
             col_plan: Fft::new(nr),
             real_row_plan: RealFft::new(nc),
-            col_scratch: RefCell::new(vec![Complex::default(); nr * COL_TILE]),
+            #[cfg(test)]
+            per_line_cols: std::cell::Cell::new(false),
         }
     }
 
@@ -231,14 +243,14 @@ impl DistributedFft2d {
     /// block-layout spectrum (unnormalized). Collective.
     pub fn forward(&self, block: Vec<Complex>) -> Vec<Complex> {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
-        self.run(block, Fft::forward)
+        self.run(block, Transform::Forward)
     }
 
     /// Inverse transform: consumes a block-layout spectrum, returns
     /// block-layout data normalized by `1/(nr·nc)`. Collective.
     pub fn inverse(&self, block: Vec<Complex>) -> Vec<Complex> {
         let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
-        self.run(block, Fft::inverse)
+        self.run(block, Transform::Inverse)
     }
 
     /// Forward transform that *stays* in the final intermediate layout
@@ -249,7 +261,7 @@ impl DistributedFft2d {
     /// reshapes. Returns the spectrum's rectangle and data.
     pub fn forward_transposed(&self, block: Vec<Complex>) -> (Rect, Vec<Complex>) {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
-        self.to_transposed(&block, Fft::forward)
+        self.to_transposed(&block, Transform::Forward)
     }
 
     /// Inverse transform starting from the transposed (column slab /
@@ -264,11 +276,11 @@ impl DistributedFft2d {
         let my_rect = self.col_rect_of(world.rank(), nc);
         assert_eq!(spectrum.len(), my_rect.area(), "bad transposed spectrum");
         let mut buf = spectrum;
-        self.fft_cols(&mut buf, &my_rect, Fft::inverse);
+        self.fft_cols(&mut buf, &my_rect, Transform::Inverse);
         let cols_of = |w: usize| self.col_rect_of(w, nc);
         let rows_of = |w: usize| self.row_rect_of(w, nc);
         let (_, mut buf) = redistribute(world, &buf, &cols_of, &rows_of, algo);
-        self.fft_rows(&mut buf, Fft::inverse);
+        self.fft_rows(&mut buf, Transform::Inverse);
         let g = self.row_group();
         let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
         let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
@@ -276,12 +288,8 @@ impl DistributedFft2d {
     }
 
     /// Block → row layout → row transforms → column layout → column
-    /// transforms, `kernel` applied along both axes.
-    fn to_transposed(
-        &self,
-        block: &[Complex],
-        kernel: fn(&Fft, &mut [Complex]),
-    ) -> (Rect, Vec<Complex>) {
+    /// transforms, `transform` applied along both axes.
+    fn to_transposed(&self, block: &[Complex], transform: Transform) -> (Rect, Vec<Complex>) {
         self.check_block(block.len());
         let algo = self.algo();
         let nc = self.nc;
@@ -289,17 +297,17 @@ impl DistributedFft2d {
         let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
         let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
         let (_, mut buf) = redistribute(g.comm, block, &block_of, &rows_of, algo);
-        self.fft_rows(&mut buf, kernel);
+        self.fft_rows(&mut buf, transform);
         let rows_of = |w: usize| self.row_rect_of(w, nc);
         let cols_of = |w: usize| self.col_rect_of(w, nc);
         let (rect, mut buf) = redistribute(self.cart.comm(), &buf, &rows_of, &cols_of, algo);
-        self.fft_cols(&mut buf, &rect, kernel);
+        self.fft_cols(&mut buf, &rect, transform);
         (rect, buf)
     }
 
     /// The three-reshape pipeline, block layout in and out.
-    fn run(&self, block: Vec<Complex>, kernel: fn(&Fft, &mut [Complex])) -> Vec<Complex> {
-        let (_, buf) = self.to_transposed(&block, kernel);
+    fn run(&self, block: Vec<Complex>, transform: Transform) -> Vec<Complex> {
+        let (_, buf) = self.to_transposed(&block, transform);
         let nc = self.nc;
         let g = self.col_group();
         let cols_of = |q: usize| self.col_rect_of(g.world_rank(q), nc);
@@ -307,38 +315,29 @@ impl DistributedFft2d {
         redistribute(g.comm, &buf, &cols_of, &block_of, self.algo()).1
     }
 
-    /// Transform every full-width row of `buf` in place.
-    fn fft_rows(&self, buf: &mut [Complex], kernel: fn(&Fft, &mut [Complex])) {
+    /// Transform every full-width row of `buf` in place, line by line.
+    fn fft_rows(&self, buf: &mut [Complex], transform: Transform) {
         if !self.config.reorder {
             no_reorder_penalty(buf);
         }
         for row in buf.chunks_exact_mut(self.nc) {
-            kernel(&self.row_plan, row);
+            self.row_plan.apply(transform, row);
         }
     }
 
     /// Transform every full-height column of the `rect`-shaped `buf` in
-    /// place.
-    fn fft_cols(&self, buf: &mut [Complex], rect: &Rect, kernel: fn(&Fft, &mut [Complex])) {
+    /// place, all columns at once.
+    fn fft_cols(&self, buf: &mut [Complex], rect: &Rect, transform: Transform) {
         debug_assert_eq!(rect.nrows(), self.nr);
         if !self.config.reorder {
             no_reorder_penalty(buf);
         }
-        let ncols = rect.ncols();
-        // Cache-blocked column transform: gather a tile of COL_TILE
-        // columns into contiguous scratch in one row-streaming pass
-        // (each source cache line fetched once per tile, not once per
-        // column), transform each contiguous column, scatter back.
-        let mut scratch = self.col_scratch.borrow_mut();
-        for c0 in (0..ncols).step_by(COL_TILE) {
-            let tc = COL_TILE.min(ncols - c0);
-            let tile = &mut scratch[..self.nr * tc];
-            gather_cols(buf, ncols, c0, tc, tile);
-            for col in tile.chunks_exact_mut(self.nr) {
-                kernel(&self.col_plan, col);
-            }
-            scatter_cols(tile, ncols, c0, tc, buf);
+        #[cfg(test)]
+        if self.per_line_cols.get() {
+            return reference::fft_cols_per_line(&self.col_plan, buf, rect.ncols(), transform);
         }
+        let ncols = rect.ncols();
+        self.col_plan.batched(transform, buf, ncols, ncols);
     }
 
     // ------------------------------------------------------------------
@@ -373,7 +372,7 @@ impl DistributedFft2d {
         let rows_of = |w: usize| self.row_rect_of(w, nh);
         let cols_of = |w: usize| self.col_rect_of(w, nh);
         let (rect, mut buf) = redistribute(self.cart.comm(), &half, &rows_of, &cols_of, algo);
-        self.fft_cols(&mut buf, &rect, Fft::forward);
+        self.fft_cols(&mut buf, &rect, Transform::Forward);
         (rect, buf)
     }
 
@@ -395,7 +394,7 @@ impl DistributedFft2d {
             "bad transposed half spectrum"
         );
         let mut buf = spectrum;
-        self.fft_cols(&mut buf, &my_rect, Fft::inverse_unnormalized);
+        self.fft_cols(&mut buf, &my_rect, Transform::InverseUnnormalized);
         let cols_of = |w: usize| self.col_rect_of(w, nh);
         let rows_of = |w: usize| self.row_rect_of(w, nh);
         let (_, mut half) = redistribute(world, &buf, &cols_of, &rows_of, algo);
@@ -411,6 +410,105 @@ impl DistributedFft2d {
         let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
         let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
         redistribute(g.comm, &rows, &rows_of, &block_of, algo).1
+    }
+}
+
+/// The column transform as it ran before [`Fft::batched`]: gather a
+/// tile of 16 columns into contiguous scratch in one row-streaming pass,
+/// transform each contiguous column, scatter back. Kept as the bitwise
+/// reference for the batched path.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    const TILE_COLS: usize = 16;
+
+    pub(super) fn fft_cols_per_line(
+        plan: &Fft,
+        buf: &mut [Complex],
+        ncols: usize,
+        transform: Transform,
+    ) {
+        let nr = plan.len();
+        let mut scratch = vec![Complex::default(); nr * TILE_COLS];
+        for c0 in (0..ncols).step_by(TILE_COLS) {
+            let tc = TILE_COLS.min(ncols - c0);
+            let tile = &mut scratch[..nr * tc];
+            for r in 0..nr {
+                for j in 0..tc {
+                    tile[j * nr + r] = buf[r * ncols + c0 + j];
+                }
+            }
+            for col in tile.chunks_exact_mut(nr) {
+                plan.apply(transform, col);
+            }
+            for r in 0..nr {
+                for j in 0..tc {
+                    buf[r * ncols + c0 + j] = tile[j * nr + r];
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod batched_cols_tests {
+    use super::*;
+    use beatnik_comm::{dims_create, World};
+
+    /// Full-entropy mantissas (xorshift), so a reordered or fused
+    /// operation cannot hide behind round numbers.
+    fn noise(n: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s as f64 / u64::MAX as f64) * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    fn bits(v: &[Complex]) -> Vec<[u64; 2]> {
+        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    }
+
+    #[test]
+    fn every_entry_point_is_bitwise_the_per_line_column_path() {
+        for config in FftConfig::table1() {
+            // 12x10 has Bluestein columns; 4x4 leaves ranks without a column.
+            for (nr, nc) in [(16, 16), (12, 10), (32, 8), (4, 4)] {
+                for p in [1, 2, 3, 4, 6, 9] {
+                    World::builder(p).run(move |comm| {
+                        let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, config);
+                        let area = plan.local_rect().area();
+                        let seed = 0x9E37_79B9 + 977 * comm.rank() as u64;
+                        let real = noise(area, seed);
+                        let block: Vec<Complex> = noise(2 * area, !seed)
+                            .chunks_exact(2)
+                            .map(|z| Complex::new(z[0], z[1]))
+                            .collect();
+                        let run = |per_line: bool| {
+                            plan.per_line_cols.set(per_line);
+                            let (_, spec) = plan.forward_transposed(block.clone());
+                            let (_, half) = plan.forward_real_transposed(&real);
+                            let back = plan.inverse_real_transposed(half.clone());
+                            let complex = [
+                                bits(&plan.forward(block.clone())),
+                                bits(&plan.inverse(block.clone())),
+                                bits(&plan.inverse_transposed(spec.clone())),
+                                bits(&spec),
+                                bits(&half),
+                            ];
+                            let real: Vec<u64> = back.iter().map(|x| x.to_bits()).collect();
+                            (complex, real)
+                        };
+                        assert_eq!(run(false), run(true), "{config} p={p} {nr}x{nc}");
+                    });
+                }
+            }
+        }
     }
 }
 

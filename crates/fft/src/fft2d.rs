@@ -1,10 +1,13 @@
-//! Serial 2D FFT by the row–column method over row-major buffers.
+//! Serial 2D FFT by the row–column method over row-major buffers: each
+//! row through the per-line transform, then all columns at once through
+//! the batched one ([`Fft::batched`], butterflies across the rows' own
+//! contiguous axis — no column is ever copied out).
 //!
 //! Used directly by single-rank solves and as the correctness oracle for
 //! the distributed transform in `beatnik-dfft`.
 
 use crate::complex::Complex;
-use crate::plan::Fft;
+use crate::plan::{Fft, Transform};
 
 /// Planned 2D transform of an `n_rows × n_cols` row-major grid.
 pub struct Fft2d {
@@ -40,35 +43,21 @@ impl Fft2d {
 
     /// In-place forward 2D transform (unnormalized).
     pub fn forward(&self, data: &mut [Complex]) {
-        self.check(data);
-        for row in data.chunks_exact_mut(self.n_cols) {
-            self.row_plan.forward(row);
-        }
-        self.columns(data, |plan, col| plan.forward(col));
+        self.run(Transform::Forward, data);
     }
 
     /// In-place inverse 2D transform (normalized by `1/(rows·cols)`).
     pub fn inverse(&self, data: &mut [Complex]) {
-        self.check(data);
-        for row in data.chunks_exact_mut(self.n_cols) {
-            self.row_plan.inverse(row);
-        }
-        self.columns(data, |plan, col| plan.inverse(col));
+        self.run(Transform::Inverse, data);
     }
 
-    /// Apply a 1D plan down every column via a gather/scatter scratch
-    /// buffer (cache-friendlier than strided butterflies at these sizes).
-    fn columns(&self, data: &mut [Complex], f: impl Fn(&Fft, &mut [Complex])) {
-        let mut scratch = vec![Complex::default(); self.n_rows];
-        for c in 0..self.n_cols {
-            for r in 0..self.n_rows {
-                scratch[r] = data[r * self.n_cols + c];
-            }
-            f(&self.col_plan, &mut scratch);
-            for r in 0..self.n_rows {
-                data[r * self.n_cols + c] = scratch[r];
-            }
+    fn run(&self, transform: Transform, data: &mut [Complex]) {
+        self.check(data);
+        for row in data.chunks_exact_mut(self.n_cols) {
+            self.row_plan.apply(transform, row);
         }
+        self.col_plan
+            .batched(transform, data, self.n_cols, self.n_cols);
     }
 }
 

@@ -1,4 +1,11 @@
-//! Lane-parallel radix-2 butterfly kernels.
+//! Lane-parallel radix-2 butterfly kernels for **one contiguous line**.
+//!
+//! "Lane" here means a SIMD lane *within* the line: a vector holds one
+//! or two neighbouring elements of the same transform, each with its
+//! own twiddle. The other axis — one vector holding the same element of
+//! several neighbouring transforms, one twiddle for all of them — is the
+//! *batched* transform in `crate::batched`, which serves every column
+//! transform; this module serves rows and everything else contiguous.
 //!
 //! One stage of the iterative Cooley–Tukey transform applies, to every
 //! block of `width = 2 * half` elements, the `half` butterflies

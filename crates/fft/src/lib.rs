@@ -7,7 +7,12 @@
 //! * [`Fft`] — a planned 1D complex-to-complex transform: iterative
 //!   radix-2 Cooley–Tukey with precomputed twiddles for power-of-two
 //!   sizes, and Bluestein's chirp-z algorithm for every other size.
-//! * [`Fft2d`] — row–column 2D transforms over row-major buffers.
+//!   [`Fft::batched`] applies the same plan to many interleaved lines
+//!   (the columns of a row-major block) at once and in place, with the
+//!   butterflies running across the lines — bitwise the per-line result,
+//!   without gathering a single column.
+//! * [`Fft2d`] — row–column 2D transforms over row-major buffers (rows
+//!   per line, columns batched).
 //! * [`spectral`] — wavenumber grids and the Fourier-multiplier operators
 //!   the Z-Model's low-order solver needs: spectral derivatives, spectral
 //!   Laplacians, and the flat-sheet Birkhoff–Rott normal-velocity (Riesz
@@ -32,6 +37,7 @@
 //! }
 //! ```
 
+mod batched;
 pub mod bluestein;
 pub mod complex;
 pub mod dft;
@@ -43,5 +49,5 @@ pub mod spectral;
 
 pub use complex::Complex;
 pub use fft2d::Fft2d;
-pub use plan::Fft;
+pub use plan::{Fft, Transform};
 pub use real::RealFft;

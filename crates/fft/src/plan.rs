@@ -7,21 +7,31 @@
 //! [`crate::bluestein`]), which itself reuses a radix-2 plan of the
 //! padded size.
 //!
-//! The butterfly stages execute through the lane-parallel kernels in
-//! `crate::kernel` (AVX/SSE2 on x86_64, with a scalar path that every
-//! SIMD kernel matches bit-for-bit). [`Fft::forward_scalar`] /
-//! [`Fft::inverse_scalar`] force the scalar kernels, as the reference
-//! for equivalence tests and speedup benchmarks.
+//! The butterfly stages of a contiguous line execute through the
+//! lane-parallel kernels in `crate::kernel` (AVX/SSE2 on x86_64, with a
+//! scalar path that every SIMD kernel matches bit-for-bit).
+//! [`Fft::forward_scalar`] / [`Fft::inverse_scalar`] force the scalar
+//! kernels, as the reference for equivalence tests and speedup
+//! benchmarks.
 //!
 //! Stage-contiguous twiddles: stage `s` (butterfly half-width
 //! `h = 2^s`) reads its `h` twiddles `e^{-2πik/2h}` from the flat table
 //! at `[h-1, 2h-1)` — unit-stride loads in the hot loop, where the old
 //! single-table layout strided by `n/width` and defeated vector loads.
 //! Total table size is `n - 1` instead of `n/2`, a negligible cost.
+//!
+//! [`Fft::batched`] transforms many interleaved lines (the columns of a
+//! row-major block) in place with the same plan. Power-of-two lengths
+//! run their butterflies across the lines (`crate::batched`); Bluestein
+//! lengths copy one line at a time through a plan-held scratch line.
+//! Either way each line's output is bitwise what the per-line
+//! transform gives.
 
+use crate::batched::{self, Lines};
 use crate::bluestein::Bluestein;
 use crate::complex::Complex;
 use crate::kernel;
+use std::cell::RefCell;
 
 /// A reusable plan for forward/inverse transforms of one length.
 pub struct Fft {
@@ -33,7 +43,22 @@ enum Kind {
     /// Degenerate lengths 0 and 1 (transform is the identity).
     Identity,
     Radix2(Radix2),
-    Bluestein(Box<Bluestein>),
+    Bluestein {
+        plan: Box<Bluestein>,
+        /// The contiguous line [`Fft::batched`] copies each lane through.
+        line: RefCell<Vec<Complex>>,
+    },
+}
+
+/// Which of a plan's transforms a call applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transform {
+    /// [`Fft::forward`].
+    Forward,
+    /// [`Fft::inverse`].
+    Inverse,
+    /// [`Fft::inverse_unnormalized`].
+    InverseUnnormalized,
 }
 
 impl Fft {
@@ -44,7 +69,10 @@ impl Fft {
         } else if n.is_power_of_two() {
             Kind::Radix2(Radix2::new(n))
         } else {
-            Kind::Bluestein(Box::new(Bluestein::new(n)))
+            Kind::Bluestein {
+                plan: Box::new(Bluestein::new(n)),
+                line: RefCell::new(vec![Complex::default(); n]),
+            }
         };
         Fft { n, kind }
     }
@@ -68,7 +96,7 @@ impl Fft {
         match &self.kind {
             Kind::Identity => {}
             Kind::Radix2(r) => r.transform(data, Direction::Forward),
-            Kind::Bluestein(b) => b.forward(data),
+            Kind::Bluestein { plan: b, .. } => b.forward(data),
         }
     }
 
@@ -87,7 +115,7 @@ impl Fft {
                     *v = v.scale(s);
                 }
             }
-            Kind::Bluestein(b) => b.inverse(data),
+            Kind::Bluestein { plan: b, .. } => b.inverse(data),
         }
     }
 
@@ -98,13 +126,67 @@ impl Fft {
         match &self.kind {
             Kind::Identity => {}
             Kind::Radix2(r) => r.transform(data, Direction::Inverse),
-            Kind::Bluestein(b) => {
+            Kind::Bluestein { plan: b, .. } => {
                 b.inverse(data);
                 let s = self.n as f64;
                 for v in data.iter_mut() {
                     *v = v.scale(s);
                 }
             }
+        }
+    }
+
+    /// `transform` applied in place to one contiguous line.
+    pub fn apply(&self, transform: Transform, line: &mut [Complex]) {
+        match transform {
+            Transform::Forward => self.forward(line),
+            Transform::Inverse => self.inverse(line),
+            Transform::InverseUnnormalized => self.inverse_unnormalized(line),
+        }
+    }
+
+    /// `transform` applied in place to `lanes` interleaved lines: element
+    /// `r` of line `c` is `buf[r * stride + c]`, i.e. the lines are the
+    /// first `lanes` columns of a row-major block with `len()` rows of
+    /// `stride` elements. Elements of a row past `lanes` are not touched.
+    /// Each line comes out bitwise as [`Fft::apply`] would leave it.
+    ///
+    /// # Panics
+    /// Panics if `lanes > stride` or if `buf` is shorter than
+    /// `(len() − 1)·stride + lanes`.
+    pub fn batched(&self, transform: Transform, buf: &mut [Complex], lanes: usize, stride: usize) {
+        let mut lines = Lines::new(buf, self.n, lanes, stride);
+        match &self.kind {
+            Kind::Identity => {}
+            Kind::Radix2(r) => {
+                batched::radix2(
+                    &mut lines,
+                    &r.rev,
+                    &r.twiddles,
+                    transform != Transform::Forward,
+                );
+                if transform == Transform::Inverse {
+                    lines.scale(1.0 / self.n as f64);
+                }
+            }
+            Kind::Bluestein { line, .. } => {
+                let mut line = line.borrow_mut();
+                for lane in 0..lanes {
+                    lines.read_lane(lane, &mut line);
+                    self.apply(transform, &mut line);
+                    lines.write_lane(lane, &line);
+                }
+            }
+        }
+    }
+
+    /// The radix-2 tables `(rev, twiddles)` of a power-of-two plan, for
+    /// the tests that drive `crate::batched` directly.
+    #[cfg(test)]
+    pub(crate) fn radix2_tables(&self) -> Option<(&[u32], &[Complex])> {
+        match &self.kind {
+            Kind::Radix2(r) => Some((&r.rev, &r.twiddles)),
+            _ => None,
         }
     }
 
@@ -120,7 +202,7 @@ impl Fft {
         match &self.kind {
             Kind::Identity => {}
             Kind::Radix2(r) => r.transform_scalar(data, Direction::Forward),
-            Kind::Bluestein(b) => b.forward(data),
+            Kind::Bluestein { plan: b, .. } => b.forward(data),
         }
     }
 
@@ -137,7 +219,7 @@ impl Fft {
                     *v = v.scale(s);
                 }
             }
-            Kind::Bluestein(b) => b.inverse(data),
+            Kind::Bluestein { plan: b, .. } => b.inverse(data),
         }
     }
 }

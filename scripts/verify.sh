@@ -198,13 +198,16 @@ grep -q '"metric": "deadline_margin_slack"' BENCH_serve.json
 grep -q '"lost_jobs": 0' BENCH_serve.json
 
 echo "== compute-kernel bench -> BENCH_compute.json =="
-# Rows pair each fast kernel (SIMD butterflies, tiled pack, r2c dfft
-# roundtrip, owned-block reshape) with its measured reference so the
-# gate pins both.
+# Rows pair each fast kernel (SIMD butterflies, batched column
+# transforms, r2c dfft roundtrip, owned-block reshape) with its measured
+# reference so the gate pins both.
 target/release/bench_compute BENCH_compute.json
 test -s BENCH_compute.json
 grep -q '"kernel": "fft_forward"' BENCH_compute.json
-grep -q '"variant": "tiled"' BENCH_compute.json
+# Column transforms: butterflies across the block's rows beside the
+# gather / per-line / scatter shape they replaced.
+grep -A1 '"kernel": "fft_columns"' BENCH_compute.json | grep '"variant": "batched"' >/dev/null
+grep -A1 '"kernel": "fft_columns"' BENCH_compute.json | grep '"variant": "per_line"' >/dev/null
 # Distributed rows: the real-field transform pair beside its complex
 # twin, and the ownership-passing reshape beside the flat-buffer one.
 grep -q '"variant": "r2c"' BENCH_compute.json
