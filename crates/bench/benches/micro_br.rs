@@ -45,20 +45,6 @@ fn bench_br(c: &mut Criterion) {
                 })
             })
         });
-        // Old blocking sendrecv schedule, for comparison against the
-        // pipelined isend/irecv default above.
-        let all_b = all.clone();
-        g.bench_with_input(BenchmarkId::new("exact_ring_blocking", n), &n, |b, _| {
-            b.iter(|| {
-                let all = all_b.clone();
-                World::builder(ranks).run(move |comm| {
-                    let lo = comm.rank() * chunk;
-                    ExactBrSolver
-                        .velocities_blocking(&comm, &all[lo..lo + chunk], 0.05)
-                        .len()
-                })
-            })
-        });
         for cutoff in [0.5f64, 1.0] {
             let all_c = all.clone();
             g.bench_with_input(

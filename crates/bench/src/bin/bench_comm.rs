@@ -1,13 +1,12 @@
 //! Transport microbenchmark emitting `BENCH_comm.json`.
 //!
 //! Times the all-to-all engines across the message-size bins the
-//! adaptive selector switches on, plus the point-to-point eager,
-//! rendezvous, and zero-copy ownership-transfer protocols, on real
-//! thread-ranks. Each row records the
-//! operation, algorithm, transport backend, size bin (shared
-//! [`sizebins`] labels), ns per operation, and transport bytes *copied*
-//! per operation (from the trace's copy accounting — the number the
-//! rendezvous path exists to cut).
+//! adaptive selector switches on, plus the point-to-point borrowed-slice
+//! (one copy) and ownership-transfer (zero copies) sends, on real
+//! thread-ranks. Each row records the operation, algorithm, transport
+//! backend, size bin (shared [`sizebins`] labels), ns per operation,
+//! and payload bytes *copied* per operation (from the trace's copy
+//! accounting).
 //!
 //! The full algorithm sweep runs on the thread backend (the regression
 //! target); a smaller sweep then repeats representative cases on the
@@ -134,20 +133,11 @@ fn bench_alltoallv(p: usize, block: usize, reps: usize, kind: TransportKind) -> 
     best
 }
 
-/// One ping-pong trial: `reps` exchanges of a `bytes`-sized isend/irecv
-/// pair under an explicit eager limit (0 forces rendezvous on every
-/// send). `profiled` arms span recording + causal flow contexts.
-fn p2p_trial(
-    bytes: usize,
-    eager_limit: usize,
-    reps: usize,
-    kind: TransportKind,
-    profiled: bool,
-) -> (f64, f64) {
-    let builder = World::builder(2)
-        .transport(kind)
-        .recv_timeout(TIMEOUT)
-        .eager_limit(eager_limit);
+/// One ping-pong trial: `reps` exchanges of a `bytes`-sized borrowed-
+/// slice isend/irecv pair (each send copies its payload once).
+/// `profiled` arms span recording + causal flow contexts.
+fn p2p_trial(bytes: usize, reps: usize, kind: TransportKind, profiled: bool) -> (f64, f64) {
+    let builder = World::builder(2).transport(kind).recv_timeout(TIMEOUT);
     let body = move |c: beatnik_comm::Communicator| {
         let buf = vec![0u8; bytes];
         c.barrier();
@@ -179,11 +169,11 @@ fn p2p_trial(
 }
 
 /// Best-of-[`TRIALS`] untraced ping-pong (see [`p2p_trial`]).
-fn bench_p2p(bytes: usize, eager_limit: usize, reps: usize, kind: TransportKind) -> (f64, f64) {
+fn bench_p2p(bytes: usize, reps: usize, kind: TransportKind) -> (f64, f64) {
     let mut best_ns = f64::INFINITY;
     let mut copied = 0.0;
     for _ in 0..TRIALS {
-        let (ns, c) = p2p_trial(bytes, eager_limit, reps, kind, false);
+        let (ns, c) = p2p_trial(bytes, reps, kind, false);
         best_ns = best_ns.min(ns);
         copied = c;
     }
@@ -245,7 +235,7 @@ fn main() {
         AllToAllAlgo::Adaptive,
     ];
     for &(p, block, reps) in alltoall_cases {
-        // Warmup worlds (thread spawn + pool fill), then interleave
+        // Warmup worlds (thread spawn), then interleave
         // best-of-TRIALS measurements round-robin across the algorithms.
         for algo in algos {
             let _ = bench_alltoall(p, block, algo, 5, TransportKind::Thread, false);
@@ -272,22 +262,21 @@ fn main() {
         }
     }
 
-    // Point-to-point protocols on a 64 KiB payload: eager (2 copies)
-    // vs rendezvous (1 copy), same message pattern.
+    // Borrowed-slice ping-pong on a 64 KiB payload: one copy per send,
+    // two sends per op.
     let p2p_bytes = 64 * 1024;
-    for (name, limit) in [("p2p_eager", usize::MAX), ("p2p_rendezvous", 0)] {
-        let _ = bench_p2p(p2p_bytes, limit, 5, TransportKind::Thread);
-        let (ns, copied) = bench_p2p(p2p_bytes, limit, 50, TransportKind::Thread);
-        rows.push(Row {
-            op: name,
-            algo: "-",
-            transport: TransportKind::Thread,
-            ranks: 2,
-            bytes: p2p_bytes,
-            ns_per_op: ns,
-            copied_per_op: copied,
-        });
-    }
+    let _ = bench_p2p(p2p_bytes, 5, TransportKind::Thread);
+    let (ns, copied) = bench_p2p(p2p_bytes, 50, TransportKind::Thread);
+    assert_eq!(copied, 2.0 * p2p_bytes as f64, "slice sends copy exactly once");
+    rows.push(Row {
+        op: "p2p_slice",
+        algo: "-",
+        transport: TransportKind::Thread,
+        ranks: 2,
+        bytes: p2p_bytes,
+        ns_per_op: ns,
+        copied_per_op: copied,
+    });
 
     // Ownership-transfer p2p on the same payload, on both
     // shared-address-space backends: the tentpole number. The copied
@@ -311,8 +300,8 @@ fn main() {
     }
 
     // Wire backends: one representative alltoall case (adaptive picks
-    // the engine) plus the eager p2p ping-pong, per backend. Loopback
-    // mode, so inter-rank envelopes cross real rings/sockets.
+    // the engine) per backend. Loopback mode, so inter-rank envelopes
+    // cross real rings/sockets.
     for kind in [TransportKind::Shmem, TransportKind::Tcp] {
         let (p, block, reps) = (4, 1024, 20);
         let _ = bench_alltoall(p, block, AllToAllAlgo::Adaptive, 5, kind, false);
@@ -331,18 +320,6 @@ fn main() {
             bytes: block,
             ns_per_op: best.0,
             copied_per_op: best.1,
-        });
-
-        let _ = bench_p2p(p2p_bytes, usize::MAX, 5, kind);
-        let (ns, copied) = bench_p2p(p2p_bytes, usize::MAX, 30, kind);
-        rows.push(Row {
-            op: "p2p_eager",
-            algo: "-",
-            transport: kind,
-            ranks: 2,
-            bytes: p2p_bytes,
-            ns_per_op: ns,
-            copied_per_op: copied,
         });
     }
 
@@ -390,7 +367,7 @@ fn main() {
         bench_alltoall(4, 1024, AllToAllAlgo::Adaptive, 400, TransportKind::Thread, profiled)
     };
     let p2p_overhead_trial =
-        |profiled: bool| p2p_trial(p2p_bytes, usize::MAX, 500, TransportKind::Thread, profiled);
+        |profiled: bool| p2p_trial(p2p_bytes, 500, TransportKind::Thread, profiled);
     let overhead_cases: [(&str, &str, &str, usize, usize, OverheadTrial); 2] = [
         ("alltoall_untraced", "alltoall_traced", "adaptive", 4, 1024, &alltoall_trial),
         ("p2p_untraced", "p2p_traced", "-", 2, p2p_bytes, &p2p_overhead_trial),

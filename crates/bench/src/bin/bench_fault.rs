@@ -8,7 +8,10 @@
 //!    until it errors; the latency is the failure ledger's age at the
 //!    moment of observation (`failure_age`), so thread-spawn and
 //!    barrier cadence don't pollute the number. Reported as the worst
-//!    survivor (the rank recovery has to wait for).
+//!    survivor (the rank recovery has to wait for), and asserted below
+//!    [`DETECTION_BUDGET`]: a death interrupts every blocked waiter and
+//!    is read off the ledger before any waiter sleeps, so the 100 ms
+//!    poll slice must never show up here.
 //!
 //! 2. **Recovery cost vs. checkpoint interval** — total wall time of a
 //!    rocketrig run that loses a rank mid-flight and recovers via
@@ -26,6 +29,10 @@ use std::time::{Duration, Instant};
 
 /// Generous stall limit: CI machines can oversubscribe 16 thread-ranks.
 const TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Ceiling on the detection-latency rows: a tenth of the wait loop's
+/// poll slice, and some 50× what an idle machine measures.
+const DETECTION_BUDGET: Duration = Duration::from_millis(10);
 
 struct Row {
     metric: &'static str,
@@ -211,11 +218,18 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
     for p in [8, 16] {
+        // Best of three worlds: preemption on an oversubscribed machine
+        // only ever adds to the worst survivor's latency.
+        let detected = (0..3).map(|_| detection_latency(p)).fold(f64::INFINITY, f64::min);
+        assert!(
+            detected < DETECTION_BUDGET.as_nanos() as f64,
+            "detection_latency at {p} ranks: {detected:.0} ns exceeds {DETECTION_BUDGET:?}"
+        );
         rows.push(Row {
             metric: "detection_latency",
             ranks: p,
             checkpoint_every: 0,
-            ns: detection_latency(p),
+            ns: detected,
         });
 
         let baseline = clean_run(p, &dir);

@@ -14,13 +14,10 @@
 //! | allgather | ring | P−1 |
 //! | alltoall | pairwise exchange or direct | P−1 |
 //! | alltoallv | pairwise exchange | P−1 |
-//! | scan / exscan | recursive doubling (+shift) | ⌈log₂P⌉ |
-//! | reduce_scatter | pairwise exchange + fold | P−1 |
 
 pub mod alltoall;
 pub mod barrier;
 pub mod broadcast;
 pub mod gather;
 pub mod reduce;
-pub mod scan;
 pub mod scatter;

@@ -6,16 +6,15 @@ use crate::error::CommError;
 use crate::fault::{CollectiveFailed, FaultInjector, Injection, RankKilled};
 use crate::mailbox::{Mailbox, PostedId};
 use crate::message::{CommData, Envelope};
-use crate::pool::BufferPool;
 use crate::reduce_op::ReduceOp;
 use crate::registry::{CommId, Registry};
 use crate::request::{RecvRequest, SendRequest};
 use crate::trace::{OpKind, RankTrace};
 use crate::transport::Route;
-use beatnik_telemetry::{CommOp, SpanKind, SpanRecorder};
+use beatnik_telemetry::{CommOp, OpGuard, SpanKind, SpanRecorder};
 use std::panic::panic_any;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Message tag type (MPI uses `int`; we use the full `u64` space).
 pub type Tag = u64;
@@ -32,6 +31,42 @@ pub const ANY_TAG: Tag = u64::MAX;
 /// Collective traffic travels on a shadow channel so user receives with
 /// wildcard selectors can never steal a collective's internal messages.
 const COLLECTIVE_CHANNEL: CommId = 1 << 63;
+
+/// How a send entry point names itself to [`Communicator::post`]: which
+/// channel and trace counter the message lands in and what the timeline
+/// shows for it.
+#[derive(Clone, Copy)]
+enum SendOp {
+    /// A user-channel send, counted under [`OpKind::Send`] and recorded
+    /// as its own span of the given op (`send` or `isend`).
+    User(CommOp),
+    /// One message of a collective, on the shadow channel: counted under
+    /// the collective's kind and recorded as an instant `send` marker
+    /// inside the enclosing collective span (instant and non-blocking,
+    /// so wait attribution is untouched).
+    Coll(OpKind),
+}
+
+/// Whose death or revocation ends a [`Communicator::wait_until`].
+#[derive(Clone, Copy)]
+pub(crate) enum Watch {
+    /// The source the wait is pending on (the whole group for
+    /// [`ANY_SOURCE`]), plus revocation of this communicator.
+    Source,
+    /// Every member of the group: a collective depends on all of them.
+    Group,
+    /// Nobody: the recovery ops must make progress *despite* failures
+    /// and on revoked communicators.
+    Nobody,
+}
+
+/// Stamp the envelope a receive completed with onto its span.
+fn stamp(span: &mut OpGuard<'_>, env: &Envelope) {
+    span.peer(env.src);
+    span.tag(env.tag);
+    span.bytes(env.bytes as u64);
+    span.flow(env.ctx);
+}
 
 /// A rank's handle to one communication group.
 ///
@@ -52,20 +87,10 @@ pub struct Communicator {
     /// with profiling); shared with derived communicators, which run on
     /// the same rank thread — the recorder's single-writer invariant.
     telemetry: Arc<SpanRecorder>,
-    /// Per-rank pool of reusable send buffers backing
-    /// [`Communicator::isend`]; shared with communicators derived via
-    /// [`Communicator::split`] (same thread, same pool).
-    pool: Arc<BufferPool>,
     /// Receives panic after this long without a matching message. This
     /// converts distributed deadlocks (a bug class this runtime exists to
     /// help find) into loud failures rather than silent hangs.
     recv_timeout: Duration,
-    /// Eager/rendezvous crossover for slice sends, in payload bytes:
-    /// at or below, the payload is copied into a pooled envelope (two
-    /// copies total); above, it is materialised once into an owned
-    /// buffer that travels by pointer (one copy total). See
-    /// [`crate::transport`].
-    eager_limit: usize,
     /// Fault injector for this rank, present only in worlds launched via
     /// [`crate::WorldBuilder::run_ft`] with a plan targeting this rank. Shared
     /// with derived communicators so the op count is per-rank, not
@@ -92,9 +117,7 @@ impl Communicator {
         world_of: Arc<Vec<usize>>,
         trace: Arc<RankTrace>,
         telemetry: Arc<SpanRecorder>,
-        pool: Arc<BufferPool>,
         recv_timeout: Duration,
-        eager_limit: usize,
     ) -> Self {
         let born_epoch = registry.revoke_epoch();
         Communicator {
@@ -105,9 +128,7 @@ impl Communicator {
             world_of,
             trace,
             telemetry,
-            pool,
             recv_timeout,
-            eager_limit,
             fault: None,
             born_epoch,
         }
@@ -134,9 +155,7 @@ impl Communicator {
             world_of: Arc::clone(&self.world_of),
             trace: Arc::clone(&self.trace),
             telemetry: Arc::clone(&self.telemetry),
-            pool: Arc::clone(&self.pool),
             recv_timeout,
-            eager_limit: self.eager_limit,
             fault: self.fault.clone(),
             born_epoch: self.born_epoch,
         }
@@ -178,17 +197,6 @@ impl Communicator {
         self.comm_id
     }
 
-    /// The send-buffer pool backing [`Communicator::isend`] on this rank.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// The eager/rendezvous crossover for slice sends, in payload bytes
-    /// (see [`crate::transport`]).
-    pub fn eager_limit(&self) -> usize {
-        self.eager_limit
-    }
-
     /// A live snapshot of the world's metrics plane: every registered
     /// counter/gauge/histogram plus the synthesized per-phase comm
     /// matrix and phase-entry families. `None` when the communicator
@@ -216,90 +224,80 @@ impl Communicator {
         self.mailbox_for(0, self.rank)
     }
 
-    /// Whether a peer rank has failed and the world is tearing down.
-    pub(crate) fn world_aborted(&self) -> bool {
-        self.registry.aborted()
-    }
-
     /// The configured deadlock-detection window for blocking receives.
     pub(crate) fn recv_timeout(&self) -> Duration {
         self.recv_timeout
     }
 
-    /// Blocking claim of a posted receive slot for
-    /// [`crate::request::RecvRequest::wait`]. The blocked interval
-    /// records as a `wait` span.
-    pub(crate) fn blocking_user_claim(
-        &self,
-        posted: PostedId,
-        src: usize,
-        tag: Tag,
-        ctx: &'static str,
-    ) -> Envelope {
-        let mut g = self.telemetry.op(CommOp::Wait);
-        let env = self.blocking_claim(posted, src, tag, ctx);
-        g.peer(env.src);
-        g.tag(env.tag);
-        g.bytes(env.bytes as u64);
-        g.flow(env.ctx);
-        env
-    }
-
-    /// Claim from a posted slot, waking early on world abort and
-    /// panicking on the receive timeout — the posted-slot analogue of
-    /// [`Communicator::blocking_recv`]. Peer failure and revocation
-    /// escalate through [`Communicator::escalate`].
-    fn blocking_claim(
-        &self,
-        posted: PostedId,
-        src: usize,
-        tag: Tag,
-        ctx: &'static str,
-    ) -> Envelope {
-        match self.ft_claim(posted, src, tag, ctx) {
-            Ok(env) => env,
-            Err(e) => self.escalate(ctx, e),
-        }
-    }
-
-    /// Fallible claim from a posted slot: drains the slot first, then
-    /// surfaces peer failure, revocation, or the deadline as a
+    /// Blocking claim of a posted receive slot under a `wait` span, for
+    /// [`crate::request::RecvRequest`]: drains the slot first, then
+    /// surfaces peer failure, revocation, or the receive deadline as a
     /// `CommError` instead of hanging.
-    pub(crate) fn ft_claim(
-        &self,
-        posted: PostedId,
-        src: usize,
-        tag: Tag,
-        ctx: &'static str,
-    ) -> Result<Envelope, CommError> {
+    pub(crate) fn claim(&self, posted: PostedId, src: usize, tag: Tag) -> Result<Envelope, CommError> {
+        let mut span = self.telemetry.op(CommOp::Wait);
         let mb = self.user_mailbox();
-        let deadline = std::time::Instant::now() + self.recv_timeout;
-        let slice = Duration::from_millis(100).min(self.recv_timeout);
+        let deadline = Instant::now() + self.recv_timeout;
+        let env = self.wait_until(&mb, deadline, Watch::Source, "irecv wait", |since, wait| {
+            mb.wait_claim(posted, since, wait).ok_or((src, tag))
+        })?;
+        stamp(&mut span, &env);
+        Ok(env)
+    }
+
+    /// The one failure-aware wait loop under every blocking receive,
+    /// claim, batched wait and agreement round.
+    ///
+    /// `poll(since, wait)` takes what the caller is waiting for if it is
+    /// there, and otherwise sleeps on `mb` for at most `wait` (not at
+    /// all for a zero `wait`), returning early once the mailbox has been
+    /// interrupted past the `since` snapshot; while still empty-handed
+    /// it names the `(src, tag)` it is pending on. Each turn snapshots
+    /// the mailbox's interrupt sequence, drains, *then* reads the abort
+    /// flag, the `watch`ed part of the failure ledger and the deadline,
+    /// and only then sleeps against that snapshot. So a message sent
+    /// before its sender died is still delivered (ULFM allows
+    /// non-uniform completion), a death that predates the call is seen
+    /// before the first sleep, and one that lands between the check and
+    /// the sleep cuts the sleep short: the poll slice is a backstop for
+    /// the abort flag, never a detection latency.
+    pub(crate) fn wait_until<R>(
+        &self,
+        mb: &Mailbox,
+        deadline: Instant,
+        watch: Watch,
+        ctx: &'static str,
+        mut poll: impl FnMut(u64, Duration) -> Result<R, (usize, Tag)>,
+    ) -> Result<R, CommError> {
         loop {
-            if let Some(env) = mb.wait_claim(posted, slice) {
-                return Ok(env);
-            }
+            let since = mb.interrupt_seq();
+            let (src, tag) = match poll(since, Duration::ZERO) {
+                Ok(got) => return Ok(got),
+                Err(pending) => pending,
+            };
             if self.registry.aborted() {
                 panic!(
                     "rank {} aborting during {ctx}: a peer rank failed",
                     self.rank
                 );
             }
-            if self.is_revoked() {
-                return Err(CommError::Revoked { rank: self.rank });
+            let failure = match watch {
+                Watch::Source => self.group_error(src),
+                Watch::Group => self.group_error(ANY_SOURCE),
+                Watch::Nobody => None,
+            };
+            if let Some(e) = failure {
+                return Err(e);
             }
-            if let Some(failed) = self.relevant_failure(src) {
-                return Err(CommError::RankFailed {
-                    rank: self.rank,
-                    failed,
-                });
-            }
-            if std::time::Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(CommError::Timeout {
                     rank: self.rank,
                     src,
                     tag,
                 });
+            }
+            if let Ok(got) = poll(since, left.min(Duration::from_millis(100))) {
+                return Ok(got);
             }
         }
     }
@@ -397,104 +395,99 @@ impl Communicator {
         );
     }
 
-    /// Blocking receive that wakes early when the world aborts (a peer
-    /// rank panicked), so failures surface immediately instead of after a
-    /// full receive timeout. Peer failure and revocation escalate through
-    /// [`Communicator::escalate`].
-    fn blocking_recv(&self, channel: CommId, src: usize, tag: Tag, ctx: &'static str) -> Envelope {
-        match self.ft_recv(channel, src, tag, ctx) {
-            Ok(env) => env,
-            Err(e) => self.escalate(ctx, e),
-        }
-    }
-
-    /// The failure-aware receive core every blocking path funnels
-    /// through: drains queued messages first (a message sent before the
-    /// peer died must still be delivered — ULFM allows non-uniform
-    /// completion), then surfaces revocation, relevant rank death, or the
-    /// configured deadline as a `CommError` instead of hanging.
+    /// The fallible receive under every blocking receive path: `Err`
+    /// when a watched rank dies (the source on the user channel, any
+    /// group member on the collective one), the communicator is revoked,
+    /// or `timeout` passes — never a hang.
     fn ft_recv(
         &self,
         channel: CommId,
         src: usize,
         tag: Tag,
+        timeout: Duration,
         ctx: &'static str,
     ) -> Result<Envelope, CommError> {
         let mb = self.mailbox_for(channel, self.rank);
-        let deadline = std::time::Instant::now() + self.recv_timeout;
-        // Poll in short slices purely to observe the abort flag and the
-        // failure ledger; messages and interrupts wake the condvar
-        // directly, so latency is unaffected.
-        let slice = Duration::from_millis(100).min(self.recv_timeout);
-        loop {
-            match mb.recv_matching_timeout(self.rank, src, tag, slice) {
-                Ok(env) => return Ok(env),
-                Err(e) => {
-                    if self.registry.aborted() {
-                        panic!(
-                            "rank {} aborting during {ctx}: a peer rank failed",
-                            self.rank
-                        );
-                    }
-                    if self.is_revoked() {
-                        return Err(CommError::Revoked { rank: self.rank });
-                    }
-                    let watched = if channel == COLLECTIVE_CHANNEL {
-                        ANY_SOURCE // a collective depends on the whole group
-                    } else {
-                        src
-                    };
-                    if let Some(failed) = self.relevant_failure(watched) {
-                        return Err(CommError::RankFailed {
-                            rank: self.rank,
-                            failed,
-                        });
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        let watch = if channel == COLLECTIVE_CHANNEL {
+            Watch::Group
+        } else {
+            Watch::Source
+        };
+        self.wait_until(&mb, Instant::now() + timeout, watch, ctx, |since, wait| {
+            mb.recv_matching_timeout(src, tag, since, wait).ok_or((src, tag))
+        })
+    }
+
+    /// Blocking user-channel receive under a `recv` span. A wait that
+    /// ends in an error still burned real blocked time, so its span
+    /// stays on the timeline with the selectors it was waiting on.
+    fn recv_env(
+        &self,
+        src: usize,
+        tag: Tag,
+        timeout: Duration,
+        ctx: &'static str,
+    ) -> Result<Envelope, CommError> {
+        let mut span = self.telemetry.op(CommOp::Recv);
+        span.peer(src);
+        span.tag(tag);
+        let env = self.ft_recv(0, src, tag, timeout, ctx)?;
+        self.trace.called(OpKind::Recv);
+        stamp(&mut span, &env);
+        Ok(env)
     }
 
     // ------------------------------------------------------------------
     // Point-to-point, user channel
     // ------------------------------------------------------------------
 
-    /// Record one message to comm-local `dest` in the communication
-    /// matrix, attributed to the innermost open solver phase and the
-    /// collective algorithm currently in force (both tracked by the
-    /// rank's [`SpanRecorder`] even when span recording is disabled).
-    #[inline]
-    fn record_peer_traffic(&self, dest: usize, bytes: u64) {
-        self.trace.record_peer_ctx(
-            self.world_of[dest],
+    /// The one send path under every entry point, user and collective.
+    /// In order: the fault point (exactly one counted op per message, so
+    /// `@op` ledgers are a function of the program alone), the causal
+    /// flow context, the accounting ([`RankTrace::sent`]; `copied` says
+    /// whether the wrapper materialised a borrowed slice to build `env`),
+    /// delivery through the world's transport unless the fault plan
+    /// dropped the message, and the span or marker `op` asks for.
+    fn post(&self, dest: usize, env: Envelope, copied: bool, op: SendOp) {
+        let deliver = self.fault_point();
+        let (channel, kind, span) = match op {
+            SendOp::User(span) => (0, OpKind::Send, Some((span, self.telemetry.begin()))),
+            SendOp::Coll(kind) => (COLLECTIVE_CHANNEL, kind, None),
+        };
+        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
+        let (tag, bytes) = (env.tag, env.bytes as u64);
+        self.trace.sent(
+            kind,
             bytes,
+            copied,
+            self.world_of[dest],
             self.telemetry.current_phase(),
             self.telemetry.current_algo(),
         );
+        if deliver {
+            self.deliver(channel, dest, env.with_ctx(ctx));
+        }
+        match span {
+            Some((span, t)) => {
+                self.telemetry
+                    .end_flow(t, SpanKind::Op(span), dest as i64, tag, bytes, ctx)
+            }
+            // The flow endpoint of an untraced run (`ctx == 0`) is nothing.
+            None if ctx != 0 => {
+                self.telemetry
+                    .instant_flow(SpanKind::Op(CommOp::Send), dest as i64, tag, bytes, ctx)
+            }
+            None => {}
+        }
     }
 
     /// Buffered send of an owned buffer to `dest`. Never blocks.
     ///
-    /// The buffer moves to the receiver without copying, mirroring an MPI
-    /// eager-protocol send at intra-process speed.
+    /// The buffer moves to the receiver without copying.
     pub fn send<T: CommData>(&self, dest: usize, tag: Tag, data: Vec<T>) {
         self.check_rank(dest).expect("send: invalid destination");
-        let deliver = self.fault_point();
-        let t = self.telemetry.begin();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.trace.record_handoff(bytes);
-        self.trace.record(OpKind::Send, 1, bytes);
-        self.trace.record_message(OpKind::Send, bytes);
-        self.record_peer_traffic(dest, bytes);
-        if deliver {
-            self.deliver(0, dest, Envelope::new(self.rank, tag, data).with_ctx(ctx));
-        }
-        self.telemetry
-            .end_flow(t, SpanKind::Op(CommOp::Send), dest as i64, tag, bytes, ctx);
+        let env = Envelope::new(self.rank, tag, data);
+        self.post(dest, env, false, SendOp::User(CommOp::Send));
     }
 
     /// Fault-injection hook on every send-side op. Returns `false` when
@@ -593,34 +586,19 @@ impl Communicator {
     /// timeout, or if the message's element type differs from `T`.
     pub fn recv<T: CommData>(&self, src: usize, tag: Tag) -> Vec<T> {
         self.check_rank(src).expect("recv: invalid source");
-        self.recv_selected(src, tag)
+        self.recv_env(src, tag, self.recv_timeout, "recv")
+            .unwrap_or_else(|e| self.escalate("recv", e))
+            .into_data()
     }
 
     /// Blocking receive allowing [`ANY_SOURCE`] / [`ANY_TAG`] wildcards.
     /// Returns the payload together with the actual source and tag.
     pub fn recv_any<T: CommData>(&self, src: usize, tag: Tag) -> (Vec<T>, usize, Tag) {
-        let mut g = self.telemetry.op(CommOp::Recv);
-        let env = self.blocking_recv(0, src, tag, "recv_any");
-        self.trace.record(OpKind::Recv, 0, 0);
-        g.peer(env.src);
-        g.tag(env.tag);
-        g.bytes(env.bytes as u64);
-        g.flow(env.ctx);
-        drop(g);
+        let env = self
+            .recv_env(src, tag, self.recv_timeout, "recv_any")
+            .unwrap_or_else(|e| self.escalate("recv_any", e));
         let (s, t) = (env.src, env.tag);
         (env.into_data(), s, t)
-    }
-
-    fn recv_selected<T: CommData>(&self, src: usize, tag: Tag) -> Vec<T> {
-        let mut g = self.telemetry.op(CommOp::Recv);
-        let env = self.blocking_recv(0, src, tag, "recv");
-        self.trace.record(OpKind::Recv, 0, 0);
-        g.peer(env.src);
-        g.tag(env.tag);
-        g.bytes(env.bytes as u64);
-        g.flow(env.ctx);
-        drop(g);
-        env.into_data()
     }
 
     /// Receive exactly one value.
@@ -660,7 +638,7 @@ impl Communicator {
         // (one receiver per rank), so this cannot block.
         let t = self.telemetry.begin();
         let env = mb.recv_matching(src, tag);
-        self.trace.record(OpKind::Recv, 0, 0);
+        self.trace.called(OpKind::Recv);
         self.telemetry.end_flow(
             t,
             SpanKind::Op(CommOp::Recv),
@@ -674,7 +652,9 @@ impl Communicator {
 
     /// Fallible blocking receive bounded by `timeout`: returns
     /// `Err(CommError::Timeout)` instead of panicking when no matching
-    /// message arrives in time. Wildcards are allowed.
+    /// message arrives in time, and `Err(RankFailed)` / `Err(Revoked)` as
+    /// soon as the source dies or the communicator is revoked. Wildcards
+    /// are allowed.
     pub fn recv_within<T: CommData>(
         &self,
         src: usize,
@@ -701,96 +681,32 @@ impl Communicator {
         if src != ANY_SOURCE {
             self.check_rank(src)?;
         }
-        let mb = self.mailbox_for(0, self.rank);
-        let t = self.telemetry.begin();
-        let deadline = std::time::Instant::now() + timeout;
-        // Short slices so an abort by a peer rank still surfaces promptly.
-        let slice = Duration::from_millis(100).min(timeout);
-        loop {
-            match mb.recv_matching_timeout(self.rank, src, tag, slice) {
-                Ok(env) => {
-                    self.trace.record(OpKind::Recv, 0, 0);
-                    self.telemetry.end_flow(
-                        t,
-                        SpanKind::Op(CommOp::Recv),
-                        env.src as i64,
-                        env.tag,
-                        env.bytes as u64,
-                        env.ctx,
-                    );
-                    return Ok(env);
-                }
-                Err(e) => {
-                    if self.registry.aborted() {
-                        panic!(
-                            "rank {} aborting during recv_within: a peer rank failed",
-                            self.rank
-                        );
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        // The timed-out wait still burned real blocked
-                        // time; keep it on the timeline.
-                        let peer = if src == ANY_SOURCE { -1 } else { src as i64 };
-                        self.telemetry
-                            .end(t, SpanKind::Op(CommOp::Recv), peer, tag, 0);
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        self.recv_env(src, tag, timeout, "recv_within")
     }
 
     // ------------------------------------------------------------------
     // Nonblocking point-to-point (request-based)
     // ------------------------------------------------------------------
 
-    /// Nonblocking send of a slice to `dest`.
+    /// Nonblocking send of a borrowed slice to `dest`.
     ///
-    /// Below the [eager limit](Communicator::eager_limit) the payload is
-    /// copied into a reusable byte envelope from this rank's
-    /// [`BufferPool`] (copied out again at the receiver: two copies,
-    /// allocation-free after warmup). Above it the send takes the
-    /// rendezvous path: the payload is materialised once into an owned
-    /// buffer that travels by pointer and — when the receiver posted an
-    /// [`Communicator::irecv`] — deposits directly into that slot, for
-    /// one copy total. Either way the send is buffered and completes
-    /// immediately; the returned [`SendRequest`] completes via
+    /// The payload is copied once, at any size, into an owned buffer
+    /// that then travels by pointer (charged to the `copied` counter)
+    /// and — when the receiver posted an [`Communicator::irecv`] —
+    /// deposits directly into that slot. The send is buffered and
+    /// completes immediately; the returned [`SendRequest`] completes via
     /// [`SendRequest::wait`]/[`SendRequest::test`] or on drop.
     pub fn isend<T: CommData + Copy>(&self, dest: usize, tag: Tag, data: &[T]) -> SendRequest<'_> {
         self.check_rank(dest).expect("isend: invalid destination");
-        let deliver = self.fault_point();
-        let t = self.telemetry.begin();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = std::mem::size_of_val(data);
-        let env = if bytes > self.eager_limit {
-            // Rendezvous: one copy here, then the Vec moves by pointer.
-            self.trace.record_copied(bytes as u64);
-            Envelope::new(self.rank, tag, data.to_vec())
-        } else {
-            // Eager: copy into a pooled envelope now, out of it at the
-            // receiver.
-            let (buf, hit) = self.pool.acquire(bytes);
-            self.trace.record_pool(hit);
-            self.trace.record_copied(2 * bytes as u64);
-            Envelope::from_slice(self.rank, tag, data, buf)
-        };
-        self.trace.record(OpKind::Send, 1, bytes as u64);
-        self.trace.record_message(OpKind::Send, bytes as u64);
-        self.record_peer_traffic(dest, bytes as u64);
-        self.trace.request_posted();
-        if deliver {
-            self.deliver(0, dest, env.with_ctx(ctx));
-        }
-        self.telemetry
-            .end_flow(t, SpanKind::Op(CommOp::Isend), dest as i64, tag, bytes as u64, ctx);
+        let env = Envelope::new(self.rank, tag, data.to_vec());
+        self.post(dest, env, true, SendOp::User(CommOp::Isend));
         SendRequest::new(self)
     }
 
     /// Nonblocking **ownership-transfer** send: the caller gives up the
     /// buffer and the allocation moves to the receiver by pointer — zero
     /// payload bytes copied, at any size, on any backend (charged to the
-    /// `handoff` counter, never to `copied`). This is the rendezvous
-    /// protocol the way the hardware wants it: on the thread backend the
+    /// `handoff` counter, never to `copied`). On the thread backend the
     /// `Vec` itself crosses; on shmem loopback large envelopes ride the
     /// in-process handoff slab (a token frame keeps ring FIFO order)
     /// instead of being serialized; wire backends that must serialize do
@@ -799,24 +715,11 @@ impl Communicator {
     ///
     /// Prefer this over [`Communicator::isend`] whenever the payload is
     /// already an owned `Vec` you do not need afterwards — packing loops
-    /// that build per-destination buffers get large-message sends for
-    /// free.
+    /// that build per-destination buffers send without a copy.
     pub fn isend_owned<T: CommData>(&self, dest: usize, tag: Tag, data: Vec<T>) -> SendRequest<'_> {
         self.check_rank(dest).expect("isend_owned: invalid destination");
-        let deliver = self.fault_point();
-        let t = self.telemetry.begin();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = std::mem::size_of_val(data.as_slice());
-        self.trace.record_handoff(bytes as u64);
-        self.trace.record(OpKind::Send, 1, bytes as u64);
-        self.trace.record_message(OpKind::Send, bytes as u64);
-        self.record_peer_traffic(dest, bytes as u64);
-        self.trace.request_posted();
-        if deliver {
-            self.deliver(0, dest, Envelope::new(self.rank, tag, data).with_ctx(ctx));
-        }
-        self.telemetry
-            .end_flow(t, SpanKind::Op(CommOp::Isend), dest as i64, tag, bytes as u64, ctx);
+        let env = Envelope::new(self.rank, tag, data);
+        self.post(dest, env, false, SendOp::User(CommOp::Isend));
         SendRequest::new(self)
     }
 
@@ -831,27 +734,11 @@ impl Communicator {
         &self,
         dest: usize,
         tag: Tag,
-        data: &std::sync::Arc<Vec<T>>,
+        data: &Arc<Vec<T>>,
     ) -> SendRequest<'_> {
         self.check_rank(dest).expect("isend_shared: invalid destination");
-        let deliver = self.fault_point();
-        let t = self.telemetry.begin();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = std::mem::size_of_val(data.as_slice());
-        self.trace.record_handoff(bytes as u64);
-        self.trace.record(OpKind::Send, 1, bytes as u64);
-        self.trace.record_message(OpKind::Send, bytes as u64);
-        self.record_peer_traffic(dest, bytes as u64);
-        self.trace.request_posted();
-        if deliver {
-            self.deliver(
-                0,
-                dest,
-                Envelope::from_shared(self.rank, tag, std::sync::Arc::clone(data)).with_ctx(ctx),
-            );
-        }
-        self.telemetry
-            .end_flow(t, SpanKind::Op(CommOp::Isend), dest as i64, tag, bytes as u64, ctx);
+        let env = Envelope::from_shared(self.rank, tag, Arc::clone(data));
+        self.post(dest, env, false, SendOp::User(CommOp::Isend));
         SendRequest::new(self)
     }
 
@@ -876,25 +763,17 @@ impl Communicator {
     /// poll with [`RecvRequest::test`], or batch with
     /// [`crate::wait_all`]. Posting receives *before* independent
     /// computation is how solvers overlap communication with compute —
-    /// and it publishes a destination slot that rendezvous sends
-    /// deposit into directly, skipping the shared queue.
+    /// and it publishes a destination slot that matching sends deposit
+    /// into directly, skipping the shared queue.
     pub fn irecv<T: CommData>(&self, src: usize, tag: Tag) -> RecvRequest<'_, T> {
         if src != ANY_SOURCE {
             self.check_rank(src).expect("irecv: invalid source");
         }
         let posted = self.user_mailbox().post_recv(src, tag);
-        self.trace.request_posted();
         let peer = if src == ANY_SOURCE { -1 } else { src as i64 };
         self.telemetry
             .instant(SpanKind::Op(CommOp::Irecv), peer, tag, 0);
         RecvRequest::new(self, src, tag, posted)
-    }
-
-    /// Blocking slice send through the pooled path: `isend` + `wait`.
-    /// Prefer this over [`Communicator::send`] when the caller keeps
-    /// ownership of the buffer.
-    pub fn send_slice<T: CommData + Copy>(&self, dest: usize, tag: Tag, data: &[T]) {
-        self.isend(dest, tag, data).wait();
     }
 
     // ------------------------------------------------------------------
@@ -904,33 +783,8 @@ impl Communicator {
     /// Send on the collective channel, attributing traffic to `kind`.
     pub(crate) fn coll_send<T: CommData>(&self, dest: usize, tag: Tag, data: Vec<T>, kind: OpKind) {
         debug_assert!(dest < self.size);
-        let deliver = self.fault_point();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.trace.record_handoff(bytes);
-        self.trace.add_traffic(kind, 1, bytes);
-        self.trace.record_message(kind, bytes);
-        self.record_peer_traffic(dest, bytes);
-        if deliver {
-            self.deliver(
-                COLLECTIVE_CHANNEL,
-                dest,
-                Envelope::new(self.rank, tag, data).with_ctx(ctx),
-            );
-        }
-        self.coll_send_marker(dest, tag, bytes, ctx);
-    }
-
-    /// Record the send-side flow endpoint for one collective fan-out
-    /// message: an instant `send` marker inside the enclosing collective
-    /// span. Instant and non-blocking, so wait attribution is untouched;
-    /// a no-op on untraced runs (`ctx == 0`).
-    #[inline]
-    fn coll_send_marker(&self, dest: usize, tag: Tag, bytes: u64, ctx: u64) {
-        if ctx != 0 {
-            self.telemetry
-                .instant_flow(SpanKind::Op(CommOp::Send), dest as i64, tag, bytes, ctx);
-        }
+        let env = Envelope::new(self.rank, tag, data);
+        self.post(dest, env, false, SendOp::Coll(kind));
     }
 
     /// Shared-buffer send on the collective channel: one `Arc<Vec<T>>`
@@ -940,59 +794,12 @@ impl Communicator {
         &self,
         dest: usize,
         tag: Tag,
-        data: &std::sync::Arc<Vec<T>>,
+        data: &Arc<Vec<T>>,
         kind: OpKind,
     ) {
         debug_assert!(dest < self.size);
-        let deliver = self.fault_point();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = std::mem::size_of_val(data.as_slice()) as u64;
-        self.trace.record_handoff(bytes);
-        self.trace.add_traffic(kind, 1, bytes);
-        self.trace.record_message(kind, bytes);
-        self.record_peer_traffic(dest, bytes);
-        if deliver {
-            self.deliver(
-                COLLECTIVE_CHANNEL,
-                dest,
-                Envelope::from_shared(self.rank, tag, std::sync::Arc::clone(data)).with_ctx(ctx),
-            );
-        }
-        self.coll_send_marker(dest, tag, bytes, ctx);
-    }
-
-    /// Send a borrowed slice on the collective channel, attributing
-    /// traffic to `kind`. Size-adaptive like [`Communicator::isend`]:
-    /// pooled below the eager limit, one owned copy above it. Lets
-    /// collective rounds forward partial results without cloning a
-    /// `Vec` per round.
-    pub(crate) fn coll_send_slice<T: CommData + Copy>(
-        &self,
-        dest: usize,
-        tag: Tag,
-        data: &[T],
-        kind: OpKind,
-    ) {
-        debug_assert!(dest < self.size);
-        let deliver = self.fault_point();
-        let ctx = self.telemetry.mint_flow(self.world_of[self.rank]);
-        let bytes = std::mem::size_of_val(data);
-        let env = if bytes > self.eager_limit {
-            self.trace.record_copied(bytes as u64);
-            Envelope::new(self.rank, tag, data.to_vec())
-        } else {
-            let (buf, hit) = self.pool.acquire(bytes);
-            self.trace.record_pool(hit);
-            self.trace.record_copied(2 * bytes as u64);
-            Envelope::from_slice(self.rank, tag, data, buf)
-        };
-        self.trace.add_traffic(kind, 1, bytes as u64);
-        self.trace.record_message(kind, bytes as u64);
-        self.record_peer_traffic(dest, bytes as u64);
-        if deliver {
-            self.deliver(COLLECTIVE_CHANNEL, dest, env.with_ctx(ctx));
-        }
-        self.coll_send_marker(dest, tag, bytes as u64, ctx);
+        let env = Envelope::from_shared(self.rank, tag, Arc::clone(data));
+        self.post(dest, env, false, SendOp::Coll(kind));
     }
 
     /// Fallible receive on the collective channel: `Err(RankFailed)` when
@@ -1004,7 +811,7 @@ impl Communicator {
         tag: Tag,
         ctx: &'static str,
     ) -> Result<Vec<T>, CommError> {
-        let env = self.ft_recv(COLLECTIVE_CHANNEL, src, tag, ctx)?;
+        let env = self.ft_recv(COLLECTIVE_CHANNEL, src, tag, self.recv_timeout, ctx)?;
         // Receive-side flow marker inside the enclosing collective span
         // (instant, so the collective's wait attribution is untouched).
         if env.ctx != 0 {
@@ -1021,7 +828,7 @@ impl Communicator {
 
     /// Record that a collective of `kind` was invoked once on this rank.
     pub(crate) fn coll_begin(&self, kind: OpKind) {
-        self.trace.record(kind, 0, 0);
+        self.trace.called(kind);
     }
 
     // ------------------------------------------------------------------
@@ -1457,71 +1264,6 @@ impl Communicator {
         collectives::alltoall::alltoallv_with(self, blocks, algo)
     }
 
-    /// Inclusive prefix reduction: rank r gets `v_0 ⊕ … ⊕ v_r`.
-    pub fn scan<T: CommData + Copy, O: ReduceOp<T>>(&self, value: T, op: &O) -> T {
-        self.try_scan(value, op)
-            .unwrap_or_else(|e| self.escalate("scan", e))
-    }
-
-    /// Fallible [`Communicator::scan`].
-    pub fn try_scan<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        value: T,
-        op: &O,
-    ) -> Result<T, CommError> {
-        collectives::scan::scan(self, value, op)
-    }
-
-    /// Exclusive prefix reduction (`None` on rank 0).
-    pub fn exscan<T: CommData + Copy, O: ReduceOp<T>>(&self, value: T, op: &O) -> Option<T> {
-        self.try_exscan(value, op)
-            .unwrap_or_else(|e| self.escalate("exscan", e))
-    }
-
-    /// Fallible [`Communicator::exscan`].
-    pub fn try_exscan<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        value: T,
-        op: &O,
-    ) -> Result<Option<T>, CommError> {
-        collectives::scan::exscan(self, value, op)
-    }
-
-    /// Reduce-scatter over a flat buffer: chunk `d*n/P .. (d+1)*n/P` is
-    /// this rank's contribution toward destination `d`; the returned
-    /// block is the element-wise reduction of every rank's chunk for this
-    /// destination.
-    pub fn reduce_scatter<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        contributions: &[T],
-        op: &O,
-    ) -> Vec<T> {
-        self.try_reduce_scatter(contributions, op)
-            .unwrap_or_else(|e| self.escalate("reduce_scatter", e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter`].
-    pub fn try_reduce_scatter<T: CommData + Copy, O: ReduceOp<T>>(
-        &self,
-        contributions: &[T],
-        op: &O,
-    ) -> Result<Vec<T>, CommError> {
-        if !contributions.len().is_multiple_of(self.size) {
-            return Err(CommError::SizeMismatch {
-                what: "reduce_scatter buffer length (must divide by comm size)",
-                expected: contributions.len().next_multiple_of(self.size),
-                got: contributions.len(),
-            });
-        }
-        let chunk = contributions.len() / self.size;
-        let blocks = if chunk == 0 {
-            vec![Vec::new(); self.size]
-        } else {
-            contributions.chunks(chunk).map(<[T]>::to_vec).collect()
-        };
-        collectives::scan::reduce_scatter(self, blocks, op)
-    }
-
     /// Fallible [`Communicator::broadcast`]: `Err` on an out-of-range
     /// root or a root that supplies no buffer.
     pub fn try_broadcast<T: CommData + Clone + Sync>(
@@ -1592,7 +1334,7 @@ impl Communicator {
     /// stale tokens from an interrupted attempt can never satisfy a later
     /// one.
     pub fn agree(&self) -> Result<Vec<usize>, CommError> {
-        let deadline = std::time::Instant::now() + self.recv_timeout;
+        let deadline = Instant::now() + self.recv_timeout;
         let mb = self.mailbox_for(COLLECTIVE_CHANNEL, self.rank);
         'attempt: loop {
             let snap = self.registry.failed_snapshot();
@@ -1610,26 +1352,22 @@ impl Communicator {
             while dist < p {
                 let dst = survivors[(me + dist) % p];
                 let src = survivors[(me + p - dist) % p];
-                self.coll_send::<u8>(dst, tagbase + round, Vec::new(), OpKind::Barrier);
-                let slice = Duration::from_millis(50).min(self.recv_timeout);
-                loop {
-                    match mb.recv_matching_timeout(self.rank, src, tagbase + round, slice) {
-                        Ok(_) => break,
-                        Err(e) => {
-                            if self.registry.aborted() {
-                                panic!(
-                                    "rank {} aborting during agree: a peer rank failed",
-                                    self.rank
-                                );
-                            }
-                            if self.registry.failed_snapshot() != snap {
-                                continue 'attempt; // new failure: fresh tags
-                            }
-                            if std::time::Instant::now() >= deadline {
-                                return Err(e);
-                            }
-                        }
+                let tag = tagbase + round;
+                self.coll_send::<u8>(dst, tag, Vec::new(), OpKind::Barrier);
+                // The wait ignores the ledger; a death that lands while
+                // it sleeps interrupts it, and the round then reports
+                // "no token" so the attempt restarts with fresh tags.
+                let token = self.wait_until(&mb, deadline, Watch::Nobody, "agree", |since, wait| {
+                    if mb.recv_matching_timeout(src, tag, since, wait).is_some() {
+                        Ok(true)
+                    } else if self.registry.failed_snapshot() != snap {
+                        Ok(false)
+                    } else {
+                        Err((src, tag))
                     }
+                })?;
+                if !token {
+                    continue 'attempt;
                 }
                 dist *= 2;
                 round += 1;
@@ -1670,9 +1408,7 @@ impl Communicator {
             Arc::new(survivors_world),
             Arc::clone(&self.trace),
             Arc::clone(&self.telemetry),
-            Arc::clone(&self.pool),
             self.recv_timeout,
-            self.eager_limit,
         )
         .with_fault(self.fault.clone());
         // Confirm every survivor reached the same group. If agreement was
@@ -1749,9 +1485,7 @@ impl Communicator {
                 world_of,
                 Arc::clone(&self.trace),
                 Arc::clone(&self.telemetry),
-                Arc::clone(&self.pool),
                 self.recv_timeout,
-                self.eager_limit,
             )
             .with_fault(self.fault.clone()),
         )
@@ -2047,15 +1781,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_reduce_scatter_sums_chunks() {
-        World::builder(2).run(|c| {
-            let contributions = vec![c.rank() as f64 + 1.0; 4];
-            let mine = c.reduce_scatter(&contributions, &crate::reduce_op::SumOp);
-            assert_eq!(mine, vec![3.0, 3.0]);
-        });
-    }
-
-    #[test]
     fn try_variants_reject_bad_arguments_locally() {
         World::builder(2).run(|c| {
             assert!(matches!(
@@ -2073,10 +1798,6 @@ mod tests {
             assert!(matches!(
                 c.try_alltoallv(&[0u8; 4], &[1]),
                 Err(CommError::SizeMismatch { expected: 2, got: 1, .. })
-            ));
-            assert!(matches!(
-                c.try_reduce_scatter(&[0.5f64; 3], &crate::reduce_op::SumOp),
-                Err(CommError::SizeMismatch { got: 3, .. })
             ));
             if c.rank() == 0 {
                 assert!(matches!(
@@ -2099,6 +1820,46 @@ mod tests {
     }
 
     #[test]
+    fn every_send_wrapper_counts_exactly_one_fault_op() {
+        // `@op` ledgers replay only if a message is one counted op no
+        // matter which entry point sent it. The plan targets both ranks
+        // (so each carries an injector) but never fires.
+        let plan = crate::fault::FaultPlan::parse("kill:r0@step999, kill:r1@step999", 0)
+            .expect("static plan");
+        World::builder(2).fault_plan(&plan).run_ft(|c| {
+            let ops = || c.fault.as_ref().expect("plan targets every rank").op_count();
+            let peer = 1 - c.rank();
+            let shared = Arc::new(vec![7u8; 3]);
+            let wrappers: [(&str, &dyn Fn()); 8] = [
+                ("send", &|| c.send(peer, 1, vec![7u8; 3])),
+                ("send_one", &|| c.send_one(peer, 1, 7u8)),
+                ("sendrecv", &|| drop(c.sendrecv(peer, vec![7u8; 3], peer, 2))),
+                ("isend", &|| c.isend(peer, 1, &[7u8; 3]).wait()),
+                ("isend_owned", &|| c.isend_owned(peer, 1, vec![7u8; 3]).wait()),
+                ("isend_shared", &|| c.isend_shared(peer, 1, &shared).wait()),
+                ("coll_send", &|| c.coll_send(peer, 1, vec![7u8; 3], OpKind::Gather)),
+                ("coll_send_shared", &|| {
+                    c.coll_send_shared(peer, 1, &shared, OpKind::Broadcast)
+                }),
+            ];
+            for (name, send) in wrappers {
+                let before = ops();
+                send();
+                assert_eq!(ops(), before + 1, "{name}");
+            }
+            // Receiving counts nothing.
+            let before = ops();
+            for _ in 0..5 {
+                let _ = c.recv_any::<u8>(peer, 1);
+            }
+            for _ in 0..2 {
+                c.try_coll_recv::<u8>(peer, 1, "test").expect("queued above");
+            }
+            assert_eq!(ops(), before);
+        });
+    }
+
+    #[test]
     fn recv_within_times_out_instead_of_panicking() {
         World::builder(2).run(|c| {
             if c.rank() == 0 {
@@ -2117,19 +1878,6 @@ mod tests {
             } else {
                 c.send(0, 4, vec![9u8]);
                 c.barrier();
-            }
-        });
-    }
-
-    #[test]
-    fn send_slice_keeps_caller_ownership() {
-        World::builder(2).run(|c| {
-            let data = vec![1.0f32, 2.0, 3.0];
-            if c.rank() == 0 {
-                c.send_slice(1, 2, &data);
-                assert_eq!(data.len(), 3); // still ours
-            } else {
-                assert_eq!(c.recv::<f32>(0, 2), vec![1.0, 2.0, 3.0]);
             }
         });
     }

@@ -1,17 +1,14 @@
 //! Typed world configuration: the single gathering point for every
 //! `BEATNIK_*` environment variable the comm runtime reads.
 //!
-//! Before this module, env reads were scattered (the eager limit in
-//! `transport`, the fault seed in `fault`); each new knob added another
-//! ad-hoc `std::env::var` call site. [`CommConfig::from_env`] is now the
-//! one place the environment is consulted, [`crate::WorldBuilder`]
-//! carries the resulting struct, and `rocketrig --print-config` prints
-//! it so a run's effective configuration is always inspectable.
+//! [`CommConfig::from_env`] is the one place the environment is
+//! consulted, [`crate::WorldBuilder`] carries the resulting struct, and
+//! `rocketrig --print-config` prints it so a run's effective
+//! configuration is always inspectable.
 //!
 //! | variable                 | field            | default          |
 //! |--------------------------|------------------|------------------|
 //! | `BEATNIK_TRANSPORT`      | `transport`      | `thread`         |
-//! | `BEATNIK_EAGER_LIMIT`    | `eager_limit`    | 8192 bytes       |
 //! | `BEATNIK_FAULT_SEED`     | `fault_seed`     | `0xBEA7`         |
 //! | `BEATNIK_RECV_TIMEOUT_MS`| `recv_timeout`   | 120 000 ms       |
 //! | `BEATNIK_SHM_RING_BYTES` | `shm_ring_bytes` | 8 MiB            |
@@ -37,7 +34,7 @@ pub const RECV_TIMEOUT_ENV: &str = "BEATNIK_RECV_TIMEOUT_MS";
 pub const SHM_RING_BYTES_ENV: &str = "BEATNIK_SHM_RING_BYTES";
 
 /// Default per-pair shared-memory ring capacity. Large enough that a
-/// rendezvous payload at rocketrig scales fits whole; a frame larger
+/// serialized payload at rocketrig scales fits whole; a frame larger
 /// than the ring is a hard error telling the user to raise this.
 pub const DEFAULT_SHM_RING_BYTES: usize = 8 * 1024 * 1024;
 
@@ -86,9 +83,6 @@ pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct CommConfig {
     /// Which [`TransportKind`] carries envelopes between ranks.
     pub transport: TransportKind,
-    /// Eager/rendezvous crossover in payload bytes (`0` forces every
-    /// sized send onto the rendezvous path).
-    pub eager_limit: usize,
     /// Seed for the deterministic fault-injection engine.
     pub fault_seed: u64,
     /// Stall limit for blocking receives; doubles as the
@@ -114,7 +108,6 @@ impl Default for CommConfig {
     fn default() -> Self {
         CommConfig {
             transport: TransportKind::Thread,
-            eager_limit: crate::transport::DEFAULT_EAGER_LIMIT,
             fault_seed: crate::fault::DEFAULT_FAULT_SEED,
             recv_timeout: crate::world::DEFAULT_RECV_TIMEOUT,
             shm_ring_bytes: DEFAULT_SHM_RING_BYTES,
@@ -144,7 +137,6 @@ impl CommConfig {
             transport: get(TRANSPORT_ENV)
                 .and_then(|s| s.trim().parse().ok())
                 .unwrap_or(d.transport),
-            eager_limit: parse_or(get(crate::transport::EAGER_LIMIT_ENV), d.eager_limit),
             fault_seed: parse_or(get(crate::fault::FAULT_SEED_ENV), d.fault_seed),
             recv_timeout: get(RECV_TIMEOUT_ENV)
                 .and_then(|s| s.trim().parse::<u64>().ok())
@@ -175,12 +167,6 @@ impl std::fmt::Display for CommConfig {
     /// that controls it — the format `rocketrig --print-config` emits.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "transport      = {} ({TRANSPORT_ENV})", self.transport)?;
-        writeln!(
-            f,
-            "eager_limit    = {} ({})",
-            self.eager_limit,
-            crate::transport::EAGER_LIMIT_ENV
-        )?;
         writeln!(
             f,
             "fault_seed     = {:#x} ({})",
@@ -234,7 +220,6 @@ mod tests {
         let c = CommConfig::from_lookup(|_| None);
         assert_eq!(c, CommConfig::default());
         assert_eq!(c.transport, TransportKind::Thread);
-        assert_eq!(c.eager_limit, 8192);
         assert_eq!(c.fault_seed, 0xBEA7);
         assert_eq!(c.recv_timeout, Duration::from_secs(120));
         assert_eq!(c.heartbeat_period, Duration::from_millis(200));
@@ -248,7 +233,6 @@ mod tests {
     fn overrides_parse_and_garbage_falls_back() {
         let c = CommConfig::from_lookup(|name| match name {
             TRANSPORT_ENV => Some("tcp".into()),
-            "BEATNIK_EAGER_LIMIT" => Some("0".into()),
             "BEATNIK_FAULT_SEED" => Some("42".into()),
             RECV_TIMEOUT_ENV => Some("1500".into()),
             SHM_RING_BYTES_ENV => Some("65536".into()),
@@ -260,7 +244,6 @@ mod tests {
             _ => None,
         });
         assert_eq!(c.transport, TransportKind::Tcp);
-        assert_eq!(c.eager_limit, 0);
         assert_eq!(c.fault_seed, 42);
         assert_eq!(c.recv_timeout, Duration::from_millis(1500));
         assert_eq!(c.shm_ring_bytes, 65536);
@@ -279,7 +262,6 @@ mod tests {
         let text = CommConfig::default().to_string();
         for var in [
             TRANSPORT_ENV,
-            "BEATNIK_EAGER_LIMIT",
             "BEATNIK_FAULT_SEED",
             RECV_TIMEOUT_ENV,
             SHM_RING_BYTES_ENV,

@@ -27,11 +27,11 @@
 //!   attribution, collective-skew, and Chrome-trace export.
 //!
 //! Messages move `Vec<T>` buffers by pointer between threads (no
-//! serialization). Slice sends pick a protocol by payload size (see
-//! [`transport`]): small messages go eagerly through a pooled byte
-//! envelope, large ones take a rendezvous path that performs a single
-//! copy and deposits directly into a posted receive when one exists.
-//! Byte counts for the trace are computed as `len * size_of::<T>()`.
+//! serialization), and there is one send path under every entry point:
+//! an owned or shared buffer moves as it is, a borrowed slice is copied
+//! once into an owned buffer first, and either deposits directly into a
+//! posted receive when one exists (see [`message`]). Byte counts for the
+//! trace are computed as `len * size_of::<T>()`.
 //!
 //! ## Example
 //!
@@ -59,7 +59,6 @@ pub mod fault;
 pub mod mailbox;
 pub mod message;
 pub mod metrics;
-pub mod pool;
 pub mod proc;
 pub mod rankpool;
 pub mod reduce_op;
@@ -82,17 +81,13 @@ pub use fault::{
     DEFAULT_FAULT_SEED, FAULT_SEED_ENV, RECOVERY_PHASE, SHRINK_PHASE,
 };
 pub use metrics::MetricsPlane;
-pub use pool::{BufferPool, PoolStats};
 pub use rankpool::{RankLease, RankPool};
 pub use reduce_op::{MaxOp, MinOp, ProdOp, ReduceOp, SumOp};
 pub use request::{try_wait_all, wait_all, RecvRequest, SendRequest};
 pub use trace::{
     MatrixCell, MatrixImbalance, OpKind, OpStats, RankTrace, WorldMatrixCell, WorldTrace,
 };
-pub use transport::{
-    eager_limit_from_env, LinkStats, Transport, TransportKind, DEFAULT_EAGER_LIMIT,
-    EAGER_LIMIT_ENV,
-};
+pub use transport::{LinkStats, Transport, TransportKind};
 pub use world::{FtReport, World, WorldBuilder, DEFAULT_RECV_TIMEOUT};
 
 pub use collectives::alltoall::AllToAllAlgo;

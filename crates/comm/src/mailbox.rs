@@ -1,10 +1,9 @@
 //! Per-rank indexed mailboxes with MPI-style `(source, tag)` matching.
 //!
 //! Each `(communicator, rank)` pair owns one mailbox. Senders push
-//! envelopes (never blocking — sends are buffered, as with small/eager MPI
-//! messages); receivers either consume a queued match immediately or
-//! register themselves and sleep until a matching push hands them an
-//! envelope directly.
+//! envelopes (never blocking — sends are buffered); receivers either
+//! consume a queued match immediately or register themselves and sleep
+//! until a matching push hands them an envelope directly.
 //!
 //! Unlike the original linear-scan queue, the mailbox is **indexed**:
 //!
@@ -39,10 +38,10 @@
 //! are matched in registration order, and same-`(src, tag)` envelopes
 //! share one FIFO bucket.
 
-use crate::error::CommError;
 use crate::message::Envelope;
 use crate::sync::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,10 +91,6 @@ struct State {
     /// Registered `wait_any` watchers.
     notifiers: Vec<Notifier>,
     next_id: u64,
-    /// Bumped by [`Mailbox::interrupt`]; sleeping waiters snapshot it and
-    /// return early when it changes, so failure/revocation news reaches
-    /// blocked receives without waiting out their timeout slice.
-    interrupt_seq: u64,
 }
 
 impl State {
@@ -260,6 +255,13 @@ impl State {
 #[derive(Default)]
 pub struct Mailbox {
     state: Mutex<State>,
+    /// Bumped (under the state lock) by [`Mailbox::interrupt`]. A waiter
+    /// snapshots it with [`Mailbox::interrupt_seq`] *before* reading the
+    /// failure state it is about to sleep on, and every timed wait
+    /// returns early once the value has moved past that snapshot — so
+    /// news that lands between the check and the sleep is never slept
+    /// through.
+    interrupt_seq: AtomicU64,
 }
 
 impl Mailbox {
@@ -288,8 +290,8 @@ impl Mailbox {
     /// communicator revoked; without it, news of a death would wait out
     /// the full timeout slice of every sleeping receiver.
     pub fn interrupt(&self) {
-        let mut st = self.state.lock();
-        st.interrupt_seq += 1;
+        let st = self.state.lock();
+        self.interrupt_seq.fetch_add(1, Ordering::SeqCst);
         for c in st.consumers.iter() {
             c.cond.notify_all();
             if let Some(w) = &c.watcher {
@@ -299,6 +301,16 @@ impl Mailbox {
         for n in &st.notifiers {
             n.cond.notify_all();
         }
+    }
+
+    /// The current interrupt count, for the timed waits' `since`
+    /// argument (see the field docs for the protocol).
+    pub fn interrupt_seq(&self) -> u64 {
+        self.interrupt_seq.load(Ordering::SeqCst)
+    }
+
+    fn interrupted(&self, since: u64) -> bool {
+        self.interrupt_seq() != since
     }
 
     /// Block until an envelope matching `(src, tag)` is available and
@@ -318,34 +330,36 @@ impl Mailbox {
         }
     }
 
-    /// Like [`Mailbox::recv_matching`] but gives up after `timeout`.
-    ///
-    /// Used by tests to convert deadlocks into failures instead of hangs.
+    /// Like [`Mailbox::recv_matching`] but gives up (`None`) after
+    /// `timeout`, or as soon as the mailbox has been interrupted since
+    /// the `since` snapshot. A zero `timeout` only drains the queue.
     pub fn recv_matching_timeout(
         &self,
-        rank: usize,
         src: usize,
         tag: u64,
+        since: u64,
         timeout: Duration,
-    ) -> Result<Envelope, CommError> {
-        let deadline = Instant::now() + timeout;
+    ) -> Option<Envelope> {
         let mut st = self.state.lock();
         if let Some(env) = st.take_match(src, tag) {
-            return Ok(env);
+            return Some(env);
         }
-        let intr = st.interrupt_seq;
+        if timeout.is_zero() {
+            return None;
+        }
+        let deadline = Instant::now() + timeout;
         let (id, cond) = st.register_consumer(src, tag);
         loop {
             // A deposit may land between our timeout and reacquiring the
             // lock; always drain the slot before giving up, or the
             // message would be lost.
             if let Some((_, env)) = st.delivered.remove(&id) {
-                return Ok(env);
+                return Some(env);
             }
             let now = Instant::now();
-            if now >= deadline || st.interrupt_seq != intr {
+            if now >= deadline || self.interrupted(since) {
                 st.remove_consumer(id);
-                return Err(CommError::Timeout { rank, src, tag });
+                return None;
             }
             // Waking recomputes the remaining window: spurious wakeups
             // must shorten the wait, never restart the full timeout.
@@ -378,19 +392,19 @@ impl Mailbox {
         self.state.lock().delivered.remove(&id).map(|(_, env)| env)
     }
 
-    /// Block until the posted slot `id` holds an envelope, or `timeout`
-    /// elapses. Returns `None` on timeout (the slot stays posted).
-    pub fn wait_claim(&self, id: PostedId, timeout: Duration) -> Option<Envelope> {
+    /// Block until the posted slot `id` holds an envelope, `timeout`
+    /// elapses, or the mailbox is interrupted past the `since` snapshot.
+    /// Returns `None` without an envelope (the slot stays posted).
+    pub fn wait_claim(&self, id: PostedId, since: u64, timeout: Duration) -> Option<Envelope> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
-        let intr = st.interrupt_seq;
         loop {
             if let Some((_, env)) = st.delivered.remove(&id) {
                 return Some(env);
             }
             let cond = st.consumer_cond(id)?; // cancelled or double-claimed
             let now = Instant::now();
-            if now >= deadline || st.interrupt_seq != intr {
+            if now >= deadline || self.interrupted(since) {
                 return None;
             }
             let _ = cond.wait_for(&mut st, deadline - now);
@@ -415,23 +429,28 @@ impl Mailbox {
         }
     }
 
-    /// Block until one of several posted slots holds an envelope, or
-    /// `timeout` elapses. Returns the index into `ids` of a ready slot
+    /// Block until one of several posted slots holds an envelope,
+    /// `timeout` elapses, or the mailbox is interrupted past the `since`
+    /// snapshot. Returns the index into `ids` of a ready slot
     /// without claiming it. This is the progress primitive behind
     /// [`crate::request::wait_all`]: one watcher condvar is attached to
     /// every listed slot, so the caller sleeps once and wakes on the
     /// first deposit.
-    pub fn wait_any_posted(&self, ids: &[PostedId], timeout: Duration) -> Option<usize> {
+    pub fn wait_any_posted(
+        &self,
+        ids: &[PostedId],
+        since: u64,
+        timeout: Duration,
+    ) -> Option<usize> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
-        let intr = st.interrupt_seq;
         let watcher = Arc::new(Condvar::new());
         let result = loop {
             if let Some(i) = ids.iter().position(|id| st.delivered.contains_key(id)) {
                 break Some(i);
             }
             let now = Instant::now();
-            if now >= deadline || st.interrupt_seq != intr {
+            if now >= deadline || self.interrupted(since) {
                 break None;
             }
             for c in st.consumers.iter_mut() {
@@ -462,7 +481,7 @@ impl Mailbox {
     pub fn wait_any(&self, selectors: &[(usize, u64)], timeout: Duration) -> Option<usize> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
-        let intr = st.interrupt_seq;
+        let since = self.interrupt_seq();
         let mut reg: Option<(u64, Arc<Condvar>)> = None;
         let result = loop {
             if let Some(i) = selectors
@@ -472,7 +491,7 @@ impl Mailbox {
                 break Some(i);
             }
             let now = Instant::now();
-            if now >= deadline || st.interrupt_seq != intr {
+            if now >= deadline || self.interrupted(since) {
                 break None;
             }
             if reg.is_none() {
@@ -604,17 +623,8 @@ mod tests {
     #[test]
     fn timeout_fires_when_nothing_arrives() {
         let mb = Mailbox::new();
-        let err = mb
-            .recv_matching_timeout(7, 0, 0, Duration::from_millis(10))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CommError::Timeout {
-                rank: 7,
-                src: 0,
-                tag: 0
-            }
-        );
+        let got = mb.recv_matching_timeout(0, 0, mb.interrupt_seq(), Duration::from_millis(10));
+        assert!(got.is_none());
     }
 
     #[test]
@@ -635,11 +645,9 @@ mod tests {
             })
         };
         let t0 = std::time::Instant::now();
-        let err = mb
-            .recv_matching_timeout(0, 2, 2, Duration::from_millis(100))
-            .unwrap_err();
+        let got = mb.recv_matching_timeout(2, 2, mb.interrupt_seq(), Duration::from_millis(100));
         let elapsed = t0.elapsed();
-        assert!(matches!(err, CommError::Timeout { .. }));
+        assert!(got.is_none());
         // 60 wakeups x 10 ms would stretch a restarting implementation to
         // ~600 ms; the fixed one stays near the 100 ms deadline.
         assert!(
@@ -657,7 +665,7 @@ mod tests {
             let mb = Arc::new(Mailbox::new());
             let mb2 = Arc::clone(&mb);
             let recv = std::thread::spawn(move || {
-                mb2.recv_matching_timeout(0, 1, 1, Duration::from_millis(2)).ok()
+                mb2.recv_matching_timeout(1, 1, mb2.interrupt_seq(), Duration::from_millis(2))
             });
             std::thread::sleep(Duration::from_millis(2));
             mb.push(Envelope::new(1, 1, vec![7u8]));
@@ -756,7 +764,7 @@ mod tests {
         mb.push(Envelope::new(2, 2, vec![9u8]));
         let mb2 = Arc::clone(&mb);
         let blocked = std::thread::spawn(move || {
-            mb2.recv_matching_timeout(0, 2, 2, Duration::from_secs(5))
+            mb2.recv_matching_timeout(2, 2, mb2.interrupt_seq(), Duration::from_secs(5))
                 .map(|e| e.into_data::<u8>())
         });
         // Give the receiver time to register as a consumer.
@@ -788,14 +796,15 @@ mod tests {
     fn interrupt_wakes_blocked_receivers_early() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
+        let since = mb.interrupt_seq();
         let blocked = std::thread::spawn(move || {
-            mb2.recv_matching_timeout(0, 1, 1, Duration::from_secs(30))
+            mb2.recv_matching_timeout(1, 1, since, Duration::from_secs(30))
         });
         std::thread::sleep(Duration::from_millis(30));
         let t0 = std::time::Instant::now();
         mb.interrupt();
         let got = blocked.join().unwrap();
-        assert!(matches!(got, Err(CommError::Timeout { .. })));
+        assert!(got.is_none());
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "interrupt did not cut the wait short"
@@ -803,15 +812,32 @@ mod tests {
     }
 
     #[test]
+    fn waits_against_a_stale_snapshot_return_at_once() {
+        // News that lands after the caller's snapshot but before it
+        // sleeps must not be slept through.
+        let mb = Mailbox::new();
+        let slot = mb.post_recv(0, 7);
+        let since = mb.interrupt_seq();
+        mb.interrupt();
+        let t0 = std::time::Instant::now();
+        let long = Duration::from_secs(30);
+        assert!(mb.recv_matching_timeout(1, 1, since, long).is_none());
+        assert!(mb.wait_claim(slot, since, long).is_none());
+        assert!(mb.wait_any_posted(&[slot], since, long).is_none());
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
     fn interrupt_wakes_claim_and_watcher_waits() {
         let mb = Arc::new(Mailbox::new());
         let slot = mb.post_recv(0, 7);
+        let since = mb.interrupt_seq();
         let mb2 = Arc::clone(&mb);
         let claim =
-            std::thread::spawn(move || mb2.wait_claim(slot, Duration::from_secs(30)));
+            std::thread::spawn(move || mb2.wait_claim(slot, since, Duration::from_secs(30)));
         let mb3 = Arc::clone(&mb);
         let any = std::thread::spawn(move || {
-            mb3.wait_any_posted(&[slot], Duration::from_secs(30))
+            mb3.wait_any_posted(&[slot], since, Duration::from_secs(30))
         });
         std::thread::sleep(Duration::from_millis(30));
         mb.interrupt();
@@ -828,7 +854,7 @@ mod tests {
         let slot = mb.post_recv(4, 4);
         let mb2 = Arc::clone(&mb);
         let waiter = std::thread::spawn(move || {
-            mb2.wait_claim(slot, Duration::from_secs(5))
+            mb2.wait_claim(slot, mb2.interrupt_seq(), Duration::from_secs(5))
                 .map(|e| e.into_data::<u32>())
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -841,10 +867,11 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let a = mb.post_recv(0, 1);
         let b = mb.post_recv(0, 2);
-        assert_eq!(mb.wait_any_posted(&[a, b], Duration::from_millis(10)), None);
+        let since = mb.interrupt_seq();
+        assert_eq!(mb.wait_any_posted(&[a, b], since, Duration::from_millis(10)), None);
         let mb2 = Arc::clone(&mb);
         let waiter = std::thread::spawn(move || {
-            mb2.wait_any_posted(&[a, b], Duration::from_secs(5))
+            mb2.wait_any_posted(&[a, b], since, Duration::from_secs(5))
         });
         std::thread::sleep(Duration::from_millis(20));
         mb.push(Envelope::new(0, 2, vec![5u8]));

@@ -1,27 +1,21 @@
 //! Message envelopes moved between rank mailboxes.
 //!
-//! A message payload takes one of four forms:
+//! A message payload takes one of three forms:
 //!
-//! * **Typed** — a `Vec<T>` boxed as `dyn Any`, so the mailbox can be
+//! * **Owned** — a `Vec<T>` boxed as `dyn Any`, so the mailbox can be
 //!   type-agnostic while transfers stay zero-copy (the vector's heap
-//!   buffer moves between threads untouched). Used by the blocking
-//!   by-value send path, the ownership-transfer path
-//!   ([`crate::Communicator::isend_owned`]), and the **rendezvous**
-//!   protocol: slice sends above the eager limit materialise the payload
-//!   once into an owned `Vec` that then moves by pointer.
+//!   buffer moves between threads untouched). Every send of a buffer
+//!   the caller gives up ([`crate::Communicator::send`],
+//!   [`crate::Communicator::isend_owned`], the collectives) builds one
+//!   directly; a borrowed-slice send ([`crate::Communicator::isend`])
+//!   copies the slice once into an owned `Vec` and then travels the
+//!   same way.
 //! * **Shared** — an `Arc<Vec<T>>` cloned per destination, for
 //!   multi-destination sends of one buffer
 //!   ([`crate::Communicator::isend_shared`], broadcast fan-out). The
 //!   sender never copies payload bytes; the *last* receiver to claim the
 //!   buffer takes the allocation itself (`Arc::try_unwrap`), earlier
 //!   ones clone.
-//! * **Pooled** — raw bytes in a [`PooledBuf`] checked out of the sending
-//!   rank's [`crate::pool::BufferPool`], tagged with the element
-//!   `TypeId`. Used by the **eager** protocol for slice sends at or
-//!   below the limit ([`crate::Communicator::isend`]): the sender copies
-//!   the slice into a reused envelope, and when the receiver unpacks the
-//!   payload the envelope returns to the sender's pool. Restricted to
-//!   `T: Copy`.
 //! * **Raw** — bytes reconstructed from a wire frame by the shmem/TCP
 //!   pollers.
 //!
@@ -30,8 +24,7 @@
 //! layer).
 
 use crate::error::CommError;
-use crate::pool::PooledBuf;
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::sync::Arc;
 
 /// Marker trait for element types that can travel in a message.
@@ -42,7 +35,7 @@ use std::sync::Arc;
 pub trait CommData: Send + 'static {}
 impl<T: Send + 'static> CommData for T {}
 
-/// The four payload transports.
+/// The three payload forms.
 enum Payload {
     /// An owned `Vec<T>` moved by pointer.
     Typed(Box<dyn Any + Send>),
@@ -54,9 +47,6 @@ enum Payload {
         arc: Arc<dyn Any + Send + Sync>,
         take: fn(Arc<dyn Any + Send + Sync>) -> Box<dyn Any + Send>,
     },
-    /// `count` elements of the type with id `elem`, memcpy'd into a
-    /// pooled byte envelope.
-    Pooled { buf: PooledBuf, elem: TypeId },
     /// Raw bytes reconstructed from a wire frame (shmem/TCP backends).
     /// Type identity is the envelope's `type_name` — sound across
     /// processes because every rank runs the same binary, and the
@@ -120,7 +110,7 @@ pub struct Envelope {
     pub src: usize,
     /// User-chosen matching tag.
     pub tag: u64,
-    /// Payload transport (owned vector or pooled bytes).
+    /// Payload form (owned, shared, or raw wire bytes).
     payload: Payload,
     /// Payload size in bytes (`len * size_of::<T>()`), for tracing.
     pub bytes: usize,
@@ -151,13 +141,12 @@ impl std::fmt::Debug for Envelope {
             .field("bytes", &self.bytes)
             .field("count", &self.count)
             .field("type_name", &self.type_name)
-            .field("pooled", &matches!(self.payload, Payload::Pooled { .. }))
             .finish_non_exhaustive()
     }
 }
 
 impl Envelope {
-    /// Wrap a typed buffer into an envelope (owned-vector transport).
+    /// Wrap a typed buffer into an envelope (owned form).
     pub fn new<T: CommData>(src: usize, tag: u64, data: Vec<T>) -> Self {
         let count = data.len();
         let bytes = count * std::mem::size_of::<T>();
@@ -174,7 +163,7 @@ impl Envelope {
         }
     }
 
-    /// Wrap a shared buffer into an envelope (Arc-slice transport). The
+    /// Wrap a shared buffer into an envelope (shared form). The
     /// sender copies nothing; see the module docs for who ends up owning
     /// the allocation. `T: Clone` is required only for the
     /// earlier-receiver fallback — the last claim is a move.
@@ -193,31 +182,6 @@ impl Envelope {
             type_name: std::any::type_name::<T>(),
             elem_size: std::mem::size_of::<T>(),
             byte_view: (!std::mem::needs_drop::<T>()).then_some(typed_bytes::<T> as _),
-            ctx: 0,
-        }
-    }
-
-    /// Copy a slice into a pooled byte envelope (pooled transport). The
-    /// `T: Copy` bound is what makes the byte-level round trip sound.
-    pub fn from_slice<T: CommData + Copy>(
-        src: usize,
-        tag: u64,
-        data: &[T],
-        mut buf: PooledBuf,
-    ) -> Self {
-        buf.fill_from(data);
-        Envelope {
-            src,
-            tag,
-            bytes: buf.len(),
-            count: data.len(),
-            payload: Payload::Pooled {
-                buf,
-                elem: TypeId::of::<T>(),
-            },
-            type_name: std::any::type_name::<T>(),
-            elem_size: std::mem::size_of::<T>(),
-            byte_view: None, // pooled payloads are already bytes
             ctx: 0,
         }
     }
@@ -243,7 +207,6 @@ impl Envelope {
                 // coercion; the view fn only needs `Any` to downcast.
                 self.byte_view.map(|view| view(arc.as_ref() as &(dyn Any + Send)))
             }
-            Payload::Pooled { buf, .. } => Some(&buf.as_slice()[..self.bytes]),
             Payload::Raw(bytes) => Some(bytes),
         }
     }
@@ -278,9 +241,7 @@ impl Envelope {
     ///
     /// A mismatch is a protocol error between sender and receiver — the
     /// moral equivalent of an MPI datatype mismatch — so, like MPI, we
-    /// treat it as fatal. For pooled payloads this copies the bytes out
-    /// and (on drop of the internal buffer) returns the envelope to the
-    /// sender's pool.
+    /// treat it as fatal.
     pub fn into_data<T: CommData>(self) -> Vec<T> {
         self.try_into_data().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -305,28 +266,6 @@ impl Envelope {
                 Ok(v) => Ok(*v),
                 Err(_) => Err(mismatch),
             },
-            Payload::Pooled { buf, elem } => {
-                if elem != TypeId::of::<T>() {
-                    return Err(mismatch);
-                }
-                // The TypeId check proves this T is exactly the `T: Copy`
-                // the buffer was filled from in `from_slice` (the only
-                // constructor of pooled payloads), so reconstructing the
-                // values with a byte copy is sound even though the `Copy`
-                // bound is not visible on this signature.
-                let n = self.count * std::mem::size_of::<T>();
-                debug_assert!(n <= buf.len());
-                let mut out: Vec<T> = Vec::with_capacity(self.count);
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        buf.as_slice().as_ptr(),
-                        out.as_mut_ptr().cast::<u8>(),
-                        n,
-                    );
-                    out.set_len(self.count);
-                }
-                Ok(out)
-            }
             Payload::Raw(bytes) => {
                 // Wire frames carry type identity by name: equal names
                 // in the same binary mean the same type. The layout and
@@ -369,7 +308,6 @@ impl Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::BufferPool;
     use std::sync::Arc;
 
     #[test]
@@ -381,19 +319,6 @@ mod tests {
         assert_eq!(env.bytes, 24);
         let v: Vec<f64> = env.into_data();
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn pooled_roundtrip_preserves_data_and_returns_buffer() {
-        let pool = Arc::new(BufferPool::new());
-        let (buf, _) = pool.acquire(32);
-        let env = Envelope::from_slice(1, 9, &[10u32, 20, 30], buf);
-        assert_eq!(env.count, 3);
-        assert_eq!(env.bytes, 12);
-        let v: Vec<u32> = env.into_data();
-        assert_eq!(v, vec![10, 20, 30]);
-        // The envelope returned its buffer to the pool on unpack.
-        assert_eq!(pool.stats().free, 1);
     }
 
     #[test]
@@ -444,15 +369,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "message type mismatch")]
-    fn pooled_type_mismatch_panics_with_context() {
-        let pool = Arc::new(BufferPool::new());
-        let (buf, _) = pool.acquire(8);
-        let env = Envelope::from_slice(0, 0, &[1u32, 2], buf);
-        let _: Vec<f32> = env.into_data();
-    }
-
-    #[test]
     fn try_into_data_reports_mismatch_as_error() {
         let env = Envelope::new(4, 11, vec![1u32, 2]);
         let err = env.try_into_data::<f32>().unwrap_err();
@@ -473,16 +389,6 @@ mod tests {
         assert_eq!(back.tag, 21);
         assert_eq!(back.count, 3);
         assert_eq!(back.into_data::<f64>(), vec![1.5, -2.5, 4.0]);
-    }
-
-    #[test]
-    fn wire_view_roundtrips_pooled_payloads() {
-        let pool = Arc::new(BufferPool::new());
-        let (buf, _) = pool.acquire(12);
-        let env = Envelope::from_slice(1, 9, &[10u32, 20, 30], buf);
-        let bytes = env.wire_view().expect("pooled is already bytes").to_vec();
-        let back = Envelope::from_wire(1, 9, env.count, env.elem_size, env.type_name, bytes);
-        assert_eq!(back.into_data::<u32>(), vec![10, 20, 30]);
     }
 
     #[test]

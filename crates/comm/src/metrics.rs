@@ -8,7 +8,6 @@
 //!   atomic counters into,
 //! * the per-rank [`SpanRecorder`]s (dropped-span counts, always-on
 //!   phase-entry counts),
-//! * the per-rank [`BufferPool`]s (in-flight / free / peak envelopes),
 //! * and, at snapshot time, the world registry itself (mailbox
 //!   posted-receive depth, failure ledger, revoke epoch).
 //!
@@ -19,7 +18,6 @@
 //! cells: per-phase entry counters and the per-phase P×P communication
 //! matrix with its imbalance summary.
 
-use crate::pool::BufferPool;
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::trace::{MatrixImbalance, RankTrace};
 use beatnik_telemetry::metrics::{
@@ -35,11 +33,8 @@ pub struct MetricsPlane {
     registry: Arc<MetricsRegistry>,
     traces: Vec<Arc<RankTrace>>,
     recorders: Vec<Arc<SpanRecorder>>,
-    pools: Vec<Arc<BufferPool>>,
     // Pull-style gauges, refreshed on every snapshot.
     dropped: Vec<Gauge>,
-    pool_in_flight: Vec<Gauge>,
-    pool_free: Vec<Gauge>,
     posted: Vec<Gauge>,
     rank_failed: Vec<Gauge>,
     ranks_failed: Gauge,
@@ -57,14 +52,10 @@ impl MetricsPlane {
         registry: Arc<MetricsRegistry>,
         traces: Vec<Arc<RankTrace>>,
         recorders: Vec<Arc<SpanRecorder>>,
-        pools: Vec<Arc<BufferPool>>,
     ) -> Self {
         let n = traces.len();
         assert_eq!(recorders.len(), n, "one recorder per rank");
-        assert_eq!(pools.len(), n, "one pool per rank");
         let mut dropped = Vec::with_capacity(n);
-        let mut pool_in_flight = Vec::with_capacity(n);
-        let mut pool_free = Vec::with_capacity(n);
         let mut posted = Vec::with_capacity(n);
         let mut rank_failed = Vec::with_capacity(n);
         for rank in 0..n {
@@ -73,16 +64,6 @@ impl MetricsPlane {
             dropped.push(registry.gauge(
                 "beatnik_telemetry_dropped_spans",
                 "Spans evicted from the rank's ring buffer (drop-oldest)",
-                labels,
-            ));
-            pool_in_flight.push(registry.gauge(
-                "beatnik_pool_in_flight",
-                "Send-buffer envelopes currently checked out of the pool",
-                labels,
-            ));
-            pool_free.push(registry.gauge(
-                "beatnik_pool_free",
-                "Send-buffer envelopes parked on the pool free list",
                 labels,
             ));
             posted.push(registry.gauge(
@@ -125,10 +106,7 @@ impl MetricsPlane {
             registry,
             traces,
             recorders,
-            pools,
             dropped,
-            pool_in_flight,
-            pool_free,
             posted,
             rank_failed,
             ranks_failed,
@@ -153,10 +131,6 @@ impl MetricsPlane {
     fn refresh(&self, world: &Registry) {
         for rank in 0..self.num_ranks() {
             self.dropped[rank].set(self.recorders[rank].dropped_spans());
-            let stats = self.pools[rank].stats();
-            self.pool_in_flight[rank].set(stats.in_flight);
-            self.pool_free[rank].set(stats.free as u64);
-            self.traces[rank].set_pool_peak_in_flight(stats.peak_in_flight);
             self.posted[rank].set(world.mailbox(WORLD_COMM_ID, rank).posted_len() as u64);
         }
         let failed = world.failed_snapshot();
@@ -342,15 +316,14 @@ mod tests {
             .collect();
         let recorders: Vec<Arc<SpanRecorder>> =
             (0..n).map(|_| Arc::new(SpanRecorder::disabled())).collect();
-        let pools: Vec<Arc<BufferPool>> = (0..n).map(|_| Arc::new(BufferPool::new())).collect();
         let world = Arc::new(Registry::new());
-        (MetricsPlane::new(reg, traces, recorders, pools), world)
+        (MetricsPlane::new(reg, traces, recorders), world)
     }
 
     #[test]
     fn snapshot_carries_gauges_and_synthesized_families() {
         let (plane, world) = plane(2);
-        plane.traces[0].record_peer_ctx(1, 300, "halo", algos::NONE);
+        plane.traces[0].sent(crate::trace::OpKind::Send, 300, false, 1, "halo", algos::NONE);
         plane.recorders[1].phase("halo");
         world.mark_failed(1);
         world.revoke(0);
@@ -393,21 +366,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_mailbox_depth_are_pulled_at_snapshot() {
+    fn mailbox_depth_is_pulled_at_snapshot() {
         let (plane, world) = plane(1);
-        let (buf, _) = plane.pools[0].acquire(16);
         // One consumer parked in the posted-receive registry.
         let mb = world.mailbox(WORLD_COMM_ID, 0);
-        let _slot = mb.post_recv(0, 7);
+        let slot = mb.post_recv(0, 7);
         let snap = plane.snapshot(&world);
-        assert_eq!(snap.value("beatnik_pool_in_flight", &[("rank", "0")]), Some(1));
         assert_eq!(
             snap.value("beatnik_mailbox_posted_receives", &[("rank", "0")]),
             Some(1)
         );
-        drop(buf);
+        mb.cancel_post(slot);
         let snap = plane.snapshot(&world);
-        assert_eq!(snap.value("beatnik_pool_in_flight", &[("rank", "0")]), Some(0));
-        assert_eq!(snap.value("beatnik_pool_free", &[("rank", "0")]), Some(1));
+        assert_eq!(
+            snap.value("beatnik_mailbox_posted_receives", &[("rank", "0")]),
+            Some(0)
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! re-exec of `std::env::current_exe()` with a role, rank, and
 //! rendezvous information carried in `BEATNIK_PROC_*` environment
 //! variables (plus the parent's resolved [`CommConfig`], re-exported as
-//! the ordinary `BEATNIK_*` variables so every process agrees on eager
-//! limit, timeouts, and ring sizes without re-reading a possibly-racing
+//! the ordinary `BEATNIK_*` variables so every process agrees on
+//! timeouts and ring sizes without re-reading a possibly-racing
 //! environment).
 //!
 //! The child re-enters the same code path the parent ran — a test
@@ -28,7 +28,6 @@
 use crate::communicator::Communicator;
 use crate::config::CommConfig;
 use crate::fault::{FaultInjector, FaultPlan, RankKilled};
-use crate::pool::BufferPool;
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::trace::RankTrace;
 use crate::transport::chaos::LinkChaos;
@@ -189,9 +188,7 @@ where
         Arc::new((0..num_ranks).collect()),
         trace,
         Arc::new(SpanRecorder::disabled()),
-        Arc::new(BufferPool::new()),
         config.recv_timeout,
-        config.eager_limit,
     )
     .with_fault(injector);
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
@@ -366,10 +363,6 @@ fn spawn_children(
                 .env(rendezvous.0, &rendezvous.1)
                 // Ship the *resolved* config so every process agrees.
                 .env(crate::config::TRANSPORT_ENV, config.transport.name())
-                .env(
-                    crate::transport::EAGER_LIMIT_ENV,
-                    config.eager_limit.to_string(),
-                )
                 .env(crate::fault::FAULT_SEED_ENV, config.fault_seed.to_string())
                 .env(
                     crate::config::RECV_TIMEOUT_ENV,

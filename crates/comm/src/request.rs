@@ -1,13 +1,15 @@
 //! Nonblocking request handles — the `MPI_Isend`/`MPI_Irecv` analogue.
 //!
-//! [`crate::Communicator::isend`] copies a slice into a pooled byte
-//! envelope and delivers it immediately (sends are buffered, as in MPI's
-//! eager protocol), returning a [`SendRequest`] that exists for API
-//! symmetry and instrumentation. [`crate::Communicator::irecv`] posts a
-//! receive *intent* and returns a [`RecvRequest`] that the caller
-//! completes later with [`RecvRequest::wait`] (blocking) or polls with
-//! [`RecvRequest::test`] — the window between post and wait is where
-//! communication overlaps computation.
+//! The `isend` family ([`crate::Communicator::isend`],
+//! [`crate::Communicator::isend_owned`],
+//! [`crate::Communicator::isend_shared`]) delivers its envelope
+//! immediately (sends are buffered), returning a [`SendRequest`] that
+//! exists for API symmetry and instrumentation.
+//! [`crate::Communicator::irecv`] posts a receive *intent* and returns a
+//! [`RecvRequest`] that the caller completes later with
+//! [`RecvRequest::wait`] (blocking) or polls with [`RecvRequest::test`]
+//! — the window between post and wait is where communication overlaps
+//! computation.
 //!
 //! [`wait_all`] retires a batch of receive requests in *arrival* order
 //! (whichever message lands first is absorbed first), while returning
@@ -17,12 +19,13 @@
 //! (`request_posted`/`request_completed`), so traces report how deeply a
 //! communication pattern pipelines (`peak_outstanding`).
 
-use crate::communicator::{Communicator, Tag};
+use crate::communicator::{Communicator, Tag, Watch};
+use crate::error::CommError;
 use crate::mailbox::PostedId;
 use crate::message::{CommData, Envelope};
 use crate::trace::OpKind;
 use beatnik_telemetry::{CommOp, SpanKind};
-use std::time::Duration;
+use std::time::Instant;
 
 /// Handle for a posted nonblocking send.
 ///
@@ -39,6 +42,7 @@ pub struct SendRequest<'c> {
 
 impl<'c> SendRequest<'c> {
     pub(crate) fn new(comm: &'c Communicator) -> Self {
+        comm.trace().request_posted();
         SendRequest {
             comm,
             retired: false,
@@ -82,8 +86,8 @@ pub struct RecvRequest<'c, T: CommData> {
     comm: &'c Communicator,
     src: usize,
     tag: Tag,
-    /// Posted slot in the mailbox's receive registry. Rendezvous sends
-    /// matching `(src, tag)` deposit their payload directly here.
+    /// Posted slot in the mailbox's receive registry. Sends matching
+    /// `(src, tag)` deposit their envelope directly here.
     posted: PostedId,
     data: Option<Vec<T>>,
     /// Actual `(source, tag)` once completed (resolves wildcards).
@@ -93,6 +97,7 @@ pub struct RecvRequest<'c, T: CommData> {
 
 impl<'c, T: CommData> RecvRequest<'c, T> {
     pub(crate) fn new(comm: &'c Communicator, src: usize, tag: Tag, posted: PostedId) -> Self {
+        comm.trace().request_posted();
         RecvRequest {
             comm,
             src,
@@ -126,12 +131,13 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
         self.meta.map(|(s, _)| s)
     }
 
-    fn absorb(&mut self, env: Envelope) {
-        self.comm.trace().record(OpKind::Recv, 0, 0);
+    fn absorb(&mut self, env: Envelope) -> Result<(), CommError> {
+        self.comm.trace().called(OpKind::Recv);
         self.comm.trace().request_completed();
         self.retired = true;
         self.meta = Some((env.src, env.tag));
-        self.data = Some(env.into_data());
+        self.data = Some(env.try_into_data()?);
+        Ok(())
     }
 
     /// Nonblocking poll: absorb the message if it has been delivered to
@@ -156,7 +162,7 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
                     env.ctx,
                 );
             }
-            self.absorb(env);
+            self.absorb(env).unwrap_or_else(|e| panic!("{e}"));
             true
         } else {
             false
@@ -169,15 +175,16 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
     /// Panics on receive timeout (a deadlock converted into a loud
     /// failure) or if a peer rank fails while we wait — the same policy
     /// as the blocking [`crate::Communicator::recv`].
-    pub fn wait(mut self) -> Vec<T> {
-        self.wait_ref();
-        self.data.take().expect("wait: completed without payload")
+    pub fn wait(self) -> Vec<T> {
+        self.wait_with_meta().0
     }
 
     /// Block until the message arrives and return `(payload, source,
     /// tag)` — the wildcard-resolving form of [`RecvRequest::wait`].
     pub fn wait_with_meta(mut self) -> (Vec<T>, usize, Tag) {
-        self.wait_ref();
+        if let Err(e) = self.complete() {
+            self.comm.escalate("irecv wait", e)
+        }
         let (s, t) = self.meta.expect("wait: completed without metadata");
         (
             self.data.take().expect("wait: completed without payload"),
@@ -186,14 +193,13 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
         )
     }
 
-    fn wait_ref(&mut self) {
-        if self.data.is_some() {
-            return;
+    /// Claim the posted slot unless the payload is already absorbed.
+    fn complete(&mut self) -> Result<(), CommError> {
+        if self.data.is_none() {
+            let env = self.comm.claim(self.posted, self.src, self.tag)?;
+            self.absorb(env)?;
         }
-        let env = self
-            .comm
-            .blocking_user_claim(self.posted, self.src, self.tag, "irecv wait");
-        self.absorb(env);
+        Ok(())
     }
 
     /// Fallible completion: like [`RecvRequest::wait`], but peer failure,
@@ -201,22 +207,8 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
     /// instead of a panic. On error the request is consumed (its posted
     /// slot is withdrawn on drop), so the message — if it ever arrives —
     /// stays in the mailbox for a later receive.
-    pub fn try_wait(mut self) -> Result<Vec<T>, crate::error::CommError> {
-        if self.data.is_none() {
-            let mut span = self.comm.telemetry().op(CommOp::Wait);
-            let env = self
-                .comm
-                .ft_claim(self.posted, self.src, self.tag, "irecv wait")?;
-            span.peer(env.src);
-            span.tag(env.tag);
-            span.bytes(env.bytes as u64);
-            span.flow(env.ctx);
-            self.comm.trace().record(OpKind::Recv, 0, 0);
-            self.comm.trace().request_completed();
-            self.retired = true;
-            self.meta = Some((env.src, env.tag));
-            self.data = Some(env.try_into_data()?);
-        }
+    pub fn try_wait(mut self) -> Result<Vec<T>, CommError> {
+        self.complete()?;
         Ok(self.data.take().expect("try_wait: completed without payload"))
     }
 }
@@ -244,53 +236,11 @@ impl<T: CommData> Drop for RecvRequest<'_, T> {
 ///
 /// # Panics
 /// Panics on receive timeout or peer failure, like blocking receives.
-pub fn wait_all<T: CommData>(mut requests: Vec<RecvRequest<'_, T>>) -> Vec<Vec<T>> {
-    if requests.is_empty() {
+pub fn wait_all<T: CommData>(requests: Vec<RecvRequest<'_, T>>) -> Vec<Vec<T>> {
+    let Some(comm) = requests.first().map(|r| r.comm) else {
         return Vec::new();
-    }
-    let comm = requests[0].comm;
-    debug_assert!(
-        requests.iter().all(|r| std::ptr::eq(r.comm, comm)),
-        "wait_all: requests from different communicators"
-    );
-    let mut span = comm.telemetry().op(CommOp::WaitAll);
-    let mb = comm.user_mailbox();
-    let deadline = std::time::Instant::now() + comm.recv_timeout();
-    // Poll in short slices purely to observe the abort flag; arrivals
-    // wake the mailbox condvar directly, so latency is unaffected.
-    let slice = Duration::from_millis(100).min(comm.recv_timeout());
-    loop {
-        let mut pending: Vec<PostedId> = Vec::new();
-        for r in requests.iter_mut() {
-            if !r.test() {
-                pending.push(r.posted);
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        if comm.world_aborted() {
-            panic!(
-                "rank {} aborting during wait_all: a peer rank failed",
-                comm.rank()
-            );
-        }
-        if std::time::Instant::now() >= deadline {
-            panic!(
-                "wait_all deadlock on rank {}: {} receive(s) never matched",
-                comm.rank(),
-                pending.len()
-            );
-        }
-        let _ = mb.wait_any_posted(&pending, slice);
-    }
-    let out: Vec<Vec<T>> = requests
-        .into_iter()
-        .map(|mut r| r.data.take().expect("wait_all: incomplete request"))
-        .collect();
-    let bytes: usize = out.iter().map(|v| std::mem::size_of_val(v.as_slice())).sum();
-    span.bytes(bytes as u64);
-    out
+    };
+    try_wait_all(requests).unwrap_or_else(|e| comm.escalate("wait_all", e))
 }
 
 /// Fallible [`wait_all`]: peer failure, revocation, and the receive
@@ -300,54 +250,44 @@ pub fn wait_all<T: CommData>(mut requests: Vec<RecvRequest<'_, T>>) -> Vec<Vec<T
 /// with them, matching MPI's non-uniform-completion semantics.
 pub fn try_wait_all<T: CommData>(
     mut requests: Vec<RecvRequest<'_, T>>,
-) -> Result<Vec<Vec<T>>, crate::error::CommError> {
-    if requests.is_empty() {
+) -> Result<Vec<Vec<T>>, CommError> {
+    let Some(comm) = requests.first().map(|r| r.comm) else {
         return Ok(Vec::new());
-    }
-    let comm = requests[0].comm;
+    };
     debug_assert!(
         requests.iter().all(|r| std::ptr::eq(r.comm, comm)),
-        "try_wait_all: requests from different communicators"
+        "wait_all: requests from different communicators"
     );
     let mut span = comm.telemetry().op(CommOp::WaitAll);
     let mb = comm.user_mailbox();
-    let deadline = std::time::Instant::now() + comm.recv_timeout();
-    let slice = Duration::from_millis(100).min(comm.recv_timeout());
-    loop {
-        let mut pending: Vec<PostedId> = Vec::new();
-        let mut watched_src = None;
-        for r in requests.iter_mut() {
-            if !r.test() {
-                pending.push(r.posted);
-                watched_src = Some(r.src);
+    let deadline = Instant::now() + comm.recv_timeout();
+    let mut pending: Vec<PostedId> = Vec::new();
+    let mut first = (requests[0].src, requests[0].tag);
+    comm.wait_until(&mb, deadline, Watch::Source, "wait_all", |since, wait| {
+        if wait.is_zero() {
+            // Drain: absorb whatever has landed, note what is still out.
+            pending.clear();
+            for r in requests.iter_mut() {
+                if !r.test() {
+                    if pending.is_empty() {
+                        first = (r.src, r.tag);
+                    }
+                    pending.push(r.posted);
+                }
             }
+            if pending.is_empty() {
+                return Ok(());
+            }
+        } else {
+            // One sleep on every pending slot; the next drain absorbs
+            // whatever woke it.
+            mb.wait_any_posted(&pending, since, wait);
         }
-        let Some(watched) = watched_src else { break };
-        if comm.world_aborted() {
-            panic!(
-                "rank {} aborting during try_wait_all: a peer rank failed",
-                comm.rank()
-            );
-        }
-        if let Some(e) = comm.group_error(watched) {
-            return Err(e);
-        }
-        if std::time::Instant::now() >= deadline {
-            return Err(crate::error::CommError::Timeout {
-                rank: comm.rank(),
-                src: watched,
-                tag: requests
-                    .iter()
-                    .find(|r| !r.is_complete())
-                    .map(|r| r.tag)
-                    .unwrap_or(0),
-            });
-        }
-        let _ = mb.wait_any_posted(&pending, slice);
-    }
+        Err(first)
+    })?;
     let out: Vec<Vec<T>> = requests
         .into_iter()
-        .map(|mut r| r.data.take().expect("try_wait_all: incomplete request"))
+        .map(|mut r| r.data.take().expect("wait_all: incomplete request"))
         .collect();
     let bytes: usize = out.iter().map(|v| std::mem::size_of_val(v.as_slice())).sum();
     span.bytes(bytes as u64);
@@ -431,30 +371,5 @@ mod tests {
         });
         assert_eq!(trace.rank(1).outstanding_requests(), 0);
         assert_eq!(trace.rank(1).peak_outstanding(), 1);
-    }
-
-    #[test]
-    fn pooled_sends_hit_after_warmup() {
-        let (_, trace) = World::builder(2).run_traced(|c| {
-            for i in 0..50u64 {
-                if c.rank() == 0 {
-                    c.isend(1, i, &[i; 64]).wait();
-                } else {
-                    let _ = c.irecv::<u64>(0, i).wait();
-                }
-                // The pooled envelope returns to rank 0's pool when rank 1
-                // unpacks it; barrier so the next isend sees it free.
-                c.barrier();
-            }
-        });
-        let t = trace.rank(0);
-        assert_eq!(t.pool_hits() + t.pool_misses(), 50);
-        assert!(
-            t.pool_hit_rate() > 0.9,
-            "hit rate {:.2} (hits {} misses {})",
-            t.pool_hit_rate(),
-            t.pool_hits(),
-            t.pool_misses()
-        );
     }
 }

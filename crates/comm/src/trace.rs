@@ -9,7 +9,7 @@
 
 use crate::sync::Mutex;
 use beatnik_telemetry::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use beatnik_telemetry::{algos, sizebins};
+use beatnik_telemetry::sizebins;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -36,8 +36,6 @@ pub enum OpKind {
     Reduce,
     /// Allreduce participation.
     Allreduce,
-    /// Scan / exscan participation (prefix reductions).
-    Scan,
     /// Gather participation.
     Gather,
     /// Allgather participation.
@@ -52,14 +50,13 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every op kind, in trace order (`index` order).
-    pub const ALL: [OpKind; 12] = [
+    pub const ALL: [OpKind; 11] = [
         OpKind::Send,
         OpKind::Recv,
         OpKind::Barrier,
         OpKind::Broadcast,
         OpKind::Reduce,
         OpKind::Allreduce,
-        OpKind::Scan,
         OpKind::Gather,
         OpKind::Allgather,
         OpKind::Scatter,
@@ -82,7 +79,6 @@ impl OpKind {
             OpKind::Broadcast => "broadcast",
             OpKind::Reduce => "reduce",
             OpKind::Allreduce => "allreduce",
-            OpKind::Scan => "scan",
             OpKind::Gather => "gather",
             OpKind::Allgather => "allgather",
             OpKind::Scatter => "scatter",
@@ -124,7 +120,7 @@ pub struct MatrixCell {
     /// Innermost solver phase open when the traffic was sent (`""` for
     /// traffic outside any phase).
     pub phase: &'static str,
-    /// Collective-algorithm code in force ([`algos::NONE`] outside any
+    /// Collective-algorithm code in force ([`beatnik_telemetry::algos::NONE`] outside any
     /// all-to-all engine).
     pub algo: u8,
     /// Destination *world* rank.
@@ -166,28 +162,21 @@ pub struct RankTrace {
     /// matrix and the classic byte matrix agree *exactly* by
     /// construction.
     phased: Mutex<PhasedCells>,
-    /// Send-buffer pool acquisitions served from the free list.
-    pool_hits: Counter,
-    /// Send-buffer pool acquisitions that had to allocate.
-    pool_misses: Counter,
     /// Nonblocking requests currently posted but not yet retired.
     outstanding: Gauge,
     /// High-water mark of `outstanding` — how deeply the program pipelines.
     peak_outstanding: Gauge,
-    /// Payload bytes physically copied by the transport on this rank's
-    /// sends (eager/pooled sends count the payload twice — once into the
-    /// envelope, once out at the receiver; rendezvous sends count it
-    /// once; ownership-transfer sends move the allocation and count
-    /// zero, on every backend — wire serialization is transport-internal
-    /// and never charged here, so the accounting is backend-uniform).
+    /// Payload bytes physically copied on this rank's sends: a
+    /// borrowed-slice send copies its payload once into the owned buffer
+    /// that travels; owned and shared sends move the allocation and
+    /// count zero, on every backend — wire serialization is
+    /// transport-internal and never charged here, so the accounting is
+    /// backend-uniform.
     copied: Counter,
     /// Payload bytes moved by ownership transfer (owned-`Vec` and shared
     /// `Arc` sends): the zero-copy traffic. Disjoint from `copied` by
     /// construction — a send charges one or the other, never both.
     handoff: Counter,
-    /// Peak simultaneously checked-out send-pool buffers, mirrored from
-    /// [`crate::BufferPool`] when the world joins.
-    pool_peak_in_flight: Gauge,
 }
 
 impl Default for RankTrace {
@@ -240,16 +229,6 @@ impl RankTrace {
         RankTrace {
             ops,
             phased: Mutex::new(BTreeMap::new()),
-            pool_hits: reg.counter(
-                "beatnik_pool_hits_total",
-                "send-pool acquisitions served from the free list",
-                &rl,
-            ),
-            pool_misses: reg.counter(
-                "beatnik_pool_misses_total",
-                "send-pool acquisitions that allocated",
-                &rl,
-            ),
             outstanding: reg.gauge(
                 "beatnik_requests_outstanding",
                 "nonblocking requests posted but not retired",
@@ -270,36 +249,49 @@ impl RankTrace {
                 "payload bytes moved by zero-copy ownership transfer",
                 &rl,
             ),
-            pool_peak_in_flight: reg.gauge(
-                "beatnik_pool_peak_in_flight",
-                "peak simultaneously checked-out send-pool buffers",
-                &rl,
-            ),
         }
     }
 
-    /// Record one *call* of `kind` that sent `messages` messages totalling
-    /// `bytes` payload bytes from this rank.
-    pub fn record(&self, kind: OpKind, messages: u64, bytes: u64) {
-        let c = &self.ops[kind.index()];
-        c.calls.inc();
-        c.messages.add(messages);
-        c.bytes.add(bytes);
+    /// Count one call of `kind` on this rank: a receive completing, or
+    /// a collective being entered.
+    pub fn called(&self, kind: OpKind) {
+        self.ops[kind.index()].calls.inc();
     }
 
-    /// Add messages/bytes to an already-counted call (used by collectives
-    /// built from several point-to-point rounds).
-    pub fn add_traffic(&self, kind: OpKind, messages: u64, bytes: u64) {
+    /// Count one point-to-point message of `bytes` payload bytes put on
+    /// the "wire" toward world rank `peer` — the single accounting point
+    /// under every send entry point. The message lands in `kind`'s
+    /// traffic counters and size histogram, in the communication matrix
+    /// under the given solver phase and collective-algorithm code, and
+    /// in exactly one of the `copied` (a borrowed slice was materialised)
+    /// or `handoff` (the allocation moved) byte counters. A
+    /// [`OpKind::Send`] message is its own call; a collective's call was
+    /// counted once at entry ([`RankTrace::called`]).
+    pub fn sent(
+        &self,
+        kind: OpKind,
+        bytes: u64,
+        copied: bool,
+        peer: usize,
+        phase: &'static str,
+        algo: u8,
+    ) {
         let c = &self.ops[kind.index()];
-        c.messages.add(messages);
+        if kind == OpKind::Send {
+            c.calls.inc();
+        }
+        c.messages.inc();
         c.bytes.add(bytes);
-    }
-
-    /// Record one message of `bytes` payload bytes in `kind`'s size
-    /// histogram. Called once per point-to-point message the runtime
-    /// puts on the "wire" (user sends and collective-internal sends).
-    pub fn record_message(&self, kind: OpKind, bytes: u64) {
-        self.ops[kind.index()].sizes.observe(bytes);
+        c.sizes.observe(bytes);
+        if copied {
+            self.copied.add(bytes);
+        } else {
+            self.handoff.add(bytes);
+        }
+        let mut m = self.phased.lock();
+        let e = m.entry((phase, algo, peer)).or_insert((0, 0));
+        e.0 += 1;
+        e.1 += bytes;
     }
 
     /// The per-message size histogram for one op kind (zeroed if the op
@@ -316,22 +308,6 @@ impl RankTrace {
             .filter(|k| self.ops[k.index()].sizes.count() > 0)
             .map(|&k| (k, self.byte_histogram(k)))
             .collect()
-    }
-
-    /// Record bytes sent to a world peer (communication-matrix entry),
-    /// attributed to no phase or algorithm. The send paths use
-    /// [`record_peer_ctx`](RankTrace::record_peer_ctx).
-    pub fn record_peer(&self, peer: usize, bytes: u64) {
-        self.record_peer_ctx(peer, bytes, "", algos::NONE);
-    }
-
-    /// Record one message of `bytes` to world rank `peer`, attributed to
-    /// the given solver phase and collective-algorithm code.
-    pub fn record_peer_ctx(&self, peer: usize, bytes: u64, phase: &'static str, algo: u8) {
-        let mut m = self.phased.lock();
-        let e = m.entry((phase, algo, peer)).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += bytes;
     }
 
     /// Bytes sent per world peer (summed over phases and algorithms).
@@ -387,15 +363,6 @@ impl RankTrace {
         self.ops.iter().map(|c| c.messages.get()).sum()
     }
 
-    /// Record one buffer-pool acquisition on the nonblocking send path.
-    pub fn record_pool(&self, hit: bool) {
-        if hit {
-            self.pool_hits.inc();
-        } else {
-            self.pool_misses.inc();
-        }
-    }
-
     /// Record that a nonblocking request (`isend`/`irecv`) was posted.
     pub fn request_posted(&self) {
         let now = self.outstanding.add(1);
@@ -408,59 +375,14 @@ impl RankTrace {
         self.outstanding.sub(1);
     }
 
-    /// Buffer-pool acquisitions served without allocating.
-    pub fn pool_hits(&self) -> u64 {
-        self.pool_hits.get()
-    }
-
-    /// Buffer-pool acquisitions that allocated a fresh buffer.
-    pub fn pool_misses(&self) -> u64 {
-        self.pool_misses.get()
-    }
-
-    /// Fraction of pool acquisitions served from the free list, in
-    /// `[0, 1]`; zero when the nonblocking path was never used.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let h = self.pool_hits();
-        let m = self.pool_misses();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
-    /// Record that the transport physically copied `bytes` payload bytes
-    /// while sending (see the `copied` field for the accounting rules).
-    pub fn record_copied(&self, bytes: u64) {
-        self.copied.add(bytes);
-    }
-
     /// Payload bytes physically copied by this rank's sends.
     pub fn copied_bytes(&self) -> u64 {
         self.copied.get()
     }
 
-    /// Record that `bytes` payload bytes moved by ownership transfer —
-    /// the allocation changed hands without a copy.
-    pub fn record_handoff(&self, bytes: u64) {
-        self.handoff.add(bytes);
-    }
-
     /// Payload bytes this rank's sends moved by zero-copy handoff.
     pub fn handoff_bytes(&self) -> u64 {
         self.handoff.get()
-    }
-
-    /// Mirror the send pool's peak-in-flight gauge into the trace (the
-    /// world does this after joining so summaries can report it).
-    pub fn set_pool_peak_in_flight(&self, peak: u64) {
-        self.pool_peak_in_flight.set(peak);
-    }
-
-    /// Peak simultaneously checked-out send-pool buffers on this rank.
-    pub fn pool_peak_in_flight(&self) -> u64 {
-        self.pool_peak_in_flight.get()
     }
 
     /// Nonblocking requests currently posted and not yet retired.
@@ -483,13 +405,10 @@ impl RankTrace {
             c.sizes.reset();
         }
         self.phased.lock().clear();
-        self.pool_hits.reset();
-        self.pool_misses.reset();
         self.outstanding.reset();
         self.peak_outstanding.reset();
         self.copied.reset();
         self.handoff.reset();
-        self.pool_peak_in_flight.reset();
     }
 }
 
@@ -539,18 +458,6 @@ impl WorldTrace {
             .unwrap_or(0)
     }
 
-    /// World-aggregate buffer-pool hit rate over the nonblocking send
-    /// path, in `[0, 1]`; zero when no rank used pooled sends.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let hits: u64 = self.per_rank.iter().map(|t| t.pool_hits()).sum();
-        let misses: u64 = self.per_rank.iter().map(|t| t.pool_misses()).sum();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
-
     /// Deepest request pipeline any rank built (max over ranks of the
     /// per-rank peak of simultaneously outstanding `isend`/`irecv`
     /// requests).
@@ -564,8 +471,8 @@ impl WorldTrace {
 
     /// Payload bytes physically copied by sends across the whole world.
     /// Compare against [`total_bytes`](WorldTrace::total_bytes) to see
-    /// the copy factor the transport achieved (2× = fully eager/pooled,
-    /// 1× = fully rendezvous, 0× = owned-`Vec` moves).
+    /// the copy factor the program achieved (1× = all borrowed-slice
+    /// sends, 0× = all owned or shared moves).
     pub fn copied_bytes(&self) -> u64 {
         self.per_rank.iter().map(|t| t.copied_bytes()).sum()
     }
@@ -576,15 +483,6 @@ impl WorldTrace {
     /// the ones the transport did *not* have to touch.
     pub fn handoff_bytes(&self) -> u64 {
         self.per_rank.iter().map(|t| t.handoff_bytes()).sum()
-    }
-
-    /// Largest send-pool peak-in-flight gauge over all ranks.
-    pub fn pool_peak_in_flight(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|t| t.pool_peak_in_flight())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Sum of one op's per-message size histogram over all ranks.
@@ -716,19 +614,6 @@ impl WorldTrace {
                 s.bytes
             );
         }
-        let hits: u64 = self.per_rank.iter().map(|t| t.pool_hits()).sum();
-        let misses: u64 = self.per_rank.iter().map(|t| t.pool_misses()).sum();
-        if hits + misses > 0 {
-            let _ = writeln!(
-                out,
-                "send-buffer pool: {hits} hits / {misses} misses ({:.1}% hit rate)",
-                self.pool_hit_rate() * 100.0
-            );
-        }
-        let pool_peak = self.pool_peak_in_flight();
-        if pool_peak > 0 {
-            let _ = writeln!(out, "send-buffer pool peak in flight (any rank): {pool_peak}");
-        }
         let copied = self.copied_bytes();
         if copied > 0 {
             let _ = writeln!(out, "payload bytes copied by transport: {copied}");
@@ -752,7 +637,7 @@ pub struct WorldMatrixCell {
     pub src: usize,
     /// Solver phase the traffic was sent under (`""` if none).
     pub phase: &'static str,
-    /// Collective-algorithm code (see [`algos`]).
+    /// Collective-algorithm code (see [`beatnik_telemetry::algos`]).
     pub algo: u8,
     /// Destination world rank.
     pub dst: usize,
@@ -822,32 +707,35 @@ impl MatrixImbalance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beatnik_telemetry::algos;
+
+    /// One phaseless message of `bytes` from this rank to `peer`.
+    fn send(t: &RankTrace, kind: OpKind, bytes: u64, peer: usize) {
+        t.sent(kind, bytes, false, peer, "", algos::NONE);
+    }
 
     #[test]
     fn record_and_snapshot() {
         let t = RankTrace::new();
-        t.record(OpKind::Send, 1, 100);
-        t.record(OpKind::Send, 1, 50);
-        t.add_traffic(OpKind::Send, 2, 10);
+        send(&t, OpKind::Send, 100, 1);
+        send(&t, OpKind::Send, 50, 1);
+        // Collective rounds add traffic to a call counted at entry.
+        t.called(OpKind::Alltoall);
+        send(&t, OpKind::Alltoall, 4, 1);
+        send(&t, OpKind::Alltoall, 6, 2);
         let s = t.get(OpKind::Send);
-        assert_eq!(s.calls, 2);
-        assert_eq!(s.messages, 4);
-        assert_eq!(s.bytes, 160);
+        assert_eq!((s.calls, s.messages, s.bytes), (2, 2, 150));
+        let a = t.get(OpKind::Alltoall);
+        assert_eq!((a.calls, a.messages, a.bytes), (1, 2, 10));
         assert_eq!(t.total_bytes(), 160);
+        assert_eq!(t.total_messages(), 4);
         t.reset();
         assert_eq!(t.get(OpKind::Send), OpStats::default());
     }
 
     #[test]
-    fn pool_and_request_counters() {
+    fn request_counters() {
         let t = RankTrace::new();
-        assert_eq!(t.pool_hit_rate(), 0.0);
-        t.record_pool(false);
-        t.record_pool(true);
-        t.record_pool(true);
-        assert_eq!(t.pool_hits(), 2);
-        assert_eq!(t.pool_misses(), 1);
-        assert!((t.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         t.request_posted();
         t.request_posted();
         assert_eq!(t.outstanding_requests(), 2);
@@ -861,17 +749,16 @@ mod tests {
         assert_eq!(t.outstanding_requests(), 0);
         assert_eq!(t.peak_outstanding(), 3);
         t.reset();
-        assert_eq!(t.pool_hits(), 0);
         assert_eq!(t.peak_outstanding(), 0);
     }
 
     #[test]
     fn byte_histograms_share_model_buckets() {
         let t = RankTrace::new();
-        t.record_message(OpKind::Send, 1); // bucket 0
-        t.record_message(OpKind::Send, 100); // 64 < 100 <= 128 -> bucket 7
-        t.record_message(OpKind::Send, 128); // bucket 7
-        t.record_message(OpKind::Alltoall, 4096); // bucket 12
+        send(&t, OpKind::Send, 1, 1); // bucket 0
+        send(&t, OpKind::Send, 100, 1); // 64 < 100 <= 128 -> bucket 7
+        send(&t, OpKind::Send, 128, 1); // bucket 7
+        send(&t, OpKind::Alltoall, 4096, 1); // bucket 12
         let h = t.byte_histogram(OpKind::Send);
         assert_eq!(h[0], 1);
         assert_eq!(h[sizebins::bucket_of(100)], 2);
@@ -887,9 +774,9 @@ mod tests {
     fn world_histogram_sums_ranks() {
         let a = Arc::new(RankTrace::new());
         let b = Arc::new(RankTrace::new());
-        a.record_message(OpKind::Send, 1024);
-        b.record_message(OpKind::Send, 1024);
-        b.record_message(OpKind::Send, 3);
+        send(&a, OpKind::Send, 1024, 1);
+        send(&b, OpKind::Send, 1024, 0);
+        send(&b, OpKind::Send, 3, 0);
         let w = WorldTrace::new(vec![a, b]);
         let h = w.byte_histogram(OpKind::Send);
         assert_eq!(h[sizebins::bucket_of(1024)], 2);
@@ -900,52 +787,46 @@ mod tests {
     }
 
     #[test]
-    fn world_trace_reports_pool_and_peak() {
+    fn world_trace_reports_peak_outstanding() {
         let a = Arc::new(RankTrace::new());
         let b = Arc::new(RankTrace::new());
-        a.record_pool(true);
-        a.record_pool(false);
-        b.record_pool(true);
+        a.request_posted();
         for _ in 0..4 {
             b.request_posted();
         }
         let w = WorldTrace::new(vec![a, b]);
-        assert!((w.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(w.peak_outstanding(), 4);
-        let s = w.summary();
-        assert!(s.contains("send-buffer pool"));
-        assert!(s.contains("peak outstanding"));
+        assert!(w.summary().contains("peak outstanding requests (any rank): 4"));
     }
 
     #[test]
-    fn copied_bytes_and_pool_peak_aggregate() {
+    fn copied_and_handoff_bytes_aggregate() {
         let a = Arc::new(RankTrace::new());
         let b = Arc::new(RankTrace::new());
-        a.record_copied(100);
-        a.record_copied(28);
-        b.record_copied(72);
-        a.set_pool_peak_in_flight(3);
-        b.set_pool_peak_in_flight(9);
-        assert_eq!(a.copied_bytes(), 128);
+        // A message is charged to exactly one of the two counters.
+        a.sent(OpKind::Send, 100, true, 1, "", algos::NONE);
+        a.sent(OpKind::Send, 28, true, 1, "", algos::NONE);
+        a.sent(OpKind::Send, 40, false, 1, "", algos::NONE);
+        b.sent(OpKind::Send, 72, true, 0, "", algos::NONE);
+        assert_eq!((a.copied_bytes(), a.handoff_bytes()), (128, 40));
         let w = WorldTrace::new(vec![Arc::clone(&a), b]);
-        assert_eq!(w.copied_bytes(), 200);
-        assert_eq!(w.pool_peak_in_flight(), 9);
+        assert_eq!((w.copied_bytes(), w.handoff_bytes()), (200, 40));
+        assert_eq!(w.copied_bytes() + w.handoff_bytes(), w.total_bytes());
         let s = w.summary();
         assert!(s.contains("payload bytes copied by transport: 200"), "{s}");
-        assert!(s.contains("peak in flight (any rank): 9"), "{s}");
+        assert!(s.contains("(ownership transfer): 40"), "{s}");
         a.reset();
-        assert_eq!(a.copied_bytes(), 0);
-        assert_eq!(a.pool_peak_in_flight(), 0);
+        assert_eq!((a.copied_bytes(), a.handoff_bytes()), (0, 0));
     }
 
     #[test]
     fn phased_matrix_sums_to_peer_bytes_exactly() {
         let t = RankTrace::new();
-        t.record_peer_ctx(1, 100, "halo", algos::NONE);
-        t.record_peer_ctx(1, 50, "halo", algos::NONE);
-        t.record_peer_ctx(1, 25, "dfft-redistribute", algos::BRUCK);
-        t.record_peer_ctx(2, 8, "dfft-redistribute", algos::BRUCK);
-        t.record_peer(2, 7); // phaseless traffic still lands in the matrix
+        t.sent(OpKind::Send, 100, false, 1, "halo", algos::NONE);
+        t.sent(OpKind::Send, 50, false, 1, "halo", algos::NONE);
+        t.sent(OpKind::Alltoall, 25, false, 1, "dfft-redistribute", algos::BRUCK);
+        t.sent(OpKind::Alltoall, 8, false, 2, "dfft-redistribute", algos::BRUCK);
+        send(&t, OpKind::Send, 7, 2); // phaseless traffic still lands in the matrix
         let peers = t.peer_bytes();
         assert_eq!(peers.get(&1), Some(&175));
         assert_eq!(peers.get(&2), Some(&15));
@@ -970,8 +851,8 @@ mod tests {
     fn world_phased_matrix_and_imbalance() {
         let a = Arc::new(RankTrace::new());
         let b = Arc::new(RankTrace::new());
-        a.record_peer_ctx(1, 300, "step", algos::NONE);
-        b.record_peer_ctx(0, 100, "step", algos::NONE);
+        a.sent(OpKind::Send, 300, false, 1, "step", algos::NONE);
+        b.sent(OpKind::Send, 100, false, 0, "step", algos::NONE);
         let w = WorldTrace::new(vec![a, b]);
         let cells = w.phased_matrix();
         assert_eq!(cells.len(), 2);
@@ -1005,10 +886,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         let t0 = RankTrace::with_registry(&reg, 0);
         let t1 = RankTrace::with_registry(&reg, 1);
-        t0.record(OpKind::Send, 1, 64);
-        t0.record_message(OpKind::Send, 64);
-        t1.record(OpKind::Alltoall, 3, 300);
-        t1.record_pool(true);
+        t0.sent(OpKind::Send, 64, true, 1, "", algos::NONE);
+        t1.called(OpKind::Alltoall);
+        send(&t1, OpKind::Alltoall, 300, 0);
         t1.request_posted();
         let snap = reg.snapshot();
         assert_eq!(
@@ -1023,7 +903,10 @@ mod tests {
             snap.value("beatnik_comm_message_size_bytes", &[("rank", "0"), ("op", "send")]),
             Some(1)
         );
-        assert_eq!(snap.value("beatnik_pool_hits_total", &[("rank", "1")]), Some(1));
+        assert_eq!(
+            snap.value("beatnik_transport_copied_bytes_total", &[("rank", "0")]),
+            Some(64)
+        );
         assert_eq!(
             snap.value("beatnik_requests_outstanding_peak", &[("rank", "1")]),
             Some(1)
@@ -1036,16 +919,12 @@ mod tests {
         // publication change: the human-facing summary — the text users
         // diff across runs — must not move by a single byte.
         let record = |t: &RankTrace| {
-            t.record(OpKind::Send, 2, 128);
-            t.record_message(OpKind::Send, 64);
-            t.record_message(OpKind::Send, 64);
-            t.record(OpKind::Alltoall, 3, 300);
-            t.record_message(OpKind::Alltoall, 100);
-            t.record_copied(100);
-            t.record_pool(true);
-            t.record_pool(false);
+            send(t, OpKind::Send, 64, 1);
+            send(t, OpKind::Send, 64, 1);
+            t.called(OpKind::Alltoall);
+            send(t, OpKind::Alltoall, 100, 1);
+            t.sent(OpKind::Send, 100, true, 1, "", algos::NONE);
             t.request_posted();
-            t.set_pool_peak_in_flight(2);
         };
         let plain = Arc::new(RankTrace::new());
         record(&plain);
@@ -1063,9 +942,11 @@ mod tests {
     fn world_trace_aggregates_over_ranks() {
         let a = Arc::new(RankTrace::new());
         let b = Arc::new(RankTrace::new());
-        a.record(OpKind::Alltoall, 3, 300);
-        b.record(OpKind::Alltoall, 3, 500);
-        b.record(OpKind::Send, 1, 7);
+        a.called(OpKind::Alltoall);
+        send(&a, OpKind::Alltoall, 300, 1);
+        b.called(OpKind::Alltoall);
+        send(&b, OpKind::Alltoall, 500, 0);
+        send(&b, OpKind::Send, 7, 0);
         let w = WorldTrace::new(vec![a, b]);
         assert_eq!(w.num_ranks(), 2);
         let t = w.total(OpKind::Alltoall);

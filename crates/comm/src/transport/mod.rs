@@ -1,6 +1,6 @@
 //! The pluggable transport layer: how envelopes move between ranks.
 //!
-//! Everything above this module — the eager/rendezvous split, indexed
+//! Everything above this module — the one send path, indexed
 //! mailboxes, posted receives, every collective algorithm, fault
 //! injection, and the metrics plane — is written against the indexed
 //! [`crate::mailbox::Mailbox`] and never names a backend. A
@@ -37,10 +37,11 @@
 //! [`Envelope`]s whose element type is plain data (no drop glue), and
 //! must refuse loudly otherwise.
 //!
-//! The eager/rendezvous protocol split happens *above* the transport
-//! (in the send paths), so its copy accounting is backend-independent;
-//! wire backends add their own serialization copies, which is why the
-//! copy-count invariant tests pin the thread backend.
+//! Copy accounting happens *above* the transport, where the envelope
+//! is built (a borrowed slice is copied once into an owned buffer; owned
+//! and shared buffers move by pointer), so it is backend-independent;
+//! wire backends add their own serialization copies, which the protocol
+//! counters never charge.
 
 pub mod chaos;
 mod crc32c;
@@ -52,24 +53,6 @@ pub mod wire;
 use crate::message::Envelope;
 use crate::registry::{CommId, Registry};
 use std::sync::Arc;
-
-/// Default eager/rendezvous crossover in payload bytes. Mirrors the
-/// 8 KiB eager limit common to production MPI transports: below it the
-/// extra copy is cheaper than the envelope round-trip it avoids.
-pub const DEFAULT_EAGER_LIMIT: usize = 8192;
-
-/// Name of the environment variable overriding the eager limit.
-pub const EAGER_LIMIT_ENV: &str = "BEATNIK_EAGER_LIMIT";
-
-/// The eager limit for a new world: `BEATNIK_EAGER_LIMIT` when set to
-/// a parseable byte count, [`DEFAULT_EAGER_LIMIT`] otherwise.
-///
-/// Read once at world construction (via [`crate::CommConfig`], the
-/// single env-reading point), not per message, so a mid-run env change
-/// cannot split a world across two protocols.
-pub fn eager_limit_from_env() -> usize {
-    crate::config::CommConfig::from_env().eager_limit
-}
 
 /// The selectable transport backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,10 +210,7 @@ pub(crate) fn build_loopback(
     let bare: Arc<dyn Transport> = match kind {
         TransportKind::Thread => Arc::new(thread::ThreadTransport),
         TransportKind::Shmem => Arc::new(
-            // Messages at or above the eager limit take the zero-copy
-            // handoff slab; below it they exercise real serialization,
-            // mirroring the protocol split above the transport.
-            shmem::ShmemTransport::loopback(num_ranks, config.shm_ring_bytes, config.eager_limit)
+            shmem::ShmemTransport::loopback(num_ranks, config.shm_ring_bytes)
                 .unwrap_or_else(|e| panic!("shmem transport setup failed: {e}")),
         ),
         TransportKind::Tcp => {
@@ -309,10 +289,5 @@ mod tests {
         assert_eq!("shm".parse::<TransportKind>().unwrap(), TransportKind::Shmem);
         assert_eq!(" TCP ".parse::<TransportKind>().unwrap(), TransportKind::Tcp);
         assert!("carrier-pigeon".parse::<TransportKind>().is_err());
-    }
-
-    #[test]
-    fn default_eager_limit_matches_mpi_convention() {
-        assert_eq!(DEFAULT_EAGER_LIMIT, 8192);
     }
 }

@@ -16,7 +16,7 @@
 //!   drains every ring into the shared registry's mailboxes. Used by
 //!   the backend test matrix so the full collective/fault suites
 //!   exercise real serialization and real shared memory. Large
-//!   wire-safe envelopes (at or above the world's eager limit) skip
+//!   wire-safe envelopes ([`HANDOFF_MIN_BYTES`] or more) skip
 //!   serialization entirely: the envelope is stashed in a
 //!   process-local **handoff slab** and only a ~21-byte `HANDOFF`
 //!   token rides the ring, so FIFO order against smaller serialized
@@ -49,6 +49,11 @@ const HEADER_BYTES: usize = 128;
 
 /// Smallest ring we will build; below this the header dominates.
 const MIN_RING_BYTES: usize = 4096;
+
+/// Smallest payload that rides the handoff slab when the destination
+/// is in this process; below it a memcpy through the ring is cheaper
+/// than the slab's lock and token round trip.
+const HANDOFF_MIN_BYTES: usize = 8192;
 
 #[cfg(unix)]
 mod sys {
@@ -275,24 +280,15 @@ pub struct ShmemTransport {
     handoff: Arc<Mutex<HashMap<u64, Envelope>>>,
     /// Token mint for the slab.
     handoff_seq: AtomicU64,
-    /// Smallest payload (bytes) taking the handoff path; `usize::MAX`
-    /// disables it (per-process mode, where no cross-rank destination is
-    /// ever in-process).
-    handoff_min: usize,
 }
 
 impl ShmemTransport {
     /// Build a loopback transport: every rank is a thread of this
     /// process, rings live in a fresh private directory, and one poller
     /// drains them all into the shared registry. Wire-safe payloads of
-    /// `handoff_min` bytes or more move zero-copy through the handoff
-    /// slab (pass `usize::MAX` to force everything through
-    /// serialization).
-    pub fn loopback(
-        num_ranks: usize,
-        ring_bytes: usize,
-        handoff_min: usize,
-    ) -> io::Result<ShmemTransport> {
+    /// [`HANDOFF_MIN_BYTES`] or more move zero-copy through the handoff
+    /// slab.
+    pub fn loopback(num_ranks: usize, ring_bytes: usize) -> io::Result<ShmemTransport> {
         let dir = std::env::temp_dir().join(format!("beatnik-shm-{}", unique_suffix()));
         std::fs::create_dir_all(&dir)?;
         let mut me = ShmemTransport {
@@ -305,7 +301,6 @@ impl ShmemTransport {
             poller: Mutex::new(None),
             handoff: Arc::new(Mutex::new(HashMap::new())),
             handoff_seq: AtomicU64::new(0),
-            handoff_min,
         };
         for src in 0..num_ranks {
             for dst in 0..num_ranks {
@@ -338,10 +333,9 @@ impl ShmemTransport {
             stop: Arc::new(AtomicBool::new(false)),
             poller: Mutex::new(None),
             handoff: Arc::new(Mutex::new(HashMap::new())),
+            // Every cross-rank destination is another process, so the
+            // slab never engages (`local` holds only this rank).
             handoff_seq: AtomicU64::new(0),
-            // Every cross-rank destination is another process: a pointer
-            // would be meaningless there, so the slab never engages.
-            handoff_min: usize::MAX,
         };
         for peer in 0..num_ranks {
             if peer == my_rank {
@@ -473,7 +467,7 @@ impl Transport for ShmemTransport {
         // non-overtaking order is preserved; droppy payloads (no wire
         // view) keep today's loud serialization failure rather than
         // silently working only above the threshold.
-        if env.bytes >= self.handoff_min
+        if env.bytes >= HANDOFF_MIN_BYTES
             && env.wire_view().is_some()
             && self.local.contains(&route.dst_world)
         {
@@ -578,11 +572,11 @@ mod tests {
     #[test]
     fn handoff_moves_large_envelopes_without_serialization_in_ring_order() {
         let registry = Arc::new(Registry::new());
-        // handoff_min 64: the 8-byte message serializes, the big ones
-        // ride the slab. The 8 KiB payload exceeds the 4 KiB ring, so it
-        // can only arrive via handoff — reaching the mailbox at all
-        // proves no serialized frame carried it.
-        let t = ShmemTransport::loopback(2, 4096, 64).unwrap();
+        // The 8-byte messages serialize, the 8 KiB one rides the slab:
+        // it exceeds the 4 KiB ring, so it can only arrive via handoff —
+        // reaching the mailbox at all proves no serialized frame
+        // carried it.
+        let t = ShmemTransport::loopback(2, 4096).unwrap();
         t.attach(&registry);
         let r = Route {
             comm: 0,
@@ -595,16 +589,19 @@ mod tests {
         t.deliver(&registry, r, Envelope::new(0, 2, big.clone()));
         t.deliver(&registry, r, Envelope::new(0, 3, vec![9u64]));
         let mb = registry.mailbox(0, 1);
-        let timeout = Duration::from_secs(5);
+        let recv = || {
+            mb.recv_matching_timeout(usize::MAX, u64::MAX, mb.interrupt_seq(), Duration::from_secs(5))
+                .expect("frame should arrive")
+        };
         // Wildcard receives absorb strictly in arrival order: the
         // handoff token must not have overtaken frame 1 nor been
         // overtaken by frame 3.
-        let a = mb.recv_matching_timeout(1, usize::MAX, u64::MAX, timeout).unwrap();
+        let a = recv();
         assert_eq!(a.tag, 1);
-        let b = mb.recv_matching_timeout(1, usize::MAX, u64::MAX, timeout).unwrap();
+        let b = recv();
         assert_eq!(b.tag, 2);
         assert_eq!(b.into_data::<u64>(), big);
-        let c = mb.recv_matching_timeout(1, usize::MAX, u64::MAX, timeout).unwrap();
+        let c = recv();
         assert_eq!(c.tag, 3);
         assert!(t.handoff.lock().unwrap().is_empty(), "slab must drain");
         t.shutdown();
@@ -612,7 +609,7 @@ mod tests {
 
     #[test]
     fn handoff_capability_tracks_local_ranks() {
-        let t = ShmemTransport::loopback(3, 4096, 64).unwrap();
+        let t = ShmemTransport::loopback(3, 4096).unwrap();
         assert!(t.pointer_handoff(0));
         assert!(t.pointer_handoff(2));
         t.shutdown();

@@ -1430,10 +1430,9 @@ mod tests {
     }
 
     fn recv_u64(registry: &Registry, rank: usize, tag: u64) -> Vec<u64> {
-        registry
-            .mailbox(WORLD_COMM_ID, rank)
-            .recv_matching_timeout(rank, usize::MAX, tag, Duration::from_secs(10))
-            .unwrap_or_else(|e| panic!("rank {rank} waiting for tag {tag}: {e}"))
+        let mb = registry.mailbox(WORLD_COMM_ID, rank);
+        mb.recv_matching_timeout(usize::MAX, tag, mb.interrupt_seq(), Duration::from_secs(10))
+            .unwrap_or_else(|| panic!("rank {rank} timed out waiting for tag {tag}"))
             .into_data::<u64>()
     }
 
@@ -1551,8 +1550,8 @@ mod tests {
             .iter()
             .map(|(tag, _)| {
                 mailbox
-                    .recv_matching_timeout(1, 0, *tag, Duration::ZERO)
-                    .unwrap_or_else(|e| panic!("tag {tag} not delivered: {e}"))
+                    .recv_matching_timeout(0, *tag, mailbox.interrupt_seq(), Duration::ZERO)
+                    .unwrap_or_else(|| panic!("tag {tag} not delivered"))
                     .into_data::<u64>()
             })
             .collect();
@@ -1658,7 +1657,12 @@ mod tests {
                 // Keep the mailbox from holding the whole run.
                 for tag in i - 63..=i {
                     let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
-                    let env = mailbox.recv_matching_timeout(1, 0, tag, Duration::from_secs(10));
+                    let env = mailbox.recv_matching_timeout(
+                        0,
+                        tag,
+                        mailbox.interrupt_seq(),
+                        Duration::from_secs(10),
+                    );
                     assert_eq!(env.unwrap().into_data::<u8>().len(), payload.len());
                 }
             }

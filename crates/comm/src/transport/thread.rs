@@ -52,9 +52,9 @@ mod tests {
             },
             Envelope::new(0, 7, vec![1u32, 2, 3]),
         );
-        let env = registry
-            .mailbox(0, 1)
-            .recv_matching_timeout(1, 0, 7, std::time::Duration::from_secs(1))
+        let mb = registry.mailbox(0, 1);
+        let env = mb
+            .recv_matching_timeout(0, 7, mb.interrupt_seq(), std::time::Duration::from_secs(1))
             .expect("envelope should be waiting");
         assert_eq!(env.into_data::<u32>(), vec![1, 2, 3]);
     }

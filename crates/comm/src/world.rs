@@ -2,8 +2,8 @@
 //!
 //! [`World::builder`] is the one entry point. It collapses what used to
 //! be eight `run*` variants into a single fluent configuration —
-//! transport backend, receive timeout, eager limit, profiling, fault
-//! plan — with four terminal runners:
+//! transport backend, receive timeout, profiling, fault plan — with
+//! four terminal runners:
 //!
 //! ```
 //! use beatnik_comm::World;
@@ -20,7 +20,6 @@ use crate::communicator::Communicator;
 use crate::config::CommConfig;
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan, RankKilled};
 use crate::metrics::MetricsPlane;
-use crate::pool::BufferPool;
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::sync::Mutex;
 use crate::trace::{RankTrace, WorldTrace};
@@ -99,14 +98,6 @@ impl WorldBuilder {
     /// typically pass seconds, not minutes).
     pub fn recv_timeout(mut self, timeout: Duration) -> Self {
         self.config.recv_timeout = timeout;
-        self
-    }
-
-    /// Eager/rendezvous crossover in payload bytes (`0` forces every
-    /// sized send onto the rendezvous path). Tests use this to pin one
-    /// protocol without touching process-global environment state.
-    pub fn eager_limit(mut self, bytes: usize) -> Self {
-        self.config.eager_limit = bytes;
         self
     }
 
@@ -261,17 +252,10 @@ impl WorldBuilder {
             })
             .collect();
         let identity: Arc<Vec<usize>> = Arc::new((0..num_ranks).collect());
-        // One send-buffer pool per rank; subcommunicators derived from a
-        // rank share it. Kept out here so the high-water mark survives
-        // into the trace after the rank threads join.
-        let pools: Vec<Arc<BufferPool>> = (0..num_ranks)
-            .map(|_| Arc::new(BufferPool::new()))
-            .collect();
         registry.install_metrics(Arc::new(MetricsPlane::new(
             metrics,
             traces.clone(),
             recorders.clone(),
-            pools.clone(),
         )));
         let injectors: Vec<Option<Arc<FaultInjector>>> = (0..num_ranks)
             .map(|rank| fault_plan.as_ref().and_then(|p| p.injector_for(rank)))
@@ -294,9 +278,7 @@ impl WorldBuilder {
                         Arc::clone(&identity),
                         Arc::clone(&traces[rank]),
                         Arc::clone(&recorders[rank]),
-                        Arc::clone(&pools[rank]),
                         config.recv_timeout,
-                        config.eager_limit,
                     )
                     .with_fault(injectors[rank].clone());
                     let reg = Arc::clone(&registry);
@@ -350,11 +332,6 @@ impl WorldBuilder {
         // before snapshotting so in-flight wire frames land first.
         transport.shutdown();
 
-        // Mirror each pool's high-water mark into its rank trace so the
-        // profile summary can report envelope-memory pressure.
-        for (trace, pool) in traces.iter().zip(&pools) {
-            trace.set_pool_peak_in_flight(pool.stats().peak_in_flight);
-        }
         // All rank threads have joined: snapshotting the recorders is
         // race-free (single-writer protocol).
         let timeline = span_capacity.map(|_| {
@@ -499,19 +476,17 @@ mod tests {
     #[test]
     fn builder_pins_config_knobs() {
         let cfg = CommConfig {
-            transport: TransportKind::Thread,
-            eager_limit: 0,
+            transport: TransportKind::Shmem,
             recv_timeout: Duration::from_secs(5),
             ..CommConfig::default()
         };
-        let (_, trace) = World::builder(2).config(cfg).run_traced(|c| {
-            if c.rank() == 0 {
-                c.isend(1, 1, &[1u8; 64]).wait();
-            } else {
-                let _ = c.recv::<u8>(0, 1);
-            }
+        World::builder(2).config(cfg).run(|c| {
+            assert_eq!(c.recv_timeout(), Duration::from_secs(5));
+            let snap = c.metrics_snapshot().expect("world runners install a plane");
+            assert_eq!(
+                snap.value("beatnik_world_info", &[("transport", "shmem")]),
+                Some(1)
+            );
         });
-        // eager_limit 0 forces the rendezvous path: exactly one copy.
-        assert_eq!(trace.rank(0).copied_bytes(), 64);
     }
 }

@@ -97,38 +97,51 @@ backend_matrix! {
         }
     }
 
-    /// Both the eager and the rendezvous protocol move bytes intact
-    /// across the backend, and per-peer message streams never overtake.
-    fn eager_and_rendezvous_streams_stay_ordered(kind: TransportKind) {
-        World::builder(3)
+    /// The three send forms — borrowed slice, owned buffer, shared
+    /// buffer — interleaved on one `(src, tag)` stream at sizes from
+    /// empty to 64 KiB (straddling shmem's 8 KiB handoff threshold)
+    /// arrive intact and in order, and each message is charged to exactly
+    /// one byte counter: slices to `copied` (one copy at every size),
+    /// owned and shared buffers to `handoff`.
+    fn slice_owned_and_shared_sends_interleave_intact_and_in_order(kind: TransportKind) {
+        const SIZES: [usize; 5] = [0, 64, 8192, 8193, 65536];
+        let payload = |seq: usize, len: usize| -> Vec<u8> {
+            (0..len).map(|i| (seq * 31 + i) as u8).collect()
+        };
+        let (_, trace) = World::builder(3)
             .transport(kind)
             .recv_timeout(TIMEOUT)
-            .eager_limit(256)
-            .run(|c| {
-                let peers = 3usize;
-                for round in 0..20u64 {
-                    for dst in 0..peers {
-                        if dst == c.rank() {
-                            continue;
-                        }
-                        // Alternate below/above the eager limit so both
-                        // protocols interleave on the same stream.
-                        let len = if round % 2 == 0 { 4 } else { 128 };
-                        let msg: Vec<u64> = (0..len).map(|i| round * 1000 + i).collect();
-                        c.send(dst, 7, msg);
+            .run_traced(move |c| {
+                if c.rank() == 0 {
+                    for (n, &len) in SIZES.iter().enumerate() {
+                        c.isend(1, 7, &payload(3 * n, len)).wait();
+                        c.isend(2, 7, &payload(3 * n, len)).wait();
+                        c.isend_owned(1, 7, payload(3 * n + 1, len)).wait();
+                        c.send(2, 7, payload(3 * n + 1, len));
+                        let shared = std::sync::Arc::new(payload(3 * n + 2, len));
+                        c.isend_shared(1, 7, &shared).wait();
+                        c.isend_shared(2, 7, &shared).wait();
                     }
-                }
-                for src in 0..peers {
-                    if src == c.rank() {
-                        continue;
-                    }
-                    for round in 0..20u64 {
-                        let got: Vec<u64> = c.recv(src, 7);
-                        assert_eq!(got[0], round * 1000, "stream from {src} overtook");
-                        assert!(got.iter().enumerate().all(|(i, &v)| v == round * 1000 + i as u64));
+                } else {
+                    for seq in 0..3 * SIZES.len() {
+                        // Alternate queue receives and posted slots.
+                        let got: Vec<u8> = if seq % 2 == 0 {
+                            c.recv(0, 7)
+                        } else {
+                            c.irecv(0, 7).wait()
+                        };
+                        assert_eq!(got, payload(seq, SIZES[seq / 3]), "message {seq} on {kind}");
                     }
                 }
             });
+        let total: u64 = SIZES.iter().map(|&n| n as u64).sum();
+        let sender = trace.rank(0);
+        assert_eq!(sender.copied_bytes(), 2 * total, "{kind}");
+        assert_eq!(sender.handoff_bytes(), 4 * total, "{kind}");
+        assert_eq!(sender.get(OpKind::Send).messages, 6 * SIZES.len() as u64, "{kind}");
+        for r in 1..3 {
+            assert_eq!(trace.rank(r).total_bytes(), 0, "rank {r} on {kind}");
+        }
     }
 
     /// A rank killed mid-collective surfaces as `RankFailed`/`Timeout`

@@ -119,20 +119,6 @@ fn all_collectives_fail_fast(p: usize) {
                 c.try_alltoallv(&vec![c.rank() as u64; c.size()], &counts).map(|_| ())
             }),
         ),
-        (
-            "scan",
-            Box::new(|c: &Communicator| c.try_scan(c.rank() as i64, &SumOp).map(|_| ())),
-        ),
-        (
-            "exscan",
-            Box::new(|c: &Communicator| c.try_exscan(c.rank() as i64, &SumOp).map(|_| ())),
-        ),
-        (
-            "reduce_scatter",
-            Box::new(|c: &Communicator| {
-                c.try_reduce_scatter(&vec![1.0f64; c.size()], &SumOp).map(|_| ())
-            }),
-        ),
     ];
     for (name, coll) in cases {
         eprintln!("case: {name} p={p}");
@@ -397,4 +383,53 @@ fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
         .sum();
     assert_eq!(snap_total, phased_total);
     assert_eq!(snap_total, classic_total);
+}
+
+/// On rank 0 of a 2-rank world, run `wait` five times — each entered
+/// only once rank 1's death is on the failure ledger — and return the
+/// last result with the fastest latency. Detection of a death that
+/// predates the wait is deterministic, so the minimum is immune to a
+/// loaded machine preempting one attempt.
+fn wait_on_a_dead_peer<R, F>(wait: F) -> (R, Duration)
+where
+    R: Send,
+    F: Fn(&Communicator) -> R + Send + Sync,
+{
+    let plan = FaultPlan::parse("kill:r1@step1", 0).expect("static plan");
+    let report = World::builder(2).recv_timeout(WORLD_TIMEOUT).fault_plan(&plan).run_ft(|comm| {
+        comm.fault_step(1); // rank 1 dies here
+        while comm.failed_ranks().is_empty() {
+            std::thread::yield_now();
+        }
+        let mut best = Duration::MAX;
+        let mut last = None;
+        for _ in 0..5 {
+            let started = Instant::now();
+            last = Some(wait(&comm));
+            best = best.min(started.elapsed());
+        }
+        (last.expect("five attempts"), best)
+    });
+    assert_eq!(report.killed, [1], "kill did not land");
+    report.results.into_iter().flatten().next().expect("rank 0 reports")
+}
+
+/// Regression: a waiter that *enters* a blocking claim after its peer
+/// already died used to snapshot the post-death interrupt sequence and
+/// sleep one full 100 ms poll slice before it first read the ledger.
+#[test]
+fn late_entrant_detects_a_dead_peer_before_its_first_sleep() {
+    let (result, latency) = wait_on_a_dead_peer(|comm| comm.irecv::<u8>(1, 5).try_wait());
+    assert_eq!(result, Err(CommError::RankFailed { rank: 0, failed: 1 }));
+    assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
+}
+
+/// Regression: `recv_within` never read the failure ledger at all — on a
+/// dead peer it burned its whole timeout and reported `Timeout`.
+#[test]
+fn recv_within_on_a_dead_peer_returns_rank_failed_promptly() {
+    let (result, latency) =
+        wait_on_a_dead_peer(|comm| comm.recv_within::<u8>(1, 5, Duration::from_secs(5)));
+    assert_eq!(result, Err(CommError::RankFailed { rank: 0, failed: 1 }));
+    assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
 }

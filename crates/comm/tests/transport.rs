@@ -1,88 +1,13 @@
-//! Transport-protocol integration tests: copy accounting across the
-//! eager/rendezvous crossover, and ordering guarantees of the indexed
+//! Transport-protocol integration tests: copy accounting of the owned
+//! and shared send forms, and ordering guarantees of the indexed
 //! mailbox under randomized same-selector streams.
 
-use beatnik_comm::{wait_all, TransportKind, World, ANY_SOURCE, ANY_TAG, DEFAULT_EAGER_LIMIT};
+use beatnik_comm::{wait_all, TransportKind, World, ANY_SOURCE, ANY_TAG};
 use beatnik_prng::Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Above the eager limit the transport must perform exactly ONE payload
-/// copy (sender-side materialisation into the owned buffer that then
-/// moves by pointer). Verified through the trace's copied-bytes
-/// counter, which the send paths charge per protocol.
-#[test]
-fn rendezvous_sends_copy_payload_exactly_once() {
-    // Eager limit 0: every sized isend takes the rendezvous path.
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(0).run_traced(|c| {
-        if c.rank() == 0 {
-            c.isend(1, 1, &[7u64; 100]).wait(); // 800 bytes
-        } else {
-            let got = c.irecv::<u64>(0, 1).wait();
-            assert_eq!(got, vec![7u64; 100]);
-        }
-    });
-    assert_eq!(
-        trace.rank(0).copied_bytes(),
-        800,
-        "rendezvous must copy the payload exactly once"
-    );
-    // The receiver takes ownership of the buffer — no copy charged there,
-    // and no pooled envelope was involved on either side.
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 0);
-}
-
-/// Below the limit the eager path copies twice: into the pooled envelope
-/// at the sender, out of it at the receiver.
-#[test]
-fn eager_sends_copy_payload_twice() {
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(DEFAULT_EAGER_LIMIT).run_traced(|c| {
-        if c.rank() == 0 {
-            c.isend(1, 1, &[7u64; 100]).wait();
-        } else {
-            let _ = c.irecv::<u64>(0, 1).wait();
-        }
-    });
-    assert_eq!(trace.rank(0).copied_bytes(), 1600);
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 1);
-}
-
-/// The crossover is exclusive at the limit: a payload of exactly
-/// `eager_limit` bytes stays eager; one byte more goes rendezvous.
-#[test]
-fn crossover_boundary_is_exclusive() {
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(64).run_traced(|c| {
-        if c.rank() == 0 {
-            c.isend(1, 1, &[1u8; 64]).wait(); // == limit: eager
-            c.isend(1, 2, &[2u8; 65]).wait(); // > limit: rendezvous
-        } else {
-            assert_eq!(c.irecv::<u8>(0, 1).wait().len(), 64);
-            assert_eq!(c.irecv::<u8>(0, 2).wait().len(), 65);
-        }
-    });
-    assert_eq!(trace.rank(0).copied_bytes(), 2 * 64 + 65);
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 1);
-}
-
-/// Rendezvous deposits must land directly in a posted receive: post the
-/// irecv first, then send large, and confirm completion plus single-copy
-/// accounting in one run.
-#[test]
-fn rendezvous_deposits_into_posted_receive() {
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(8).run_traced(|c| {
-        if c.rank() == 0 {
-            c.barrier(); // ensure rank 1's irecv is posted first
-            c.isend(1, 5, &[0.25f64; 64]).wait(); // 512 bytes, rendezvous
-        } else {
-            let req = c.irecv::<f64>(0, 5);
-            c.barrier();
-            assert_eq!(req.wait(), vec![0.25f64; 64]);
-        }
-    });
-    assert_eq!(trace.rank(0).copied_bytes(), 512);
-}
 
 /// Ownership-transfer sends copy nothing at any size: the buffer the
 /// caller gives up is the buffer the receiver unwraps. The bytes are
@@ -90,9 +15,7 @@ fn rendezvous_deposits_into_posted_receive() {
 /// `copied` is a pinned invariant, not an accounting gap.
 #[test]
 fn owned_sends_copy_nothing_at_any_size() {
-    // Eager limit 0: a slice isend of any size would go rendezvous
-    // (1 copy); the owned path must still charge zero.
-    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).eager_limit(0).run_traced(|c| {
+    let (_, trace) = World::builder(2).recv_timeout(TIMEOUT).run_traced(|c| {
         if c.rank() == 0 {
             c.isend_owned(1, 1, vec![7u64; 100]).wait(); // 800 bytes
             c.isend_owned(1, 2, vec![9u64; 65536]).wait(); // 512 KiB
@@ -103,7 +26,6 @@ fn owned_sends_copy_nothing_at_any_size() {
     });
     assert_eq!(trace.rank(0).copied_bytes(), 0, "ownership transfer must not copy");
     assert_eq!(trace.rank(0).handoff_bytes(), 800 + 65536 * 8);
-    assert_eq!(trace.rank(0).pool_hits() + trace.rank(0).pool_misses(), 0);
 }
 
 /// Shared-buffer sends fan one allocation out to many destinations with
@@ -138,7 +60,7 @@ beatnik_comm::backend_matrix! {
             .recv_timeout(TIMEOUT)
             .run_traced(|c| {
                 if c.rank() == 0 {
-                    let data: Vec<u64> = (0..8192).collect(); // 64 KiB >= eager limit
+                    let data: Vec<u64> = (0..8192).collect(); // 64 KiB
                     c.isend_owned(1, 7, data).wait();
                 } else {
                     let got = c.irecv::<u64>(0, 7).wait();
@@ -267,93 +189,4 @@ fn wait_all_wildcards_and_exact_posts_preserve_stream_order() {
             c.isend(0, 9, &[base + 1]).wait();
         }
     });
-}
-
-/// Property test for the zero-copy path: ownership-transfer sends mixed
-/// into eager, rendezvous, and posted-receive traffic must preserve
-/// per-stream non-overtaking order and payload integrity — and the copy
-/// counters must come out exactly as the protocol prices each style
-/// (eager 2x, rendezvous slice 1x, owned 0x + handoff).
-#[test]
-fn zero_copy_sends_interleave_with_eager_and_rendezvous_traffic() {
-    const MSGS: u64 = 45;
-    const LIMIT: usize = 1024;
-    // Message sizes in u64 elements per send style.
-    const EAGER_N: usize = 64; // 512 B  <= limit: eager, copied 2x
-    const RDV_N: usize = 200; // 1600 B >  limit: slice rendezvous, copied 1x
-    const OWNED_N: usize = 300; // 2400 B: ownership transfer, copied 0x
-
-    for seed in 0..3u64 {
-        let (expected, trace) = World::builder(4)
-            .recv_timeout(TIMEOUT)
-            .eager_limit(LIMIT)
-            .run_traced(move |c| {
-                if c.rank() == 0 {
-                    let mut next_seq = [0u64; 4];
-                    let mut rng = Rng::seed_from_u64(seed);
-                    let mut received = 0;
-                    while received < MSGS * 3 {
-                        let open: Vec<usize> = (1..4).filter(|&s| next_seq[s] < MSGS).collect();
-                        let payload = match rng.gen_index(0..3) {
-                            0 if !open.is_empty() => {
-                                let s = open[rng.gen_index(0..open.len())];
-                                c.recv::<u64>(s, s as u64)
-                            }
-                            1 if !open.is_empty() => {
-                                let s = open[rng.gen_index(0..open.len())];
-                                c.irecv::<u64>(s, s as u64).wait()
-                            }
-                            _ => c.recv_any::<u64>(ANY_SOURCE, ANY_TAG).0,
-                        };
-                        // Header encodes (sender, seq); every filler
-                        // element must match header + index.
-                        let header = payload[0];
-                        let src = (header / 1000) as usize;
-                        let seq = header % 1000;
-                        assert_eq!(
-                            seq, next_seq[src],
-                            "seed {seed}: stream from {src} overtook"
-                        );
-                        for (i, &v) in payload.iter().enumerate() {
-                            assert_eq!(
-                                v,
-                                header + i as u64,
-                                "seed {seed}: payload corrupted at elem {i} of (src {src}, seq {seq})"
-                            );
-                        }
-                        next_seq[src] += 1;
-                        received += 1;
-                    }
-                    (0u64, 0u64)
-                } else {
-                    let r = c.rank() as u64;
-                    let (mut copied, mut handoff) = (0u64, 0u64);
-                    for seq in 0..MSGS {
-                        let header = r * 1000 + seq;
-                        let fill = |n: usize| -> Vec<u64> {
-                            (0..n as u64).map(|i| header + i).collect()
-                        };
-                        match seq % 3 {
-                            0 => {
-                                c.isend(0, r, &fill(EAGER_N)).wait();
-                                copied += 2 * (EAGER_N * 8) as u64;
-                            }
-                            1 => {
-                                c.isend(0, r, &fill(RDV_N)).wait();
-                                copied += (RDV_N * 8) as u64;
-                            }
-                            _ => {
-                                c.isend_owned(0, r, fill(OWNED_N)).wait();
-                                handoff += (OWNED_N * 8) as u64;
-                            }
-                        }
-                    }
-                    (copied, handoff)
-                }
-            });
-        for (rank, &(copied, handoff)) in expected.iter().enumerate() {
-            assert_eq!(trace.rank(rank).copied_bytes(), copied, "seed {seed} rank {rank}");
-            assert_eq!(trace.rank(rank).handoff_bytes(), handoff, "seed {seed} rank {rank}");
-        }
-    }
 }

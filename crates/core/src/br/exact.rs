@@ -10,8 +10,7 @@
 //! The default path pipelines each ring step: the receive for the next
 //! block and the send of the current block are posted *before* the n²/P
 //! pair kernel runs, so the neighbor exchange overlaps the computation
-//! (P−1-stage pipeline). [`ExactBrSolver::velocities_blocking`] keeps the
-//! original synchronous `sendrecv` schedule for comparison benchmarks.
+//! (P−1-stage pipeline).
 
 use super::kernel::accumulate_block;
 use super::{BrPoint, BrSolver};
@@ -74,42 +73,6 @@ impl BrSolver for ExactBrSolver {
 
     fn name(&self) -> &'static str {
         "exact"
-    }
-}
-
-impl ExactBrSolver {
-    /// The pre-pipelining schedule: compute on the current block, *then*
-    /// exchange it with a synchronous `sendrecv`. Numerically identical
-    /// to [`BrSolver::velocities`]; kept for blocking-vs-nonblocking
-    /// benchmark comparisons.
-    pub fn velocities_blocking(
-        &self,
-        comm: &Communicator,
-        points: &[BrPoint],
-        epsilon: f64,
-    ) -> Vec<[f64; 3]> {
-        let _phase = comm.telemetry().phase("br-exact");
-        let eps2 = epsilon * epsilon;
-        let p = comm.size();
-        let me = comm.rank();
-        let targets: Vec<[f64; 3]> = points.iter().map(|b| b.pos).collect();
-        let mut vel = vec![[0.0f64; 3]; points.len()];
-        let mut circ: Vec<([f64; 3], [f64; 3])> =
-            points.iter().map(|b| (b.pos, b.strength)).collect();
-
-        for step in 0..p {
-            let _stage = comm.telemetry().phase("br-ring-stage");
-            vel.par_chunks_mut(256)
-                .zip(targets.par_chunks(256))
-                .for_each(|(v, t)| accumulate_block(v, t, &circ, eps2));
-
-            if step + 1 < p {
-                let right = (me + 1) % p;
-                let left = (me + p - 1) % p;
-                circ = comm.sendrecv(right, circ, left, RING_TAG + step as u64);
-            }
-        }
-        vel
     }
 }
 
@@ -193,34 +156,12 @@ mod tests {
             let s = trace.rank(r).get(OpKind::Send);
             assert_eq!(s.messages, 3);
             assert_eq!(s.bytes, 3 * 10 * 48);
-            // Every isend drew a pooled envelope, and at each pipelined
+            // Every isend copied its block once, and at each pipelined
             // step the send and the receive were in flight together.
             let t = trace.rank(r);
-            assert_eq!(t.pool_hits() + t.pool_misses(), 3);
+            assert_eq!(t.copied_bytes(), 3 * 480);
             assert!(t.peak_outstanding() >= 2, "rank {r}");
             assert_eq!(t.outstanding_requests(), 0, "rank {r}");
-        }
-    }
-
-    #[test]
-    fn blocking_schedule_matches_pipelined_bitwise() {
-        let all = global_points(36);
-        for p in [2usize, 4, 9] {
-            let all2 = all.clone();
-            World::builder(p).run(move |comm| {
-                let chunk = 36 / comm.size();
-                let lo = comm.rank() * chunk;
-                let hi = if comm.rank() + 1 == comm.size() {
-                    36
-                } else {
-                    lo + chunk
-                };
-                let mine = &all2[lo..hi];
-                let pipelined = ExactBrSolver.velocities(&comm, mine, 0.07);
-                let blocking = ExactBrSolver.velocities_blocking(&comm, mine, 0.07);
-                // Same pair order, same arithmetic: bitwise identical.
-                assert_eq!(pipelined, blocking, "p={p}");
-            });
         }
     }
 

@@ -244,13 +244,12 @@ mod tests {
         // The Direct engine is pure point-to-point: no collective traffic,
         // one message per nonempty peer intersection (3 per rank here),
         // with all receives posted before the sends drain. Every block
-        // travels by ownership transfer — zero protocol copies, no
-        // pooled envelopes, all payload bytes on the handoff counter.
+        // travels by ownership transfer — zero protocol copies, all
+        // payload bytes on the handoff counter.
         assert_eq!(trace.total(OpKind::Alltoallv).messages, 0);
         for r in 0..4 {
             let t = trace.rank(r);
             assert_eq!(t.get(OpKind::Send).messages, 3);
-            assert_eq!(t.pool_hits() + t.pool_misses(), 0);
             assert_eq!(t.copied_bytes(), 0, "rank {r} copied payload bytes");
             assert_eq!(t.handoff_bytes(), t.get(OpKind::Send).bytes);
             assert!(t.peak_outstanding() >= 4, "rank {r}");

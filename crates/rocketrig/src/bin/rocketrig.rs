@@ -115,11 +115,7 @@ fn main() {
         }
     }
 
-    println!(
-        "\ncommunication summary (all ranks, eager limit {} B):\n{}",
-        beatnik_comm::eager_limit_from_env(),
-        trace.summary()
-    );
+    println!("\ncommunication summary (all ranks):\n{}", trace.summary());
     if opts.print_matrix {
         println!("{}", trace.matrix_text());
     }

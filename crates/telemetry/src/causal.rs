@@ -43,7 +43,7 @@ pub struct FlowGraph {
     /// `dropped_spans`). Empty on a healthy traced run.
     pub orphan_recvs: Vec<(usize, usize)>,
     /// Send contexts never claimed by a receive-side span. Nonzero is
-    /// normal: eagerly buffered messages a receiver had not yet claimed
+    /// normal: buffered messages a receiver had not yet claimed
     /// when the world shut down, or receive paths below the telemetry
     /// horizon.
     pub unmatched_sends: usize,

@@ -1,8 +1,8 @@
 //! Lock-free metrics registry: counters, gauges, and fixed-bucket
 //! histograms with atomic cells and a zero-alloc hot path.
 //!
-//! `RankTrace` (comm byte accounting), the `BufferPool`, the mailbox
-//! posted-receive registry, and the fault ledger all publish into one
+//! `RankTrace` (comm byte accounting), the mailbox posted-receive
+//! registry, and the fault ledger all publish into one
 //! [`MetricsRegistry`] per world. Registration (naming a metric and its
 //! label set) takes a lock and allocates; it happens once at world
 //! setup. The handles it returns — [`Counter`], [`Gauge`],

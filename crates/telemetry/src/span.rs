@@ -11,7 +11,7 @@
 pub enum CommOp {
     /// Blocking buffered send (returns as soon as the envelope is queued).
     Send,
-    /// Nonblocking pooled send post.
+    /// Nonblocking send post.
     Isend,
     /// Blocking receive (includes all time blocked in the mailbox).
     Recv,
@@ -30,9 +30,6 @@ pub enum CommOp {
     Scatter,
     Alltoall,
     Alltoallv,
-    Scan,
-    Exscan,
-    ReduceScatter,
 }
 
 impl CommOp {
@@ -56,9 +53,6 @@ impl CommOp {
                 | CommOp::Scatter
                 | CommOp::Alltoall
                 | CommOp::Alltoallv
-                | CommOp::Scan
-                | CommOp::Exscan
-                | CommOp::ReduceScatter
         )
     }
 
@@ -80,14 +74,11 @@ impl CommOp {
             CommOp::Scatter => "scatter",
             CommOp::Alltoall => "alltoall",
             CommOp::Alltoallv => "alltoallv",
-            CommOp::Scan => "scan",
-            CommOp::Exscan => "exscan",
-            CommOp::ReduceScatter => "reduce_scatter",
         }
     }
 
     /// Every operation kind, in export order.
-    pub const ALL: [CommOp; 18] = [
+    pub const ALL: [CommOp; 15] = [
         CommOp::Send,
         CommOp::Isend,
         CommOp::Recv,
@@ -103,9 +94,6 @@ impl CommOp {
         CommOp::Scatter,
         CommOp::Alltoall,
         CommOp::Alltoallv,
-        CommOp::Scan,
-        CommOp::Exscan,
-        CommOp::ReduceScatter,
     ];
 }
 
