@@ -35,7 +35,11 @@
 //!   2304 sources, ns per pair) and the fused cell-sorted cutoff
 //!   evaluation (`br_cutoff/fused`: one 1-rank `CutoffBrSolver` call on
 //!   the 96² single-mode point set at cutoff 0.5, ns per target —
-//!   binning, distance filter and pair kernel together).
+//!   binning, distance filter and pair kernel together), then that
+//!   pass's two loops on the same cell runs and hit lists, each in its
+//!   dispatched vector form and its scalar body: the distance filter
+//!   (`br_select/{simd, scalar}`, ns per candidate) and the hit kernel
+//!   (`br_hits/{simd, scalar}`, ns per hit).
 //!
 //! * **Z-Model stage remainder** — what one `ZModel::derivatives` call
 //!   spends outside the phases it invokes (halo exchanges, distributed
@@ -52,7 +56,9 @@
 //! Usage: `bench_compute [output.json]` (default `BENCH_compute.json`).
 
 use beatnik_comm::{AllToAllAlgo, Communicator, World};
-use beatnik_core::br::kernel::accumulate_block;
+use beatnik_core::br::kernel::{
+    accumulate_block, accumulate_hits, hits_body, select_body, select_within, Sources,
+};
 use beatnik_core::br::{BrPoint, BrSolver, CutoffBrSolver};
 use beatnik_core::{geometry, Order, ProblemManager, ZModel};
 use beatnik_dfft::layout::{pack, unpack};
@@ -62,6 +68,8 @@ use beatnik_fft::{Complex, Fft, Transform};
 use beatnik_json::Value;
 use beatnik_rocketrig::{Deck, RigConfig};
 use beatnik_spatial::neighbors::Backend;
+use beatnik_spatial::CellBins;
+use std::ops::Range;
 use std::time::Instant;
 
 const TRIALS: usize = 7;
@@ -95,6 +103,22 @@ fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
             f();
         }
         best = best.min(start.elapsed().as_nanos() as f64 / reps as f64);
+    }
+    best
+}
+
+/// Best single-pass wall time of forms 0 and 1 of one loop, in ns. A
+/// pass here is milliseconds long, and the trials of the two forms
+/// alternate, so a slow spell of a shared host falls on both: the rows
+/// are gated on their ratio.
+fn best_interleaved_ns(mut pass: impl FnMut(usize)) -> [f64; 2] {
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..3 * TRIALS {
+        for (form, best) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            pass(form);
+            *best = best.min(start.elapsed().as_nanos() as f64);
+        }
     }
     best
 }
@@ -420,6 +444,89 @@ fn bench_br_cutoff(rows: &mut Vec<Row>, n: usize, reps: usize) {
     );
 }
 
+/// The two loops of the cutoff pair pass on the `n`² single-mode open
+/// deck, each in its dispatched and its scalar form over the same cell
+/// runs and hit lists a 1-rank evaluation visits: the distance filter
+/// in ns per candidate, the hit kernel in ns per hit.
+fn bench_br_pair_pass(rows: &mut Vec<Row>, n: usize) {
+    let rig = RigConfig {
+        deck: Deck::SingleModeOpen,
+        order: Order::High,
+        mesh_n: n,
+        ..RigConfig::default()
+    };
+    let points = World::builder(1)
+        .run(|comm| br_points(&comm, &rig))
+        .remove(0);
+    let (cutoff, eps2) = (rig.params.cutoff, rig.params.epsilon * rig.params.epsilon);
+    let rc2 = cutoff * cutoff;
+    let bins = CellBins::build(points.iter().map(|p| p.pos), cutoff);
+    let sources = Sources::from_slots(bins.order().iter().map(|&i| {
+        let p = &points[i as usize];
+        (p.pos, p.strength)
+    }));
+    let targets: Vec<[f64; 3]> = (0..bins.order().len()).map(|slot| sources.pos(slot)).collect();
+    let runs: Vec<Vec<Range<usize>>> = targets
+        .iter()
+        .map(|&t| bins.runs(t, cutoff).collect())
+        .collect();
+    let candidates: usize = runs.iter().flatten().map(Range::len).sum();
+
+    // The filter as the pass runs it: one scratch list, cleared per target.
+    let selects = [select_within, select_body];
+    let mut scratch = Vec::new();
+    let select_ns = best_interleaved_ns(|form| {
+        for (&t, runs) in targets.iter().zip(&runs) {
+            scratch.clear();
+            for run in runs {
+                selects[form](t, &sources, run.clone(), rc2, &mut scratch);
+            }
+            std::hint::black_box(&scratch);
+        }
+    });
+
+    // Every target's hit list, end to end, for the kernel to read.
+    let (mut hits, mut ends) = (Vec::new(), Vec::new());
+    for (&t, runs) in targets.iter().zip(&runs) {
+        for run in runs {
+            select_body(t, &sources, run.clone(), rc2, &mut hits);
+        }
+        ends.push(hits.len());
+    }
+    let kernels = [accumulate_hits, hits_body];
+    let mut vel = vec![[0.0f64; 3]; targets.len()];
+    let hits_ns = best_interleaved_ns(|form| {
+        let mut start = 0;
+        for ((v, &t), &end) in vel.iter_mut().zip(&targets).zip(&ends) {
+            *v = kernels[form](t, &sources, &hits[start..end], eps2);
+            start = end;
+        }
+        std::hint::black_box(&vel);
+    });
+
+    // Nominal bytes: three coordinates per candidate, a 48-byte source
+    // record per hit.
+    for (kernel, unit, work, bytes, ns) in [
+        ("br_select", "candidate", candidates, 24.0, select_ns),
+        ("br_hits", "hit", hits.len(), 48.0, hits_ns),
+    ] {
+        for (variant, ns) in [("simd", ns[0]), ("scalar", ns[1])] {
+            rows.push(Row {
+                kernel,
+                variant,
+                n: n * n,
+                ns_per_elem: ns / work as f64,
+                gbps: work as f64 * bytes / ns,
+            });
+            eprintln!(
+                "{kernel:<16} {n}x{n:<5} {variant:<6} {:>6.3} ns/{unit} ({:.1} {unit}s/target)",
+                ns / work as f64,
+                work as f64 / targets.len() as f64
+            );
+        }
+    }
+}
+
 /// What a `ZModel::derivatives` call on `rig`'s initial state spends
 /// outside the phases it invokes, on a 1-rank world: the self time of a
 /// phase around the call, ns per owned node per stage.
@@ -503,6 +610,7 @@ fn main() {
     // stage of `exact_ring` at 1 rank, one `cutoff_imb` evaluation.
     bench_br_pairs(&mut rows, 2304, 3);
     bench_br_cutoff(&mut rows, 96, 3);
+    bench_br_pair_pass(&mut rows, 96);
 
     // The Z-Model's own share of a stage on the `low_bw` and
     // `cutoff_imb` problems.

@@ -314,9 +314,16 @@ pub fn gate_serve(
     Ok(report)
 }
 
-/// How many times faster than gather / per-line / scatter the batched
-/// column transform must measure in the same run (it measures 2.2–4×).
-const COLUMNS_MIN_SPEEDUP: f64 = 1.5;
+/// Rows that must also beat a reference row of the same *fresh* run, where
+/// host speed cancels: `(kernel, variant, reference variant, how many
+/// times faster)`. The batched column transform measures 2.2–4× the
+/// gather / per-line / scatter shape; the AVX2 distance filter 2.3–2.5×
+/// and the AVX2 hit kernel 1.6–1.8× their scalar bodies.
+const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 3] = [
+    ("fft_columns", "batched", "per_line", 1.5),
+    ("br_select", "simd", "scalar", 1.5),
+    ("br_hits", "simd", "scalar", 1.25),
+];
 
 /// Gate a fresh `BENCH_compute.json` against its baseline. Rows join on
 /// `(kernel, variant, n)`; `ns_per_elem` is time-like with the tight
@@ -324,10 +331,10 @@ const COLUMNS_MIN_SPEEDUP: f64 = 1.5;
 /// communication). Informational fields like `gbps` are not gated —
 /// throughput is the reciprocal view of the gated time.
 ///
-/// `fft_columns/batched` is also held against `fft_columns/per_line` of
-/// the *fresh* run, where host speed cancels: at 2–3 ns per element the
-/// ceiling above cannot tell the batched column transform falling back
-/// to its reference's speed (2–4× slower) from a slow host.
+/// The [`FRESH_SPEEDUPS`] rows are also held against their reference row
+/// of the *fresh* run: at 0.4–3 ns per element the ceiling above cannot
+/// tell a fast path falling back to its reference's speed (1.6–4×
+/// slower) from a slow host.
 pub fn gate_compute(
     baseline: &Value,
     fresh: &Value,
@@ -361,17 +368,20 @@ pub fn gate_compute(
             policy.time_ratio,
             policy.compute_floor_ns,
         );
-        if (kernel, variant) == ("fft_columns", "batched") {
-            let per_line = fresh_by_key
-                .get(&(kernel.to_string(), "per_line".to_string(), n))
+        let held = FRESH_SPEEDUPS
+            .iter()
+            .find(|(k, v, ..)| (*k, *v) == (kernel, variant));
+        if let Some(&(_, _, reference, speedup)) = held {
+            let slow = fresh_by_key
+                .get(&(kernel.to_string(), reference.to_string(), n))
                 .map(|r| field_f64(r, "ns_per_elem"))
                 .transpose()?;
             // A missing row already failed the comparison above.
-            if let (Some(fast), Some(slow)) = (fresh_ns, per_line) {
-                let limit = slow / COLUMNS_MIN_SPEEDUP;
+            if let (Some(fast), Some(slow)) = (fresh_ns, slow) {
+                let limit = slow / speedup;
                 report.rows.push(GateRow {
                     key,
-                    metric: "vs fresh per_line".to_string(),
+                    metric: format!("vs fresh {reference}"),
                     baseline: slow,
                     fresh: Some(fast),
                     limit,
@@ -542,15 +552,16 @@ mod tests {
         assert_eq!(report.regressions(), 1);
     }
 
-    #[test]
-    fn batched_columns_must_beat_per_line_in_the_fresh_run() {
-        let doc = |batched: f64, per_line: f64| {
+    /// `kernel/fast` passes on a uniformly slower host and fails at the
+    /// speed of `kernel/reference` in the same fresh run.
+    fn assert_held_against_fresh(kernel: &str, fast: &str, reference: &str) {
+        let doc = |fast_ns: f64, reference_ns: f64| {
             beatnik_json::parse(&format!(
                 r#"{{"benches": [
-                     {{"kernel": "fft_columns", "variant": "batched", "n": 288,
-                       "ns_per_elem": {batched}, "gbps": 1.0}},
-                     {{"kernel": "fft_columns", "variant": "per_line", "n": 288,
-                       "ns_per_elem": {per_line}, "gbps": 1.0}}]}}"#
+                     {{"kernel": "{kernel}", "variant": "{fast}", "n": 288,
+                       "ns_per_elem": {fast_ns}, "gbps": 1.0}},
+                     {{"kernel": "{kernel}", "variant": "{reference}", "n": 288,
+                       "ns_per_elem": {reference_ns}, "gbps": 1.0}}]}}"#
             ))
             .unwrap()
         };
@@ -558,11 +569,23 @@ mod tests {
         // A host twice as slow moves both rows: still a pass.
         let report = gate_compute(&doc(2.0, 4.7), &doc(4.0, 9.4), &policy).unwrap();
         assert_eq!(report.regressions(), 0, "{}", report.text());
-        // The batched path at its reference's speed passes the absolute
-        // ceiling (2.0 + 5 ns) and fails against the fresh `per_line`.
+        // The fast path at its reference's speed passes the absolute
+        // ceiling (2.0 + 5 ns) and fails against the fresh reference.
         let report = gate_compute(&doc(2.0, 4.7), &doc(4.7, 4.7), &policy).unwrap();
         assert_eq!(report.regressions(), 1, "{}", report.text());
-        assert!(!report.rows.iter().find(|r| r.metric == "vs fresh per_line").unwrap().pass);
+        let metric = format!("vs fresh {reference}");
+        assert!(!report.rows.iter().find(|r| r.metric == metric).unwrap().pass);
+    }
+
+    #[test]
+    fn batched_columns_must_beat_per_line_in_the_fresh_run() {
+        assert_held_against_fresh("fft_columns", "batched", "per_line");
+    }
+
+    #[test]
+    fn vector_pair_pass_must_beat_its_scalar_bodies_in_the_fresh_run() {
+        assert_held_against_fresh("br_select", "simd", "scalar");
+        assert_held_against_fresh("br_hits", "simd", "scalar");
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //!    here would be read once and dropped, so none is materialised;
 //! 5. migrate results back to the surface decomposition.
 
-use super::kernel::{accumulate_hits, select_within, SourceSoa};
+use super::kernel::{accumulate_hits, select_within, Sources};
 use super::{BrPoint, BrSolver};
 use beatnik_comm::Communicator;
 use beatnik_mesh::migrate::{halo_exchange_points, migrate_results_home, migrate_to_spatial};
 use beatnik_mesh::{PointDecomposition, PointResult, SpatialMesh, SurfacePoint};
 use beatnik_spatial::neighbors::Backend;
 use beatnik_spatial::{CellBins, KdTree};
+use std::ops::Range;
 
 /// The scalable cutoff solver.
 pub struct CutoffBrSolver {
@@ -140,39 +141,35 @@ enum Candidates {
 /// One rank's owned + ghost points laid out for the pair pass.
 struct SortedSources {
     /// Positions and strengths by slot.
-    soa: SourceSoa,
-    /// Slot → index into owned ++ ghosts.
-    order: Vec<u32>,
+    sources: Sources,
     candidates: Candidates,
 }
 
 impl SortedSources {
     fn new(owned: &[SurfacePoint], ghosts: &[SurfacePoint], cutoff: f64, backend: Backend) -> Self {
         let all = || owned.iter().chain(ghosts);
-        let (order, candidates) = match backend {
+        let source = |p: &SurfacePoint| (p.pos, p.payload);
+        match backend {
             Backend::Grid => {
                 let bins = CellBins::build(all().map(|p| p.pos), cutoff);
-                (bins.order().to_vec(), Candidates::Cells(bins))
+                let point = |&i: &u32| {
+                    let i = i as usize;
+                    source(if i < owned.len() {
+                        &owned[i]
+                    } else {
+                        &ghosts[i - owned.len()]
+                    })
+                };
+                SortedSources {
+                    sources: Sources::from_slots(bins.order().iter().map(point)),
+                    candidates: Candidates::Cells(bins),
+                }
             }
-            Backend::KdTree => {
-                let tree = KdTree::build(all().map(|p| p.pos).collect());
-                ((0..tree.len() as u32).collect(), Candidates::Tree(tree))
-            }
-        };
-        let mut soa = SourceSoa::with_capacity(order.len());
-        for &i in &order {
-            let i = i as usize;
-            let p = if i < owned.len() {
-                &owned[i]
-            } else {
-                &ghosts[i - owned.len()]
-            };
-            soa.push(p.pos, p.payload);
-        }
-        SortedSources {
-            soa,
-            order,
-            candidates,
+            // The tree indexes the points as given: slot = input index.
+            Backend::KdTree => SortedSources {
+                sources: Sources::from_slots(all().map(source)),
+                candidates: Candidates::Tree(KdTree::build(all().map(|p| p.pos).collect())),
+            },
         }
     }
 
@@ -180,24 +177,42 @@ impl SortedSources {
     /// source within `cutoff` (inclusive), visiting targets in slot order
     /// so consecutive targets read the same runs.
     fn velocities(&self, n_owned: usize, cutoff: f64, eps2: f64) -> Vec<[f64; 3]> {
+        self.pair_pass(n_owned, cutoff, eps2, select_within, accumulate_hits)
+    }
+
+    /// [`SortedSources::velocities`] through a given filter and kernel.
+    fn pair_pass(
+        &self,
+        n_owned: usize,
+        cutoff: f64,
+        eps2: f64,
+        select: impl Fn([f64; 3], &Sources, Range<usize>, f64, &mut Vec<u32>),
+        accumulate: impl Fn([f64; 3], &Sources, &[u32], f64) -> [f64; 3],
+    ) -> Vec<[f64; 3]> {
         let rc2 = cutoff * cutoff;
         let mut vel = vec![[0.0f64; 3]; n_owned];
         let mut hits: Vec<u32> = Vec::new();
-        for (slot, &i) in self.order.iter().enumerate() {
-            let Some(v) = vel.get_mut(i as usize) else {
-                continue; // a ghost: a source only
-            };
-            let target = self.soa.pos(slot);
-            match &self.candidates {
-                Candidates::Cells(bins) => {
+        match &self.candidates {
+            Candidates::Cells(bins) => {
+                for (slot, &i) in bins.order().iter().enumerate() {
+                    let Some(v) = vel.get_mut(i as usize) else {
+                        continue; // a ghost: a source only
+                    };
+                    let target = self.sources.pos(slot);
                     hits.clear();
                     for run in bins.runs(target, cutoff) {
-                        select_within(target, &self.soa, run, rc2, &mut hits);
+                        select(target, &self.sources, run, rc2, &mut hits);
                     }
+                    *v = accumulate(target, &self.sources, &hits, eps2);
                 }
-                Candidates::Tree(tree) => tree.query(target, cutoff, &mut hits),
             }
-            *v = accumulate_hits(target, &self.soa, &hits, eps2);
+            Candidates::Tree(tree) => {
+                for (slot, v) in vel.iter_mut().enumerate() {
+                    let target = self.sources.pos(slot);
+                    tree.query(target, cutoff, &mut hits);
+                    *v = accumulate(target, &self.sources, &hits, eps2);
+                }
+            }
         }
         vel
     }
@@ -207,7 +222,7 @@ impl SortedSources {
 mod tests {
     use super::*;
     use crate::br::exact::ExactBrSolver;
-    use crate::br::kernel::br_pair_velocity;
+    use crate::br::kernel::{br_pair_velocity, hits_body, select_body};
     use beatnik_comm::{dims_create, OpKind, World};
 
     fn global_points(n: usize) -> Vec<BrPoint> {
@@ -455,6 +470,22 @@ mod tests {
         let pair = surface_points(&[[0.0; 3], [0.5, 0.0, 0.0]]);
         let v = fused(&pair, &[], 0.5, 0.1, Backend::Grid);
         assert!(v[0].iter().any(|&c| c != 0.0), "{v:?}");
+    }
+
+    #[test]
+    fn dispatched_pair_pass_matches_the_scalar_bodies_bitwise() {
+        for (what, owned, ghosts, cutoff, eps) in awkward_sets() {
+            let (owned, ghosts) = (surface_points(&owned), surface_points(&ghosts));
+            for backend in [Backend::Grid, Backend::KdTree] {
+                let sources = SortedSources::new(&owned, &ghosts, cutoff, backend);
+                assert_eq!(
+                    sources.velocities(owned.len(), cutoff, eps * eps),
+                    sources.pair_pass(owned.len(), cutoff, eps * eps, select_body, hits_body),
+                    "{what} ({} owned, {backend:?})",
+                    owned.len()
+                );
+            }
+        }
     }
 
     #[test]

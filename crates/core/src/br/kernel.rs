@@ -13,12 +13,16 @@
 //!   [`select_within`] or any other candidate generator (the cutoff
 //!   solvers).
 //!
-//! The two lane bodies are safe array code written once and instantiated
-//! twice: for the build's baseline features and, on x86-64, for AVX2 —
-//! never FMA, so no multiply–add is fused and every CPU produces the same
-//! bits (the `beatnik_fft::kernel` rule). Nothing here depends on the
-//! compiler vectorizing them: that only decides the speed, which the
-//! `br_pairs` and `br_cutoff` rows of `BENCH_compute.json` gate.
+//! The block body is safe array code written once and instantiated
+//! twice, for the build's baseline features and, on x86-64, for AVX2.
+//! The filter and the hit kernel each have a scalar body
+//! ([`select_body`], [`hits_body`]: the fallback and the test oracle)
+//! and an AVX2 form in intrinsics that performs the scalar body's IEEE
+//! operations in the scalar body's order, four at a time — never FMA, so
+//! no multiply–add is fused, and compaction keeps slot order — so every
+//! CPU produces the same bits (the `beatnik_fft::kernel` rule). Which
+//! form runs decides only the speed, which the `br_pairs`, `br_cutoff`,
+//! `br_select` and `br_hits` rows of `BENCH_compute.json` gate.
 
 use crate::geometry::cross;
 use std::ops::Range;
@@ -31,7 +35,7 @@ const INV_4PI: f64 = 1.0 / (4.0 * std::f64::consts::PI);
 /// (shorter ones it unrolls into worse code) at little padding.
 const TARGET_LANES: usize = 16;
 
-/// Hits per lane group of the gather form: hit `i` accumulates in lane
+/// Hits per lane group of the hit form: hit `i` accumulates in lane
 /// `i mod 4`, so this width is part of the result.
 const HIT_LANES: usize = 4;
 
@@ -86,41 +90,37 @@ fn lane_velocity(d: [f64; 3], w: [f64; 3], eps2: f64) -> [f64; 3] {
     ]
 }
 
-/// Sources in structure-of-arrays form: slot `j` is the point at
-/// `(x[j], y[j], z[j])` with strength `(wx[j], wy[j], wz[j])`. The
-/// cutoff solver fills it in cell-sorted order so that a run of
-/// neighbouring cells is one contiguous slot range.
+/// One rank's sources laid out for the pair pass, slot by slot; the
+/// cutoff solver fills the slots in cell-sorted order so that a run of
+/// neighbouring cells is one contiguous slot range. Two copies, one per
+/// loop: the positions as three arrays, which the distance filter reads
+/// a vector of consecutive slots at a time, and one interleaved record
+/// `[x, y, z, ωx, ωy, ωz]` per slot, so that the kernel finds a hit in
+/// one cache line instead of six.
+///
+/// All four arrays have one length: the fields are private and
+/// [`Sources::from_slots`] derives the three from the fourth.
 #[derive(Debug)]
-pub struct SourceSoa {
+pub struct Sources {
     x: Vec<f64>,
     y: Vec<f64>,
     z: Vec<f64>,
-    wx: Vec<f64>,
-    wy: Vec<f64>,
-    wz: Vec<f64>,
+    rec: Vec<[f64; 6]>,
 }
 
-impl SourceSoa {
-    /// Empty, with room for `n` sources.
-    pub fn with_capacity(n: usize) -> Self {
-        SourceSoa {
-            x: Vec::with_capacity(n),
-            y: Vec::with_capacity(n),
-            z: Vec::with_capacity(n),
-            wx: Vec::with_capacity(n),
-            wy: Vec::with_capacity(n),
-            wz: Vec::with_capacity(n),
+impl Sources {
+    /// The sources `(position, strength)` in slot order.
+    pub fn from_slots(slots: impl Iterator<Item = ([f64; 3], [f64; 3])>) -> Self {
+        let rec: Vec<[f64; 6]> = slots
+            .map(|(p, w)| [p[0], p[1], p[2], w[0], w[1], w[2]])
+            .collect();
+        let axis = |k: usize| rec.iter().map(|r| r[k]).collect();
+        Sources {
+            x: axis(0),
+            y: axis(1),
+            z: axis(2),
+            rec,
         }
-    }
-
-    /// Append a source as the next slot.
-    pub fn push(&mut self, pos: [f64; 3], strength: [f64; 3]) {
-        self.x.push(pos[0]);
-        self.y.push(pos[1]);
-        self.z.push(pos[2]);
-        self.wx.push(strength[0]);
-        self.wy.push(strength[1]);
-        self.wz.push(strength[2]);
     }
 
     /// Position of slot `j`.
@@ -169,31 +169,29 @@ fn block_body(
 }
 
 /// `acc[·][l] += u(target, slot j[l])` for the first `live` lanes:
-/// gather the group into lanes (scalar loads behind one bounds check),
+/// collect the group into lanes (scalar loads behind one bounds check),
 /// then run the arithmetic over whole lanes. Lanes past `live` get zero
 /// strength and add ±0.
 #[inline(always)]
 fn add_hit_group(
     acc: &mut [[f64; HIT_LANES]; 3],
     target: [f64; 3],
-    src: &SourceSoa,
+    src: &Sources,
     j: [usize; HIT_LANES],
     live: usize,
     eps2: f64,
 ) {
-    // One length for all six arrays, so one check covers a slot.
-    let n = src.x.len();
-    let pos = [&src.x[..n], &src.y[..n], &src.z[..n]];
-    let str = [&src.wx[..n], &src.wy[..n], &src.wz[..n]];
+    let rec = &src.rec[..];
     assert!(
-        j[0].max(j[1]).max(j[2]).max(j[3]) < n,
+        j[0].max(j[1]).max(j[2]).max(j[3]) < rec.len(),
         "hit beyond the last slot"
     );
     let (mut d, mut w) = ([[0.0f64; HIT_LANES]; 3], [[0.0f64; HIT_LANES]; 3]);
     for l in 0..HIT_LANES {
+        let r = rec[j[l]];
         for k in 0..3 {
-            d[k][l] = pos[k][j[l]] - target[k];
-            w[k][l] = if l < live { str[k][j[l]] } else { 0.0 };
+            d[k][l] = r[k] - target[k];
+            w[k][l] = if l < live { r[3 + k] } else { 0.0 };
         }
     }
     for l in 0..HIT_LANES {
@@ -208,8 +206,9 @@ fn add_hit_group(
     }
 }
 
-#[inline(always)]
-fn hits_body(target: [f64; 3], src: &SourceSoa, hits: &[u32], eps2: f64) -> [f64; 3] {
+/// [`accumulate_hits`] in portable scalar code: the fallback where AVX2
+/// is missing and the oracle the vector form is tested against.
+pub fn hits_body(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f64; 3] {
     let mut acc = [[0.0f64; HIT_LANES]; 3];
     let mut groups = hits.chunks_exact(HIT_LANES);
     for g in &mut groups {
@@ -227,10 +226,47 @@ fn hits_body(target: [f64; 3], src: &SourceSoa, hits: &[u32], eps2: f64) -> [f64
     acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
 }
 
-/// The lane bodies compiled with AVX2 enabled (256-bit lanes, no FMA).
+/// Whether the point `p` lies within the cutoff of `target`: the one
+/// comparison of the filter, which its vector form repeats lane by lane.
+#[inline(always)]
+fn within(p: [f64; 3], target: [f64; 3], rc2: f64) -> bool {
+    let d = [p[0] - target[0], p[1] - target[1], p[2] - target[2]];
+    d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= rc2
+}
+
+/// [`select_within`] in portable scalar code: the fallback where the
+/// vector form is missing and the oracle it is tested against.
+pub fn select_body(
+    target: [f64; 3],
+    src: &Sources,
+    run: Range<usize>,
+    rc2: f64,
+    hits: &mut Vec<u32>,
+) {
+    let (x, y, z) = (
+        &src.x[run.clone()],
+        &src.y[run.clone()],
+        &src.z[run.clone()],
+    );
+    let base = hits.len();
+    hits.resize(base + x.len(), 0);
+    let out = &mut hits[base..];
+    let mut n = 0;
+    for (k, ((&x, &y), &z)) in x.iter().zip(y).zip(z).enumerate() {
+        // Branch-free compaction: always store, advance only on a hit.
+        out[n] = (run.start + k) as u32;
+        n += usize::from(within([x, y, z], target, rc2));
+    }
+    hits.truncate(base + n);
+}
+
+/// The AVX2 forms (256-bit lanes, no FMA): the block body recompiled,
+/// the filter and the hit kernel written in intrinsics — the scalar
+/// bodies' operations in the scalar bodies' order, a vector at a time.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
+    use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
     pub(super) fn block(
@@ -242,9 +278,198 @@ mod avx2 {
         block_body(vel, targets, sources, eps2)
     }
 
+    /// `lane_velocity` of four hits, one per lane, added to `acc`.
     #[target_feature(enable = "avx2")]
-    pub(super) fn hits(target: [f64; 3], src: &SourceSoa, hits: &[u32], eps2: f64) -> [f64; 3] {
-        hits_body(target, src, hits, eps2)
+    #[inline]
+    fn add_group(acc: &mut [__m256d; 3], d: [__m256d; 3], w: [__m256d; 3], eps2: __m256d) {
+        let sq = d.map(|d| _mm256_mul_pd(d, d));
+        let r2 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]), eps2);
+        let inv = _mm256_div_pd(
+            _mm256_set1_pd(INV_4PI),
+            _mm256_mul_pd(r2, _mm256_sqrt_pd(r2)),
+        );
+        // r² = 0 selects a zero factor, as the scalar `if` does.
+        let coincident = _mm256_cmp_pd::<_CMP_EQ_OQ>(r2, _mm256_setzero_pd());
+        let inv = _mm256_andnot_pd(coincident, inv);
+        let cross = |a: usize, b: usize| {
+            _mm256_sub_pd(_mm256_mul_pd(d[a], w[b]), _mm256_mul_pd(d[b], w[a]))
+        };
+        let u = [cross(1, 2), cross(2, 0), cross(0, 1)];
+        for k in 0..3 {
+            acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(u[k], inv));
+        }
+    }
+
+    /// Separations from `target` and strengths of the four slots `j`,
+    /// slot `j[l]` in lane `l`: each record is read as three 16-byte
+    /// pairs, and two unpacks per pair of components transpose them.
+    ///
+    /// # Safety
+    /// Every `j[l]` must be below `src.rec.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_group(
+        src: &Sources,
+        target: [__m256d; 3],
+        j: [u32; HIT_LANES],
+    ) -> ([__m256d; 3], [__m256d; 3]) {
+        // SAFETY: the caller vouches that each `j[l]` is a record of
+        // `rec`; components `k` and `k + 1` of one lie inside it for
+        // `k` = 0, 2, 4.
+        let pair = |k: usize| unsafe {
+            let at =
+                |l: usize| _mm_loadu_pd(src.rec.as_ptr().add(j[l] as usize).cast::<f64>().add(k));
+            let even = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(at(0)), at(2));
+            let odd = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(at(1)), at(3));
+            (_mm256_unpacklo_pd(even, odd), _mm256_unpackhi_pd(even, odd))
+        };
+        let ((x, y), (z, wx), (wy, wz)) = (pair(0), pair(2), pair(4));
+        (
+            [
+                _mm256_sub_pd(x, target[0]),
+                _mm256_sub_pd(y, target[1]),
+                _mm256_sub_pd(z, target[2]),
+            ],
+            [wx, wy, wz],
+        )
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn hits(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f64; 3] {
+        // The one bounds check every record load below relies on.
+        let last = hits.iter().fold(0, |last, &j| last.max(j));
+        assert!(
+            hits.is_empty() || (last as usize) < src.rec.len(),
+            "hit beyond the last slot"
+        );
+        let t = target.map(|c| _mm256_set1_pd(c));
+        let e = _mm256_set1_pd(eps2);
+        let mut acc = [_mm256_setzero_pd(); 3];
+        let mut groups = hits.chunks_exact(HIT_LANES);
+        for g in &mut groups {
+            // SAFETY: each of the four is a hit, `< rec.len()` (asserted
+            // above).
+            let (d, w) = unsafe { load_group(src, t, [g[0], g[1], g[2], g[3]]) };
+            add_group(&mut acc, d, w, e);
+        }
+        let rest = groups.remainder();
+        if let Some(&first) = rest.first() {
+            // As the scalar body: spare lanes repeat the first hit with
+            // zero strength.
+            let mut j = [first; HIT_LANES];
+            j[..rest.len()].copy_from_slice(rest);
+            let live: [i64; HIT_LANES] = std::array::from_fn(|l| -i64::from(l < rest.len()));
+            // SAFETY: every lane of `j` is a hit, `< rec.len()` (asserted
+            // above); `live` is 32 bytes.
+            let ((d, w), live) = unsafe {
+                (
+                    load_group(src, t, j),
+                    _mm256_castsi256_pd(_mm256_loadu_si256(live.as_ptr().cast())),
+                )
+            };
+            add_group(&mut acc, d, w.map(|w| _mm256_and_pd(w, live)), e);
+        }
+        acc.map(|a| {
+            let mut l = [0.0f64; HIT_LANES];
+            // SAFETY: `l` is four `f64`s.
+            unsafe { _mm256_storeu_pd(l.as_mut_ptr(), a) };
+            (l[0] + l[1]) + (l[2] + l[3])
+        })
+    }
+
+    /// Candidates per compare of the filter.
+    const SELECT_LANES: usize = 4;
+
+    /// `vpermilps` control that moves the lanes set in a 4-bit hit mask
+    /// to the front, in lane order.
+    const COMPACT: [[i32; SELECT_LANES]; 1 << SELECT_LANES] = {
+        let mut table = [[0; SELECT_LANES]; 1 << SELECT_LANES];
+        let mut mask = 0;
+        while mask < table.len() {
+            let (mut n, mut lane) = (0, 0);
+            while lane < SELECT_LANES {
+                if mask >> lane & 1 == 1 {
+                    table[mask][n] = lane as i32;
+                    n += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
+
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn select(
+        target: [f64; 3],
+        src: &Sources,
+        run: Range<usize>,
+        rc2: f64,
+        hits: &mut Vec<u32>,
+    ) {
+        let (x, y, z) = (
+            &src.x[run.clone()],
+            &src.y[run.clone()],
+            &src.z[run.clone()],
+        );
+        let len = x.len();
+        // Survivors go straight into spare capacity, a whole vector per
+        // store: nothing is zero-filled first, and the lanes a store
+        // writes past the cursor are overwritten or cut off below.
+        hits.reserve(len);
+        let base = hits.len();
+        // SAFETY: `base ≤ capacity`.
+        let out = unsafe { hits.as_mut_ptr().add(base) };
+        let t = target.map(|c| _mm256_set1_pd(c));
+        let rc = _mm256_set1_pd(rc2);
+        let mut slots = _mm_add_epi32(
+            _mm_set1_epi32(run.start as u32 as i32),
+            _mm_setr_epi32(0, 1, 2, 3),
+        );
+        let (mut n, mut k) = (0, 0);
+        while k + SELECT_LANES <= len {
+            // SAFETY: `k + 4 ≤ len`, the length of `x`, `y` and `z` alike
+            // (one range sliced each).
+            let p = unsafe {
+                [
+                    _mm256_loadu_pd(x.as_ptr().add(k)),
+                    _mm256_loadu_pd(y.as_ptr().add(k)),
+                    _mm256_loadu_pd(z.as_ptr().add(k)),
+                ]
+            };
+            let d = [
+                _mm256_sub_pd(p[0], t[0]),
+                _mm256_sub_pd(p[1], t[1]),
+                _mm256_sub_pd(p[2], t[2]),
+            ];
+            let d2 = _mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(d[0], d[0]), _mm256_mul_pd(d[1], d[1])),
+                _mm256_mul_pd(d[2], d[2]),
+            );
+            // Ordered, quiet: a NaN distance sets no bit.
+            let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(d2, rc)) as usize;
+            // SAFETY: `COMPACT[mask]` is four `i32`s; `n ≤ k` and
+            // `k + 4 ≤ len`, so the four lanes stored lie within the `len`
+            // slots reserved past `base`.
+            unsafe {
+                let front = _mm_loadu_si128(COMPACT[mask].as_ptr().cast());
+                let packed = _mm_permutevar_ps(_mm_castsi128_ps(slots), front);
+                _mm_storeu_si128(out.add(n).cast(), _mm_castps_si128(packed));
+            }
+            n += mask.count_ones() as usize;
+            k += SELECT_LANES;
+            slots = _mm_add_epi32(slots, _mm_set1_epi32(SELECT_LANES as i32));
+        }
+        // The last `len mod 4` candidates, as the scalar body takes them.
+        while k < len {
+            // SAFETY: `n ≤ k < len`, inside what was reserved.
+            unsafe { out.add(n).write((run.start + k) as u32) };
+            n += usize::from(within([x[k], y[k], z[k]], target, rc2));
+            k += 1;
+        }
+        // SAFETY: the `n ≤ len` slots past `base` were written above, and
+        // `base + len` is within the capacity reserved.
+        unsafe { hits.set_len(base + n) };
     }
 }
 
@@ -271,7 +496,10 @@ pub fn accumulate_block(
 /// (the inner loop of the cutoff solvers). Hit `i` accumulates in lane
 /// `i mod 4` and the four lanes are summed `(0 + 1) + (2 + 3)`, so the
 /// result depends on the hit order and on nothing else.
-pub fn accumulate_hits(target: [f64; 3], src: &SourceSoa, hits: &[u32], eps2: f64) -> [f64; 3] {
+///
+/// # Panics
+/// Panics, before it reads a source, if a hit is not a slot of `src`.
+pub fn accumulate_hits(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f64; 3] {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
@@ -281,31 +509,23 @@ pub fn accumulate_hits(target: [f64; 3], src: &SourceSoa, hits: &[u32], eps2: f6
 }
 
 /// Append to `hits` the slots of `run` whose point lies within the
-/// cutoff of `target` (`d² ≤ rc2`, inclusive; a NaN distance is no hit):
-/// the cheap pass that keeps `sqrt` and `div` off the misses.
+/// cutoff of `target` (`d² ≤ rc2`, inclusive; a NaN distance is no hit),
+/// in slot order: the cheap pass that keeps `sqrt` and `div` off the
+/// misses.
 pub fn select_within(
     target: [f64; 3],
-    src: &SourceSoa,
+    src: &Sources,
     run: Range<usize>,
     rc2: f64,
     hits: &mut Vec<u32>,
 ) {
-    let (x, y, z) = (
-        &src.x[run.clone()],
-        &src.y[run.clone()],
-        &src.z[run.clone()],
-    );
-    let base = hits.len();
-    hits.resize(base + x.len(), 0);
-    let out = &mut hits[base..];
-    let mut n = 0;
-    for (k, ((&x, &y), &z)) in x.iter().zip(y).zip(z).enumerate() {
-        let d = [x - target[0], y - target[1], z - target[2]];
-        // Branch-free compaction: always store, advance only on a hit.
-        out[n] = (run.start + k) as u32;
-        n += usize::from(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= rc2);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+    {
+        // SAFETY: both features were just verified at runtime.
+        return unsafe { avx2::select(target, src, run, rc2, hits) };
     }
-    hits.truncate(base + n);
+    select_body(target, src, run, rc2, hits)
 }
 
 #[cfg(test)]
@@ -363,16 +583,12 @@ mod tests {
         (0..n).map(|i| point(if i == 1 { 0 } else { i })).collect()
     }
 
-    fn soa(sources: &[([f64; 3], [f64; 3])]) -> SourceSoa {
-        let mut soa = SourceSoa::with_capacity(sources.len());
-        for &(p, w) in sources {
-            soa.push(p, w);
-        }
-        soa
+    fn soa(sources: &[([f64; 3], [f64; 3])]) -> Sources {
+        Sources::from_slots(sources.iter().copied())
     }
 
     /// Lane remainders on every side of a group boundary, and a long one.
-    const LENGTHS: [usize; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 257];
+    const LENGTHS: [usize; 15] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 257];
 
     #[test]
     fn block_matches_per_pair_scalar_accumulation_bitwise() {
@@ -431,10 +647,11 @@ mod tests {
 
     #[test]
     fn select_is_inclusive_ordered_and_blind_to_nan() {
-        let mut soa = SourceSoa::with_capacity(7);
-        for x in [0.0, 0.5, 0.5000001, f64::NAN, -0.5, f64::INFINITY, 0.25] {
-            soa.push([x, 0.0, 0.0], [0.0; 3]);
-        }
+        let soa = Sources::from_slots(
+            [0.0, 0.5, 0.5000001, f64::NAN, -0.5, f64::INFINITY, 0.25]
+                .into_iter()
+                .map(|x| ([x, 0.0, 0.0], [0.0; 3])),
+        );
         let mut hits = vec![99];
         select_within([0.0; 3], &soa, 0..7, 0.25, &mut hits);
         assert_eq!(
@@ -451,9 +668,94 @@ mod tests {
     }
 
     #[test]
+    fn vector_select_matches_the_scalar_select_bitwise() {
+        // Sources around the origin with, every few slots, a point at
+        // exactly the cutoff, a NaN and both infinities.
+        let odd = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let srcs: Vec<([f64; 3], [f64; 3])> = sources(300)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut p, w))| {
+                if i % 5 == 3 {
+                    p = [0.0; 3];
+                    p[i % 3] = odd[i / 5 % 4];
+                }
+                (p, w)
+            })
+            .collect();
+        let soa = soa(&srcs);
+        let rc2 = 0.25;
+        let targets = [
+            [0.0; 3],
+            [0.1, -0.2, 0.3],
+            [f64::NAN, 0.0, 0.0],
+            [0.0, f64::INFINITY, 0.0],
+            [0.0, 0.0, f64::NEG_INFINITY],
+        ];
+        for target in targets {
+            for len in (0..=40).chain([257]) {
+                // Unaligned starts, and the run that ends with the sources.
+                for start in [0, 1, 2, 3, 5, 7, 300 - len] {
+                    let run = start..start + len;
+                    // Appends: what `hits` held on entry stays.
+                    let (mut got, mut want) = (vec![7, 9], vec![7, 9]);
+                    select_within(target, &soa, run.clone(), rc2, &mut got);
+                    select_body(target, &soa, run.clone(), rc2, &mut want);
+                    assert_eq!(got, want, "target {target:?}, run {run:?}");
+                }
+            }
+        }
+        // The cases above do meet a pair at exactly d² = rc², and keep it.
+        let mut hits = Vec::new();
+        select_within([0.0; 3], &soa, 0..300, rc2, &mut hits);
+        assert!(hits.contains(&3) && !hits.contains(&8), "{hits:?}");
+    }
+
+    #[test]
+    fn vector_hits_match_the_scalar_body_bitwise() {
+        let srcs = sources(300);
+        let soa = soa(&srcs);
+        for eps2 in [0.01, 0.0] {
+            for n in LENGTHS {
+                // Scattered and repeated slots, the coincident pair among
+                // them; the target itself is slot 7's position when ε = 0.
+                let hits: Vec<u32> = (0..n).map(|i| ((i * 37) % 300) as u32).collect();
+                let target = if eps2 == 0.0 {
+                    srcs[7].0
+                } else {
+                    [0.1, -0.2, 0.3]
+                };
+                assert_eq!(
+                    accumulate_hits(target, &soa, &hits, eps2),
+                    hits_body(target, &soa, &hits, eps2),
+                    "{n} hits, eps2 {eps2}"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "hit beyond the last slot")]
     fn a_hit_outside_the_sources_is_refused() {
         let _ = accumulate_hits([0.0; 3], &soa(&sources(5)), &[0, 1, 2, 5], 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "hit beyond the last slot")]
+    fn a_hit_outside_the_sources_is_refused_by_the_scalar_body() {
+        let _ = hits_body([0.0; 3], &soa(&sources(5)), &[0, 1, 2, 5], 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "hit beyond the last slot")]
+    fn a_late_hit_outside_the_sources_is_refused_before_any_read() {
+        // The bad slot sits in the remainder group, far past the end.
+        let _ = accumulate_hits(
+            [0.0; 3],
+            &soa(&sources(5)),
+            &[0, 1, 2, 3, 4, u32::MAX],
+            0.01,
+        );
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -462,27 +764,15 @@ mod tests {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return;
         }
-        let target = [0.1, -0.2, 0.3];
         for eps2 in [0.01, 0.0] {
             for n in LENGTHS {
                 let srcs = sources(n.max(4));
-                let soa = soa(&srcs);
                 let targets: Vec<[f64; 3]> = srcs.iter().take(n).map(|s| s.0).collect();
-
                 let (mut fast, mut portable) = (vec![[1.0; 3]; n], vec![[1.0; 3]; n]);
                 // SAFETY: AVX2 support was just verified at runtime.
                 unsafe { avx2::block(&mut fast, &targets, &srcs, eps2) };
                 block_body(&mut portable, &targets, &srcs, eps2);
                 assert_eq!(fast, portable, "block form, {n} targets");
-
-                let hits: Vec<u32> = (0..n).map(|i| ((i * 37) % srcs.len()) as u32).collect();
-                // SAFETY: AVX2 support was just verified at runtime.
-                let fast = unsafe { avx2::hits(target, &soa, &hits, eps2) };
-                assert_eq!(
-                    fast,
-                    hits_body(target, &soa, &hits, eps2),
-                    "gather form, {n} hits"
-                );
             }
         }
     }

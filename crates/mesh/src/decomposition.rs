@@ -15,9 +15,18 @@ pub trait PointDecomposition: Send + Sync {
     /// The rank owning a point (out-of-domain points clamp to the
     /// nearest region).
     fn rank_of_point(&self, p: [f64; 3]) -> usize;
-    /// All ranks whose region lies within the x/y square of half-width
-    /// `cutoff` around `p` (including `p`'s own rank).
-    fn ranks_within(&self, p: [f64; 3], cutoff: f64) -> Vec<usize>;
+    /// Call `visit` with each rank whose region lies within the x/y
+    /// square of half-width `cutoff` around `p` (including `p`'s own
+    /// rank), in ascending order — the per-point form the halo step
+    /// calls, which allocates nothing.
+    fn for_each_rank_within(&self, p: [f64; 3], cutoff: f64, visit: &mut dyn FnMut(usize));
+    /// The ranks [`PointDecomposition::for_each_rank_within`] visits,
+    /// collected.
+    fn ranks_within(&self, p: [f64; 3], cutoff: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.for_each_rank_within(p, cutoff, &mut |rank| out.push(rank));
+        out
+    }
 }
 
 impl PointDecomposition for SpatialMesh {
@@ -29,8 +38,8 @@ impl PointDecomposition for SpatialMesh {
         SpatialMesh::rank_of_point(self, p)
     }
 
-    fn ranks_within(&self, p: [f64; 3], cutoff: f64) -> Vec<usize> {
-        SpatialMesh::ranks_within(self, p, cutoff)
+    fn for_each_rank_within(&self, p: [f64; 3], cutoff: f64, visit: &mut dyn FnMut(usize)) {
+        SpatialMesh::for_each_rank_within(self, p, cutoff, visit)
     }
 }
 

@@ -17,6 +17,7 @@
 //! lookup tables.
 
 use crate::decomposition::PointDecomposition;
+use beatnik_comm::message::CommData;
 use beatnik_comm::{AllToAllAlgo, Communicator};
 
 /// A surface-mesh point traveling through the spatial decomposition.
@@ -42,6 +43,12 @@ pub struct PointResult {
     pub value: [f64; 3],
 }
 
+/// One irregular all-to-all: `blocks[d]` moves to rank `d` as it is, and
+/// what arrives comes back flat, in source-rank order.
+fn exchange<T: CommData + Clone>(comm: &Communicator, blocks: Vec<Vec<T>>) -> Vec<T> {
+    comm.alltoallv_owned(blocks, AllToAllAlgo::Adaptive).concat()
+}
+
 /// Step 1: move points to their spatial owners. Returns the points this
 /// rank now owns in the spatial decomposition (in arrival order).
 pub fn migrate_to_spatial<D: PointDecomposition + ?Sized>(
@@ -60,9 +67,7 @@ pub fn migrate_to_spatial<D: PointDecomposition + ?Sized>(
     for pt in points {
         blocks[smesh.rank_of_point(pt.pos)].push(pt);
     }
-    let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-    comm.alltoallv_with(&blocks.concat(), &counts, AllToAllAlgo::Adaptive)
-        .0
+    exchange(comm, blocks)
 }
 
 /// Step 2: halo points within `cutoff` of neighboring regions. Returns
@@ -79,15 +84,13 @@ pub fn halo_exchange_points<D: PointDecomposition + ?Sized>(
     let me = comm.rank();
     let mut blocks: Vec<Vec<SurfacePoint>> = (0..p).map(|_| Vec::new()).collect();
     for pt in owned {
-        for dest in smesh.ranks_within(pt.pos, cutoff) {
+        smesh.for_each_rank_within(pt.pos, cutoff, &mut |dest| {
             if dest != me {
                 blocks[dest].push(*pt);
             }
-        }
+        });
     }
-    let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-    comm.alltoallv_with(&blocks.concat(), &counts, AllToAllAlgo::Adaptive)
-        .0
+    exchange(comm, blocks)
 }
 
 /// Step 4: return per-point results to home ranks. `results` pairs each
@@ -109,8 +112,7 @@ pub fn migrate_results_home(
     for (dest, r) in results {
         blocks[dest].push(r);
     }
-    let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-    let (incoming, _) = comm.alltoallv_with(&blocks.concat(), &counts, AllToAllAlgo::Adaptive);
+    let incoming = exchange(comm, blocks);
     let mut out = vec![[f64::NAN; 3]; n_local];
     let mut seen = vec![false; n_local];
     for r in incoming {

@@ -133,18 +133,15 @@ impl PointDecomposition for RcbDecomposition {
         best
     }
 
-    fn ranks_within(&self, p: [f64; 3], cutoff: f64) -> Vec<usize> {
+    fn for_each_rank_within(&self, p: [f64; 3], cutoff: f64, visit: &mut dyn FnMut(usize)) {
         let c2 = cutoff * cutoff;
-        let mut out: Vec<usize> = (0..self.regions.len())
-            .filter(|&r| self.dist2_to_region(r, p) <= c2 * 2.0 + 1e-300)
-            .collect();
-        // The owner must always be present even for cutoff = 0.
+        // The owner is always among them, even for cutoff = 0.
         let own = self.rank_of_point(p);
-        if !out.contains(&own) {
-            out.push(own);
-            out.sort_unstable();
+        for r in 0..self.regions.len() {
+            if r == own || self.dist2_to_region(r, p) <= c2 * 2.0 + 1e-300 {
+                visit(r);
+            }
         }
-        out
     }
 }
 

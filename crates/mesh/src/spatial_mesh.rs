@@ -46,7 +46,9 @@ impl SpatialMesh {
         // Points outside the domain are clamped to the edge bins, so
         // every point always has an owner (the interface can drift
         // slightly outside the nominal box as it evolves).
-        ((t * parts as f64).floor() as i64).clamp(0, parts as i64 - 1) as usize
+        // (The cast truncates where `floor` would round down, which the
+        // clamp at 0 makes the same bin without a libm call per point.)
+        ((t * parts as f64) as i64).clamp(0, parts as i64 - 1) as usize
     }
 
     /// The rank owning a point (by x/y position; z is ignored).
@@ -72,21 +74,27 @@ impl SpatialMesh {
         )
     }
 
-    /// Every rank whose region intersects the x/y square of half-width
-    /// `cutoff` around `p` (including `p`'s own rank). This is the halo
-    /// destination set of the cutoff solver.
-    pub fn ranks_within(&self, p: [f64; 3], cutoff: f64) -> Vec<usize> {
+    /// Call `visit` with every rank whose region intersects the x/y
+    /// square of half-width `cutoff` around `p` (including `p`'s own
+    /// rank), in ascending order. This is the halo destination set of
+    /// the cutoff solver.
+    pub fn for_each_rank_within(&self, p: [f64; 3], cutoff: f64, mut visit: impl FnMut(usize)) {
         assert!(cutoff >= 0.0, "negative cutoff");
         let x0 = self.bin(p[0] - cutoff, 0, self.dims[1]);
         let x1 = self.bin(p[0] + cutoff, 0, self.dims[1]);
         let y0 = self.bin(p[1] - cutoff, 1, self.dims[0]);
         let y1 = self.bin(p[1] + cutoff, 1, self.dims[0]);
-        let mut out = Vec::with_capacity((x1 - x0 + 1) * (y1 - y0 + 1));
         for iy in y0..=y1 {
             for ix in x0..=x1 {
-                out.push(iy * self.dims[1] + ix);
+                visit(iy * self.dims[1] + ix);
             }
         }
+    }
+
+    /// The ranks [`SpatialMesh::for_each_rank_within`] visits, collected.
+    pub fn ranks_within(&self, p: [f64; 3], cutoff: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.for_each_rank_within(p, cutoff, |rank| out.push(rank));
         out
     }
 }

@@ -214,10 +214,13 @@ grep -A1 '"kernel": "fft_columns"' BENCH_compute.json | grep '"variant": "per_li
 # twin, and the ownership-passing reshape beside the flat-buffer one.
 grep -q '"variant": "r2c"' BENCH_compute.json
 grep -q '"variant": "owned"' BENCH_compute.json
-# Birkhoff-Rott rows: the lane-parallel all-pairs block kernel and the
-# fused cell-sorted cutoff evaluation.
+# Birkhoff-Rott rows: the lane-parallel all-pairs block kernel, the
+# fused cell-sorted cutoff evaluation, and its two loops (distance
+# filter, hit kernel) in vector form beside their scalar bodies.
 grep -q '"kernel": "br_pairs"' BENCH_compute.json
 grep -q '"kernel": "br_cutoff"' BENCH_compute.json
+grep -A1 '"kernel": "br_select"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
+grep -A1 '"kernel": "br_hits"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
 # Z-Model rows: what a derivatives call spends outside halo exchanges,
 # transforms and the Birkhoff-Rott solve, low and high order.
 grep -A1 '"kernel": "zmodel_stage"' BENCH_compute.json | grep '"variant": "low"' >/dev/null
