@@ -19,6 +19,15 @@
 //!   element per transform over a forward + inverse pair, copies
 //!   included.
 //!
+//! * **Real row transforms** — forward + inverse of a rank's rows of `n`
+//!   reals (`RealFft::forward_into` / `inverse_scaled_into`), by the
+//!   fused path (`rfft_rows/fused`: bit-reversed packed loads and stages
+//!   1–3 in one register pass, later stages two per pass, vector
+//!   recombination) and by the unfused route it replaced
+//!   (`rfft_rows/reference`: packing copy, swap pass, one pass per
+//!   stage, scalar recombination), at the benchmark's 256² and 32² row
+//!   lengths. ns per row, the two forms' trials interleaved; bitwise
+//!   identical outputs.
 //! * **Distributed transform roundtrip** — forward + inverse in the
 //!   transposed layout on 2 thread ranks, complex (`dfft_roundtrip/c2c`)
 //!   against the real-field pair the Z-Model calls
@@ -64,7 +73,7 @@ use beatnik_core::{geometry, Order, ProblemManager, ZModel};
 use beatnik_dfft::layout::{pack, unpack};
 use beatnik_dfft::redistribute::redistribute;
 use beatnik_dfft::{Dist, DistributedFft2d, FftConfig, Rect};
-use beatnik_fft::{Complex, Fft, Transform};
+use beatnik_fft::{Complex, Fft, RealFft, Transform};
 use beatnik_json::Value;
 use beatnik_rocketrig::{Deck, RigConfig};
 use beatnik_spatial::neighbors::Backend;
@@ -243,6 +252,53 @@ fn bench_fft_columns(rows: &mut Vec<Row>, nrows: usize, ncols: usize, reps: usiz
         batched_ns / n as f64,
         per_line_ns / n as f64,
         per_line_ns / batched_ns
+    );
+}
+
+/// Forward + inverse of `rows` real rows of length `n`, `reps` times per
+/// trial, by the fused path and by the unfused reference route, trials
+/// interleaved: ns per row.
+fn bench_rfft_rows(out: &mut Vec<Row>, n: usize, rows: usize, reps: usize) {
+    let plan = RealFft::new(n);
+    let bins = plan.bins();
+    let input: Vec<f64> = noise(rows * n / 2)
+        .iter()
+        .flat_map(|z| [z.re, z.im])
+        .collect();
+    let mut spectrum = vec![Complex::default(); rows * bins];
+    let mut back = vec![0.0; rows * n];
+    let scale = 1.0 / n as f64;
+    let ns = best_interleaved_ns(|form| {
+        for _ in 0..reps {
+            let lines = input.chunks_exact(n).zip(spectrum.chunks_exact_mut(bins));
+            for ((x, z), y) in lines.zip(back.chunks_exact_mut(n)) {
+                if form == 0 {
+                    plan.forward_into(x, z);
+                    plan.inverse_scaled_into(z, y, scale);
+                } else {
+                    plan.forward_reference_into(x, z);
+                    plan.inverse_reference_scaled_into(z, y, scale);
+                }
+            }
+        }
+        std::hint::black_box(&back);
+    })
+    .map(|ns| ns / (reps * rows) as f64);
+    for (variant, ns) in [("fused", ns[0]), ("reference", ns[1])] {
+        out.push(Row {
+            kernel: "rfft_rows",
+            variant,
+            n,
+            ns_per_elem: ns,
+            // Nominal: the row's reals read and written once each way.
+            gbps: (n * 32) as f64 / ns,
+        });
+    }
+    eprintln!(
+        "rfft_rows        n={n:<6} fused {:>7.1} ns/row  reference {:>7.1} ns/row  speedup {:.2}x",
+        ns[0],
+        ns[1],
+        ns[1] / ns[0]
     );
 }
 
@@ -598,6 +654,11 @@ fn main() {
     // and `low_lat` (32 x 9) workloads holds.
     bench_fft_columns(&mut rows, 256, 65, 200);
     bench_fft_columns(&mut rows, 32, 9, 20000);
+
+    // Real row transforms: a rank's rows at the `low_bw` (128 rows of
+    // 256) and `low_lat` (16 rows of 32) meshes.
+    bench_rfft_rows(&mut rows, 256, 128, 8);
+    bench_rfft_rows(&mut rows, 32, 16, 400);
 
     // Distributed rows at the repo benchmark's two low-order meshes:
     // 256 KiB reshape blocks (bandwidth) and 4 KiB blocks (latency).

@@ -318,11 +318,13 @@ pub fn gate_serve(
 /// host speed cancels: `(kernel, variant, reference variant, how many
 /// times faster)`. The batched column transform measures 2.2–4× the
 /// gather / per-line / scatter shape; the AVX2 distance filter 2.3–2.5×
-/// and the AVX2 hit kernel 1.6–1.8× their scalar bodies.
-const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 3] = [
+/// and the AVX2 hit kernel 1.6–1.8× their scalar bodies; the fused real
+/// row transform 1.5–2.0× the unfused route (n = 32 and 256).
+const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 4] = [
     ("fft_columns", "batched", "per_line", 1.5),
     ("br_select", "simd", "scalar", 1.5),
     ("br_hits", "simd", "scalar", 1.25),
+    ("rfft_rows", "fused", "reference", 1.3),
 ];
 
 /// Gate a fresh `BENCH_compute.json` against its baseline. Rows join on
@@ -586,6 +588,11 @@ mod tests {
     fn vector_pair_pass_must_beat_its_scalar_bodies_in_the_fresh_run() {
         assert_held_against_fresh("br_select", "simd", "scalar");
         assert_held_against_fresh("br_hits", "simd", "scalar");
+    }
+
+    #[test]
+    fn fused_real_rows_must_beat_the_unfused_route_in_the_fresh_run() {
+        assert_held_against_fresh("rfft_rows", "fused", "reference");
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! rectangle copies. The kernels here are stride-aware rather than
 //! element-wise: row runs move as single `memcpy`s, collapsing to ONE
 //! memcpy when the sub-rectangle spans every column of its parent.
+//! [`assemble`] builds a whole destination rectangle from the received
+//! blocks that way, appending each row's runs in column order to a
+//! buffer that is never zero-filled.
 //! (Nothing here moves columns: the column transforms run in place
 //! across the row-major buffer, see [`crate::plan`].)
 
@@ -152,6 +155,48 @@ pub fn unpack<T: Copy>(buf: &mut [T], into: &Rect, sub: &Rect, data: &[T]) {
     }
 }
 
+/// The row-major `into`-shaped buffer built from `pieces` — `(sub,
+/// data)` pairs, each `data` a row-major `sub`-shaped block — whose
+/// rectangles tile `into`. Every element is written once: rows in
+/// order, each row's runs in column order, appended to a buffer that is
+/// never zero-filled. A piece spanning every column of `into` goes in as
+/// one contiguous copy of all its rows.
+///
+/// # Panics
+/// Panics if the pieces do not tile `into` (a gap or an overlap in some
+/// row).
+pub(crate) fn assemble<T: Copy>(into: &Rect, pieces: &mut [(Rect, Vec<T>)]) -> Vec<T> {
+    pieces.sort_unstable_by_key(|(sub, _)| sub.cols.start);
+    let mut out = Vec::with_capacity(into.area());
+    let mut r = into.rows.start;
+    while r < into.rows.end {
+        let mut col = into.cols.start;
+        let mut next = r + 1;
+        for (sub, data) in pieces.iter().filter(|(sub, _)| sub.rows.contains(&r)) {
+            assert_eq!(
+                sub.cols.start, col,
+                "assemble: pieces do not tile {into:?} at row {r}"
+            );
+            debug_assert_eq!(data.len(), sub.area());
+            let start = (r - sub.rows.start) * sub.ncols();
+            let end = if sub.cols == into.cols {
+                next = sub.rows.end;
+                data.len()
+            } else {
+                start + sub.ncols()
+            };
+            out.extend_from_slice(&data[start..end]);
+            col = sub.cols.end;
+        }
+        assert_eq!(
+            col, into.cols.end,
+            "assemble: pieces do not tile {into:?} at row {r}"
+        );
+        r = next;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +276,68 @@ mod tests {
         unpack(&mut a, &from, &sub, &packed);
         assert_eq!(&a[10..25], &buf[10..25]);
         assert!(a[..10].iter().chain(&a[25..]).all(|&v| v == 0));
+    }
+
+    /// Value of global `(r, c)` in the assemble tests.
+    fn at(r: usize, c: usize) -> u32 {
+        (r * 100 + c) as u32
+    }
+
+    fn piece(sub: Rect) -> (Rect, Vec<u32>) {
+        let data = sub
+            .rows
+            .clone()
+            .flat_map(|r| sub.cols.clone().map(move |c| at(r, c)))
+            .collect();
+        (sub, data)
+    }
+
+    #[test]
+    fn assemble_writes_the_row_major_rectangle_from_any_tiling() {
+        let into = Rect::new(2..9, 3..10);
+        let want: Vec<u32> = into
+            .rows
+            .clone()
+            .flat_map(|r| into.cols.clone().map(move |c| at(r, c)))
+            .collect();
+        for tiling in [
+            // Full-width row bands (the row → column reshape's shape).
+            vec![Rect::new(2..5, 3..10), Rect::new(5..9, 3..10)],
+            // Column bands (block → row), given out of column order.
+            vec![Rect::new(2..9, 7..10), Rect::new(2..9, 3..7)],
+            // Ragged: bands whose row ranges differ, and a full-width
+            // piece between them.
+            vec![
+                Rect::new(2..4, 3..6),
+                Rect::new(2..4, 6..10),
+                Rect::new(4..6, 3..10),
+                Rect::new(6..9, 3..4),
+                Rect::new(6..9, 4..10),
+            ],
+            vec![into.clone()],
+        ] {
+            let mut pieces: Vec<_> = tiling.into_iter().map(piece).collect();
+            assert_eq!(assemble(&into, &mut pieces), want);
+        }
+        let empty = Rect::new(4..4, 0..3);
+        assert!(assemble::<u32>(&empty, &mut []).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not tile")]
+    fn assemble_rejects_a_gap() {
+        let into = Rect::new(0..2, 0..4);
+        assemble(&into, &mut [piece(Rect::new(0..2, 0..3))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not tile")]
+    fn assemble_rejects_an_overlap() {
+        let into = Rect::new(0..2, 0..4);
+        assemble(
+            &into,
+            &mut [piece(into.clone()), piece(Rect::new(0..1, 2..4))],
+        );
     }
 
     #[test]

@@ -82,6 +82,12 @@ pub struct DistributedFft2d {
     /// scatter code it replaced, as the bitwise reference.
     #[cfg(test)]
     per_line_cols: std::cell::Cell<bool>,
+    /// Tests flip this to run the row transforms by the unfused route
+    /// (no register pass: `Fft::{forward, inverse}_scalar`,
+    /// `RealFft::*_reference_*`, into zero-filled buffers), as the
+    /// bitwise reference.
+    #[cfg(test)]
+    reference_rows: std::cell::Cell<bool>,
 }
 
 impl DistributedFft2d {
@@ -112,6 +118,8 @@ impl DistributedFft2d {
             real_row_plan: RealFft::new(nc),
             #[cfg(test)]
             per_line_cols: std::cell::Cell::new(false),
+            #[cfg(test)]
+            reference_rows: std::cell::Cell::new(false),
         }
     }
 
@@ -320,6 +328,10 @@ impl DistributedFft2d {
         if !self.config.reorder {
             no_reorder_penalty(buf);
         }
+        #[cfg(test)]
+        if self.reference_rows.get() {
+            return reference::fft_rows(&self.row_plan, buf, transform);
+        }
         for row in buf.chunks_exact_mut(self.nc) {
             self.row_plan.apply(transform, row);
         }
@@ -365,10 +377,7 @@ impl DistributedFft2d {
         if !self.config.reorder {
             no_reorder_penalty(&mut rows);
         }
-        let mut half = vec![Complex::default(); rows.len() / nc * nh];
-        for (row, bins) in rows.chunks_exact(nc).zip(half.chunks_exact_mut(nh)) {
-            self.real_row_plan.forward_into(row, bins);
-        }
+        let half = self.real_rows_forward(&rows);
         let rows_of = |w: usize| self.row_rect_of(w, nh);
         let cols_of = |w: usize| self.col_rect_of(w, nh);
         let (rect, mut buf) = redistribute(self.cart.comm(), &half, &rows_of, &cols_of, algo);
@@ -401,25 +410,74 @@ impl DistributedFft2d {
         if !self.config.reorder {
             no_reorder_penalty(&mut half);
         }
-        let scale = 1.0 / (self.nr * nc) as f64;
-        let mut rows = vec![0.0; half.len() / nh * nc];
-        for (bins, row) in half.chunks_exact_mut(nh).zip(rows.chunks_exact_mut(nc)) {
-            self.real_row_plan.inverse_scaled_into(bins, row, scale);
-        }
+        let rows = self.real_rows_inverse(&mut half, 1.0 / (self.nr * nc) as f64);
         let g = self.row_group();
         let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
         let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
         redistribute(g.comm, &rows, &rows_of, &block_of, algo).1
     }
+
+    /// The real-to-complex transform of every row of the row layout, into
+    /// a new half-spectrum row buffer written once.
+    fn real_rows_forward(&self, rows: &[f64]) -> Vec<Complex> {
+        #[cfg(test)]
+        if self.reference_rows.get() {
+            return reference::real_rows_forward(&self.real_row_plan, rows);
+        }
+        self.real_row_plan.forward_rows(rows)
+    }
+
+    /// The complex-to-real transform of every half-spectrum row (`half`
+    /// is work space), times `scale`, into a new row buffer written once.
+    fn real_rows_inverse(&self, half: &mut [Complex], scale: f64) -> Vec<f64> {
+        #[cfg(test)]
+        if self.reference_rows.get() {
+            return reference::real_rows_inverse(&self.real_row_plan, half, scale);
+        }
+        self.real_row_plan.inverse_rows(half, scale)
+    }
 }
 
-/// The column transform as it ran before [`Fft::batched`]: gather a
-/// tile of 16 columns into contiguous scratch in one row-streaming pass,
-/// transform each contiguous column, scatter back. Kept as the bitwise
-/// reference for the batched path.
+/// The local transforms as they ran before `Fft::batched` and the
+/// register pass, kept as the bitwise references for today's paths:
+/// columns gathered 16 at a time into contiguous scratch, transformed
+/// per line and scattered back; rows stage by stage, the real ones into
+/// zero-filled buffers.
 #[cfg(test)]
 mod reference {
     use super::*;
+
+    pub(super) fn fft_rows(plan: &Fft, buf: &mut [Complex], transform: Transform) {
+        for row in buf.chunks_exact_mut(plan.len()) {
+            match transform {
+                Transform::Forward => plan.forward_scalar(row),
+                Transform::Inverse => plan.inverse_scalar(row),
+                Transform::InverseUnnormalized => unreachable!("rows run no unnormalized inverse"),
+            }
+        }
+    }
+
+    pub(super) fn real_rows_forward(plan: &RealFft, rows: &[f64]) -> Vec<Complex> {
+        let mut half = vec![Complex::default(); rows.len() / plan.len() * plan.bins()];
+        for (row, bins) in rows
+            .chunks_exact(plan.len())
+            .zip(half.chunks_exact_mut(plan.bins()))
+        {
+            plan.forward_reference_into(row, bins);
+        }
+        half
+    }
+
+    pub(super) fn real_rows_inverse(plan: &RealFft, half: &mut [Complex], scale: f64) -> Vec<f64> {
+        let mut rows = vec![0.0; half.len() / plan.bins() * plan.len()];
+        for (bins, row) in half
+            .chunks_exact_mut(plan.bins())
+            .zip(rows.chunks_exact_mut(plan.len()))
+        {
+            plan.inverse_reference_scaled_into(bins, row, scale);
+        }
+        rows
+    }
 
     const TILE_COLS: usize = 16;
 
@@ -477,8 +535,11 @@ mod batched_cols_tests {
     #[test]
     fn every_entry_point_is_bitwise_the_per_line_column_path() {
         for config in FftConfig::table1() {
-            // 12x10 has Bluestein columns; 4x4 leaves ranks without a column.
-            for (nr, nc) in [(16, 16), (12, 10), (32, 8), (4, 4)] {
+            // 16x16 runs the fused real rows on a single register-pass
+            // group, 8x64 with a stage pair after it; 12x10 has Bluestein
+            // columns and rows (its real rows take the packed path); 32x8
+            // has 8-point complex rows; 4x4 leaves ranks without a column.
+            for (nr, nc) in [(16, 16), (8, 64), (12, 10), (32, 8), (4, 4)] {
                 for p in [1, 2, 3, 4, 6, 9] {
                     World::builder(p).run(move |comm| {
                         let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, config);
@@ -489,8 +550,9 @@ mod batched_cols_tests {
                             .chunks_exact(2)
                             .map(|z| Complex::new(z[0], z[1]))
                             .collect();
-                        let run = |per_line: bool| {
+                        let run = |per_line: bool, reference_rows: bool| {
                             plan.per_line_cols.set(per_line);
+                            plan.reference_rows.set(reference_rows);
                             let (_, spec) = plan.forward_transposed(block.clone());
                             let (_, half) = plan.forward_real_transposed(&real);
                             let back = plan.inverse_real_transposed(half.clone());
@@ -504,7 +566,9 @@ mod batched_cols_tests {
                             let real: Vec<u64> = back.iter().map(|x| x.to_bits()).collect();
                             (complex, real)
                         };
-                        assert_eq!(run(false), run(true), "{config} p={p} {nr}x{nc}");
+                        let today = run(false, false);
+                        assert_eq!(today, run(true, false), "cols {config} p={p} {nr}x{nc}");
+                        assert_eq!(today, run(false, true), "rows {config} p={p} {nr}x{nc}");
                     });
                 }
             }

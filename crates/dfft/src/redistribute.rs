@@ -5,8 +5,13 @@
 //! both layouts are computable from rank indices alone, each rank derives
 //! every pairwise intersection analytically — no metadata travels with the
 //! payloads, exactly as in production transpose engines.
+//!
+//! Each element is written twice on its way: once into the packed block
+//! a destination is sent, once into the destination rectangle, which
+//! [`crate::layout::assemble`] builds row by row from the received
+//! blocks in column order. Neither buffer is zero-filled first.
 
-use crate::layout::{pack, unpack, Rect};
+use crate::layout::{assemble, pack, Rect};
 use beatnik_comm::message::CommData;
 use beatnik_comm::{wait_all, AllToAllAlgo, Communicator};
 
@@ -32,9 +37,13 @@ const DFFT_TAG: u64 = 0x4446_4654; // "DFFT"
 /// this rank's send volume.
 ///
 /// Either way the packed per-destination blocks are handed to the
-/// exchange by ownership and unpacked straight from the received blocks:
-/// a reshape copies each element twice (pack, unpack) and the receiver
-/// frees the block it was sent.
+/// exchange by ownership, and the destination rectangle is assembled
+/// straight from the received blocks, row by row in column order, into
+/// a buffer that is never zero-filled: a reshape writes each element
+/// twice (pack, assemble) and the receiver frees the block it was sent.
+/// The source rectangles must tile the global index space (every
+/// layout here does); a destination they leave a gap in or overlap
+/// panics.
 pub fn redistribute<T: CommData + Copy + Default>(
     comm: &Communicator,
     data: &[T],
@@ -101,17 +110,26 @@ pub fn redistribute<T: CommData + Copy + Default>(
         collective => comm.alltoallv_owned(blocks, collective),
     };
 
-    // Place every received block into my destination rectangle.
-    let mut out = vec![T::default(); my_dst.area()];
-    for (s, block) in received.into_iter().enumerate() {
-        let inter = src_rect(s).intersect(&my_dst);
-        if inter.is_empty() {
-            debug_assert!(block.is_empty());
-            continue;
-        }
-        debug_assert_eq!(block.len(), inter.area(), "redistribute: bad block from {s}");
-        unpack(&mut out, &my_dst, &inter, &block);
-    }
+    // Build my destination rectangle from the received blocks, each
+    // element written once.
+    let mut pieces: Vec<(Rect, Vec<T>)> = received
+        .into_iter()
+        .enumerate()
+        .filter_map(|(s, block)| {
+            let inter = src_rect(s).intersect(&my_dst);
+            if inter.is_empty() {
+                debug_assert!(block.is_empty());
+                return None;
+            }
+            debug_assert_eq!(
+                block.len(),
+                inter.area(),
+                "redistribute: bad block from {s}"
+            );
+            Some((inter, block))
+        })
+        .collect();
+    let out = assemble(&my_dst, &mut pieces);
     (my_dst, out)
 }
 
@@ -225,6 +243,47 @@ mod tests {
                 assert!(got.is_empty());
             }
         });
+    }
+
+    #[test]
+    fn ragged_idle_and_disjoint_layouts_reshape_exactly() {
+        // 7x5 grid. Sources: 2D blocks whose rows and columns split
+        // unevenly. Destinations: row slabs with idle ranks (7 rows over
+        // up to 9 ranks), column slabs narrower than the rank count, and
+        // one rank owning everything (every other intersection empty).
+        let (nr, nc) = (7usize, 5usize);
+        for p in [1usize, 2, 3, 5, 6, 9] {
+            World::builder(p).run(move |comm| {
+                let pr = if p % 3 == 0 { 3 } else { 1 };
+                let (rd, cd) = (Dist::new(nr, pr), Dist::new(nc, p / pr));
+                let src = move |r: usize| Rect::new(rd.range(r / (p / pr)), cd.range(r % (p / pr)));
+                let rows = Dist::new(nr, p);
+                let cols = Dist::new(nc, p);
+                let row_slab = move |r: usize| Rect::new(rows.range(r), 0..nc);
+                let col_slab = move |r: usize| Rect::new(0..nr, cols.range(r));
+                let one = move |r: usize| {
+                    if r == p - 1 {
+                        Rect::new(0..nr, 0..nc)
+                    } else {
+                        Rect::new(0..0, 0..0)
+                    }
+                };
+                let dests: [&dyn Fn(usize) -> Rect; 3] = [&row_slab, &col_slab, &one];
+                let data = fill(&src(comm.rank()));
+                for (d, dst) in dests.into_iter().enumerate() {
+                    for algo in [AllToAllAlgo::Direct, AllToAllAlgo::Pairwise] {
+                        let (rect, got) = redistribute(&comm, &data, &src, dst, algo);
+                        assert_eq!(rect, dst(comm.rank()), "p={p} layout {d}");
+                        assert_eq!(got.len(), rect.area(), "p={p} layout {d}");
+                        check(&rect, &got);
+                        // And back, from the ragged side to the blocks.
+                        let (back_rect, back) = redistribute(&comm, &got, dst, &src, algo);
+                        assert_eq!(back_rect, src(comm.rank()));
+                        check(&back_rect, &back);
+                    }
+                }
+            });
+        }
     }
 
     #[test]

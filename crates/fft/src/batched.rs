@@ -36,6 +36,7 @@
 //! kernel is required to match it bit for bit.
 
 use crate::complex::Complex;
+use crate::kernel::Body;
 
 /// `lanes` interleaved length-`n` lines at row stride `stride` in one
 /// buffer, bounds-checked once at construction: every row segment
@@ -114,22 +115,16 @@ impl<'a> Lines<'a> {
     }
 }
 
-/// In-place radix-2 transform of every line of `lines`: AVX butterflies
-/// where the CPU has them (runtime detection), the scalar reference
-/// elsewhere. `rev` and `tw` are the plan's bit-reversal permutation and
-/// stage-contiguous forward twiddles (see [`crate::Fft`]); `conj`
-/// selects the inverse's conjugated twiddles.
+/// In-place radix-2 transform of every line of `lines` through the
+/// plan's `body`: AVX butterflies, or the scalar reference. `rev` and
+/// `tw` are the plan's bit-reversal permutation and stage-contiguous
+/// forward twiddles (see [`crate::Fft`]); `conj` selects the inverse's
+/// conjugated twiddles.
 ///
 /// # Panics
 /// Panics if `rev` / `tw` are not the tables of a power-of-two length
 /// `n ≥ 2`.
-pub(crate) fn radix2(lines: &mut Lines<'_>, rev: &[u32], tw: &[Complex], conj: bool) {
-    radix2_with(lines, rev, tw, conj, false);
-}
-
-/// [`radix2`], optionally forced through the scalar reference.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn radix2_with(lines: &mut Lines<'_>, rev: &[u32], tw: &[Complex], conj: bool, scalar: bool) {
+pub(crate) fn radix2(lines: &mut Lines<'_>, rev: &[u32], tw: &[Complex], conj: bool, body: Body) {
     let n = lines.n;
     assert!(n.is_power_of_two() && n >= 2 && rev.len() == n && tw.len() == n - 1);
     if lines.lanes == 0 {
@@ -137,15 +132,17 @@ fn radix2_with(lines: &mut Lines<'_>, rev: &[u32], tw: &[Complex], conj: bool, s
     }
     lines.bit_reverse(rev);
     #[cfg(target_arch = "x86_64")]
-    if !scalar && std::arch::is_x86_feature_detected!("avx") {
+    if body == Body::Avx {
         let base = lines.buf.as_mut_ptr().cast::<f64>();
         // SAFETY: `Lines::new` checked `lanes ≤ stride` and
         // `(n − 1)·stride + lanes ≤ buf.len()`, so every row segment the
         // kernel touches lies inside `buf`; `n` is a power of two with
-        // `tw.len() == n − 1` (asserted above); AVX was just detected.
+        // `tw.len() == n − 1` (asserted above); AVX was detected when
+        // `body` was chosen.
         unsafe { avx::stages(base, n, lines.lanes, lines.stride, tw, conj) };
         return;
     }
+    let _ = body;
     stages_scalar(lines, tw, conj);
 }
 
@@ -399,8 +396,8 @@ mod tests {
 
     #[test]
     fn dispatched_kernel_is_bitwise_the_scalar_reference() {
-        // `radix2` picks AVX where the host has it; forced scalar is the
-        // reference on every host.
+        // The plan's body is AVX where the host has it; the portable
+        // body is the reference on every host.
         for n in (1..=10).map(|e| 1usize << e) {
             let plan = Fft::new(n);
             let (rev, tw) = plan.radix2_tables().expect("power-of-two plan");
@@ -408,15 +405,15 @@ mod tests {
                 for stride in [lanes, lanes + 3] {
                     for conj in [false, true] {
                         let input = block(n, lanes, stride);
-                        let run = |scalar: bool| {
+                        let run = |body: Body| {
                             let mut buf = input.clone();
                             let mut lines = Lines::new(&mut buf, n, lanes, stride);
-                            radix2_with(&mut lines, rev, tw, conj, scalar);
+                            radix2(&mut lines, rev, tw, conj, body);
                             bits(&buf)
                         };
                         assert_eq!(
-                            run(false),
-                            run(true),
+                            run(Body::detect()),
+                            run(Body::Portable),
                             "n={n} lanes={lanes} stride={stride} conj={conj}"
                         );
                     }

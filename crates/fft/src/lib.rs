@@ -10,7 +10,14 @@
 //!   [`Fft::batched`] applies the same plan to many interleaved lines
 //!   (the columns of a row-major block) at once and in place, with the
 //!   butterflies running across the lines — bitwise the per-line result,
-//!   without gathering a single column.
+//!   without gathering a single column. A contiguous line runs its first
+//!   three butterfly stages as one pass in registers and the rest two
+//!   per pass.
+//! * [`RealFft`] — real-input transforms on the half spectrum: even
+//!   lengths pack two reals per complex; when the half length is a power
+//!   of two the register pass reads the reals straight from the input in
+//!   bit-reversed order and the Hermitian recombination runs two bins
+//!   per vector — bitwise the unfused route it replaced.
 //! * [`Fft2d`] — row–column 2D transforms over row-major buffers (rows
 //!   per line, columns batched).
 //! * [`spectral`] — wavenumber grids and the Fourier-multiplier operators

@@ -7,12 +7,16 @@
 //! [`crate::bluestein`]), which itself reuses a radix-2 plan of the
 //! padded size.
 //!
-//! The butterfly stages of a contiguous line execute through the
-//! lane-parallel kernels in `crate::kernel` (AVX/SSE2 on x86_64, with a
-//! scalar path that every SIMD kernel matches bit-for-bit).
-//! [`Fft::forward_scalar`] / [`Fft::inverse_scalar`] force the scalar
-//! kernels, as the reference for equivalence tests and speedup
-//! benchmarks.
+//! A power-of-two line of `n ≥ 8` runs its bit-reversal swaps, then
+//! butterfly stages 1–3 in one register pass over groups of eight, then
+//! the later stages two per pass (`crate::kernel`). Every kernel runs
+//! the body the plan chose when it was built: AVX where the CPU reports
+//! it, or scalar code that the AVX kernels match bit-for-bit.
+//! [`Fft::forward_scalar`] / [`Fft::inverse_scalar`] run the scalar
+//! kernels one stage per pass, as the reference for equivalence tests
+//! and speedup benchmarks. `crate::real` drives the same plan out of
+//! place: its register pass reads the input in bit-reversed order
+//! straight from another buffer.
 //!
 //! Stage-contiguous twiddles: stage `s` (butterfly half-width
 //! `h = 2^s`) reads its `h` twiddles `e^{-2πik/2h}` from the flat table
@@ -30,8 +34,9 @@
 use crate::batched::{self, Lines};
 use crate::bluestein::Bluestein;
 use crate::complex::Complex;
-use crate::kernel;
+use crate::kernel::{self, Body};
 use std::cell::RefCell;
+use std::mem::MaybeUninit;
 
 /// A reusable plan for forward/inverse transforms of one length.
 pub struct Fft {
@@ -64,10 +69,15 @@ pub enum Transform {
 impl Fft {
     /// Plan a transform of length `n` (any `n`, including 0 and 1).
     pub fn new(n: usize) -> Self {
+        Fft::with_body(n, Body::detect())
+    }
+
+    /// [`Fft::new`] with the register pass's body given.
+    pub(crate) fn with_body(n: usize, body: Body) -> Self {
         let kind = if n <= 1 {
             Kind::Identity
         } else if n.is_power_of_two() {
-            Kind::Radix2(Radix2::new(n))
+            Kind::Radix2(Radix2::new(n, body))
         } else {
             Kind::Bluestein {
                 plan: Box::new(Bluestein::new(n)),
@@ -161,9 +171,10 @@ impl Fft {
             Kind::Radix2(r) => {
                 batched::radix2(
                     &mut lines,
-                    &r.rev,
+                    r.rev.as_slice(),
                     &r.twiddles,
                     transform != Transform::Forward,
+                    r.body,
                 );
                 if transform == Transform::Inverse {
                     lines.scale(1.0 / self.n as f64);
@@ -185,23 +196,24 @@ impl Fft {
     #[cfg(test)]
     pub(crate) fn radix2_tables(&self) -> Option<(&[u32], &[Complex])> {
         match &self.kind {
-            Kind::Radix2(r) => Some((&r.rev, &r.twiddles)),
+            Kind::Radix2(r) => Some((r.rev.as_slice(), &r.twiddles)),
             _ => None,
         }
     }
 
-    /// [`Fft::forward`] through the lane-serial reference kernels.
+    /// [`Fft::forward`] through the lane-serial reference kernels, one
+    /// stage per pass (no register pass).
     ///
-    /// The dispatched SIMD butterflies are bit-for-bit identical to
-    /// this path by construction; it exists so tests can assert that
-    /// and benchmarks can measure the speedup. Non-power-of-two
-    /// (Bluestein) plans take their regular path — their internal
-    /// radix-2 transforms dispatch normally.
+    /// The SIMD butterflies and the register pass are bit-for-bit
+    /// identical to this path by construction; it exists so tests can
+    /// assert that and benchmarks can measure the speedup.
+    /// Non-power-of-two (Bluestein) plans take their regular path —
+    /// their internal radix-2 transforms run the plan's kernels.
     pub fn forward_scalar(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "fft: buffer length mismatch");
         match &self.kind {
             Kind::Identity => {}
-            Kind::Radix2(r) => r.transform_scalar(data, Direction::Forward),
+            Kind::Radix2(r) => r.transform_staged(data, Direction::Forward, Body::Portable),
             Kind::Bluestein { plan: b, .. } => b.forward(data),
         }
     }
@@ -213,7 +225,7 @@ impl Fft {
         match &self.kind {
             Kind::Identity => {}
             Kind::Radix2(r) => {
-                r.transform_scalar(data, Direction::Inverse);
+                r.transform_staged(data, Direction::Inverse, Body::Portable);
                 let s = 1.0 / self.n as f64;
                 for v in data.iter_mut() {
                     *v = v.scale(s);
@@ -225,31 +237,59 @@ impl Fft {
 }
 
 #[derive(Clone, Copy, PartialEq)]
-enum Direction {
+pub(crate) enum Direction {
     Forward,
     Inverse,
 }
 
+/// The bit-reversal permutation of a power-of-two length `n`: entry `i`
+/// is `i` with its log2(n) bits reversed. Built only by [`Radix2::new`],
+/// which asserts that it is an involution within `0..n` — the invariant
+/// the unchecked bit-reversed loads of `kernel::first_pass_from` rest on.
+pub(crate) struct BitReversal(Vec<u32>);
+
+impl BitReversal {
+    pub(crate) fn as_slice(&self) -> &[u32] {
+        &self.0
+    }
+
+    /// Swap the elements of `data` into bit-reversed order (once per
+    /// pair).
+    fn permute(&self, data: &mut [Complex]) {
+        for (i, &j) in self.0.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+    }
+}
+
 /// Iterative radix-2 Cooley–Tukey with cached twiddles.
-struct Radix2 {
+pub(crate) struct Radix2 {
     n: usize,
-    /// Bit-reversal permutation targets: `rev[i]` is `i` with log2(n) bits
-    /// reversed.
-    rev: Vec<u32>,
+    rev: BitReversal,
     /// Forward twiddles, stage-contiguous: the stage with butterfly
     /// half-width `h` owns `[h-1, 2h-1)`, holding `e^{-2πik/2h}` for
     /// `k < h`. `n - 1` entries total, unit stride within a stage.
     twiddles: Vec<Complex>,
+    /// Body of every kernel the plan runs, chosen at plan time.
+    body: Body,
 }
 
 impl Radix2 {
-    fn new(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two() && n >= 2);
+    pub(crate) fn new(n: usize, body: Body) -> Self {
+        assert!(n.is_power_of_two() && n >= 2, "radix-2 plan of length {n}");
         let bits = n.trailing_zeros();
-        let mut rev = vec![0u32; n];
-        for (i, r) in rev.iter_mut().enumerate() {
-            *r = (i as u32).reverse_bits() >> (32 - bits);
-        }
+        let rev: Vec<u32> = (0..n as u32)
+            .map(|i| i.reverse_bits() >> (32 - bits))
+            .collect();
+        assert!(
+            rev.iter()
+                .enumerate()
+                .all(|(i, &j)| (j as usize) < n && rev[j as usize] as usize == i),
+            "fft: bit-reversal table of length {n} is not an involution within 0..{n}"
+        );
         let mut twiddles = Vec::with_capacity(n - 1);
         let mut half = 1usize;
         while half < n {
@@ -262,39 +302,68 @@ impl Radix2 {
             );
             half *= 2;
         }
-        Radix2 { n, rev, twiddles }
-    }
-
-    /// Swap elements into bit-reversed order (once per pair).
-    fn bit_reverse(&self, data: &mut [Complex]) {
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
+        Radix2 {
+            n,
+            rev: BitReversal(rev),
+            twiddles,
+            body,
         }
     }
 
+    /// The stages after the register pass (half-width 8 on), two per
+    /// pass while two remain; each pair reads its two stage-contiguous
+    /// twiddle blocks as one run `[h−1, 4h−1)`.
+    fn later_stages(&self, data: &mut [Complex], dir: Direction) {
+        let conj = dir == Direction::Inverse;
+        let mut half = 8;
+        while 4 * half <= self.n {
+            let tw = &self.twiddles[half - 1..4 * half - 1];
+            kernel::stage_pair(data, half, tw, conj, self.body);
+            half *= 4;
+        }
+        if half < self.n {
+            let tw = &self.twiddles[half - 1..2 * half - 1];
+            kernel::stage(data, half, tw, conj, self.body);
+        }
+    }
+
+    /// In place: bit-reversal swaps, then (`n ≥ 8`) stages 1–3 in one
+    /// register pass and the rest two per pass.
     fn transform(&self, data: &mut [Complex], dir: Direction) {
-        self.bit_reverse(data);
-        let conj = dir == Direction::Inverse;
-        // Butterfly stages: half-width doubles each stage, each reading
-        // its stage-contiguous twiddle block at unit stride.
-        let mut half = 1usize;
-        while half < self.n {
-            kernel::stage(data, half, &self.twiddles[half - 1..2 * half - 1], conj);
-            half *= 2;
+        if self.n < 8 {
+            return self.transform_staged(data, dir, self.body);
         }
+        self.rev.permute(data);
+        kernel::first_pass(data, &self.twiddles, dir == Direction::Inverse, self.body);
+        self.later_stages(data, dir);
     }
 
-    /// [`Radix2::transform`] forced through the scalar reference
-    /// kernels (bit-identical to the dispatched path by construction).
-    fn transform_scalar(&self, data: &mut [Complex], dir: Direction) {
-        self.bit_reverse(data);
+    /// Out of place, `n ≥ 8`: `dst` receives the transform of `src`,
+    /// whose elements the register pass reads in bit-reversed order —
+    /// no copy, no swap pass. Returns `dst`, every element written.
+    pub(crate) fn transform_from<'a>(
+        &self,
+        src: &[Complex],
+        dst: &'a mut [MaybeUninit<Complex>],
+        dir: Direction,
+    ) -> &'a mut [Complex] {
+        let conj = dir == Direction::Inverse;
+        let dst = kernel::first_pass_from(src, dst, &self.rev, &self.twiddles, conj, self.body);
+        self.later_stages(dst, dir);
+        dst
+    }
+
+    /// The transform as it ran before the register pass: bit-reversal
+    /// swaps, then every stage a pass of its own through `body` (the
+    /// plan's, or `Portable` for the scalar reference). Bitwise
+    /// [`Radix2::transform`].
+    pub(crate) fn transform_staged(&self, data: &mut [Complex], dir: Direction, body: Body) {
+        self.rev.permute(data);
         let conj = dir == Direction::Inverse;
         let mut half = 1usize;
         while half < self.n {
-            kernel::stage_scalar(data, half, &self.twiddles[half - 1..2 * half - 1], conj);
+            let tw = &self.twiddles[half - 1..2 * half - 1];
+            kernel::stage(data, half, tw, conj, body);
             half *= 2;
         }
     }
@@ -431,10 +500,11 @@ mod tests {
         // The SIMD butterflies must reproduce the scalar reference
         // exactly — not within tolerance — at every planned size, both
         // directions, including the bit-reversal and normalization
-        // around the kernels.
-        for n in [2usize, 4, 8, 16, 32, 128, 1024, 4096] {
+        // around the kernels — with the register pass in either body.
+        let bodies = [Body::detect(), Body::Portable];
+        for (n, body) in (1..=12).flat_map(|e| bodies.map(|b| (1usize << e, b))) {
             let x = ramp(n);
-            let plan = Fft::new(n);
+            let plan = Fft::with_body(n, body);
             let mut fast = x.clone();
             let mut slow = x.clone();
             plan.forward(&mut fast);
@@ -443,7 +513,7 @@ mod tests {
                 assert_eq!(
                     (f.re.to_bits(), f.im.to_bits()),
                     (s.re.to_bits(), s.im.to_bits()),
-                    "forward n={n} elem {i}: {f} vs {s}"
+                    "forward n={n} {body:?} elem {i}: {f} vs {s}"
                 );
             }
             plan.inverse(&mut fast);
@@ -452,10 +522,42 @@ mod tests {
                 assert_eq!(
                     (f.re.to_bits(), f.im.to_bits()),
                     (s.re.to_bits(), s.im.to_bits()),
-                    "inverse n={n} elem {i}: {f} vs {s}"
+                    "inverse n={n} {body:?} elem {i}: {f} vs {s}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn unnormalized_inverse_matches_the_staged_transform_bit_for_bit() {
+        for n in (1..=12).map(|e| 1usize << e) {
+            let Kind::Radix2(r) = Fft::new(n).kind else {
+                unreachable!("power-of-two plan")
+            };
+            let mut fast = ramp(n);
+            let mut slow = fast.clone();
+            r.transform(&mut fast, Direction::Inverse);
+            r.transform_staged(&mut slow, Direction::Inverse, Body::Portable);
+            let bits = |v: &[Complex]| -> Vec<[u64; 2]> {
+                v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not match")]
+    fn out_of_place_pass_rejects_mismatched_lengths() {
+        let r = Radix2::new(16, Body::detect());
+        let src = vec![Complex::default(); 8];
+        let mut dst = vec![MaybeUninit::new(Complex::default()); 16];
+        r.transform_from(&src, &mut dst, Direction::Forward);
+    }
+
+    #[test]
+    #[should_panic(expected = "radix-2 plan of length 12")]
+    fn radix2_plan_rejects_other_lengths() {
+        let _ = Radix2::new(12, Body::detect());
     }
 
     #[test]

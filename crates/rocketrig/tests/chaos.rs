@@ -6,6 +6,8 @@
 //! never sees a fault.
 #![cfg(unix)]
 
+use std::sync::{Mutex, MutexGuard};
+
 use beatnik_comm::{proc, FaultPlan, TransportKind, World};
 use beatnik_rocketrig::{run_rig, RigConfig, FT_RECV_TIMEOUT};
 
@@ -20,6 +22,16 @@ const TOL: f64 = 1e-8;
 /// sequence-number dedup, which work in either direction.)
 const CHAOS: &str = "drop:r0>r1@link3,corrupt:r1>r0@link5,\
                      dup:r0>r1@link7,partition:r1>r0@link9:50ms";
+
+/// The two tests run one at a time. The re-executed child shares the
+/// harness's stdout and leaves its libtest `test … ` header unterminated
+/// when it exits; run alone, that header can only precede the result
+/// line of the test that spawned it, never split the other test's.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn config() -> RigConfig {
     let mut cfg = RigConfig {
@@ -54,6 +66,7 @@ fn assert_logs_match(
 
 #[test]
 fn wire_chaos_over_tcp_loopback_matches_the_clean_run() {
+    let _serial = serial();
     // Fault-free reference over the same TCP loopback mesh.
     let cfg = config();
     let clean = World::builder(2)
@@ -93,6 +106,7 @@ fn wire_chaos_over_tcp_loopback_matches_the_clean_run() {
 /// still matching a clean in-process run bit-for-bit (to tolerance).
 #[test]
 fn wire_chaos_survives_two_real_processes() {
+    let _serial = serial();
     // Children re-enter here and exit inside `spmd_with`; keep the
     // expensive reference run on the parent-only path below.
     let plan = FaultPlan::parse(CHAOS, 0xC4A05).expect("static plan");

@@ -201,8 +201,8 @@ grep -q '"lost_jobs": 0' BENCH_serve.json
 
 echo "== compute-kernel bench -> BENCH_compute.json =="
 # Rows pair each fast kernel (SIMD butterflies, batched column
-# transforms, r2c dfft roundtrip, owned-block reshape) with its measured
-# reference so the gate pins both.
+# transforms, fused real row transforms, r2c dfft roundtrip, owned-block
+# reshape) with its measured reference so the gate pins both.
 target/release/bench_compute BENCH_compute.json
 test -s BENCH_compute.json
 grep -q '"kernel": "fft_forward"' BENCH_compute.json
@@ -210,6 +210,10 @@ grep -q '"kernel": "fft_forward"' BENCH_compute.json
 # gather / per-line / scatter shape they replaced.
 grep -A1 '"kernel": "fft_columns"' BENCH_compute.json | grep '"variant": "batched"' >/dev/null
 grep -A1 '"kernel": "fft_columns"' BENCH_compute.json | grep '"variant": "per_line"' >/dev/null
+# Real row transforms: the fused register-pass path beside the unfused
+# route (packing copy, swap pass, one pass per stage) it replaced.
+grep -A1 '"kernel": "rfft_rows"' BENCH_compute.json | grep '"variant": "fused"' >/dev/null
+grep -A1 '"kernel": "rfft_rows"' BENCH_compute.json | grep '"variant": "reference"' >/dev/null
 # Distributed rows: the real-field transform pair beside its complex
 # twin, and the ownership-passing reshape beside the flat-buffer one.
 grep -q '"variant": "r2c"' BENCH_compute.json
