@@ -40,8 +40,12 @@
 //!   point.
 //!
 //! * **Birkhoff–Rott pair kernels** — the lane-parallel all-pairs block
-//!   kernel under the exact solver (`br_pairs/exact`, 2304 targets ×
-//!   2304 sources, ns per pair) and the fused cell-sorted cutoff
+//!   kernel under the exact solver's circulated blocks (`br_pairs/exact`,
+//!   2304 targets × 2304 sources, ns per pair) beside the symmetric
+//!   kernel it runs on its own block (`br_pairs/symmetric`, the same 2304
+//!   points as their own targets, each unordered pair once; ns per
+//!   ordered interaction, the two forms' trials interleaved), the fused
+//!   cell-sorted cutoff
 //!   evaluation (`br_cutoff/fused`: one 1-rank `CutoffBrSolver` call on
 //!   the 96² single-mode point set at cutoff 0.5, ns per target —
 //!   binning, distance filter and pair kernel together), then that
@@ -66,7 +70,8 @@
 
 use beatnik_comm::{AllToAllAlgo, Communicator, World};
 use beatnik_core::br::kernel::{
-    accumulate_block, accumulate_hits, hits_body, select_body, select_within, Sources,
+    accumulate_block, accumulate_hits, accumulate_symmetric, hits_body, select_body, select_within,
+    Sources,
 };
 use beatnik_core::br::{BrPoint, BrSolver, CutoffBrSolver};
 use beatnik_core::{geometry, Order, ProblemManager, ZModel};
@@ -420,8 +425,11 @@ fn bench_redistribute(rows: &mut Vec<Row>, n: usize, reps: usize) {
     );
 }
 
-/// The all-pairs block kernel on `n` targets × `n` sources, ns per pair.
-fn bench_br_pairs(rows: &mut Vec<Row>, n: usize, reps: usize) {
+/// The all-pairs block kernel on `n` targets × `n` sources (`exact`) and
+/// the symmetric kernel on the same `n` points as their own targets
+/// (`symmetric`, each unordered pair once), ns per ordered interaction —
+/// `n²` of them in both rows — the two forms' trials interleaved.
+fn bench_br_pairs(rows: &mut Vec<Row>, n: usize) {
     let noise = noise(3 * n);
     let sources: Vec<([f64; 3], [f64; 3])> = noise
         .chunks(3)
@@ -429,23 +437,32 @@ fn bench_br_pairs(rows: &mut Vec<Row>, n: usize, reps: usize) {
         .collect();
     let targets: Vec<[f64; 3]> = sources.iter().map(|s| s.0).collect();
     let mut vel = vec![[0.0f64; 3]; n];
-    let ns = best_ns(reps, || {
-        accumulate_block(&mut vel, std::hint::black_box(&targets), &sources, 0.01);
+    let ns = best_interleaved_ns(|form| {
+        let sources = std::hint::black_box(&sources);
+        if form == 0 {
+            accumulate_block(&mut vel, &targets, sources, 0.01);
+        } else {
+            accumulate_symmetric(&mut vel, sources, 0.01);
+        }
     });
     std::hint::black_box(&vel);
     let pairs = (n * n) as f64;
-    rows.push(Row {
-        kernel: "br_pairs",
-        variant: "exact",
-        n,
-        ns_per_elem: ns / pairs,
-        // Nominal: one 48-byte source record per pair; the gated metric
-        // is the time per pair.
-        gbps: pairs * 48.0 / ns,
-    });
+    for (variant, ns) in [("exact", ns[0]), ("symmetric", ns[1])] {
+        rows.push(Row {
+            kernel: "br_pairs",
+            variant,
+            n,
+            ns_per_elem: ns / pairs,
+            // Nominal: one 48-byte source record per pair; the gated
+            // metric is the time per pair.
+            gbps: pairs * 48.0 / ns,
+        });
+    }
     eprintln!(
-        "br_pairs         {n}x{n:<5} exact {:>7.3} ns/pair",
-        ns / pairs
+        "br_pairs         {n}x{n:<5} exact {:>7.3} ns/pair  symmetric {:>7.3} ns/pair  speedup {:.2}x",
+        ns[0] / pairs,
+        ns[1] / pairs,
+        ns[0] / ns[1]
     );
 }
 
@@ -669,7 +686,7 @@ fn main() {
 
     // Birkhoff-Rott kernels at the repo benchmark's sizes: one ring
     // stage of `exact_ring` at 1 rank, one `cutoff_imb` evaluation.
-    bench_br_pairs(&mut rows, 2304, 3);
+    bench_br_pairs(&mut rows, 2304);
     bench_br_cutoff(&mut rows, 96, 3);
     bench_br_pair_pass(&mut rows, 96);
 

@@ -319,12 +319,15 @@ pub fn gate_serve(
 /// times faster)`. The batched column transform measures 2.2–4× the
 /// gather / per-line / scatter shape; the AVX2 distance filter 2.3–2.5×
 /// and the AVX2 hit kernel 1.6–1.8× their scalar bodies; the fused real
-/// row transform 1.5–2.0× the unfused route (n = 32 and 256).
-const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 4] = [
+/// row transform 1.5–2.0× the unfused route (n = 32 and 256); the
+/// symmetric pair kernel 1.44–1.58× the one-sided block on the same 2304
+/// points, per ordered interaction.
+const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 5] = [
     ("fft_columns", "batched", "per_line", 1.5),
     ("br_select", "simd", "scalar", 1.5),
     ("br_hits", "simd", "scalar", 1.25),
     ("rfft_rows", "fused", "reference", 1.3),
+    ("br_pairs", "symmetric", "exact", 1.25),
 ];
 
 /// Gate a fresh `BENCH_compute.json` against its baseline. Rows join on
@@ -593,6 +596,11 @@ mod tests {
     #[test]
     fn fused_real_rows_must_beat_the_unfused_route_in_the_fresh_run() {
         assert_held_against_fresh("rfft_rows", "fused", "reference");
+    }
+
+    #[test]
+    fn symmetric_pairs_must_beat_the_one_sided_block_in_the_fresh_run() {
+        assert_held_against_fresh("br_pairs", "symmetric", "exact");
     }
 
     #[test]

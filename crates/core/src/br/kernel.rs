@@ -1,13 +1,17 @@
 //! The desingularized Biot–Savart / Birkhoff–Rott pair kernel.
 //!
-//! One arithmetic, three shapes:
+//! One arithmetic, four shapes:
 //!
 //! * [`br_pair_velocity`] — one pair, scalar: the documented oracle (and
 //!   the per-node closure of the tree solver);
 //! * [`accumulate_block`] — every target against a block of sources,
 //!   lanes = *targets*, so each target still sums its sources in block
-//!   order and the result is the scalar sum bit for bit (the exact and
-//!   periodic solvers);
+//!   order and the result is the scalar sum bit for bit (the exact
+//!   solvers' circulated and image blocks: n² ordered pairs per block);
+//! * [`accumulate_symmetric`] — a block that is its own target set, each
+//!   unordered pair evaluated once and added to both ends, lanes =
+//!   *sources* with a fixed four-accumulator association (the exact
+//!   solvers' own block: n(n−1)/2 pairs, one reciprocal each);
 //! * [`accumulate_hits`] — one target against a list of source slots,
 //!   lanes = *hits* with a fixed four-accumulator association, fed by
 //!   [`select_within`] or any other candidate generator (the cutoff
@@ -15,14 +19,15 @@
 //!
 //! The block body is safe array code written once and instantiated
 //! twice, for the build's baseline features and, on x86-64, for AVX2.
-//! The filter and the hit kernel each have a scalar body
-//! ([`select_body`], [`hits_body`]: the fallback and the test oracle)
-//! and an AVX2 form in intrinsics that performs the scalar body's IEEE
-//! operations in the scalar body's order, four at a time — never FMA, so
-//! no multiply–add is fused, and compaction keeps slot order — so every
-//! CPU produces the same bits (the `beatnik_fft::kernel` rule). Which
-//! form runs decides only the speed, which the `br_pairs`, `br_cutoff`,
-//! `br_select` and `br_hits` rows of `BENCH_compute.json` gate.
+//! The filter, the hit kernel and the symmetric kernel each have a
+//! scalar body ([`select_body`], [`hits_body`], `symmetric_body`: the
+//! fallback and the test oracle) and an AVX2 form in intrinsics that
+//! performs the scalar body's IEEE operations in the scalar body's
+//! order, four at a time — never FMA, so no multiply–add is fused, and
+//! compaction keeps slot order — so every CPU produces the same bits
+//! (the `beatnik_fft::kernel` rule). Which form runs decides only the
+//! speed, which the `br_pairs`, `br_cutoff`, `br_select` and `br_hits`
+//! rows of `BENCH_compute.json` gate.
 
 use crate::geometry::cross;
 use std::ops::Range;
@@ -38,6 +43,10 @@ const TARGET_LANES: usize = 16;
 /// Hits per lane group of the hit form: hit `i` accumulates in lane
 /// `i mod 4`, so this width is part of the result.
 const HIT_LANES: usize = 4;
+
+/// Slots per group of the symmetric form: a row's pairs with slot `j`
+/// accumulate in lane `j mod 4`, so this width is part of the result.
+const PAIR_LANES: usize = 4;
 
 /// Velocity contribution of a source point with pre-integrated strength
 /// `ω·ΔA` on a target point, with Krasny desingularization `ε`:
@@ -126,6 +135,69 @@ impl Sources {
     /// Position of slot `j`.
     pub fn pos(&self, j: usize) -> [f64; 3] {
         [self.x[j], self.y[j], self.z[j]]
+    }
+}
+
+/// Four slots of a symmetric block, slot `4g + l` in lane `l` of group
+/// `g`: positions, strengths, and the slots' velocity accumulators. The
+/// accumulators live in the same record, so a pair's reaction is stored
+/// to the cache lines its source was just read from (a separate array
+/// made the timings bimodal, as 4K aliasing does). Each row is 32 bytes
+/// and 32-byte aligned: one vector, never split across cache lines.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct PairGroup {
+    p: [[f64; PAIR_LANES]; 3],
+    w: [[f64; PAIR_LANES]; 3],
+    r: [[f64; PAIR_LANES]; 3],
+}
+
+/// A block laid out for the symmetric kernel: `n` slots in `⌈n/4⌉`
+/// groups, the spare lanes of the last group zero. The fields are
+/// private and [`PairBlock::new`] sizes one from the other.
+#[derive(Debug)]
+struct PairBlock {
+    groups: Vec<PairGroup>,
+    n: usize,
+}
+
+impl PairBlock {
+    /// The block's `(position, strength)` in slot order, accumulators
+    /// zero.
+    fn new(block: &[([f64; 3], [f64; 3])]) -> Self {
+        let mut groups = vec![PairGroup::default(); block.len().div_ceil(PAIR_LANES)];
+        for (j, &(p, w)) in block.iter().enumerate() {
+            let (g, l) = (&mut groups[j / PAIR_LANES], j % PAIR_LANES);
+            for k in 0..3 {
+                g.p[k][l] = p[k];
+                g.w[k][l] = w[k];
+            }
+        }
+        PairBlock {
+            groups,
+            n: block.len(),
+        }
+    }
+
+    /// Slot `i`'s position and strength: row `i`'s target.
+    fn slot(&self, i: usize) -> ([f64; 3], [f64; 3]) {
+        let (g, l) = (&self.groups[i / PAIR_LANES], i % PAIR_LANES);
+        (g.p.map(|c| c[l]), g.w.map(|c| c[l]))
+    }
+
+    /// Close row `i`: its own four lanes, summed `(0 + 1) + (2 + 3)`,
+    /// join the reactions slot `i` gathered from the rows before it.
+    fn close_row(&mut self, i: usize, acc: [[f64; PAIR_LANES]; 3]) {
+        let (g, l) = (&mut self.groups[i / PAIR_LANES], i % PAIR_LANES);
+        for (r, a) in g.r.iter_mut().zip(acc) {
+            r[l] += (a[0] + a[1]) + (a[2] + a[3]);
+        }
+    }
+
+    /// Slot `i`'s accumulated velocity.
+    fn velocity(&self, i: usize) -> [f64; 3] {
+        let (g, l) = (&self.groups[i / PAIR_LANES], i % PAIR_LANES);
+        g.r.map(|c| c[l])
     }
 }
 
@@ -224,6 +296,44 @@ pub fn hits_body(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f
         add_hit_group(&mut acc, target, src, j, rest.len(), eps2);
     }
     acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
+}
+
+/// [`accumulate_symmetric`] in portable scalar code: the fallback where
+/// AVX2 is missing and the oracle the vector form is tested against.
+///
+/// Row `i` runs slot `i` against its own group and every later group,
+/// lane `l` of group `g` holding slot `j = 4g + l`. Each pair forms
+/// `d = x_j − x_i` and one factor `inv`, zero where `j ≤ i`, where `j`
+/// is a spare lane, and where `r² = 0`. It adds `(d × ω_j)·inv` to the
+/// row's lane `l` and the reaction `(ω_i × d)·inv` to slot `j`'s
+/// accumulator. Those are the terms [`br_pair_velocity`] gives for
+/// `(i, j)` and for `(j, i)`, bit for bit, since `x_i − x_j = −d` and
+/// `(−d)² = d²` exactly.
+fn symmetric_body(b: &mut PairBlock, eps2: f64) {
+    let n = b.n;
+    for i in 0..n {
+        let (t, tw) = b.slot(i);
+        let mut acc = [[0.0f64; PAIR_LANES]; 3];
+        for (g, grp) in b.groups.iter_mut().enumerate().skip(i / PAIR_LANES) {
+            for l in 0..PAIR_LANES {
+                let j = g * PAIR_LANES + l;
+                let (p, w) = (grp.p.map(|c| c[l]), grp.w.map(|c| c[l]));
+                let d = [p[0] - t[0], p[1] - t[1], p[2] - t[2]];
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
+                let inv = if j <= i || j >= n || r2 == 0.0 {
+                    0.0
+                } else {
+                    INV_4PI / (r2 * r2.sqrt())
+                };
+                let (u, v) = (cross(d, w), cross(tw, d));
+                for ((a, r), (u, v)) in acc.iter_mut().zip(&mut grp.r).zip(u.into_iter().zip(v)) {
+                    a[l] += u * inv;
+                    r[l] += v * inv;
+                }
+            }
+        }
+        b.close_row(i, acc);
+    }
 }
 
 /// Whether the point `p` lies within the cutoff of `target`: the one
@@ -377,6 +487,99 @@ mod avx2 {
         })
     }
 
+    /// One row of a symmetric group as a vector.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load(row: &[f64; PAIR_LANES]) -> __m256d {
+        // SAFETY: `row` is four `f64`s, the 32 bytes read; its type is
+        // the bound, whatever slot count the block holds.
+        unsafe { _mm256_loadu_pd(row.as_ptr()) }
+    }
+
+    /// A vector into one row of a symmetric group.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store(row: &mut [f64; PAIR_LANES], v: __m256d) {
+        // SAFETY: `row` is four `f64`s, the 32 bytes written; its type
+        // is the bound.
+        unsafe { _mm256_storeu_pd(row.as_mut_ptr(), v) }
+    }
+
+    /// One group of a row of `symmetric_body`, its four lanes at once:
+    /// `t`, `tw` are the row's target broadcast, and `live` keeps the
+    /// factor of the lanes it sets (the mask for `j > i` and `j < n`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pair_group(
+        acc: &mut [__m256d; 3],
+        grp: &mut PairGroup,
+        t: [__m256d; 3],
+        tw: [__m256d; 3],
+        eps2: __m256d,
+        live: __m256d,
+    ) {
+        let d = [0, 1, 2].map(|k| _mm256_sub_pd(load(&grp.p[k]), t[k]));
+        let sq = d.map(|d| _mm256_mul_pd(d, d));
+        let r2 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]), eps2);
+        let inv = _mm256_div_pd(
+            _mm256_set1_pd(INV_4PI),
+            _mm256_mul_pd(r2, _mm256_sqrt_pd(r2)),
+        );
+        let coincident = _mm256_cmp_pd::<_CMP_EQ_OQ>(r2, _mm256_setzero_pd());
+        let inv = _mm256_and_pd(_mm256_andnot_pd(coincident, inv), live);
+        // `geometry::cross(a, b)`, component by component.
+        let cross = |a: [__m256d; 3], b: [__m256d; 3], x: usize, y: usize| {
+            _mm256_sub_pd(_mm256_mul_pd(a[x], b[y]), _mm256_mul_pd(a[y], b[x]))
+        };
+        let w = [0, 1, 2].map(|k| load(&grp.w[k]));
+        let u = [cross(d, w, 1, 2), cross(d, w, 2, 0), cross(d, w, 0, 1)];
+        let v = [cross(tw, d, 1, 2), cross(tw, d, 2, 0), cross(tw, d, 0, 1)];
+        for k in 0..3 {
+            acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(u[k], inv));
+            let r = _mm256_add_pd(load(&grp.r[k]), _mm256_mul_pd(v[k], inv));
+            store(&mut grp.r[k], r);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn symmetric(b: &mut PairBlock, eps2: f64) {
+        let e = _mm256_set1_pd(eps2);
+        let lane = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        let all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+        // The last group's lanes that hold a slot.
+        let last = b.groups.len().saturating_sub(1);
+        let tail =
+            _mm256_cmp_pd::<_CMP_LT_OQ>(lane, _mm256_set1_pd((b.n - last * PAIR_LANES) as f64));
+        for i in 0..b.n {
+            let (g, l) = (i / PAIR_LANES, i % PAIR_LANES);
+            let (t, tw) = b.slot(i);
+            let (t, tw) = (t.map(|c| _mm256_set1_pd(c)), tw.map(|c| _mm256_set1_pd(c)));
+            let mut acc = [_mm256_setzero_pd(); 3];
+            // The row's own group holds only the slots after `i` live.
+            let after = _mm256_cmp_pd::<_CMP_GT_OQ>(lane, _mm256_set1_pd(l as f64));
+            let (own, rest) = b.groups[g..]
+                .split_first_mut()
+                .expect("slot i is in a group");
+            let own_live = if rest.is_empty() {
+                _mm256_and_pd(after, tail)
+            } else {
+                after
+            };
+            pair_group(&mut acc, own, t, tw, e, own_live);
+            if let Some((end, full)) = rest.split_last_mut() {
+                for grp in full {
+                    pair_group(&mut acc, grp, t, tw, e, all);
+                }
+                pair_group(&mut acc, end, t, tw, e, tail);
+            }
+            let mut lanes = [[0.0f64; PAIR_LANES]; 3];
+            for k in 0..3 {
+                store(&mut lanes[k], acc[k]);
+            }
+            b.close_row(i, lanes);
+        }
+    }
+
     /// Candidates per compare of the filter.
     const SELECT_LANES: usize = 4;
 
@@ -490,6 +693,41 @@ pub fn accumulate_block(
         return unsafe { avx2::block(vel, targets, sources, eps2) };
     }
     block_body(vel, targets, sources, eps2)
+}
+
+/// Accumulate the kernel over a block that is also the target set:
+/// `vel[i] += Σ_j u(x_i; x_j, ω_j)` over the block, the sum
+/// [`accumulate_block`] forms for the block's own positions, but with
+/// each unordered pair evaluated once — one `r²`, one `sqrt`, one `div`
+/// — and added to both ends (the exact solvers' own block). The
+/// association is fixed: point `i` first gathers the reactions of the
+/// points before it, in slot order, then adds its own row over the
+/// points after it, pair `j` in lane `j mod 4` and the lanes summed
+/// `(0 + 1) + (2 + 3)`. So the result depends on the block's order and
+/// on nothing else, and differs from the one-sided sum by rounding only.
+///
+/// # Panics
+/// Panics if `vel` and `block` differ in length.
+pub fn accumulate_symmetric(vel: &mut [[f64; 3]], block: &[([f64; 3], [f64; 3])], eps2: f64) {
+    assert_eq!(vel.len(), block.len(), "one velocity per point");
+    let mut b = PairBlock::new(block);
+    symmetric(&mut b, eps2);
+    for (i, v) in vel.iter_mut().enumerate() {
+        let r = b.velocity(i);
+        for k in 0..3 {
+            v[k] += r[k];
+        }
+    }
+}
+
+/// The symmetric pass over `b`, in the widest form this CPU runs.
+fn symmetric(b: &mut PairBlock, eps2: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { avx2::symmetric(b, eps2) };
+    }
+    symmetric_body(b, eps2)
 }
 
 /// Velocity at `target` induced by the sources in slots `hits` of `src`
@@ -773,6 +1011,90 @@ mod tests {
                 unsafe { avx2::block(&mut fast, &targets, &srcs, eps2) };
                 block_body(&mut portable, &targets, &srcs, eps2);
                 assert_eq!(fast, portable, "block form, {n} targets");
+            }
+        }
+    }
+
+    #[test]
+    fn symmetric_matches_the_all_pairs_oracle() {
+        for eps2 in [0.01, 0.0] {
+            for n in LENGTHS {
+                // Slots 0 and 1 coincide: with ε = 0 that pair has r² = 0.
+                let block = sources(n);
+                let mut got = vec![[0.0; 3]; n];
+                accumulate_symmetric(&mut got, &block, eps2);
+                let want: Vec<[f64; 3]> = block
+                    .iter()
+                    .map(|&(t, _)| {
+                        let mut acc = [0.0f64; 3];
+                        for &(p, w) in &block {
+                            let u = br_pair_velocity(t, p, w, eps2);
+                            for k in 0..3 {
+                                acc[k] += u[k];
+                            }
+                        }
+                        acc
+                    })
+                    .collect();
+                let scale = want.iter().flatten().fold(0.0f64, |m, c| m.max(c.abs()));
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    for k in 0..3 {
+                        assert!(
+                            (g[k] - w[k]).abs() <= 1e-12 * scale,
+                            "{n} points, eps2 {eps2}, point {i}: {g:?} vs {w:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_coincident_pair_contributes_exactly_zero_both_ways() {
+        let p = [0.3, -0.2, 0.1];
+        let block = [(p, [1.0, 2.0, 3.0]), (p, [-0.5, 0.25, 4.0])];
+        for eps2 in [0.01, 0.0] {
+            let mut vel = [[1.5, -2.0, 0.25]; 2];
+            accumulate_symmetric(&mut vel, &block, eps2);
+            assert_eq!(vel, [[1.5, -2.0, 0.25]; 2], "eps2 {eps2}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one velocity per point")]
+    fn symmetric_refuses_a_velocity_slice_of_another_length() {
+        accumulate_symmetric(&mut [[0.0; 3]; 3], &sources(4), 0.01);
+    }
+
+    /// Every accumulator lane of `b`, the spare ones too, as bits.
+    fn accumulator_bits(b: &PairBlock) -> Vec<u64> {
+        b.groups
+            .iter()
+            .flat_map(|g| g.r.iter().flatten().map(|c| c.to_bits()))
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_symmetric_matches_the_portable_body_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for eps2 in [0.01, 0.0] {
+            for n in LENGTHS {
+                // The tail lengths put the last live slot in every lane
+                // of the last group, where the vector loads and stores
+                // would first leave the block.
+                let block = sources(n);
+                let (mut fast, mut portable) = (PairBlock::new(&block), PairBlock::new(&block));
+                // SAFETY: AVX2 support was just verified at runtime.
+                unsafe { avx2::symmetric(&mut fast, eps2) };
+                symmetric_body(&mut portable, eps2);
+                assert_eq!(
+                    accumulator_bits(&fast),
+                    accumulator_bits(&portable),
+                    "{n} points, eps2 {eps2}"
+                );
             }
         }
     }

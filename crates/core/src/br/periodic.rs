@@ -5,13 +5,14 @@
 //! periodic problem that truncates the far field at the domain edge and
 //! breaks translation symmetry. This solver sums the desingularized
 //! kernel over a `(2m+1)²` lattice of x/y image copies of every source,
-//! using the same ring-pass communication as [`super::ExactBrSolver`]
+//! through the same pipelined ring pass as [`super::ExactBrSolver`]
 //! (each circulated block is evaluated against all images locally — the
 //! communication pattern is unchanged, the compute grows by the image
 //! count, exactly how production periodic summation behaves short of an
-//! Ewald decomposition).
+//! Ewald decomposition). The own block's zero-shift copy takes the
+//! symmetric kernel there; every other image is one-sided.
 
-use super::kernel::accumulate_block;
+use super::exact::ring_velocities;
 use super::{BrPoint, BrSolver};
 use beatnik_comm::Communicator;
 
@@ -61,34 +62,7 @@ impl BrSolver for PeriodicExactBrSolver {
         points: &[BrPoint],
         epsilon: f64,
     ) -> Vec<[f64; 3]> {
-        let eps2 = epsilon * epsilon;
-        let p = comm.size();
-        let me = comm.rank();
-        let shifts = self.shifts();
-        let targets: Vec<[f64; 3]> = points.iter().map(|b| b.pos).collect();
-        let mut vel = vec![[0.0f64; 3]; points.len()];
-        let mut circ: Vec<([f64; 3], [f64; 3])> =
-            points.iter().map(|b| (b.pos, b.strength)).collect();
-
-        const TAG: u64 = 0x5052_4e47; // "PRNG"... ring tag for the periodic pass
-        let mut image = Vec::with_capacity(circ.len());
-        for step in 0..p {
-            // Each image of the circulating block is one more source
-            // block for the shared all-pairs kernel.
-            for s in &shifts {
-                image.clear();
-                image.extend(circ.iter().map(|&(pos, strength)| {
-                    ([pos[0] + s[0], pos[1] + s[1], pos[2] + s[2]], strength)
-                }));
-                accumulate_block(&mut vel, &targets, &image, eps2);
-            }
-            if step + 1 < p {
-                let right = (me + 1) % p;
-                let left = (me + p - 1) % p;
-                circ = comm.sendrecv(right, circ, left, TAG + step as u64);
-            }
-        }
-        vel
+        ring_velocities(comm, points, epsilon * epsilon, &self.shifts())
     }
 
     fn name(&self) -> &'static str {

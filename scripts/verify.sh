@@ -218,10 +218,12 @@ grep -A1 '"kernel": "rfft_rows"' BENCH_compute.json | grep '"variant": "referenc
 # twin, and the ownership-passing reshape beside the flat-buffer one.
 grep -q '"variant": "r2c"' BENCH_compute.json
 grep -q '"variant": "owned"' BENCH_compute.json
-# Birkhoff-Rott rows: the lane-parallel all-pairs block kernel, the
-# fused cell-sorted cutoff evaluation, and its two loops (distance
-# filter, hit kernel) in vector form beside their scalar bodies.
-grep -q '"kernel": "br_pairs"' BENCH_compute.json
+# Birkhoff-Rott rows: the lane-parallel all-pairs block kernel beside
+# the symmetric kernel (each own-block pair once), the fused cell-sorted
+# cutoff evaluation, and its two loops (distance filter, hit kernel) in
+# vector form beside their scalar bodies.
+grep -A1 '"kernel": "br_pairs"' BENCH_compute.json | grep '"variant": "exact"' >/dev/null
+grep -A1 '"kernel": "br_pairs"' BENCH_compute.json | grep '"variant": "symmetric"' >/dev/null
 grep -q '"kernel": "br_cutoff"' BENCH_compute.json
 grep -A1 '"kernel": "br_select"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
 grep -A1 '"kernel": "br_hits"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
