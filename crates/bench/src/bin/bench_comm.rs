@@ -1,7 +1,8 @@
 //! Transport microbenchmark emitting `BENCH_comm.json`.
 //!
-//! Times the all-to-all engines across the message-size bins the
-//! adaptive selector switches on, plus the point-to-point borrowed-slice
+//! Times `alltoallv_owned` — the exchange every step makes — with
+//! uniform blocks under each algorithm, across the message-size bins
+//! the adaptive selector switches on, plus the point-to-point borrowed-slice
 //! (one copy) and ownership-transfer (zero copies) sends, on real
 //! thread-ranks. Each row records the operation, algorithm, transport
 //! backend, size bin (shared [`sizebins`] labels), ns per operation,
@@ -54,7 +55,6 @@ fn algo_name(algo: AllToAllAlgo) -> &'static str {
     match algo {
         AllToAllAlgo::Pairwise => "pairwise",
         AllToAllAlgo::Direct => "direct",
-        AllToAllAlgo::Bruck => "bruck",
         AllToAllAlgo::Adaptive => "adaptive",
     }
 }
@@ -69,8 +69,10 @@ const TRIALS: usize = 5;
 /// so the median is one pair's ratio).
 const OVERHEAD_TRIALS: usize = 15;
 
-/// One timed trial: `reps` alltoalls of `block` bytes per destination
-/// over `p` ranks; returns (ns/op, copied bytes/op summed over ranks).
+/// One timed trial: `reps` `alltoallv_owned` calls with `block` bytes
+/// for every destination over `p` ranks, each call sending on the
+/// blocks the previous one received; returns (ns/op, copied bytes/op
+/// summed over ranks).
 /// The timed region sits between barriers *inside* the world, so thread
 /// spawn and join don't pollute the per-op number. `profiled` runs the
 /// same world with span recording and causal flow contexts armed — the
@@ -85,11 +87,11 @@ fn bench_alltoall(
 ) -> (f64, f64) {
     let builder = World::builder(p).transport(kind).recv_timeout(TIMEOUT);
     let body = move |c: beatnik_comm::Communicator| {
-        let send = vec![0u8; p * block];
+        let mut blocks = vec![vec![0u8; block]; p];
         c.barrier();
         let start = Instant::now();
         for _ in 0..reps {
-            let _ = c.alltoall_with(&send, algo);
+            blocks = c.alltoallv_owned(blocks, algo);
         }
         c.barrier();
         start.elapsed()
@@ -220,27 +222,21 @@ fn main() {
         .unwrap_or_else(|| "BENCH_comm.json".into());
     let mut rows: Vec<Row> = Vec::new();
 
-    // All-to-all across the adaptive selector's regimes. 16 ranks with
-    // 64-byte blocks is the latency-bound corner where Bruck's log-P
-    // schedule must beat Pairwise's 15 sequential exchanges.
+    // All-to-all across the adaptive selector's regimes: small and
+    // mid-size blocks are Direct territory, large blocks Pairwise's.
     let alltoall_cases: &[(usize, usize, usize)] = &[
-        (16, 64, 60),      // small blocks, large world: Bruck territory
-        (8, 1024, 60),     // mid-size: Direct territory
-        (4, 64 * 1024, 20) // large blocks: Pairwise territory
+        (16, 64, 60),      // small blocks, large world: latency-bound
+        (8, 1024, 60),     // mid-size
+        (4, 64 * 1024, 20) // large blocks: bandwidth-bound
     ];
-    let algos = [
-        AllToAllAlgo::Pairwise,
-        AllToAllAlgo::Direct,
-        AllToAllAlgo::Bruck,
-        AllToAllAlgo::Adaptive,
-    ];
+    let algos = [AllToAllAlgo::Pairwise, AllToAllAlgo::Direct, AllToAllAlgo::Adaptive];
     for &(p, block, reps) in alltoall_cases {
         // Warmup worlds (thread spawn), then interleave
         // best-of-TRIALS measurements round-robin across the algorithms.
         for algo in algos {
             let _ = bench_alltoall(p, block, algo, 5, TransportKind::Thread, false);
         }
-        let mut best = [(f64::INFINITY, 0.0); 4];
+        let mut best = [(f64::INFINITY, 0.0); 3];
         for _ in 0..TRIALS {
             for (slot, &algo) in best.iter_mut().zip(&algos) {
                 let (ns, copied) = bench_alltoall(p, block, algo, reps, TransportKind::Thread, false);
@@ -251,7 +247,7 @@ fn main() {
         }
         for (&(ns, copied), &algo) in best.iter().zip(&algos) {
             rows.push(Row {
-                op: "alltoall",
+                op: "alltoallv_owned",
                 algo: algo_name(algo),
                 transport: TransportKind::Thread,
                 ranks: p,
@@ -299,7 +295,7 @@ fn main() {
         });
     }
 
-    // Wire backends: one representative alltoall case (adaptive picks
+    // Wire backends: one representative all-to-all case (adaptive picks
     // the engine) per backend. Loopback mode, so inter-rank envelopes
     // cross real rings/sockets.
     for kind in [TransportKind::Shmem, TransportKind::Tcp] {
@@ -313,7 +309,7 @@ fn main() {
             }
         }
         rows.push(Row {
-            op: "alltoall",
+            op: "alltoallv_owned",
             algo: "adaptive",
             transport: kind,
             ranks: p,
@@ -369,7 +365,14 @@ fn main() {
     let p2p_overhead_trial =
         |profiled: bool| p2p_trial(p2p_bytes, 500, TransportKind::Thread, profiled);
     let overhead_cases: [(&str, &str, &str, usize, usize, OverheadTrial); 2] = [
-        ("alltoall_untraced", "alltoall_traced", "adaptive", 4, 1024, &alltoall_trial),
+        (
+            "alltoallv_owned_untraced",
+            "alltoallv_owned_traced",
+            "adaptive",
+            4,
+            1024,
+            &alltoall_trial,
+        ),
         ("p2p_untraced", "p2p_traced", "-", 2, p2p_bytes, &p2p_overhead_trial),
     ];
     for (untraced_op, traced_op, algo, ranks, bytes, trial) in overhead_cases {
@@ -417,7 +420,7 @@ fn main() {
 
     for r in &rows {
         eprintln!(
-            "{:<16} {:<9} {:<7} p={:<3} {:>8} B  {:>12.0} ns/op  {:>12.0} copied B/op",
+            "{:<24} {:<9} {:<7} p={:<3} {:>8} B  {:>12.0} ns/op  {:>12.0} copied B/op",
             r.op, r.algo, r.transport, r.ranks, r.bytes, r.ns_per_op, r.copied_per_op
         );
     }

@@ -70,7 +70,7 @@ impl Default for GatePolicy {
 /// any), and the verdict.
 #[derive(Debug, Clone)]
 pub struct GateRow {
-    /// Human-readable join key, e.g. `alltoall/bruck r=16 b=64`.
+    /// Human-readable join key, e.g. `alltoallv_owned/direct r=16 b=64`.
     pub key: String,
     /// The compared field (`ns_per_op`, `bytes_copied_per_op`, `ns`).
     pub metric: String,
@@ -404,7 +404,7 @@ mod tests {
 
     fn comm_doc(ns: f64, copied: f64) -> Value {
         beatnik_json::parse(&format!(
-            r#"{{"benches": [{{"op": "alltoall", "algo": "bruck", "ranks": 16,
+            r#"{{"benches": [{{"op": "alltoall", "algo": "direct", "ranks": 16,
                  "bytes": 64, "size_bin": "≤64B", "ns_per_op": {ns},
                  "bytes_copied_per_op": {copied}}}]}}"#
         ))
@@ -492,10 +492,10 @@ mod tests {
         // a fresh row tagged "transport": "thread"...
         let baseline = comm_doc(1.0e6, 4096.0);
         let fresh = beatnik_json::parse(
-            r#"{"benches": [{"op": "alltoall", "algo": "bruck", "transport": "thread",
+            r#"{"benches": [{"op": "alltoall", "algo": "direct", "transport": "thread",
                  "ranks": 16, "bytes": 64, "size_bin": "≤64B", "ns_per_op": 1.0e6,
                  "bytes_copied_per_op": 4096.0},
-                {"op": "alltoall", "algo": "bruck", "transport": "tcp",
+                {"op": "alltoall", "algo": "direct", "transport": "tcp",
                  "ranks": 16, "bytes": 64, "size_bin": "≤64B", "ns_per_op": 9.9e9,
                  "bytes_copied_per_op": 4096.0}]}"#,
         )
@@ -504,7 +504,7 @@ mod tests {
         assert_eq!(report.regressions(), 0, "{}", report.text());
         // ...and must NOT match a fresh row from another backend.
         let fresh_tcp_only = beatnik_json::parse(
-            r#"{"benches": [{"op": "alltoall", "algo": "bruck", "transport": "tcp",
+            r#"{"benches": [{"op": "alltoall", "algo": "direct", "transport": "tcp",
                  "ranks": 16, "bytes": 64, "size_bin": "≤64B", "ns_per_op": 1.0e6,
                  "bytes_copied_per_op": 4096.0}]}"#,
         )

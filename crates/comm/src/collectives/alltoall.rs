@@ -1,7 +1,7 @@
-//! All-to-all exchanges — the communication pattern at the heart of the
-//! paper's low-order (FFT) benchmark.
+//! All-to-all exchange — the communication pattern at the heart of the
+//! paper's low-order (FFT) benchmark and of particle migration.
 //!
-//! Three base algorithms are provided because the heFFTe evaluation in
+//! Two base algorithms are provided because the heFFTe evaluation in
 //! the paper (Section 5.5, Figure 9) is precisely about the difference
 //! between MPI's built-in `MPI_Alltoall` and a library's custom
 //! point-to-point exchange:
@@ -14,30 +14,21 @@
 //!   custom exchange code (like heFFTe's `AllToAll=False` path) typically
 //!   uses; fewer synchronization constraints, but all P−1 messages
 //!   contend simultaneously.
-//! * [`AllToAllAlgo::Bruck`] — the log-P store-and-forward algorithm MPI
-//!   libraries use for *small* messages: ⌈log₂P⌉ rounds of aggregated
-//!   exchanges instead of P−1 point-to-point steps, trading extra data
-//!   movement for far fewer messages. The win is latency-bound traffic.
 //!
-//! [`AllToAllAlgo::Adaptive`] picks among them per call from the message
-//! size, using the same power-of-two size bins
+//! [`AllToAllAlgo::Adaptive`] picks one of the two per call from this
+//! rank's mean block size, using the same power-of-two size bins
 //! ([`beatnik_telemetry::sizebins`]) the trace histograms are keyed by:
 //!
-//! | condition (regular alltoall)        | choice   |
-//! |-------------------------------------|----------|
-//! | P ≥ 8 and block ≤ 256 B             | Bruck    |
-//! | block ≥ 32 KiB                      | Pairwise |
-//! | otherwise                           | Direct   |
+//! | condition (bytes per destination) | choice   |
+//! |-----------------------------------|----------|
+//! | ≥ 32 KiB                          | Pairwise |
+//! | otherwise                         | Direct   |
 //!
-//! For the irregular [`alltoallv`] the per-rank volumes differ, so a
-//! rank-local decision is only safe between Pairwise and Direct (their
-//! message sets and tags are identical — ranks may disagree without
-//! deadlocking). Bruck needs a globally consistent choice and is only
-//! entered when every rank requests it explicitly, or from the regular
-//! [`alltoall`], where the uniform block size makes every rank's
-//! adaptive decision identical by construction.
+//! The per-rank volumes of an irregular exchange differ, so ranks may
+//! resolve differently. That is safe: Pairwise and Direct post identical
+//! message sets with identical tags, so a mixed world still matches up.
 //!
-//! All algorithms produce identical results; they differ (on a real
+//! Both algorithms produce identical results; they differ (on a real
 //! network) in congestion behaviour, which `beatnik-model` models for
 //! the figures.
 
@@ -47,7 +38,8 @@ use crate::message::CommData;
 use crate::trace::OpKind;
 use beatnik_telemetry::{algos, sizebins, CommOp};
 
-/// Algorithm selector for [`alltoall`].
+/// Algorithm selector for [`Communicator::alltoallv_owned`] and
+/// [`Communicator::alltoallv_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllToAllAlgo {
     /// Scheduled pairwise exchange (MPI_Alltoall-style).
@@ -55,56 +47,21 @@ pub enum AllToAllAlgo {
     Pairwise,
     /// Post all sends, then receive (custom p2p exchange style).
     Direct,
-    /// Bruck log-P store-and-forward; best for small blocks at scale.
-    Bruck,
-    /// Choose per call from communicator size and message size.
+    /// Choose per call from the mean block size.
     Adaptive,
 }
 
-/// Size-bin thresholds for [`AllToAllAlgo::Adaptive`], expressed as
-/// [`sizebins`] bucket indices so the selection table lines up with the
-/// trace histograms that motivated it.
-///
-/// Blocks in buckets `..= BRUCK_MAX_BUCKET` (≤256 B) are latency-bound:
-/// ⌈log₂P⌉ aggregated messages beat P−1 tiny ones once P is at least
-/// [`BRUCK_MIN_RANKS`]. Blocks in buckets `>= PAIRWISE_MIN_BUCKET`
-/// (≥32 KiB) are bandwidth-bound: the scheduled pairwise exchange keeps
-/// each link to one transfer at a time. Between the two, Direct's
-/// unsynchronized posts win.
-pub const BRUCK_MAX_BUCKET: usize = 8; // ≤256 B
-/// See [`BRUCK_MAX_BUCKET`].
-pub const BRUCK_MIN_RANKS: usize = 8;
-/// See [`BRUCK_MAX_BUCKET`].
-pub const PAIRWISE_MIN_BUCKET: usize = 15; // ≥32 KiB
+/// Size-bin threshold for [`AllToAllAlgo::Adaptive`], expressed as a
+/// [`sizebins`] bucket index so the selection lines up with the trace
+/// histograms that motivated it. Blocks in buckets
+/// `>= PAIRWISE_MIN_BUCKET` (≥32 KiB) are bandwidth-bound: the scheduled
+/// pairwise exchange keeps each link to one transfer at a time. Below
+/// it, Direct's unsynchronized posts win.
+const PAIRWISE_MIN_BUCKET: usize = 15; // ≥32 KiB
 
-/// Tag bases for Bruck phases. Far above the small step-distance tags
-/// Pairwise/Direct use, so a Bruck exchange can never cross-match an
-/// adjacent pairwise collective on the shadow channel.
-const BRUCK_TAG: u64 = 0x4252_5543_0000; // "BRUC"
-const BRUCK_HDR_TAG: u64 = 0x4252_4844_0000; // "BRHD"
-
-/// Resolve [`AllToAllAlgo::Adaptive`] for a *regular* exchange with
-/// uniform `block_bytes` per destination. Every rank computes the same
-/// answer (the inputs are communicator-wide constants), which makes
-/// even the globally-coordinated Bruck safe to select locally.
-fn resolve_regular(p: usize, block_bytes: u64) -> AllToAllAlgo {
-    let bucket = sizebins::bucket_of(block_bytes);
-    if p >= BRUCK_MIN_RANKS && bucket <= BRUCK_MAX_BUCKET {
-        AllToAllAlgo::Bruck
-    } else if bucket >= PAIRWISE_MIN_BUCKET {
-        AllToAllAlgo::Pairwise
-    } else {
-        AllToAllAlgo::Direct
-    }
-}
-
-/// Resolve [`AllToAllAlgo::Adaptive`] for an *irregular* exchange from
-/// this rank's local send volume. Ranks may disagree — Pairwise and
-/// Direct post identical message sets with identical tags, so a mixed
-/// world still matches up. Bruck is deliberately excluded here: it
-/// reroutes payloads through intermediate ranks and must be chosen by
-/// every rank or none.
-fn resolve_irregular(p: usize, total_bytes: u64) -> AllToAllAlgo {
+/// Resolve [`AllToAllAlgo::Adaptive`] from this rank's total send
+/// volume over `p` destinations.
+fn resolve(p: usize, total_bytes: u64) -> AllToAllAlgo {
     let per_dest = total_bytes / p.max(1) as u64;
     if sizebins::bucket_of(per_dest) >= PAIRWISE_MIN_BUCKET {
         AllToAllAlgo::Pairwise
@@ -113,276 +70,81 @@ fn resolve_irregular(p: usize, total_bytes: u64) -> AllToAllAlgo {
     }
 }
 
-/// Telemetry code for a resolved algorithm (for Chrome-trace op spans).
-fn algo_code(algo: AllToAllAlgo) -> u8 {
-    match algo {
-        AllToAllAlgo::Pairwise => algos::PAIRWISE,
-        AllToAllAlgo::Direct => algos::DIRECT,
-        AllToAllAlgo::Bruck => algos::BRUCK,
-        AllToAllAlgo::Adaptive => algos::NONE, // resolved before stamping
-    }
-}
-
-/// Regular all-to-all: `blocks[d]` goes to rank `d`; returns blocks
-/// indexed by source rank. All ranks must pass exactly `size()` blocks.
-pub fn alltoall<T: CommData + Clone>(
+/// Irregular all-to-all: `blocks[d]` goes to rank `d` and the result is
+/// indexed by source rank. Block lengths may differ and may be zero;
+/// zero-length blocks are still exchanged (as zero-byte messages),
+/// keeping the message-matching schedule deterministic.
+pub(crate) fn alltoallv<T: CommData + Clone>(
     comm: &Communicator,
-    blocks: Vec<Vec<T>>,
-    algo: AllToAllAlgo,
-) -> Result<Vec<Vec<T>>, CommError> {
-    comm.coll_begin(OpKind::Alltoall);
-    let mut span = comm.telemetry().op(CommOp::Alltoall);
-    span.bytes(block_bytes(&blocks));
-    comm.check_group_alive()?;
-    let algo = match algo {
-        AllToAllAlgo::Adaptive => {
-            let per_block = blocks
-                .first()
-                .map(|b| std::mem::size_of_val(b.as_slice()) as u64)
-                .unwrap_or(0);
-            resolve_regular(comm.size(), per_block)
-        }
-        a => a,
-    };
-    span.algo(algo_code(algo));
-    exchange(comm, blocks, algo, OpKind::Alltoall)
-}
-
-/// Irregular all-to-all: per-destination block lengths may differ and may
-/// be zero. Zero-length blocks are still exchanged (as zero-byte
-/// messages), keeping the message-matching schedule deterministic.
-pub fn alltoallv<T: CommData + Clone>(
-    comm: &Communicator,
-    blocks: Vec<Vec<T>>,
-) -> Result<Vec<Vec<T>>, CommError> {
-    alltoallv_with(comm, blocks, AllToAllAlgo::Pairwise)
-}
-
-/// [`alltoallv`] with an explicit algorithm choice.
-pub fn alltoallv_with<T: CommData + Clone>(
-    comm: &Communicator,
-    blocks: Vec<Vec<T>>,
+    mut blocks: Vec<Vec<T>>,
     algo: AllToAllAlgo,
 ) -> Result<Vec<Vec<T>>, CommError> {
     comm.coll_begin(OpKind::Alltoallv);
     let mut span = comm.telemetry().op(CommOp::Alltoallv);
-    let total = block_bytes(&blocks);
-    span.bytes(total);
-    comm.check_group_alive()?;
-    let algo = match algo {
-        AllToAllAlgo::Adaptive => resolve_irregular(comm.size(), total),
-        a => a,
-    };
-    span.algo(algo_code(algo));
-    exchange(comm, blocks, algo, OpKind::Alltoallv)
-}
-
-/// Total payload bytes this rank contributes to an exchange.
-fn block_bytes<T>(blocks: &[Vec<T>]) -> u64 {
-    blocks
+    let total: u64 = blocks
         .iter()
         .map(|b| std::mem::size_of_val(b.as_slice()) as u64)
-        .sum()
-}
-
-fn exchange<T: CommData + Clone>(
-    comm: &Communicator,
-    mut blocks: Vec<Vec<T>>,
-    algo: AllToAllAlgo,
-    kind: OpKind,
-) -> Result<Vec<Vec<T>>, CommError> {
+        .sum();
+    span.bytes(total);
+    comm.check_group_alive()?;
     let p = comm.size();
     let r = comm.rank();
-    assert_eq!(blocks.len(), p, "alltoall: need exactly one block per rank");
+    let algo = match algo {
+        AllToAllAlgo::Adaptive => resolve(p, total),
+        a => a,
+    };
+    let code = if algo == AllToAllAlgo::Pairwise {
+        algos::PAIRWISE
+    } else {
+        algos::DIRECT
+    };
+    span.algo(code);
     // Stamp the resolved algorithm for the duration of the exchange so
     // the per-phase communication matrix attributes each send round to
-    // pairwise/direct/Bruck.
-    let _algo_scope = comm.telemetry().algo_scope(algo_code(algo));
-    if let AllToAllAlgo::Bruck = algo {
-        // The regular alltoall's contract fixes one block length for the
-        // whole communicator (the same invariant the Adaptive resolver
-        // leans on), so Bruck can skip its per-phase length headers —
-        // halving its message count in exactly the latency-bound regime
-        // it exists for. The irregular variant always ships headers.
-        let uniform_len = match kind {
-            OpKind::Alltoall => blocks.first().map(Vec::len),
-            _ => None,
-        };
-        return bruck(comm, blocks, kind, uniform_len);
-    }
+    // pairwise or direct.
+    let _algo_scope = comm.telemetry().algo_scope(code);
     let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
     out[r] = std::mem::take(&mut blocks[r]);
-    match algo {
-        AllToAllAlgo::Pairwise => {
-            for s in 1..p {
-                let dst = (r + s) % p;
-                let src = (r + p - s) % p;
-                let block = std::mem::take(&mut blocks[dst]);
-                comm.coll_send(dst, s as u64, block, kind);
-                out[src] = comm.try_coll_recv::<T>(src, s as u64, "alltoall")?;
-            }
+    if algo == AllToAllAlgo::Pairwise {
+        for s in 1..p {
+            let dst = (r + s) % p;
+            let src = (r + p - s) % p;
+            let block = std::mem::take(&mut blocks[dst]);
+            comm.coll_send(dst, s as u64, block, OpKind::Alltoallv);
+            out[src] = comm.try_coll_recv::<T>(src, s as u64, "alltoall")?;
         }
-        AllToAllAlgo::Direct => {
-            // Post every send up front (buffered), then drain receives.
-            // Tag by *step distance* so the matching schedule is identical
-            // to Pairwise and repeated alltoalls cannot cross-match.
-            for s in 1..p {
-                let dst = (r + s) % p;
-                let block = std::mem::take(&mut blocks[dst]);
-                comm.coll_send(dst, s as u64, block, kind);
-            }
-            for s in 1..p {
-                let src = (r + p - s) % p;
-                out[src] = comm.try_coll_recv::<T>(src, s as u64, "alltoall")?;
-            }
+    } else {
+        // Post every send up front (buffered), then drain receives.
+        // Tag by *step distance* so the matching schedule is identical
+        // to Pairwise and repeated exchanges cannot cross-match.
+        for s in 1..p {
+            let dst = (r + s) % p;
+            let block = std::mem::take(&mut blocks[dst]);
+            comm.coll_send(dst, s as u64, block, OpKind::Alltoallv);
         }
-        AllToAllAlgo::Bruck | AllToAllAlgo::Adaptive => {
-            unreachable!("resolved before exchange")
+        for s in 1..p {
+            let src = (r + p - s) % p;
+            out[src] = comm.try_coll_recv::<T>(src, s as u64, "alltoall")?;
         }
-    }
-    Ok(out)
-}
-
-/// Bruck store-and-forward all-to-all in ⌈log₂P⌉ rounds.
-///
-/// 1. *Rotate*: slot `i` holds the block destined for rank `(r+i) mod P`.
-/// 2. *Phases*: for `dist = 1, 2, 4, …` rank `r` forwards every slot
-///    whose index has the `dist` bit set to rank `(r+dist) mod P` as one
-///    aggregated message, and receives the matching slots from
-///    `(r−dist) mod P`. After all phases, slot `i` holds the block *from*
-///    rank `(r−i) mod P` — every block reached its destination through
-///    at most log₂P hops.
-/// 3. *Inverse rotate*: `out[(r+P−i) mod P] = slot[i]`.
-///
-/// For the irregular variant block lengths change as foreign blocks
-/// pass through, so each phase sends a small length header ahead of the
-/// aggregated payload. The regular alltoall passes `uniform_len` — its
-/// contract guarantees every block in the communicator has that length,
-/// forwarding preserves it, and the headers (and their per-message
-/// latency) disappear: one message per phase.
-fn bruck<T: CommData + Clone>(
-    comm: &Communicator,
-    blocks: Vec<Vec<T>>,
-    kind: OpKind,
-    uniform_len: Option<usize>,
-) -> Result<Vec<Vec<T>>, CommError> {
-    if let Some(n) = uniform_len {
-        return bruck_uniform(comm, blocks, kind, n);
-    }
-    bruck_general(comm, blocks, kind)
-}
-
-/// Uniform-length Bruck: all slots live in one contiguous slab, so a
-/// phase costs a single payload allocation (the typed receive hands the
-/// sender's Vec over by pointer) instead of re-boxing every forwarded
-/// slot. This is the latency-critical regime — small blocks at scale —
-/// so the allocator traffic saved here is the point of the algorithm.
-fn bruck_uniform<T: CommData + Clone>(
-    comm: &Communicator,
-    mut blocks: Vec<Vec<T>>,
-    kind: OpKind,
-    n: usize,
-) -> Result<Vec<Vec<T>>, CommError> {
-    let p = comm.size();
-    let r = comm.rank();
-    // slab[i*n..(i+1)*n] is slot i: the block for rank (r+i) mod p.
-    let mut slab: Vec<T> = Vec::with_capacity(p * n);
-    for i in 0..p {
-        let b = std::mem::take(&mut blocks[(r + i) % p]);
-        debug_assert_eq!(b.len(), n, "regular alltoall requires uniform blocks");
-        slab.extend(b);
-    }
-    let mut dist = 1;
-    let mut phase = 0u64;
-    while dist < p {
-        let dst = (r + dist) % p;
-        let src = (r + p - dist) % p;
-        let idxs: Vec<usize> = (1..p).filter(|i| i & dist != 0).collect();
-        let mut payload: Vec<T> = Vec::with_capacity(idxs.len() * n);
-        for &i in &idxs {
-            payload.extend_from_slice(&slab[i * n..(i + 1) * n]);
-        }
-        comm.coll_send(dst, BRUCK_TAG + phase, payload, kind);
-        let incoming: Vec<T> = comm.try_coll_recv(src, BRUCK_TAG + phase, "alltoall")?;
-        debug_assert_eq!(incoming.len(), idxs.len() * n);
-        for (k, &i) in idxs.iter().enumerate() {
-            slab[i * n..(i + 1) * n].clone_from_slice(&incoming[k * n..(k + 1) * n]);
-        }
-        dist <<= 1;
-        phase += 1;
-    }
-    // Slot i now holds the block from rank (r−i) mod p; undo the rotation.
-    let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    for (i, chunk) in slab.chunks(n.max(1)).enumerate().take(p) {
-        out[(r + p - i) % p] = chunk.to_vec();
-    }
-    Ok(out)
-}
-
-/// General (irregular-capable) Bruck: slots are individually boxed and
-/// every phase ships a length header ahead of the payload.
-fn bruck_general<T: CommData + Clone>(
-    comm: &Communicator,
-    mut blocks: Vec<Vec<T>>,
-    kind: OpKind,
-) -> Result<Vec<Vec<T>>, CommError> {
-    let p = comm.size();
-    let r = comm.rank();
-    // Rotate so slot i is the block for rank (r+i) mod p; slot 0 (our own
-    // block) never moves.
-    let mut slots: Vec<Vec<T>> = (0..p)
-        .map(|i| std::mem::take(&mut blocks[(r + i) % p]))
-        .collect();
-    let mut dist = 1;
-    let mut phase = 0u64;
-    while dist < p {
-        let dst = (r + dist) % p;
-        let src = (r + p - dist) % p;
-        let idxs: Vec<usize> = (1..p).filter(|i| i & dist != 0).collect();
-        let payload: Vec<T> = idxs
-            .iter()
-            .flat_map(|&i| slots[i].iter().cloned())
-            .collect();
-        let lens: Vec<u64> = idxs.iter().map(|&i| slots[i].len() as u64).collect();
-        comm.coll_send(dst, BRUCK_HDR_TAG + phase, lens, kind);
-        comm.coll_send(dst, BRUCK_TAG + phase, payload, kind);
-        let in_lens: Vec<u64> = comm.try_coll_recv(src, BRUCK_HDR_TAG + phase, "alltoallv")?;
-        let incoming: Vec<T> = comm.try_coll_recv(src, BRUCK_TAG + phase, "alltoallv")?;
-        debug_assert_eq!(in_lens.len(), idxs.len());
-        let mut rest = incoming.as_slice();
-        for (&i, &n) in idxs.iter().zip(&in_lens) {
-            let (head, tail) = rest.split_at(n as usize);
-            rest = tail;
-            slots[i] = head.to_vec();
-        }
-        dist <<= 1;
-        phase += 1;
-    }
-    // Slot i now holds the block from rank (r−i) mod p; undo the rotation.
-    let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    for (i, slot) in slots.into_iter().enumerate() {
-        out[(r + p - i) % p] = slot;
     }
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{resolve_irregular, resolve_regular, AllToAllAlgo};
+    use super::{resolve, AllToAllAlgo};
     use crate::trace::OpKind;
     use crate::world::World;
 
     /// Every rank sends `[r, d]` to rank `d`; verify receipt from all.
     fn roundtrip(p: usize, algo: AllToAllAlgo) {
         let out = World::builder(p).run(move |c| {
-            let send: Vec<u64> = (0..p)
-                .flat_map(|d| [c.rank() as u64, d as u64])
-                .collect();
-            c.alltoall_with(&send, algo)
+            let blocks: Vec<Vec<u64>> = (0..p).map(|d| vec![c.rank() as u64, d as u64]).collect();
+            c.alltoallv_owned(blocks, algo)
         });
-        for (r, flat) in out.into_iter().enumerate() {
-            for (src, block) in flat.chunks(2).enumerate() {
-                assert_eq!(block, [src as u64, r as u64], "p={p} algo={algo:?}");
+        for (r, got) in out.into_iter().enumerate() {
+            for (src, block) in got.iter().enumerate() {
+                assert_eq!(block, &[src as u64, r as u64], "p={p} algo={algo:?}");
             }
         }
     }
@@ -402,13 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn bruck_all_sizes_including_non_powers_of_two() {
-        for p in [1, 2, 3, 4, 5, 6, 7, 8, 9, 16] {
-            roundtrip(p, AllToAllAlgo::Bruck);
-        }
-    }
-
-    #[test]
     fn adaptive_all_sizes() {
         for p in [1, 2, 3, 4, 5, 8, 9] {
             roundtrip(p, AllToAllAlgo::Adaptive);
@@ -418,17 +173,14 @@ mod tests {
     #[test]
     fn adaptive_resolution_follows_size_table() {
         use AllToAllAlgo::*;
-        // Small blocks at scale: Bruck; small worlds never Bruck.
-        assert_eq!(resolve_regular(16, 64), Bruck);
-        assert_eq!(resolve_regular(8, 256), Bruck);
-        assert_eq!(resolve_regular(4, 64), Direct);
-        // Mid sizes: Direct. Large: Pairwise.
-        assert_eq!(resolve_regular(16, 4096), Direct);
-        assert_eq!(resolve_regular(16, 32 * 1024), Pairwise);
-        assert_eq!(resolve_regular(2, 1 << 20), Pairwise);
-        // Irregular never picks Bruck, even tiny at scale.
-        assert_eq!(resolve_irregular(16, 16 * 64), Direct);
-        assert_eq!(resolve_irregular(4, 4 * 64 * 1024), Pairwise);
+        // Small and mid-size blocks: Direct, at any world size.
+        assert_eq!(resolve(16, 16 * 64), Direct);
+        assert_eq!(resolve(4, 4 * 64), Direct);
+        assert_eq!(resolve(16, 16 * 4096), Direct);
+        // Blocks of 32 KiB and up: Pairwise.
+        assert_eq!(resolve(16, 16 * 32 * 1024), Pairwise);
+        assert_eq!(resolve(4, 4 * 64 * 1024), Pairwise);
+        assert_eq!(resolve(2, 2 << 20), Pairwise);
     }
 
     #[test]
@@ -440,7 +192,7 @@ mod tests {
                 .map(|d| if d > c.rank() { c.rank() + 1 } else { 0 })
                 .collect();
             let send = vec![c.rank() as u32; counts.iter().sum()];
-            c.alltoallv(&send, &counts)
+            c.alltoallv_with(&send, &counts, AllToAllAlgo::Pairwise)
         });
         for (r, (flat, rcounts)) in out.into_iter().enumerate() {
             let mut rest = flat.as_slice();
@@ -496,7 +248,6 @@ mod tests {
             for algo in [
                 AllToAllAlgo::Pairwise,
                 AllToAllAlgo::Direct,
-                AllToAllAlgo::Bruck,
                 AllToAllAlgo::Adaptive,
             ] {
                 alltoallv_zero_blocks(p, algo);
@@ -507,10 +258,11 @@ mod tests {
     #[test]
     fn alltoall_message_counts() {
         let (_, trace) = World::builder(4).run_traced(|c| {
-            let _ = c.alltoall(&[0f64; 40]); // 10 elements per destination
+            // 10 elements per destination.
+            let _ = c.alltoallv_owned(vec![vec![0f64; 10]; 4], AllToAllAlgo::Pairwise);
         });
         for r in 0..4 {
-            let s = trace.rank(r).get(OpKind::Alltoall);
+            let s = trace.rank(r).get(OpKind::Alltoallv);
             assert_eq!(s.calls, 1);
             assert_eq!(s.messages, 3);
             assert_eq!(s.bytes, 3 * 80);
@@ -518,44 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn bruck_sends_log_p_aggregated_messages() {
-        let (_, trace) = World::builder(8).run_traced(|c| {
-            let _ = c.alltoall_with(&[0u8; 8], AllToAllAlgo::Bruck);
-            let _ = c.alltoallv_with(&[0u8; 8], &[1; 8], AllToAllAlgo::Bruck);
-        });
-        for r in 0..8 {
-            // Regular: log2(8) = 3 phases, one aggregated payload each
-            // (uniform blocks, headers elided) vs 7 messages for
-            // Pairwise/Direct.
-            let s = trace.rank(r).get(OpKind::Alltoall);
-            assert_eq!(s.calls, 1);
-            assert_eq!(s.messages, 3);
-            // Irregular: lengths vary in flight, so each phase ships a
-            // length header ahead of the payload.
-            let v = trace.rank(r).get(OpKind::Alltoallv);
-            assert_eq!(v.calls, 1);
-            assert_eq!(v.messages, 6);
-        }
-    }
-
-    #[test]
     fn repeated_alltoalls_do_not_cross_match() {
         World::builder(3).run(|c| {
             for i in 0..10u64 {
-                let send: Vec<u64> = (0..3).map(|d| i * 100 + d).collect();
-                let got = c.alltoall(&send);
-                assert_eq!(got, vec![i * 100 + c.rank() as u64; 3], "iter {i}");
-            }
-        });
-    }
-
-    #[test]
-    fn repeated_bruck_exchanges_do_not_cross_match() {
-        World::builder(6).run(|c| {
-            for i in 0..10u64 {
-                let send: Vec<u64> = (0..6).map(|d| i * 100 + d).collect();
-                let got = c.alltoall_with(&send, AllToAllAlgo::Bruck);
-                assert_eq!(got, vec![i * 100 + c.rank() as u64; 6], "iter {i}");
+                let blocks: Vec<Vec<u64>> = (0..3).map(|d| vec![i * 100 + d]).collect();
+                let got = c.alltoallv_owned(blocks, AllToAllAlgo::Pairwise);
+                assert_eq!(got, vec![vec![i * 100 + c.rank() as u64]; 3], "iter {i}");
             }
         });
     }
@@ -563,35 +283,34 @@ mod tests {
     #[test]
     fn mixed_pairwise_and_direct_ranks_interoperate() {
         // Pairwise and Direct post identical message sets with identical
-        // tags, so an irregular-adaptive world where ranks disagree must
-        // still complete. Force maximal disagreement explicitly.
+        // tags, so an adaptive world where ranks disagree must still
+        // complete. Force maximal disagreement explicitly.
         let out = World::builder(5).run(|c| {
             let algo = if c.rank() % 2 == 0 {
                 AllToAllAlgo::Pairwise
             } else {
                 AllToAllAlgo::Direct
             };
-            let send: Vec<i32> = (0..5).map(|d| (c.rank() * 5 + d) as i32).collect();
-            c.alltoall_with(&send, algo)
+            let blocks: Vec<Vec<i32>> = (0..5).map(|d| vec![(c.rank() * 5 + d) as i32]).collect();
+            c.alltoallv_owned(blocks, algo)
         });
-        for (r, flat) in out.into_iter().enumerate() {
-            let expect: Vec<i32> = (0..5).map(|s| (s * 5 + r) as i32).collect();
-            assert_eq!(flat, expect);
+        for (r, got) in out.into_iter().enumerate() {
+            let expect: Vec<Vec<i32>> = (0..5).map(|s| vec![(s * 5 + r) as i32]).collect();
+            assert_eq!(got, expect);
         }
     }
 
     #[test]
     fn direct_and_pairwise_agree() {
         for p in [2usize, 5, 6] {
-            let a = World::builder(p).run(move |c| {
-                let send: Vec<i32> = (0..p).map(|d| (c.rank() * p + d) as i32).collect();
-                c.alltoall_with(&send, AllToAllAlgo::Pairwise)
-            });
-            let b = World::builder(p).run(move |c| {
-                let send: Vec<i32> = (0..p).map(|d| (c.rank() * p + d) as i32).collect();
-                c.alltoall_with(&send, AllToAllAlgo::Direct)
-            });
-            assert_eq!(a, b);
+            let run = |algo| {
+                World::builder(p).run(move |c| {
+                    let blocks: Vec<Vec<i32>> =
+                        (0..p).map(|d| vec![(c.rank() * p + d) as i32]).collect();
+                    c.alltoallv_owned(blocks, algo)
+                })
+            };
+            assert_eq!(run(AllToAllAlgo::Pairwise), run(AllToAllAlgo::Direct));
         }
     }
 }

@@ -13,7 +13,7 @@ use beatnik_telemetry::CommOp;
 
 /// Block until all ranks of `comm` have entered, or surface a group
 /// failure / revocation / deadline as a `CommError` instead of hanging.
-pub fn barrier(comm: &Communicator) -> Result<(), CommError> {
+pub(crate) fn barrier(comm: &Communicator) -> Result<(), CommError> {
     comm.coll_begin(OpKind::Barrier);
     // RAII guard: the span closes on every exit path (incl. p == 1).
     let _span = comm.telemetry().op(CommOp::Barrier);

@@ -18,7 +18,7 @@ use beatnik_telemetry::CommOp;
 /// # Panics
 /// Panics if the root passes `None` or a non-root passes `Some` (a
 /// collective-contract violation).
-pub fn broadcast<T: CommData + Clone + Sync>(
+pub(crate) fn broadcast<T: CommData + Clone + Sync>(
     comm: &Communicator,
     root: usize,
     data: Option<Vec<T>>,

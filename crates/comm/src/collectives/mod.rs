@@ -8,16 +8,18 @@
 //! |---|---|---|
 //! | barrier | dissemination | ⌈log₂P⌉ |
 //! | broadcast | binomial tree | ≤ ⌈log₂P⌉ |
-//! | reduce | binomial tree | ≤ ⌈log₂P⌉ |
 //! | allreduce | recursive doubling (P = 2ᵏ) or reduce+bcast | ⌈log₂P⌉ / 2⌈log₂P⌉ |
-//! | gather / scatter | direct to/from root | P−1 at root |
+//! | gather | direct to root | P−1 at root |
 //! | allgather | ring | P−1 |
-//! | alltoall | pairwise exchange or direct | P−1 |
-//! | alltoallv | pairwise exchange | P−1 |
+//! | alltoallv | pairwise exchange or direct | P−1 |
+//!
+//! The free functions here are crate-internal; the one public entry
+//! point per collective is the matching [`Communicator`] method.
+//!
+//! [`Communicator`]: crate::Communicator
 
-pub mod alltoall;
-pub mod barrier;
-pub mod broadcast;
-pub mod gather;
-pub mod reduce;
-pub mod scatter;
+pub(crate) mod alltoall;
+pub(crate) mod barrier;
+pub(crate) mod broadcast;
+pub(crate) mod gather;
+pub(crate) mod reduce;

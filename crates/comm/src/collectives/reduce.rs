@@ -1,6 +1,6 @@
-//! Tree-based reductions: binomial-tree reduce and recursive-doubling
-//! allreduce (with a reduce+broadcast fallback for non-power-of-two
-//! groups, as MPICH does).
+//! Allreduce: recursive doubling for power-of-two groups, with a
+//! binomial reduce-to-rank-0 plus broadcast fallback for the rest, as
+//! MPICH does.
 
 use crate::communicator::Communicator;
 use crate::error::CommError;
@@ -9,55 +9,23 @@ use crate::reduce_op::ReduceOp;
 use crate::trace::OpKind;
 use beatnik_telemetry::CommOp;
 
-/// Reduce a single value to `root` with a binomial tree. Non-root ranks
-/// receive `None`.
-pub fn reduce<T: CommData + Clone, O: ReduceOp<T>>(
-    comm: &Communicator,
-    root: usize,
-    value: T,
-    op: &O,
-) -> Result<Option<T>, CommError> {
-    Ok(reduce_vec(comm, root, vec![value], op)?.map(|mut v| v.pop().unwrap()))
-}
-
-/// Element-wise vector reduce to `root` with a binomial tree.
-///
-/// All ranks must pass equal-length vectors.
-pub fn reduce_vec<T: CommData + Clone, O: ReduceOp<T>>(
-    comm: &Communicator,
-    root: usize,
-    value: Vec<T>,
-    op: &O,
-) -> Result<Option<Vec<T>>, CommError> {
-    comm.coll_begin(OpKind::Reduce);
-    let mut span = comm.telemetry().op(CommOp::Reduce);
-    span.peer(root);
-    span.bytes(std::mem::size_of_val(value.as_slice()) as u64);
-    comm.check_group_alive()?;
-    reduce_impl(comm, root, value, op, OpKind::Reduce)
-}
-
+/// Binomial-tree reduce to rank 0, on the allreduce's account: rank 0
+/// gets `Some(result)`, every other rank `None` once its partial sum
+/// has gone up the tree.
 fn reduce_impl<T: CommData + Clone, O: ReduceOp<T>>(
     comm: &Communicator,
-    root: usize,
     value: Vec<T>,
     op: &O,
-    kind: OpKind,
 ) -> Result<Option<Vec<T>>, CommError> {
     let p = comm.size();
     let r = comm.rank();
-    assert!(root < p, "reduce: root {root} out of range");
-    if p == 1 {
-        return Ok(Some(value));
-    }
-    let vrank = (r + p - root) % p;
     let mut acc = value;
     let mut mask = 1usize;
     while mask < p {
-        if vrank & mask == 0 {
-            let src = vrank | mask;
+        if r & mask == 0 {
+            let src = r | mask;
             if src < p {
-                let other = comm.try_coll_recv::<T>(((src) + root) % p, mask as u64, "reduce")?;
+                let other = comm.try_coll_recv::<T>(src, mask as u64, "reduce")?;
                 assert_eq!(
                     other.len(),
                     acc.len(),
@@ -68,8 +36,7 @@ fn reduce_impl<T: CommData + Clone, O: ReduceOp<T>>(
                 }
             }
         } else {
-            let dst = ((vrank & !mask) + root) % p;
-            comm.coll_send(dst, mask as u64, acc, kind);
+            comm.coll_send(r & !mask, mask as u64, acc, OpKind::Allreduce);
             return Ok(None);
         }
         mask <<= 1;
@@ -78,7 +45,7 @@ fn reduce_impl<T: CommData + Clone, O: ReduceOp<T>>(
 }
 
 /// Allreduce a single value across all ranks.
-pub fn allreduce<T: CommData + Clone + Sync, O: ReduceOp<T>>(
+pub(crate) fn allreduce<T: CommData + Clone + Sync, O: ReduceOp<T>>(
     comm: &Communicator,
     value: T,
     op: &O,
@@ -91,7 +58,7 @@ pub fn allreduce<T: CommData + Clone + Sync, O: ReduceOp<T>>(
 /// Uses recursive doubling when the group size is a power of two
 /// (⌈log₂P⌉ rounds, every rank active every round); otherwise falls back
 /// to a binomial reduce to rank 0 followed by a binomial broadcast.
-pub fn allreduce_vec<T: CommData + Clone + Sync, O: ReduceOp<T>>(
+pub(crate) fn allreduce_vec<T: CommData + Clone + Sync, O: ReduceOp<T>>(
     comm: &Communicator,
     value: Vec<T>,
     op: &O,
@@ -124,7 +91,7 @@ pub fn allreduce_vec<T: CommData + Clone + Sync, O: ReduceOp<T>>(
         }
         Ok(acc)
     } else {
-        let reduced = reduce_impl(comm, 0, value, op, OpKind::Allreduce)?;
+        let reduced = reduce_impl(comm, value, op)?;
         // Broadcast the result from rank 0 on the allreduce's account.
         crate::collectives::broadcast::broadcast(comm, 0, reduced)
     }
@@ -135,31 +102,6 @@ mod tests {
     use crate::reduce_op::{FnOp, MaxOp, MinOp, SumOp};
     use crate::trace::OpKind;
     use crate::world::World;
-
-    #[test]
-    fn reduce_sum_to_each_root() {
-        for p in [1usize, 2, 3, 4, 6, 8] {
-            for root in [0, p - 1] {
-                let out = World::builder(p).run(move |c| c.reduce(root, c.rank() as u64, &SumOp));
-                let expect: u64 = (0..p as u64).sum();
-                for (r, v) in out.into_iter().enumerate() {
-                    if r == root {
-                        assert_eq!(v, Some(expect), "p={p} root={root}");
-                    } else {
-                        assert_eq!(v, None);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_vec_is_elementwise() {
-        let out = World::builder(4).run(|c| {
-            c.reduce_vec(0, vec![c.rank() as f64, 1.0], &SumOp)
-        });
-        assert_eq!(out[0], Some(vec![6.0, 4.0]));
-    }
 
     #[test]
     fn allreduce_sum_min_max_all_sizes() {

@@ -1,7 +1,7 @@
 //! The rank-local communicator handle: point-to-point messaging, probes,
 //! splitting, and entry points to the collective algorithms.
 
-use crate::collectives;
+use crate::collectives::{self, alltoall::AllToAllAlgo};
 use crate::error::CommError;
 use crate::fault::{CollectiveFailed, FaultInjector, Injection, RankKilled};
 use crate::mailbox::{Mailbox, PostedId};
@@ -18,10 +18,6 @@ use std::time::{Duration, Instant};
 
 /// Message tag type (MPI uses `int`; we use the full `u64` space).
 pub type Tag = u64;
-
-/// Gatherv payload: the flat concatenation plus per-source element
-/// counts on the root, `None` elsewhere.
-pub type GathervResult<T> = Option<(Vec<T>, Vec<usize>)>;
 
 /// Wildcard source selector for [`Communicator::recv_any`].
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -161,11 +157,6 @@ impl Communicator {
         }
     }
 
-    /// The world rank of a comm-local rank.
-    pub fn world_rank_of(&self, local: usize) -> usize {
-        self.world_of[local]
-    }
-
     /// This rank's index within the communicator, in `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -190,11 +181,6 @@ impl Communicator {
     /// `let _g = comm.telemetry().phase("halo");`.
     pub fn telemetry(&self) -> &Arc<SpanRecorder> {
         &self.telemetry
-    }
-
-    /// Identifier of this communicator within its world (diagnostics).
-    pub fn id(&self) -> CommId {
-        self.comm_id
     }
 
     /// A live snapshot of the world's metrics plane: every registered
@@ -342,7 +328,7 @@ impl Communicator {
     /// Collective entry/progress check: `Err(Revoked)` if this
     /// communicator was revoked, `Err(RankFailed)` naming the
     /// lowest-numbered dead member if any member died. The ULFM-style
-    /// recovery ops ([`Communicator::agree`], [`Communicator::shrink`])
+    /// recovery ops (`agree`, [`Communicator::shrink`])
     /// deliberately bypass this — they must make progress *despite*
     /// failures.
     pub(crate) fn check_group_alive(&self) -> Result<(), CommError> {
@@ -554,11 +540,6 @@ impl Communicator {
         }
     }
 
-    /// The faults this rank has injected so far (fault-plan worlds only).
-    pub fn fault_events(&self) -> Vec<crate::fault::FaultEvent> {
-        self.fault.as_ref().map(|i| i.events()).unwrap_or_default()
-    }
-
     /// How long ago the failure of `world_rank` was first detected, if it
     /// has been. The reference point for detection-latency measurements.
     pub fn failure_age(&self, world_rank: usize) -> Option<Duration> {
@@ -572,11 +553,6 @@ impl Communicator {
             .copied()
             .filter(|&w| self.registry.is_failed(w))
             .collect()
-    }
-
-    /// Convenience: send a single value.
-    pub fn send_one<T: CommData>(&self, dest: usize, tag: Tag, value: T) {
-        self.send(dest, tag, vec![value]);
     }
 
     /// Blocking receive of a buffer matching exactly `(src, tag)`.
@@ -599,13 +575,6 @@ impl Communicator {
             .unwrap_or_else(|e| self.escalate("recv_any", e));
         let (s, t) = (env.src, env.tag);
         (env.into_data(), s, t)
-    }
-
-    /// Receive exactly one value.
-    pub fn recv_one<T: CommData>(&self, src: usize, tag: Tag) -> T {
-        let mut v = self.recv::<T>(src, tag);
-        assert_eq!(v.len(), 1, "recv_one: expected exactly one element");
-        v.pop().unwrap()
     }
 
     /// Combined send-then-receive (deadlock-free because sends are
@@ -661,27 +630,10 @@ impl Communicator {
         tag: Tag,
         timeout: Duration,
     ) -> Result<Vec<T>, CommError> {
-        Ok(self.bounded_recv(src, tag, timeout)?.into_data())
-    }
-
-    /// Like [`Communicator::recv_within`], also reporting the actual
-    /// source and tag (the fallible analogue of [`Communicator::recv_any`]).
-    pub fn recv_any_within<T: CommData>(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(Vec<T>, usize, Tag), CommError> {
-        let env = self.bounded_recv(src, tag, timeout)?;
-        let (s, t) = (env.src, env.tag);
-        Ok((env.into_data(), s, t))
-    }
-
-    fn bounded_recv(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Envelope, CommError> {
         if src != ANY_SOURCE {
             self.check_rank(src)?;
         }
-        self.recv_env(src, tag, timeout, "recv_within")
+        Ok(self.recv_env(src, tag, timeout, "recv_within")?.into_data())
     }
 
     // ------------------------------------------------------------------
@@ -833,6 +785,11 @@ impl Communicator {
 
     // ------------------------------------------------------------------
     // Collectives (delegating to `collectives::*`)
+    //
+    // One entry point per collective. Each checks its arguments locally,
+    // then runs the algorithm; any error reaches the caller through
+    // [`Communicator::escalate`], so a peer death or a revocation
+    // arrives as the [`CollectiveFailed`] panic recovery drivers catch.
     // ------------------------------------------------------------------
 
     /// Block until every rank of the communicator has entered the barrier.
@@ -844,77 +801,43 @@ impl Communicator {
 
     /// Fallible [`Communicator::barrier`]: `Err(RankFailed)` / `Err(Revoked)`
     /// / `Err(Timeout)` instead of panicking when the group cannot complete.
+    /// The one collective with an error-returning form: a fault-tolerant
+    /// loop uses it to fence a step without unwinding.
     pub fn try_barrier(&self) -> Result<(), CommError> {
         collectives::barrier::barrier(self)
     }
 
-    /// Broadcast `root`'s buffer to every rank (binomial tree).
+    /// Broadcast `root`'s buffer to every rank (binomial tree). The root
+    /// passes `Some(data)`, every other rank `None`.
+    ///
+    /// # Panics
+    /// On an out-of-range root, a root that supplies no buffer, or a
+    /// group that cannot complete.
     pub fn broadcast<T: CommData + Clone + Sync>(&self, root: usize, data: Option<Vec<T>>) -> Vec<T> {
-        self.try_broadcast(root, data)
+        self.check_rank(root)
+            .and_then(|()| {
+                if self.rank == root && data.is_none() {
+                    return Err(CommError::SizeMismatch {
+                        what: "broadcast root buffer (root must supply data)",
+                        expected: 1,
+                        got: 0,
+                    });
+                }
+                collectives::broadcast::broadcast(self, root, data)
+            })
             .unwrap_or_else(|e| self.escalate("broadcast", e))
-    }
-
-    /// Reduce values to `root` with `op` (binomial tree). Non-roots get `None`.
-    pub fn reduce<T: CommData + Clone, O: ReduceOp<T>>(
-        &self,
-        root: usize,
-        value: T,
-        op: &O,
-    ) -> Option<T> {
-        self.try_reduce(root, value, op)
-            .unwrap_or_else(|e| self.escalate("reduce", e))
-    }
-
-    /// Reduce element-wise over vectors to `root`.
-    pub fn reduce_vec<T: CommData + Clone, O: ReduceOp<T>>(
-        &self,
-        root: usize,
-        value: Vec<T>,
-        op: &O,
-    ) -> Option<Vec<T>> {
-        self.try_reduce_vec(root, value, op)
-            .unwrap_or_else(|e| self.escalate("reduce_vec", e))
-    }
-
-    /// Fallible [`Communicator::reduce_vec`].
-    pub fn try_reduce_vec<T: CommData + Clone, O: ReduceOp<T>>(
-        &self,
-        root: usize,
-        value: Vec<T>,
-        op: &O,
-    ) -> Result<Option<Vec<T>>, CommError> {
-        self.check_rank(root)?;
-        collectives::reduce::reduce_vec(self, root, value, op)
     }
 
     /// Allreduce a single value (recursive doubling / reduce+broadcast).
     pub fn allreduce<T: CommData + Clone + Sync, O: ReduceOp<T>>(&self, value: T, op: &O) -> T {
-        self.try_allreduce(value, op)
-            .unwrap_or_else(|e| self.escalate("allreduce", e))
-    }
-
-    /// Fallible [`Communicator::allreduce`].
-    pub fn try_allreduce<T: CommData + Clone + Sync, O: ReduceOp<T>>(
-        &self,
-        value: T,
-        op: &O,
-    ) -> Result<T, CommError> {
         collectives::reduce::allreduce(self, value, op)
+            .unwrap_or_else(|e| self.escalate("allreduce", e))
     }
 
     /// Element-wise allreduce over vectors.
     pub fn allreduce_vec<T: CommData + Clone + Sync, O: ReduceOp<T>>(&self, value: Vec<T>, op: &O) -> Vec<T> {
-        self.try_allreduce_vec(value, op)
-            .unwrap_or_else(|e| self.escalate("allreduce_vec", e))
-    }
-
-    /// Fallible [`Communicator::allreduce_vec`].
-    pub fn try_allreduce_vec<T: CommData + Clone + Sync, O: ReduceOp<T>>(
-        &self,
-        value: Vec<T>,
-        op: &O,
-    ) -> Result<Vec<T>, CommError> {
         collectives::reduce::allreduce_vec(self, value, op)
+            .unwrap_or_else(|e| self.escalate("allreduce_vec", e))
     }
 
     /// Sum an `f64` across all ranks.
@@ -933,289 +856,62 @@ impl Communicator {
     }
 
     /// Gather every rank's slice to `root`, concatenated in rank order
-    /// (non-roots get `None`). Per-rank lengths may differ; use
-    /// [`Communicator::gatherv`] to recover the boundaries.
+    /// (non-roots get `None`). Per-rank lengths may differ.
+    ///
+    /// # Panics
+    /// On an out-of-range root or a group that cannot complete.
     pub fn gather<T: CommData + Clone>(&self, root: usize, data: &[T]) -> Option<Vec<T>> {
-        self.try_gather(root, data)
+        self.check_rank(root)
+            .and_then(|()| collectives::gather::gather(self, root, data.to_vec()))
             .unwrap_or_else(|e| self.escalate("gather", e))
-    }
-
-    /// Fallible [`Communicator::gather`]: `Err` on an out-of-range root.
-    pub fn try_gather<T: CommData + Clone>(
-        &self,
-        root: usize,
-        data: &[T],
-    ) -> Result<Option<Vec<T>>, CommError> {
-        Ok(self
-            .try_gatherv(root, data)?
-            .map(|(flat, _counts)| flat))
-    }
-
-    /// Like [`Communicator::gather`], also returning each rank's element
-    /// count so the concatenation can be split per source.
-    pub fn gatherv<T: CommData + Clone>(
-        &self,
-        root: usize,
-        data: &[T],
-    ) -> Option<(Vec<T>, Vec<usize>)> {
-        self.try_gatherv(root, data)
-            .unwrap_or_else(|e| self.escalate("gatherv", e))
-    }
-
-    /// Fallible [`Communicator::gatherv`].
-    pub fn try_gatherv<T: CommData + Clone>(
-        &self,
-        root: usize,
-        data: &[T],
-    ) -> Result<GathervResult<T>, CommError> {
-        self.check_rank(root)?;
-        Ok(collectives::gather::gather(self, root, data.to_vec())?.map(|blocks| {
-            let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-            (blocks.into_iter().flatten().collect(), counts)
-        }))
+            .map(|blocks| blocks.into_iter().flatten().collect())
     }
 
     /// Gather every rank's slice to every rank (ring algorithm),
-    /// concatenated in rank order. Per-rank lengths may differ; use
-    /// [`Communicator::allgatherv`] to recover the boundaries.
+    /// concatenated in rank order. Per-rank lengths may differ.
     pub fn allgather<T: CommData + Clone>(&self, data: &[T]) -> Vec<T> {
-        self.try_allgather(data)
+        collectives::gather::allgather(self, data.to_vec())
             .unwrap_or_else(|e| self.escalate("allgather", e))
-    }
-
-    /// Fallible [`Communicator::allgather`].
-    pub fn try_allgather<T: CommData + Clone>(&self, data: &[T]) -> Result<Vec<T>, CommError> {
-        Ok(collectives::gather::allgather(self, data.to_vec())?
             .into_iter()
             .flatten()
-            .collect())
-    }
-
-    /// Like [`Communicator::allgather`], also returning each rank's
-    /// element count.
-    pub fn allgatherv<T: CommData + Clone>(&self, data: &[T]) -> (Vec<T>, Vec<usize>) {
-        self.try_allgatherv(data)
-            .unwrap_or_else(|e| self.escalate("allgatherv", e))
-    }
-
-    /// Fallible [`Communicator::allgatherv`].
-    pub fn try_allgatherv<T: CommData + Clone>(
-        &self,
-        data: &[T],
-    ) -> Result<(Vec<T>, Vec<usize>), CommError> {
-        let blocks = collectives::gather::allgather(self, data.to_vec())?;
-        let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
-        Ok((blocks.into_iter().flatten().collect(), counts))
-    }
-
-    /// Scatter equal chunks of `root`'s flat buffer: rank `r` receives
-    /// elements `r*n/P .. (r+1)*n/P`. The buffer length must divide
-    /// evenly by the communicator size. Non-roots pass `None`.
-    pub fn scatter<T: CommData + Clone>(&self, root: usize, data: Option<&[T]>) -> Vec<T> {
-        self.try_scatter(root, data)
-            .unwrap_or_else(|e| self.escalate("scatter", e))
-    }
-
-    /// Fallible [`Communicator::scatter`]: `Err` on an out-of-range root
-    /// or a root buffer not divisible by the communicator size.
-    pub fn try_scatter<T: CommData + Clone>(
-        &self,
-        root: usize,
-        data: Option<&[T]>,
-    ) -> Result<Vec<T>, CommError> {
-        self.check_rank(root)?;
-        let blocks = match (self.rank == root, data) {
-            (true, Some(d)) => {
-                if d.len() % self.size != 0 {
-                    return Err(CommError::SizeMismatch {
-                        what: "scatter buffer length (must divide by comm size)",
-                        expected: d.len().next_multiple_of(self.size.max(1)),
-                        got: d.len(),
-                    });
-                }
-                let chunk = d.len() / self.size;
-                if chunk == 0 {
-                    Some(vec![Vec::new(); self.size])
-                } else {
-                    Some(d.chunks(chunk).map(<[T]>::to_vec).collect())
-                }
-            }
-            (true, None) => {
-                return Err(CommError::SizeMismatch {
-                    what: "scatter root buffer (root must supply data)",
-                    expected: self.size,
-                    got: 0,
-                })
-            }
-            (false, _) => None,
-        };
-        collectives::scatter::scatter(self, root, blocks)
-    }
-
-    /// Scatter variable-length chunks: `counts[r]` elements go to rank
-    /// `r`, and `counts` must sum to the buffer length. Non-roots pass
-    /// `None`.
-    pub fn scatterv<T: CommData + Clone>(
-        &self,
-        root: usize,
-        data: Option<(&[T], &[usize])>,
-    ) -> Vec<T> {
-        self.try_scatterv(root, data)
-            .unwrap_or_else(|e| self.escalate("scatterv", e))
-    }
-
-    /// Fallible [`Communicator::scatterv`].
-    pub fn try_scatterv<T: CommData + Clone>(
-        &self,
-        root: usize,
-        data: Option<(&[T], &[usize])>,
-    ) -> Result<Vec<T>, CommError> {
-        self.check_rank(root)?;
-        let blocks = match (self.rank == root, data) {
-            (true, Some((d, counts))) => {
-                if counts.len() != self.size {
-                    return Err(CommError::SizeMismatch {
-                        what: "scatterv counts length",
-                        expected: self.size,
-                        got: counts.len(),
-                    });
-                }
-                let total: usize = counts.iter().sum();
-                if total != d.len() {
-                    return Err(CommError::SizeMismatch {
-                        what: "scatterv counts sum",
-                        expected: d.len(),
-                        got: total,
-                    });
-                }
-                let mut rest = d;
-                Some(
-                    counts
-                        .iter()
-                        .map(|&c| {
-                            let (head, tail) = rest.split_at(c);
-                            rest = tail;
-                            head.to_vec()
-                        })
-                        .collect(),
-                )
-            }
-            (true, None) => {
-                return Err(CommError::SizeMismatch {
-                    what: "scatterv root buffer (root must supply data)",
-                    expected: self.size,
-                    got: 0,
-                })
-            }
-            (false, _) => None,
-        };
-        collectives::scatter::scatter(self, root, blocks)
-    }
-
-    /// Regular all-to-all over a flat buffer with the default
-    /// (pairwise-exchange) algorithm: elements `d*n/P .. (d+1)*n/P` of
-    /// `send` go to rank `d`, and the result holds rank `s`'s chunk at
-    /// `s*n/P .. (s+1)*n/P`. The buffer length must divide evenly by the
-    /// communicator size.
-    pub fn alltoall<T: CommData + Clone>(&self, send: &[T]) -> Vec<T> {
-        self.try_alltoall(send)
-            .unwrap_or_else(|e| self.escalate("alltoall", e))
-    }
-
-    /// Fallible [`Communicator::alltoall`].
-    pub fn try_alltoall<T: CommData + Clone>(&self, send: &[T]) -> Result<Vec<T>, CommError> {
-        self.try_alltoall_with(send, collectives::alltoall::AllToAllAlgo::Pairwise)
-    }
-
-    /// Regular all-to-all with an explicit algorithm choice.
-    pub fn alltoall_with<T: CommData + Clone>(
-        &self,
-        send: &[T],
-        algo: collectives::alltoall::AllToAllAlgo,
-    ) -> Vec<T> {
-        self.try_alltoall_with(send, algo)
-            .unwrap_or_else(|e| self.escalate("alltoall", e))
-    }
-
-    /// Fallible [`Communicator::alltoall_with`].
-    pub fn try_alltoall_with<T: CommData + Clone>(
-        &self,
-        send: &[T],
-        algo: collectives::alltoall::AllToAllAlgo,
-    ) -> Result<Vec<T>, CommError> {
-        if !send.len().is_multiple_of(self.size) {
-            return Err(CommError::SizeMismatch {
-                what: "alltoall send length (must divide by comm size)",
-                expected: send.len().next_multiple_of(self.size),
-                got: send.len(),
-            });
-        }
-        let chunk = send.len() / self.size;
-        let blocks = if chunk == 0 {
-            vec![Vec::new(); self.size]
-        } else {
-            send.chunks(chunk).map(<[T]>::to_vec).collect()
-        };
-        Ok(collectives::alltoall::alltoall(self, blocks, algo)?
-            .into_iter()
-            .flatten()
-            .collect())
+            .collect()
     }
 
     /// Irregular all-to-all over a flat buffer: `counts[d]` elements go
     /// to rank `d` (counts may be zero and must sum to the buffer
     /// length). Returns the received elements concatenated in source-rank
-    /// order, plus the per-source counts.
-    pub fn alltoallv<T: CommData + Clone>(
-        &self,
-        send: &[T],
-        counts: &[usize],
-    ) -> (Vec<T>, Vec<usize>) {
-        self.try_alltoallv(send, counts)
-            .unwrap_or_else(|e| self.escalate("alltoallv", e))
-    }
-
-    /// Fallible [`Communicator::alltoallv`].
-    pub fn try_alltoallv<T: CommData + Clone>(
-        &self,
-        send: &[T],
-        counts: &[usize],
-    ) -> Result<(Vec<T>, Vec<usize>), CommError> {
-        self.try_alltoallv_with(send, counts, collectives::alltoall::AllToAllAlgo::Pairwise)
-    }
-
-    /// Irregular all-to-all with an explicit algorithm choice.
+    /// order, plus the per-source counts. Splits the buffer into blocks
+    /// and runs [`Communicator::alltoallv_owned`].
+    ///
+    /// # Panics
+    /// When `counts` does not have one entry per rank or does not sum to
+    /// `send.len()`, or when the group cannot complete.
     pub fn alltoallv_with<T: CommData + Clone>(
         &self,
         send: &[T],
         counts: &[usize],
-        algo: collectives::alltoall::AllToAllAlgo,
+        algo: AllToAllAlgo,
     ) -> (Vec<T>, Vec<usize>) {
-        self.try_alltoallv_with(send, counts, algo)
-            .unwrap_or_else(|e| self.escalate("alltoallv", e))
-    }
-
-    /// Fallible [`Communicator::alltoallv_with`].
-    pub fn try_alltoallv_with<T: CommData + Clone>(
-        &self,
-        send: &[T],
-        counts: &[usize],
-        algo: collectives::alltoall::AllToAllAlgo,
-    ) -> Result<(Vec<T>, Vec<usize>), CommError> {
         if counts.len() != self.size {
-            return Err(CommError::SizeMismatch {
-                what: "alltoallv counts length",
-                expected: self.size,
-                got: counts.len(),
-            });
+            self.escalate(
+                "alltoallv",
+                CommError::SizeMismatch {
+                    what: "alltoallv counts length",
+                    expected: self.size,
+                    got: counts.len(),
+                },
+            );
         }
         let total: usize = counts.iter().sum();
         if total != send.len() {
-            return Err(CommError::SizeMismatch {
-                what: "alltoallv counts sum",
-                expected: send.len(),
-                got: total,
-            });
+            self.escalate(
+                "alltoallv",
+                CommError::SizeMismatch {
+                    what: "alltoallv counts sum",
+                    expected: send.len(),
+                    got: total,
+                },
+            );
         }
         let mut rest = send;
         let blocks: Vec<Vec<T>> = counts
@@ -1226,71 +922,39 @@ impl Communicator {
                 head.to_vec()
             })
             .collect();
-        let recv = self.try_alltoallv_owned(blocks, algo)?;
+        let recv = self.alltoallv_owned(blocks, algo);
         let recv_counts: Vec<usize> = recv.iter().map(Vec::len).collect();
-        Ok((recv.into_iter().flatten().collect(), recv_counts))
+        (recv.into_iter().flatten().collect(), recv_counts)
     }
 
-    /// Irregular all-to-all over **owned** per-destination blocks:
-    /// `blocks[d]` moves to rank `d` by ownership transfer and the result
-    /// holds the block received from each source rank — no flattening on
-    /// either side, so a caller that packs per destination and unpacks
-    /// per source (the dfft reshapes) pays pack + move + unpack and
-    /// nothing else. Same exchange core, message schedule and trace
-    /// accounting as [`Communicator::alltoallv_with`]; the receiver of a
-    /// block frees it.
+    /// Irregular all-to-all over **owned** per-destination blocks, the
+    /// exchange every step makes (the dfft reshapes, particle
+    /// migration): `blocks[d]` moves to rank `d` by ownership transfer
+    /// and the result holds the block received from each source rank.
+    /// Nothing is flattened on either side, so a caller that packs per
+    /// destination and unpacks per source pays pack + move + unpack and
+    /// nothing else. The receiver of a block frees it.
+    ///
+    /// # Panics
+    /// When `blocks` does not hold one block per rank, or when the group
+    /// cannot complete.
     pub fn alltoallv_owned<T: CommData + Clone>(
         &self,
         blocks: Vec<Vec<T>>,
-        algo: collectives::alltoall::AllToAllAlgo,
+        algo: AllToAllAlgo,
     ) -> Vec<Vec<T>> {
-        self.try_alltoallv_owned(blocks, algo)
-            .unwrap_or_else(|e| self.escalate("alltoallv", e))
-    }
-
-    /// Fallible [`Communicator::alltoallv_owned`].
-    pub fn try_alltoallv_owned<T: CommData + Clone>(
-        &self,
-        blocks: Vec<Vec<T>>,
-        algo: collectives::alltoall::AllToAllAlgo,
-    ) -> Result<Vec<Vec<T>>, CommError> {
         if blocks.len() != self.size {
-            return Err(CommError::SizeMismatch {
-                what: "alltoallv block count",
-                expected: self.size,
-                got: blocks.len(),
-            });
+            self.escalate(
+                "alltoallv",
+                CommError::SizeMismatch {
+                    what: "alltoallv block count",
+                    expected: self.size,
+                    got: blocks.len(),
+                },
+            );
         }
-        collectives::alltoall::alltoallv_with(self, blocks, algo)
-    }
-
-    /// Fallible [`Communicator::broadcast`]: `Err` on an out-of-range
-    /// root or a root that supplies no buffer.
-    pub fn try_broadcast<T: CommData + Clone + Sync>(
-        &self,
-        root: usize,
-        data: Option<Vec<T>>,
-    ) -> Result<Vec<T>, CommError> {
-        self.check_rank(root)?;
-        if self.rank == root && data.is_none() {
-            return Err(CommError::SizeMismatch {
-                what: "broadcast root buffer (root must supply data)",
-                expected: 1,
-                got: 0,
-            });
-        }
-        collectives::broadcast::broadcast(self, root, data)
-    }
-
-    /// Fallible [`Communicator::reduce`]: `Err` on an out-of-range root.
-    pub fn try_reduce<T: CommData + Clone, O: ReduceOp<T>>(
-        &self,
-        root: usize,
-        value: T,
-        op: &O,
-    ) -> Result<Option<T>, CommError> {
-        self.check_rank(root)?;
-        collectives::reduce::reduce(self, root, value, op)
+        collectives::alltoall::alltoallv(self, blocks, algo)
+            .unwrap_or_else(|e| self.escalate("alltoallv", e))
     }
 
     // ------------------------------------------------------------------
@@ -1333,7 +997,7 @@ impl Communicator {
     /// only grows, every restart uses tags no earlier attempt used, so
     /// stale tokens from an interrupted attempt can never satisfy a later
     /// one.
-    pub fn agree(&self) -> Result<Vec<usize>, CommError> {
+    fn agree(&self) -> Result<Vec<usize>, CommError> {
         let deadline = Instant::now() + self.recv_timeout;
         let mb = self.mailbox_for(COLLECTIVE_CHANNEL, self.rank);
         'attempt: loop {
@@ -1597,7 +1261,7 @@ mod tests {
                 }
             } else {
                 for i in 0..50u32 {
-                    assert_eq!(c.recv_one::<u32>(0, 1), i);
+                    assert_eq!(c.recv::<u32>(0, 1), [i]);
                 }
             }
         });
@@ -1656,8 +1320,8 @@ mod tests {
             } else {
                 // Receive from the duplicate first: must not see the
                 // message sent on the parent.
-                assert_eq!(dup.recv_one::<u8>(0, 5), 2);
-                assert_eq!(c.recv_one::<u8>(0, 5), 1);
+                assert_eq!(dup.recv::<u8>(0, 5), [2]);
+                assert_eq!(c.recv::<u8>(0, 5), [1]);
             }
         });
     }
@@ -1702,56 +1366,28 @@ mod tests {
     #[test]
     fn gatherv_reports_ragged_counts() {
         World::builder(3).run(|c| {
-            // Rank r contributes r elements.
+            // Rank r contributes r elements; the root sees each rank's block
+            // boundary, and the flat gather concatenates them.
             let mine = vec![c.rank() as u64; c.rank()];
-            if let Some((flat, counts)) = c.gatherv(0, &mine) {
+            let blocks = crate::collectives::gather::gather(&c, 0, mine.clone()).unwrap();
+            let flat = c.gather(0, &mine);
+            if c.rank() == 0 {
+                let counts: Vec<usize> = blocks.unwrap().iter().map(Vec::len).collect();
                 assert_eq!(counts, vec![0, 1, 2]);
-                assert_eq!(flat, vec![1, 2, 2]);
+                assert_eq!(flat.unwrap(), vec![1, 2, 2]);
+            } else {
+                assert!(blocks.is_none() && flat.is_none());
             }
         });
     }
 
     #[test]
-    fn flat_allgather_and_allgatherv() {
+    fn flat_allgather_concatenates_ragged_slices() {
         World::builder(4).run(|c| {
             let got = c.allgather(&[c.rank() as u8]);
             assert_eq!(got, vec![0, 1, 2, 3]);
             let mine = vec![c.rank() as u8; c.rank() % 2 + 1];
-            let (flat, counts) = c.allgatherv(&mine);
-            assert_eq!(counts, vec![1, 2, 1, 2]);
-            assert_eq!(flat, vec![0, 1, 1, 2, 3, 3]);
-        });
-    }
-
-    #[test]
-    fn flat_scatter_deals_equal_chunks() {
-        World::builder(3).run(|c| {
-            let data: Vec<u32> = (0..6).collect();
-            let mine = if c.rank() == 0 {
-                c.scatter(0, Some(&data))
-            } else {
-                c.scatter::<u32>(0, None)
-            };
-            let r = c.rank() as u32;
-            assert_eq!(mine, vec![2 * r, 2 * r + 1]);
-        });
-    }
-
-    #[test]
-    fn scatterv_deals_by_counts() {
-        World::builder(3).run(|c| {
-            let data: Vec<u32> = (0..6).collect();
-            let counts = [3usize, 0, 3];
-            let mine = if c.rank() == 0 {
-                c.scatterv(0, Some((&data[..], &counts[..])))
-            } else {
-                c.scatterv::<u32>(0, None)
-            };
-            match c.rank() {
-                0 => assert_eq!(mine, vec![0, 1, 2]),
-                1 => assert!(mine.is_empty()),
-                _ => assert_eq!(mine, vec![3, 4, 5]),
-            }
+            assert_eq!(c.allgather(&mine), vec![0, 1, 1, 2, 3, 3]);
         });
     }
 
@@ -1761,9 +1397,10 @@ mod tests {
             let me = c.rank() as u64;
             // Chunk for destination d is [me*10 + d].
             let send: Vec<u64> = (0..3).map(|d| me * 10 + d).collect();
-            let got = c.alltoall(&send);
+            let (got, counts) = c.alltoallv_with(&send, &[1; 3], AllToAllAlgo::Pairwise);
             let want: Vec<u64> = (0..3).map(|s| s * 10 + me).collect();
             assert_eq!(got, want);
+            assert_eq!(counts, [1; 3]);
         });
     }
 
@@ -1774,45 +1411,37 @@ mod tests {
             // Rank r sends r+1 copies of its rank to every destination.
             let counts = vec![me + 1; 3];
             let send = vec![me as u64; 3 * (me + 1)];
-            let (flat, rcounts) = c.alltoallv(&send, &counts);
+            let (flat, rcounts) = c.alltoallv_with(&send, &counts, AllToAllAlgo::Direct);
             assert_eq!(rcounts, vec![1, 2, 3]);
             assert_eq!(flat, vec![0, 1, 1, 2, 2, 2]);
         });
     }
 
     #[test]
-    fn try_variants_reject_bad_arguments_locally() {
+    fn collectives_reject_bad_arguments_locally() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         World::builder(2).run(|c| {
-            assert!(matches!(
-                c.try_gather(5, &[0u8]),
-                Err(CommError::InvalidRank { rank: 5, size: 2 })
-            ));
-            assert!(matches!(
-                c.try_alltoall(&[0u8; 3]),
-                Err(CommError::SizeMismatch { got: 3, .. })
-            ));
-            assert!(matches!(
-                c.try_alltoallv(&[0u8; 4], &[1, 2]),
-                Err(CommError::SizeMismatch { got: 3, .. })
-            ));
-            assert!(matches!(
-                c.try_alltoallv(&[0u8; 4], &[1]),
-                Err(CommError::SizeMismatch { expected: 2, got: 1, .. })
-            ));
+            let panics_with = |want: &str, call: &dyn Fn()| {
+                let p = catch_unwind(AssertUnwindSafe(call)).expect_err(want);
+                let msg = p.downcast_ref::<String>().expect("a message panic");
+                assert!(msg.contains(want), "{msg:?} lacks {want:?}");
+            };
+            panics_with("gather: rank 5 out of range", &|| drop(c.gather(5, &[0u8])));
+            panics_with("broadcast: rank 7 out of range", &|| {
+                drop(c.broadcast(7, Some(vec![0u8])))
+            });
+            panics_with("alltoallv counts sum: expected 4, got 3", &|| {
+                drop(c.alltoallv_with(&[0u8; 4], &[1, 2], AllToAllAlgo::Pairwise))
+            });
+            panics_with("alltoallv counts length: expected 2, got 1", &|| {
+                drop(c.alltoallv_with(&[0u8; 4], &[1], AllToAllAlgo::Pairwise))
+            });
+            panics_with("alltoallv block count: expected 2, got 3", &|| {
+                drop(c.alltoallv_owned(vec![vec![0u8]; 3], AllToAllAlgo::Direct))
+            });
             if c.rank() == 0 {
-                assert!(matches!(
-                    c.try_scatter::<u8>(0, None),
-                    Err(CommError::SizeMismatch { .. })
-                ));
-                assert!(matches!(
-                    c.try_broadcast::<u8>(0, None),
-                    Err(CommError::SizeMismatch { .. })
-                ));
+                panics_with("root must supply data", &|| drop(c.broadcast::<u8>(0, None)));
             }
-            assert!(matches!(
-                c.try_reduce(9, 1.0, &crate::reduce_op::SumOp),
-                Err(CommError::InvalidRank { rank: 9, size: 2 })
-            ));
             // Errors above are local: no rank entered a collective, so the
             // group is still consistent for a real one.
             assert_eq!(c.allreduce_sum(1.0), 2.0);
@@ -1830,9 +1459,8 @@ mod tests {
             let ops = || c.fault.as_ref().expect("plan targets every rank").op_count();
             let peer = 1 - c.rank();
             let shared = Arc::new(vec![7u8; 3]);
-            let wrappers: [(&str, &dyn Fn()); 8] = [
+            let wrappers: [(&str, &dyn Fn()); 7] = [
                 ("send", &|| c.send(peer, 1, vec![7u8; 3])),
-                ("send_one", &|| c.send_one(peer, 1, 7u8)),
                 ("sendrecv", &|| drop(c.sendrecv(peer, vec![7u8; 3], peer, 2))),
                 ("isend", &|| c.isend(peer, 1, &[7u8; 3]).wait()),
                 ("isend_owned", &|| c.isend_owned(peer, 1, vec![7u8; 3]).wait()),
@@ -1849,7 +1477,7 @@ mod tests {
             }
             // Receiving counts nothing.
             let before = ops();
-            for _ in 0..5 {
+            for _ in 0..4 {
                 let _ = c.recv_any::<u8>(peer, 1);
             }
             for _ in 0..2 {
@@ -1870,11 +1498,12 @@ mod tests {
                     .unwrap_err();
                 assert!(matches!(err, CommError::Timeout { rank: 0, .. }));
                 c.barrier();
-                // After the sender's barrier the message is guaranteed queued.
-                let (v, src, tag) = c
-                    .recv_any_within::<u8>(ANY_SOURCE, ANY_TAG, Duration::from_secs(5))
+                // After the sender's barrier the message is guaranteed
+                // queued, and a wildcard receive takes it.
+                let v = c
+                    .recv_within::<u8>(ANY_SOURCE, ANY_TAG, Duration::from_secs(5))
                     .unwrap();
-                assert_eq!((v, src, tag), (vec![9], 1, 4));
+                assert_eq!(v, vec![9]);
             } else {
                 c.send(0, 4, vec![9u8]);
                 c.barrier();

@@ -9,9 +9,9 @@
 //! * **Point-to-point messaging** with MPI-style `(source, tag)` matching,
 //!   buffered (non-blocking) sends and blocking receives.
 //! * **Collectives** implemented with the same algorithms production MPI
-//!   libraries use: dissemination barrier, binomial-tree broadcast and
-//!   reduce, recursive-doubling allreduce, ring allgather, and both
-//!   pairwise-exchange and direct (post-all) all-to-all. This matters
+//!   libraries use: dissemination barrier, binomial-tree broadcast,
+//!   recursive-doubling allreduce, direct gather, ring allgather, and
+//!   both pairwise-exchange and direct (post-all) all-to-allv. This matters
 //!   because Beatnik is a *communication pattern* benchmark — the pattern
 //!   of messages, not just the result, must match an MPI execution.
 //! * **Communicator splitting** ([`Communicator::split`]) and a 2D
@@ -51,7 +51,7 @@
 //! process per rank.
 
 pub mod cart;
-pub mod collectives;
+mod collectives;
 pub mod communicator;
 pub mod config;
 pub mod error;

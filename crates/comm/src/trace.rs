@@ -1005,7 +1005,8 @@ mod matrix_tests {
     #[test]
     fn collective_traffic_appears_in_the_matrix() {
         let (_, trace) = World::builder(4).run_traced(|c| {
-            let _ = c.alltoall(&[0u8; 1024]); // 256 bytes per destination
+            // 256 bytes per destination.
+            let _ = c.alltoallv_owned(vec![vec![0u8; 256]; 4], crate::AllToAllAlgo::Pairwise);
         });
         let m = trace.peer_matrix();
         for (s, row) in m.iter().enumerate() {

@@ -7,8 +7,11 @@
 //! inter-rank envelopes, which droppy element types cannot survive (and
 //! the runtime enforces that with a panic).
 
+mod common;
+
 use beatnik_comm::{backend_matrix, AllToAllAlgo, CommError, FaultPlan, OpKind, SumOp, World};
 use beatnik_comm::TransportKind;
+use common::caught;
 use std::time::Duration;
 
 /// Per-op receive deadline: long enough for a loaded CI machine, short
@@ -16,36 +19,47 @@ use std::time::Duration;
 const TIMEOUT: Duration = Duration::from_secs(30);
 
 backend_matrix! {
-    /// Every collective family computes the right answer over the wire.
+    /// Every collective computes the right answer over the wire, at 4
+    /// ranks (allreduce by recursive doubling) and at 3 (its
+    /// reduce-to-rank-0 + broadcast fallback).
     fn collectives_are_correct(kind: TransportKind) {
-        World::builder(4).transport(kind).recv_timeout(TIMEOUT).run(|c| {
-            let (rank, size) = (c.rank(), c.size());
+        for p in [4usize, 3] {
+            World::builder(p).transport(kind).recv_timeout(TIMEOUT).run(move |c| {
+                let rank = c.rank();
+                let sum: f64 = (0..p).map(|r| r as f64).sum();
 
-            c.barrier();
+                c.barrier();
 
-            let rooted = (rank == 1).then(|| vec![3.0f64, 5.0]);
-            assert_eq!(c.broadcast(1, rooted), [3.0, 5.0]);
+                let rooted = (rank == 1).then(|| vec![3.0f64, 5.0]);
+                assert_eq!(c.broadcast(1, rooted), [3.0, 5.0]);
 
-            assert_eq!(c.allreduce_sum(rank as f64), 6.0);
-            assert_eq!(c.allreduce_max(rank as f64), 3.0);
+                assert_eq!(c.allreduce_sum(rank as f64), sum);
+                assert_eq!(c.allreduce_max(rank as f64), (p - 1) as f64);
+                assert_eq!(c.allreduce_min(rank as f64), 0.0);
+                assert_eq!(c.allreduce_vec(vec![rank as f64, 1.0], &SumOp), [sum, p as f64]);
 
-            let gathered = c.allgather(&[rank as u64]);
-            assert_eq!(gathered, [0, 1, 2, 3]);
+                // Rank r contributes r+1 copies of r.
+                let ragged = vec![rank as u64; rank + 1];
+                let concat: Vec<u64> = (0..p).flat_map(|r| vec![r as u64; r + 1]).collect();
+                assert_eq!(c.gather(p - 1, &ragged), (rank == p - 1).then(|| concat.clone()));
+                assert_eq!(c.allgather(&ragged), concat);
 
-            let reduced = c.reduce(0, rank as f64, &SumOp);
-            assert_eq!(reduced, (rank == 0).then_some(6.0));
-
-            // One element to each peer, all three alltoall algorithms.
-            let send: Vec<u64> = (0..size).map(|d| (rank * 10 + d) as u64).collect();
-            let want: Vec<u64> = (0..size).map(|s| (s * 10 + rank) as u64).collect();
-            for algo in [AllToAllAlgo::Pairwise, AllToAllAlgo::Direct, AllToAllAlgo::Bruck] {
-                assert_eq!(c.alltoall_with(&send, algo), want, "{algo:?}");
-            }
-
-            let (flat, counts) = c.allgatherv(&vec![rank as u64; rank + 1]);
-            assert_eq!(counts, [1, 2, 3, 4]);
-            assert_eq!(flat.len(), 10);
-        });
+                // Ragged exchange, both forms, every algorithm: rank r
+                // sends r+d+1 copies of 10r+d to rank d.
+                let counts: Vec<usize> = (0..p).map(|d| rank + d + 1).collect();
+                let blocks: Vec<Vec<u64>> =
+                    (0..p).map(|d| vec![(10 * rank + d) as u64; counts[d]]).collect();
+                let want: Vec<Vec<u64>> =
+                    (0..p).map(|s| vec![(10 * s + rank) as u64; s + rank + 1]).collect();
+                let want_counts: Vec<usize> = want.iter().map(Vec::len).collect();
+                for algo in [AllToAllAlgo::Pairwise, AllToAllAlgo::Direct, AllToAllAlgo::Adaptive] {
+                    assert_eq!(c.alltoallv_owned(blocks.clone(), algo), want, "{algo:?}");
+                    let (flat, rcounts) = c.alltoallv_with(&blocks.concat(), &counts, algo);
+                    assert_eq!(flat, want.concat(), "{algo:?}");
+                    assert_eq!(rcounts, want_counts, "{algo:?}");
+                }
+            });
+        }
     }
 
     /// The block-owning alltoallv delivers what the flat call delivers,
@@ -157,8 +171,7 @@ backend_matrix! {
                 let comm = comm.with_recv_timeout(Duration::from_secs(5));
                 for step in 1..=50u64 {
                     comm.fault_step(step); // rank 2 dies at step 2
-                    if let Err(e) = comm
-                        .try_allreduce(comm.rank() as f64, &SumOp)
+                    if let Err(e) = caught(&comm, || comm.allreduce(comm.rank() as f64, &SumOp))
                         .and_then(|_| comm.try_barrier())
                     {
                         return (comm.rank(), e);
@@ -190,9 +203,7 @@ backend_matrix! {
                 comm.fault_step(1); // rank 2 dies here
                 let shrunk = comm.shrink().expect("survivors agree and shrink");
                 assert_eq!(shrunk.size(), 3);
-                let sum = shrunk
-                    .try_allreduce(comm.rank() as f64, &SumOp)
-                    .expect("collective on shrunken comm");
+                let sum = shrunk.allreduce(comm.rank() as f64, &SumOp);
                 assert_eq!(sum, 4.0); // world ranks 0 + 1 + 3
                 shrunk.rank()
             });

@@ -1,9 +1,12 @@
 //! Fault-injection integration tests: every collective must surface a
-//! mid-operation rank death as `Err(RankFailed)` or `Err(Timeout)`
-//! within its deadline — never hang — and the seeded fault engine must
-//! replay byte-identically.
+//! mid-operation rank death as `RankFailed` or `Timeout` (the payload of
+//! its panic, read as a recovery driver reads it) within its deadline —
+//! never hang — and the seeded fault engine must replay byte-identically.
 
-use beatnik_comm::{CommError, Communicator, FaultPlan, SumOp, World};
+mod common;
+
+use beatnik_comm::{AllToAllAlgo, CommError, Communicator, FaultPlan, SumOp, World};
+use common::caught;
 use std::time::{Duration, Instant};
 
 /// Base world deadline: generous, only reached if detection is broken.
@@ -72,51 +75,54 @@ fn assert_failed_fast(survivors: &[Survivor], what: &str) {
 
 /// Every collective, one rank killed mid-stream, at world size `p`.
 /// The victim is rank 2 so it is an interior participant of every
-/// algorithm (tree child and parent, ring member, Bruck peer).
+/// algorithm (tree child and parent, ring member, exchange peer). The
+/// cases drive the panicking entry points and read the failure from
+/// their payload, the path recovery drivers take.
 type Case = Box<dyn Fn(&Communicator) -> Result<(), CommError> + Send + Sync>;
 
 fn all_collectives_fail_fast(p: usize) {
     let cases: Vec<(&str, Case)> = vec![
-        ("barrier", Box::new(|c: &Communicator| c.try_barrier())),
+        ("barrier", Box::new(|c: &Communicator| caught(c, || c.barrier()))),
         (
             "broadcast",
             Box::new(|c: &Communicator| {
                 let root_data = (c.rank() == 0).then(|| vec![7u64; 16]);
-                c.try_broadcast(0, root_data).map(|_| ())
+                caught(c, || c.broadcast(0, root_data)).map(drop)
             }),
-        ),
-        (
-            "reduce",
-            Box::new(|c: &Communicator| c.try_reduce(0, c.rank() as f64, &SumOp).map(|_| ())),
         ),
         (
             "allreduce",
-            Box::new(|c: &Communicator| c.try_allreduce(c.rank() as f64, &SumOp).map(|_| ())),
-        ),
-        (
-            "gather",
-            Box::new(|c: &Communicator| c.try_gather(0, &[c.rank() as u64; 4]).map(|_| ())),
-        ),
-        (
-            "allgather",
-            Box::new(|c: &Communicator| c.try_allgather(&[c.rank() as u64; 4]).map(|_| ())),
-        ),
-        (
-            "scatter",
             Box::new(|c: &Communicator| {
-                let root_data: Option<Vec<u64>> = (c.rank() == 0).then(|| vec![1; c.size()]);
-                c.try_scatter(0, root_data.as_deref()).map(|_| ())
+                caught(c, || c.allreduce(c.rank() as f64, &SumOp)).map(drop)
             }),
         ),
         (
-            "alltoall",
-            Box::new(|c: &Communicator| c.try_alltoall(&vec![c.rank() as u64; c.size()]).map(|_| ())),
+            "allreduce_vec",
+            Box::new(|c: &Communicator| {
+                caught(c, || c.allreduce_vec(vec![c.rank() as f64; 4], &SumOp)).map(drop)
+            }),
         ),
         (
-            "alltoallv",
+            "gather",
+            Box::new(|c: &Communicator| caught(c, || c.gather(0, &[c.rank() as u64; 4])).map(drop)),
+        ),
+        (
+            "allgather",
+            Box::new(|c: &Communicator| caught(c, || c.allgather(&[c.rank() as u64; 4])).map(drop)),
+        ),
+        (
+            "alltoallv_with",
             Box::new(|c: &Communicator| {
                 let counts = vec![1usize; c.size()];
-                c.try_alltoallv(&vec![c.rank() as u64; c.size()], &counts).map(|_| ())
+                let send = vec![c.rank() as u64; c.size()];
+                caught(c, || c.alltoallv_with(&send, &counts, AllToAllAlgo::Pairwise)).map(drop)
+            }),
+        ),
+        (
+            "alltoallv_owned",
+            Box::new(|c: &Communicator| {
+                let blocks = vec![vec![c.rank() as u64]; c.size()];
+                caught(c, || c.alltoallv_owned(blocks, AllToAllAlgo::Direct)).map(drop)
             }),
         ),
     ];
@@ -144,7 +150,7 @@ fn dropped_message_surfaces_as_timeout_not_hang() {
     let plan = FaultPlan::parse("drop:r1@op1", 0).expect("static plan");
     let report = World::builder(4).recv_timeout(WORLD_TIMEOUT).fault_plan(&plan).run_ft(|comm| {
             let comm = comm.with_recv_timeout(Duration::from_millis(500));
-            comm.try_allreduce(comm.rank() as f64, &SumOp)
+            caught(&comm, || comm.allreduce(comm.rank() as f64, &SumOp))
         },
     );
     assert!(report.killed.is_empty(), "a drop must not kill anyone");
@@ -171,7 +177,7 @@ fn dropped_message_surfaces_as_timeout_not_hang() {
 fn delayed_message_is_still_delivered() {
     let plan = FaultPlan::parse("delay:r1@op1:20ms", 0).expect("static plan");
     let report = World::builder(4).recv_timeout(WORLD_TIMEOUT).fault_plan(&plan).run_ft(|comm| {
-        comm.try_allreduce(comm.rank() as f64, &SumOp)
+        caught(&comm, || comm.allreduce(comm.rank() as f64, &SumOp))
     });
     assert!(report.killed.is_empty());
     for r in report.results.iter().flatten() {
@@ -193,9 +199,7 @@ fn shrink_after_death_yields_working_communicator() {
         assert_eq!(shrunk.size(), 3);
         // World ranks 0, 1, 3 survive; their sum distinguishes a correct
         // group from one that silently kept or renumbered the dead rank.
-        let sum = shrunk
-            .try_allreduce(comm.rank() as f64, &SumOp)
-            .expect("collective on shrunken comm");
+        let sum = shrunk.allreduce(comm.rank() as f64, &SumOp);
         assert_eq!(sum, 4.0);
         shrunk.rank()
     });
@@ -220,7 +224,7 @@ fn seeded_fault_replay_is_deterministic() {
             let comm = comm.with_recv_timeout(DETECT);
             for step in 1..=3u64 {
                 comm.fault_step(step);
-                if comm.try_allreduce(1.0f64, &SumOp).is_err() {
+                if caught(&comm, || comm.allreduce(1.0f64, &SumOp)).is_err() {
                     break;
                 }
             }
@@ -242,7 +246,7 @@ fn different_seed_changes_delay_jitter() {
     let run = |seed: u64| {
         let plan = FaultPlan::parse("delay:r1@op1:10ms", seed).expect("static plan");
         World::builder(2).recv_timeout(WORLD_TIMEOUT).fault_plan(&plan).run_ft(|comm| {
-            comm.try_allreduce(1.0f64, &SumOp).expect("no deaths here")
+            comm.allreduce(1.0f64, &SumOp)
         })
     };
     let a = run(7);
@@ -291,19 +295,17 @@ fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
             {
                 // One clean step so the victim has matrix rows to freeze.
                 let _p = comm.telemetry().phase("step");
-                let sum = comm.try_allreduce(1.0f64, &SumOp).expect("clean step");
+                let sum = comm.allreduce(1.0f64, &SumOp);
                 assert_eq!(sum, 4.0);
             }
             comm.fault_step(2); // rank 2 dies here
-            if comm.try_allreduce(1.0f64, &SumOp).is_err() {
+            if caught(&comm, || comm.allreduce(1.0f64, &SumOp)).is_err() {
                 comm.revoke();
             }
             let shrunk = {
                 let _span = comm.telemetry().phase(beatnik_comm::RECOVERY_PHASE);
                 let shrunk = comm.shrink().expect("survivors shrink");
-                let sum = shrunk
-                    .try_allreduce(comm.rank() as f64, &SumOp)
-                    .expect("collective on shrunken comm");
+                let sum = shrunk.allreduce(comm.rank() as f64, &SumOp);
                 assert_eq!(sum, 4.0); // world ranks 0 + 1 + 3
                 shrunk
             };

@@ -95,7 +95,7 @@ fn interleaved_collectives_and_p2p() {
             assert_eq!(s, 4.0);
             comm.barrier();
             if comm.rank() == 1 {
-                assert_eq!(comm.recv_one::<u64>(0, round), round);
+                assert_eq!(comm.recv::<u64>(0, round), [round]);
             }
             let g = comm.allgather(&[comm.rank() as u64]);
             assert_eq!(g.len(), 4);

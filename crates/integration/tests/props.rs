@@ -4,7 +4,7 @@
 //! Cases come from the workspace's deterministic PRNG — reproducible
 //! and hermetic.
 
-use beatnik_comm::World;
+use beatnik_comm::{AllToAllAlgo, World};
 use beatnik_core::br::kernel::br_pair_velocity;
 use beatnik_dfft::{Dist, Rect};
 use beatnik_fft::{dft::dft_naive, Complex, Fft};
@@ -177,7 +177,8 @@ fn allreduce_equals_serial_fold() {
     }
 }
 
-/// alltoall delivers exactly the transpose of what was sent.
+/// An all-to-allv of uniform blocks delivers exactly the transpose of
+/// what was sent.
 #[test]
 fn alltoall_is_a_transpose() {
     let mut rng = Rng::seed_from_u64(0x177_0009);
@@ -185,12 +186,12 @@ fn alltoall_is_a_transpose() {
         let seed = rng.next_u64() % 1_000_000;
         let results = World::builder(3).run(move |comm| {
             let me = comm.rank() as u64;
-            let send: Vec<u64> = (0..3).map(|d| seed ^ (me * 10 + d as u64)).collect();
-            comm.alltoall(&send)
+            let blocks: Vec<Vec<u64>> = (0..3).map(|d| vec![seed ^ (me * 10 + d as u64)]).collect();
+            comm.alltoallv_owned(blocks, AllToAllAlgo::Adaptive)
         });
         for (r, per_rank) in results.into_iter().enumerate() {
-            for (src, &val) in per_rank.iter().enumerate() {
-                assert_eq!(val, seed ^ (src as u64 * 10 + r as u64));
+            for (src, block) in per_rank.iter().enumerate() {
+                assert_eq!(block, &[seed ^ (src as u64 * 10 + r as u64)]);
             }
         }
     }

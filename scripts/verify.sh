@@ -166,13 +166,13 @@ echo "== transport microbench -> BENCH_comm.json =="
 # untraced twins (median of paired traced/untraced trial ratios).
 target/release/bench_comm BENCH_comm.json
 test -s BENCH_comm.json
-grep -q '"algo": "bruck"' BENCH_comm.json
+grep -q '"op": "alltoallv_owned"' BENCH_comm.json
 grep -q '"transport": "shmem"' BENCH_comm.json
 grep -q '"transport": "tcp"' BENCH_comm.json
 grep -q '"op": "p2p_slice"' BENCH_comm.json
 grep -q '"op": "p2p_owned"' BENCH_comm.json
 grep -q '"op": "p2p_traced"' BENCH_comm.json
-grep -q '"op": "alltoall_traced"' BENCH_comm.json
+grep -q '"op": "alltoallv_owned_traced"' BENCH_comm.json
 # The socket-path rows: owned ping-pong and the reshape-shaped 2-rank
 # alltoallv. (No -q on the second grep: it must
 # read the whole pipe, or pipefail sees the first one's SIGPIPE.)
