@@ -4,7 +4,7 @@
 //! peers/bytes match what the ranks actually moved.
 
 use beatnik_comm::telemetry::{CommOp, SpanKind};
-use beatnik_comm::{wait_all, World, ANY_SOURCE, ANY_TAG};
+use beatnik_comm::{wait_all, TransportKind, World, ANY_SOURCE, ANY_TAG};
 use std::time::Duration;
 
 #[test]
@@ -95,17 +95,21 @@ fn nine_rank_nonblocking_stress_records_deterministic_spans() {
 #[test]
 fn stress_pattern_is_reproducible_across_runs() {
     // Two identical runs must produce identical per-rank span *kind*
-    // sequences (timestamps differ; structure must not).
+    // sequences (timestamps differ; structure must not). Order is causal,
+    // not timed: on the thread transport a send lands in rank 0's mailbox
+    // before it returns, every sender sends before entering the barrier,
+    // and rank 0 waits only after passing it, so its wait_all finds all
+    // eight landed and absorbs them in request order.
     let run = || {
-        let (_, _, tl) = World::builder(9).run_profiled(|comm| {
+        let world = World::builder(9).transport(TransportKind::Thread);
+        let (_, _, tl) = world.run_profiled(|comm| {
             if comm.rank() == 0 {
                 let reqs: Vec<_> = (1..9).map(|s| comm.irecv::<u64>(s, 3)).collect();
+                comm.barrier();
                 let _ = wait_all(reqs);
             } else {
-                std::thread::sleep(Duration::from_millis(
-                    (9 - comm.rank()) as u64,
-                ));
                 comm.send(0, 3, vec![comm.rank() as u64]);
+                comm.barrier();
             }
         });
         tl.ranks

@@ -9,6 +9,7 @@
 //! * **single-mode** (periodic or open): one long-wavelength mode whose
 //!   nonlinear rollup creates the load imbalance studied in Figures 6–8.
 
+use crate::params::{finite, ParamError};
 use crate::problem::ProblemManager;
 use beatnik_json::{field, FromJson, JsonError, ToJson, Value};
 use beatnik_prng::Rng;
@@ -98,64 +99,190 @@ impl FromJson for InitialCondition {
     }
 }
 
+/// One multi-mode term: `amp·cos(2π·mₓ·x̃ + pₓ)·cos(2π·m_y·ỹ + p_y)`.
+struct Mode {
+    mx: f64,
+    my: f64,
+    amp: f64,
+    px: f64,
+    py: f64,
+}
+
+/// The `modes²` multi-mode terms drawn from `seed`: a deterministic
+/// table, identical on every rank.
+fn mode_table(modes: usize, seed: u64) -> Vec<Mode> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut table = Vec::with_capacity(modes * modes);
+    for mx in 1..=modes {
+        for my in 1..=modes {
+            let amp: f64 = rng.gen_range(-1.0..1.0);
+            let px: f64 = rng.gen_range(0.0..2.0 * PI);
+            let py: f64 = rng.gen_range(0.0..2.0 * PI);
+            table.push(Mode {
+                mx: mx as f64,
+                my: my as f64,
+                amp,
+                px,
+                py,
+            });
+        }
+    }
+    table
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cosines this rank's thread has evaluated while tabulating heights.
+    static COSINES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `cos(arg(v))` for every `v` in `vals`: one axis's cosine factors.
+fn cosines(vals: &[f64], arg: impl Fn(f64) -> f64) -> Vec<f64> {
+    #[cfg(test)]
+    COSINES.with(|n| n.set(n.get() + vals.len()));
+    vals.iter().map(|&v| arg(v).cos()).collect()
+}
+
+/// An initial height field tabulated per axis over one rank's owned
+/// block: every term is a column factor times a row factor.
+enum Heights {
+    Flat,
+    /// `h = col[c]·row[r]`.
+    Product {
+        col: Vec<f64>,
+        row: Vec<f64>,
+    },
+    /// `h = (Σₜ colₜ[c]·rowₜ[r])·norm`, summed in term order.
+    Sum {
+        cols: Vec<Vec<f64>>,
+        rows: Vec<Vec<f64>>,
+        norm: f64,
+    },
+}
+
+impl Heights {
+    /// The heights of owned row `i` into `h` (one per owned column).
+    fn row(&self, i: usize, h: &mut [f64]) {
+        match self {
+            Heights::Flat => h.fill(0.0),
+            Heights::Product { col, row } => {
+                for (h, &a) in h.iter_mut().zip(col) {
+                    *h = a * row[i];
+                }
+            }
+            Heights::Sum { cols, rows, norm } => {
+                // Start where `Iterator::sum` starts (−0.0), so the sum
+                // matches a per-node `.sum::<f64>()` to the sign of zero.
+                h.fill(std::iter::empty::<f64>().sum());
+                for (col, row) in cols.iter().zip(rows) {
+                    let b = row[i];
+                    for (h, &a) in h.iter_mut().zip(col) {
+                        *h += a * b;
+                    }
+                }
+                for h in h.iter_mut() {
+                    *h *= norm;
+                }
+            }
+        }
+    }
+}
+
 impl InitialCondition {
+    /// Check the shape parameters: finite amplitudes and mode counts, and
+    /// at least one mode per axis for [`InitialCondition::MultiMode`].
+    pub fn validate(&self) -> Result<(), ParamError> {
+        match *self {
+            InitialCondition::Flat => Ok(()),
+            InitialCondition::SingleMode { amplitude, modes } => {
+                finite("amplitude", amplitude)?;
+                finite("modes[0]", modes[0])?;
+                finite("modes[1]", modes[1])
+            }
+            InitialCondition::MultiMode {
+                amplitude, modes, ..
+            } => {
+                finite("amplitude", amplitude)?;
+                if modes == 0 {
+                    return Err(ParamError::OutOfRange {
+                        name: "modes",
+                        value: 0.0,
+                        want: "at least 1",
+                    });
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Fill `pm`'s position field (and zero its vorticity).
+    ///
+    /// Node `(r, c)` sits at `coord_of(r, c)`, whose x depends on `c`
+    /// alone and whose y on `r` alone, and every height term is a cosine
+    /// of x̃ times a cosine of ỹ. So each cosine is evaluated once per
+    /// owned column or row, not once per node, and the products and sums
+    /// keep the per-node operands and order: the surface is bitwise the
+    /// one a per-node evaluation gives.
     pub fn apply(&self, pm: &mut ProblemManager) {
-        let mesh = pm.mesh();
+        let (mesh, z, w) = pm.state_mut();
         let [ly, lx] = mesh.lengths();
-        let [lo_y, lo_x] = [mesh.coord_of(0, 0)[0], mesh.coord_of(0, 0)[1]];
+        let [lo_y, lo_x] = mesh.coord_of(0, 0);
         let periodic = mesh.periodic()[0] && mesh.periodic()[1];
-        let height: Box<dyn Fn(f64, f64) -> f64> = match *self {
-            InitialCondition::Flat => Box::new(|_, _| 0.0),
+        let xs: Vec<f64> = mesh
+            .own_cols()
+            .map(|gc| mesh.coord_of(0, gc as i64)[1])
+            .collect();
+        let ys: Vec<f64> = mesh
+            .own_rows()
+            .map(|gr| mesh.coord_of(gr as i64, 0)[0])
+            .collect();
+        let xt: Vec<f64> = xs.iter().map(|&x| (x - lo_x) / lx).collect();
+        let yt: Vec<f64> = ys.iter().map(|&y| (y - lo_y) / ly).collect();
+        let heights = match *self {
+            InitialCondition::Flat => Heights::Flat,
             InitialCondition::SingleMode { amplitude, modes } => {
                 let base = if periodic { 2.0 * PI } else { PI };
-                Box::new(move |xt: f64, yt: f64| {
-                    amplitude * (base * modes[0] * xt).cos() * (base * modes[1] * yt).cos()
-                })
+                let col = cosines(&xt, |xt| base * modes[0] * xt);
+                Heights::Product {
+                    col: col.into_iter().map(|c| amplitude * c).collect(),
+                    row: cosines(&yt, |yt| base * modes[1] * yt),
+                }
             }
             InitialCondition::MultiMode {
                 amplitude,
                 modes,
                 seed,
             } => {
-                // Deterministic mode table, identical on every rank.
-                let mut rng = Rng::seed_from_u64(seed);
-                let mut table = Vec::with_capacity(modes * modes);
-                for mx in 1..=modes {
-                    for my in 1..=modes {
-                        let amp: f64 = rng.gen_range(-1.0..1.0);
-                        let phase_x: f64 = rng.gen_range(0.0..2.0 * PI);
-                        let phase_y: f64 = rng.gen_range(0.0..2.0 * PI);
-                        table.push((mx as f64, my as f64, amp, phase_x, phase_y));
-                    }
+                let table = mode_table(modes, seed);
+                let cols = table.iter().map(|m| {
+                    let col = cosines(&xt, |xt| 2.0 * PI * m.mx * xt + m.px);
+                    col.into_iter().map(|c| m.amp * c).collect()
+                });
+                let rows = table
+                    .iter()
+                    .map(|m| cosines(&yt, |yt| 2.0 * PI * m.my * yt + m.py));
+                Heights::Sum {
+                    cols: cols.collect(),
+                    rows: rows.collect(),
+                    norm: amplitude / (modes as f64),
                 }
-                let norm = amplitude / (modes as f64);
-                Box::new(move |xt: f64, yt: f64| {
-                    table
-                        .iter()
-                        .map(|&(mx, my, amp, px, py)| {
-                            amp * (2.0 * PI * mx * xt + px).cos()
-                                * (2.0 * PI * my * yt + py).cos()
-                        })
-                        .sum::<f64>()
-                        * norm
-                })
             }
         };
 
-        let coords: Vec<_> = mesh.owned_indices().collect();
-        let (lx, ly) = (lx, ly);
-        for (lr, lc, gr, gc) in coords {
-            let c = pm.mesh().coord_of(gr as i64, gc as i64);
-            let (x, y) = (c[1], c[0]);
-            let xt = (x - lo_x) / lx;
-            let yt = (y - lo_y) / ly;
-            let h = height(xt, yt);
-            pm.z_mut().set_node(lr, lc, &[x, y, h]);
-            pm.w_mut().set_node(lr, lc, &[0.0, 0.0]);
+        let mut h = vec![0.0; xs.len()];
+        let rows = mesh.owned_rows_mut(z).zip(mesh.owned_rows_mut(w));
+        for (i, (zr, wr)) in rows.enumerate() {
+            heights.row(i, &mut h);
+            for ((node, &x), &h) in zr.chunks_exact_mut(3).zip(&xs).zip(&h) {
+                node.copy_from_slice(&[x, ys[i], h]);
+            }
+            wr.fill(0.0);
         }
     }
 }
+
+#[cfg(test)]
+mod per_node;
 
 #[cfg(test)]
 mod tests {
@@ -235,26 +362,134 @@ mod tests {
             modes: 4,
             seed: 42,
         };
-        let gather = |p: usize| -> Vec<(usize, usize, f64)> {
-            let out = World::builder(p).run(move |comm| {
-                let mut pm = pm_with(&comm, true, 12);
-                ic.apply(&mut pm);
-                let rows: Vec<(usize, usize, f64)> = pm
-                    .mesh()
-                    .owned_indices()
-                    .map(|(lr, lc, gr, gc)| (gr, gc, pm.z().get(lr, lc, 2)))
-                    .collect();
-                comm.allgather(&rows)
+        // 12 × 12 splits evenly over 4 ranks; 13 × 11 splits evenly over
+        // none of 2, 3, 4 or 6.
+        for global in [[12, 12], [13, 11]] {
+            let gather = |p: usize| -> Vec<(usize, usize, f64)> {
+                let out = World::builder(p).run(move |comm| {
+                    let mesh =
+                        SurfaceMesh::new(&comm, global, [true; 2], 2, [-1.0, -1.0], [1.0, 1.0]);
+                    let bc = BoundaryCondition::Periodic {
+                        periods: [2.0, 2.0],
+                    };
+                    let mut pm = ProblemManager::new(mesh, bc);
+                    ic.apply(&mut pm);
+                    let rows: Vec<(usize, usize, f64)> = pm
+                        .mesh()
+                        .owned_indices()
+                        .map(|(lr, lc, gr, gc)| (gr, gc, pm.z().get(lr, lc, 2)))
+                        .collect();
+                    comm.allgather(&rows)
+                });
+                let mut all: Vec<(usize, usize, f64)> = out.into_iter().next().unwrap();
+                all.sort_by_key(|a| (a.0, a.1));
+                all.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
+                all
+            };
+            let s1 = gather(1);
+            assert_eq!(s1.len(), global[0] * global[1]);
+            for p in [2, 3, 4, 6] {
+                assert_eq!(s1, gather(p), "{global:?} at {p} ranks");
+            }
+        }
+    }
+
+    fn bits(f: &beatnik_mesh::Field) -> Vec<u64> {
+        f.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A 12 × 10 periodic and a 16 × 9 open mesh, both with a non-zero
+    /// lower corner and `dy ≠ dx`, their fields full of garbage: `apply`
+    /// must overwrite every owned node and leave the halos alone.
+    fn awkward_pms(comm: &beatnik_comm::Communicator) -> Vec<ProblemManager> {
+        let (lo, hi) = ([-0.5, 0.25], [1.5, 1.0]);
+        let periodic = SurfaceMesh::new(comm, [12, 10], [true; 2], 2, lo, hi);
+        let open = SurfaceMesh::new(comm, [16, 9], [false; 2], 2, lo, hi);
+        let periods = [hi[0] - lo[0], hi[1] - lo[1]];
+        let mut pms = vec![
+            ProblemManager::new(periodic, BoundaryCondition::Periodic { periods }),
+            ProblemManager::new(open, BoundaryCondition::Free),
+        ];
+        for pm in &mut pms {
+            let (_, z, w) = pm.state_mut();
+            z.fill(-3.5);
+            w.fill(-3.5);
+        }
+        pms
+    }
+
+    #[test]
+    fn tabulated_surface_equals_per_node_reference_bitwise() {
+        let mut conditions = vec![
+            InitialCondition::Flat,
+            InitialCondition::SingleMode {
+                amplitude: 0.07,
+                modes: [3.0, 2.0],
+            },
+        ];
+        for modes in [1, 3, 4] {
+            for seed in [7, 42] {
+                conditions.push(InitialCondition::MultiMode {
+                    amplitude: 0.02,
+                    modes,
+                    seed,
+                });
+            }
+        }
+        for p in [1usize, 2, 3, 4, 6] {
+            let conditions = conditions.clone();
+            World::builder(p).run(move |comm| {
+                for ic in &conditions {
+                    let pairs = awkward_pms(&comm).into_iter().zip(awkward_pms(&comm));
+                    for (mut pm, mut reference) in pairs {
+                        COSINES.with(|n| n.set(0));
+                        ic.apply(&mut pm);
+                        let cosines = COSINES.with(|n| n.get());
+                        ic.apply_per_node(&mut reference);
+                        let what = format!("{ic:?} on {:?} at {p} ranks", pm.mesh().periodic());
+                        assert_eq!(bits(pm.z()), bits(reference.z()), "z: {what}");
+                        assert_eq!(bits(pm.w()), bits(reference.w()), "w: {what}");
+                        // One cosine per owned row and column per term,
+                        // none per node.
+                        let axes = pm.mesh().own_rows().len() + pm.mesh().own_cols().len();
+                        let want = match *ic {
+                            InitialCondition::Flat => 0,
+                            InitialCondition::SingleMode { .. } => axes,
+                            InitialCondition::MultiMode { modes, .. } => modes * modes * axes,
+                        };
+                        assert_eq!(cosines, want, "cosines: {what}");
+                    }
+                }
             });
-            let mut all: Vec<(usize, usize, f64)> = out.into_iter().next().unwrap();
-            all.sort_by_key(|a| (a.0, a.1));
-            all.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
-            all
+        }
+    }
+
+    #[test]
+    fn invalid_conditions_are_rejected() {
+        assert!(InitialCondition::Flat.validate().is_ok());
+        let multi = |amplitude, modes| InitialCondition::MultiMode {
+            amplitude,
+            modes,
+            seed: 1,
         };
-        let s1 = gather(1);
-        let s4 = gather(4);
-        assert_eq!(s1.len(), 144);
-        assert_eq!(s1, s4);
+        let single = |amplitude, modes| InitialCondition::SingleMode { amplitude, modes };
+        assert!(multi(0.02, 1).validate().is_ok());
+        let zero = ParamError::OutOfRange {
+            name: "modes",
+            value: 0.0,
+            want: "at least 1",
+        };
+        assert_eq!(multi(0.02, 0).validate(), Err(zero));
+        for bad in [f64::NAN, f64::INFINITY] {
+            for ic in [
+                multi(bad, 4),
+                single(bad, [1.0, 1.0]),
+                single(0.1, [1.0, bad]),
+            ] {
+                let err = ic.validate();
+                assert!(matches!(err, Err(ParamError::NonFinite { .. })), "{ic:?}");
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use diagnostics::Diagnostics;
 pub use init::InitialCondition;
 pub use integrator::TimeIntegrator;
 pub use order::Order;
-pub use params::Params;
+pub use params::{ParamError, Params};
 pub use problem::ProblemManager;
 pub use solver::{Solver, SolverConfig};
 pub use zmodel::ZModel;

@@ -58,28 +58,95 @@ impl Default for Params {
     }
 }
 
-impl Params {
-    /// Validate physical sanity; called by the solver at startup.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(-1.0..=1.0).contains(&self.atwood) {
-            return Err(format!("atwood number {} outside [-1, 1]", self.atwood));
+/// Why a parameter (of [`Params`] or of an initial condition) was
+/// rejected.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ParamError {
+    /// The value is NaN or infinite.
+    NonFinite {
+        /// Parameter name.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// The value is finite but outside the parameter's range.
+    OutOfRange {
+        /// Parameter name.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// The allowed range, in words.
+        want: &'static str,
+    },
+}
+
+impl std::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ParamError::NonFinite { name, value } => {
+                write!(f, "{name} must be finite, got {value}")
+            }
+            ParamError::OutOfRange { name, value, want } => {
+                write!(f, "{name} must be {want}, got {value}")
+            }
         }
-        if self.epsilon <= 0.0 {
-            return Err("epsilon must be positive (desingularization)".into());
-        }
-        if self.cutoff <= 0.0 {
-            return Err("cutoff must be positive".into());
-        }
-        if self.dt <= 0.0 {
-            return Err("dt must be positive".into());
-        }
-        if self.mu < 0.0 {
-            return Err("mu must be non-negative".into());
-        }
-        if self.filter_tolerance < 0.0 {
-            return Err("filter tolerance must be non-negative".into());
-        }
+    }
+}
+
+impl std::error::Error for ParamError {}
+
+impl From<ParamError> for String {
+    fn from(e: ParamError) -> String {
+        e.to_string()
+    }
+}
+
+/// `Ok` if `value` is finite, else [`ParamError::NonFinite`].
+pub(crate) fn finite(name: &'static str, value: f64) -> Result<(), ParamError> {
+    if value.is_finite() {
         Ok(())
+    } else {
+        Err(ParamError::NonFinite { name, value })
+    }
+}
+
+/// `Ok` if `value` is finite and `ok(value)`; `want` names the range.
+fn in_range(
+    name: &'static str,
+    value: f64,
+    ok: impl Fn(f64) -> bool,
+    want: &'static str,
+) -> Result<(), ParamError> {
+    finite(name, value)?;
+    if ok(value) {
+        Ok(())
+    } else {
+        Err(ParamError::OutOfRange { name, value, want })
+    }
+}
+
+impl Params {
+    /// Validate physical sanity; called by the solver at startup. Every
+    /// real-valued field must be finite (NaN passes no comparison, so
+    /// this is checked first), then lie in its range.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        in_range(
+            "atwood",
+            self.atwood,
+            |a| (-1.0..=1.0).contains(&a),
+            "in [-1, 1]",
+        )?;
+        finite("gravity", self.gravity)?;
+        in_range("mu", self.mu, |v| v >= 0.0, "non-negative")?;
+        in_range("epsilon", self.epsilon, |v| v > 0.0, "positive")?;
+        in_range("cutoff", self.cutoff, |v| v > 0.0, "positive")?;
+        in_range("dt", self.dt, |v| v > 0.0, "positive")?;
+        in_range(
+            "filter_tolerance",
+            self.filter_tolerance,
+            |v| v >= 0.0,
+            "non-negative",
+        )
     }
 
     /// The linear RT growth rate `σ = √(A·g·k)` for wavenumber `k`
@@ -111,6 +178,27 @@ mod tests {
         assert!(p.validate().is_err());
         let p = Params { cutoff: 0.0, ..Params::default() };
         assert!(p.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cases = [
+                Params { atwood: bad, ..Params::default() },
+                Params { gravity: bad, ..Params::default() },
+                Params { mu: bad, ..Params::default() },
+                Params { epsilon: bad, ..Params::default() },
+                Params { cutoff: bad, ..Params::default() },
+                Params { dt: bad, ..Params::default() },
+                Params { filter_tolerance: bad, ..Params::default() },
+            ];
+            for p in cases {
+                assert!(
+                    matches!(p.validate(), Err(ParamError::NonFinite { .. })),
+                    "{p:?} passed validation"
+                );
+            }
+        }
+        let err = Params { dt: f64::NAN, ..Params::default() }.validate().unwrap_err();
+        assert_eq!(err.to_string(), "dt must be finite, got NaN");
+        let err = Params { atwood: 1.5, ..Params::default() }.validate().unwrap_err();
+        assert_eq!(err.to_string(), "atwood must be in [-1, 1], got 1.5");
     }
 
     #[test]

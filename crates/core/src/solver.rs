@@ -124,6 +124,7 @@ impl Solver {
     /// Collective.
     pub fn new(mesh: SurfaceMesh, bc: beatnik_mesh::BoundaryCondition, cfg: SolverConfig) -> Self {
         cfg.params.validate().expect("invalid parameters");
+        cfg.ic.validate().expect("invalid initial condition");
         let mut pm = ProblemManager::new(mesh, bc);
         cfg.ic.apply(&mut pm);
         let br: Option<Box<dyn BrSolver>> = match cfg.br {
@@ -249,6 +250,44 @@ mod tests {
     fn periodic_mesh(comm: &beatnik_comm::Communicator, n: usize) -> SurfaceMesh {
         let l = 2.0 * PI;
         SurfaceMesh::new(comm, [n, n], [true, true], 2, [0.0, 0.0], [l, l])
+    }
+
+    #[test]
+    fn invalid_initial_conditions_are_rejected_before_the_first_step() {
+        // Zero modes would scale an empty sum by amplitude/0 = inf, and
+        // a non-finite amplitude poisons every height: both must stop
+        // construction instead of stepping NaN.
+        for ic in [
+            InitialCondition::MultiMode {
+                amplitude: 0.02,
+                modes: 0,
+                seed: 1,
+            },
+            InitialCondition::MultiMode {
+                amplitude: f64::NAN,
+                modes: 4,
+                seed: 1,
+            },
+        ] {
+            let built = std::panic::catch_unwind(|| {
+                World::builder(1).run(move |comm| {
+                    let mesh = periodic_mesh(&comm, 8);
+                    let bc = BoundaryCondition::Periodic {
+                        periods: [2.0 * PI, 2.0 * PI],
+                    };
+                    let cfg = SolverConfig {
+                        ic,
+                        ..config(Order::Low, BrChoice::None)
+                    };
+                    Solver::new(mesh, bc, cfg).step();
+                })
+            });
+            let err = built.expect_err("solver accepted a bad initial condition");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("expect() panics with a String");
+            assert!(msg.contains("invalid initial condition"), "{ic:?}: {msg}");
+        }
     }
 
     #[test]

@@ -413,6 +413,21 @@ mod tests {
         assert!(parse_args(&sv(&["--fft-config", "9"])).is_err());
         assert!(parse_args(&sv(&["--ranks", "0"])).is_err());
         assert!(parse_args(&sv(&["--atwood", "2.0"])).is_err());
+        // Non-finite values parse as numbers but fail validation, NaN
+        // included (it passes no ordered comparison).
+        for (flag, value) in [
+            ("--dt", "nan"),
+            ("--epsilon", "nan"),
+            ("--epsilon", "inf"),
+            ("--cutoff", "inf"),
+            ("--mu", "nan"),
+            ("--gravity", "nan"),
+            ("--atwood", "-inf"),
+            ("--filter-tol", "nan"),
+        ] {
+            let err = parse_args(&sv(&[flag, value])).unwrap_err();
+            assert!(err.contains("must be finite"), "{flag} {value}: {err}");
+        }
         assert!(parse_args(&sv(&["--frobnicate"])).is_err());
     }
 

@@ -73,6 +73,22 @@ for stem in low medium high; do
     grep -q '"critical_rank"' "$PROF_DIR/critical-path.json"
 done
 
+echo "== hostile-parameter smoke: non-finite values fail validation =="
+# Every ordered comparison with NaN is false, so a range check alone
+# lets it through to run NaN steps. Each run must exit nonzero and name the
+# parameter; output is captured to a file so pipefail holds.
+hostile() {
+    local flag="$1" value="$2"
+    if "$RIG" "$flag" "$value" --n 16 --steps 2 --ranks 1 \
+        > "$PROF_DIR/hostile.log" 2>&1; then
+        echo "rocketrig $flag $value exited 0"
+        exit 1
+    fi
+    grep -q "${flag#--} must be finite" "$PROF_DIR/hostile.log"
+}
+hostile --dt nan
+hostile --epsilon inf
+
 echo "== chaos smoke: kill rank 2 at step 5, recover via shrink+restart =="
 # The run must exit 0 despite the death, report the injected kill, and
 # stamp a recovery epoch into the Chrome trace.
