@@ -177,11 +177,26 @@ fn check(
     });
 }
 
+/// Socket rows that must also stay within a multiple of their thread
+/// twin of the same *fresh* run: `(op, algo, ranks, bytes, ceiling on
+/// tcp / thread)`. The thread backend is the floor a socket adds its
+/// transport cost to, and host speed cancels in the ratio, so a return
+/// of per-message overhead shows here even when every absolute row sits
+/// far under its ceiling. Each ceiling is 1.25× the median ratio of five
+/// runs: 7.98 for the 64 KiB owned ping-pong, 0.966 for the 2-rank
+/// alltoallv at 16 KiB per destination (with an event-loop hop per
+/// message they read 12–14 and about 1.8).
+const FRESH_TWINS: [(&str, &str, u64, u64, f64); 2] = [
+    ("p2p_owned", "-", 2, 64 * 1024, 9.98),
+    ("alltoallv", "adaptive", 2, 16 * 1024, 1.21),
+];
+
 /// Gate a fresh `BENCH_comm.json` against its baseline. Rows join on
 /// `(op, algo, transport, ranks, bytes)` — a missing `transport` field
 /// (pre-pluggable baselines) reads as `thread`; `ns_per_op` is
 /// time-like, while `bytes_copied_per_op` is deterministic and held
-/// tight.
+/// tight. The [`FRESH_TWINS`] socket rows are also held against their
+/// thread twin of the fresh run.
 pub fn gate_comm(baseline: &Value, fresh: &Value, policy: &GatePolicy) -> Result<GateReport, String> {
     let mut fresh_by_key = BTreeMap::new();
     for row in bench_rows(fresh)? {
@@ -231,6 +246,27 @@ pub fn gate_comm(baseline: &Value, fresh: &Value, policy: &GatePolicy) -> Result
             policy.bytes_ratio,
             policy.bytes_floor,
         );
+        let twin = FRESH_TWINS
+            .iter()
+            .find(|&&(o, a, r, b, _)| (o, a, "tcp", r, b) == (op, algo, transport, ranks, bytes));
+        if let Some(&(.., ceiling)) = twin {
+            let thread = fresh_by_key
+                .get(&(op.to_string(), algo.to_string(), "thread".to_string(), ranks, bytes))
+                .map(|r| field_f64(r, "ns_per_op"))
+                .transpose()?;
+            // A missing row already failed its own comparison.
+            if let (Some(socket), Some(thread)) = (fresh_ns, thread) {
+                let limit = thread * ceiling;
+                report.rows.push(GateRow {
+                    key,
+                    metric: "vs fresh thread".to_string(),
+                    baseline: thread,
+                    fresh: Some(socket),
+                    limit,
+                    pass: socket <= limit,
+                });
+            }
+        }
     }
     Ok(report)
 }
@@ -321,13 +357,15 @@ pub fn gate_serve(
 /// and the AVX2 hit kernel 1.6–1.8× their scalar bodies; the fused real
 /// row transform 1.5–2.0× the unfused route (n = 32 and 256); the
 /// symmetric pair kernel 1.44–1.58× the one-sided block on the same 2304
-/// points, per ordered interaction.
-const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 5] = [
+/// points, per ordered interaction; the three-stream frame checksum
+/// 2.3–2.5× the single stream at 8 KiB.
+const FRESH_SPEEDUPS: [(&str, &str, &str, f64); 6] = [
     ("fft_columns", "batched", "per_line", 1.5),
     ("br_select", "simd", "scalar", 1.5),
     ("br_hits", "simd", "scalar", 1.25),
     ("rfft_rows", "fused", "reference", 1.3),
     ("br_pairs", "symmetric", "exact", 1.25),
+    ("crc32c", "three_stream", "one_stream", 2.0),
 ];
 
 /// Gate a fresh `BENCH_compute.json` against its baseline. Rows join on
@@ -601,6 +639,38 @@ mod tests {
     #[test]
     fn symmetric_pairs_must_beat_the_one_sided_block_in_the_fresh_run() {
         assert_held_against_fresh("br_pairs", "symmetric", "exact");
+    }
+
+    #[test]
+    fn three_stream_checksum_must_beat_one_stream_in_the_fresh_run() {
+        assert_held_against_fresh("crc32c", "three_stream", "one_stream");
+    }
+
+    /// A socket row passes on a uniformly slower host and fails at the
+    /// same absolute time once its thread twin of the fresh run is fast.
+    #[test]
+    fn socket_rows_are_held_against_their_thread_twin_in_the_fresh_run() {
+        let doc = |tcp_ns: f64, thread_ns: f64| {
+            beatnik_json::parse(&format!(
+                r#"{{"benches": [
+                     {{"op": "p2p_owned", "algo": "-", "transport": "tcp", "ranks": 2,
+                       "bytes": 65536, "ns_per_op": {tcp_ns}, "bytes_copied_per_op": 0}},
+                     {{"op": "p2p_owned", "algo": "-", "transport": "thread", "ranks": 2,
+                       "bytes": 65536, "ns_per_op": {thread_ns}, "bytes_copied_per_op": 0}}]}}"#
+            ))
+            .unwrap()
+        };
+        let policy = GatePolicy::default();
+        let baseline = doc(100_000.0, 12_500.0);
+        // A host twice as slow moves both rows: still a pass.
+        let report = gate_comm(&baseline, &doc(200_000.0, 25_000.0), &policy).unwrap();
+        assert_eq!(report.regressions(), 0, "{}", report.text());
+        // The hop back: 165 µs passes the absolute ceiling (2x + 10 ms)
+        // and fails against the fresh thread twin.
+        let report = gate_comm(&baseline, &doc(165_000.0, 12_500.0), &policy).unwrap();
+        assert_eq!(report.regressions(), 1, "{}", report.text());
+        let held = report.rows.iter().filter(|r| r.metric == "vs fresh thread");
+        assert_eq!(held.map(|r| r.pass).collect::<Vec<_>>(), [false]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::reduce_op::ReduceOp;
 use crate::registry::{CommId, Registry};
 use crate::request::{RecvRequest, SendRequest};
 use crate::trace::{OpKind, RankTrace};
-use crate::transport::Route;
+use crate::transport::{Progress, Route};
 use beatnik_telemetry::{CommOp, OpGuard, SpanKind, SpanRecorder};
 use std::panic::panic_any;
 use std::sync::Arc;
@@ -98,6 +98,10 @@ pub struct Communicator {
     /// the failed rank) unblock as soon as any survivor revokes, instead
     /// of waiting out their full receive deadline.
     born_epoch: u64,
+    /// The installed transport's receive progress, if it has any: then
+    /// [`Communicator::wait_until`] reads this rank's wire itself instead
+    /// of sleeping on the mailbox. Chosen once, here.
+    progress: Option<Arc<dyn Progress>>,
 }
 
 impl Communicator {
@@ -116,6 +120,7 @@ impl Communicator {
         recv_timeout: Duration,
     ) -> Self {
         let born_epoch = registry.revoke_epoch();
+        let progress = registry.transport().and_then(|t| t.progress());
         Communicator {
             registry,
             comm_id,
@@ -127,6 +132,7 @@ impl Communicator {
             recv_timeout,
             fault: None,
             born_epoch,
+            progress,
         }
     }
 
@@ -154,6 +160,7 @@ impl Communicator {
             recv_timeout,
             fault: self.fault.clone(),
             born_epoch: self.born_epoch,
+            progress: self.progress.clone(),
         }
     }
 
@@ -246,6 +253,13 @@ impl Communicator {
     /// before the first sleep, and one that lands between the check and
     /// the sleep cuts the sleep short: the poll slice is a backstop for
     /// the abort flag, never a detection latency.
+    ///
+    /// On a transport with [`Progress`], the sleep is on this rank's own
+    /// wire instead of the mailbox: the rank delivers what has arrived
+    /// for it, and sleeps only if its delivered count has not moved
+    /// since the turn began, before the zero-wait check. Ledger
+    /// interrupts ring the wire's doorbell the way they interrupt the
+    /// mailbox.
     pub(crate) fn wait_until<R>(
         &self,
         mb: &Mailbox,
@@ -254,8 +268,10 @@ impl Communicator {
         ctx: &'static str,
         mut poll: impl FnMut(u64, Duration) -> Result<R, (usize, Tag)>,
     ) -> Result<R, CommError> {
+        let me = self.world_of[self.rank];
         loop {
             let since = mb.interrupt_seq();
+            let seen = self.progress.as_ref().map_or(0, |p| p.delivered(me));
             let (src, tag) = match poll(since, Duration::ZERO) {
                 Ok(got) => return Ok(got),
                 Err(pending) => pending,
@@ -282,8 +298,14 @@ impl Communicator {
                     tag,
                 });
             }
-            if let Ok(got) = poll(since, left.min(Duration::from_millis(100))) {
-                return Ok(got);
+            let slice = left.min(Duration::from_millis(100));
+            match &self.progress {
+                Some(p) => p.progress(&self.registry, me, seen, slice),
+                None => {
+                    if let Ok(got) = poll(since, slice) {
+                        return Ok(got);
+                    }
+                }
             }
         }
     }

@@ -164,10 +164,13 @@ impl Registry {
         self.metrics.lock().clone()
     }
 
-    /// Mark the world as aborting (a rank panicked).
+    /// Mark the world as aborting (a rank panicked) and interrupt every
+    /// mailbox, so blocked receives see it at once rather than at the
+    /// end of their poll slice.
     pub fn signal_abort(&self) {
         let fresh = !self.abort.swap(true, Ordering::SeqCst);
         if fresh {
+            self.interrupt_all();
             self.publish_ctrl(CtrlMsg::Abort);
         }
     }
@@ -292,10 +295,14 @@ impl Registry {
     }
 
     /// Wake every sleeping waiter in every mailbox so they re-check the
-    /// failure ledger.
+    /// failure ledger, and every rank asleep on its own wire (see
+    /// [`crate::transport::Progress`]).
     fn interrupt_all(&self) {
         for mb in self.mailboxes.read().values() {
             mb.interrupt();
+        }
+        if let Some(progress) = self.transport.read().as_ref().and_then(|t| t.progress()) {
+            progress.ring_all();
         }
     }
 

@@ -20,8 +20,10 @@
 //!   mode, used by the backend test matrix) and one process per rank
 //!   (spawned by [`crate::proc`]).
 //! * [`tcp::TcpTransport`] — length-prefixed frames over per-pair TCP
-//!   sockets with `TCP_NODELAY`; a nonblocking poller drains every
-//!   peer's stream. An unexpected EOF or read error (no `BYE` control
+//!   sockets with `TCP_NODELAY`. A rank that waits reads its own
+//!   inbound sockets (see [`Progress`]); an event loop drains the
+//!   streams of ranks that are busy and keeps heartbeats, replay and
+//!   reconnects going. An unexpected EOF or read error (no `BYE` control
 //!   frame first) marks the peer failed in the ledger, so ULFM-style
 //!   revoke/shrink works across real process and machine boundaries.
 //!
@@ -44,7 +46,7 @@
 //! counters never charge.
 
 pub mod chaos;
-mod crc32c;
+pub mod crc32c;
 pub mod shmem;
 pub mod tcp;
 pub mod thread;
@@ -53,6 +55,7 @@ pub mod wire;
 use crate::message::Envelope;
 use crate::registry::{CommId, Registry};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The selectable transport backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -178,6 +181,37 @@ pub trait Transport: Send + Sync {
     fn link_stats(&self) -> LinkStats {
         LinkStats::default()
     }
+
+    /// The receive progress a waiting rank drives on its own thread, for
+    /// backends whose inbound bytes it can read itself. `None` (the
+    /// default): something else delivers, and a waiting rank sleeps on
+    /// its mailbox.
+    fn progress(&self) -> Option<Arc<dyn Progress>> {
+        None
+    }
+}
+
+/// Receive progress made by the rank that waits for it: instead of
+/// sleeping on its mailbox until another thread delivers, a rank reads
+/// its own inbound wire and sleeps on the wire itself.
+///
+/// The protocol that keeps a delivery from slipping between a check and
+/// a sleep: read [`Progress::delivered`] *before* looking in the
+/// mailbox, and hand that count to [`Progress::progress`], which does
+/// not sleep once the count has moved past it. Interrupts of the
+/// failure ledger reach a rank sleeping here through
+/// [`Progress::ring_all`].
+pub trait Progress: Send + Sync {
+    /// Frames delivered so far into `rank`'s mailboxes, by any thread.
+    fn delivered(&self, rank: usize) -> u64;
+
+    /// Deliver what has arrived for `rank`. If the delivered count
+    /// still equals `seen`, sleep until bytes arrive for it, its
+    /// doorbell rings, or `timeout` passes, and deliver what woke it.
+    fn progress(&self, registry: &Registry, rank: usize, seen: u64, timeout: Duration);
+
+    /// Wake every rank sleeping in [`Progress::progress`].
+    fn ring_all(&self);
 }
 
 /// Aggregate link-health counters across every link a transport owns.

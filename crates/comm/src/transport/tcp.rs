@@ -32,29 +32,59 @@
 //! frames with a cursor, sums each where it lies and copies the payload
 //! out once, into the envelope.
 //!
+//! ## Who reads a stream
+//!
+//! Sockets are nonblocking. The streams a rank reads are kept with that
+//! rank ([`Inbound`]), not with a thread. A rank that waits for a
+//! message reads its own streams: [`Progress::progress`] drains them on
+//! the rank's thread — the same CRC, sequence, ack and tear handling —
+//! and, when nothing new has arrived, sleeps in `poll(2)` on those
+//! sockets and on the rank's doorbell. A frame therefore reaches its
+//! mailbox on the thread that waits for it, with no hand-off between
+//! threads. The event loop drains the streams of ranks that are *not*
+//! waiting (busy computing, finished, or blocked in a plain mailbox
+//! wait), so their peers' writes and heartbeats keep moving; it leaves
+//! a waiting rank's streams alone.
+//!
+//! The doorbell is one end of a socket pair, readable while a ring is
+//! pending. [`Registry`] rings every doorbell when it interrupts the
+//! mailboxes (abort, failure, revoke), so a rank asleep on its sockets
+//! wakes at once, not at the end of its poll slice. A reconnect rings
+//! the owner's doorbell so it polls the fresh stream. Each rank also
+//! counts the frames delivered to it; a waiter reads that count before
+//! it looks in its mailbox and does not sleep once it has moved. That
+//! closes the one race left — the event loop delivering for a rank just
+//! as it starts to wait — and the loop rings the doorbell when it finds
+//! that the rank began waiting while it drained.
+//!
 //! ## Locks
 //!
-//! Sockets are nonblocking and one thread — the event loop — drains
-//! every stream this process reads, so in a loopback world the reader a
-//! sender waits on is that loop. The rule that keeps large messages
-//! moving: **the event loop never waits on a lock a sender can hold
-//! across socket I/O.** Each link therefore has two locks. `order` is
-//! the write-order lock: a sender holds it from taking a sequence
-//! number until its frame is written and in the window, spinning
-//! through `WouldBlock` for as long as the peer takes to drain; the
-//! event loop only ever `try_lock`s it (heartbeats and replay wait for
-//! the next tick when a sender is mid-frame). `state` guards the
-//! window, ack point, installed stream and reconnect clock; it is held
-//! for field updates only, never across a write that can wait, so the
-//! event loop takes it freely. Liveness stamps (`last_heard`, miss
-//! counts) are atomics touched once per read batch. Lock order is
-//! `order` then `state`.
+//! **No lock is held across `poll(2)`, and the event loop never waits
+//! on a lock a sender can hold across socket I/O.** A rank's reader
+//! list is locked by whoever drains it, for the drain only; the event
+//! loop only `try_lock`s it, and a waiting rank gathers its sockets
+//! under the lock and releases it before it sleeps. Each link has two
+//! more locks. `order` is the
+//! write-order lock: a sender holds it from taking a sequence number
+//! until its frame is written and in the window, yielding through
+//! `WouldBlock` for as long as the peer takes to drain; the event loop
+//! only ever `try_lock`s it (heartbeats and replay wait for the next
+//! tick when a sender is mid-frame). `state` guards the window, ack
+//! point, installed stream and reconnect clock; it is held for field
+//! updates only, never across a write that can wait, so the event loop
+//! and a draining rank take it freely. Liveness stamps (`last_heard`,
+//! miss counts) are atomics touched once per read batch. Lock order is
+//! readers, then `order`, then `state` (a `try_lock` never waits, so
+//! the event loop's are exempt); a reconnect installs its stream under
+//! `state` and hands the owner its reader after.
 //!
 //! The event loop's own writes ([`pump`]) are nonblocking: what the
 //! socket will not take now — the tail of a half-written frame, the
 //! rest of a replay — is kept and finished on a later tick or by the
-//! next sender. Heartbeats, retransmit timers, reconnect dials and the
-//! listener run every [`TEND_PERIOD`], not on every sweep.
+//! next sender. The loop wakes every [`TEND_PERIOD`] to drain the
+//! streams of ranks that are not waiting and to run heartbeats,
+//! retransmit timers, reconnect dials and the listener; between ticks
+//! it sleeps.
 //!
 //! ## Link state machine (DESIGN.md §16)
 //!
@@ -82,12 +112,13 @@
 
 use super::chaos::{FrameFate, LinkChaos};
 use super::crc32c::crc32c;
-use super::{wire, CtrlMsg, LinkStats, Route, Transport, TransportKind};
+use super::{wire, CtrlMsg, LinkStats, Progress, Route, Transport, TransportKind};
 use crate::config::CommConfig;
 use crate::error::CommError;
 use crate::message::Envelope;
 use crate::registry::Registry;
 use crate::sync::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -117,7 +148,8 @@ const MAX_FRAME: usize = 1 << 30;
 /// waiting for the heartbeat period.
 const ACK_EVERY_BYTES: u64 = 1 << 20;
 
-/// How often the event loop runs its timed duties: heartbeats, acks,
+/// How often the event loop wakes: to drain the streams of ranks that
+/// are not waiting, and for its timed duties — heartbeats, acks,
 /// retransmits, reconnect dials, the listener.
 const TEND_PERIOD: Duration = Duration::from_millis(1);
 
@@ -126,8 +158,8 @@ const TEND_PERIOD: Duration = Duration::from_millis(1);
 const INBOX_BYTES: usize = 64 * 1024;
 const READ_MIN: usize = 16 * 1024;
 
-/// Reads taken from one stream before the sweep moves on, so one busy
-/// peer cannot hold off the others or the timed duties.
+/// Reads taken from one stream per drain, so one busy peer cannot hold
+/// off the others or the timed duties.
 const READS_PER_SWEEP: usize = 8;
 
 /// Per-dial allowance for the RECON handshake round-trip.
@@ -188,6 +220,126 @@ fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant
         }
     }
     Ok(())
+}
+
+/// A waiting rank's sleep: `poll(2)` on its sockets and its doorbell.
+#[cfg(unix)]
+mod sys {
+    use std::io::{self, Read, Write};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 0x1;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+    }
+
+    impl PollFd {
+        /// Wait for `fd` to turn readable (or hang up, or fail).
+        pub fn readable(fd: &impl AsRawFd) -> PollFd {
+            PollFd {
+                fd: fd.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            }
+        }
+
+        /// Whether the last [`wait`] found this entry ready.
+        pub fn ready(&self) -> bool {
+            self.revents != 0
+        }
+    }
+
+    /// Sleep until an entry of `fds` is ready or `timeout` (rounded up
+    /// to whole milliseconds) passes. Returns whether any entry is.
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> bool {
+        let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` is an exclusively borrowed array of `pollfd`s,
+        // and `nfds` is its length.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms) > 0 }
+    }
+
+    /// A wake-up any thread can send a rank asleep in [`wait`]: one end
+    /// of a socket pair, readable while a ring is pending.
+    pub struct Doorbell {
+        bell: UnixStream,
+        clapper: UnixStream,
+    }
+
+    impl Doorbell {
+        pub fn new() -> io::Result<Doorbell> {
+            let (bell, clapper) = UnixStream::pair()?;
+            bell.set_nonblocking(true)?;
+            clapper.set_nonblocking(true)?;
+            Ok(Doorbell { bell, clapper })
+        }
+
+        /// Ring. A full socket buffer means a ring is pending already.
+        pub fn ring(&self) {
+            let _ = (&self.bell).write(&[1]);
+        }
+
+        /// The entry a sleeper polls to hear a ring.
+        pub fn poll_fd(&self) -> PollFd {
+            PollFd::readable(&self.clapper)
+        }
+
+        /// Take every pending ring.
+        pub fn clear(&self) {
+            let mut buf = [0u8; 64];
+            while matches!((&self.clapper).read(&mut buf), Ok(n) if n > 0) {}
+        }
+    }
+}
+
+/// Without `poll(2)` a waiting rank naps a tick between drains and
+/// hears no doorbell.
+#[cfg(not(unix))]
+mod sys {
+    use std::time::Duration;
+
+    pub struct PollFd;
+
+    impl PollFd {
+        pub fn readable<T>(_: &T) -> PollFd {
+            PollFd
+        }
+
+        pub fn ready(&self) -> bool {
+            false
+        }
+    }
+
+    pub fn wait(_: &mut [PollFd], timeout: Duration) -> bool {
+        std::thread::sleep(timeout.min(super::TEND_PERIOD));
+        true
+    }
+
+    pub struct Doorbell;
+
+    impl Doorbell {
+        pub fn new() -> std::io::Result<Doorbell> {
+            Ok(Doorbell)
+        }
+
+        pub fn ring(&self) {}
+
+        pub fn poll_fd(&self) -> PollFd {
+            PollFd
+        }
+
+        pub fn clear(&self) {}
+    }
 }
 
 /// Build a MSG frame in one buffer: reserve the header, let `fill`
@@ -477,7 +629,9 @@ impl Inbox {
     }
 }
 
-/// One nonblocking read half the event loop drains.
+/// One nonblocking read half: the stream a link's peer writes toward
+/// its owner, drained by the owner while it waits and by the event loop
+/// otherwise.
 struct Reader {
     link: Arc<Link>,
     generation: u64,
@@ -502,12 +656,86 @@ impl Reader {
     }
 }
 
+/// The inbound streams of one rank hosted here, and what it sleeps on
+/// while it waits for them. See the module docs.
+struct Inbound {
+    rank: usize,
+    /// The rank's readers, one per open stream. Locked by whoever
+    /// drains them, for the drain only.
+    readers: Mutex<Vec<Reader>>,
+    /// MSG frames applied to the rank's mailboxes and ledger so far.
+    delivered: AtomicU64,
+    /// Threads of the rank inside [`Progress::progress`]. The event loop
+    /// leaves the streams of a waiting rank alone.
+    waiting: AtomicU32,
+    doorbell: sys::Doorbell,
+}
+
+impl Inbound {
+    fn new(rank: usize) -> io::Result<Inbound> {
+        Ok(Inbound {
+            rank,
+            readers: Mutex::new(Vec::new()),
+            delivered: AtomicU64::new(0),
+            waiting: AtomicU32::new(0),
+            doorbell: sys::Doorbell::new()?,
+        })
+    }
+
+    /// Drain every open stream once — at most [`READS_PER_SWEEP`] reads
+    /// each — and drop the closed ones. Returns whether bytes arrived.
+    fn drain(&self, readers: &mut Vec<Reader>, registry: &Registry, now: Instant) -> bool {
+        let mut heard = false;
+        for reader in readers.iter_mut() {
+            if reader.generation != reader.link.generation.load(Ordering::Acquire) {
+                reader.open = false; // superseded by a tear or reconnect
+            }
+            if reader.open {
+                heard |= drain_reader(reader, registry, now, &self.delivered);
+            }
+        }
+        readers.retain(|r| r.open);
+        heard
+    }
+
+    /// The event loop's share: drain the streams unless the rank is
+    /// waiting (it reads them itself) or draining them right now. A rank
+    /// that began to wait during the drain may have read its count
+    /// before these deliveries, so it is rung.
+    fn sweep(&self, registry: &Registry, now: Instant) -> bool {
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            return false;
+        }
+        let Some(mut readers) = self.readers.try_lock() else {
+            return false;
+        };
+        let before = self.delivered.load(Ordering::SeqCst);
+        let heard = self.drain(&mut readers, registry, now);
+        drop(readers);
+        if self.delivered.load(Ordering::SeqCst) != before && self.waiting.load(Ordering::SeqCst) > 0 {
+            self.doorbell.ring();
+        }
+        heard
+    }
+}
+
+/// What a waiting rank sleeps on: its sockets, held open until it
+/// wakes, then its doorbell. One per thread, so a wait allocates
+/// nothing once the first has sized it.
+#[derive(Default)]
+struct PollSet {
+    fds: Vec<sys::PollFd>,
+    streams: Vec<Arc<TcpStream>>,
+}
+
+thread_local! {
+    static POLL_SET: RefCell<PollSet> = RefCell::default();
+}
+
 /// Everything the event loop shares with the transport facade.
 struct Shared {
     /// `(owner_world, peer_world) -> link`, fixed after construction.
     links: HashMap<(usize, usize), Arc<Link>>,
-    /// World ranks hosted by this process (all of them in loopback).
-    local: Vec<usize>,
     /// Kept past rendezvous so torn links can re-dial us. Nonblocking.
     listener: Option<TcpListener>,
     stop: AtomicBool,
@@ -518,6 +746,15 @@ struct Shared {
     /// Dials must not block that loop: in loopback mode the same loop
     /// services the listener the dial is connecting to.
     dial_results: Mutex<Vec<DialResult>>,
+    /// The inbound side of every world rank hosted by this process (all
+    /// of them in loopback).
+    inbound: Vec<Inbound>,
+}
+
+impl Shared {
+    fn inbound_of(&self, rank: usize) -> Option<&Inbound> {
+        self.inbound.iter().find(|i| i.rank == rank)
+    }
 }
 
 /// `(owner, peer, outcome)` from one detached reconnect dial; `Ok`
@@ -527,8 +764,6 @@ type DialResult = (usize, usize, io::Result<(TcpStream, u64)>);
 /// The TCP transport. See the module docs for the two modes.
 pub struct TcpTransport {
     shared: Arc<Shared>,
-    /// Initial readers, handed to the event loop at attach.
-    readers: Mutex<Vec<Reader>>,
     event_loop: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -569,18 +804,23 @@ impl MeshBuilder {
         if let Some(l) = &listener {
             l.set_nonblocking(true)?;
         }
+        let inbound = local.iter().map(|&rank| Inbound::new(rank)).collect::<io::Result<Vec<_>>>()?;
+        for reader in self.readers {
+            let owner = reader.link.owner;
+            let slot = inbound.iter().find(|i| i.rank == owner).expect("links are owned by local ranks");
+            slot.readers.lock().push(reader);
+        }
         Ok(TcpTransport {
             shared: Arc::new(Shared {
                 links: self.links,
-                local,
                 listener,
                 stop: AtomicBool::new(false),
                 stats: Stats::default(),
                 knobs: Knobs::from_config(config),
                 chaos,
                 dial_results: Mutex::new(Vec::new()),
+                inbound,
             }),
-            readers: Mutex::new(self.readers),
             event_loop: Mutex::new(None),
         })
     }
@@ -789,22 +1029,18 @@ fn decode_table(frame: &[u8]) -> io::Result<HashMap<usize, String>> {
 
 /// Install a fresh stream into a link: prune the window to the peer's
 /// delivered point, mark the rest for replay (which [`pump`] carries
-/// out, starting on the next tick), and register a new reader
-/// generation. `torn_at` (if any) feeds the reconnect-latency stat.
-/// Takes only the state lock: a sender still inside a write on the old
-/// socket fails out of it, finds its stream no longer installed, and
-/// leaves its frame to the replay.
-fn install_stream(
-    link: &Arc<Link>,
-    stream: TcpStream,
-    peer_delivered: u64,
-    readers: &mut Vec<Reader>,
-    stats: &Stats,
-) -> io::Result<()> {
+/// out, starting on the next tick), and hand the owner a reader of the
+/// new generation, ringing it in case it sleeps on the old streams.
+/// `torn_at` (if any) feeds the reconnect-latency stat. Takes the state
+/// lock, then (after it) the owner's reader list: a sender still inside
+/// a write on the old socket fails out of it, finds its stream no longer
+/// installed, and leaves its frame to the replay.
+fn install_stream(shared: &Shared, link: &Arc<Link>, stream: TcpStream, peer_delivered: u64) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_nonblocking(true)?;
     let stream = Arc::new(stream);
     let now = Instant::now();
+    let stats = &shared.stats;
     let mut st = link.state.lock();
     if let Some(old) = st.stream.replace(Arc::clone(&stream)) {
         let _ = old.shutdown(Shutdown::Both);
@@ -823,7 +1059,10 @@ fn install_stream(
     st.last_progress = now;
     link.heard(now);
     let generation = link.generation.fetch_add(1, Ordering::AcqRel) + 1;
-    readers.push(Reader::new(link, generation, stream));
+    drop(st);
+    let inbound = shared.inbound_of(link.owner).expect("links are owned by local ranks");
+    inbound.readers.lock().push(Reader::new(link, generation, stream));
+    inbound.doorbell.ring();
     Ok(())
 }
 
@@ -873,13 +1112,15 @@ fn declare_down(link: &Link, st: &mut State, attempts: u32, registry: &Arc<Regis
         .expect("spawning the link-down reporter");
 }
 
-/// Handle every complete frame in the reader's inbox. Returns false
+/// Handle every complete frame in the reader's inbox, adding the MSG
+/// frames applied to `delivered` once they are in place. Returns false
 /// when the stream must be torn (protocol error after a clean CRC).
-fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
+fn drain_reader_frames(reader: &mut Reader, registry: &Registry, delivered: &AtomicU64) -> bool {
     let link = &reader.link;
     let inbox = &mut reader.inbox;
     let mut healthy = true;
     let mut delivered_bytes = 0;
+    let mut applied = 0;
     while let Some(len) = inbox.frame_len() {
         if len > MAX_FRAME {
             eprintln!(
@@ -935,6 +1176,7 @@ fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
                 }
                 link.last_delivered.store(seq, Ordering::Release);
                 delivered_bytes += frame.len() as u64;
+                applied += 1;
             }
             Some(TAG_HB) if frame.len() == 13 => {
                 let ack = u64::from_le_bytes(frame[5..].try_into().unwrap());
@@ -959,22 +1201,31 @@ fn drain_reader_frames(reader: &mut Reader, registry: &Registry) -> bool {
         inbox.tail = 0;
     }
     link.unacked_bytes.fetch_add(delivered_bytes, Ordering::Relaxed);
+    if applied > 0 {
+        delivered.fetch_add(applied, Ordering::SeqCst);
+    }
     healthy
 }
 
 /// Read what one stream has ready — at most [`READS_PER_SWEEP`] reads —
 /// and handle the frames that completes. Returns whether any bytes
-/// arrived.
-fn drain_reader(reader: &mut Reader, registry: &Registry, now: Instant) -> bool {
+/// arrived. A read that comes back short has emptied the socket, so it
+/// ends the drain without a read that would only say `WouldBlock`.
+fn drain_reader(reader: &mut Reader, registry: &Registry, now: Instant, delivered: &AtomicU64) -> bool {
     let mut heard = false;
     let mut finished = false;
     for _ in 0..READS_PER_SWEEP {
-        match (&*reader.stream).read(reader.inbox.spare()) {
+        let spare = reader.inbox.spare();
+        let room = spare.len();
+        match (&*reader.stream).read(spare) {
             Ok(0) => finished = true,
             Ok(n) => {
                 heard = true;
                 reader.inbox.tail += n;
-                finished = !drain_reader_frames(reader, registry);
+                finished = !drain_reader_frames(reader, registry, delivered);
+                if n < room && !finished {
+                    break;
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1002,7 +1253,7 @@ fn drain_reader(reader: &mut Reader, registry: &Registry, now: Instant) -> bool 
 /// Accept one reconnect dial on the listener: match it to the torn
 /// local link, refuse it while the pair is partitioned, reply with our
 /// delivered point, and install the stream.
-fn accept_reconnect(shared: &Shared, mut stream: TcpStream, readers: &mut Vec<Reader>) {
+fn accept_reconnect(shared: &Shared, mut stream: TcpStream) {
     let deadline = Instant::now() + RECON_IO_TIMEOUT;
     let Ok(frame) = read_one_frame(&mut stream, deadline) else {
         return;
@@ -1031,7 +1282,7 @@ fn accept_reconnect(shared: &Shared, mut stream: TcpStream, readers: &mut Vec<Re
     {
         return;
     }
-    let _ = install_stream(link, stream, dialer_delivered, readers, &shared.stats);
+    let _ = install_stream(shared, link, stream, dialer_delivered);
 }
 
 /// The event loop's writes on one link, in stream order: the tail of a
@@ -1165,11 +1416,7 @@ fn tend_link(
 
 /// Fold finished dial attempts back into their links: install on
 /// success, advance the backoff schedule (or give up) on failure.
-fn drain_dial_results(
-    shared: &Arc<Shared>,
-    readers: &mut Vec<Reader>,
-    registry: &Arc<Registry>,
-) {
+fn drain_dial_results(shared: &Arc<Shared>, registry: &Arc<Registry>) {
     let results = std::mem::take(&mut *shared.dial_results.lock());
     for (owner, peer, result) in results {
         let Some(link) = shared.links.get(&(owner, peer)) else {
@@ -1184,7 +1431,7 @@ fn drain_dial_results(
         match result {
             Ok((stream, peer_delivered)) => {
                 drop(st);
-                let _ = install_stream(link, stream, peer_delivered, readers, &shared.stats);
+                let _ = install_stream(shared, link, stream, peer_delivered);
             }
             Err(_) => {
                 st.attempts_made += 1;
@@ -1210,47 +1457,78 @@ fn drain_dial_results(
     }
 }
 
-fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>, mut readers: Vec<Reader>) {
-    let mut idle_sweeps = 0u32;
+/// The event loop: every [`TEND_PERIOD`] it drains the streams of ranks
+/// that are not waiting and runs the timed duties; while it finds bytes
+/// it keeps draining, and otherwise it sleeps to the next tick (or until
+/// shutdown unparks it).
+fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>) {
     let mut next_tend = Instant::now();
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
         let now = Instant::now();
         let mut drained = false;
-        for reader in readers.iter_mut() {
-            if reader.generation != reader.link.generation.load(Ordering::Acquire) {
-                reader.open = false; // superseded by a tear or reconnect
-            }
-            if reader.open {
-                drained |= drain_reader(reader, &registry, now);
-            }
+        for inbound in &shared.inbound {
+            drained |= inbound.sweep(&registry, now);
         }
         if now >= next_tend {
             next_tend = now + TEND_PERIOD;
             if let Some(listener) = &shared.listener {
                 while let Ok((stream, _)) = listener.accept() {
                     drained = true;
-                    accept_reconnect(&shared, stream, &mut readers);
+                    accept_reconnect(&shared, stream);
                 }
             }
-            drain_dial_results(&shared, &mut readers, &registry);
+            drain_dial_results(&shared, &registry);
             for link in shared.links.values() {
                 tend_link(&shared, link, &registry, stopping, now);
             }
-            readers.retain(|r| r.open);
         }
         if drained {
-            idle_sweeps = 0;
             continue;
         }
         if stopping {
             return;
         }
-        idle_sweeps += 1;
-        if idle_sweeps < 256 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(100));
+        // Parked rather than asleep, so shutdown need not wait a tick.
+        std::thread::park_timeout(next_tend.saturating_duration_since(Instant::now()));
+    }
+}
+
+impl Progress for Shared {
+    fn delivered(&self, rank: usize) -> u64 {
+        self.inbound_of(rank).map_or(0, |i| i.delivered.load(Ordering::SeqCst))
+    }
+
+    fn progress(&self, registry: &Registry, rank: usize, seen: u64, timeout: Duration) {
+        let inbound = self.inbound_of(rank).expect("a waiting rank is hosted by its transport");
+        inbound.waiting.fetch_add(1, Ordering::SeqCst);
+        POLL_SET.with_borrow_mut(|set| {
+            {
+                let mut readers = inbound.readers.lock();
+                inbound.drain(&mut readers, registry, Instant::now());
+                for reader in readers.iter() {
+                    set.fds.push(sys::PollFd::readable(&*reader.stream));
+                    set.streams.push(Arc::clone(&reader.stream));
+                }
+            }
+            if inbound.delivered.load(Ordering::SeqCst) == seen {
+                set.fds.push(inbound.doorbell.poll_fd());
+                if sys::wait(&mut set.fds, timeout) {
+                    if set.fds.last().is_some_and(sys::PollFd::ready) {
+                        inbound.doorbell.clear();
+                    }
+                    inbound.drain(&mut inbound.readers.lock(), registry, Instant::now());
+                }
+            }
+            set.fds.clear();
+            set.streams.clear();
+        });
+        inbound.waiting.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn ring_all(&self) {
+        for inbound in &self.inbound {
+            inbound.doorbell.ring();
         }
     }
 }
@@ -1333,10 +1611,9 @@ impl Transport for TcpTransport {
     fn attach(&self, registry: &Arc<Registry>) {
         let shared = Arc::clone(&self.shared);
         let registry = Arc::clone(registry);
-        let readers = std::mem::take(&mut *self.readers.lock());
         let handle = std::thread::Builder::new()
             .name("beatnik-tcp-link".into())
-            .spawn(move || run_event_loop(shared, registry, readers))
+            .spawn(move || run_event_loop(shared, registry))
             .expect("spawning the tcp link thread");
         *self.event_loop.lock() = Some(handle);
     }
@@ -1374,7 +1651,7 @@ impl Transport for TcpTransport {
     fn publish_ctrl(&self, ctrl: CtrlMsg) {
         // Loopback worlds share the ledger; only per-process mode (one
         // local rank) needs to broadcast.
-        if self.shared.local.len() != 1 {
+        if self.shared.inbound.len() != 1 {
             return;
         }
         let inner = wire::encode_ctrl(ctrl);
@@ -1387,8 +1664,13 @@ impl Transport for TcpTransport {
     fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(handle) = self.event_loop.lock().take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
+    }
+
+    fn progress(&self) -> Option<Arc<dyn Progress>> {
+        Some(Arc::clone(&self.shared) as Arc<dyn Progress>)
     }
 
     fn link_stats(&self) -> LinkStats {
@@ -1528,7 +1810,8 @@ mod tests {
     fn feed(pieces: &[&[u8]], expect: &[(u64, Vec<u64>)]) -> (Vec<Vec<u64>>, u64) {
         let registry = Registry::new();
         let t = TcpTransport::loopback(2, &CommConfig::default(), None).unwrap();
-        let mut readers = std::mem::take(&mut *t.readers.lock());
+        let inbound = t.shared.inbound_of(1).unwrap();
+        let mut readers = inbound.readers.lock();
         let reader = readers
             .iter_mut()
             .find(|r| (r.link.owner, r.link.peer) == (1, 0))
@@ -1541,10 +1824,11 @@ mod tests {
                 spare[..n].copy_from_slice(&rest[..n]);
                 reader.inbox.tail += n;
                 rest = &rest[n..];
-                assert!(drain_reader_frames(reader, &registry));
+                assert!(drain_reader_frames(reader, &registry, &inbound.delivered));
             }
         }
         assert_eq!((reader.inbox.head, reader.inbox.tail), (0, 0), "bytes left unparsed");
+        assert_eq!(inbound.delivered.load(Ordering::SeqCst), expect.len() as u64, "MSG frames counted");
         let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
         let got = expect
             .iter()
@@ -1577,6 +1861,61 @@ mod tests {
             let (a, b) = stream.split_at(cut);
             assert_eq!(feed(&[a, b], &expect), whole, "split at byte {cut}");
         }
+    }
+
+    /// The race the delivered count closes, played out in order on one
+    /// thread of an unattached pair: rank 1 reads its count, the event
+    /// loop's path delivers a frame for it, and only then does rank 1
+    /// call `progress` — which must return without sleeping, leaving the
+    /// frame in the mailbox. With the count current and nothing coming,
+    /// the same call does sleep, until its timeout or a ring.
+    #[test]
+    fn a_delivery_between_the_count_and_the_sleep_is_not_slept_through() {
+        let registry = Arc::new(Registry::new());
+        let t = TcpTransport::loopback(2, &CommConfig::default(), None).unwrap();
+        let shared = &*t.shared;
+        let inbound = shared.inbound_of(1).unwrap();
+        let seen = shared.delivered(1);
+        t.deliver(&registry, route(0, 1), Envelope::new(0, 7, vec![5u64]));
+
+        // The event loop leaves a waiting rank's streams alone...
+        inbound.waiting.store(1, Ordering::SeqCst);
+        assert!(!inbound.sweep(&registry, Instant::now()));
+        assert_eq!(shared.delivered(1), seen);
+        inbound.waiting.store(0, Ordering::SeqCst);
+        // ...and drains those of a rank that is not.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shared.delivered(1) == seen {
+            assert!(Instant::now() < deadline, "the event loop's drain never delivered");
+            inbound.sweep(&registry, Instant::now());
+        }
+
+        let started = Instant::now();
+        shared.progress(&registry, 1, seen, Duration::from_secs(10));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "slept {:?} past a delivery",
+            started.elapsed()
+        );
+        let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
+        let env = mailbox.recv_matching_timeout(0, 7, mailbox.interrupt_seq(), Duration::ZERO);
+        assert_eq!(env.expect("frame delivered").into_data::<u64>(), vec![5]);
+
+        let started = Instant::now();
+        shared.progress(&registry, 1, shared.delivered(1), Duration::from_millis(30));
+        assert!(started.elapsed() >= Duration::from_millis(25), "woke with nothing to read");
+
+        let ringer = {
+            let t = Arc::clone(&t.shared);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                t.ring_all();
+            })
+        };
+        let started = Instant::now();
+        shared.progress(&registry, 1, shared.delivered(1), Duration::from_secs(10));
+        assert!(started.elapsed() < Duration::from_secs(5), "a ring did not wake the sleeper");
+        ringer.join().unwrap();
     }
 
     /// Messages pushed through a lossy link all arrive, in order, with

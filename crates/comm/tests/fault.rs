@@ -5,8 +5,10 @@
 
 mod common;
 
-use beatnik_comm::{AllToAllAlgo, CommError, Communicator, FaultPlan, SumOp, World};
+use beatnik_comm::{AllToAllAlgo, CommError, Communicator, FaultPlan, SumOp, TransportKind, World};
 use common::caught;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Base world deadline: generous, only reached if detection is broken.
@@ -387,18 +389,19 @@ fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
     assert_eq!(snap_total, classic_total);
 }
 
-/// On rank 0 of a 2-rank world, run `wait` five times — each entered
-/// only once rank 1's death is on the failure ledger — and return the
-/// last result with the fastest latency. Detection of a death that
-/// predates the wait is deterministic, so the minimum is immune to a
-/// loaded machine preempting one attempt.
-fn wait_on_a_dead_peer<R, F>(wait: F) -> (R, Duration)
+/// On rank 0 of a 2-rank world over `kind`, run `wait` five times —
+/// each entered only once rank 1's death is on the failure ledger — and
+/// return the last result with the fastest latency. Detection of a death
+/// that predates the wait is deterministic, so the minimum is immune to
+/// a loaded machine preempting one attempt.
+fn wait_on_a_dead_peer<R, F>(kind: TransportKind, wait: F) -> (R, Duration)
 where
     R: Send,
     F: Fn(&Communicator) -> R + Send + Sync,
 {
     let plan = FaultPlan::parse("kill:r1@step1", 0).expect("static plan");
-    let report = World::builder(2).recv_timeout(WORLD_TIMEOUT).fault_plan(&plan).run_ft(|comm| {
+    let world = World::builder(2).transport(kind).recv_timeout(WORLD_TIMEOUT);
+    let report = world.fault_plan(&plan).run_ft(|comm| {
         comm.fault_step(1); // rank 1 dies here
         while comm.failed_ranks().is_empty() {
             std::thread::yield_now();
@@ -421,7 +424,17 @@ where
 /// sleep one full 100 ms poll slice before it first read the ledger.
 #[test]
 fn late_entrant_detects_a_dead_peer_before_its_first_sleep() {
-    let (result, latency) = wait_on_a_dead_peer(|comm| comm.irecv::<u8>(1, 5).try_wait());
+    late_entrant_detects_a_dead_peer(TransportKind::Thread);
+}
+
+/// The same on TCP, where the waiter sleeps on its own sockets.
+#[test]
+fn late_entrant_detects_a_dead_peer_before_its_first_sleep_over_tcp() {
+    late_entrant_detects_a_dead_peer(TransportKind::Tcp);
+}
+
+fn late_entrant_detects_a_dead_peer(kind: TransportKind) {
+    let (result, latency) = wait_on_a_dead_peer(kind, |comm| comm.irecv::<u8>(1, 5).try_wait());
     assert_eq!(result, Err(CommError::RankFailed { rank: 0, failed: 1 }));
     assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
 }
@@ -430,8 +443,99 @@ fn late_entrant_detects_a_dead_peer_before_its_first_sleep() {
 /// dead peer it burned its whole timeout and reported `Timeout`.
 #[test]
 fn recv_within_on_a_dead_peer_returns_rank_failed_promptly() {
+    recv_within_on_a_dead_peer(TransportKind::Thread);
+}
+
+/// The same on TCP.
+#[test]
+fn recv_within_on_a_dead_peer_returns_rank_failed_promptly_over_tcp() {
+    recv_within_on_a_dead_peer(TransportKind::Tcp);
+}
+
+fn recv_within_on_a_dead_peer(kind: TransportKind) {
     let (result, latency) =
-        wait_on_a_dead_peer(|comm| comm.recv_within::<u8>(1, 5, Duration::from_secs(5)));
+        wait_on_a_dead_peer(kind, |comm| comm.recv_within::<u8>(1, 5, Duration::from_secs(5)));
     assert_eq!(result, Err(CommError::RankFailed { rank: 0, failed: 1 }));
     assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
+}
+
+/// How a blocked wait ended: the error it returned, or the message of
+/// the panic it raised.
+fn ending(outcome: std::thread::Result<Result<Vec<u8>, CommError>>) -> String {
+    match outcome {
+        Ok(Ok(_)) => "a message".to_string(),
+        Ok(Err(e)) => format!("{e:?}"),
+        Err(p) => p
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "a non-string panic".to_string()),
+    }
+}
+
+/// Over TCP, rank 0 blocks in `irecv(1, 5).try_wait()` — asleep on its
+/// own sockets, with nothing coming — and 50 ms later rank 1 does
+/// `event`. Returns how rank 0's wait ended and how long after the event,
+/// fastest of three worlds so one preempted attempt cannot fail it. A
+/// ledger interrupt must ring the sleeper's doorbell: without the ring
+/// it would see the event only at the end of its 100 ms poll slice.
+fn blocked_waiter_sees<F>(plan: Option<&FaultPlan>, event: F) -> (String, Duration)
+where
+    F: Fn(&Communicator) + Send + Sync,
+{
+    let mut best: Option<(String, Duration)> = None;
+    for _ in 0..3 {
+        let acted: Mutex<Option<Instant>> = Mutex::new(None);
+        let ended: Mutex<Option<(String, Instant)>> = Mutex::new(None);
+        let mut world = World::builder(2).transport(TransportKind::Tcp).recv_timeout(WORLD_TIMEOUT);
+        if let Some(plan) = plan {
+            world = world.fault_plan(plan);
+        }
+        // A panicking rank 1 propagates out of the world; only what the
+        // ranks recorded matters here.
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            world.run_ft(|comm| {
+                comm.barrier();
+                if comm.rank() == 0 {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| comm.irecv::<u8>(1, 5).try_wait()));
+                    *ended.lock().unwrap() = Some((ending(outcome), Instant::now()));
+                } else {
+                    std::thread::sleep(Duration::from_millis(50));
+                    *acted.lock().unwrap() = Some(Instant::now());
+                    event(&comm);
+                }
+            })
+        }));
+        let (how, at) = ended.into_inner().unwrap().expect("rank 0's wait ended");
+        let latency = at - acted.into_inner().unwrap().expect("rank 1 acted");
+        if best.as_ref().is_none_or(|(_, b)| latency < *b) {
+            best = Some((how, latency));
+        }
+    }
+    best.expect("three attempts")
+}
+
+#[test]
+fn a_rank_blocked_on_its_sockets_sees_a_peer_killed() {
+    let plan = FaultPlan::parse("kill:r1@step1", 0).expect("static plan");
+    let (how, latency) = blocked_waiter_sees(Some(&plan), |comm| comm.fault_step(1));
+    assert_eq!(how, format!("{:?}", CommError::RankFailed { rank: 0, failed: 1 }));
+    assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
+}
+
+#[test]
+fn a_rank_blocked_on_its_sockets_sees_a_peer_panic() {
+    // `resume_unwind` skips the panic hook, whose report (a backtrace,
+    // when enabled) would otherwise sit between the event and the abort.
+    let (how, latency) = blocked_waiter_sees(None, |_| {
+        std::panic::resume_unwind(Box::new("a genuine bug on rank 1".to_string()))
+    });
+    assert!(how.contains("a peer rank failed"), "wait ended with {how}");
+    assert!(latency < Duration::from_millis(10), "abort took {latency:?}");
+}
+
+#[test]
+fn a_rank_blocked_on_its_sockets_sees_a_revocation() {
+    let (how, latency) = blocked_waiter_sees(None, |comm| comm.revoke());
+    assert!(how.starts_with("Revoked"), "wait ended with {how}");
+    assert!(latency < Duration::from_millis(10), "revocation took {latency:?}");
 }

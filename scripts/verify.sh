@@ -122,6 +122,22 @@ grep -q 'process-ranks over shmem' "$PROF_DIR/procs-shmem.log"
 "$RIG" --transport tcp --procs --n 16 --steps 2 --ranks 2 \
     > "$PROF_DIR/procs-tcp.log"
 grep -q 'process-ranks over tcp' "$PROF_DIR/procs-tcp.log"
+# The backends must agree bit for bit: one 2-rank low-order job on the
+# thread backend, over TCP loopback (each rank reads its own sockets
+# while it waits) and over TCP with a process per rank must write
+# identical VTK files at every step, so a progress bug that reorders or
+# drops frames fails here.
+for run in thread tcp tcp-procs; do
+    args=(--transport "${run%-procs}")
+    [ "$run" = tcp-procs ] && args+=(--procs)
+    "$RIG" "${args[@]}" --order low --n 16 --steps 4 --ranks 2 \
+        --vtk-every 1 --out "$PROF_DIR/agree-$run" >/dev/null
+done
+test "$(ls "$PROF_DIR/agree-thread" | grep -c '\.vtk$')" -eq 4
+for f in "$PROF_DIR"/agree-thread/*.vtk; do
+    cmp "$f" "$PROF_DIR/agree-tcp/${f##*/}"
+    cmp "$f" "$PROF_DIR/agree-tcp-procs/${f##*/}"
+done
 # Messages larger than the socket buffers (16 MiB one way, 8 MiB both
 # ways, 2 MiB alltoallv blocks) must complete on every backend; each
 # test fails after 30 s instead of hanging.
@@ -251,7 +267,9 @@ grep -A1 '"kernel": "zmodel_stage"' BENCH_compute.json | grep '"variant": "high"
 echo "== bench regression gate vs crates/bench/baselines =="
 # Fresh numbers above must stay under the committed-baseline ceilings
 # (time-like: 2x + jitter floor; deterministic bytes: 1.10x with a
-# 64-byte floor that pins the zero-copy rows at exactly zero).
+# 64-byte floor that pins the zero-copy rows at exactly zero), and some
+# rows under a multiple of a row of the same fresh run: fast kernels
+# against their references, socket rows against their thread twins.
 target/release/bench_gate
 
 echo "== criterion smoke: micro_br / micro_dfft =="
