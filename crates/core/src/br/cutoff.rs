@@ -17,30 +17,25 @@ use super::kernel::{accumulate_hits, select_within, Sources};
 use super::{BrPoint, BrSolver};
 use beatnik_comm::Communicator;
 use beatnik_mesh::migrate::{halo_exchange_points, migrate_results_home, migrate_to_spatial};
-use beatnik_mesh::{PointDecomposition, PointResult, SpatialMesh, SurfacePoint};
+use beatnik_mesh::{PointResult, SpatialMesh, SurfacePoint};
 use beatnik_spatial::neighbors::Backend;
-use beatnik_spatial::{CellBins, KdTree};
+use beatnik_spatial::CellBins;
 use std::ops::Range;
 
 /// The scalable cutoff solver.
 pub struct CutoffBrSolver {
     smesh: SpatialMesh,
     cutoff: f64,
-    backend: Backend,
 }
 
 impl CutoffBrSolver {
     /// Create a solver over the given spatial mesh with a cutoff radius.
     /// The spatial mesh's rank count must equal the communicator size the
-    /// solver will be used with. `backend` picks what proposes each
-    /// point's candidate neighbours; the arithmetic is the same.
-    pub fn new(smesh: SpatialMesh, cutoff: f64, backend: Backend) -> Self {
+    /// solver will be used with. Cell binning is the only neighbour
+    /// search; `_backend` names it for callers that still pass one.
+    pub fn new(smesh: SpatialMesh, cutoff: f64, _backend: Backend) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
-        CutoffBrSolver {
-            smesh,
-            cutoff,
-            backend,
-        }
+        CutoffBrSolver { smesh, cutoff }
     }
 
     /// The cutoff radius.
@@ -55,16 +50,54 @@ impl CutoffBrSolver {
 }
 
 impl BrSolver for CutoffBrSolver {
+    /// The five-step cutoff cycle. Collective over `comm`.
     fn velocities(&self, comm: &Communicator, points: &[BrPoint], epsilon: f64) -> Vec<[f64; 3]> {
         let _phase = comm.telemetry().phase("br-cutoff");
-        cutoff_cycle(
-            comm,
-            &self.smesh,
-            points,
-            self.cutoff,
-            self.backend,
-            epsilon,
-        )
+        let (smesh, cutoff) = (&self.smesh, self.cutoff);
+        let me = comm.rank() as u32;
+
+        // Step 1: migrate into the spatial decomposition.
+        let outgoing: Vec<SurfacePoint> = points
+            .iter()
+            .enumerate()
+            .map(|(i, b)| SurfacePoint {
+                pos: b.pos,
+                payload: b.strength,
+                home_rank: me,
+                home_idx: i as u32,
+            })
+            .collect();
+        let owned = migrate_to_spatial(comm, smesh, outgoing);
+
+        // Step 2: halo ghosts within the cutoff.
+        let ghosts = halo_exchange_points(comm, smesh, &owned, cutoff);
+
+        // Steps 3 + 4: sort owned + ghost sources, then filter and
+        // accumulate per owned target.
+        let sources = {
+            let _phase = comm.telemetry().phase("br-cutoff-bin");
+            SortedSources::new(&owned, &ghosts, cutoff)
+        };
+        let velocities = {
+            let _phase = comm.telemetry().phase("br-cutoff-pairs");
+            sources.velocities(owned.len(), cutoff, epsilon * epsilon)
+        };
+
+        // Step 5: return results to home ranks.
+        let results: Vec<(usize, PointResult)> = owned
+            .iter()
+            .zip(&velocities)
+            .map(|(pt, v)| {
+                (
+                    pt.home_rank as usize,
+                    PointResult {
+                        home_idx: pt.home_idx,
+                        value: *v,
+                    },
+                )
+            })
+            .collect();
+        migrate_results_home(comm, results, points.len())
     }
 
     fn name(&self) -> &'static str {
@@ -72,104 +105,29 @@ impl BrSolver for CutoffBrSolver {
     }
 }
 
-/// The five-step cutoff cycle over any point decomposition (the uniform
-/// spatial mesh here, the per-evaluation RCB regions of
-/// [`super::BalancedCutoffBrSolver`]). Collective over `comm`.
-pub(super) fn cutoff_cycle<D: PointDecomposition + ?Sized>(
-    comm: &Communicator,
-    decomp: &D,
-    points: &[BrPoint],
-    cutoff: f64,
-    backend: Backend,
-    epsilon: f64,
-) -> Vec<[f64; 3]> {
-    let me = comm.rank() as u32;
-
-    // Step 1: migrate into the spatial decomposition.
-    let outgoing: Vec<SurfacePoint> = points
-        .iter()
-        .enumerate()
-        .map(|(i, b)| SurfacePoint {
-            pos: b.pos,
-            payload: b.strength,
-            home_rank: me,
-            home_idx: i as u32,
-        })
-        .collect();
-    let owned = migrate_to_spatial(comm, decomp, outgoing);
-
-    // Step 2: halo ghosts within the cutoff.
-    let ghosts = halo_exchange_points(comm, decomp, &owned, cutoff);
-
-    // Steps 3 + 4: sort owned + ghost sources, then filter and accumulate
-    // per owned target.
-    let sources = {
-        let _phase = comm.telemetry().phase("br-cutoff-bin");
-        SortedSources::new(&owned, &ghosts, cutoff, backend)
-    };
-    let velocities = {
-        let _phase = comm.telemetry().phase("br-cutoff-pairs");
-        sources.velocities(owned.len(), cutoff, epsilon * epsilon)
-    };
-
-    // Step 5: return results to home ranks.
-    let results: Vec<(usize, PointResult)> = owned
-        .iter()
-        .zip(&velocities)
-        .map(|(pt, v)| {
-            (
-                pt.home_rank as usize,
-                PointResult {
-                    home_idx: pt.home_idx,
-                    value: *v,
-                },
-            )
-        })
-        .collect();
-    migrate_results_home(comm, results, points.len())
-}
-
-/// What proposes a target's candidate sources.
-enum Candidates {
-    /// Cell runs over cell-sorted slots ([`Backend::Grid`]).
-    Cells(CellBins),
-    /// Radius queries on a k-d tree over unsorted slots
-    /// ([`Backend::KdTree`]).
-    Tree(KdTree),
-}
-
-/// One rank's owned + ghost points laid out for the pair pass.
+/// One rank's owned + ghost points laid out cell by cell for the pair
+/// pass.
 struct SortedSources {
-    /// Positions and strengths by slot.
+    /// Positions and strengths by sorted slot.
     sources: Sources,
-    candidates: Candidates,
+    bins: CellBins,
 }
 
 impl SortedSources {
-    fn new(owned: &[SurfacePoint], ghosts: &[SurfacePoint], cutoff: f64, backend: Backend) -> Self {
-        let all = || owned.iter().chain(ghosts);
-        let source = |p: &SurfacePoint| (p.pos, p.payload);
-        match backend {
-            Backend::Grid => {
-                let bins = CellBins::build(all().map(|p| p.pos), cutoff);
-                let point = |&i: &u32| {
-                    let i = i as usize;
-                    source(if i < owned.len() {
-                        &owned[i]
-                    } else {
-                        &ghosts[i - owned.len()]
-                    })
-                };
-                SortedSources {
-                    sources: Sources::from_slots(bins.order().iter().map(point)),
-                    candidates: Candidates::Cells(bins),
-                }
-            }
-            // The tree indexes the points as given: slot = input index.
-            Backend::KdTree => SortedSources {
-                sources: Sources::from_slots(all().map(source)),
-                candidates: Candidates::Tree(KdTree::build(all().map(|p| p.pos).collect())),
-            },
+    fn new(owned: &[SurfacePoint], ghosts: &[SurfacePoint], cutoff: f64) -> Self {
+        let bins = CellBins::build(owned.iter().chain(ghosts).map(|p| p.pos), cutoff);
+        let point = |&i: &u32| {
+            let i = i as usize;
+            let p = if i < owned.len() {
+                &owned[i]
+            } else {
+                &ghosts[i - owned.len()]
+            };
+            (p.pos, p.payload)
+        };
+        SortedSources {
+            sources: Sources::from_slots(bins.order().iter().map(point)),
+            bins,
         }
     }
 
@@ -192,27 +150,16 @@ impl SortedSources {
         let rc2 = cutoff * cutoff;
         let mut vel = vec![[0.0f64; 3]; n_owned];
         let mut hits: Vec<u32> = Vec::new();
-        match &self.candidates {
-            Candidates::Cells(bins) => {
-                for (slot, &i) in bins.order().iter().enumerate() {
-                    let Some(v) = vel.get_mut(i as usize) else {
-                        continue; // a ghost: a source only
-                    };
-                    let target = self.sources.pos(slot);
-                    hits.clear();
-                    for run in bins.runs(target, cutoff) {
-                        select(target, &self.sources, run, rc2, &mut hits);
-                    }
-                    *v = accumulate(target, &self.sources, &hits, eps2);
-                }
+        for (slot, &i) in self.bins.order().iter().enumerate() {
+            let Some(v) = vel.get_mut(i as usize) else {
+                continue; // a ghost: a source only
+            };
+            let target = self.sources.pos(slot);
+            hits.clear();
+            for run in self.bins.runs(target, cutoff) {
+                select(target, &self.sources, run, rc2, &mut hits);
             }
-            Candidates::Tree(tree) => {
-                for (slot, v) in vel.iter_mut().enumerate() {
-                    let target = self.sources.pos(slot);
-                    tree.query(target, cutoff, &mut hits);
-                    *v = accumulate(target, &self.sources, &hits, eps2);
-                }
-            }
+            *v = accumulate(target, &self.sources, &hits, eps2);
         }
         vel
     }
@@ -299,26 +246,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn backends_agree() {
-        World::builder(2).run(|comm| {
-            let all = global_points(40);
-            let mine = &all[comm.rank() * 20..comm.rank() * 20 + 20];
-            let g = CutoffBrSolver::new(smesh(2), 1.5, Backend::Grid).velocities(&comm, mine, 0.1);
-            let k =
-                CutoffBrSolver::new(smesh(2), 1.5, Backend::KdTree).velocities(&comm, mine, 0.1);
-            // Same pair sets through the same kernel, but the grid sums a
-            // target's pairs in cell order and the tree in traversal
-            // order, so the sums agree to rounding, not to the bit.
-            let scale = g.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
-            for (g, k) in g.iter().zip(&k) {
-                for c in 0..3 {
-                    assert!((g[c] - k[c]).abs() <= 1e-13 * scale, "{g:?} vs {k:?}");
-                }
-            }
-        });
-    }
-
     fn surface_points(pos: &[[f64; 3]]) -> Vec<SurfacePoint> {
         pos.iter()
             .enumerate()
@@ -340,9 +267,8 @@ mod tests {
         ghosts: &[SurfacePoint],
         cutoff: f64,
         eps: f64,
-        backend: Backend,
     ) -> Vec<[f64; 3]> {
-        SortedSources::new(owned, ghosts, cutoff, backend).velocities(
+        SortedSources::new(owned, ghosts, cutoff).velocities(
             owned.len(),
             cutoff,
             eps * eps,
@@ -457,18 +383,12 @@ mod tests {
             let (owned, ghosts) = (surface_points(&owned), surface_points(&ghosts));
             let sources: Vec<SurfacePoint> = owned.iter().chain(&ghosts).copied().collect();
             let want = oracle(&owned, &sources, cutoff, eps);
-            for backend in [Backend::Grid, Backend::KdTree] {
-                let got = fused(&owned, &ghosts, cutoff, eps, backend);
-                assert_close(
-                    &got,
-                    &want,
-                    &format!("{what} ({} owned, {backend:?})", owned.len()),
-                );
-            }
+            let got = fused(&owned, &ghosts, cutoff, eps);
+            assert_close(&got, &want, &format!("{what} ({} owned)", owned.len()));
         }
         // The pair at exactly the cutoff does interact.
         let pair = surface_points(&[[0.0; 3], [0.5, 0.0, 0.0]]);
-        let v = fused(&pair, &[], 0.5, 0.1, Backend::Grid);
+        let v = fused(&pair, &[], 0.5, 0.1);
         assert!(v[0].iter().any(|&c| c != 0.0), "{v:?}");
     }
 
@@ -476,15 +396,13 @@ mod tests {
     fn dispatched_pair_pass_matches_the_scalar_bodies_bitwise() {
         for (what, owned, ghosts, cutoff, eps) in awkward_sets() {
             let (owned, ghosts) = (surface_points(&owned), surface_points(&ghosts));
-            for backend in [Backend::Grid, Backend::KdTree] {
-                let sources = SortedSources::new(&owned, &ghosts, cutoff, backend);
-                assert_eq!(
-                    sources.velocities(owned.len(), cutoff, eps * eps),
-                    sources.pair_pass(owned.len(), cutoff, eps * eps, select_body, hits_body),
-                    "{what} ({} owned, {backend:?})",
-                    owned.len()
-                );
-            }
+            let sources = SortedSources::new(&owned, &ghosts, cutoff);
+            assert_eq!(
+                sources.velocities(owned.len(), cutoff, eps * eps),
+                sources.pair_pass(owned.len(), cutoff, eps * eps, select_body, hits_body),
+                "{what} ({} owned)",
+                owned.len()
+            );
         }
     }
 
@@ -565,21 +483,11 @@ mod tests {
                         strength: [1.0; 3],
                     });
                 }
-                for backend in [Backend::Grid, Backend::KdTree] {
-                    let solver = CutoffBrSolver::new(smesh(p), 1.5, backend);
-                    let want = solver.velocities(&comm, clean, 0.1);
-                    let got = solver.velocities(&comm, &dirty, 0.1);
-                    assert_close(
-                        &got[..chunk],
-                        &want,
-                        &format!("{backend:?}: finite points unmoved"),
-                    );
-                    assert_eq!(
-                        &got[chunk..],
-                        &[[0.0; 3]; 3],
-                        "{backend:?}: non-finite points see nothing"
-                    );
-                }
+                let solver = CutoffBrSolver::new(smesh(p), 1.5, Backend::Grid);
+                let want = solver.velocities(&comm, clean, 0.1);
+                let got = solver.velocities(&comm, &dirty, 0.1);
+                assert_close(&got[..chunk], &want, "finite points unmoved");
+                assert_eq!(&got[chunk..], &[[0.0; 3]; 3], "non-finite points see nothing");
             });
         }
     }

@@ -2,8 +2,7 @@
 //!
 //! One arithmetic, four shapes:
 //!
-//! * [`br_pair_velocity`] — one pair, scalar: the documented oracle (and
-//!   the per-node closure of the tree solver);
+//! * [`br_pair_velocity`] — one pair, scalar: the documented oracle;
 //! * [`accumulate_block`] — every target against a block of sources,
 //!   lanes = *targets*, so each target still sums its sources in block
 //!   order and the result is the scalar sum bit for bit (the exact
@@ -14,8 +13,7 @@
 //!   solvers' own block: n(n−1)/2 pairs, one reciprocal each);
 //! * [`accumulate_hits`] — one target against a list of source slots,
 //!   lanes = *hits* with a fixed four-accumulator association, fed by
-//!   [`select_within`] or any other candidate generator (the cutoff
-//!   solvers).
+//!   [`select_within`] (the cutoff solver).
 //!
 //! The block body is safe array code written once and instantiated
 //! twice, for the build's baseline features and, on x86-64, for AVX2.

@@ -9,25 +9,16 @@
 //! * [`CutoffBrSolver`] — only pairs within a cutoff distance, via the
 //!   spatial-mesh migrate → halo → cell-sort → filtered pair pass →
 //!   return cycle (dynamic, irregular communication; the scalable
-//!   solver);
-//! * [`TreeBrSolver`] — Barnes–Hut tree code over a ring-allgathered
-//!   global surface (the paper's §6 fast-multipole-style future work);
-//! * [`BalancedCutoffBrSolver`] — the cutoff cycle over a per-evaluation
-//!   recursive-coordinate-bisection decomposition (the paper's §6
-//!   load-balancing future work).
+//!   solver).
 
-pub mod balanced;
 pub mod cutoff;
 pub mod exact;
 pub mod kernel;
 pub mod periodic;
-pub mod tree;
 
-pub use balanced::BalancedCutoffBrSolver;
 pub use cutoff::CutoffBrSolver;
 pub use exact::ExactBrSolver;
 pub use periodic::PeriodicExactBrSolver;
-pub use tree::TreeBrSolver;
 
 use beatnik_comm::Communicator;
 

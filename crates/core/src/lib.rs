@@ -55,10 +55,7 @@ pub mod problem;
 pub mod solver;
 pub mod zmodel;
 
-pub use br::{
-    BalancedCutoffBrSolver, BrPoint, BrSolver, CutoffBrSolver, ExactBrSolver,
-    PeriodicExactBrSolver, TreeBrSolver,
-};
+pub use br::{BrPoint, BrSolver, CutoffBrSolver, ExactBrSolver, PeriodicExactBrSolver};
 pub use diagnostics::Diagnostics;
 pub use init::InitialCondition;
 pub use integrator::TimeIntegrator;

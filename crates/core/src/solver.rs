@@ -2,7 +2,7 @@
 //! Z-Model, a BR solver, and the time integrator, and runs the timestep
 //! loop with per-step callbacks for I/O and diagnostics.
 
-use crate::br::{BalancedCutoffBrSolver, BrSolver, CutoffBrSolver, ExactBrSolver, TreeBrSolver};
+use crate::br::{BrSolver, CutoffBrSolver, ExactBrSolver};
 use crate::init::InitialCondition;
 use crate::integrator::TimeIntegrator;
 use crate::order::Order;
@@ -28,17 +28,6 @@ pub enum BrChoice {
         /// Spatial domain corners `(lo, hi)`.
         bounds: ([f64; 3], [f64; 3]),
     },
-    /// Barnes–Hut tree code with the given opening angle.
-    Tree {
-        /// Opening angle θ (0 = exact).
-        theta: f64,
-    },
-    /// Cutoff solver over a per-evaluation RCB (load-balanced)
-    /// decomposition of the x/y domain `bounds`.
-    BalancedCutoff {
-        /// Spatial domain corners `(lo, hi)` (z extent unused).
-        bounds: ([f64; 3], [f64; 3]),
-    },
 }
 
 impl ToJson for BrChoice {
@@ -49,14 +38,6 @@ impl ToJson for BrChoice {
             BrChoice::Exact => Value::Str("Exact".to_string()),
             BrChoice::Cutoff { bounds } => Value::Object(vec![(
                 "Cutoff".to_string(),
-                Value::Object(vec![("bounds".to_string(), bounds.to_json())]),
-            )]),
-            BrChoice::Tree { theta } => Value::Object(vec![(
-                "Tree".to_string(),
-                Value::Object(vec![("theta".to_string(), theta.to_json())]),
-            )]),
-            BrChoice::BalancedCutoff { bounds } => Value::Object(vec![(
-                "BalancedCutoff".to_string(),
                 Value::Object(vec![("bounds".to_string(), bounds.to_json())]),
             )]),
         }
@@ -72,12 +53,6 @@ impl FromJson for BrChoice {
                 let (tag, body) = &pairs[0];
                 match tag.as_str() {
                     "Cutoff" => Ok(BrChoice::Cutoff {
-                        bounds: field(body, "bounds")?,
-                    }),
-                    "Tree" => Ok(BrChoice::Tree {
-                        theta: field(body, "theta")?,
-                    }),
-                    "BalancedCutoff" => Ok(BrChoice::BalancedCutoff {
                         bounds: field(body, "bounds")?,
                     }),
                     other => Err(JsonError::new(format!("unknown BrChoice variant '{other}'"))),
@@ -139,13 +114,6 @@ impl Solver {
                     Backend::Grid,
                 )))
             }
-            BrChoice::Tree { theta } => Some(Box::new(TreeBrSolver::new(theta))),
-            BrChoice::BalancedCutoff { bounds } => Some(Box::new(BalancedCutoffBrSolver::new(
-                [bounds.0[0], bounds.0[1]],
-                [bounds.1[0], bounds.1[1]],
-                cfg.params.cutoff,
-                Backend::Grid,
-            ))),
         };
         let zmodel = ZModel::new(&pm, cfg.order, cfg.params, br, cfg.fft);
         let integrator = TimeIntegrator::new(&pm);
@@ -359,13 +327,6 @@ mod tests {
                 (Order::Medium, cutoff),
                 (Order::High, BrChoice::Exact),
                 (Order::High, cutoff),
-                (Order::High, BrChoice::Tree { theta: 0.5 }),
-                (
-                    Order::High,
-                    BrChoice::BalancedCutoff {
-                        bounds: ([-1.0, -1.0, -2.0], [l + 1.0, l + 1.0, 2.0]),
-                    },
-                ),
             ] {
                 let mesh = periodic_mesh(&comm, 12);
                 let bc = BoundaryCondition::Periodic { periods: [l, l] };
@@ -376,6 +337,30 @@ mod tests {
                 assert!(d.amplitude > 0.0);
             }
         });
+    }
+
+    #[test]
+    fn br_choice_json_round_trips_and_rejects_removed_solvers() {
+        for br in [
+            BrChoice::None,
+            BrChoice::Exact,
+            BrChoice::Cutoff {
+                bounds: ([-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]),
+            },
+        ] {
+            let text = beatnik_json::to_string(&br);
+            assert_eq!(beatnik_json::from_str::<BrChoice>(&text).unwrap(), br, "{text}");
+        }
+        for (text, tag) in [
+            (r#"{"Tree":{"theta":0.5}}"#, "Tree"),
+            (
+                r#"{"BalancedCutoff":{"bounds":[[-3,-3,-3],[3,3,3]]}}"#,
+                "BalancedCutoff",
+            ),
+        ] {
+            let err = beatnik_json::from_str::<BrChoice>(text).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown BrChoice variant '{tag}'")), "{err}");
+        }
     }
 
     #[test]

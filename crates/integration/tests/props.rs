@@ -80,7 +80,7 @@ fn fft_parseval() {
     }
 }
 
-/// Grid and k-d tree backends both equal brute force exactly
+/// The cell-binned neighbour list equals brute force exactly
 /// (identical CSR lists after per-target sorting).
 #[test]
 fn neighbor_backends_equal_brute_force() {
@@ -90,10 +90,8 @@ fn neighbor_backends_equal_brute_force() {
         let sources = cloud(&mut rng, 60);
         let radius = rng.gen_range(0.1..3.0);
         let want = brute_force_neighbors(&targets, &sources, radius);
-        for backend in [Backend::Grid, Backend::KdTree] {
-            let got = NeighborList::build(&targets, &sources, radius, backend);
-            assert_eq!(got, want, "backend {backend:?}");
-        }
+        let got = NeighborList::build(&targets, &sources, radius, Backend::Grid);
+        assert_eq!(got, want);
     }
 }
 

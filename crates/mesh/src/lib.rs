@@ -16,26 +16,23 @@
 //! * [`stencil`] — finite differences (2nd and 4th order) and 9-point
 //!   Laplacians over fields.
 //! * [`SpatialMesh`] — the 3D spatial domain of the cutoff solver,
-//!   decomposed over a 2D x/y rank grid (the paper's choice, mirroring
-//!   the initial surface distribution).
+//!   decomposed over a uniform 2D x/y rank grid (the paper's choice,
+//!   mirroring the initial surface distribution) — the one point
+//!   decomposition [`migrate`] moves points through.
 //! * [`migrate`] — the `HaloComm` analogue: migrating surface points into
 //!   the spatial decomposition, haloing points within a cutoff distance
 //!   of neighboring spatial blocks, and returning computed results to
 //!   each point's home rank.
 
 pub mod boundary;
-pub mod decomposition;
 pub mod field;
 pub mod migrate;
 pub mod partition;
-pub mod rcb;
 pub mod spatial_mesh;
 pub mod stencil;
 pub mod surface;
 
 pub use boundary::BoundaryCondition;
-pub use decomposition::PointDecomposition;
-pub use rcb::RcbDecomposition;
 pub use field::Field;
 pub use migrate::{PointResult, SurfacePoint};
 pub use partition::{split_even, Partition2d};

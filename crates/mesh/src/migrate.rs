@@ -16,7 +16,7 @@
 //! Every point carries its home rank and home index so step 4 needs no
 //! lookup tables.
 
-use crate::decomposition::PointDecomposition;
+use crate::spatial_mesh::SpatialMesh;
 use beatnik_comm::message::CommData;
 use beatnik_comm::{AllToAllAlgo, Communicator};
 
@@ -51,9 +51,9 @@ fn exchange<T: CommData + Clone>(comm: &Communicator, blocks: Vec<Vec<T>>) -> Ve
 
 /// Step 1: move points to their spatial owners. Returns the points this
 /// rank now owns in the spatial decomposition (in arrival order).
-pub fn migrate_to_spatial<D: PointDecomposition + ?Sized>(
+pub fn migrate_to_spatial(
     comm: &Communicator,
-    smesh: &D,
+    smesh: &SpatialMesh,
     points: Vec<SurfacePoint>,
 ) -> Vec<SurfacePoint> {
     assert_eq!(
@@ -73,9 +73,9 @@ pub fn migrate_to_spatial<D: PointDecomposition + ?Sized>(
 /// Step 2: halo points within `cutoff` of neighboring regions. Returns
 /// the *ghost* points received from other ranks (owned points are not
 /// duplicated into the result).
-pub fn halo_exchange_points<D: PointDecomposition + ?Sized>(
+pub fn halo_exchange_points(
     comm: &Communicator,
-    smesh: &D,
+    smesh: &SpatialMesh,
     owned: &[SurfacePoint],
     cutoff: f64,
 ) -> Vec<SurfacePoint> {
@@ -84,7 +84,7 @@ pub fn halo_exchange_points<D: PointDecomposition + ?Sized>(
     let me = comm.rank();
     let mut blocks: Vec<Vec<SurfacePoint>> = (0..p).map(|_| Vec::new()).collect();
     for pt in owned {
-        smesh.for_each_rank_within(pt.pos, cutoff, &mut |dest| {
+        smesh.for_each_rank_within(pt.pos, cutoff, |dest| {
             if dest != me {
                 blocks[dest].push(*pt);
             }

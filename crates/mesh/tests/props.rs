@@ -1,12 +1,10 @@
 //! Randomized-property tests of the mesh layer: partitions,
-//! halo-exchange correctness on random fields, RCB balance, and spatial
-//! ownership. Cases come from the workspace's deterministic PRNG —
-//! reproducible and hermetic.
+//! halo-exchange correctness on random fields, and spatial ownership.
+//! Cases come from the workspace's deterministic PRNG — reproducible
+//! and hermetic.
 
 use beatnik_comm::World;
-use beatnik_mesh::{
-    split_even, Partition2d, PointDecomposition, RcbDecomposition, SpatialMesh, SurfaceMesh,
-};
+use beatnik_mesh::{split_even, Partition2d, SpatialMesh, SurfaceMesh};
 use beatnik_prng::Rng;
 
 const CASES: usize = 64;
@@ -60,30 +58,6 @@ fn spatial_mesh_ranks_within_includes_owner() {
         let within = m.ranks_within(p, cutoff);
         assert!(within.contains(&own), "{own} not in {within:?}");
         assert!(within.iter().all(|&r| r < m.ranks()));
-    }
-}
-
-#[test]
-fn rcb_regions_balance_any_cloud() {
-    let mut rng = Rng::seed_from_u64(0x3E5_0004);
-    for _ in 0..CASES {
-        let n = rng.gen_index(32..200);
-        let pts: Vec<[f64; 3]> = (0..n)
-            .map(|_| [rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0), 0.0])
-            .collect();
-        let ranks = rng.gen_index(2..17);
-        let d = RcbDecomposition::build(&pts, ranks, [-3.0, -3.0], [3.0, 3.0]);
-        let mut counts = vec![0usize; ranks];
-        for p in &pts {
-            counts[d.rank_of_point(*p)] += 1;
-        }
-        assert_eq!(counts.iter().sum::<usize>(), pts.len());
-        // Median splits keep every region within a small additive band of
-        // the ideal share (ties on duplicate coordinates can shift a few
-        // points).
-        let ideal = pts.len() as f64 / ranks as f64;
-        let max = *counts.iter().max().unwrap() as f64;
-        assert!(max <= 2.0 * ideal + 4.0, "counts {counts:?}");
     }
 }
 

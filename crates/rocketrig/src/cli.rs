@@ -88,8 +88,7 @@ USAGE:
 OPTIONS:
     --deck <multimode|singlemode>   input deck            [multimode]
     --order <low|medium|high>       model order           [low]
-    --solver <exact|cutoff|balanced|tree>  BR solver      [cutoff]
-    --theta <F>                     tree opening angle    [0.5]
+    --solver <exact|cutoff>         BR solver             [cutoff]
     --n <N>                         mesh nodes per axis   [64]
     --steps <N>                     timesteps             [20]
     --ranks <N>                     thread-ranks          [4]
@@ -175,29 +174,12 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             "--order" => {
                 opts.config.order = take(args, &mut i, flag)?.parse::<Order>()?;
             }
-            "--solver" => match take(args, &mut i, flag)?.as_str() {
-                "exact" => {
-                    opts.config.cutoff_solver = false;
-                    opts.config.tree_theta = None;
+            "--solver" => {
+                opts.config.cutoff_solver = match take(args, &mut i, flag)?.as_str() {
+                    "exact" => false,
+                    "cutoff" => true,
+                    other => return Err(format!("unknown solver '{other}'")),
                 }
-                "cutoff" => {
-                    opts.config.cutoff_solver = true;
-                    opts.config.tree_theta = None;
-                    opts.config.balanced = false;
-                }
-                "balanced" => {
-                    opts.config.cutoff_solver = true;
-                    opts.config.tree_theta = None;
-                    opts.config.balanced = true;
-                }
-                "tree" => {
-                    opts.config.cutoff_solver = false;
-                    opts.config.tree_theta.get_or_insert(0.5);
-                }
-                other => return Err(format!("unknown solver '{other}'")),
-            },
-            "--theta" => {
-                opts.config.tree_theta = Some(parse_f(&take(args, &mut i, flag)?, flag)?)
             }
             "--n" => opts.config.mesh_n = parse_num(&take(args, &mut i, flag)?, flag)?,
             "--steps" => opts.config.steps = parse_num(&take(args, &mut i, flag)?, flag)?,
@@ -429,6 +411,15 @@ mod tests {
             assert!(err.contains("must be finite"), "{flag} {value}: {err}");
         }
         assert!(parse_args(&sv(&["--frobnicate"])).is_err());
+        // Unknown solver values and flags fail, naming what was given.
+        for (args, named) in [
+            (&["--solver", "tree"][..], "'tree'"),
+            (&["--solver", "balanced"], "'balanced'"),
+            (&["--theta", "0.5"], "'--theta'"),
+        ] {
+            let err = parse_args(&sv(args)).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -440,17 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn tree_solver_options() {
-        let o = parse_args(&sv(&["--solver", "tree"])).unwrap();
-        assert_eq!(o.config.tree_theta, Some(0.5));
-        let o = parse_args(&sv(&["--solver", "tree", "--theta", "0.8"])).unwrap();
-        assert_eq!(o.config.tree_theta, Some(0.8));
-        let o = parse_args(&sv(&["--theta", "0.3", "--solver", "tree"])).unwrap();
-        assert_eq!(o.config.tree_theta, Some(0.3));
-        let o = parse_args(&sv(&["--solver", "cutoff"])).unwrap();
-        assert_eq!(o.config.tree_theta, None);
-        let o = parse_args(&sv(&["--solver", "balanced"])).unwrap();
-        assert!(o.config.balanced && o.config.cutoff_solver);
+    fn solver_flag_is_last_one_wins() {
+        use beatnik_core::solver::BrChoice;
+        let br = |args: &[&str]| {
+            let mut args = args.to_vec();
+            args.extend(["--order", "high"]);
+            parse_args(&sv(&args)).unwrap().config.solver_config().br
+        };
+        assert!(matches!(br(&[]), BrChoice::Cutoff { .. }));
+        assert_eq!(br(&["--solver", "cutoff", "--solver", "exact"]), BrChoice::Exact);
+        assert!(matches!(
+            br(&["--solver", "exact", "--solver", "cutoff"]),
+            BrChoice::Cutoff { .. }
+        ));
     }
 
     #[test]

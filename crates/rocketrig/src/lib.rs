@@ -89,12 +89,6 @@ pub struct RigConfig {
     pub steps: usize,
     /// Use the cutoff solver (vs. exact) for medium/high order.
     pub cutoff_solver: bool,
-    /// Use the Barnes–Hut tree solver with this opening angle instead
-    /// (overrides `cutoff_solver` when set).
-    pub tree_theta: Option<f64>,
-    /// Use the RCB load-balanced cutoff solver instead of the uniform
-    /// grid (applies when `cutoff_solver` is set).
-    pub balanced: bool,
     /// Physical and numerical parameters.
     pub params: Params,
     /// Distributed-FFT tuning.
@@ -124,8 +118,6 @@ impl_json_struct!(RigConfig {
     mesh_n,
     steps,
     cutoff_solver,
-    tree_theta,
-    balanced,
     params,
     fft,
     diag_every,
@@ -145,8 +137,6 @@ impl Default for RigConfig {
             mesh_n: 64,
             steps: 20,
             cutoff_solver: true,
-            tree_theta: None,
-            balanced: false,
             params: Params::default(),
             fft: FftConfig::default(),
             diag_every: 1,
@@ -172,12 +162,6 @@ impl RigConfig {
     pub fn solver_config(&self) -> SolverConfig {
         let br = if !self.order.needs_br_solver() {
             BrChoice::None
-        } else if let Some(theta) = self.tree_theta {
-            BrChoice::Tree { theta }
-        } else if self.cutoff_solver && self.balanced {
-            BrChoice::BalancedCutoff {
-                bounds: self.deck.domain(self.order),
-            }
         } else if self.cutoff_solver {
             BrChoice::Cutoff {
                 bounds: self.deck.domain(self.order),

@@ -1,6 +1,6 @@
 //! Counting-sort binning of points into cubic cells — the one binning
-//! routine under [`crate::UniformGrid`], `NeighborList::build(..,
-//! Backend::Grid)` and the cutoff BR solver's fused evaluator.
+//! routine under [`crate::NeighborList::build`] and the cutoff BR
+//! solver's fused evaluator.
 //!
 //! Cells are at least `radius` wide and are numbered x-fastest, so the
 //! points of the cells `x0..=x1` of one (y, z) row occupy one contiguous

@@ -2,33 +2,21 @@
 //!
 //! The paper's cutoff solver uses ArborX to find, for every point a rank
 //! owns, the owned and halo-ghost points within a fixed radius. This
-//! crate implements that capability from scratch with two interchangeable
-//! backends:
+//! crate implements that capability from scratch with one binning
+//! routine, [`CellBins`]: points are counting-sorted into cells of edge
+//! ≥ radius, and a query scans at most nine contiguous runs of its
+//! 3×3×3 cell block (what ArborX effectively does for uniform point
+//! densities; O(n) build, O(k) query).
 //!
-//! * [`UniformGrid`] — bin points into cells of edge ≥ radius, then scan
-//!   the 3×3×3 cell neighborhood per query (what ArborX effectively does
-//!   for uniform point densities; O(n) build, O(k) query);
-//! * [`KdTree`] — a median-split k-d tree with pruned radius queries
-//!   (robust under highly non-uniform densities, e.g. rolled-up
-//!   interfaces).
-//!
-//! Both produce [`NeighborList`]s in CSR form; property tests pin them to
-//! each other and to the O(n²) brute-force reference. The grid's binning
-//! is [`CellBins`], which the cutoff BR solver also drives directly: it
-//! evaluates over the cell-sorted points without materialising a list.
+//! The cutoff BR solver drives [`CellBins`] directly: it evaluates over
+//! the cell-sorted points without materialising a list. [`NeighborList`]
+//! is the explicit CSR form of the same search, pinned by tests to the
+//! O(n²) [`brute_force_neighbors`] reference.
 
-pub mod aabb;
-pub mod bhtree;
 pub mod cells;
-pub mod grid;
-pub mod kdtree;
 pub mod neighbors;
 
-pub use aabb::Aabb;
-pub use bhtree::BhTree;
 pub use cells::CellBins;
-pub use grid::UniformGrid;
-pub use kdtree::KdTree;
 pub use neighbors::{brute_force_neighbors, NeighborList};
 
 /// Squared Euclidean distance between two points.

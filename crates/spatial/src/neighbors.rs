@@ -7,19 +7,17 @@
 //! [`crate::CellBins`] without building a list; the list is what
 //! diagnostics, benchmarks and the brute-force comparison read.
 
-use crate::grid::UniformGrid;
-use crate::kdtree::KdTree;
+use crate::cells::CellBins;
 use crate::dist2;
 
-/// Which acceleration structure proposes a target's neighbours — for a
-/// [`NeighborList`] and for the cutoff BR solver alike.
+/// What proposes a target's neighbours. Cell binning is the only
+/// search; the type stays because the `benchmark` crate still passes it
+/// to [`NeighborList::build`] and the cutoff BR solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Cell-list binning (ArborX-style default).
+    /// Cell-list binning (ArborX-style).
     #[default]
     Grid,
-    /// k-d tree (robust under extreme clustering).
-    KdTree,
 }
 
 /// Compressed sparse-row neighbor lists: neighbors of target `t` are
@@ -33,38 +31,32 @@ pub struct NeighborList {
 }
 
 impl NeighborList {
-    /// Build with the chosen backend.
+    /// Every source within `radius` (inclusive) of each target, found by
+    /// binning the sources into [`CellBins`]. Each row is sorted.
+    ///
+    /// # Panics
+    /// Panics on a non-positive radius.
     pub fn build(
         targets: &[[f64; 3]],
         sources: &[[f64; 3]],
         radius: f64,
-        backend: Backend,
+        _backend: Backend,
     ) -> Self {
-        match backend {
-            Backend::Grid => {
-                let grid = UniformGrid::build(sources.to_vec(), radius);
-                Self::from_queries(targets, |q, out| grid.query(q, radius, out))
-            }
-            Backend::KdTree => {
-                let tree = KdTree::build(sources.to_vec());
-                Self::from_queries(targets, |q, out| tree.query(q, radius, out))
-            }
-        }
-    }
-
-    fn from_queries(
-        targets: &[[f64; 3]],
-        mut query: impl FnMut([f64; 3], &mut Vec<u32>),
-    ) -> Self {
+        let bins = CellBins::build(sources.iter().copied(), radius);
+        let r2 = radius * radius;
         let mut offsets = Vec::with_capacity(targets.len() + 1);
         offsets.push(0);
         let mut indices = Vec::new();
-        let mut scratch = Vec::new();
         for &t in targets {
-            query(t, &mut scratch);
-            // Deterministic ordering regardless of backend traversal.
-            scratch.sort_unstable();
-            indices.extend_from_slice(&scratch);
+            let row = indices.len();
+            for run in bins.runs(t, radius) {
+                for &si in &bins.order()[run] {
+                    if dist2(sources[si as usize], t) <= r2 {
+                        indices.push(si);
+                    }
+                }
+            }
+            indices[row..].sort_unstable();
             offsets.push(indices.len());
         }
         NeighborList { offsets, indices }
@@ -138,10 +130,8 @@ mod tests {
         let sources = cloud(150, 100.0);
         let r = 0.6;
         let want = brute_force_neighbors(&targets, &sources, r);
-        for backend in [Backend::Grid, Backend::KdTree] {
-            let got = NeighborList::build(&targets, &sources, r, backend);
-            assert_eq!(got, want, "{backend:?}");
-        }
+        let got = NeighborList::build(&targets, &sources, r, Backend::Grid);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -159,7 +149,7 @@ mod tests {
     #[test]
     fn identical_target_source_sets_include_self() {
         let pts = cloud(40, 0.0);
-        let nl = NeighborList::build(&pts, &pts, 0.4, Backend::KdTree);
+        let nl = NeighborList::build(&pts, &pts, 0.4, Backend::Grid);
         for t in 0..pts.len() {
             assert!(nl.neighbors(t).contains(&(t as u32)), "target {t}");
         }
@@ -172,13 +162,7 @@ mod tests {
         let pts = [[0.0; 3], [1e5, 1e5, 1e5], [1e5, 1e5, 1e5 + 5e-3]];
         let want = brute_force_neighbors(&pts, &pts, 1e-2);
         assert_eq!(want.indices, [0, 1, 2, 1, 2]);
-        for backend in [Backend::Grid, Backend::KdTree] {
-            assert_eq!(
-                NeighborList::build(&pts, &pts, 1e-2, backend),
-                want,
-                "{backend:?}"
-            );
-        }
+        assert_eq!(NeighborList::build(&pts, &pts, 1e-2, Backend::Grid), want);
     }
 
     #[test]
@@ -192,12 +176,39 @@ mod tests {
             assert!(want.neighbors(bad).is_empty());
             assert!(!want.indices.contains(&(bad as u32)));
         }
-        for backend in [Backend::Grid, Backend::KdTree] {
-            assert_eq!(
-                NeighborList::build(&pts, &pts, 0.8, backend),
-                want,
-                "{backend:?}"
-            );
+        assert_eq!(NeighborList::build(&pts, &pts, 0.8, Backend::Grid), want);
+    }
+
+    #[test]
+    fn awkward_clouds_match_brute_force_row_for_row() {
+        // A 5×5×3 lattice of spacing 0.25 with radius 0.25: the cell edge
+        // is exactly the radius, every lattice point sits on a cell
+        // boundary, and each axis neighbour is exactly at the radius.
+        let lattice: Vec<[f64; 3]> = (0..75)
+            .map(|i| [(i % 5) as f64, (i / 5 % 5) as f64, (i / 25) as f64].map(|c| c * 0.25))
+            .collect();
+        // A cloud whose bins start at 0 with cell edge 0.5, plus points
+        // on the boundaries of those cells, a coincident pair and a
+        // target far outside.
+        let mut sources: Vec<[f64; 3]> = cloud(40, 5.0)
+            .into_iter()
+            .map(|p| p.map(|c| c * 0.5 + 1.0))
+            .collect();
+        sources.extend([[0.0; 3], [0.5, 0.5, 0.5], [1.0, 0.5, 0.0], [1.0, 0.5, 0.0]]);
+        let mut targets = sources.clone();
+        targets.push([9.0, 9.0, 9.0]);
+        let one = [[1.0, 0.5, 0.0]];
+        for (what, targets, sources, r) in [
+            ("lattice", &lattice[..], &lattice[..], 0.25),
+            ("cell boundaries", &targets[..], &sources[..], 0.5),
+            ("one source", &targets[..], &one[..], 0.5),
+        ] {
+            let want = brute_force_neighbors(targets, sources, r);
+            let got = NeighborList::build(targets, sources, r, Backend::Grid);
+            assert_eq!(got.num_targets(), targets.len(), "{what}");
+            for t in 0..targets.len() {
+                assert_eq!(got.neighbors(t), want.neighbors(t), "{what}: target {t}");
+            }
         }
     }
 

@@ -1,9 +1,8 @@
-//! Randomized-property tests of the spatial search structures, driven
+//! Randomized-property tests of the neighbour search, driven
 //! by the workspace's deterministic PRNG (reproducible and hermetic).
 
 use beatnik_prng::Rng;
 use beatnik_spatial::neighbors::{brute_force_neighbors, Backend, NeighborList};
-use beatnik_spatial::{dist2, Aabb, BhTree};
 
 /// `0..max_n` random points in the `[-10, 10]² × [-2, 2]` box.
 fn points(rng: &mut Rng, max_n: usize) -> Vec<[f64; 3]> {
@@ -28,80 +27,7 @@ fn both_backends_equal_brute_force() {
         let pts = points(&mut rng, 60);
         let radius = rng.gen_range(0.05..5.0);
         let want = brute_force_neighbors(&pts, &pts, radius);
-        for backend in [Backend::Grid, Backend::KdTree] {
-            let got = NeighborList::build(&pts, &pts, radius, backend);
-            assert_eq!(got, want, "backend {backend:?}, n {}", pts.len());
-        }
-    }
-}
-
-#[test]
-fn aabb_contains_its_points() {
-    let mut rng = Rng::seed_from_u64(0x59A_0002);
-    for _ in 0..CASES {
-        let pts = points(&mut rng, 50);
-        if pts.is_empty() {
-            continue;
-        }
-        let b = Aabb::bounding(&pts).unwrap();
-        for p in &pts {
-            assert!(b.contains(*p));
-            assert_eq!(b.dist2_to(*p), 0.0);
-        }
-        // Expanding never loses containment.
-        let e = b.expanded(1.5);
-        for p in &pts {
-            assert!(e.contains(*p));
-        }
-    }
-}
-
-#[test]
-fn bhtree_theta_zero_is_exact_summation() {
-    let mut rng = Rng::seed_from_u64(0x59A_0003);
-    for _ in 0..CASES {
-        let pts = points(&mut rng, 80);
-        let strengths: Vec<[f64; 3]> = pts
-            .iter()
-            .map(|p| [p[1] * 0.1, -p[0] * 0.1, 0.05])
-            .collect();
-        let tree = BhTree::build(pts.clone(), strengths.clone());
-        let kernel = |t: [f64; 3], p: [f64; 3], s: [f64; 3]| -> [f64; 3] {
-            let r2 = dist2(t, p) + 0.01;
-            let inv = 1.0 / (r2 * r2.sqrt());
-            [s[0] * inv, s[1] * inv, s[2] * inv]
-        };
-        let target = [0.3, -0.2, 0.1];
-        let got = tree.evaluate(target, 0.0, &kernel);
-        let mut want = [0.0f64; 3];
-        for (p, s) in pts.iter().zip(&strengths) {
-            let u = kernel(target, *p, *s);
-            want[0] += u[0];
-            want[1] += u[1];
-            want[2] += u[2];
-        }
-        for k in 0..3 {
-            assert!((got[k] - want[k]).abs() < 1e-9 * (1.0 + want[k].abs()));
-        }
-    }
-}
-
-#[test]
-fn bhtree_interaction_count_monotone_in_theta() {
-    let mut rng = Rng::seed_from_u64(0x59A_0004);
-    for _ in 0..CASES {
-        let pts = points(&mut rng, 120);
-        if pts.len() < 20 {
-            continue;
-        }
-        let strengths = vec![[0.1, 0.0, 0.0]; pts.len()];
-        let tree = BhTree::build(pts.clone(), strengths);
-        let t = pts[0];
-        let exact = tree.interaction_count(t, 0.0);
-        let mid = tree.interaction_count(t, 0.5);
-        let coarse = tree.interaction_count(t, 1.5);
-        assert_eq!(exact, pts.len());
-        assert!(mid <= exact);
-        assert!(coarse <= mid);
+        let got = NeighborList::build(&pts, &pts, radius, Backend::Grid);
+        assert_eq!(got, want, "n {}", pts.len());
     }
 }

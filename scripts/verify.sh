@@ -138,6 +138,25 @@ for f in "$PROF_DIR"/agree-thread/*.vtk; do
     cmp "$f" "$PROF_DIR/agree-tcp/${f##*/}"
     cmp "$f" "$PROF_DIR/agree-tcp-procs/${f##*/}"
 done
+# The cutoff solver's migrate/halo/return alltoallv cycle must agree
+# the same way: a 4-rank high-order cutoff run on the thread backend and
+# over TCP loopback writes identical VTK files at every step.
+for backend in thread tcp; do
+    "$RIG" --transport "$backend" --order high --solver cutoff \
+        --deck singlemode --n 16 --steps 4 --ranks 4 --vtk-every 1 \
+        --out "$PROF_DIR/cutoff-$backend" >/dev/null
+done
+test "$(ls "$PROF_DIR/cutoff-thread" | grep -c '\.vtk$')" -eq 4
+for f in "$PROF_DIR"/cutoff-thread/*.vtk; do
+    cmp "$f" "$PROF_DIR/cutoff-tcp/${f##*/}"
+done
+# An unknown --solver value must fail at the prompt and name itself.
+if "$RIG" --solver tree --n 16 --steps 1 --ranks 1 \
+    > "$PROF_DIR/solver-tree.log" 2>&1; then
+    echo "rocketrig --solver tree exited 0"
+    exit 1
+fi
+grep -q "unknown solver 'tree'" "$PROF_DIR/solver-tree.log"
 # Messages larger than the socket buffers (16 MiB one way, 8 MiB both
 # ways, 2 MiB alltoallv blocks) must complete on every backend; each
 # test fails after 30 s instead of hanging.
