@@ -49,10 +49,11 @@
 //!   evaluation (`br_cutoff/fused`: one 1-rank `CutoffBrSolver` call on
 //!   the 96² single-mode point set at cutoff 0.5, ns per target —
 //!   binning, distance filter and pair kernel together), then that
-//!   pass's two loops on the same cell runs and hit lists, each in its
-//!   dispatched vector form and its scalar body: the distance filter
-//!   (`br_select/{simd, scalar}`, ns per candidate) and the hit kernel
-//!   (`br_hits/{simd, scalar}`, ns per hit).
+//!   pass's two loops on the same half-cover runs and hit lists, each in
+//!   its dispatched vector form and its scalar body: the distance filter
+//!   (`br_select/{simd, scalar}`, ns per candidate) and the symmetric hit
+//!   kernel (`br_hits_half/{simd, scalar}`, ns per evaluated pair, the
+//!   reactions scattered).
 //!
 //! * **Z-Model stage remainder** — what one `ZModel::derivatives` call
 //!   spends outside the phases it invokes (halo exchanges, distributed
@@ -76,8 +77,8 @@
 
 use beatnik_comm::{AllToAllAlgo, Communicator, World};
 use beatnik_core::br::kernel::{
-    accumulate_block, accumulate_hits, accumulate_symmetric, hits_body, select_body, select_within,
-    Sources,
+    accumulate_block, accumulate_hits_symmetric, accumulate_symmetric, hits_symmetric_body,
+    select_body, select_within, Reaction, Sources,
 };
 use beatnik_core::br::{BrPoint, BrSolver, CutoffBrSolver};
 use beatnik_core::{geometry, Order, ProblemManager, ZModel};
@@ -554,9 +555,10 @@ fn bench_br_cutoff(rows: &mut Vec<Row>, n: usize, reps: usize) {
 }
 
 /// The two loops of the cutoff pair pass on the `n`² single-mode open
-/// deck, each in its dispatched and its scalar form over the same cell
-/// runs and hit lists a 1-rank evaluation visits: the distance filter
-/// in ns per candidate, the hit kernel in ns per hit.
+/// deck, each in its dispatched and its scalar form over the same
+/// half-cover runs and hit lists a 1-rank evaluation visits: the
+/// distance filter in ns per candidate, the symmetric hit kernel in ns
+/// per evaluated pair.
 fn bench_br_pair_pass(rows: &mut Vec<Row>, n: usize) {
     let rig = RigConfig {
         deck: Deck::SingleModeOpen,
@@ -575,9 +577,16 @@ fn bench_br_pair_pass(rows: &mut Vec<Row>, n: usize) {
         (p.pos, p.strength)
     }));
     let targets: Vec<[f64; 3]> = (0..bins.order().len()).map(|slot| sources.pos(slot)).collect();
+    // Row `s` reads the part of its runs after `s`.
     let runs: Vec<Vec<Range<usize>>> = targets
         .iter()
-        .map(|&t| bins.runs(t, cutoff).collect())
+        .enumerate()
+        .map(|(slot, &t)| {
+            bins.runs(t, cutoff)
+                .map(|run| run.start.max(slot + 1)..run.end)
+                .filter(|run| !run.is_empty())
+                .collect()
+        })
         .collect();
     let candidates: usize = runs.iter().flatten().map(Range::len).sum();
 
@@ -594,7 +603,7 @@ fn bench_br_pair_pass(rows: &mut Vec<Row>, n: usize) {
         }
     });
 
-    // Every target's hit list, end to end, for the kernel to read.
+    // Every row's hit list, end to end, for the kernel to read.
     let (mut hits, mut ends) = (Vec::new(), Vec::new());
     for (&t, runs) in targets.iter().zip(&runs) {
         for run in runs {
@@ -602,22 +611,25 @@ fn bench_br_pair_pass(rows: &mut Vec<Row>, n: usize) {
         }
         ends.push(hits.len());
     }
-    let kernels = [accumulate_hits, hits_body];
+    let kernels = [accumulate_hits_symmetric, hits_symmetric_body];
     let mut vel = vec![[0.0f64; 3]; targets.len()];
+    let mut reactions = vec![Reaction::default(); targets.len()];
     let hits_ns = best_interleaved_ns(|form| {
+        reactions.fill(Reaction::default());
         let mut start = 0;
-        for ((v, &t), &end) in vel.iter_mut().zip(&targets).zip(&ends) {
-            *v = kernels[form](t, &sources, &hits[start..end], eps2);
+        for (slot, ((v, &t), &end)) in vel.iter_mut().zip(&targets).zip(&ends).enumerate() {
+            let (tw, row) = (sources.strength(slot), &hits[start..end]);
+            *v = kernels[form](t, tw, &sources, row, eps2, &mut reactions);
             start = end;
         }
-        std::hint::black_box(&vel);
+        std::hint::black_box((&vel, &reactions));
     });
 
     // Nominal bytes: three coordinates per candidate, a 48-byte source
-    // record per hit.
+    // record and a 32-byte reaction row read and written per pair.
     for (kernel, unit, work, bytes, ns) in [
         ("br_select", "candidate", candidates, 24.0, select_ns),
-        ("br_hits", "hit", hits.len(), 48.0, hits_ns),
+        ("br_hits_half", "pair", hits.len(), 112.0, hits_ns),
     ] {
         for (variant, ns) in [("simd", ns[0]), ("scalar", ns[1])] {
             rows.push(Row {

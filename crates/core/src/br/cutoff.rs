@@ -7,13 +7,14 @@
 //! 2. halo points within the cutoff distance between spatial blocks;
 //! 3. counting-sort owned + ghost points into cutoff-sized cells
 //!    (`beatnik-spatial`, the ArborX stand-in), and
-//! 4. for each owned point, filter the ≤ 9 contiguous runs of its 3×3×3
-//!    cell block down to the points within the cutoff and accumulate the
-//!    pair kernel over those hits — the neighbour list the paper builds
+//! 4. for each sorted point, filter the part after it of the ≤ 9
+//!    contiguous runs of its 3×3×3 cell block down to the points within
+//!    the cutoff, and evaluate each of those pairs once, the reaction
+//!    scattered to the later point — the neighbour list the paper builds
 //!    here would be read once and dropped, so none is materialised;
 //! 5. migrate results back to the surface decomposition.
 
-use super::kernel::{accumulate_hits, select_within, Sources};
+use super::kernel::{accumulate_hits_symmetric, select_within, Reaction, Sources};
 use super::{BrPoint, BrSolver};
 use beatnik_comm::Communicator;
 use beatnik_mesh::migrate::{halo_exchange_points, migrate_results_home, migrate_to_spatial};
@@ -73,8 +74,8 @@ impl BrSolver for CutoffBrSolver {
         let ghosts = halo_exchange_points(comm, smesh, &owned, cutoff);
 
         // Steps 3 + 4: sort owned + ghost sources, then filter and
-        // accumulate per owned target.
-        let sources = {
+        // evaluate each pair once.
+        let mut sources = {
             let _phase = comm.telemetry().phase("br-cutoff-bin");
             SortedSources::new(&owned, &ghosts, cutoff)
         };
@@ -111,6 +112,8 @@ struct SortedSources {
     /// Positions and strengths by sorted slot.
     sources: Sources,
     bins: CellBins,
+    /// Reactions gathered by each sorted slot from the rows before it.
+    reactions: Vec<Reaction>,
 }
 
 impl SortedSources {
@@ -127,39 +130,71 @@ impl SortedSources {
         };
         SortedSources {
             sources: Sources::from_slots(bins.order().iter().map(point)),
+            reactions: vec![Reaction::default(); bins.order().len()],
             bins,
         }
     }
 
     /// Velocity at each of the first `n_owned` input points from every
-    /// source within `cutoff` (inclusive), visiting targets in slot order
-    /// so consecutive targets read the same runs.
-    fn velocities(&self, n_owned: usize, cutoff: f64, eps2: f64) -> Vec<[f64; 3]> {
-        self.pair_pass(n_owned, cutoff, eps2, select_within, accumulate_hits)
+    /// source within `cutoff` (inclusive), each pair evaluated once.
+    fn velocities(&mut self, n_owned: usize, cutoff: f64, eps2: f64) -> Vec<[f64; 3]> {
+        self.pair_pass(n_owned, cutoff, eps2, select_within, accumulate_hits_symmetric)
     }
 
     /// [`SortedSources::velocities`] through a given filter and kernel.
+    ///
+    /// The half cover: every slot `s`, owned or ghost, is a row, visited
+    /// in slot order, and row `s` filters only the part of its runs
+    /// after `s`. Distances and covers are the same from either end, so
+    /// each pair within the cutoff is found once, from its lower slot. A
+    /// ghost row keeps only its owned hits, so no ghost–ghost pair is
+    /// evaluated; reactions landing on ghost slots are never read. An
+    /// owned slot's velocity is the reactions of the rows before it plus
+    /// its own row.
     fn pair_pass(
-        &self,
+        &mut self,
         n_owned: usize,
         cutoff: f64,
         eps2: f64,
         select: impl Fn([f64; 3], &Sources, Range<usize>, f64, &mut Vec<u32>),
-        accumulate: impl Fn([f64; 3], &Sources, &[u32], f64) -> [f64; 3],
+        mut accumulate: impl FnMut(
+            [f64; 3],
+            [f64; 3],
+            &Sources,
+            &[u32],
+            f64,
+            &mut [Reaction],
+        ) -> [f64; 3],
     ) -> Vec<[f64; 3]> {
+        let SortedSources {
+            sources,
+            bins,
+            reactions,
+        } = self;
+        reactions.fill(Reaction::default());
+        let order = bins.order();
+        let owned = |slot: u32| (order[slot as usize] as usize) < n_owned;
         let rc2 = cutoff * cutoff;
         let mut vel = vec![[0.0f64; 3]; n_owned];
         let mut hits: Vec<u32> = Vec::new();
-        for (slot, &i) in self.bins.order().iter().enumerate() {
-            let Some(v) = vel.get_mut(i as usize) else {
-                continue; // a ghost: a source only
-            };
-            let target = self.sources.pos(slot);
+        for (slot, &i) in order.iter().enumerate() {
+            let target = sources.pos(slot);
             hits.clear();
-            for run in self.bins.runs(target, cutoff) {
-                select(target, &self.sources, run, rc2, &mut hits);
+            for run in bins.runs(target, cutoff) {
+                let after = run.start.max(slot + 1)..run.end;
+                if !after.is_empty() {
+                    select(target, sources, after, rc2, &mut hits);
+                }
             }
-            *v = accumulate(target, &self.sources, &hits, eps2);
+            let v = vel.get_mut(i as usize);
+            if v.is_none() {
+                hits.retain(|&j| owned(j)); // a ghost row: its owned pairs only
+            }
+            let row = accumulate(target, sources.strength(slot), sources, &hits, eps2, reactions);
+            if let Some(v) = v {
+                let r = reactions[slot].0;
+                *v = [r[0] + row[0], r[1] + row[1], r[2] + row[2]];
+            }
         }
         vel
     }
@@ -169,7 +204,7 @@ impl SortedSources {
 mod tests {
     use super::*;
     use crate::br::exact::ExactBrSolver;
-    use crate::br::kernel::{br_pair_velocity, hits_body, select_body};
+    use crate::br::kernel::{br_pair_velocity, hits_symmetric_body, select_body};
     use beatnik_comm::{dims_create, OpKind, World};
 
     fn global_points(n: usize) -> Vec<BrPoint> {
@@ -394,15 +429,83 @@ mod tests {
 
     #[test]
     fn dispatched_pair_pass_matches_the_scalar_bodies_bitwise() {
+        let bits = |v: Vec<[f64; 3]>| -> Vec<[u64; 3]> {
+            v.iter().map(|c| c.map(f64::to_bits)).collect()
+        };
         for (what, owned, ghosts, cutoff, eps) in awkward_sets() {
             let (owned, ghosts) = (surface_points(&owned), surface_points(&ghosts));
-            let sources = SortedSources::new(&owned, &ghosts, cutoff);
-            assert_eq!(
-                sources.velocities(owned.len(), cutoff, eps * eps),
-                sources.pair_pass(owned.len(), cutoff, eps * eps, select_body, hits_body),
-                "{what} ({} owned)",
-                owned.len()
+            let mut sources = SortedSources::new(&owned, &ghosts, cutoff);
+            let dispatched = sources.velocities(owned.len(), cutoff, eps * eps);
+            let scalar = sources.pair_pass(
+                owned.len(),
+                cutoff,
+                eps * eps,
+                select_body,
+                hits_symmetric_body,
             );
+            assert_eq!(bits(dispatched), bits(scalar), "{what} ({} owned)", owned.len());
+        }
+    }
+
+    /// A 12 x 10 open sheet with a gentle fold.
+    fn open_sheet() -> Vec<[f64; 3]> {
+        (0..120)
+            .map(|i| {
+                let (x, y) = ((i % 12) as f64 * 0.4 - 2.2, (i / 12) as f64 * 0.45 - 2.0);
+                [x, y, 0.3 * (x + 0.5 * y).sin()]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_pair_within_the_cutoff_is_evaluated_once_and_never_ghost_to_ghost() {
+        let sheet = open_sheet();
+        let mut sets = awkward_sets();
+        sets.push(("open sheet", sheet.clone(), vec![], 0.9, 0.1));
+        sets.push(("open sheet, half ghost", sheet[..60].to_vec(), sheet[60..].to_vec(), 0.9, 0.1));
+        for (what, owned, ghosts, cutoff, eps) in sets {
+            let (owned, ghosts) = (surface_points(&owned), surface_points(&ghosts));
+            let all: Vec<[f64; 3]> = owned.iter().chain(&ghosts).map(|p| p.pos).collect();
+            let is_owned = |i: usize| i < owned.len();
+            // Brute force: the unordered pairs within the cutoff with at
+            // least one owned end, as input indices.
+            let mut want = Vec::new();
+            for a in 0..all.len() {
+                for b in a + 1..all.len() {
+                    let near = beatnik_spatial::dist2(all[a], all[b]) <= cutoff * cutoff;
+                    if near && (is_owned(a) || is_owned(b)) {
+                        want.push((a, b));
+                    }
+                }
+            }
+            // The pass's own evaluations, through a counting kernel: rows
+            // come one call per slot, in slot order.
+            let mut sources = SortedSources::new(&owned, &ghosts, cutoff);
+            let order = sources.bins.order().to_vec();
+            let (mut row, mut got) = (0, Vec::new());
+            sources.pair_pass(
+                owned.len(),
+                cutoff,
+                eps * eps,
+                select_body,
+                |t, tw, src: &Sources, hits: &[u32], eps2, reactions: &mut [Reaction]| {
+                    let a = order[row] as usize;
+                    for &j in hits {
+                        let b = order[j as usize] as usize;
+                        got.push((a.min(b), a.max(b)));
+                    }
+                    row += 1;
+                    hits_symmetric_body(t, tw, src, hits, eps2, reactions)
+                },
+            );
+            assert_eq!(row, order.len(), "{what}: one row per slot");
+            assert_eq!(got.len(), want.len(), "{what}: kernel evaluations");
+            assert!(
+                got.iter().all(|&(a, b)| is_owned(a) || is_owned(b)),
+                "{what}: a ghost-ghost pair was evaluated"
+            );
+            got.sort_unstable();
+            assert_eq!(got, want, "{what}: each pair once");
         }
     }
 

@@ -11,21 +11,23 @@
 //!   unordered pair evaluated once and added to both ends, lanes =
 //!   *sources* with a fixed four-accumulator association (the exact
 //!   solvers' own block: n(n−1)/2 pairs, one reciprocal each);
-//! * [`accumulate_hits`] — one target against a list of source slots,
-//!   lanes = *hits* with a fixed four-accumulator association, fed by
-//!   [`select_within`] (the cutoff solver).
+//! * [`accumulate_hits_symmetric`] — one row's slot against a list of
+//!   later slots, each pair evaluated once: lanes = *hits* with a fixed
+//!   four-accumulator association for the row, the reaction scattered
+//!   into the hit's [`Reaction`] row; fed by [`select_within`] (the
+//!   cutoff solver's half cover).
 //!
 //! The block body is safe array code written once and instantiated
 //! twice, for the build's baseline features and, on x86-64, for AVX2.
 //! The filter, the hit kernel and the symmetric kernel each have a
-//! scalar body ([`select_body`], [`hits_body`], `symmetric_body`: the
-//! fallback and the test oracle) and an AVX2 form in intrinsics that
-//! performs the scalar body's IEEE operations in the scalar body's
-//! order, four at a time — never FMA, so no multiply–add is fused, and
-//! compaction keeps slot order — so every CPU produces the same bits
-//! (the `beatnik_fft::kernel` rule). Which form runs decides only the
-//! speed, which the `br_pairs`, `br_cutoff`, `br_select` and `br_hits`
-//! rows of `BENCH_compute.json` gate.
+//! scalar body ([`select_body`], [`hits_symmetric_body`],
+//! `symmetric_body`: the fallback and the test oracle) and an AVX2 form
+//! in intrinsics that performs the scalar body's IEEE operations in the
+//! scalar body's order, four at a time — never FMA, so no multiply–add
+//! is fused, and compaction keeps slot order — so every CPU produces the
+//! same bits (the `beatnik_fft::kernel` rule). Which form runs decides
+//! only the speed, which the `br_pairs`, `br_cutoff`, `br_select` and
+//! `br_hits_half` rows of `BENCH_compute.json` gate.
 
 use crate::geometry::cross;
 use std::ops::Range;
@@ -38,8 +40,8 @@ const INV_4PI: f64 = 1.0 / (4.0 * std::f64::consts::PI);
 /// (shorter ones it unrolls into worse code) at little padding.
 const TARGET_LANES: usize = 16;
 
-/// Hits per lane group of the hit form: hit `i` accumulates in lane
-/// `i mod 4`, so this width is part of the result.
+/// Hits per lane group of the hit form: a row's hit `i` accumulates in
+/// lane `i mod 4`, so this width is part of the result.
 const HIT_LANES: usize = 4;
 
 /// Slots per group of the symmetric form: a row's pairs with slot `j`
@@ -134,7 +136,20 @@ impl Sources {
     pub fn pos(&self, j: usize) -> [f64; 3] {
         [self.x[j], self.y[j], self.z[j]]
     }
+
+    /// Strength of slot `j`.
+    pub fn strength(&self, j: usize) -> [f64; 3] {
+        let r = &self.rec[j];
+        [r[3], r[4], r[5]]
+    }
 }
+
+/// One slot's reaction accumulator of the hit form, `[x, y, z, 0]`: 32
+/// bytes at 32-byte alignment, so a scatter is one aligned vector
+/// load-add-store that never splits a cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+pub struct Reaction(pub [f64; 4]);
 
 /// Four slots of a symmetric block, slot `4g + l` in lane `l` of group
 /// `g`: positions, strengths, and the slots' velocity accumulators. The
@@ -238,52 +253,87 @@ fn block_body(
     }
 }
 
-/// `acc[·][l] += u(target, slot j[l])` for the first `live` lanes:
-/// collect the group into lanes (scalar loads behind one bounds check),
-/// then run the arithmetic over whole lanes. Lanes past `live` get zero
-/// strength and add ±0.
+/// The one bounds check of the hit form, made before any source is
+/// read or any reaction written: every hit must be a slot of `src` and
+/// a row of the `rows` reactions.
+fn check_hits(src: &Sources, hits: &[u32], rows: usize) {
+    let Some(last) = hits.iter().max() else {
+        return;
+    };
+    assert!((*last as usize) < src.rec.len(), "hit beyond the last slot");
+    assert!((*last as usize) < rows, "hit beyond the last reaction row");
+}
+
+/// The two ends of one pair, `d = x_j − x_i`: `(d × ω_j)·inv` for `i`
+/// and the reaction `(ω_i × d)·inv` for `j`, with one factor `inv` for
+/// both, zero where the pair is not `live` and where `r² = 0`. Those are
+/// the terms [`br_pair_velocity`] gives for `(i, j)` and for `(j, i)`,
+/// bit for bit, since `x_i − x_j = −d` and `(−d)² = d²` exactly.
 #[inline(always)]
-fn add_hit_group(
+fn pair_terms(
+    d: [f64; 3],
+    w: [f64; 3],
+    tw: [f64; 3],
+    eps2: f64,
+    live: bool,
+) -> ([f64; 3], [f64; 3]) {
+    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
+    let inv = if !live || r2 == 0.0 {
+        0.0
+    } else {
+        INV_4PI / (r2 * r2.sqrt())
+    };
+    (cross(d, w).map(|c| c * inv), cross(tw, d).map(|c| c * inv))
+}
+
+/// One group of [`hits_symmetric_body`]: the pair terms of the row at
+/// `target` with the four slots `j`, the row's term added to lane `l`
+/// and the reaction to slot `j[l]`. Lanes past `live` repeat a live
+/// slot, get a zero factor and are not scattered.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn symmetric_hit_group(
     acc: &mut [[f64; HIT_LANES]; 3],
     target: [f64; 3],
+    tw: [f64; 3],
     src: &Sources,
     j: [usize; HIT_LANES],
     live: usize,
     eps2: f64,
+    reactions: &mut [Reaction],
 ) {
-    let rec = &src.rec[..];
-    assert!(
-        j[0].max(j[1]).max(j[2]).max(j[3]) < rec.len(),
-        "hit beyond the last slot"
-    );
-    let (mut d, mut w) = ([[0.0f64; HIT_LANES]; 3], [[0.0f64; HIT_LANES]; 3]);
     for l in 0..HIT_LANES {
-        let r = rec[j[l]];
-        for k in 0..3 {
-            d[k][l] = r[k] - target[k];
-            w[k][l] = if l < live { r[3 + k] } else { 0.0 };
+        let r = src.rec[j[l]];
+        let d = [r[0] - target[0], r[1] - target[1], r[2] - target[2]];
+        let (u, v) = pair_terms(d, [r[3], r[4], r[5]], tw, eps2, l < live);
+        for (a, u) in acc.iter_mut().zip(u) {
+            a[l] += u;
         }
-    }
-    for l in 0..HIT_LANES {
-        let u = lane_velocity(
-            [d[0][l], d[1][l], d[2][l]],
-            [w[0][l], w[1][l], w[2][l]],
-            eps2,
-        );
-        for k in 0..3 {
-            acc[k][l] += u[k];
+        if l < live {
+            for (r, v) in reactions[j[l]].0.iter_mut().zip(v) {
+                *r += v;
+            }
         }
     }
 }
 
-/// [`accumulate_hits`] in portable scalar code: the fallback where AVX2
-/// is missing and the oracle the vector form is tested against.
-pub fn hits_body(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f64; 3] {
+/// [`accumulate_hits_symmetric`] in portable scalar code: the fallback
+/// where AVX2 is missing and the oracle the vector form is tested
+/// against.
+pub fn hits_symmetric_body(
+    target: [f64; 3],
+    tw: [f64; 3],
+    src: &Sources,
+    hits: &[u32],
+    eps2: f64,
+    reactions: &mut [Reaction],
+) -> [f64; 3] {
+    check_hits(src, hits, reactions.len());
     let mut acc = [[0.0f64; HIT_LANES]; 3];
     let mut groups = hits.chunks_exact(HIT_LANES);
     for g in &mut groups {
         let j = [g[0], g[1], g[2], g[3]].map(|j| j as usize);
-        add_hit_group(&mut acc, target, src, j, HIT_LANES, eps2);
+        symmetric_hit_group(&mut acc, target, tw, src, j, HIT_LANES, eps2, reactions);
     }
     let rest = groups.remainder();
     if let Some(&first) = rest.first() {
@@ -291,7 +341,7 @@ pub fn hits_body(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f
         for (j, &r) in j.iter_mut().zip(rest) {
             *j = r as usize;
         }
-        add_hit_group(&mut acc, target, src, j, rest.len(), eps2);
+        symmetric_hit_group(&mut acc, target, tw, src, j, rest.len(), eps2, reactions);
     }
     acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
 }
@@ -300,13 +350,9 @@ pub fn hits_body(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f
 /// AVX2 is missing and the oracle the vector form is tested against.
 ///
 /// Row `i` runs slot `i` against its own group and every later group,
-/// lane `l` of group `g` holding slot `j = 4g + l`. Each pair forms
-/// `d = x_j − x_i` and one factor `inv`, zero where `j ≤ i`, where `j`
-/// is a spare lane, and where `r² = 0`. It adds `(d × ω_j)·inv` to the
-/// row's lane `l` and the reaction `(ω_i × d)·inv` to slot `j`'s
-/// accumulator. Those are the terms [`br_pair_velocity`] gives for
-/// `(i, j)` and for `(j, i)`, bit for bit, since `x_i − x_j = −d` and
-/// `(−d)² = d²` exactly.
+/// lane `l` of group `g` holding slot `j = 4g + l`. Each pair's terms
+/// (`pair_terms`, live where `i < j < n`) go to the row's lane `l` and
+/// to slot `j`'s accumulator.
 fn symmetric_body(b: &mut PairBlock, eps2: f64) {
     let n = b.n;
     for i in 0..n {
@@ -317,16 +363,10 @@ fn symmetric_body(b: &mut PairBlock, eps2: f64) {
                 let j = g * PAIR_LANES + l;
                 let (p, w) = (grp.p.map(|c| c[l]), grp.w.map(|c| c[l]));
                 let d = [p[0] - t[0], p[1] - t[1], p[2] - t[2]];
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
-                let inv = if j <= i || j >= n || r2 == 0.0 {
-                    0.0
-                } else {
-                    INV_4PI / (r2 * r2.sqrt())
-                };
-                let (u, v) = (cross(d, w), cross(tw, d));
+                let (u, v) = pair_terms(d, w, tw, eps2, i < j && j < n);
                 for ((a, r), (u, v)) in acc.iter_mut().zip(&mut grp.r).zip(u.into_iter().zip(v)) {
-                    a[l] += u * inv;
-                    r[l] += v * inv;
+                    a[l] += u;
+                    r[l] += v;
                 }
             }
         }
@@ -369,8 +409,9 @@ pub fn select_body(
 }
 
 /// The AVX2 forms (256-bit lanes, no FMA): the block body recompiled,
-/// the filter and the hit kernel written in intrinsics — the scalar
-/// bodies' operations in the scalar bodies' order, a vector at a time.
+/// the filter, the hit kernel and the symmetric kernel written in
+/// intrinsics — the scalar bodies' operations in the scalar bodies'
+/// order, a vector at a time.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
@@ -384,28 +425,6 @@ mod avx2 {
         eps2: f64,
     ) {
         block_body(vel, targets, sources, eps2)
-    }
-
-    /// `lane_velocity` of four hits, one per lane, added to `acc`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn add_group(acc: &mut [__m256d; 3], d: [__m256d; 3], w: [__m256d; 3], eps2: __m256d) {
-        let sq = d.map(|d| _mm256_mul_pd(d, d));
-        let r2 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]), eps2);
-        let inv = _mm256_div_pd(
-            _mm256_set1_pd(INV_4PI),
-            _mm256_mul_pd(r2, _mm256_sqrt_pd(r2)),
-        );
-        // r² = 0 selects a zero factor, as the scalar `if` does.
-        let coincident = _mm256_cmp_pd::<_CMP_EQ_OQ>(r2, _mm256_setzero_pd());
-        let inv = _mm256_andnot_pd(coincident, inv);
-        let cross = |a: usize, b: usize| {
-            _mm256_sub_pd(_mm256_mul_pd(d[a], w[b]), _mm256_mul_pd(d[b], w[a]))
-        };
-        let u = [cross(1, 2), cross(2, 0), cross(0, 1)];
-        for k in 0..3 {
-            acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(u[k], inv));
-        }
     }
 
     /// Separations from `target` and strengths of the four slots `j`,
@@ -442,40 +461,116 @@ mod avx2 {
         )
     }
 
+    /// `pair_terms` of four pairs, one per lane: adds the row's terms to
+    /// `acc` and returns the reactions, lanes of x, y and z. `tw` is the
+    /// row's strength broadcast, and `live` keeps the factor of the lanes
+    /// it sets.
     #[target_feature(enable = "avx2")]
-    pub(super) fn hits(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f64; 3] {
-        // The one bounds check every record load below relies on.
-        let last = hits.iter().fold(0, |last, &j| last.max(j));
-        assert!(
-            hits.is_empty() || (last as usize) < src.rec.len(),
-            "hit beyond the last slot"
+    #[inline]
+    fn pair_terms(
+        acc: &mut [__m256d; 3],
+        d: [__m256d; 3],
+        w: [__m256d; 3],
+        tw: [__m256d; 3],
+        eps2: __m256d,
+        live: __m256d,
+    ) -> [__m256d; 3] {
+        let sq = d.map(|d| _mm256_mul_pd(d, d));
+        let r2 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]), eps2);
+        let inv = _mm256_div_pd(
+            _mm256_set1_pd(INV_4PI),
+            _mm256_mul_pd(r2, _mm256_sqrt_pd(r2)),
         );
+        // r² = 0 selects a zero factor, as the scalar `if` does.
+        let coincident = _mm256_cmp_pd::<_CMP_EQ_OQ>(r2, _mm256_setzero_pd());
+        let inv = _mm256_and_pd(_mm256_andnot_pd(coincident, inv), live);
+        // `geometry::cross(a, b)`, component by component.
+        let cross = |a: [__m256d; 3], b: [__m256d; 3], x: usize, y: usize| {
+            _mm256_sub_pd(_mm256_mul_pd(a[x], b[y]), _mm256_mul_pd(a[y], b[x]))
+        };
+        let u = [cross(d, w, 1, 2), cross(d, w, 2, 0), cross(d, w, 0, 1)];
+        let v = [cross(tw, d, 1, 2), cross(tw, d, 2, 0), cross(tw, d, 0, 1)];
+        for k in 0..3 {
+            acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(u[k], inv));
+        }
+        v.map(|v| _mm256_mul_pd(v, inv))
+    }
+
+    /// `reactions[j[l]] += (v[0][l], v[1][l], v[2][l], 0)` for the first
+    /// `live` lanes, in lane order: the lanes transposed into rows, then
+    /// one aligned load-add-store per hit.
+    ///
+    /// # Safety
+    /// Every `j[l]` with `l < live` must be below `reactions.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn scatter(
+        reactions: &mut [Reaction],
+        j: [u32; HIT_LANES],
+        v: [__m256d; 3],
+        live: usize,
+    ) {
+        let zero = _mm256_setzero_pd();
+        let (xy_even, xy_odd) = (_mm256_unpacklo_pd(v[0], v[1]), _mm256_unpackhi_pd(v[0], v[1]));
+        let (z_even, z_odd) = (_mm256_unpacklo_pd(v[2], zero), _mm256_unpackhi_pd(v[2], zero));
+        let rows = [
+            _mm256_permute2f128_pd::<0x20>(xy_even, z_even),
+            _mm256_permute2f128_pd::<0x20>(xy_odd, z_odd),
+            _mm256_permute2f128_pd::<0x31>(xy_even, z_even),
+            _mm256_permute2f128_pd::<0x31>(xy_odd, z_odd),
+        ];
+        for l in 0..live {
+            // SAFETY: the caller vouches that `j[l] < reactions.len()`; a
+            // `Reaction` is the 32 bytes read and written, at the 32-byte
+            // alignment the aligned load and store require.
+            unsafe {
+                let r = reactions.as_mut_ptr().add(j[l] as usize).cast::<f64>();
+                _mm256_store_pd(r, _mm256_add_pd(_mm256_load_pd(r), rows[l]));
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn hits_symmetric(
+        target: [f64; 3],
+        tw: [f64; 3],
+        src: &Sources,
+        hits: &[u32],
+        eps2: f64,
+        reactions: &mut [Reaction],
+    ) -> [f64; 3] {
+        // The one bounds check every record load and reaction store below
+        // relies on.
+        check_hits(src, hits, reactions.len());
         let t = target.map(|c| _mm256_set1_pd(c));
+        let tw = tw.map(|c| _mm256_set1_pd(c));
         let e = _mm256_set1_pd(eps2);
+        let all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
         let mut acc = [_mm256_setzero_pd(); 3];
         let mut groups = hits.chunks_exact(HIT_LANES);
         for g in &mut groups {
-            // SAFETY: each of the four is a hit, `< rec.len()` (asserted
-            // above).
-            let (d, w) = unsafe { load_group(src, t, [g[0], g[1], g[2], g[3]]) };
-            add_group(&mut acc, d, w, e);
+            let j = [g[0], g[1], g[2], g[3]];
+            // SAFETY: each of the four is a hit, below `rec.len()` and
+            // `reactions.len()` (checked above).
+            unsafe {
+                let (d, w) = load_group(src, t, j);
+                scatter(reactions, j, pair_terms(&mut acc, d, w, tw, e, all), HIT_LANES);
+            }
         }
         let rest = groups.remainder();
         if let Some(&first) = rest.first() {
-            // As the scalar body: spare lanes repeat the first hit with
-            // zero strength.
+            // As the scalar body: spare lanes repeat the first hit with a
+            // zero factor, and are not scattered.
             let mut j = [first; HIT_LANES];
             j[..rest.len()].copy_from_slice(rest);
             let live: [i64; HIT_LANES] = std::array::from_fn(|l| -i64::from(l < rest.len()));
-            // SAFETY: every lane of `j` is a hit, `< rec.len()` (asserted
-            // above); `live` is 32 bytes.
-            let ((d, w), live) = unsafe {
-                (
-                    load_group(src, t, j),
-                    _mm256_castsi256_pd(_mm256_loadu_si256(live.as_ptr().cast())),
-                )
-            };
-            add_group(&mut acc, d, w.map(|w| _mm256_and_pd(w, live)), e);
+            // SAFETY: every lane of `j` is a hit, below `rec.len()` and
+            // `reactions.len()` (checked above); `live` is 32 bytes.
+            unsafe {
+                let live = _mm256_castsi256_pd(_mm256_loadu_si256(live.as_ptr().cast()));
+                let (d, w) = load_group(src, t, j);
+                scatter(reactions, j, pair_terms(&mut acc, d, w, tw, e, live), rest.len());
+            }
         }
         acc.map(|a| {
             let mut l = [0.0f64; HIT_LANES];
@@ -517,25 +612,11 @@ mod avx2 {
         live: __m256d,
     ) {
         let d = [0, 1, 2].map(|k| _mm256_sub_pd(load(&grp.p[k]), t[k]));
-        let sq = d.map(|d| _mm256_mul_pd(d, d));
-        let r2 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]), eps2);
-        let inv = _mm256_div_pd(
-            _mm256_set1_pd(INV_4PI),
-            _mm256_mul_pd(r2, _mm256_sqrt_pd(r2)),
-        );
-        let coincident = _mm256_cmp_pd::<_CMP_EQ_OQ>(r2, _mm256_setzero_pd());
-        let inv = _mm256_and_pd(_mm256_andnot_pd(coincident, inv), live);
-        // `geometry::cross(a, b)`, component by component.
-        let cross = |a: [__m256d; 3], b: [__m256d; 3], x: usize, y: usize| {
-            _mm256_sub_pd(_mm256_mul_pd(a[x], b[y]), _mm256_mul_pd(a[y], b[x]))
-        };
         let w = [0, 1, 2].map(|k| load(&grp.w[k]));
-        let u = [cross(d, w, 1, 2), cross(d, w, 2, 0), cross(d, w, 0, 1)];
-        let v = [cross(tw, d, 1, 2), cross(tw, d, 2, 0), cross(tw, d, 0, 1)];
-        for k in 0..3 {
-            acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(u[k], inv));
-            let r = _mm256_add_pd(load(&grp.r[k]), _mm256_mul_pd(v[k], inv));
-            store(&mut grp.r[k], r);
+        let v = pair_terms(acc, d, w, tw, eps2, live);
+        for (r, v) in grp.r.iter_mut().zip(v) {
+            let sum = _mm256_add_pd(load(r), v);
+            store(r, sum);
         }
     }
 
@@ -728,20 +809,33 @@ fn symmetric(b: &mut PairBlock, eps2: f64) {
     symmetric_body(b, eps2)
 }
 
-/// Velocity at `target` induced by the sources in slots `hits` of `src`
-/// (the inner loop of the cutoff solvers). Hit `i` accumulates in lane
-/// `i mod 4` and the four lanes are summed `(0 + 1) + (2 + 3)`, so the
-/// result depends on the hit order and on nothing else.
+/// One row of a half pass: the pairs of the slot at `target`, strength
+/// `tw`, with the sources in slots `hits` of `src`, each evaluated once.
+/// Returns the row's velocity, `Σ u(target; x_j, ω_j)`, and adds to
+/// `reactions[j]` the reaction `u(x_j; target, tw)` for every hit `j`:
+/// one `r²`, one `sqrt` and one `div` for the two ends, which are the
+/// terms [`br_pair_velocity`] gives for each, bit for bit. Hit `i`
+/// accumulates in lane `i mod 4` and the lanes are summed
+/// `(0 + 1) + (2 + 3)`, so the row depends on the hit order and on
+/// nothing else. A slot may appear once in `hits`.
 ///
 /// # Panics
-/// Panics, before it reads a source, if a hit is not a slot of `src`.
-pub fn accumulate_hits(target: [f64; 3], src: &Sources, hits: &[u32], eps2: f64) -> [f64; 3] {
+/// Panics, before it reads a source or writes a reaction, if a hit is
+/// not a slot of `src` or a row of `reactions`.
+pub fn accumulate_hits_symmetric(
+    target: [f64; 3],
+    tw: [f64; 3],
+    src: &Sources,
+    hits: &[u32],
+    eps2: f64,
+    reactions: &mut [Reaction],
+) -> [f64; 3] {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe { avx2::hits(target, src, hits, eps2) };
+        return unsafe { avx2::hits_symmetric(target, tw, src, hits, eps2, reactions) };
     }
-    hits_body(target, src, hits, eps2)
+    hits_symmetric_body(target, tw, src, hits, eps2, reactions)
 }
 
 /// Append to `hits` the slots of `run` whose point lies within the
@@ -853,30 +947,63 @@ mod tests {
         }
     }
 
+    /// A row's hit list: `n` distinct, scattered slots of 300, the
+    /// coincident pair among them.
+    fn scattered_hits(n: usize) -> Vec<u32> {
+        (0..n).map(|i| ((i * 37) % 300) as u32).collect()
+    }
+
+    /// Reaction rows with a distinct nonzero start each, so that an
+    /// add of ±0 and a write to the wrong row both show.
+    fn start_rows(n: usize) -> Vec<Reaction> {
+        (0..n)
+            .map(|j| Reaction([0.5 + j as f64, -0.25, 1.0 / (1.0 + j as f64), 0.0]))
+            .collect()
+    }
+
+    /// Every lane of every reaction row, as bits.
+    fn reaction_bits(rows: &[Reaction]) -> Vec<u64> {
+        rows.iter().flat_map(|r| r.0.map(f64::to_bits)).collect()
+    }
+
     #[test]
     fn hits_match_the_scalar_oracle_in_their_fixed_association() {
         let srcs = sources(300);
         let soa = soa(&srcs);
-        let target = [0.1, -0.2, 0.3];
+        let tw = [0.3, -0.7, 0.2];
         for eps2 in [0.01, 0.0] {
             for n in LENGTHS {
-                // Scattered and repeated slots, the coincident pair among
-                // them; the target itself is slot 7's position when ε = 0.
-                let hits: Vec<u32> = (0..n).map(|i| ((i * 37) % 300) as u32).collect();
-                let target = if eps2 == 0.0 { srcs[7].0 } else { target };
-                let got = accumulate_hits(target, &soa, &hits, eps2);
+                // The target is slot 7's position when ε = 0, and slot 7
+                // is among the 257 hits: the coincident pair.
+                let target = if eps2 == 0.0 {
+                    srcs[7].0
+                } else {
+                    [0.1, -0.2, 0.3]
+                };
+                let hits = scattered_hits(n);
+                let mut rows = start_rows(300);
+                let got = accumulate_hits_symmetric(target, tw, &soa, &hits, eps2, &mut rows);
                 // Hit i goes to lane i mod 4; lanes sum (0 + 1) + (2 + 3).
+                // Each hit's row gains the reaction, the other rows nothing.
                 let mut lanes = [[0.0f64; 3]; HIT_LANES];
+                let mut want_rows = start_rows(300);
                 for (i, &j) in hits.iter().enumerate() {
                     let (p, w) = srcs[j as usize];
                     let u = br_pair_velocity(target, p, w, eps2);
+                    let v = br_pair_velocity(p, target, tw, eps2);
                     for k in 0..3 {
                         lanes[i % HIT_LANES][k] += u[k];
+                        want_rows[j as usize].0[k] += v[k];
                     }
                 }
                 let want =
                     [0, 1, 2].map(|k| (lanes[0][k] + lanes[1][k]) + (lanes[2][k] + lanes[3][k]));
                 assert_eq!(got, want, "{n} hits, eps2 {eps2}");
+                assert_eq!(
+                    reaction_bits(&rows),
+                    reaction_bits(&want_rows),
+                    "{n} hits, eps2 {eps2}"
+                );
             }
         }
     }
@@ -947,24 +1074,38 @@ mod tests {
         assert!(hits.contains(&3) && !hits.contains(&8), "{hits:?}");
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_hits_match_the_scalar_body_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
         let srcs = sources(300);
         let soa = soa(&srcs);
+        let tw = [0.3, -0.7, 0.2];
         for eps2 in [0.01, 0.0] {
             for n in LENGTHS {
-                // Scattered and repeated slots, the coincident pair among
-                // them; the target itself is slot 7's position when ε = 0.
-                let hits: Vec<u32> = (0..n).map(|i| ((i * 37) % 300) as u32).collect();
+                // The coincident pair: slot 7, among the 257 hits, against
+                // itself when ε = 0.
                 let target = if eps2 == 0.0 {
                     srcs[7].0
                 } else {
                     [0.1, -0.2, 0.3]
                 };
+                let hits = scattered_hits(n);
+                let (mut fast, mut portable) = (start_rows(300), start_rows(300));
+                // SAFETY: AVX2 support was just verified at runtime.
+                let row = unsafe { avx2::hits_symmetric(target, tw, &soa, &hits, eps2, &mut fast) };
+                let want = hits_symmetric_body(target, tw, &soa, &hits, eps2, &mut portable);
                 assert_eq!(
-                    accumulate_hits(target, &soa, &hits, eps2),
-                    hits_body(target, &soa, &hits, eps2),
-                    "{n} hits, eps2 {eps2}"
+                    row.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "row, {n} hits, eps2 {eps2}"
+                );
+                assert_eq!(
+                    reaction_bits(&fast),
+                    reaction_bits(&portable),
+                    "reactions, {n} hits, eps2 {eps2}"
                 );
             }
         }
@@ -973,25 +1114,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "hit beyond the last slot")]
     fn a_hit_outside_the_sources_is_refused() {
-        let _ = accumulate_hits([0.0; 3], &soa(&sources(5)), &[0, 1, 2, 5], 0.01);
+        let mut rows = start_rows(8);
+        let src = soa(&sources(5));
+        let _ = accumulate_hits_symmetric([0.0; 3], [1.0; 3], &src, &[0, 1, 2, 5], 0.01, &mut rows);
     }
 
     #[test]
     #[should_panic(expected = "hit beyond the last slot")]
     fn a_hit_outside_the_sources_is_refused_by_the_scalar_body() {
-        let _ = hits_body([0.0; 3], &soa(&sources(5)), &[0, 1, 2, 5], 0.01);
+        let mut rows = start_rows(8);
+        let src = soa(&sources(5));
+        let _ = hits_symmetric_body([0.0; 3], [1.0; 3], &src, &[0, 1, 2, 5], 0.01, &mut rows);
     }
 
     #[test]
     #[should_panic(expected = "hit beyond the last slot")]
     fn a_late_hit_outside_the_sources_is_refused_before_any_read() {
         // The bad slot sits in the remainder group, far past the end.
-        let _ = accumulate_hits(
+        let mut rows = start_rows(8);
+        let _ = accumulate_hits_symmetric(
             [0.0; 3],
+            [1.0; 3],
             &soa(&sources(5)),
             &[0, 1, 2, 3, 4, u32::MAX],
             0.01,
+            &mut rows,
         );
+    }
+
+    #[test]
+    fn a_bad_hit_is_refused_before_any_reaction_is_written() {
+        type Form = fn([f64; 3], [f64; 3], &Sources, &[u32], f64, &mut [Reaction]) -> [f64; 3];
+        let forms: [(&str, Form); 2] = [
+            ("dispatched", accumulate_hits_symmetric),
+            ("scalar", hits_symmetric_body),
+        ];
+        let soa = soa(&sources(9));
+        // Four good hits first, so a late check would already have
+        // scattered a whole group.
+        let cases = [
+            ("past the sources", 12, [0, 1, 2, 3, 4, 9], "hit beyond the last slot"),
+            ("past the reaction rows", 6, [0, 1, 2, 3, 4, 6], "hit beyond the last reaction row"),
+        ];
+        for (name, form) in forms {
+            for (what, rows, hits, message) in &cases {
+                let mut reactions = start_rows(*rows);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    form([0.0; 3], [1.0; 3], &soa, hits, 0.01, &mut reactions)
+                }));
+                let payload = caught.expect_err(&format!("{name}: a hit {what} must panic"));
+                let text = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert_eq!(text, *message, "{name}: {what}");
+                assert_eq!(
+                    reaction_bits(&reactions),
+                    reaction_bits(&start_rows(*rows)),
+                    "{name}: {what}: a reaction was written"
+                );
+            }
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -5,7 +5,7 @@
 use beatnik_comm::World;
 use beatnik_core::solver::BrChoice;
 use beatnik_core::{
-    Diagnostics, InitialCondition, Order, Params, Solver, SolverConfig,
+    Diagnostics, InitialCondition, Order, Params, ProblemManager, Solver, SolverConfig,
 };
 use beatnik_dfft::FftConfig;
 use beatnik_mesh::{BoundaryCondition, SurfaceMesh};
@@ -144,6 +144,64 @@ fn solver_is_deterministic_across_rank_counts_high_order() {
     let (a4, e4) = run(4);
     assert!((a1 - a4).abs() < 1e-9 * a1.max(1e-30), "{a1} vs {a4}");
     assert!((e1 - e4).abs() < 1e-9 * e1.max(1e-30), "{e1} vs {e4}");
+}
+
+#[test]
+fn cutoff_solver_agrees_across_rank_counts_high_order() {
+    // The cutoff solver sums each point's pairs in an order set by its
+    // rank's cell-sorted slots, which the decomposition changes: P = 2,
+    // 3, 4 and 6 must reproduce the P = 1 run to rounding. Each node's
+    // final position and its displacement, in global order.
+    let (lo, hi, n) = (-3.0, 3.0, 24);
+    let run = |p: usize| -> Vec<([f64; 3], [f64; 3])> {
+        let out = World::builder(p).run(move |comm| {
+            let mesh = SurfaceMesh::new(&comm, [n, n], [false, false], 2, [lo, lo], [hi, hi]);
+            let mut cfg = config(
+                Order::High,
+                BrChoice::Cutoff {
+                    bounds: ([lo; 3], [hi; 3]),
+                },
+                0.2,
+            );
+            cfg.params.cutoff = 1.2;
+            let mut solver = Solver::new(mesh, BoundaryCondition::Free, cfg);
+            let nodes = |pm: &ProblemManager| -> Vec<(usize, [f64; 3])> {
+                pm.mesh()
+                    .owned_indices()
+                    .map(|(lr, lc, gr, gc)| {
+                        let z = pm.z().node(lr, lc);
+                        (gr * n + gc, [z[0], z[1], z[2]])
+                    })
+                    .collect()
+            };
+            let start = nodes(solver.problem());
+            solver.run(100, |_, _| {});
+            nodes(solver.problem())
+                .into_iter()
+                .zip(start)
+                .map(|((i, z), (_, z0))| (i, (z, [0, 1, 2].map(|k| z[k] - z0[k]))))
+                .collect::<Vec<_>>()
+        });
+        let mut all: Vec<_> = out.into_iter().flatten().collect();
+        all.sort_by_key(|&(i, _)| i);
+        assert!(all.iter().enumerate().all(|(k, &(i, _))| i == k), "P={p}: every node once");
+        all.into_iter().map(|(_, z)| z).collect()
+    };
+    let one = run(1);
+    let moved = one.iter().flat_map(|(_, d)| *d).fold(0.0f64, |m, c| m.max(c.abs()));
+    assert!(moved > 1e-3, "the sheet must move: {moved:e}");
+    for p in [2, 3, 4, 6] {
+        let got = run(p);
+        let worst = got
+            .iter()
+            .zip(&one)
+            .flat_map(|((g, _), (w, _))| (0..3).map(move |k| (g[k] - w[k]).abs()))
+            .fold(0.0f64, f64::max);
+        assert!(
+            worst <= 1e-12 * moved,
+            "P={p}: positions differ from P=1 by {worst:e}, displacements reach {moved:e}"
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,15 @@
 //! Counting-sort binning of points into cubic cells — the one binning
-//! routine under [`crate::NeighborList::build`] and the cutoff BR
-//! solver's fused evaluator.
+//! routine under the cutoff BR solver's pair pass and the explicit
+//! [`crate::NeighborList`].
 //!
 //! Cells are at least `radius` wide and are numbered x-fastest, so the
 //! points of the cells `x0..=x1` of one (y, z) row occupy one contiguous
 //! range of sorted slots: everything within `radius` of a query lies in
-//! at most nine such runs.
+//! at most nine such runs. The cover is symmetric — if `p` is within
+//! `radius` of `q`, each lies in the other's runs — and a run is a slot
+//! range, so a caller that walks every sorted point as a query can clip
+//! its runs to the slots after its own and meet each close pair once
+//! (the cutoff solver's half cover).
 
 use std::ops::Range;
 

@@ -271,13 +271,13 @@ grep -q '"variant": "r2c"' BENCH_compute.json
 grep -q '"variant": "owned"' BENCH_compute.json
 # Birkhoff-Rott rows: the lane-parallel all-pairs block kernel beside
 # the symmetric kernel (each own-block pair once), the fused cell-sorted
-# cutoff evaluation, and its two loops (distance filter, hit kernel) in
-# vector form beside their scalar bodies.
+# cutoff evaluation, and its two loops (distance filter, symmetric hit
+# kernel over the half cover) in vector form beside their scalar bodies.
 grep -A1 '"kernel": "br_pairs"' BENCH_compute.json | grep '"variant": "exact"' >/dev/null
 grep -A1 '"kernel": "br_pairs"' BENCH_compute.json | grep '"variant": "symmetric"' >/dev/null
 grep -q '"kernel": "br_cutoff"' BENCH_compute.json
 grep -A1 '"kernel": "br_select"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
-grep -A1 '"kernel": "br_hits"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
+grep -A1 '"kernel": "br_hits_half"' BENCH_compute.json | grep '"variant": "simd"' >/dev/null
 # Z-Model rows: what a derivatives call spends outside halo exchanges,
 # transforms and the Birkhoff-Rott solve, low and high order.
 grep -A1 '"kernel": "zmodel_stage"' BENCH_compute.json | grep '"variant": "low"' >/dev/null
