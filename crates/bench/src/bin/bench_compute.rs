@@ -64,12 +64,6 @@
 //!   1 rank, ns per owned node per stage, read off the span timeline as
 //!   the self time of a phase wrapped around the call.
 //!
-//! * **Frame checksum** — the CRC-32C the TCP transport sums every data
-//!   frame with, over an 8 KiB frame: three interleaved `crc32` streams
-//!   folded by a zero-shift table (`crc32c/three_stream`) against the
-//!   single dependent chain (`crc32c/one_stream`). ns per byte, the two
-//!   forms' trials interleaved; identical sums.
-//!
 //! Best-of-N trials: noise on a shared host only ever slows a trial
 //! down, so the minimum is the honest kernel time.
 //!
@@ -195,36 +189,6 @@ fn bench_fft(rows: &mut Vec<Row>, n: usize, reps: usize) {
         simd_ns / n as f64,
         scalar_ns / n as f64,
         scalar_ns / simd_ns
-    );
-}
-
-/// The TCP frame checksum, three streams against one, ns per byte over
-/// `reps` sums of an `n`-byte frame per pass.
-fn bench_crc32c(rows: &mut Vec<Row>, n: usize, reps: usize) {
-    use beatnik_comm::transport::crc32c::{crc32c, one_stream};
-    let frame: Vec<u8> = (0..n as u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
-    assert_eq!(crc32c(&frame), one_stream(&frame), "the two forms disagree");
-    let [three, one] = best_interleaved_ns(|form| {
-        let sum = if form == 0 { crc32c } else { one_stream };
-        for _ in 0..reps {
-            std::hint::black_box(sum(std::hint::black_box(&frame)));
-        }
-    });
-    for (variant, ns) in [("three_stream", three), ("one_stream", one)] {
-        let per_byte = ns / (reps * n) as f64;
-        rows.push(Row {
-            kernel: "crc32c",
-            variant,
-            n,
-            ns_per_elem: per_byte,
-            gbps: 1.0 / per_byte,
-        });
-    }
-    eprintln!(
-        "crc32c           n={n:<6} three_stream {:>7.4} ns/B  one_stream {:>7.4} ns/B  speedup {:.2}x",
-        three / (reps * n) as f64,
-        one / (reps * n) as f64,
-        one / three
     );
 }
 
@@ -737,9 +701,6 @@ fn main() {
     bench_br_pairs(&mut rows, 2304);
     bench_br_cutoff(&mut rows, 96, 3);
     bench_br_pair_pass(&mut rows, 96);
-
-    // The checksum on every TCP data frame, at 8 KiB.
-    bench_crc32c(&mut rows, 8192, 2000);
 
     // The Z-Model's own share of a stage on the `low_bw` and
     // `cutoff_imb` problems.

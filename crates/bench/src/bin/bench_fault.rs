@@ -127,24 +127,12 @@ fn clean_run(p: usize, dir: &std::path::Path) -> f64 {
     start.elapsed().as_nanos() as f64
 }
 
-/// Tight heartbeat knobs so the wire-level rows measure the protocol,
-/// not the production-grade 200 ms × 25-miss patience. Shipped to the
-/// spawned child through the environment by `spmd_with`.
-fn arm_fast_link_knobs() {
-    std::env::set_var(beatnik_comm::HB_PERIOD_ENV, "25");
-    std::env::set_var(beatnik_comm::HB_MISSES_ENV, "4");
-    std::env::set_var(beatnik_comm::RECONNECT_ATTEMPTS_ENV, "4");
-    std::env::set_var(beatnik_comm::RECONNECT_BACKOFF_ENV, "5");
-}
-
-/// **Heartbeat detection latency over real processes** — how long after
-/// a peer process dies abruptly (no BYE, no FIN handshake at the
-/// protocol level) does the survivor's heartbeat monitor exhaust its
-/// reconnect budget and post the failure to the registry? Rank 1 exits
-/// hard right after a barrier; rank 0 stamps the clock and polls the
-/// failure ledger.
+/// **Dead-peer detection over real processes**, default configuration
+/// — how long after a peer process dies abruptly (no `BYE`) does the
+/// survivor read the EOF of its stream and post the failure to the
+/// registry? Rank 1 exits hard right after a barrier; rank 0 stamps the
+/// clock and polls the failure ledger.
 fn tcp_detection() -> f64 {
-    arm_fast_link_knobs();
     let (ns, _killed) = proc::spmd_with(
         2,
         TransportKind::Tcp,
@@ -168,38 +156,6 @@ fn tcp_detection() -> f64 {
             start.elapsed().as_nanos() as f64
         },
     );
-    ns
-}
-
-/// **Reconnect latency under a seeded partition** — a wire-level
-/// `partition` action tears the r1>r0 link mid-stream; delivery of the
-/// partitioned frame requires the dial side to redial, handshake, and
-/// replay its send window. `last_reconnect_ns` is the transport's own
-/// tear→healed measurement of that cycle.
-fn tcp_reconnect() -> f64 {
-    let plan =
-        FaultPlan::parse("partition:r1>r0@link3:30ms", 0xBEA7).expect("static plan");
-    let report = World::builder(2)
-        .transport(TransportKind::Tcp)
-        .recv_timeout(TIMEOUT)
-        .fault_plan(&plan)
-        .run_ft(|comm| {
-            if comm.rank() == 1 {
-                for i in 0..8u64 {
-                    comm.send(0, 7, vec![i]);
-                }
-            } else {
-                for i in 0..8u64 {
-                    let got: Vec<u64> = comm.recv(1, 7);
-                    assert_eq!(got, [i], "replayed frame out of order");
-                }
-            }
-            comm.barrier();
-            comm.link_stats().last_reconnect_ns as f64
-        });
-    assert!(report.killed.is_empty(), "partitions kill no ranks");
-    let ns = report.results.iter().flatten().cloned().fold(0.0, f64::max);
-    assert!(ns > 0.0, "the partition never forced a reconnect");
     ns
 }
 
@@ -256,19 +212,12 @@ fn main() {
         }
     }
 
-    // Wire-level self-healing rows: real-process heartbeat detection
-    // and the tear→healed cycle under a seeded partition.
+    // Real-process dead-peer detection: a torn stream is a failed peer.
     rows.push(Row {
         metric: "tcp_detection",
         ranks: 2,
         checkpoint_every: 0,
         ns: tcp_detection(),
-    });
-    rows.push(Row {
-        metric: "tcp_reconnect",
-        ranks: 2,
-        checkpoint_every: 0,
-        ns: tcp_reconnect(),
     });
 
     for r in &rows {

@@ -201,17 +201,6 @@ impl Communicator {
             .map(|p| p.snapshot(&self.registry))
     }
 
-    /// Link-health counters from the installed transport: reconnects,
-    /// heartbeat misses, replayed frames, and the latency of the most
-    /// recent reconnect. All zero for in-process backends (no wire) and
-    /// for communicators built outside a `World` runner.
-    pub fn link_stats(&self) -> crate::transport::LinkStats {
-        self.registry
-            .transport()
-            .map(|t| t.link_stats())
-            .unwrap_or_default()
-    }
-
     /// This rank's own user-channel mailbox (where peers' messages land).
     pub(crate) fn user_mailbox(&self) -> Arc<Mailbox> {
         self.mailbox_for(0, self.rank)

@@ -12,11 +12,10 @@
 //! | `BEATNIK_FAULT_SEED`     | `fault_seed`     | `0xBEA7`         |
 //! | `BEATNIK_RECV_TIMEOUT_MS`| `recv_timeout`   | 120 000 ms       |
 //! | `BEATNIK_SHM_RING_BYTES` | `shm_ring_bytes` | 8 MiB            |
-//! | `BEATNIK_HB_PERIOD_MS`   | `heartbeat_period` | 200 ms         |
-//! | `BEATNIK_HB_MISSES`      | `heartbeat_misses` | 25             |
-//! | `BEATNIK_RECONNECT_ATTEMPTS` | `reconnect_attempts` | 8        |
-//! | `BEATNIK_RECONNECT_BACKOFF_MS` | `reconnect_backoff` | 20 ms   |
 //! | `BEATNIK_HANDSHAKE_TIMEOUT_MS` | `handshake_timeout` | 30 000 ms |
+//!
+//! TCP has no liveness or reconnect knobs: a torn stream is a failed
+//! peer (DESIGN.md §16).
 //!
 //! Unset or unparseable values fall back to the defaults — a typo'd
 //! override must never abort a run, only fail to take effect.
@@ -38,38 +37,8 @@ pub const SHM_RING_BYTES_ENV: &str = "BEATNIK_SHM_RING_BYTES";
 /// than the ring is a hard error telling the user to raise this.
 pub const DEFAULT_SHM_RING_BYTES: usize = 8 * 1024 * 1024;
 
-/// Name of the environment variable setting the TCP heartbeat period.
-pub const HB_PERIOD_ENV: &str = "BEATNIK_HB_PERIOD_MS";
-
-/// Name of the environment variable setting how many consecutive
-/// heartbeat periods of silence mark a link Suspect.
-pub const HB_MISSES_ENV: &str = "BEATNIK_HB_MISSES";
-
-/// Name of the environment variable capping reconnect dial attempts.
-pub const RECONNECT_ATTEMPTS_ENV: &str = "BEATNIK_RECONNECT_ATTEMPTS";
-
-/// Name of the environment variable setting the base reconnect backoff.
-pub const RECONNECT_BACKOFF_ENV: &str = "BEATNIK_RECONNECT_BACKOFF_MS";
-
 /// Name of the environment variable bounding rendezvous handshakes.
 pub const HANDSHAKE_TIMEOUT_ENV: &str = "BEATNIK_HANDSHAKE_TIMEOUT_MS";
-
-/// Default heartbeat period. Conservative enough that a loaded CI
-/// machine never flaps a healthy link; tests pin faster knobs.
-pub const DEFAULT_HB_PERIOD: Duration = Duration::from_millis(200);
-
-/// Default miss threshold: 25 periods × 200 ms ≈ 5 s of silence before
-/// a link is declared Suspect and torn for reconnection.
-pub const DEFAULT_HB_MISSES: u32 = 25;
-
-/// Default reconnect budget before a link is declared Down and the
-/// peer marked failed. Generous because the far side of a partition
-/// may also be mid-backoff.
-pub const DEFAULT_RECONNECT_ATTEMPTS: u32 = 8;
-
-/// Default base backoff between reconnect dials; doubles per attempt
-/// (capped at 32× base) with ±25% seeded-free jitter.
-pub const DEFAULT_RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Default rendezvous handshake deadline (parent accept loop, child
 /// dial loop). A child that crashes during startup turns into a typed
@@ -90,16 +59,6 @@ pub struct CommConfig {
     pub recv_timeout: Duration,
     /// Capacity of each per-pair shared-memory ring (shmem backend).
     pub shm_ring_bytes: usize,
-    /// TCP link heartbeat period (liveness probes + cumulative acks).
-    pub heartbeat_period: Duration,
-    /// Consecutive missed heartbeat periods before a TCP link is
-    /// declared Suspect and torn for reconnection.
-    pub heartbeat_misses: u32,
-    /// Reconnect dials attempted (with exponential backoff) before a
-    /// torn TCP link is declared Down and the peer marked failed.
-    pub reconnect_attempts: u32,
-    /// Base delay of the reconnect backoff schedule.
-    pub reconnect_backoff: Duration,
     /// Deadline for rendezvous handshakes (parent accept / child dial).
     pub handshake_timeout: Duration,
 }
@@ -111,10 +70,6 @@ impl Default for CommConfig {
             fault_seed: crate::fault::DEFAULT_FAULT_SEED,
             recv_timeout: crate::world::DEFAULT_RECV_TIMEOUT,
             shm_ring_bytes: DEFAULT_SHM_RING_BYTES,
-            heartbeat_period: DEFAULT_HB_PERIOD,
-            heartbeat_misses: DEFAULT_HB_MISSES,
-            reconnect_attempts: DEFAULT_RECONNECT_ATTEMPTS,
-            reconnect_backoff: DEFAULT_RECONNECT_BACKOFF,
             handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
         }
     }
@@ -138,15 +93,8 @@ impl CommConfig {
                 .and_then(|s| s.trim().parse().ok())
                 .unwrap_or(d.transport),
             fault_seed: parse_or(get(crate::fault::FAULT_SEED_ENV), d.fault_seed),
-            recv_timeout: get(RECV_TIMEOUT_ENV)
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .map(Duration::from_millis)
-                .unwrap_or(d.recv_timeout),
+            recv_timeout: millis_or(get(RECV_TIMEOUT_ENV), d.recv_timeout),
             shm_ring_bytes: parse_or(get(SHM_RING_BYTES_ENV), d.shm_ring_bytes),
-            heartbeat_period: millis_or(get(HB_PERIOD_ENV), d.heartbeat_period),
-            heartbeat_misses: parse_or(get(HB_MISSES_ENV), d.heartbeat_misses),
-            reconnect_attempts: parse_or(get(RECONNECT_ATTEMPTS_ENV), d.reconnect_attempts),
-            reconnect_backoff: millis_or(get(RECONNECT_BACKOFF_ENV), d.reconnect_backoff),
             handshake_timeout: millis_or(get(HANDSHAKE_TIMEOUT_ENV), d.handshake_timeout),
         }
     }
@@ -183,26 +131,6 @@ impl std::fmt::Display for CommConfig {
             "shm_ring_bytes = {} ({SHM_RING_BYTES_ENV})",
             self.shm_ring_bytes
         )?;
-        writeln!(
-            f,
-            "heartbeat_period = {}ms ({HB_PERIOD_ENV})",
-            self.heartbeat_period.as_millis()
-        )?;
-        writeln!(
-            f,
-            "heartbeat_misses = {} ({HB_MISSES_ENV})",
-            self.heartbeat_misses
-        )?;
-        writeln!(
-            f,
-            "reconnect_attempts = {} ({RECONNECT_ATTEMPTS_ENV})",
-            self.reconnect_attempts
-        )?;
-        writeln!(
-            f,
-            "reconnect_backoff = {}ms ({RECONNECT_BACKOFF_ENV})",
-            self.reconnect_backoff.as_millis()
-        )?;
         write!(
             f,
             "handshake_timeout = {}ms ({HANDSHAKE_TIMEOUT_ENV})",
@@ -222,10 +150,6 @@ mod tests {
         assert_eq!(c.transport, TransportKind::Thread);
         assert_eq!(c.fault_seed, 0xBEA7);
         assert_eq!(c.recv_timeout, Duration::from_secs(120));
-        assert_eq!(c.heartbeat_period, Duration::from_millis(200));
-        assert_eq!(c.heartbeat_misses, 25);
-        assert_eq!(c.reconnect_attempts, 8);
-        assert_eq!(c.reconnect_backoff, Duration::from_millis(20));
         assert_eq!(c.handshake_timeout, Duration::from_secs(30));
     }
 
@@ -236,10 +160,6 @@ mod tests {
             "BEATNIK_FAULT_SEED" => Some("42".into()),
             RECV_TIMEOUT_ENV => Some("1500".into()),
             SHM_RING_BYTES_ENV => Some("65536".into()),
-            HB_PERIOD_ENV => Some("25".into()),
-            HB_MISSES_ENV => Some("4".into()),
-            RECONNECT_ATTEMPTS_ENV => Some("3".into()),
-            RECONNECT_BACKOFF_ENV => Some("5".into()),
             HANDSHAKE_TIMEOUT_ENV => Some("750".into()),
             _ => None,
         });
@@ -247,10 +167,6 @@ mod tests {
         assert_eq!(c.fault_seed, 42);
         assert_eq!(c.recv_timeout, Duration::from_millis(1500));
         assert_eq!(c.shm_ring_bytes, 65536);
-        assert_eq!(c.heartbeat_period, Duration::from_millis(25));
-        assert_eq!(c.heartbeat_misses, 4);
-        assert_eq!(c.reconnect_attempts, 3);
-        assert_eq!(c.reconnect_backoff, Duration::from_millis(5));
         assert_eq!(c.handshake_timeout, Duration::from_millis(750));
 
         let c = CommConfig::from_lookup(|_| Some("garbage".into()));
@@ -265,10 +181,6 @@ mod tests {
             "BEATNIK_FAULT_SEED",
             RECV_TIMEOUT_ENV,
             SHM_RING_BYTES_ENV,
-            HB_PERIOD_ENV,
-            HB_MISSES_ENV,
-            RECONNECT_ATTEMPTS_ENV,
-            RECONNECT_BACKOFF_ENV,
             HANDSHAKE_TIMEOUT_ENV,
         ] {
             assert!(text.contains(var), "missing {var} in:\n{text}");

@@ -60,17 +60,14 @@ pub enum CommError {
         /// Rank that observed the revocation.
         rank: usize,
     },
-    /// A wire link to a peer tore and could not be re-established within
-    /// the reconnect budget. Distinct from [`CommError::RankFailed`]: the
-    /// *connection* is gone (every dial in the backoff schedule failed or
-    /// the heartbeat deadline expired), which is the transport's evidence
-    /// for declaring the peer dead — `LinkDown` is the cause, the ledger
-    /// mark the effect.
+    /// A wire stream to a peer ended without a goodbye: EOF, a socket
+    /// error, or bytes no frame can be made of. Distinct from
+    /// [`CommError::RankFailed`]: the *connection* is gone, which is the
+    /// transport's evidence for declaring the peer dead — `LinkDown` is
+    /// the cause, the ledger mark the effect.
     LinkDown {
         /// World rank on the far side of the dead link.
         peer: usize,
-        /// Reconnect attempts made before giving up.
-        attempts: u32,
     },
     /// The received message's element type does not match the type the
     /// receiver asked for — the moral equivalent of an MPI datatype
@@ -113,10 +110,9 @@ impl fmt::Display for CommError {
             CommError::Revoked { rank } => {
                 write!(f, "communicator revoked (observed on rank {rank})")
             }
-            CommError::LinkDown { peer, attempts } => write!(
-                f,
-                "link to world rank {peer} down after {attempts} reconnect attempts"
-            ),
+            CommError::LinkDown { peer } => {
+                write!(f, "stream to world rank {peer} ended without a goodbye")
+            }
             CommError::TypeMismatch {
                 expected,
                 got,
@@ -186,9 +182,9 @@ mod tests {
         assert!(e.to_string().contains("world rank 2"));
         let e = CommError::Revoked { rank: 1 };
         assert!(e.to_string().contains("revoked"));
-        let e = CommError::LinkDown { peer: 3, attempts: 8 };
+        let e = CommError::LinkDown { peer: 3 };
         assert!(e.to_string().contains("world rank 3"));
-        assert!(e.to_string().contains("8 reconnect attempts"));
+        assert!(e.to_string().contains("without a goodbye"));
         let e = CommError::TypeMismatch {
             expected: "f64",
             got: "u32",
@@ -204,7 +200,7 @@ mod tests {
         assert!(CommError::Timeout { rank: 0, src: 1, tag: 2 }.is_recoverable());
         assert!(CommError::RankFailed { rank: 0, failed: 1 }.is_recoverable());
         assert!(CommError::Revoked { rank: 0 }.is_recoverable());
-        assert!(CommError::LinkDown { peer: 1, attempts: 4 }.is_recoverable());
+        assert!(CommError::LinkDown { peer: 1 }.is_recoverable());
         assert!(!CommError::InvalidRank { rank: 9, size: 4 }.is_recoverable());
         assert!(!CommError::BadDims { product: 6, size: 4 }.is_recoverable());
         assert!(!CommError::SizeMismatch {

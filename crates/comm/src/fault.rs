@@ -18,12 +18,8 @@
 //! kill:r2@op100            kill rank 2 on its 100th counted comm op
 //! drop:r0@op3              silently drop rank 0's 3rd sent message
 //! delay:r1@op10:50ms       delay rank 1's 10th send by ~50ms (seeded jitter)
-//! drop:r0>r1@link4         drop the 4th wire frame rank 0 sends to rank 1
-//! dup:r0>r1@link2          deliver that frame twice
-//! corrupt:r0>r1@link6      flip bits in the frame on the wire
-//! delay:r0>r1@link7:2ms    hold the frame ~2ms before putting it on the wire
-//! partition:r0>r1@link3:50ms   sever both directions between r0 and r1
-//!                              for 50ms starting at r0's 3rd frame to r1
+//! delay:r0>r1@link7:2ms    hold the 7th wire frame rank 0 sends to rank 1
+//!                          ~2ms before putting it on the wire
 //! ```
 //!
 //! Op counts are **send-side**: every `send`, `isend`, and collective
@@ -33,12 +29,12 @@
 //! [`crate::Communicator::fault_step`]) are only meaningful for `kill`.
 //!
 //! `@linkN` triggers fire *below* the comm layer, in the wire-level
-//! chaos interposer ([`crate::transport::chaos`]): `N` counts the data
-//! frames a specific directed link `rS>rD` has carried (1-based, first
-//! transmissions only — retransmits and protocol chatter don't count),
-//! so link faults are just as deterministic as op faults. `dup`,
-//! `corrupt`, and `partition` exist only at this layer; `drop` and
-//! `delay` work at either.
+//! chaos decorator ([`crate::transport::chaos`]): `N` counts the data
+//! frames a specific directed link `rS>rD` has carried (1-based), so
+//! link faults are just as deterministic as op faults. `delay` is the
+//! one `@link` kind: a byte stream never drops, duplicates or corrupts
+//! a frame it delivers, so `dup`, `corrupt`, `partition` and a `drop`
+//! at `@link` are refused with [`FaultSpecError::NotAWireFault`].
 //!
 //! The seed comes from `BEATNIK_FAULT_SEED` (see [`seed_from_env`]); each
 //! rank derives its own stream as `seed ^ rank`, so delay jitter is
@@ -87,19 +83,9 @@ pub enum FaultKind {
     Kill,
     /// One outgoing message is silently discarded.
     Drop,
-    /// One outgoing message is held for the given base duration
-    /// (±50% seeded jitter) before delivery.
+    /// One outgoing message (or, at `@link`, one wire frame) is held
+    /// for the given base duration (±50% seeded jitter) before delivery.
     Delay(Duration),
-    /// One wire frame is delivered twice (`@link` only).
-    Duplicate,
-    /// One wire frame has its bytes mangled on the wire (`@link` only).
-    /// A reliable transport detects the CRC mismatch and replays; an
-    /// unreliable one loses the frame.
-    Corrupt,
-    /// Both directions of a link are severed for the given window
-    /// (`@link` only). A self-healing transport reconnects and replays
-    /// once the window closes.
-    Partition(Duration),
 }
 
 impl FaultKind {
@@ -109,18 +95,7 @@ impl FaultKind {
             FaultKind::Kill => "kill",
             FaultKind::Drop => "drop",
             FaultKind::Delay(_) => "delay",
-            FaultKind::Duplicate => "dup",
-            FaultKind::Corrupt => "corrupt",
-            FaultKind::Partition(_) => "partition",
         }
-    }
-
-    /// Whether this kind only makes sense at the wire layer (`@link`).
-    pub fn link_only_kind(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Duplicate | FaultKind::Corrupt | FaultKind::Partition(_)
-        )
     }
 }
 
@@ -132,9 +107,9 @@ pub enum Trigger {
     /// At the start of solver step `n` (driver calls
     /// [`crate::Communicator::fault_step`]). `kill` only.
     Step(u64),
-    /// On the `n`th data frame (1-based, first transmissions only) the
-    /// directed link `rank -> peer` carries. Fires in the wire-level
-    /// chaos interposer, not the per-rank injector.
+    /// On the `n`th data frame (1-based) the directed link
+    /// `rank -> peer` carries. Fires in the wire-level chaos decorator,
+    /// not the per-rank injector.
     Link(u64),
 }
 
@@ -161,15 +136,69 @@ pub struct FaultPlan {
     pub seed: u64,
 }
 
+/// Why a fault spec was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultSpecError {
+    /// The spec does not follow the grammar.
+    Malformed(String),
+    /// A wire fault no byte stream shows its receiver: `dup`, `corrupt`,
+    /// `partition`, or `drop` at `@link`.
+    NotAWireFault {
+        /// The offending action, as written.
+        action: String,
+        /// Its kind.
+        kind: &'static str,
+    },
+}
+
+impl std::fmt::Display for FaultSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultSpecError::Malformed(msg) => f.write_str(msg),
+            FaultSpecError::NotAWireFault { action, kind } => write!(
+                f,
+                "fault action {action:?}: a stream never shows a {kind}; @link takes only delay"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultSpecError {}
+
+impl From<FaultSpecError> for String {
+    fn from(e: FaultSpecError) -> String {
+        e.to_string()
+    }
+}
+
+/// The kind of `part` when it is a wire fault a stream cannot show.
+fn not_a_wire_fault(part: &str) -> Option<&'static str> {
+    match part.split(':').next() {
+        Some("dup") => Some("dup"),
+        Some("corrupt") => Some("corrupt"),
+        Some("partition") => Some("partition"),
+        Some("drop") if part.contains("@link") => Some("drop"),
+        _ => None,
+    }
+}
+
 impl FaultPlan {
     /// Parse a comma-separated fault spec (see module docs for grammar).
-    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
+    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, FaultSpecError> {
         let mut actions = Vec::new();
         for part in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            actions.push(parse_action(part)?);
+            if let Some(kind) = not_a_wire_fault(part) {
+                return Err(FaultSpecError::NotAWireFault {
+                    action: part.to_owned(),
+                    kind,
+                });
+            }
+            actions.push(parse_action(part).map_err(FaultSpecError::Malformed)?);
         }
         if actions.is_empty() {
-            return Err(format!("fault spec {spec:?} contains no actions"));
+            return Err(FaultSpecError::Malformed(format!(
+                "fault spec {spec:?} contains no actions"
+            )));
         }
         Ok(FaultPlan { actions, seed })
     }
@@ -205,8 +234,8 @@ impl FaultPlan {
     }
 
     /// Whether *every* action fires at the wire layer. A link-only plan
-    /// needs no per-rank injectors or recovery driver — the transport
-    /// absorbs the faults and the run result must match a clean run.
+    /// needs no per-rank injectors or recovery driver — it only delays
+    /// frames, and the run result must match a clean run.
     pub fn link_only(&self) -> bool {
         self.actions
             .iter()
@@ -241,12 +270,9 @@ impl FaultPlan {
                 Trigger::Step(n) => out.push_str(&format!("@step{n}")),
                 Trigger::Link(n) => out.push_str(&format!("@link{n}")),
             }
-            match a.kind {
-                FaultKind::Delay(d) | FaultKind::Partition(d) => {
-                    out.push(':');
-                    out.push_str(&format_duration(d));
-                }
-                _ => {}
+            if let FaultKind::Delay(d) = a.kind {
+                out.push(':');
+                out.push_str(&format_duration(d));
             }
         }
         out
@@ -334,19 +360,9 @@ fn parse_action(part: &str) -> Result<FaultAction, String> {
             FaultKind::Drop
         }
         "delay" => FaultKind::Delay(duration("delay")?),
-        "dup" => {
-            no_duration("dup")?;
-            FaultKind::Duplicate
-        }
-        "corrupt" => {
-            no_duration("corrupt")?;
-            FaultKind::Corrupt
-        }
-        "partition" => FaultKind::Partition(duration("partition")?),
         other => {
             return Err(format!(
-                "fault action {part:?}: unknown kind {other:?} \
-                 (want kill|drop|delay|dup|corrupt|partition)"
+                "fault action {part:?}: unknown kind {other:?} (want kill|drop|delay)"
             ))
         }
     };
@@ -354,12 +370,6 @@ fn parse_action(part: &str) -> Result<FaultAction, String> {
     if matches!(trigger, Trigger::Step(_)) && kind != FaultKind::Kill {
         return Err(format!(
             "fault action {part:?}: step triggers only apply to kill (drop/delay need @opN)"
-        ));
-    }
-    if kind.link_only_kind() && !is_link {
-        return Err(format!(
-            "fault action {part:?}: {} fires at the wire layer and needs an @linkN trigger",
-            kind.label()
         ));
     }
     if kind == FaultKind::Kill && is_link {
@@ -415,8 +425,7 @@ pub enum Injection {
 /// One injected fault, recorded for replay verification and telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// The action's kind label ("kill" / "drop" / "delay" / "dup" /
-    /// "corrupt" / "partition").
+    /// The action's kind label ("kill" / "drop" / "delay").
     pub kind: &'static str,
     /// World rank the fault fired on (the sender, for link faults).
     pub rank: usize,
@@ -429,7 +438,7 @@ pub struct FaultEvent {
     pub op_index: u64,
     /// Solver step, for step-triggered kills.
     pub step: Option<u64>,
-    /// Applied delay in nanoseconds (delay and partition faults).
+    /// Applied delay in nanoseconds (delay faults).
     pub delay_ns: u64,
 }
 
@@ -515,11 +524,6 @@ impl FaultInjector {
                     delay_ns: jittered.as_nanos() as u64,
                 });
                 Injection::Delay(jittered)
-            }
-            // Wire-level kinds require @link triggers (grammar-enforced)
-            // and @link actions never reach a per-rank injector.
-            FaultKind::Duplicate | FaultKind::Corrupt | FaultKind::Partition(_) => {
-                unreachable!("link-only fault kind in comm-layer injector")
             }
         }
     }
@@ -645,34 +649,29 @@ mod tests {
 
     #[test]
     fn link_grammar_parses_directed_targets() {
-        let plan = FaultPlan::parse(
-            "dup:r0>r1@link2,drop:r0>r1@link4,corrupt:r1>r0@link6,\
-             delay:r0>r1@link7:2ms,partition:r0>r1@link3:50ms",
-            9,
-        )
-        .unwrap();
-        assert_eq!(plan.actions.len(), 5);
+        let plan = FaultPlan::parse("delay:r0>r1@link7:2ms,delay:r1>r0@link3:50ms", 9).unwrap();
+        assert_eq!(plan.actions.len(), 2);
         assert_eq!(
             plan.actions[0],
             FaultAction {
-                kind: FaultKind::Duplicate,
+                kind: FaultKind::Delay(Duration::from_millis(2)),
                 rank: 0,
                 peer: Some(1),
-                trigger: Trigger::Link(2)
+                trigger: Trigger::Link(7)
             }
         );
         assert_eq!(
-            plan.actions[4],
+            plan.actions[1],
             FaultAction {
-                kind: FaultKind::Partition(Duration::from_millis(50)),
-                rank: 0,
-                peer: Some(1),
+                kind: FaultKind::Delay(Duration::from_millis(50)),
+                rank: 1,
+                peer: Some(0),
                 trigger: Trigger::Link(3)
             }
         );
         assert!(plan.has_link_actions());
         assert!(plan.link_only());
-        assert_eq!(plan.link_actions().len(), 5);
+        assert_eq!(plan.link_actions().len(), 2);
         // Link actions never reach the per-rank comm-layer injectors.
         assert!(plan.injector_for(0).is_none());
         assert!(plan.injector_for(1).is_none());
@@ -682,8 +681,8 @@ mod tests {
     fn to_spec_round_trips_through_parse() {
         for spec in [
             "kill:r2@step5,drop:r0@op3,delay:r1@op10:50ms",
-            "dup:r0>r1@link2,corrupt:r1>r0@link6,partition:r0>r1@link3:50ms",
-            "delay:r0>r1@link7:1500us,drop:r0>r1@link4,kill:r3@op9",
+            "delay:r0>r1@link2:3ms,delay:r1>r0@link6:2s",
+            "delay:r0>r1@link7:1500us,drop:r0@op4,kill:r3@op9",
         ] {
             let plan = FaultPlan::parse(spec, 7).unwrap();
             assert_eq!(plan.to_spec(), spec);
@@ -693,7 +692,7 @@ mod tests {
 
     #[test]
     fn mixed_plans_split_between_injectors_and_chaos() {
-        let plan = FaultPlan::parse("kill:r1@op5,drop:r0>r1@link2", 0).unwrap();
+        let plan = FaultPlan::parse("kill:r1@op5,delay:r0>r1@link2:1ms", 0).unwrap();
         assert!(plan.has_link_actions());
         assert!(!plan.link_only());
         assert_eq!(plan.link_actions().len(), 1);
@@ -716,15 +715,36 @@ mod tests {
             "delay:r1@op10:fast",  // bad duration
             "drop:r0@step3",       // step trigger on non-kill
             "kill:r2@step5:50ms",  // kill takes no duration
-            "dup:r0@op3",          // dup is wire-level, needs @link
-            "corrupt:r0>r1@op3",   // peer target without @link
-            "partition:r0>r1@link3", // partition needs a window duration
-            "drop:r0@link4",       // @link needs a directed rS>rD target
+            "delay:r0>r1@op3:1ms", // peer target without @link
+            "delay:r0@link4:1ms",  // @link needs a directed rS>rD target
+            "delay:r0>r1@link3",   // delay needs a duration at @link too
             "kill:r0>r1@link2",    // kill targets a rank, not a link
-            "dup:r0>r1@link2:5ms", // dup takes no duration
         ] {
-            assert!(FaultPlan::parse(bad, 0).is_err(), "accepted {bad:?}");
+            assert!(
+                matches!(FaultPlan::parse(bad, 0), Err(FaultSpecError::Malformed(_))),
+                "accepted {bad:?}"
+            );
         }
+    }
+
+    #[test]
+    fn wire_faults_a_stream_cannot_show_are_refused_by_kind() {
+        for (spec, kind) in [
+            ("dup:r0>r1@link2", "dup"),
+            ("corrupt:r1>r0@link6", "corrupt"),
+            ("partition:r0>r1@link3:50ms", "partition"),
+            ("drop:r0>r1@link4", "drop"),
+            ("delay:r0>r1@link1:1ms, dup:r0@op3", "dup"),
+        ] {
+            let err = FaultPlan::parse(spec, 0).unwrap_err();
+            assert!(
+                matches!(&err, FaultSpecError::NotAWireFault { kind: k, .. } if *k == kind),
+                "{spec:?}: {err:?}"
+            );
+            assert!(err.to_string().contains(kind), "{err}");
+        }
+        // Only `@link` loses drop: at `@op` it still drops a message.
+        assert!(FaultPlan::parse("drop:r0@op3", 0).is_ok());
     }
 
     #[test]

@@ -72,12 +72,11 @@ pub mod world;
 pub use cart::{dims_create, CartComm};
 pub use communicator::{Communicator, Tag, ANY_SOURCE, ANY_TAG};
 pub use config::{
-    CommConfig, HANDSHAKE_TIMEOUT_ENV, HB_MISSES_ENV, HB_PERIOD_ENV, RECONNECT_ATTEMPTS_ENV,
-    RECONNECT_BACKOFF_ENV, RECV_TIMEOUT_ENV, SHM_RING_BYTES_ENV, TRANSPORT_ENV,
+    CommConfig, HANDSHAKE_TIMEOUT_ENV, RECV_TIMEOUT_ENV, SHM_RING_BYTES_ENV, TRANSPORT_ENV,
 };
 pub use error::CommError;
 pub use fault::{
-    seed_from_env, CollectiveFailed, FaultEvent, FaultKind, FaultPlan, RankKilled,
+    seed_from_env, CollectiveFailed, FaultEvent, FaultKind, FaultPlan, FaultSpecError, RankKilled,
     DEFAULT_FAULT_SEED, FAULT_SEED_ENV, RECOVERY_PHASE, SHRINK_PHASE,
 };
 pub use metrics::MetricsPlane;
@@ -87,7 +86,7 @@ pub use request::{try_wait_all, wait_all, RecvRequest, SendRequest};
 pub use trace::{
     MatrixCell, MatrixImbalance, OpKind, OpStats, RankTrace, WorldMatrixCell, WorldTrace,
 };
-pub use transport::{LinkStats, Transport, TransportKind};
+pub use transport::{Transport, TransportKind};
 pub use world::{FtReport, World, WorldBuilder, DEFAULT_RECV_TIMEOUT};
 
 pub use collectives::alltoall::AllToAllAlgo;

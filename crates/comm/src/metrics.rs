@@ -39,9 +39,6 @@ pub struct MetricsPlane {
     rank_failed: Vec<Gauge>,
     ranks_failed: Gauge,
     revoke_epoch: Gauge,
-    link_reconnects: Gauge,
-    link_heartbeat_misses: Gauge,
-    link_replayed_frames: Gauge,
 }
 
 impl MetricsPlane {
@@ -87,21 +84,6 @@ impl MetricsPlane {
             "Number of communicator revocations issued in this world",
             &[],
         );
-        let link_reconnects = registry.gauge(
-            "beatnik_link_reconnects",
-            "Wire links re-established after a tear (heartbeat silence, EOF, or injected partition)",
-            &[],
-        );
-        let link_heartbeat_misses = registry.gauge(
-            "beatnik_link_heartbeat_misses",
-            "Heartbeat periods that passed with no traffic from a peer",
-            &[],
-        );
-        let link_replayed_frames = registry.gauge(
-            "beatnik_link_replayed_frames",
-            "Frames retransmitted from send windows (ack stalls and reconnect replay)",
-            &[],
-        );
         MetricsPlane {
             registry,
             traces,
@@ -111,9 +93,6 @@ impl MetricsPlane {
             rank_failed,
             ranks_failed,
             revoke_epoch,
-            link_reconnects,
-            link_heartbeat_misses,
-            link_replayed_frames,
         }
     }
 
@@ -139,14 +118,6 @@ impl MetricsPlane {
         }
         self.ranks_failed.set(failed.len() as u64);
         self.revoke_epoch.set(world.revoke_epoch());
-        // Link-health counters live in the transport (zero for the
-        // in-process backends, which have no wire to heal).
-        if let Some(t) = world.transport() {
-            let ls = t.link_stats();
-            self.link_reconnects.set(ls.reconnects);
-            self.link_heartbeat_misses.set(ls.heartbeat_misses);
-            self.link_replayed_frames.set(ls.replayed_frames);
-        }
     }
 
     /// Refresh the pull gauges, copy the registry, and append the

@@ -30,7 +30,7 @@ use crate::config::CommConfig;
 use crate::fault::{FaultInjector, FaultPlan, RankKilled};
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::trace::RankTrace;
-use crate::transport::chaos::LinkChaos;
+use crate::transport::chaos::{ChaosTransport, LinkChaos};
 use crate::transport::{shmem::ShmemTransport, tcp::TcpTransport, CtrlMsg, Transport, TransportKind};
 use beatnik_telemetry::metrics::MetricsRegistry;
 use beatnik_telemetry::SpanRecorder;
@@ -211,7 +211,7 @@ fn build_child_transport(
     config: &CommConfig,
     chaos: Option<Arc<LinkChaos>>,
 ) -> Arc<dyn Transport> {
-    match config.transport {
+    let bare: Arc<dyn Transport> = match config.transport {
         TransportKind::Thread => {
             panic!("the thread transport cannot span processes; use shmem or tcp")
         }
@@ -232,11 +232,12 @@ fn build_child_transport(
             let addr = std::env::var(TCP_PARENT_ENV)
                 .unwrap_or_else(|_| panic!("child missing {TCP_PARENT_ENV}"));
             Arc::new(
-                TcpTransport::child(&addr, rank, num_ranks, config, chaos)
+                TcpTransport::child(&addr, rank, num_ranks, config)
                     .unwrap_or_else(|e| panic!("rank {rank}: joining tcp world: {e}")),
             )
         }
-    }
+    };
+    ChaosTransport::wrap(bare, chaos)
 }
 
 /// Reconstruct the launcher's fault plan from the environment (children
@@ -293,7 +294,7 @@ where
             let t = ShmemTransport::for_process(&dir, 0, num_ranks, config.shm_ring_bytes)
                 .expect("joining the shm world as rank 0");
             let dir_str = dir.to_string_lossy().into_owned();
-            (Arc::new(t), (SHM_DIR_ENV, dir_str))
+            (ChaosTransport::wrap(Arc::new(t), chaos), (SHM_DIR_ENV, dir_str))
         }
         TransportKind::Tcp => {
             let listener = TcpListener::bind("127.0.0.1:0").expect("binding the parent listener");
@@ -311,7 +312,7 @@ where
             // A crashed child leaves the accept loop short; its
             // deadline turns that into a typed error instead of a
             // parent that hangs forever at rendezvous.
-            let t = match TcpTransport::parent(listener, num_ranks, config, chaos) {
+            let t = match TcpTransport::parent(listener, num_ranks, config) {
                 Ok(t) => t,
                 Err(e) => {
                     abandon_children(children);
@@ -323,7 +324,7 @@ where
             return Ok(run_parent_rank(
                 num_ranks,
                 config,
-                Arc::new(t),
+                ChaosTransport::wrap(Arc::new(t), chaos),
                 injector,
                 children,
                 f,
@@ -371,22 +372,6 @@ fn spawn_children(
                 .env(
                     crate::config::SHM_RING_BYTES_ENV,
                     config.shm_ring_bytes.to_string(),
-                )
-                .env(
-                    crate::config::HB_PERIOD_ENV,
-                    config.heartbeat_period.as_millis().to_string(),
-                )
-                .env(
-                    crate::config::HB_MISSES_ENV,
-                    config.heartbeat_misses.to_string(),
-                )
-                .env(
-                    crate::config::RECONNECT_ATTEMPTS_ENV,
-                    config.reconnect_attempts.to_string(),
-                )
-                .env(
-                    crate::config::RECONNECT_BACKOFF_ENV,
-                    config.reconnect_backoff.as_millis().to_string(),
                 )
                 .env(
                     crate::config::HANDSHAKE_TIMEOUT_ENV,

@@ -70,7 +70,7 @@ pub struct Registry {
     /// still converge on the same id.
     deterministic_ids: AtomicBool,
     /// Typed causes for transport-declared peer deaths: one
-    /// [`CommError::LinkDown`] per link the transport gave up on. The
+    /// [`CommError::LinkDown`] per stream that tore. The
     /// failure ledger records *that* a rank died; this records *why*.
     link_downs: Mutex<Vec<crate::error::CommError>>,
 }
@@ -202,15 +202,15 @@ impl Registry {
         }
     }
 
-    /// Record that the transport exhausted its reconnect budget for the
-    /// link to `peer` and mark the peer failed. The typed
+    /// Record that the transport's stream to `peer` ended without a
+    /// goodbye and mark the peer failed. The typed
     /// [`CommError::LinkDown`] lands in the link-down ledger so callers
-    /// (and `FtReport`) can distinguish "link tore and never healed"
-    /// from an injected or observed rank death.
-    pub fn record_link_down(&self, peer: usize, attempts: u32) {
+    /// (and `FtReport`) can distinguish "the stream tore" from an
+    /// injected or observed rank death.
+    pub fn record_link_down(&self, peer: usize) {
         self.link_downs
             .lock()
-            .push(crate::error::CommError::LinkDown { peer, attempts });
+            .push(crate::error::CommError::LinkDown { peer });
         self.mark_failed(peer);
     }
 

@@ -19,13 +19,13 @@
 //!   directory, so the same code serves a single process (loopback
 //!   mode, used by the backend test matrix) and one process per rank
 //!   (spawned by [`crate::proc`]).
-//! * [`tcp::TcpTransport`] — length-prefixed frames over per-pair TCP
-//!   sockets with `TCP_NODELAY`. A rank that waits reads its own
-//!   inbound sockets (see [`Progress`]); an event loop drains the
-//!   streams of ranks that are busy and keeps heartbeats, replay and
-//!   reconnects going. An unexpected EOF or read error (no `BYE` control
-//!   frame first) marks the peer failed in the ledger, so ULFM-style
-//!   revoke/shrink works across real process and machine boundaries.
+//! * [`tcp::TcpTransport`] — length-prefixed frames over one plain TCP
+//!   stream per rank pair, with `TCP_NODELAY`. A rank that waits reads
+//!   its own inbound sockets (see [`Progress`]); an event loop drains the
+//!   streams of ranks that are busy. EOF or a socket error on a stream
+//!   whose peer has not said `BYE` marks the peer failed in the ledger,
+//!   so ULFM-style revoke/shrink works across real process and machine
+//!   boundaries.
 //!
 //! ## The contract (DESIGN.md §13 in full)
 //!
@@ -46,7 +46,6 @@
 //! counters never charge.
 
 pub mod chaos;
-pub mod crc32c;
 pub mod shmem;
 pub mod tcp;
 pub mod thread;
@@ -175,13 +174,6 @@ pub trait Transport: Send + Sync {
     /// process teardown path (multi-process).
     fn shutdown(&self) {}
 
-    /// Link-health counters for backends that maintain long-lived
-    /// connections (reconnects, heartbeat misses, replayed frames).
-    /// Backends without links report all zeros.
-    fn link_stats(&self) -> LinkStats {
-        LinkStats::default()
-    }
-
     /// The receive progress a waiting rank drives on its own thread, for
     /// backends whose inbound bytes it can read itself. `None` (the
     /// default): something else delivers, and a waiting rank sleeps on
@@ -214,23 +206,6 @@ pub trait Progress: Send + Sync {
     fn ring_all(&self);
 }
 
-/// Aggregate link-health counters across every link a transport owns.
-/// Surfaced as OpenMetrics gauges (`beatnik_link_*`) and bench rows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Connections re-established after a tear (drop, CRC failure,
-    /// heartbeat exhaustion, partition).
-    pub reconnects: u64,
-    /// Heartbeat deadlines missed across all links.
-    pub heartbeat_misses: u64,
-    /// Data frames retransmitted from send windows after a reconnect
-    /// or ack timeout.
-    pub replayed_frames: u64,
-    /// Monotonic-clock duration of the most recent tear→healed cycle,
-    /// in nanoseconds (0 when no reconnect has completed).
-    pub last_reconnect_ns: u64,
-}
-
 /// Build a loopback transport: all `num_ranks` ranks live in this
 /// process and share one registry, but inter-rank envelopes still cross
 /// the backend's real wire (rings or sockets). This is what the world
@@ -247,20 +222,12 @@ pub(crate) fn build_loopback(
             shmem::ShmemTransport::loopback(num_ranks, config.shm_ring_bytes)
                 .unwrap_or_else(|e| panic!("shmem transport setup failed: {e}")),
         ),
-        TransportKind::Tcp => {
-            // TCP threads chaos *below* its reliability layer, so torn
-            // frames are replayed rather than lost; wrapping it in the
-            // lossy interposer would double-count frames.
-            return Arc::new(
-                tcp::TcpTransport::loopback(num_ranks, config, link_chaos)
-                    .unwrap_or_else(|e| panic!("tcp transport setup failed: {e}")),
-            );
-        }
+        TransportKind::Tcp => Arc::new(
+            tcp::TcpTransport::loopback(num_ranks)
+                .unwrap_or_else(|e| panic!("tcp transport setup failed: {e}")),
+        ),
     };
-    match link_chaos {
-        Some(engine) => Arc::new(chaos::ChaosTransport::new(bare, engine)),
-        None => bare,
-    }
+    chaos::ChaosTransport::wrap(bare, link_chaos)
 }
 
 /// Instantiate a block of transport-parameterized tests once per

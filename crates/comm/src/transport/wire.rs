@@ -28,10 +28,11 @@
 //! shares the sender's slab) may apply one — [`apply`] refuses it.
 //!
 //! Frames are self-delimiting inside a shmem ring record; on TCP each
-//! frame is the tail of a stream frame whose header (`u32` length, tag,
-//! sequence number, CRC-32C) the stream layer reserves in front of it —
-//! [`encode_data_into`] appends behind that header, so the payload is
-//! copied into its outgoing buffer exactly once. `comm` carries the
+//! frame follows the `u32` length prefix the stream layer reserves in
+//! front of it — [`encode_data_into`] appends behind that prefix, so the
+//! payload is copied into its outgoing buffer exactly once. A TCP reader
+//! refuses a `HANDOFF` frame before it reaches [`apply`] and ends the
+//! link instead. `comm` carries the
 //! collective-channel bit exactly as the mailbox key does, so decoding
 //! pushes straight into the right mailbox without knowing about
 //! channels.
@@ -78,7 +79,7 @@ const CTRL_BYE: u8 = 3;
 
 /// Append one encoded envelope delivery to `out`, leaving whatever
 /// `out` already holds in front of it: the TCP transport reserves its
-/// stream header there, so header and payload are one buffer built
+/// length prefix there, so prefix and payload are one buffer built
 /// once. Panics with a diagnostic when the payload's element type
 /// cannot legally cross a process boundary (drop glue) — the same class
 /// of fatal protocol error as an MPI datatype mismatch.

@@ -211,9 +211,9 @@ impl WorldBuilder {
         }
 
         let registry = Arc::new(Registry::new());
-        // Link-level chaos (drop/dup/corrupt/delay/partition of wire
-        // frames) lives in a seeded engine the transport consults; the
-        // op-level injectors below never see those actions.
+        // Link-level chaos (delayed wire frames) lives in a seeded engine
+        // that decorates the transport; the op-level injectors below
+        // never see those actions.
         let link_chaos = fault_plan
             .as_ref()
             .and_then(crate::transport::chaos::LinkChaos::from_plan);

@@ -10,7 +10,6 @@
 mod common;
 
 use beatnik_comm::{backend_matrix, AllToAllAlgo, CommError, FaultPlan, OpKind, SumOp, World};
-use beatnik_comm::TransportKind;
 use common::caught;
 use std::time::Duration;
 
@@ -257,13 +256,11 @@ backend_matrix! {
         );
     }
 
-    /// A seeded `@link` drop/dup plan must not fabricate orphan flows:
-    /// every message that *does* arrive stays causally tied to its
-    /// send, a dropped frame leaves an unmatched send (not a broken
-    /// recv), and TCP's reliability layer heals the lane so all edges
-    /// come back.
+    /// A seeded `@link` delay plan must not fabricate orphan flows or
+    /// lose edges: every delayed message still arrives, causally tied to
+    /// its send, on every backend.
     fn traced_flows_survive_link_chaos(kind: TransportKind) {
-        let plan = FaultPlan::parse("drop:r0>r1@link2,dup:r0>r1@link4", 0x5EED)
+        let plan = FaultPlan::parse("delay:r0>r1@link2:3ms,delay:r0>r1@link4:1ms", 0x5EED)
             .expect("static chaos plan");
         let report = World::builder(2)
             .transport(kind)
@@ -292,16 +289,12 @@ backend_matrix! {
             "chaos fabricated orphan recvs: {:?}",
             g.orphan_recvs
         );
+        assert_eq!(arrived, 6, "a delayed frame still arrives");
         assert_eq!(
             g.edges.len(),
             arrived,
             "each delivered message must carry exactly one causal edge"
         );
-        if kind == TransportKind::Tcp {
-            // Below the seq+CRC reliability layer nothing is lost, so
-            // the traced picture is complete.
-            assert_eq!(arrived, 6, "TCP must heal the dropped frame");
-        }
     }
 
     /// The same seeded `@link` plan produces an *identical* fault-event
@@ -313,25 +306,16 @@ backend_matrix! {
         let (_, reference) = chaos_scenario(beatnik_comm::TransportKind::Thread);
         assert_eq!(ledger, reference, "ledger must be backend-invariant");
         assert_eq!(
-            ledger.iter().map(|e| e.kind).collect::<Vec<_>>(),
-            ["dup", "drop", "corrupt", "delay"],
+            ledger.iter().map(|e| (e.kind, e.op_index)).collect::<Vec<_>>(),
+            [("delay", 2), ("delay", 4), ("delay", 6), ("delay", 7)],
         );
         assert!(
-            ledger.iter().all(|e| e.rank == 0 && e.peer == Some(1)),
+            ledger.iter().all(|e| e.rank == 0 && e.peer == Some(1) && e.delay_ns > 0),
             "all events ride the r0>r1 lane: {ledger:?}"
         );
-        match kind {
-            // Below TCP's reliability layer nothing is lost: the seq
-            // check swallows the duplicate, replay restores the dropped
-            // and corrupted frames.
-            TransportKind::Tcp => assert_eq!(got, [0, 1, 2, 3, 4, 5, 6, 7]),
-            // In-process wires drop what chaos drops (frame 4 = message
-            // 3, frame 6 = message 5); the duplicate of message 1 is
-            // consumed by the tag-matched receive.
-            TransportKind::Thread | TransportKind::Shmem => {
-                assert_eq!(got, [0, 1, 2, 4, 6, 7]);
-            }
-        }
+        // A delayed frame arrives late, whole and in order, on every
+        // backend.
+        assert_eq!(got, [0, 1, 2, 3, 4, 5, 6, 7]);
     }
     /// One message larger than any socket buffer, one way: the sender
     /// must be able to finish while the receiver's side of the
@@ -425,7 +409,7 @@ fn checksum(words: &[u64]) -> u64 {
 /// that arrived, the fault-event ledger).
 fn chaos_scenario(kind: beatnik_comm::TransportKind) -> (Vec<u64>, Vec<beatnik_comm::FaultEvent>) {
     let plan = FaultPlan::parse(
-        "dup:r0>r1@link2,drop:r0>r1@link4,corrupt:r0>r1@link6,delay:r0>r1@link7:2ms",
+        "delay:r0>r1@link2:1ms,delay:r0>r1@link4:3ms,delay:r0>r1@link6:1ms,delay:r0>r1@link7:2ms",
         0x5EED,
     )
     .expect("static chaos plan");
@@ -440,10 +424,8 @@ fn chaos_scenario(kind: beatnik_comm::TransportKind) -> (Vec<u64>, Vec<beatnik_c
                 }
                 Vec::new()
             } else {
-                // Tolerant receives: in-process backends have no
-                // reliability layer below the chaos interposer, so a
-                // dropped or corrupted frame is simply gone. TCP must
-                // heal every one of them.
+                // Bounded receives, so a lost frame would show as a gap
+                // rather than a hang.
                 let mut got = Vec::new();
                 for i in 0..8u64 {
                     if let Ok(v) = c.recv_within::<u64>(0, 100 + i, Duration::from_secs(2)) {

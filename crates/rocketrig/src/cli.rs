@@ -68,9 +68,9 @@ impl CliOptions {
     }
 
     /// Whether the fault plan touches only the wire (`@link` actions).
-    /// Wire-level chaos is absorbed by the transport's reliability
-    /// layer, so it composes with the plain driver loop — including
-    /// `--procs` — where op-level kills and delays do not.
+    /// Wire-level chaos only delays frames, so it composes with the
+    /// plain driver loop — including `--procs` — where op-level kills
+    /// and delays do not.
     pub fn wire_chaos_only(&self) -> bool {
         match self.fault_plan() {
             Some(plan) => plan.link_only(),
@@ -129,7 +129,7 @@ OPTIONS:
     --faults <SPEC>                 inject faults, e.g.
                                     kill:r2@step5,delay:r1@op10:50ms
                                     or wire-level chaos like
-                                    drop:r0>r1@link3,partition:r0>r1@link5:80ms
+                                    delay:r0>r1@link3:2ms,delay:r1>r0@link5:5ms
                                     (seeded by BEATNIK_FAULT_SEED)
     --checkpoint-every <N>          checkpoint cadence    [0 = off];
                                     writes <out>/checkpoint.json and
@@ -247,8 +247,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     if opts.procs && opts.transport == TransportKind::Thread {
         return Err("--procs needs a cross-process backend: --transport shmem or tcp".into());
     }
-    // Wire-level (`@link`) chaos heals below the application, so it is
-    // the one fault flavour the plain `--procs` loop can carry.
+    // Wire-level (`@link`) chaos only delays frames, so it is the one
+    // fault flavour the plain `--procs` loop can carry.
     let op_level_faults = opts.fault_spec.is_some() && !opts.wire_chaos_only();
     if opts.procs && (op_level_faults || opts.checkpoint_every > 0 || opts.profiling()) {
         return Err(
@@ -515,14 +515,14 @@ mod tests {
 
     #[test]
     fn procs_accepts_wire_chaos_but_not_op_level_faults() {
-        // Pure @link plans compose with the plain --procs loop: the
-        // transport heals the wire, the driver never notices.
+        // Pure @link plans compose with the plain --procs loop: a
+        // delayed frame arrives whole, the driver never notices.
         let o = parse_args(&sv(&[
             "--transport",
             "tcp",
             "--procs",
             "--faults",
-            "drop:r0>r1@link3,partition:r1>r0@link5:40ms",
+            "delay:r0>r1@link3:2ms,delay:r1>r0@link5:4ms",
         ]))
         .unwrap();
         assert!(o.wire_chaos_only());
@@ -545,7 +545,7 @@ mod tests {
             "tcp",
             "--procs",
             "--faults",
-            "drop:r0>r1@link3,kill:r1@step3",
+            "delay:r0>r1@link3:2ms,kill:r1@step3",
         ]))
         .is_err());
 
