@@ -300,6 +300,12 @@ fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
                 let sum = comm.allreduce(1.0f64, &SumOp);
                 assert_eq!(sum, 4.0);
             }
+            // Rank 2 leaves this barrier only once every rank has entered
+            // it, so no rank can still be inside the clean allreduce when
+            // the death (and the revokes it sets off) lands. A slow rank
+            // may see that death in the barrier itself; it then fails the
+            // next allreduce like everyone else.
+            let _ = comm.try_barrier();
             comm.fault_step(2); // rank 2 dies here
             if caught(&comm, || comm.allreduce(1.0f64, &SumOp)).is_err() {
                 comm.revoke();

@@ -11,8 +11,11 @@ use beatnik_comm::proc;
 use beatnik_comm::TransportKind;
 
 /// The libtest argv that routes a spawned child back into `test_name`.
-fn reexec_args(test_name: &str) -> [&str; 4] {
-    [test_name, "--exact", "--nocapture", "--test-threads=1"]
+/// `--quiet` keeps the child's harness from printing `test <name> ... `:
+/// a child exits before its result line, so that fragment would splice
+/// into the parent's own result lines on the shared stdout.
+fn reexec_args(test_name: &str) -> [&str; 5] {
+    [test_name, "--exact", "--nocapture", "--test-threads=1", "--quiet"]
 }
 
 /// Collectives + point-to-point over a world of `n` real processes.
