@@ -138,21 +138,22 @@ fn alltoallv_trial(p: usize, block: usize, reps: usize, kind: TransportKind) -> 
     )
 }
 
-/// Best-of-[`TWIN_TRIALS`] trials of each backend in `kinds`, the trials
-/// alternating between backends so a slow spell of a shared host falls
-/// on all of them — the gate holds a socket row against its thread twin
-/// of the same run. Per backend, the fastest trial's result.
-fn best_alternating<const N: usize, T: Copy>(
-    kinds: [TransportKind; N],
-    trial: impl Fn(TransportKind) -> (f64, T),
+/// Best-of-[`TWIN_TRIALS`] trials of each case in `cases` (backends, or
+/// the one-CPU ping-pong and its condvar reference), the trials
+/// alternating between cases so a slow spell of a shared host falls on
+/// all of them — the gate holds a row against its twin of the same run.
+/// Per case, the fastest trial's result.
+fn best_alternating<const N: usize, K: Copy, T: Copy>(
+    cases: [K; N],
+    trial: impl Fn(K) -> (f64, T),
 ) -> [(f64, T); N] {
-    for kind in kinds {
-        let _ = trial(kind); // warmup
+    for case in cases {
+        let _ = trial(case); // warmup
     }
     let mut best: [Option<(f64, T)>; N] = [None; N];
     for _ in 0..TWIN_TRIALS {
-        for (slot, &kind) in best.iter_mut().zip(&kinds) {
-            let got = trial(kind);
+        for (slot, &case) in best.iter_mut().zip(&cases) {
+            let got = trial(case);
             if slot.is_none_or(|b| got.0 < b.0) {
                 *slot = Some(got);
             }
@@ -238,6 +239,65 @@ fn p2p_owned_trial(bytes: usize, reps: usize, kind: TransportKind) -> (f64, (f64
             trace.handoff_bytes() as f64 / reps as f64,
         ),
     )
+}
+
+/// One trial of `reps` round trips of a `bytes`-sized owned buffer
+/// between two thread-ranks, each leg a `send` and a blocking `recv`;
+/// returns (ns per round trip, copied bytes per round trip).
+fn p2p_blocking_trial(bytes: usize, reps: usize) -> (f64, f64) {
+    let (elapsed, trace) = World::builder(2)
+        .transport(TransportKind::Thread)
+        .recv_timeout(TIMEOUT)
+        .run_traced(move |c| {
+            let peer = 1 - c.rank();
+            let mut buf = vec![0u8; bytes];
+            c.barrier();
+            let start = Instant::now();
+            for i in 0..reps as u64 {
+                if c.rank() == 0 {
+                    c.send(peer, i, buf);
+                    buf = c.recv(peer, i);
+                } else {
+                    buf = c.recv(peer, i);
+                    c.send(peer, i, std::mem::take(&mut buf));
+                }
+            }
+            c.barrier();
+            start.elapsed()
+        });
+    let slowest = elapsed.iter().max().expect("no ranks");
+    (
+        slowest.as_nanos() as f64 / reps as f64,
+        trace.copied_bytes() as f64 / reps as f64,
+    )
+}
+
+/// One trial of `reps` round trips between two threads through a bare
+/// `Mutex` + `Condvar`, on the calling thread's CPUs (the caller pins
+/// it): each side waits for its turn, takes it, and wakes the other.
+/// Returns ns per round trip (and zero copied bytes, for the row).
+fn condvar_trial(reps: usize) -> (f64, f64) {
+    // `turn` counts messages: even — side 0's to send, odd — side 1's.
+    let turn = std::sync::Mutex::new(0usize);
+    let bell = std::sync::Condvar::new();
+    let side = |me: usize| {
+        let start = Instant::now();
+        for i in 0..reps {
+            let mut t = turn.lock().unwrap();
+            while *t != 2 * i + me {
+                t = bell.wait(t).unwrap();
+            }
+            *t += 1;
+            drop(t);
+            bell.notify_one();
+        }
+        start.elapsed()
+    };
+    let elapsed = std::thread::scope(|s| {
+        let other = s.spawn(|| side(1));
+        side(0).max(other.join().expect("condvar peer"))
+    });
+    (elapsed.as_nanos() as f64 / reps as f64, 0.0)
 }
 
 fn main() {
@@ -361,6 +421,41 @@ fn main() {
         });
     }
 
+    // Two ranks sharing one CPU, the case the wait's yield turns are
+    // for: a 64 B thread-transport ping-pong beside a bare Mutex +
+    // Condvar ping-pong pinned the same way, which pays a futex sleep
+    // and wake per message by construction. The gate holds the first
+    // against the second of the same run, so a return to sleeping
+    // before every receive shows whatever the host's speed.
+    let pinned = std::thread::scope(|s| {
+        s.spawn(|| {
+            assert!(
+                beatnik_comm::affinity::pin_to_one_cpu(),
+                "the one-CPU rows need a pinnable thread"
+            );
+            best_alternating([false, true], |condvar| {
+                if condvar {
+                    condvar_trial(2000)
+                } else {
+                    p2p_blocking_trial(64, 2000)
+                }
+            })
+        })
+        .join()
+        .expect("one-CPU ping-pong")
+    });
+    for (op, (ns, copied)) in ["p2p_one_cpu", "condvar_one_cpu"].into_iter().zip(pinned) {
+        rows.push(Row {
+            op,
+            algo: "-",
+            transport: TransportKind::Thread,
+            ranks: 2,
+            bytes: 64,
+            ns_per_op: ns,
+            copied_per_op: copied,
+        });
+    }
+
     // Tracing overhead: the same op with and without span recording +
     // causal flow contexts, trials interleaved so a noisy window hits
     // both arms. Payloads are sized so per-op cost is tens of
@@ -373,6 +468,7 @@ fn main() {
     // so a slow window scales both, whereas each arm's best trial comes
     // from a different window and their ratio swung ±9% on an unchanged
     // tree. The rows still report each arm's best trial.
+
     type OverheadTrial<'a> = &'a dyn Fn(bool) -> (f64, f64);
     let alltoall_trial = |profiled: bool| {
         bench_alltoall(4, 1024, AllToAllAlgo::Adaptive, 400, TransportKind::Thread, profiled)

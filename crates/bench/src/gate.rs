@@ -191,12 +191,23 @@ const FRESH_TWINS: [(&str, &str, u64, u64, f64); 2] = [
     ("alltoallv", "adaptive", 2, 16 * 1024, 1.21),
 ];
 
+/// Rows that must also stay within a multiple of a reference row of the
+/// same *fresh* run, same algo, transport, ranks and bytes: `(op,
+/// reference op, ceiling on op / reference)`. `p2p_one_cpu` is a 2-rank
+/// 64 B ping-pong with both ranks pinned to one CPU; `condvar_one_cpu`
+/// the same exchange through a bare `Mutex` + `Condvar`, the futex
+/// sleep and wake every wait paid before waiting ranks yielded. The
+/// ceiling is 1.25× the median ratio of five runs, 1.19 (1.17–1.41);
+/// with a sleep before every receive the ratio read 5.0–5.6.
+const FRESH_REFERENCES: [(&str, &str, f64); 1] = [("p2p_one_cpu", "condvar_one_cpu", 1.49)];
+
 /// Gate a fresh `BENCH_comm.json` against its baseline. Rows join on
 /// `(op, algo, transport, ranks, bytes)` — a missing `transport` field
 /// (pre-pluggable baselines) reads as `thread`; `ns_per_op` is
 /// time-like, while `bytes_copied_per_op` is deterministic and held
 /// tight. The [`FRESH_TWINS`] socket rows are also held against their
-/// thread twin of the fresh run.
+/// thread twin of the fresh run, and the [`FRESH_REFERENCES`] rows
+/// against their reference row.
 pub fn gate_comm(baseline: &Value, fresh: &Value, policy: &GatePolicy) -> Result<GateReport, String> {
     let mut fresh_by_key = BTreeMap::new();
     for row in bench_rows(fresh)? {
@@ -248,22 +259,27 @@ pub fn gate_comm(baseline: &Value, fresh: &Value, policy: &GatePolicy) -> Result
         );
         let twin = FRESH_TWINS
             .iter()
-            .find(|&&(o, a, r, b, _)| (o, a, "tcp", r, b) == (op, algo, transport, ranks, bytes));
-        if let Some(&(.., ceiling)) = twin {
-            let thread = fresh_by_key
-                .get(&(op.to_string(), algo.to_string(), "thread".to_string(), ranks, bytes))
+            .find(|&&(o, a, r, b, _)| (o, a, "tcp", r, b) == (op, algo, transport, ranks, bytes))
+            .map(|&(.., ceiling)| (op, "thread", ceiling));
+        let reference = FRESH_REFERENCES
+            .iter()
+            .find(|&&(o, ..)| o == op)
+            .map(|&(_, reference, ceiling)| (reference, transport, ceiling));
+        if let Some((ref_op, ref_transport, ceiling)) = twin.or(reference) {
+            let held = fresh_by_key
+                .get(&(ref_op.to_string(), algo.to_string(), ref_transport.to_string(), ranks, bytes))
                 .map(|r| field_f64(r, "ns_per_op"))
                 .transpose()?;
             // A missing row already failed its own comparison.
-            if let (Some(socket), Some(thread)) = (fresh_ns, thread) {
-                let limit = thread * ceiling;
+            if let (Some(fresh), Some(held)) = (fresh_ns, held) {
+                let limit = held * ceiling;
                 report.rows.push(GateRow {
                     key,
-                    metric: "vs fresh thread".to_string(),
-                    baseline: thread,
-                    fresh: Some(socket),
+                    metric: format!("vs fresh {}", if twin.is_some() { ref_transport } else { ref_op }),
+                    baseline: held,
+                    fresh: Some(fresh),
                     limit,
-                    pass: socket <= limit,
+                    pass: fresh <= limit,
                 });
             }
         }
@@ -663,6 +679,34 @@ mod tests {
         let report = gate_comm(&baseline, &doc(165_000.0, 12_500.0), &policy).unwrap();
         assert_eq!(report.regressions(), 1, "{}", report.text());
         let held = report.rows.iter().filter(|r| r.metric == "vs fresh thread");
+        assert_eq!(held.map(|r| r.pass).collect::<Vec<_>>(), [false]);
+    }
+
+    /// The one-CPU ping-pong passes on a uniformly slower host and fails
+    /// once it falls back to a futex sleep per wait, which its condvar
+    /// reference of the same fresh run pays by construction.
+    #[test]
+    fn one_cpu_ping_pong_is_held_against_its_condvar_reference_in_the_fresh_run() {
+        let doc = |p2p_ns: f64, condvar_ns: f64| {
+            beatnik_json::parse(&format!(
+                r#"{{"benches": [
+                     {{"op": "p2p_one_cpu", "algo": "-", "transport": "thread", "ranks": 2,
+                       "bytes": 64, "ns_per_op": {p2p_ns}, "bytes_copied_per_op": 0}},
+                     {{"op": "condvar_one_cpu", "algo": "-", "transport": "thread", "ranks": 2,
+                       "bytes": 64, "ns_per_op": {condvar_ns}, "bytes_copied_per_op": 0}}]}}"#
+            ))
+            .unwrap()
+        };
+        let policy = GatePolicy::default();
+        let baseline = doc(3_800.0, 3_200.0);
+        // A host twice as slow moves both rows: still a pass.
+        let report = gate_comm(&baseline, &doc(7_600.0, 6_400.0), &policy).unwrap();
+        assert_eq!(report.regressions(), 0, "{}", report.text());
+        // A sleep per wait again: 12 µs passes the absolute ceiling
+        // (2x + 10 ms) and fails against the fresh reference.
+        let report = gate_comm(&baseline, &doc(12_000.0, 2_300.0), &policy).unwrap();
+        assert_eq!(report.regressions(), 1, "{}", report.text());
+        let held = report.rows.iter().filter(|r| r.metric == "vs fresh condvar_one_cpu");
         assert_eq!(held.map(|r| r.pass).collect::<Vec<_>>(), [false]);
     }
 

@@ -43,6 +43,42 @@ enum SendOp {
     Coll(OpKind),
 }
 
+/// Yield turns a waiting rank takes before it sleeps on its mailbox,
+/// when this process hosts more ranks than its affinity mask has CPUs
+/// (zero otherwise; see [`yield_turns`]).
+///
+/// On a shared CPU the peer a rank waits for is usually runnable right
+/// there, and a futex sleep and wake-up costs more than handing it the
+/// CPU: with two threads pinned to one CPU of the 2-vCPU reference VM, a
+/// bare `Mutex` + `Condvar` ping-pong takes 2.9–3.9 µs per round trip,
+/// the same exchange through `sched_yield` 1.7–2.5 µs, and the comm
+/// layer's own 64 B ping-pong, sleeping before every receive, took
+/// 11.4–15.0 µs. So a waiter first yields, up to this many times,
+/// checking for its message after each, and only then sleeps. The turns
+/// are counted, not timed: a yield with nothing else runnable returns at
+/// once, so a rank whose peer is not coming spends about a microsecond
+/// here and then sleeps as before, whatever the clock says (DESIGN.md
+/// §26). Open MPI's `yield_when_idle`, set automatically under
+/// oversubscription, is the same rule.
+pub const YIELD_TURNS: u32 = 4;
+
+/// The yield turns of a world of `ranks` ranks hosted on `cpus` CPUs:
+/// [`YIELD_TURNS`] when the ranks outnumber the CPUs, and zero when they
+/// do not — or when the CPU count is unknown — so one rank per core, and
+/// one rank per process, keep the plain sleep.
+pub(crate) fn yield_turns(ranks: usize, cpus: Option<usize>) -> u32 {
+    match cpus {
+        Some(cpus) if ranks > cpus => YIELD_TURNS,
+        _ => 0,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Waits this thread has put to sleep on a mailbox.
+    static MAILBOX_SLEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Whose death or revocation ends a [`Communicator::wait_until`].
 #[derive(Clone, Copy)]
 pub(crate) enum Watch {
@@ -102,6 +138,9 @@ pub struct Communicator {
     /// [`Communicator::wait_until`] reads this rank's wire itself instead
     /// of sleeping on the mailbox. Chosen once, here.
     progress: Option<Arc<dyn Progress>>,
+    /// Yield turns before a mailbox sleep (see [`YIELD_TURNS`]), read
+    /// from the registry once, here.
+    yield_turns: u32,
 }
 
 impl Communicator {
@@ -121,6 +160,7 @@ impl Communicator {
     ) -> Self {
         let born_epoch = registry.revoke_epoch();
         let progress = registry.transport().and_then(|t| t.progress());
+        let yield_turns = registry.yield_turns();
         Communicator {
             registry,
             comm_id,
@@ -133,6 +173,7 @@ impl Communicator {
             fault: None,
             born_epoch,
             progress,
+            yield_turns,
         }
     }
 
@@ -161,6 +202,7 @@ impl Communicator {
             fault: self.fault.clone(),
             born_epoch: self.born_epoch,
             progress: self.progress.clone(),
+            yield_turns: self.yield_turns,
         }
     }
 
@@ -249,6 +291,13 @@ impl Communicator {
     /// since the turn began, before the zero-wait check. Ledger
     /// interrupts ring the wire's doorbell the way they interrupt the
     /// mailbox.
+    ///
+    /// On the mailbox, the first sleep of a wait comes after
+    /// [`YIELD_TURNS`] turns that hand the CPU to a runnable peer instead
+    /// (none when the ranks do not outnumber the CPUs). A yield turn is a
+    /// whole turn of the loop — snapshot, drain, abort, ledger, deadline —
+    /// so failure news and the deadline are read exactly as often as
+    /// without it.
     pub(crate) fn wait_until<R>(
         &self,
         mb: &Mailbox,
@@ -258,6 +307,7 @@ impl Communicator {
         mut poll: impl FnMut(u64, Duration) -> Result<R, (usize, Tag)>,
     ) -> Result<R, CommError> {
         let me = self.world_of[self.rank];
+        let mut yields = 0;
         loop {
             let since = mb.interrupt_seq();
             let seen = self.progress.as_ref().map_or(0, |p| p.delivered(me));
@@ -290,7 +340,13 @@ impl Communicator {
             let slice = left.min(Duration::from_millis(100));
             match &self.progress {
                 Some(p) => p.progress(&self.registry, me, seen, slice),
+                None if yields < self.yield_turns => {
+                    yields += 1;
+                    std::thread::yield_now();
+                }
                 None => {
+                    #[cfg(test)]
+                    MAILBOX_SLEEPS.with(|n| n.set(n.get() + 1));
                     if let Ok(got) = poll(since, slice) {
                         return Ok(got);
                     }
@@ -1496,6 +1552,74 @@ mod tests {
             }
             assert_eq!(ops(), before);
         });
+    }
+
+    /// Run `f` on a thread pinned to one CPU: a world it launches hosts
+    /// every rank on that CPU.
+    #[cfg(target_os = "linux")]
+    fn on_one_cpu<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(crate::affinity::pin_to_one_cpu(), "pinning to one CPU");
+                f()
+            })
+            .join()
+            .unwrap()
+        })
+    }
+
+    #[test]
+    fn yield_turns_are_zero_unless_ranks_outnumber_cpus() {
+        for (ranks, cpus) in [(1, 1), (2, 2), (2, 8), (16, 16)] {
+            assert_eq!(yield_turns(ranks, Some(cpus)), 0, "{ranks} ranks on {cpus} CPUs");
+        }
+        assert_eq!(yield_turns(2, None), 0, "an unknown CPU count");
+        assert_eq!(yield_turns(2, Some(1)), YIELD_TURNS);
+        assert_eq!(yield_turns(17, Some(16)), YIELD_TURNS);
+        // A live world no larger than this thread's mask keeps the plain
+        // sleep on every rank.
+        let cpus = crate::affinity::CpuMask::of_this_thread().map_or(1, |m| m.len());
+        let ranks = cpus.min(2);
+        assert_eq!(World::builder(ranks).run(|c| c.yield_turns), vec![0; ranks]);
+        #[cfg(target_os = "linux")]
+        assert_eq!(
+            on_one_cpu(|| World::builder(2).run(|c| c.yield_turns)),
+            [YIELD_TURNS; 2]
+        );
+    }
+
+    /// Two ranks sharing one CPU: a waiter hands the CPU to its peer,
+    /// which answers before the waiter's yield turns run out, so most
+    /// waits never reach the mailbox sleep. With the sleep first, nearly
+    /// every one of them did.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_ping_pong_on_one_cpu_mostly_hands_the_cpu_over_instead_of_sleeping() {
+        const ROUNDS: u64 = 2000;
+        let sleeps = on_one_cpu(|| {
+            World::builder(2)
+                .transport(crate::TransportKind::Thread)
+                .run(|c| {
+                    let peer = 1 - c.rank();
+                    MAILBOX_SLEEPS.with(|n| n.set(0));
+                    for i in 0..ROUNDS {
+                        if c.rank() == 0 {
+                            c.send(peer, i, vec![i]);
+                            assert_eq!(c.recv::<u64>(peer, i), [i + 1]);
+                        } else {
+                            let v = c.recv::<u64>(peer, i);
+                            c.send(peer, i, vec![v[0] + 1]);
+                        }
+                    }
+                    MAILBOX_SLEEPS.with(|n| n.get())
+                })
+        });
+        for (rank, &n) in sleeps.iter().enumerate() {
+            assert!(
+                n as u64 <= ROUNDS / 2,
+                "rank {rank} slept in {n} of its {ROUNDS} waits"
+            );
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@
 //! selects shared-memory rings or TCP sockets, and [`proc`] launches one
 //! process per rank.
 
+pub mod affinity;
 pub mod cart;
 mod collectives;
 pub mod communicator;

@@ -18,7 +18,7 @@ use crate::message::Envelope;
 use crate::sync::{Mutex, RwLock};
 use crate::transport::{CtrlMsg, Route, Transport};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,6 +73,11 @@ pub struct Registry {
     /// [`CommError::LinkDown`] per stream that tore. The
     /// failure ledger records *that* a rank died; this records *why*.
     link_downs: Mutex<Vec<crate::error::CommError>>,
+    /// Yield turns a waiting rank takes before it sleeps on its mailbox
+    /// (see [`crate::communicator::YIELD_TURNS`]); set once at launch,
+    /// before any communicator exists. Zero unless this process hosts
+    /// more ranks than it has CPUs.
+    yield_turns: AtomicU32,
 }
 
 impl Registry {
@@ -90,7 +95,18 @@ impl Registry {
             transport: RwLock::new(None),
             deterministic_ids: AtomicBool::new(false),
             link_downs: Mutex::new(Vec::new()),
+            yield_turns: AtomicU32::new(0),
         }
+    }
+
+    /// Set the waiters' yield turns (once, at world setup).
+    pub(crate) fn set_yield_turns(&self, turns: u32) {
+        self.yield_turns.store(turns, Ordering::Relaxed);
+    }
+
+    /// Yield turns a waiting rank of this world takes before it sleeps.
+    pub(crate) fn yield_turns(&self) -> u32 {
+        self.yield_turns.load(Ordering::Relaxed)
     }
 
     /// Install the world's metrics plane (once, at world setup).

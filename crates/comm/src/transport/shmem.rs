@@ -77,6 +77,10 @@ mod sys {
 
     /// Map `len` bytes of `fd` shared read/write.
     pub fn map_shared(fd: RawFd, len: usize) -> std::io::Result<*mut u8> {
+        // SAFETY: a null `addr` lets the kernel choose where the mapping
+        // goes, so no existing memory of this process is replaced; the
+        // call only reads its arguments, and failure comes back as
+        // `MAP_FAILED`, checked below.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -96,6 +100,8 @@ mod sys {
 
     /// Unmap a region mapped by [`map_shared`].
     pub fn unmap(ptr: *mut u8, len: usize) {
+        // SAFETY: the caller passes a `(ptr, len)` that `map_shared`
+        // returned and that nothing will touch again (`Ring::drop`).
         unsafe {
             munmap(ptr as *mut core::ffi::c_void, len);
         }
@@ -106,6 +112,18 @@ mod sys {
 /// `write_lock` (belt and braces — in per-process mode only one thread
 /// produces, but loopback worlds may publish ctrl news from any rank
 /// thread); the consumer side is the single poller thread.
+///
+/// The invariant every `unsafe` block below relies on: from
+/// [`Ring::open`] until drop, `ptr` is the start of a live shared
+/// mapping of `len` bytes, page-aligned (so the two cursor words at
+/// offsets 0 and 64 are aligned for `AtomicU64`), with
+/// `len = HEADER_BYTES + capacity` and `len >= MIN_RING_BYTES`. The
+/// cursors are only ever touched as atomics. Data bytes are touched by
+/// one producer and one consumer, in the ring protocol: the producer
+/// writes only the free span behind `tail` and then publishes it with a
+/// release store of `tail`; the consumer reads only the published span
+/// behind `head`, after an acquire load of `tail`, and then frees it
+/// with a release store of `head`. No byte is read and written at once.
 struct Ring {
     ptr: *mut u8,
     len: usize,
@@ -113,9 +131,12 @@ struct Ring {
     write_lock: Mutex<()>,
 }
 
-// The raw pointer is to a MAP_SHARED region whose concurrent access is
-// disciplined by the head/tail cursors below.
+// SAFETY: `ptr` owns nothing thread-local: it is a shared mapping that
+// lives until drop, whichever thread drops it.
 unsafe impl Send for Ring {}
+// SAFETY: shared use goes through `&self` methods that touch the cursors
+// only as atomics, serialize producers with `write_lock`, and touch data
+// bytes only in the ring protocol (see the type docs).
 unsafe impl Sync for Ring {}
 
 impl Drop for Ring {
@@ -158,22 +179,34 @@ impl Ring {
     }
 
     fn head(&self) -> &AtomicU64 {
+        // SAFETY: offset 0 of the live, page-aligned mapping holds the
+        // consumer cursor, used only as an atomic; the reference cannot
+        // outlive `self`, nor therefore the mapping.
         unsafe { &*(self.ptr as *const AtomicU64) }
     }
 
     fn tail(&self) -> &AtomicU64 {
+        // SAFETY: as in `head`, for the producer cursor at offset 64,
+        // inside the header (`HEADER_BYTES` is 128).
         unsafe { &*(self.ptr.add(64) as *const AtomicU64) }
     }
 
     fn data(&self) -> *mut u8 {
+        // SAFETY: `HEADER_BYTES < len`, so the offset stays inside the
+        // mapping.
         unsafe { self.ptr.add(HEADER_BYTES) }
     }
 
     /// Copy `src` into the ring at logical offset `at`, wrapping.
     /// Caller must own `[at, at + src.len())` (producer discipline).
     fn write_at(&self, at: u64, src: &[u8]) {
+        assert!(src.len() as u64 <= self.capacity, "a write larger than the ring");
         let pos = (at % self.capacity) as usize;
         let first = src.len().min(self.capacity as usize - pos);
+        // SAFETY: `pos + first <= capacity` and `src.len() - first <=
+        // capacity`, so both copies land inside the data region; `src`
+        // is a slice of this process, which the mapping cannot overlap;
+        // the ring protocol gives these bytes to this producer alone.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.data().add(pos), first);
             std::ptr::copy_nonoverlapping(
@@ -186,8 +219,12 @@ impl Ring {
 
     /// Copy `dst.len()` bytes out of the ring at logical offset `at`.
     fn read_at(&self, at: u64, dst: &mut [u8]) {
+        assert!(dst.len() as u64 <= self.capacity, "a read larger than the ring");
         let pos = (at % self.capacity) as usize;
         let first = dst.len().min(self.capacity as usize - pos);
+        // SAFETY: as in `write_at`, both copies stay inside the data
+        // region and `dst` cannot overlap it; the ring protocol gives the
+        // published bytes to this consumer alone.
         unsafe {
             std::ptr::copy_nonoverlapping(self.data().add(pos), dst.as_mut_ptr(), first);
             std::ptr::copy_nonoverlapping(
@@ -235,11 +272,21 @@ impl Ring {
         if tail == head {
             return None;
         }
-        debug_assert!(tail - head >= 4, "partial record published");
+        // The cursors and the length prefix may come from another
+        // process: a record must lie inside what was published, and that
+        // inside the ring.
+        let published = tail.wrapping_sub(head);
         let mut len_bytes = [0u8; 4];
+        assert!(
+            (4..=self.capacity).contains(&published),
+            "corrupt shm record: {published} bytes published"
+        );
         self.read_at(head, &mut len_bytes);
         let len = u32::from_le_bytes(len_bytes) as usize;
-        debug_assert!(tail - head >= 4 + len as u64, "partial record published");
+        assert!(
+            4 + len as u64 <= published,
+            "corrupt shm record: a {len}-byte frame in {published} published bytes"
+        );
         let mut frame = vec![0u8; len];
         self.read_at(head + 4, &mut frame);
         self.head().store(head + 4 + len as u64, Ordering::Release);
@@ -559,6 +606,25 @@ mod tests {
         }
         producer.join().unwrap();
         drop(consumer_ring);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A length prefix or cursor that points past what was published —
+    /// a peer process that broke the protocol — panics instead of
+    /// reading outside the record, let alone the mapping.
+    #[test]
+    fn a_record_longer_than_what_was_published_is_refused() {
+        let (ring, path) = test_ring(4096);
+        ring.write_at(0, &(1u32 << 20).to_le_bytes());
+        ring.tail().store(8, Ordering::Release);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ring.pop_frame()));
+        let msg = caught.expect_err("a 1 MiB record in 8 bytes").downcast::<String>().unwrap();
+        assert!(msg.contains("corrupt shm record: a 1048576-byte frame"), "{msg}");
+        // A tail behind the head (a wrapped subtraction) is refused too.
+        ring.head().store(16, Ordering::Release);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ring.pop_frame()));
+        assert!(caught.is_err(), "a tail behind the head");
+        drop(ring);
         let _ = std::fs::remove_file(path);
     }
 

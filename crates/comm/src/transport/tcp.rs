@@ -57,17 +57,20 @@
 //!
 //! ## Locks
 //!
-//! **No lock is held across `poll(2)`, and the event loop never waits
-//! on a lock a sender can hold across socket I/O.** A rank's reader
-//! list is locked by whoever drains it, for the drain only; the event
-//! loop only `try_lock`s it, and a waiting rank gathers its sockets
-//! under the lock and releases it before it sleeps. Each link has one
-//! more lock, its write lock: a sender holds it while it writes one
-//! whole frame, yielding through `WouldBlock` for as long as the peer
-//! takes to drain, so frames stay whole on the stream. Readers never
-//! take it. The event loop wakes every [`TEND_PERIOD`] to drain the
-//! streams of ranks that are not waiting; while it finds bytes it keeps
-//! draining, and otherwise it sleeps to the next tick.
+//! **No reader lock is held across `poll(2)`, and the event loop never
+//! waits on a lock a sender can hold across socket I/O.** A rank's
+//! reader list is locked by whoever drains it, for the drain only; the
+//! event loop only `try_lock`s it, and a waiting rank gathers its
+//! sockets under the lock and releases it before it sleeps. Each link
+//! has one more lock, its write lock: a sender holds it while it writes
+//! one whole frame, so frames stay whole on the stream. Readers never
+//! take it. A sender that finds the socket buffer full yields a few
+//! times, then sleeps in `poll(2)` until the stream takes bytes again or
+//! its rank's doorbell rings, and gives the frame up once the world
+//! aborts, the peer is marked failed or the transport stops. The event
+//! loop wakes every [`TEND_PERIOD`] to drain the streams of ranks that
+//! are not waiting; while it finds bytes it keeps draining, and
+//! otherwise it sleeps to the next tick.
 //!
 //! Like the shmem backend, two modes share the code: **loopback**
 //! (ranks are threads, both socket ends live in this process) and
@@ -110,16 +113,70 @@ const READ_MIN: usize = 16 * 1024;
 /// off the others.
 const READS_PER_SWEEP: usize = 8;
 
-/// Write all of `bytes`, yielding through `WouldBlock` for as long as
-/// the peer takes to drain them (every socket here is nonblocking once
-/// its link exists).
-fn write_all(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<()> {
+/// Yields a writer takes when the socket's buffer is full before it
+/// sleeps in `poll(2)` (the same rule as a waiting rank's
+/// [`crate::communicator::YIELD_TURNS`]): the reader that drains the
+/// buffer may be waiting for this very CPU.
+const WRITE_YIELD_TURNS: u32 = crate::communicator::YIELD_TURNS;
+
+/// Longest a blocked writer sleeps before it looks again; a full buffer
+/// that drains or a doorbell ring ends the sleep sooner.
+const WRITE_SLICE: Duration = Duration::from_millis(100);
+
+#[cfg(test)]
+thread_local! {
+    /// Yields this thread has taken on a full socket buffer.
+    static WRITE_YIELDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Write all of `bytes` (every socket here is nonblocking once its link
+/// exists). On a full buffer the writer yields [`WRITE_YIELD_TURNS`]
+/// times, then sleeps in `poll(2)` until the stream takes bytes again or
+/// `bell` rings. After each sleep `give_up` decides whether to stop with
+/// an error (an abort, say: the reader may never drain). A ring may be
+/// meant for a rank asleep on the same doorbell, so the writer never
+/// takes it: once it has heard one, it sleeps on the stream alone, in
+/// [`TEND_PERIOD`] slices, asking `give_up` after each.
+fn write_all(
+    mut stream: &TcpStream,
+    bytes: &[u8],
+    bell: Option<&sys::Doorbell>,
+    give_up: impl Fn() -> bool,
+) -> io::Result<()> {
     let mut off = 0;
+    let mut yields = 0;
+    let mut bell = bell;
     while off < bytes.len() {
         match stream.write(&bytes[off..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
+            Ok(n) => {
+                off += n;
+                yields = 0;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if yields < WRITE_YIELD_TURNS {
+                    yields += 1;
+                    #[cfg(test)]
+                    WRITE_YIELDS.with(|n| n.set(n.get() + 1));
+                    std::thread::yield_now();
+                    continue;
+                }
+                let mut fds = [sys::PollFd::writable(stream), sys::PollFd::none()];
+                let (n, slice) = match bell {
+                    Some(bell) => {
+                        fds[1] = bell.poll_fd();
+                        (2, WRITE_SLICE)
+                    }
+                    None => (1, TEND_PERIOD),
+                };
+                sys::wait(&mut fds[..n], slice);
+                if n == 2 && fds[1].ready() {
+                    bell = None;
+                }
+                if give_up() {
+                    return Err(io::ErrorKind::ConnectionAborted.into());
+                }
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -167,7 +224,8 @@ fn read_exact_deadline(
     Ok(())
 }
 
-/// A waiting rank's sleep: `poll(2)` on its sockets and its doorbell.
+/// A waiting rank's sleep: `poll(2)` on its sockets and its doorbell; a
+/// blocked writer's: on its stream and its doorbell.
 #[cfg(unix)]
 mod sys {
     use std::io::{self, Read, Write};
@@ -184,6 +242,7 @@ mod sys {
     }
 
     const POLLIN: i16 = 0x1;
+    const POLLOUT: i16 = 0x4;
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
@@ -195,6 +254,24 @@ mod sys {
             PollFd {
                 fd: fd.as_raw_fd(),
                 events: POLLIN,
+                revents: 0,
+            }
+        }
+
+        /// Wait for `fd` to take bytes again (or hang up, or fail).
+        pub fn writable(fd: &impl AsRawFd) -> PollFd {
+            PollFd {
+                fd: fd.as_raw_fd(),
+                events: POLLOUT,
+                revents: 0,
+            }
+        }
+
+        /// An entry `poll(2)` skips (a negative fd).
+        pub fn none() -> PollFd {
+            PollFd {
+                fd: -1,
+                events: 0,
                 revents: 0,
             }
         }
@@ -260,6 +337,14 @@ mod sys {
             PollFd
         }
 
+        pub fn writable<T>(_: &T) -> PollFd {
+            PollFd
+        }
+
+        pub fn none() -> PollFd {
+            PollFd
+        }
+
         pub fn ready(&self) -> bool {
             false
         }
@@ -312,14 +397,6 @@ impl Link {
             write: Mutex::new(()),
             saw_bye: AtomicBool::new(false),
         }))
-    }
-
-    /// Write one whole stream frame. A write that fails is dropped: the
-    /// stream is broken, and this link's reader sees the same break as
-    /// EOF or an error and ends the link (see the module docs).
-    fn send(&self, frame: &[u8]) {
-        let _write = self.write.lock();
-        let _ = write_all(&self.stream, frame);
     }
 }
 
@@ -470,6 +547,25 @@ struct Shared {
 impl Shared {
     fn inbound_of(&self, rank: usize) -> Option<&Inbound> {
         self.inbound.iter().find(|i| i.rank == rank)
+    }
+
+    /// Write one whole stream frame on `link`, under its write lock. A
+    /// writer blocked on a full buffer also hears its rank's doorbell,
+    /// and stops once the world aborts, the peer is marked failed or the
+    /// transport shuts down. Callers drop a failed write: the stream is
+    /// broken (this link's reader sees the same break as EOF or an error
+    /// and ends the link, see the module docs) or nobody will read it.
+    fn send(&self, link: &Link, frame: &[u8]) -> io::Result<()> {
+        let _write = link.write.lock();
+        let bell = self.inbound_of(link.owner).map(|i| &i.doorbell);
+        write_all(&link.stream, frame, bell, || {
+            self.stop.load(Ordering::Acquire)
+                || self
+                    .registry
+                    .get()
+                    .and_then(Weak::upgrade)
+                    .is_some_and(|r| r.aborted() || r.is_failed(link.peer))
+        })
     }
 
     /// A link's stream ended (EOF, a socket error or bytes it could not
@@ -672,6 +768,8 @@ fn write_frame(stream: &TcpStream, payload: &[u8]) -> io::Result<()> {
     write_all(
         stream,
         &stream_frame(payload.len(), |out| out.extend_from_slice(payload)),
+        None,
+        || false,
     )
 }
 
@@ -940,9 +1038,12 @@ impl Transport for TcpTransport {
             .unwrap_or_else(|| {
                 panic!("no tcp link for {} -> {}", route.src_world, route.dst_world)
             });
-        link.send(&stream_frame(wire::data_len(&env), |out| {
-            wire::encode_data_into(out, route.comm, route.dst_local, &env)
-        }));
+        let _ = self.shared.send(
+            link,
+            &stream_frame(wire::data_len(&env), |out| {
+                wire::encode_data_into(out, route.comm, route.dst_local, &env)
+            }),
+        );
     }
 
     fn publish_ctrl(&self, ctrl: CtrlMsg) {
@@ -954,7 +1055,7 @@ impl Transport for TcpTransport {
         let inner = wire::encode_ctrl(ctrl);
         let frame = stream_frame(inner.len(), |out| out.extend_from_slice(&inner));
         for link in self.shared.links.values() {
-            link.send(&frame);
+            let _ = self.shared.send(link, &frame);
         }
     }
 
@@ -1379,6 +1480,97 @@ mod tests {
         (t, registry)
     }
 
+    /// A frame no socket pair buffers whole: a writer blocks on it until
+    /// the peer's reader drains.
+    fn stalling_frame() -> Vec<u8> {
+        let env = Envelope::new(0, 7, vec![5u8; 16 << 20]);
+        stream_frame(wire::data_len(&env), |out| {
+            wire::encode_data_into(out, WORLD_COMM_ID, 1, &env)
+        })
+    }
+
+    /// Rank 0 writes a frame rank 1 does not read (no event loop runs):
+    /// the writer blocks, and sleeps in `poll(2)` instead of yielding
+    /// for as long as the stall lasts; once the test drains rank 1's
+    /// stream the whole frame arrives and the write succeeds.
+    #[test]
+    fn a_writer_to_a_peer_that_stops_reading_completes_once_the_peer_drains() {
+        let t = TcpTransport::loopback(2).unwrap();
+        let registry = Registry::new();
+        let frame = stalling_frame();
+        let link = &t.shared.links[&(0, 1)];
+        let mb = registry.mailbox(WORLD_COMM_ID, 1);
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let wrote = t.shared.send(link, &frame);
+                (wrote, WRITE_YIELDS.with(std::cell::Cell::get))
+            });
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(!writer.is_finished(), "the frame fit the socket buffers");
+            let rank1 = t.shared.inbound_of(1).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while mb.is_empty() {
+                assert!(Instant::now() < deadline, "the frame arrived within 30 s");
+                rank1.drain(&mut rank1.readers.lock(), &t.shared, &registry);
+                std::thread::yield_now();
+            }
+            let (wrote, yields) = writer.join().unwrap();
+            wrote.expect("the write completes");
+            // A few yields per full buffer; yielding through the stall
+            // took hundreds of thousands.
+            assert!(yields < 10_000, "the writer yielded {yields} times");
+        });
+        let got = mb.recv_matching(0, 7).into_data::<u8>();
+        assert!(got.len() == 16 << 20 && got.iter().all(|&b| b == 5));
+    }
+
+    /// `end_link` shuts the socket of a torn stream down, and a writer
+    /// blocked on that socket must fail, not wait for a drain that will
+    /// never come.
+    #[test]
+    fn a_stream_torn_under_a_blocked_writer_ends_the_write_with_an_error() {
+        let t = TcpTransport::loopback(2).unwrap();
+        let frame = stalling_frame();
+        let link = &t.shared.links[&(0, 1)];
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| t.shared.send(link, &frame));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!writer.is_finished(), "the frame fit the socket buffers");
+            let torn = Instant::now();
+            link.stream.shutdown(Shutdown::Both).unwrap();
+            let wrote = writer.join().unwrap();
+            assert!(wrote.is_err(), "a write into a torn stream succeeded");
+            assert!(torn.elapsed() < Duration::from_secs(1), "took {:?}", torn.elapsed());
+        });
+    }
+
+    /// An abort rings the blocked writer's doorbell: it gives the frame
+    /// up at once, not at the end of its poll slice.
+    #[test]
+    fn an_abort_cuts_a_blocked_writers_sleep_short() {
+        let t = Arc::new(TcpTransport::loopback(2).unwrap());
+        let registry = Arc::new(Registry::new());
+        registry.install_transport(Arc::clone(&t) as Arc<dyn Transport>);
+        // The registry without `attach`: no event loop drains rank 1.
+        let _ = t.shared.registry.set(Arc::downgrade(&registry));
+        let frame = stalling_frame();
+        let link = &t.shared.links[&(0, 1)];
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| t.shared.send(link, &frame));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!writer.is_finished(), "the frame fit the socket buffers");
+            let aborted = Instant::now();
+            registry.signal_abort();
+            let wrote = writer.join().unwrap();
+            assert_eq!(wrote.map_err(|e| e.kind()), Err(io::ErrorKind::ConnectionAborted));
+            assert!(
+                aborted.elapsed() < WRITE_SLICE / 2,
+                "took {:?}",
+                aborted.elapsed()
+            );
+        });
+    }
+
     /// Two transports in one process over real sockets, as two
     /// single-rank "processes" would hold them: dropping one end without
     /// a goodbye closes its sockets, and the survivor marks the peer
@@ -1460,7 +1652,9 @@ mod tests {
         let (t, registry) = attached_pair();
         let bye = wire::encode_ctrl(CtrlMsg::Bye(1));
         let link = &t.shared.links[&(1, 0)];
-        link.send(&stream_frame(bye.len(), |out| out.extend_from_slice(&bye)));
+        t.shared
+            .send(link, &stream_frame(bye.len(), |out| out.extend_from_slice(&bye)))
+            .unwrap();
         link.stream.shutdown(Shutdown::Write).unwrap();
         let rank0 = t.shared.inbound_of(0).unwrap();
         within(Duration::from_secs(10), "rank 0 read the EOF", || {

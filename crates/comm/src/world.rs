@@ -16,6 +16,7 @@
 //! the span [`WorldTimeline`], and `run_ft` returns an [`FtReport`]
 //! where injected rank deaths are data instead of propagated panics.
 
+use crate::affinity::CpuMask;
 use crate::communicator::Communicator;
 use crate::config::CommConfig;
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan, RankKilled};
@@ -211,6 +212,14 @@ impl WorldBuilder {
         }
 
         let registry = Arc::new(Registry::new());
+        // One mask read per launch: whether the ranks outnumber their
+        // CPUs, and if so where each starts.
+        let mask = CpuMask::of_this_thread();
+        registry.set_yield_turns(crate::communicator::yield_turns(
+            num_ranks,
+            mask.map(|m| m.len()),
+        ));
+        let starts = start_cpus(num_ranks, mask.as_ref());
         // Link-level chaos (delayed wire frames) lives in a seeded engine
         // that decorates the transport; the op-level injectors below
         // never see those actions.
@@ -282,7 +291,11 @@ impl WorldBuilder {
                     )
                     .with_fault(injectors[rank].clone());
                     let reg = Arc::clone(&registry);
+                    let start = mask.zip(starts[rank]);
                     scope.spawn(move || {
+                        if let Some((mask, cpu)) = start {
+                            mask.start_on(cpu);
+                        }
                         // On panic, flag the world so peers blocked in
                         // receives fail fast rather than timing out.
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
@@ -396,9 +409,42 @@ impl WorldBuilder {
     }
 }
 
+/// Where each rank thread starts: when the ranks outnumber the `n` CPUs
+/// of the launching thread's mask (and there is more than one), rank `r`
+/// starts on the `r mod n`-th CPU, so each CPU hosts ⌊ranks/n⌋ or
+/// ⌈ranks/n⌉ of them; otherwise the kernel places them.
+///
+/// The kernel places a new thread by the load its CPUs carried a moment
+/// before, and that load is whatever the previous world left. Under
+/// [`crate::communicator::YIELD_TURNS`] the placement then holds for the
+/// run: a rank that hands its CPU over instead of sleeping gives the
+/// kernel no wake-up at which to move it. Three ranks on one CPU of two
+/// leave the fourth alone on the other with nothing to yield to, and it
+/// sleeps on every exchange.
+fn start_cpus(num_ranks: usize, mask: Option<&CpuMask>) -> Vec<Option<usize>> {
+    let cpus: Vec<usize> = match mask {
+        Some(mask) if mask.len() > 1 && num_ranks > mask.len() => mask.cpus().collect(),
+        _ => return vec![None; num_ranks],
+    };
+    (0..num_ranks).map(|r| Some(cpus[r % cpus.len()])).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversubscribed_ranks_start_round_robin_over_the_mask() {
+        let two = CpuMask::from_cpus(&[3, 5]);
+        assert_eq!(
+            start_cpus(5, Some(&two)),
+            [Some(3), Some(5), Some(3), Some(5), Some(3)]
+        );
+        // Ranks that fit, a single CPU, or no mask: the kernel places them.
+        assert_eq!(start_cpus(2, Some(&two)), [None, None]);
+        assert_eq!(start_cpus(3, Some(&CpuMask::from_cpus(&[3]))), [None; 3]);
+        assert_eq!(start_cpus(3, None), [None; 3]);
+    }
 
     #[test]
     fn results_are_indexed_by_rank() {

@@ -478,21 +478,37 @@ fn ending(outcome: std::thread::Result<Result<Vec<u8>, CommError>>) -> String {
     }
 }
 
-/// Over TCP, rank 0 blocks in `irecv(1, 5).try_wait()` — asleep on its
-/// own sockets, with nothing coming — and 50 ms later rank 1 does
-/// `event`. Returns how rank 0's wait ended and how long after the event,
-/// fastest of three worlds so one preempted attempt cannot fail it. A
-/// ledger interrupt must ring the sleeper's doorbell: without the ring
-/// it would see the event only at the end of its 100 ms poll slice.
-fn blocked_waiter_sees<F>(plan: Option<&FaultPlan>, event: F) -> (String, Duration)
+/// Where rank 0 waits when rank 1 acts.
+#[derive(Clone, Copy)]
+enum Waiter {
+    /// Over TCP, asleep on its own sockets: rank 1 acts 50 ms after the
+    /// barrier. A ledger interrupt must ring the sleeper's doorbell:
+    /// without the ring it would see the event only at the end of its
+    /// 100 ms poll slice.
+    OnSockets,
+    /// On the thread transport with both ranks pinned to one CPU: rank 1
+    /// acts at once, so rank 0 is in its yield turns (or not yet
+    /// waiting), and each turn must still read the ledger and the abort
+    /// flag.
+    YieldingOnOneCpu,
+}
+
+/// Rank 0 blocks in `irecv(1, 5).try_wait()`, with nothing coming, and
+/// rank 1 does `event` (see [`Waiter`]). Returns how rank 0's wait
+/// ended and how long after the event, fastest of three worlds so one
+/// preempted attempt cannot fail it.
+fn blocked_waiter_sees<F>(waiter: Waiter, plan: Option<&FaultPlan>, event: F) -> (String, Duration)
 where
     F: Fn(&Communicator) + Send + Sync,
 {
-    let mut best: Option<(String, Duration)> = None;
-    for _ in 0..3 {
+    let (kind, delay) = match waiter {
+        Waiter::OnSockets => (TransportKind::Tcp, Duration::from_millis(50)),
+        Waiter::YieldingOnOneCpu => (TransportKind::Thread, Duration::ZERO),
+    };
+    let attempt = || {
         let acted: Mutex<Option<Instant>> = Mutex::new(None);
         let ended: Mutex<Option<(String, Instant)>> = Mutex::new(None);
-        let mut world = World::builder(2).transport(TransportKind::Tcp).recv_timeout(WORLD_TIMEOUT);
+        let mut world = World::builder(2).transport(kind).recv_timeout(WORLD_TIMEOUT);
         if let Some(plan) = plan {
             world = world.fault_plan(plan);
         }
@@ -505,14 +521,28 @@ where
                     let outcome = catch_unwind(AssertUnwindSafe(|| comm.irecv::<u8>(1, 5).try_wait()));
                     *ended.lock().unwrap() = Some((ending(outcome), Instant::now()));
                 } else {
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(delay);
                     *acted.lock().unwrap() = Some(Instant::now());
                     event(&comm);
                 }
             })
         }));
         let (how, at) = ended.into_inner().unwrap().expect("rank 0's wait ended");
-        let latency = at - acted.into_inner().unwrap().expect("rank 1 acted");
+        (how, at - acted.into_inner().unwrap().expect("rank 1 acted"))
+    };
+    let mut best: Option<(String, Duration)> = None;
+    for _ in 0..3 {
+        let (how, latency) = match waiter {
+            Waiter::OnSockets => attempt(),
+            Waiter::YieldingOnOneCpu => std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(beatnik_comm::affinity::pin_to_one_cpu(), "pinning to one CPU");
+                    attempt()
+                })
+                .join()
+                .unwrap()
+            }),
+        };
         if best.as_ref().is_none_or(|(_, b)| latency < *b) {
             best = Some((how, latency));
         }
@@ -520,28 +550,58 @@ where
     best.expect("three attempts")
 }
 
-#[test]
-fn a_rank_blocked_on_its_sockets_sees_a_peer_killed() {
+fn sees_a_peer_killed(waiter: Waiter) {
     let plan = FaultPlan::parse("kill:r1@step1", 0).expect("static plan");
-    let (how, latency) = blocked_waiter_sees(Some(&plan), |comm| comm.fault_step(1));
+    let (how, latency) = blocked_waiter_sees(waiter, Some(&plan), |comm| comm.fault_step(1));
     assert_eq!(how, format!("{:?}", CommError::RankFailed { rank: 0, failed: 1 }));
     assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
 }
 
-#[test]
-fn a_rank_blocked_on_its_sockets_sees_a_peer_panic() {
+fn sees_a_peer_panic(waiter: Waiter) {
     // `resume_unwind` skips the panic hook, whose report (a backtrace,
     // when enabled) would otherwise sit between the event and the abort.
-    let (how, latency) = blocked_waiter_sees(None, |_| {
+    let (how, latency) = blocked_waiter_sees(waiter, None, |_| {
         std::panic::resume_unwind(Box::new("a genuine bug on rank 1".to_string()))
     });
     assert!(how.contains("a peer rank failed"), "wait ended with {how}");
     assert!(latency < Duration::from_millis(10), "abort took {latency:?}");
 }
 
-#[test]
-fn a_rank_blocked_on_its_sockets_sees_a_revocation() {
-    let (how, latency) = blocked_waiter_sees(None, |comm| comm.revoke());
+fn sees_a_revocation(waiter: Waiter) {
+    let (how, latency) = blocked_waiter_sees(waiter, None, |comm| comm.revoke());
     assert!(how.starts_with("Revoked"), "wait ended with {how}");
     assert!(latency < Duration::from_millis(10), "revocation took {latency:?}");
+}
+
+#[test]
+fn a_rank_blocked_on_its_sockets_sees_a_peer_killed() {
+    sees_a_peer_killed(Waiter::OnSockets);
+}
+
+#[test]
+fn a_rank_blocked_on_its_sockets_sees_a_peer_panic() {
+    sees_a_peer_panic(Waiter::OnSockets);
+}
+
+#[test]
+fn a_rank_blocked_on_its_sockets_sees_a_revocation() {
+    sees_a_revocation(Waiter::OnSockets);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rank_yielding_on_one_cpu_sees_a_peer_killed() {
+    sees_a_peer_killed(Waiter::YieldingOnOneCpu);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rank_yielding_on_one_cpu_sees_a_peer_panic() {
+    sees_a_peer_panic(Waiter::YieldingOnOneCpu);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rank_yielding_on_one_cpu_sees_a_revocation() {
+    sees_a_revocation(Waiter::YieldingOnOneCpu);
 }

@@ -109,6 +109,9 @@ fn wire_chaos_survives_two_real_processes() {
         "--exact",
         "--nocapture",
         "--test-threads=1",
+        // Without it a child prints `test <name> ... ` and exits before
+        // its result, splicing that fragment into the parent's line.
+        "--quiet",
     ];
     let (log, killed) =
         proc::spmd_with(2, TransportKind::Tcp, &args, Some(&plan), move |comm| run_rig(&comm, &cfg));

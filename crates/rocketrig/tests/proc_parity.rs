@@ -31,6 +31,9 @@ fn two_process_shmem_run_matches_single_process() {
                 "--exact",
                 "--nocapture",
                 "--test-threads=1",
+                // Without it a child prints `test <name> ... ` and exits before
+                // its result, splicing that fragment into the parent's line.
+                "--quiet",
             ],
             move |comm| run_rig(&comm, &cfg),
         )

@@ -25,6 +25,55 @@ pub const TRACED_SPAN_CAPACITY: usize = 1 << 17;
 /// `WorldTimeline::critical_path` segments on.
 pub const STEP_PHASE: &str = "step";
 
+/// The span clock. Every traced message stamps at least one span, so a
+/// stamp is a raw *tick*, converted to nanoseconds since the epoch only
+/// when the ring is read ([`SpanRecorder::snapshot`]). Where the kernel
+/// keeps its own clock on an invariant time-stamp counter, a tick is one
+/// `rdtsc`: about 20 ns on the 2-vCPU reference VM, where
+/// `Instant::now()` costs 45 ns. Elsewhere a tick is a nanosecond of
+/// `Instant` since a process-wide origin.
+mod clock {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    /// Whether the time-stamp counter can stamp spans: the CPU says it
+    /// ticks at one rate in every power state (CPUID 8000_0007h, EDX bit
+    /// 8), and Linux runs its own clock on it, which it does only once it
+    /// has found the counters of all CPUs in step.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn tsc_usable() -> bool {
+        static USABLE: OnceLock<bool> = OnceLock::new();
+        *USABLE.get_or_init(|| {
+            use std::arch::x86_64::__cpuid;
+            #[allow(unused_unsafe)]
+            // SAFETY: `cpuid` exists on every x86-64 CPU, and leaf
+            // 8000_0007h is read only where leaf 8000_0000h says it exists.
+            let invariant = unsafe {
+                __cpuid(0x8000_0000).eax >= 0x8000_0007 && __cpuid(0x8000_0007).edx & (1 << 8) != 0
+            };
+            invariant
+                && std::fs::read_to_string(
+                    "/sys/devices/system/clocksource/clocksource0/current_clocksource",
+                )
+                .is_ok_and(|source| source.trim() == "tsc")
+        })
+    }
+
+    /// The current tick.
+    #[inline]
+    pub fn ticks() -> u64 {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if tsc_usable() {
+            #[allow(unused_unsafe)]
+            // SAFETY: `rdtsc` exists on every x86-64 CPU and only reads
+            // the counter.
+            return unsafe { std::arch::x86_64::_rdtsc() };
+        }
+        static ORIGIN: OnceLock<Instant> = OnceLock::new();
+        ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    }
+}
+
 /// Opaque start-of-span timestamp handed out by [`SpanRecorder::begin`].
 ///
 /// Carrying the disabled state in the ticket keeps the `end` call
@@ -61,6 +110,12 @@ const DISABLED: u64 = u64::MAX;
 /// what the timeline analyses need, so drop-oldest degrades gracefully.
 pub struct SpanRecorder {
     epoch: Instant,
+    /// A tick read at construction and the epoch time it fell at: with
+    /// a second such pair read at [`snapshot`](SpanRecorder::snapshot),
+    /// the line that turns the ticks in the ring into epoch time.
+    origin: (u64, u64),
+    /// Spans whose `start_ns`/`end_ns` hold ticks (see the `clock`
+    /// module) until [`snapshot`](SpanRecorder::snapshot) converts them.
     slots: Box<[UnsafeCell<Span>]>,
     /// Total spans ever pushed (monotonic; `pushed % capacity` is the
     /// next write index, `pushed - capacity` the drop count).
@@ -81,7 +136,8 @@ pub struct SpanRecorder {
     /// (a handful per timestep), so an uncontended mutex is fine here.
     phase_counts: Mutex<BTreeMap<&'static str, u64>>,
     /// Monotonic send-sequence counter for minted trace contexts
-    /// ([`SpanRecorder::mint_flow`]). Only advanced when enabled.
+    /// ([`SpanRecorder::mint_flow`]). Only advanced when enabled, and
+    /// only by the owning rank thread.
     flow_seq: AtomicU64,
     /// Step epoch stamped into minted contexts; advanced each time the
     /// [`STEP_PHASE`] phase opens.
@@ -99,8 +155,15 @@ impl SpanRecorder {
     pub fn new(capacity: usize, epoch: Instant) -> Self {
         let slots: Vec<UnsafeCell<Span>> =
             (0..capacity).map(|_| UnsafeCell::new(Span::default())).collect();
+        // Disabled recorders never stamp, so they read no clock.
+        let origin = if capacity == 0 {
+            (0, 0)
+        } else {
+            (clock::ticks(), epoch.elapsed().as_nanos() as u64)
+        };
         SpanRecorder {
             epoch,
+            origin,
             slots: slots.into_boxed_slice(),
             pushed: AtomicU64::new(0),
             phase_stack: UnsafeCell::new(Vec::with_capacity(8)),
@@ -137,7 +200,7 @@ impl SpanRecorder {
         if self.slots.is_empty() {
             return Ticket(DISABLED);
         }
-        Ticket(self.now_ns())
+        Ticket(clock::ticks())
     }
 
     /// Finish a span started with [`begin`](SpanRecorder::begin).
@@ -162,7 +225,6 @@ impl SpanRecorder {
         if ticket.0 == DISABLED {
             return;
         }
-        let end_ns = self.now_ns();
         self.push(Span {
             kind,
             peer,
@@ -171,7 +233,7 @@ impl SpanRecorder {
             algo,
             flow,
             start_ns: ticket.0,
-            end_ns,
+            end_ns: clock::ticks(),
         });
     }
 
@@ -211,7 +273,7 @@ impl SpanRecorder {
         if self.slots.is_empty() {
             return;
         }
-        let now = self.now_ns();
+        let now = clock::ticks();
         self.push(Span {
             kind,
             peer,
@@ -234,7 +296,10 @@ impl SpanRecorder {
         if self.slots.is_empty() {
             return 0;
         }
-        let seq = self.flow_seq.fetch_add(1, Ordering::Relaxed);
+        // The owning rank thread is the only writer (the single-writer
+        // protocol), so a plain load and store replace a locked add.
+        let seq = self.flow_seq.load(Ordering::Relaxed);
+        self.flow_seq.store(seq + 1, Ordering::Relaxed);
         flow::pack(
             origin_rank as u16,
             self.step_epoch.load(Ordering::Relaxed) as u16,
@@ -332,11 +397,14 @@ impl SpanRecorder {
     fn push(&self, span: Span) {
         let cap = self.slots.len() as u64;
         let n = self.pushed.load(Ordering::Relaxed);
+        // Every capacity in use is a power of two; a mask is cheaper
+        // than the division.
+        let at = if cap.is_power_of_two() { n & (cap - 1) } else { n % cap };
         // SAFETY: single-writer protocol (see type docs) — no other
         // thread writes this slot, and readers synchronize via the
         // release store below or via thread join.
         unsafe {
-            *self.slots[(n % cap) as usize].get() = span;
+            *self.slots[at as usize].get() = span;
         }
         self.pushed.store(n + 1, Ordering::Release);
     }
@@ -380,12 +448,25 @@ impl SpanRecorder {
         }
         let kept = pushed.min(cap);
         let first = if pushed > cap { pushed % cap } else { 0 };
+        // Ticks to epoch nanoseconds: the line through the origin pair
+        // and a pair read now.
+        let (t0, ns0) = self.origin;
+        let (t1, ns1) = (clock::ticks(), self.now_ns());
+        let ns_per_tick = if t1 > t0 {
+            ns1.saturating_sub(ns0) as f64 / (t1 - t0) as f64
+        } else {
+            1.0
+        };
+        let to_ns = |t: u64| ns0 + (t.saturating_sub(t0) as f64 * ns_per_tick) as u64;
         let mut out = Vec::with_capacity(kept as usize);
         for i in 0..kept {
             let idx = ((first + i) % cap) as usize;
             // SAFETY: the writer has finished (caller contract), so the
             // slot is not being concurrently written.
-            out.push(unsafe { *self.slots[idx].get() });
+            let mut span = unsafe { *self.slots[idx].get() };
+            span.start_ns = to_ns(span.start_ns);
+            span.end_ns = to_ns(span.end_ns);
+            out.push(span);
         }
         out.sort_by_key(|s| s.start_ns);
         (out, pushed - kept)
@@ -514,6 +595,29 @@ mod tests {
         assert_eq!(spans[2].kind, SpanKind::Phase("halo"));
         // Chronological: start times never decrease.
         assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+    }
+
+    /// Spans are stamped in clock ticks; the snapshot hands them back in
+    /// nanoseconds since the epoch, on the same scale as `Instant`.
+    #[test]
+    fn tick_stamps_read_back_as_epoch_nanoseconds() {
+        let epoch = Instant::now();
+        let rec = SpanRecorder::new(8, epoch);
+        let before = epoch.elapsed().as_nanos() as u64;
+        let t = rec.begin();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        rec.end(t, SpanKind::Phase("nap"), -1, 0, 0);
+        let after = epoch.elapsed().as_nanos() as u64;
+        let (spans, _) = rec.snapshot();
+        let nap = spans[0];
+        let slack = 50_000;
+        assert!(nap.start_ns + slack >= before, "{nap:?} starts before {before}");
+        assert!(nap.end_ns <= after + slack, "{nap:?} ends after {after}");
+        assert!(
+            (20_000_000..200_000_000).contains(&nap.dur_ns()),
+            "a 20 ms sleep read as {} ns",
+            nap.dur_ns()
+        );
     }
 
     #[test]
