@@ -6,8 +6,8 @@
 //!
 //! * **Ranks as threads.** [`World::builder`] spawns `P` scoped threads,
 //!   each receiving its own [`Communicator`] handle for the world group.
-//! * **Point-to-point messaging** with MPI-style `(source, tag)` matching,
-//!   buffered (non-blocking) sends and blocking receives.
+//! * **Point-to-point messaging** with MPI-style exact `(source, tag)`
+//!   matching, buffered (non-blocking) sends and blocking receives.
 //! * **Collectives** implemented with the same algorithms production MPI
 //!   libraries use: dissemination barrier, binomial-tree broadcast,
 //!   recursive-doubling allreduce, direct gather, ring allgather, and
@@ -71,7 +71,7 @@ pub mod transport;
 pub mod world;
 
 pub use cart::{dims_create, CartComm};
-pub use communicator::{Communicator, Tag, ANY_SOURCE, ANY_TAG};
+pub use communicator::{Communicator, Tag};
 pub use config::{
     CommConfig, HANDSHAKE_TIMEOUT_ENV, RECV_TIMEOUT_ENV, SHM_RING_BYTES_ENV, TRANSPORT_ENV,
 };
@@ -83,7 +83,7 @@ pub use fault::{
 pub use metrics::MetricsPlane;
 pub use rankpool::{RankLease, RankPool};
 pub use reduce_op::{MaxOp, MinOp, ProdOp, ReduceOp, SumOp};
-pub use request::{try_wait_all, wait_all, RecvRequest, SendRequest};
+pub use request::{wait_all, RecvRequest, SendRequest};
 pub use trace::{
     MatrixCell, MatrixImbalance, OpKind, OpStats, RankTrace, WorldMatrixCell, WorldTrace,
 };

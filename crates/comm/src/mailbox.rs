@@ -1,21 +1,17 @@
-//! Per-rank indexed mailboxes with MPI-style `(source, tag)` matching.
+//! Per-rank indexed mailboxes with MPI-style exact `(source, tag)`
+//! matching.
 //!
 //! Each `(communicator, rank)` pair owns one mailbox. Senders push
 //! envelopes (never blocking — sends are buffered); receivers either
 //! consume a queued match immediately or register themselves and sleep
 //! until a matching push hands them an envelope directly.
 //!
-//! Unlike the original linear-scan queue, the mailbox is **indexed**:
+//! Every receive names its source and tag, so the mailbox is
+//! **indexed** by them:
 //!
-//! * Queued envelopes live in per-`(src, tag)` FIFO buckets, so an
-//!   exact-selector receive (the overwhelmingly common case — every
-//!   collective round uses exact selectors) matches in O(1) instead of
-//!   scanning every resident message.
-//! * A **wildcard arrival list** records `(seq, src, tag)` in global
-//!   arrival order. Wildcard receives (`ANY_SOURCE`/`ANY_TAG`) walk it
-//!   front-to-back, so they still match the *oldest* arrival; entries
-//!   consumed through the exact path are pruned lazily when encountered
-//!   or when the list grows past twice the resident message count.
+//! * Queued envelopes live in per-`(src, tag)` FIFO buckets, so a
+//!   receive matches in O(1) instead of scanning every resident
+//!   message.
 //! * Blocked receivers and posted nonblocking receives form a FIFO
 //!   **consumer registry**, each with its *own* condition variable. A
 //!   push that matches a registered consumer deposits the envelope
@@ -35,8 +31,10 @@
 //!
 //! Non-overtaking is preserved by construction: a receiver registers
 //! only under the same lock where it found no queued match, consumers
-//! are matched in registration order, and same-`(src, tag)` envelopes
-//! share one FIFO bucket.
+//! are matched in registration order, same-`(src, tag)` envelopes share
+//! one FIFO bucket, and an envelope handed back by a cancelled posted
+//! receive goes to the front of its bucket — everything behind it there
+//! arrived after it.
 
 use crate::message::Envelope;
 use crate::sync::{Condvar, Mutex};
@@ -62,34 +60,16 @@ struct Consumer {
     watcher: Option<Arc<Condvar>>,
 }
 
-/// A non-consuming waiter (the [`Mailbox::wait_any`] progress primitive):
-/// notified when a matching envelope is *queued*, but never handed one.
-struct Notifier {
-    id: u64,
-    sels: Vec<(usize, u64)>,
-    cond: Arc<Condvar>,
-}
-
 #[derive(Default)]
 struct State {
-    /// Next arrival sequence number (monotone per mailbox).
-    seq: u64,
-    /// Resident (queued, unconsumed) envelope count.
-    queued: usize,
-    /// Per-`(src, tag)` FIFO buckets of `(seq, envelope)`.
-    buckets: HashMap<(usize, u64), VecDeque<(u64, Envelope)>>,
-    /// Global arrival order `(seq, src, tag)` for wildcard matching.
-    /// May contain stale entries (consumed via the exact path); pruned
-    /// lazily.
-    arrivals: VecDeque<(u64, usize, u64)>,
+    /// Per-`(src, tag)` FIFO buckets of queued envelopes; a bucket is
+    /// removed when it empties.
+    buckets: HashMap<(usize, u64), VecDeque<Envelope>>,
     /// FIFO registry of blocked receives and posted receive slots.
     consumers: VecDeque<Consumer>,
     /// Envelopes deposited directly into a consumer slot, keyed by
-    /// consumer id, tagged with their arrival seq (needed to requeue in
-    /// order if the posted receive is cancelled).
-    delivered: HashMap<u64, (u64, Envelope)>,
-    /// Registered `wait_any` watchers.
-    notifiers: Vec<Notifier>,
+    /// consumer id.
+    delivered: HashMap<u64, Envelope>,
     next_id: u64,
 }
 
@@ -100,84 +80,15 @@ impl State {
         id
     }
 
-    fn is_exact(src: usize, tag: u64) -> bool {
-        src != usize::MAX && tag != u64::MAX
-    }
-
-    /// Enqueue an envelope into its bucket and the arrival list.
-    fn enqueue(&mut self, seq: u64, env: Envelope) {
-        self.arrivals.push_back((seq, env.src, env.tag));
-        self.buckets
-            .entry((env.src, env.tag))
-            .or_default()
-            .push_back((seq, env));
-        self.queued += 1;
-        // Exact-selector receives consume from buckets without touching
-        // `arrivals`; sweep the stale entries once they dominate.
-        if self.arrivals.len() > 32 && self.arrivals.len() > 2 * self.queued {
-            let buckets = &self.buckets;
-            self.arrivals.retain(|&(s, src, tag)| {
-                buckets
-                    .get(&(src, tag))
-                    .and_then(|b| b.front())
-                    .is_some_and(|&(front, _)| front <= s)
-            });
-        }
-    }
-
-    /// Remove and return the oldest queued envelope matching `(src, tag)`,
-    /// if any. Wildcards (`usize::MAX`/`u64::MAX`) allowed.
+    /// Remove and return the oldest queued envelope from `src` with
+    /// `tag`, if any.
     fn take_match(&mut self, src: usize, tag: u64) -> Option<Envelope> {
-        if Self::is_exact(src, tag) {
-            let bucket = self.buckets.get_mut(&(src, tag))?;
-            let (_, env) = bucket.pop_front()?;
-            if bucket.is_empty() {
-                self.buckets.remove(&(src, tag));
-            }
-            self.queued -= 1;
-            return Some(env);
+        let bucket = self.buckets.get_mut(&(src, tag))?;
+        let env = bucket.pop_front();
+        if bucket.is_empty() {
+            self.buckets.remove(&(src, tag));
         }
-        // Wildcard: walk arrivals oldest-first, pruning stale entries for
-        // keys this selector covers as we meet them.
-        let mut i = 0;
-        while i < self.arrivals.len() {
-            let (s, esrc, etag) = self.arrivals[i];
-            let sel_match =
-                (src == usize::MAX || esrc == src) && (tag == u64::MAX || etag == tag);
-            if !sel_match {
-                i += 1;
-                continue;
-            }
-            let live = self
-                .buckets
-                .get(&(esrc, etag))
-                .and_then(|b| b.front())
-                .is_some_and(|&(front, _)| front == s);
-            if !live {
-                // Consumed through the exact path earlier; drop the entry.
-                self.arrivals.remove(i);
-                continue;
-            }
-            self.arrivals.remove(i);
-            let bucket = self.buckets.get_mut(&(esrc, etag)).expect("live bucket");
-            let (_, env) = bucket.pop_front().expect("live front");
-            if bucket.is_empty() {
-                self.buckets.remove(&(esrc, etag));
-            }
-            self.queued -= 1;
-            return Some(env);
-        }
-        None
-    }
-
-    /// Whether any queued envelope matches `(src, tag)` (no consuming).
-    fn has_match(&self, src: usize, tag: u64) -> bool {
-        if Self::is_exact(src, tag) {
-            return self.buckets.get(&(src, tag)).is_some_and(|b| !b.is_empty());
-        }
-        self.buckets.iter().any(|(&(s, t), b)| {
-            !b.is_empty() && (src == usize::MAX || s == src) && (tag == u64::MAX || t == tag)
-        })
+        env
     }
 
     fn register_consumer(&mut self, src: usize, tag: u64) -> (u64, Arc<Condvar>) {
@@ -206,28 +117,16 @@ impl State {
             .map(|c| Arc::clone(&c.cond))
     }
 
-    /// Requeue a delivered-but-unclaimed envelope (cancelled posted
-    /// receive) at its original arrival position.
-    fn requeue(&mut self, seq: u64, env: Envelope) {
-        let key = (env.src, env.tag);
-        // Deposits happen before younger same-key envelopes can queue, so
-        // this envelope is older than anything resident in its bucket.
-        self.buckets.entry(key).or_default().push_front((seq, env));
-        let pos = self.arrivals.partition_point(|&(s, _, _)| s < seq);
-        self.arrivals.insert(pos, (seq, key.0, key.1));
-        self.queued += 1;
-    }
-
     /// Hand an envelope to the oldest matching registered consumer,
     /// waking only that thread. Gives the envelope back if nobody
     /// matches. Shared by [`Mailbox::push`] and [`Mailbox::cancel_post`]
     /// so a requeued envelope re-enters matching exactly like a fresh
     /// arrival.
-    fn try_deposit(&mut self, seq: u64, env: Envelope) -> Result<(), Envelope> {
+    fn try_deposit(&mut self, env: Envelope) -> Result<(), Envelope> {
         match self.consumers.iter().position(|c| env.matches(c.src, c.tag)) {
             Some(pos) => {
                 let consumer = self.consumers.remove(pos).expect("matched consumer");
-                self.delivered.insert(consumer.id, (seq, env));
+                self.delivered.insert(consumer.id, env);
                 consumer.cond.notify_all();
                 if let Some(w) = consumer.watcher {
                     w.notify_all();
@@ -235,18 +134,6 @@ impl State {
                 Ok(())
             }
             None => Err(env),
-        }
-    }
-
-    /// Nudge every `wait_any` notifier whose selectors cover `(src, tag)`.
-    fn notify_matching(&self, src: usize, tag: u64) {
-        for n in &self.notifiers {
-            if n.sels
-                .iter()
-                .any(|&(s, t)| (s == usize::MAX || src == s) && (t == u64::MAX || tag == t))
-            {
-                n.cond.notify_all();
-            }
         }
     }
 }
@@ -272,19 +159,15 @@ impl Mailbox {
 
     /// Deposit an envelope, handing it directly to the oldest matching
     /// registered consumer if one exists (waking only that thread), else
-    /// queueing it and nudging any matching [`Mailbox::wait_any`] waiters.
+    /// queueing it at the back of its `(src, tag)` bucket.
     pub fn push(&self, env: Envelope) {
         let mut st = self.state.lock();
-        let seq = st.seq;
-        st.seq += 1;
-        if let Err(env) = st.try_deposit(seq, env) {
-            let (src, tag) = (env.src, env.tag);
-            st.enqueue(seq, env);
-            st.notify_matching(src, tag);
+        if let Err(env) = st.try_deposit(env) {
+            st.buckets.entry((env.src, env.tag)).or_default().push_back(env);
         }
     }
 
-    /// Wake every waiter — blocked receives, claim waits, `wait_any`
+    /// Wake every waiter — blocked receives, claim waits, batched-wait
     /// watchers — so they return early and let their callers re-examine
     /// failure state. Called when a rank is marked failed or a
     /// communicator revoked; without it, news of a death would wait out
@@ -298,9 +181,6 @@ impl Mailbox {
                 w.notify_all();
             }
         }
-        for n in &st.notifiers {
-            n.cond.notify_all();
-        }
     }
 
     /// The current interrupt count, for the timed waits' `since`
@@ -313,26 +193,10 @@ impl Mailbox {
         self.interrupt_seq() != since
     }
 
-    /// Block until an envelope matching `(src, tag)` is available and
-    /// remove it. `usize::MAX`/`u64::MAX` are wildcards.
-    pub fn recv_matching(&self, src: usize, tag: u64) -> Envelope {
-        let mut st = self.state.lock();
-        if let Some(env) = st.take_match(src, tag) {
-            return env;
-        }
-        let (id, cond) = st.register_consumer(src, tag);
-        loop {
-            cond.wait(&mut st);
-            if let Some((_, env)) = st.delivered.remove(&id) {
-                return env;
-            }
-            // Spurious wakeup: still registered, keep waiting.
-        }
-    }
-
-    /// Like [`Mailbox::recv_matching`] but gives up (`None`) after
-    /// `timeout`, or as soon as the mailbox has been interrupted since
-    /// the `since` snapshot. A zero `timeout` only drains the queue.
+    /// Remove and return the oldest envelope from `src` with `tag`,
+    /// waiting for one to arrive. Gives up (`None`) after `timeout`, or
+    /// as soon as the mailbox has been interrupted since the `since`
+    /// snapshot. A zero `timeout` only drains the queue.
     pub fn recv_matching_timeout(
         &self,
         src: usize,
@@ -353,7 +217,7 @@ impl Mailbox {
             // A deposit may land between our timeout and reacquiring the
             // lock; always drain the slot before giving up, or the
             // message would be lost.
-            if let Some((_, env)) = st.delivered.remove(&id) {
+            if let Some(env) = st.delivered.remove(&id) {
                 return Some(env);
             }
             let now = Instant::now();
@@ -376,12 +240,7 @@ impl Mailbox {
         let mut st = self.state.lock();
         if let Some(env) = st.take_match(src, tag) {
             let id = st.fresh_id();
-            // Seq is only used for requeue ordering; a message claimed
-            // from the queue re-enters it with a fresh seq, which is
-            // still older than anything arriving after this lock drops.
-            let seq = st.seq;
-            st.seq += 1;
-            st.delivered.insert(id, (seq, env));
+            st.delivered.insert(id, env);
             return id;
         }
         st.register_consumer(src, tag).0
@@ -389,7 +248,7 @@ impl Mailbox {
 
     /// Nonblocking claim of a posted receive slot.
     pub fn try_claim(&self, id: PostedId) -> Option<Envelope> {
-        self.state.lock().delivered.remove(&id).map(|(_, env)| env)
+        self.state.lock().delivered.remove(&id)
     }
 
     /// Block until the posted slot `id` holds an envelope, `timeout`
@@ -399,7 +258,7 @@ impl Mailbox {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if let Some((_, env)) = st.delivered.remove(&id) {
+            if let Some(env) = st.delivered.remove(&id) {
                 return Some(env);
             }
             let cond = st.consumer_cond(id)?; // cancelled or double-claimed
@@ -416,15 +275,14 @@ impl Mailbox {
     /// to the oldest registered consumer if one matches (the receiver may
     /// have registered while the envelope sat in the cancelled slot —
     /// this is the cancel-after-rendezvous-handshake hang), else queued
-    /// at its original arrival position with `wait_any` waiters nudged.
+    /// at the front of its bucket, ahead of every same-`(src, tag)`
+    /// envelope that arrived after it.
     pub fn cancel_post(&self, id: PostedId) {
         let mut st = self.state.lock();
         st.remove_consumer(id);
-        if let Some((seq, env)) = st.delivered.remove(&id) {
-            if let Err(env) = st.try_deposit(seq, env) {
-                let (src, tag) = (env.src, env.tag);
-                st.requeue(seq, env);
-                st.notify_matching(src, tag);
+        if let Some(env) = st.delivered.remove(&id) {
+            if let Err(env) = st.try_deposit(env) {
+                st.buckets.entry((env.src, env.tag)).or_default().push_front(env);
             }
         }
     }
@@ -468,60 +326,10 @@ impl Mailbox {
         result
     }
 
-    /// Block until some queued envelope matches one of `selectors`
-    /// (`(src, tag)` pairs, wildcards allowed), or until `timeout`
-    /// elapses. Returns the index of the first selector with a waiting
-    /// match, without consuming the envelope.
-    ///
-    /// Checking the selectors and sleeping happen under one lock, so a
-    /// message that arrives between the two cannot be missed. Note this
-    /// only observes *queued* envelopes — messages deposited into posted
-    /// receive slots are invisible here, exactly as `MPI_Probe` never
-    /// sees messages matched to posted receives.
-    pub fn wait_any(&self, selectors: &[(usize, u64)], timeout: Duration) -> Option<usize> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        let since = self.interrupt_seq();
-        let mut reg: Option<(u64, Arc<Condvar>)> = None;
-        let result = loop {
-            if let Some(i) = selectors
-                .iter()
-                .position(|&(s, t)| st.has_match(s, t))
-            {
-                break Some(i);
-            }
-            let now = Instant::now();
-            if now >= deadline || self.interrupted(since) {
-                break None;
-            }
-            if reg.is_none() {
-                let id = st.fresh_id();
-                let cond = Arc::new(Condvar::new());
-                st.notifiers.push(Notifier {
-                    id,
-                    sels: selectors.to_vec(),
-                    cond: Arc::clone(&cond),
-                });
-                reg = Some((id, cond));
-            }
-            let cond = Arc::clone(&reg.as_ref().expect("registered").1);
-            let _ = cond.wait_for(&mut st, deadline - now);
-        };
-        if let Some((id, _)) = reg {
-            st.notifiers.retain(|n| n.id != id);
-        }
-        result
-    }
-
-    /// Non-blocking probe: does any queued envelope match `(src, tag)`?
-    pub fn probe(&self, src: usize, tag: u64) -> bool {
-        self.state.lock().has_match(src, tag)
-    }
-
-    /// Number of queued envelopes (any selector). Envelopes deposited in
-    /// posted receive slots are already matched and not counted.
+    /// Number of queued envelopes. Envelopes deposited in posted receive
+    /// slots are already matched and not counted.
     pub fn len(&self) -> usize {
-        self.state.lock().queued
+        self.state.lock().buckets.values().map(VecDeque::len).sum()
     }
 
     /// Whether the mailbox has no pending envelopes.
@@ -546,11 +354,17 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Take the envelope from `src` with `tag`, waiting up to 5 s.
+    fn recv(mb: &Mailbox, src: usize, tag: u64) -> Envelope {
+        mb.recv_matching_timeout(src, tag, mb.interrupt_seq(), Duration::from_secs(5))
+            .expect("a matching envelope")
+    }
+
     #[test]
     fn push_then_recv_same_thread() {
         let mb = Mailbox::new();
         mb.push(Envelope::new(0, 1, vec![42i32]));
-        let env = mb.recv_matching(0, 1);
+        let env = recv(&mb, 0, 1);
         assert_eq!(env.into_data::<i32>(), vec![42]);
     }
 
@@ -559,7 +373,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(Envelope::new(0, 1, vec![1i32]));
         mb.push(Envelope::new(0, 2, vec![2i32]));
-        let env = mb.recv_matching(0, 2);
+        let env = recv(&mb, 0, 2);
         assert_eq!(env.into_data::<i32>(), vec![2]);
         assert_eq!(mb.len(), 1);
     }
@@ -569,52 +383,15 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(Envelope::new(3, 9, vec![1u8]));
         mb.push(Envelope::new(3, 9, vec![2u8]));
-        assert_eq!(mb.recv_matching(3, 9).into_data::<u8>(), vec![1]);
-        assert_eq!(mb.recv_matching(3, 9).into_data::<u8>(), vec![2]);
-    }
-
-    #[test]
-    fn wildcard_recv_takes_oldest_arrival_across_buckets() {
-        let mb = Mailbox::new();
-        mb.push(Envelope::new(2, 7, vec![1u8]));
-        mb.push(Envelope::new(0, 3, vec![2u8]));
-        mb.push(Envelope::new(2, 7, vec![3u8]));
-        // ANY_SOURCE/ANY_TAG must see global arrival order, not bucket
-        // order.
-        assert_eq!(
-            mb.recv_matching(usize::MAX, u64::MAX).into_data::<u8>(),
-            vec![1]
-        );
-        assert_eq!(
-            mb.recv_matching(usize::MAX, u64::MAX).into_data::<u8>(),
-            vec![2]
-        );
-        assert_eq!(
-            mb.recv_matching(usize::MAX, u64::MAX).into_data::<u8>(),
-            vec![3]
-        );
-    }
-
-    #[test]
-    fn wildcard_skips_entries_consumed_through_exact_path() {
-        let mb = Mailbox::new();
-        mb.push(Envelope::new(0, 1, vec![1u8]));
-        mb.push(Envelope::new(1, 1, vec![2u8]));
-        // Exact receive drains the older bucket; its arrival entry goes
-        // stale and the wildcard must fall through to the younger one.
-        assert_eq!(mb.recv_matching(0, 1).into_data::<u8>(), vec![1]);
-        assert_eq!(
-            mb.recv_matching(usize::MAX, u64::MAX).into_data::<u8>(),
-            vec![2]
-        );
-        assert!(mb.is_empty());
+        assert_eq!(recv(&mb, 3, 9).into_data::<u8>(), vec![1]);
+        assert_eq!(recv(&mb, 3, 9).into_data::<u8>(), vec![2]);
     }
 
     #[test]
     fn blocking_recv_wakes_on_cross_thread_push() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || mb2.recv_matching(5, 5).into_data::<u64>());
+        let handle = std::thread::spawn(move || recv(&mb2, 5, 5).into_data::<u64>());
         std::thread::sleep(Duration::from_millis(20));
         mb.push(Envelope::new(5, 5, vec![99u64]));
         assert_eq!(handle.join().unwrap(), vec![99]);
@@ -678,55 +455,19 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_reports_first_matching_selector() {
-        let mb = Arc::new(Mailbox::new());
-        // Nothing queued: times out.
-        assert_eq!(
-            mb.wait_any(&[(0, 0), (1, 1)], Duration::from_millis(10)),
-            None
-        );
-        mb.push(Envelope::new(1, 1, vec![0u8]));
-        // Selector 1 matches; the envelope is not consumed.
-        assert_eq!(
-            mb.wait_any(&[(0, 0), (1, 1)], Duration::from_millis(10)),
-            Some(1)
-        );
-        assert_eq!(mb.len(), 1);
-        // Cross-thread wakeup.
-        let mb2 = Arc::clone(&mb);
-        let waiter = std::thread::spawn(move || {
-            mb2.wait_any(&[(7, 7)], Duration::from_secs(5))
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        mb.push(Envelope::new(7, 7, vec![1u8]));
-        assert_eq!(waiter.join().unwrap(), Some(0));
-    }
-
-    #[test]
-    fn probe_reports_matches_without_consuming() {
-        let mb = Mailbox::new();
-        assert!(!mb.probe(usize::MAX, u64::MAX));
-        mb.push(Envelope::new(1, 4, vec![0f32]));
-        assert!(mb.probe(1, 4));
-        assert!(mb.probe(usize::MAX, u64::MAX));
-        assert!(!mb.probe(2, 4));
-        assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
     fn posted_recv_claims_queued_then_future_messages() {
         let mb = Mailbox::new();
         mb.push(Envelope::new(0, 9, vec![1u16]));
         let first = mb.post_recv(0, 9);
-        // The queued message moved into the slot: invisible to probe.
-        assert!(!mb.probe(0, 9));
+        // The queued message moved into the slot: the queue is empty.
+        assert!(mb.is_empty());
         assert_eq!(mb.try_claim(first).unwrap().into_data::<u16>(), vec![1]);
         assert!(mb.try_claim(first).is_none());
         // A slot posted before the message arrives gets the deposit.
         let second = mb.post_recv(0, 9);
         assert!(mb.try_claim(second).is_none());
         mb.push(Envelope::new(0, 9, vec![2u16]));
-        assert!(!mb.probe(0, 9));
+        assert!(mb.is_empty());
         assert_eq!(mb.try_claim(second).unwrap().into_data::<u16>(), vec![2]);
     }
 
@@ -750,8 +491,8 @@ mod tests {
         mb.cancel_post(slot);
         // The deposited message went back in *front* of the younger one.
         assert_eq!(mb.len(), 2);
-        assert_eq!(mb.recv_matching(2, 2).into_data::<u8>(), vec![1]);
-        assert_eq!(mb.recv_matching(2, 2).into_data::<u8>(), vec![2]);
+        assert_eq!(recv(&mb, 2, 2).into_data::<u8>(), vec![1]);
+        assert_eq!(recv(&mb, 2, 2).into_data::<u8>(), vec![2]);
     }
 
     #[test]
@@ -777,19 +518,6 @@ mod tests {
             t0.elapsed() < Duration::from_secs(1),
             "receiver slept through the cancel handoff"
         );
-    }
-
-    #[test]
-    fn cancelled_post_nudges_wait_any_watchers() {
-        let mb = Arc::new(Mailbox::new());
-        let slot = mb.post_recv(3, 3);
-        mb.push(Envelope::new(3, 3, vec![1u8]));
-        let mb2 = Arc::clone(&mb);
-        let waiter =
-            std::thread::spawn(move || mb2.wait_any(&[(3, 3)], Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(30));
-        mb.cancel_post(slot);
-        assert_eq!(waiter.join().unwrap(), Some(0));
     }
 
     #[test]
@@ -887,7 +615,7 @@ mod tests {
         // slots: the older blocked receive gets the first message.
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let blocked = std::thread::spawn(move || mb2.recv_matching(6, 6).into_data::<u8>());
+        let blocked = std::thread::spawn(move || recv(&mb2, 6, 6).into_data::<u8>());
         // Give the blocked receive time to register.
         std::thread::sleep(Duration::from_millis(20));
         let slot = mb.post_recv(6, 6);

@@ -10,10 +10,10 @@
 //!   directly; a borrowed-slice send ([`crate::Communicator::isend`])
 //!   copies the slice once into an owned `Vec` and then travels the
 //!   same way.
-//! * **Shared** — an `Arc<Vec<T>>` cloned per destination, for
-//!   multi-destination sends of one buffer
-//!   ([`crate::Communicator::isend_shared`], broadcast fan-out). The
-//!   sender never copies payload bytes; the *last* receiver to claim the
+//! * **Shared** — an `Arc<Vec<T>>` cloned per destination, for the
+//!   multi-destination sends of one buffer that broadcast fans out
+//!   ([`crate::Communicator::broadcast`]). The sender never copies
+//!   payload bytes; the *last* receiver to claim the
 //!   buffer takes the allocation itself (`Arc::try_unwrap`), earlier
 //!   ones clone.
 //! * **Raw** — bytes reconstructed from a wire frame by the shmem/TCP
@@ -297,11 +297,11 @@ impl Envelope {
         }
     }
 
-    /// Whether this envelope matches a `(src, tag)` selector pair.
-    /// `usize::MAX` / `u64::MAX` act as wildcards (ANY_SOURCE / ANY_TAG).
+    /// Whether this envelope is the one a receive from `src` with `tag`
+    /// waits for: both must be equal, there are no wildcards.
     #[inline]
     pub fn matches(&self, src: usize, tag: u64) -> bool {
-        (src == usize::MAX || self.src == src) && (tag == u64::MAX || self.tag == tag)
+        self.src == src && self.tag == tag
     }
 }
 
@@ -351,12 +351,13 @@ mod tests {
     }
 
     #[test]
-    fn matching_with_wildcards() {
+    fn matching_is_exact_with_no_wildcards() {
         let env = Envelope::new(1, 5, vec![0u8]);
         assert!(env.matches(1, 5));
-        assert!(env.matches(usize::MAX, 5));
-        assert!(env.matches(1, u64::MAX));
-        assert!(env.matches(usize::MAX, u64::MAX));
+        // `usize::MAX` and `u64::MAX` select nothing special.
+        assert!(!env.matches(usize::MAX, 5));
+        assert!(!env.matches(1, u64::MAX));
+        assert!(!env.matches(usize::MAX, u64::MAX));
         assert!(!env.matches(2, 5));
         assert!(!env.matches(1, 6));
     }

@@ -1,15 +1,14 @@
 //! Nonblocking request handles — the `MPI_Isend`/`MPI_Irecv` analogue.
 //!
 //! The `isend` family ([`crate::Communicator::isend`],
-//! [`crate::Communicator::isend_owned`],
-//! [`crate::Communicator::isend_shared`]) delivers its envelope
+//! [`crate::Communicator::isend_owned`]) delivers its envelope
 //! immediately (sends are buffered), returning a [`SendRequest`] that
 //! exists for API symmetry and instrumentation.
-//! [`crate::Communicator::irecv`] posts a receive *intent* and returns a
-//! [`RecvRequest`] that the caller completes later with
-//! [`RecvRequest::wait`] (blocking) or polls with [`RecvRequest::test`]
-//! — the window between post and wait is where communication overlaps
-//! computation.
+//! [`crate::Communicator::irecv`] posts a receive *intent* for the next
+//! message from one source with one tag and returns a [`RecvRequest`]
+//! that the caller completes later with [`RecvRequest::wait`] (blocking)
+//! or polls with [`RecvRequest::test`] — the window between post and
+//! wait is where communication overlaps computation.
 //!
 //! [`wait_all`] retires a batch of receive requests in *arrival* order
 //! (whichever message lands first is absorbed first), while returning
@@ -56,13 +55,6 @@ impl<'c> SendRequest<'c> {
         }
     }
 
-    /// Poll for completion. Buffered sends complete instantly, so this
-    /// always returns `true` (and retires the request).
-    pub fn test(&mut self) -> bool {
-        self.retire();
-        true
-    }
-
     /// Complete the send.
     pub fn wait(mut self) {
         self.retire();
@@ -90,8 +82,6 @@ pub struct RecvRequest<'c, T: CommData> {
     /// `(src, tag)` deposit their envelope directly here.
     posted: PostedId,
     data: Option<Vec<T>>,
-    /// Actual `(source, tag)` once completed (resolves wildcards).
-    meta: Option<(usize, Tag)>,
     retired: bool,
 }
 
@@ -104,38 +94,14 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
             tag,
             posted,
             data: None,
-            meta: None,
             retired: false,
         }
-    }
-
-    /// The source selector this receive was posted with (may be
-    /// [`crate::ANY_SOURCE`]).
-    pub fn source_selector(&self) -> usize {
-        self.src
-    }
-
-    /// The tag selector this receive was posted with (may be
-    /// [`crate::ANY_TAG`]).
-    pub fn tag_selector(&self) -> Tag {
-        self.tag
-    }
-
-    /// Whether the payload has already been absorbed.
-    pub fn is_complete(&self) -> bool {
-        self.data.is_some()
-    }
-
-    /// The actual source rank, once complete (resolves wildcard posts).
-    pub fn source(&self) -> Option<usize> {
-        self.meta.map(|(s, _)| s)
     }
 
     fn absorb(&mut self, env: Envelope) -> Result<(), CommError> {
         self.comm.trace().called(OpKind::Recv);
         self.comm.trace().request_completed();
         self.retired = true;
-        self.meta = Some((env.src, env.tag));
         self.data = Some(env.try_into_data()?);
         Ok(())
     }
@@ -175,41 +141,17 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
     /// Panics on receive timeout (a deadlock converted into a loud
     /// failure) or if a peer rank fails while we wait — the same policy
     /// as the blocking [`crate::Communicator::recv`].
-    pub fn wait(self) -> Vec<T> {
-        self.wait_with_meta().0
-    }
-
-    /// Block until the message arrives and return `(payload, source,
-    /// tag)` — the wildcard-resolving form of [`RecvRequest::wait`].
-    pub fn wait_with_meta(mut self) -> (Vec<T>, usize, Tag) {
-        if let Err(e) = self.complete() {
-            self.comm.escalate("irecv wait", e)
-        }
-        let (s, t) = self.meta.expect("wait: completed without metadata");
-        (
-            self.data.take().expect("wait: completed without payload"),
-            s,
-            t,
-        )
-    }
-
-    /// Claim the posted slot unless the payload is already absorbed.
-    fn complete(&mut self) -> Result<(), CommError> {
+    pub fn wait(mut self) -> Vec<T> {
         if self.data.is_none() {
-            let env = self.comm.claim(self.posted, self.src, self.tag)?;
-            self.absorb(env)?;
+            if let Err(e) = self
+                .comm
+                .claim(self.posted, self.src, self.tag)
+                .and_then(|env| self.absorb(env))
+            {
+                self.comm.escalate("irecv wait", e)
+            }
         }
-        Ok(())
-    }
-
-    /// Fallible completion: like [`RecvRequest::wait`], but peer failure,
-    /// revocation, and the receive deadline come back as a [`CommError`]
-    /// instead of a panic. On error the request is consumed (its posted
-    /// slot is withdrawn on drop), so the message — if it ever arrives —
-    /// stays in the mailbox for a later receive.
-    pub fn try_wait(mut self) -> Result<Vec<T>, CommError> {
-        self.complete()?;
-        Ok(self.data.take().expect("try_wait: completed without payload"))
+        self.data.take().expect("wait: completed without payload")
     }
 }
 
@@ -243,12 +185,12 @@ pub fn wait_all<T: CommData>(requests: Vec<RecvRequest<'_, T>>) -> Vec<Vec<T>> {
     try_wait_all(requests).unwrap_or_else(|e| comm.escalate("wait_all", e))
 }
 
-/// Fallible [`wait_all`]: peer failure, revocation, and the receive
-/// deadline come back as a [`crate::CommError`] instead of a panic. On
-/// error the incomplete requests are dropped (cancelling their posted
-/// slots); completed payloads absorbed before the failure are discarded
-/// with them, matching MPI's non-uniform-completion semantics.
-pub fn try_wait_all<T: CommData>(
+/// The body of [`wait_all`], with peer failure, revocation and the
+/// receive deadline as a [`CommError`]. On error the incomplete requests
+/// are dropped (cancelling their posted slots); completed payloads
+/// absorbed before the failure are discarded with them, matching MPI's
+/// non-uniform-completion semantics.
+fn try_wait_all<T: CommData>(
     mut requests: Vec<RecvRequest<'_, T>>,
 ) -> Result<Vec<Vec<T>>, CommError> {
     let Some(comm) = requests.first().map(|r| r.comm) else {
@@ -296,7 +238,6 @@ pub fn try_wait_all<T: CommData>(
 
 #[cfg(test)]
 mod tests {
-    use crate::communicator::{ANY_SOURCE as ANY_SRC, ANY_TAG};
     use crate::request::wait_all;
     use crate::world::World;
 
@@ -328,21 +269,6 @@ mod tests {
                     std::hint::spin_loop();
                 }
                 assert_eq!(req.wait(), vec![42]);
-            }
-        });
-    }
-
-    #[test]
-    fn irecv_wildcards_resolve_on_completion() {
-        World::builder(2).run(|c| {
-            if c.rank() == 0 {
-                c.isend(1, 77, &[5u8]).wait();
-            } else {
-                let req = c.irecv::<u8>(ANY_SRC, ANY_TAG);
-                let (data, src, tag) = req.wait_with_meta();
-                assert_eq!(data, vec![5]);
-                assert_eq!(src, 0);
-                assert_eq!(tag, 77);
             }
         });
     }

@@ -148,10 +148,6 @@ impl Transport for ChaosTransport {
         self.inner.deliver(registry, route, env);
     }
 
-    fn pointer_handoff(&self, dst_world: usize) -> bool {
-        self.inner.pointer_handoff(dst_world)
-    }
-
     fn publish_ctrl(&self, ctrl: CtrlMsg) {
         self.inner.publish_ctrl(ctrl);
     }

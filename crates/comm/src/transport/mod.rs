@@ -32,7 +32,7 @@
 //! A backend must (1) deliver envelopes **FIFO per (sender, receiver,
 //! channel)** — the non-overtaking guarantee every collective schedule
 //! leans on; (2) deliver into the *destination mailbox* so posted
-//! receives, wildcard matching, and interrupts behave identically on
+//! receives, `(src, tag)` matching, and interrupts behave identically on
 //! every backend; (3) propagate failure-ledger news ([`CtrlMsg`]) to
 //! every rank that does not share the sender's [`Registry`]; and (4)
 //! treat payload bytes as opaque — a wire backend may only carry
@@ -151,19 +151,6 @@ pub trait Transport: Send + Sync {
     /// `registry.mailbox(route.comm, route.dst_local).push(env)` on the
     /// rank that hosts the destination mailbox.
     fn deliver(&self, registry: &Registry, route: Route, env: Envelope);
-
-    /// Whether envelopes addressed to `dst_world` move by pointer end to
-    /// end — the sender's allocation is claimed by the receiver with no
-    /// serialization in between. True for the thread backend everywhere
-    /// and for shmem when the destination mailbox is hosted in this
-    /// process (loopback worlds, self-sends); false across real process
-    /// or machine boundaries, where a wire copy is physically required.
-    /// Ownership-transfer sends ([`crate::Communicator::isend_owned`])
-    /// charge zero protocol copies regardless — this capability reports
-    /// what the *backend* does underneath.
-    fn pointer_handoff(&self, _dst_world: usize) -> bool {
-        false
-    }
 
     /// Propagate failure-ledger news to ranks with their own registry.
     /// No-op for backends whose ranks share one.

@@ -526,12 +526,6 @@ impl Transport for ShmemTransport {
         ring.push_frame(&wire::encode_data(route.comm, route.dst_local, &env));
     }
 
-    fn pointer_handoff(&self, dst_world: usize) -> bool {
-        // In-process destinations get the slab (large messages) or a
-        // direct push (self-sends); cross-process ones need the wire.
-        self.local.contains(&dst_world)
-    }
-
     fn publish_ctrl(&self, ctrl: CtrlMsg) {
         // Loopback worlds share the ledger; only per-process mode needs
         // to broadcast (its only local rank is `local[0]`).
@@ -650,34 +644,52 @@ mod tests {
             src_world: 0,
             dst_world: 1,
         };
-        t.deliver(&registry, r, Envelope::new(0, 1, vec![7u64]));
         let big: Vec<u64> = (0..1024).collect();
-        t.deliver(&registry, r, Envelope::new(0, 2, big.clone()));
-        t.deliver(&registry, r, Envelope::new(0, 3, vec![9u64]));
+        t.deliver(&registry, r, Envelope::new(0, 1, vec![7u64]));
+        t.deliver(&registry, r, Envelope::new(0, 1, big.clone()));
+        t.deliver(&registry, r, Envelope::new(0, 1, vec![9u64]));
         let mb = registry.mailbox(0, 1);
         let recv = || {
-            mb.recv_matching_timeout(usize::MAX, u64::MAX, mb.interrupt_seq(), Duration::from_secs(5))
+            mb.recv_matching_timeout(0, 1, mb.interrupt_seq(), Duration::from_secs(5))
                 .expect("frame should arrive")
+                .into_data::<u64>()
         };
-        // Wildcard receives absorb strictly in arrival order: the
+        // One (src, tag) stream absorbs strictly in arrival order: the
         // handoff token must not have overtaken frame 1 nor been
         // overtaken by frame 3.
-        let a = recv();
-        assert_eq!(a.tag, 1);
-        let b = recv();
-        assert_eq!(b.tag, 2);
-        assert_eq!(b.into_data::<u64>(), big);
-        let c = recv();
-        assert_eq!(c.tag, 3);
+        assert_eq!(recv(), [7]);
+        assert_eq!(recv(), big);
+        assert_eq!(recv(), [9]);
         assert!(t.handoff.lock().unwrap().is_empty(), "slab must drain");
         t.shutdown();
     }
 
+    /// Every rank of a loopback world is local, so an envelope at the
+    /// handoff threshold reaches any of them as the sender's own
+    /// allocation: the received `Vec` has the address the sent one had.
     #[test]
     fn handoff_capability_tracks_local_ranks() {
+        let registry = Arc::new(Registry::new());
         let t = ShmemTransport::loopback(3, 4096).unwrap();
-        assert!(t.pointer_handoff(0));
-        assert!(t.pointer_handoff(2));
+        t.attach(&registry);
+        for dst in [0, 2] {
+            let r = Route {
+                comm: 0,
+                dst_local: dst,
+                src_world: 1,
+                dst_world: dst,
+            };
+            let sent = vec![dst as u8; HANDOFF_MIN_BYTES];
+            let sent_at = sent.as_ptr();
+            t.deliver(&registry, r, Envelope::new(1, 4, sent));
+            let mb = registry.mailbox(0, dst);
+            let got = mb
+                .recv_matching_timeout(1, 4, mb.interrupt_seq(), Duration::from_secs(5))
+                .expect("the handoff arrives")
+                .into_data::<u8>();
+            assert_eq!(got.as_ptr(), sent_at, "rank {dst} got a copy");
+            assert_eq!(got, vec![dst as u8; HANDOFF_MIN_BYTES]);
+        }
         t.shutdown();
     }
 }

@@ -1092,9 +1092,9 @@ mod tests {
         }
     }
 
-    fn recv_u64(registry: &Registry, rank: usize, tag: u64) -> Vec<u64> {
+    fn recv_u64(registry: &Registry, src: usize, rank: usize, tag: u64) -> Vec<u64> {
         let mb = registry.mailbox(WORLD_COMM_ID, rank);
-        mb.recv_matching_timeout(usize::MAX, tag, mb.interrupt_seq(), Duration::from_secs(10))
+        mb.recv_matching_timeout(src, tag, mb.interrupt_seq(), Duration::from_secs(10))
             .unwrap_or_else(|| panic!("rank {rank} timed out waiting for tag {tag}"))
             .into_data::<u64>()
     }
@@ -1136,10 +1136,10 @@ mod tests {
             route(0, 1),
             Envelope::new(0, 7, vec![1u64, 2, 3]),
         );
-        assert_eq!(recv_u64(&registry, 1, 7), vec![1, 2, 3]);
+        assert_eq!(recv_u64(&registry, 0, 1, 7), vec![1, 2, 3]);
         // Self-sends bypass the wire entirely.
         t.deliver(&registry, route(1, 1), Envelope::new(1, 8, vec![9u64]));
-        assert_eq!(recv_u64(&registry, 1, 8), vec![9]);
+        assert_eq!(recv_u64(&registry, 1, 1, 8), vec![9]);
         t.shutdown();
     }
 
@@ -1520,7 +1520,10 @@ mod tests {
             // took hundreds of thousands.
             assert!(yields < 10_000, "the writer yielded {yields} times");
         });
-        let got = mb.recv_matching(0, 7).into_data::<u8>();
+        let got = mb
+            .recv_matching_timeout(0, 7, mb.interrupt_seq(), Duration::ZERO)
+            .expect("the frame is queued")
+            .into_data::<u8>();
         assert!(got.len() == 16 << 20 && got.iter().all(|&b| b == 5));
     }
 
@@ -1628,10 +1631,17 @@ mod tests {
             })
         };
         let started = Instant::now();
-        let got = comm.recv_within::<u64>(1, 4, Duration::from_secs(30));
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            comm.with_recv_timeout(Duration::from_secs(30))
+                .recv::<u64>(1, 4)
+        }))
+        .expect_err("a receive from a torn stream");
+        let failed = got
+            .downcast_ref::<crate::CollectiveFailed>()
+            .map(|f| &f.error);
         assert!(
-            matches!(got, Err(CommError::RankFailed { failed: 1, .. })),
-            "a torn stream must fail the receive: {got:?}"
+            matches!(failed, Some(CommError::RankFailed { failed: 1, .. })),
+            "a torn stream must fail the receive: {failed:?}"
         );
         assert!(
             started.elapsed() < Duration::from_secs(10),

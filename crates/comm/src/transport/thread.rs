@@ -22,12 +22,6 @@ impl Transport for ThreadTransport {
         registry.mailbox(route.comm, route.dst_local).push(env);
     }
 
-    fn pointer_handoff(&self, _dst_world: usize) -> bool {
-        // Every delivery is a mailbox push: payload buffers always move
-        // by pointer between rank threads.
-        true
-    }
-
     fn publish_ctrl(&self, _ctrl: CtrlMsg) {
         // Every rank shares the ledger; there is nobody to tell.
     }

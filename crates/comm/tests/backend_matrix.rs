@@ -110,12 +110,12 @@ backend_matrix! {
         }
     }
 
-    /// The three send forms — borrowed slice, owned buffer, shared
-    /// buffer — interleaved on one `(src, tag)` stream at sizes from
-    /// empty to 64 KiB (straddling shmem's 8 KiB handoff threshold)
-    /// arrive intact and in order, and each message is charged to exactly
-    /// one byte counter: slices to `copied` (one copy at every size),
-    /// owned and shared buffers to `handoff`.
+    /// The three send forms — borrowed slice, owned buffer, and the
+    /// shared buffer broadcast fans out — interleaved on one wire at
+    /// sizes from empty to 64 KiB (straddling shmem's 8 KiB handoff
+    /// threshold) arrive intact and in order, and each message is
+    /// charged to exactly one byte counter: slices to `copied` (one copy
+    /// at every size), owned and shared buffers to `handoff`.
     fn slice_owned_and_shared_sends_interleave_intact_and_in_order(kind: TransportKind) {
         const SIZES: [usize; 5] = [0, 64, 8192, 8193, 65536];
         let payload = |seq: usize, len: usize| -> Vec<u8> {
@@ -131,14 +131,15 @@ backend_matrix! {
                         c.isend(2, 7, &payload(3 * n, len)).wait();
                         c.isend_owned(1, 7, payload(3 * n + 1, len)).wait();
                         c.send(2, 7, payload(3 * n + 1, len));
-                        let shared = std::sync::Arc::new(payload(3 * n + 2, len));
-                        c.isend_shared(1, 7, &shared).wait();
-                        c.isend_shared(2, 7, &shared).wait();
+                        // At 3 ranks the root sends to both others itself.
+                        c.broadcast(0, Some(payload(3 * n + 2, len)));
                     }
                 } else {
                     for seq in 0..3 * SIZES.len() {
                         // Alternate queue receives and posted slots.
-                        let got: Vec<u8> = if seq % 2 == 0 {
+                        let got: Vec<u8> = if seq % 3 == 2 {
+                            c.broadcast(0, None)
+                        } else if seq % 2 == 0 {
                             c.recv(0, 7)
                         } else {
                             c.irecv(0, 7).wait()
@@ -151,7 +152,8 @@ backend_matrix! {
         let sender = trace.rank(0);
         assert_eq!(sender.copied_bytes(), 2 * total, "{kind}");
         assert_eq!(sender.handoff_bytes(), 4 * total, "{kind}");
-        assert_eq!(sender.get(OpKind::Send).messages, 6 * SIZES.len() as u64, "{kind}");
+        assert_eq!(sender.get(OpKind::Send).messages, 4 * SIZES.len() as u64, "{kind}");
+        assert_eq!(sender.get(OpKind::Broadcast).messages, 2 * SIZES.len() as u64, "{kind}");
         for r in 1..3 {
             assert_eq!(trace.rank(r).total_bytes(), 0, "rank {r} on {kind}");
         }
@@ -274,10 +276,9 @@ backend_matrix! {
                     }
                     0usize
                 } else {
+                    let short = c.with_recv_timeout(Duration::from_secs(2));
                     (0..6u64)
-                        .filter(|&i| {
-                            c.recv_within::<u64>(0, 200 + i, Duration::from_secs(2)).is_ok()
-                        })
+                        .filter(|&i| caught(&short, || short.recv::<u64>(0, 200 + i)).is_ok())
                         .count()
                 }
             });
@@ -426,9 +427,10 @@ fn chaos_scenario(kind: beatnik_comm::TransportKind) -> (Vec<u64>, Vec<beatnik_c
             } else {
                 // Bounded receives, so a lost frame would show as a gap
                 // rather than a hang.
+                let short = c.with_recv_timeout(Duration::from_secs(2));
                 let mut got = Vec::new();
                 for i in 0..8u64 {
-                    if let Ok(v) = c.recv_within::<u64>(0, 100 + i, Duration::from_secs(2)) {
+                    if let Ok(v) = caught(&short, || short.recv::<u64>(0, 100 + i)) {
                         got.push(v[0]);
                     }
                 }

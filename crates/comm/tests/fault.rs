@@ -440,13 +440,16 @@ fn late_entrant_detects_a_dead_peer_before_its_first_sleep_over_tcp() {
 }
 
 fn late_entrant_detects_a_dead_peer(kind: TransportKind) {
-    let (result, latency) = wait_on_a_dead_peer(kind, |comm| comm.irecv::<u8>(1, 5).try_wait());
+    let (result, latency) =
+        wait_on_a_dead_peer(kind, |comm| caught(comm, || comm.irecv::<u8>(1, 5).wait()));
     assert_eq!(result, Err(CommError::RankFailed { rank: 0, failed: 1 }));
     assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
 }
 
-/// Regression: `recv_within` never read the failure ledger at all — on a
-/// dead peer it burned its whole timeout and reported `Timeout`.
+/// Regression: a receive within its own short deadline (then
+/// `recv_within`, now `with_recv_timeout` + `recv`) never read the
+/// failure ledger at all — on a dead peer it burned its whole timeout
+/// and reported `Timeout`.
 #[test]
 fn recv_within_on_a_dead_peer_returns_rank_failed_promptly() {
     recv_within_on_a_dead_peer(TransportKind::Thread);
@@ -459,8 +462,10 @@ fn recv_within_on_a_dead_peer_returns_rank_failed_promptly_over_tcp() {
 }
 
 fn recv_within_on_a_dead_peer(kind: TransportKind) {
-    let (result, latency) =
-        wait_on_a_dead_peer(kind, |comm| comm.recv_within::<u8>(1, 5, Duration::from_secs(5)));
+    let (result, latency) = wait_on_a_dead_peer(kind, |comm| {
+        let short = comm.with_recv_timeout(Duration::from_secs(5));
+        caught(&short, || short.recv::<u8>(1, 5))
+    });
     assert_eq!(result, Err(CommError::RankFailed { rank: 0, failed: 1 }));
     assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
 }
@@ -493,7 +498,7 @@ enum Waiter {
     YieldingOnOneCpu,
 }
 
-/// Rank 0 blocks in `irecv(1, 5).try_wait()`, with nothing coming, and
+/// Rank 0 blocks in `irecv(1, 5).wait()`, with nothing coming, and
 /// rank 1 does `event` (see [`Waiter`]). Returns how rank 0's wait
 /// ended and how long after the event, fastest of three worlds so one
 /// preempted attempt cannot fail it.
@@ -518,7 +523,9 @@ where
             world.run_ft(|comm| {
                 comm.barrier();
                 if comm.rank() == 0 {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| comm.irecv::<u8>(1, 5).try_wait()));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        caught(&comm, || comm.irecv::<u8>(1, 5).wait())
+                    }));
                     *ended.lock().unwrap() = Some((ending(outcome), Instant::now()));
                 } else {
                     std::thread::sleep(delay);

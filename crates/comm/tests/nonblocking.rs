@@ -2,21 +2,22 @@
 //! multi-sender mailbox storms drained through irecv and out-of-order
 //! `wait_all` completion at several rank counts.
 
-use beatnik_comm::{wait_all, World, ANY_SOURCE, ANY_TAG};
+use beatnik_comm::{wait_all, World};
 use std::time::Duration;
 
 #[test]
 fn multi_sender_storm_drains_through_irecv() {
     // Every rank floods rank 0 with messages on many tags; rank 0 posts
-    // one irecv per expected message up front (wildcard source) and
-    // drains them in whatever order they land.
+    // one irecv per expected (source, tag) up front and drains them in
+    // whatever order they land.
     let p = 5;
     let per_sender = 40u64;
     World::builder(p).run(move |comm| {
         if comm.rank() == 0 {
             let total = per_sender as usize * (p - 1);
-            let reqs: Vec<_> = (0..total)
-                .map(|_| comm.irecv::<u64>(ANY_SOURCE, ANY_TAG))
+            let reqs: Vec<_> = (1..p as u64)
+                .flat_map(|s| (0..per_sender).map(move |i| (s, i)))
+                .map(|(s, i)| comm.irecv::<u64>(s as usize, tag_of(s, i)))
                 .collect();
             let payloads = wait_all(reqs);
             assert_eq!(payloads.len(), total);
@@ -29,30 +30,30 @@ fn multi_sender_storm_drains_through_irecv() {
         } else {
             let me = comm.rank() as u64;
             for i in 0..per_sender {
-                let tag = (me * 131 + i * 7) % 61;
-                comm.isend(0, tag, &[me * 1_000 + i]).wait();
+                comm.isend(0, tag_of(me, i), &[me * 1_000 + i]).wait();
             }
         }
     });
 }
 
+/// The tag of sender `s`'s `i`-th message: distinct for each `i` below 61.
+fn tag_of(s: u64, i: u64) -> u64 {
+    (s * 131 + i * 7) % 61
+}
+
 #[test]
-fn interleaved_probe_try_recv_and_irecv() {
-    // A posted irecv on a specific (src, tag) coexists with wildcard
-    // polling of other traffic: the probe/try_recv path must not steal
-    // the message the request is waiting on... because matching is by
-    // (src, tag), not arrival order.
+fn interleaved_recv_and_irecv() {
+    // A posted irecv on one (src, tag) coexists with blocking receives
+    // of other traffic: the blocking path must not steal the message the
+    // request is waiting on, because matching is by (src, tag), not
+    // arrival order.
     World::builder(3).run(|comm| {
         match comm.rank() {
             0 => {
                 let reserved = comm.irecv::<u64>(1, 7);
-                // Drain rank 2's noise with wildcard polling first.
-                let mut noise = 0;
-                while noise < 10 {
-                    if let Some(v) = comm.try_recv::<u64>(2, ANY_TAG) {
-                        assert_eq!(v[0], 99);
-                        noise += 1;
-                    }
+                // Drain rank 2's noise with blocking receives first.
+                for _ in 0..10 {
+                    assert_eq!(comm.recv::<u64>(2, 3), [99]);
                 }
                 assert_eq!(reserved.wait(), vec![42]);
             }

@@ -4,13 +4,13 @@
 //! peers/bytes match what the ranks actually moved.
 
 use beatnik_comm::telemetry::{CommOp, SpanKind};
-use beatnik_comm::{wait_all, TransportKind, World, ANY_SOURCE, ANY_TAG};
+use beatnik_comm::{wait_all, TransportKind, World};
 use std::time::Duration;
 
 #[test]
 fn nine_rank_nonblocking_stress_records_deterministic_spans() {
-    // Every nonzero rank floods rank 0; rank 0 drains through wildcard
-    // irecvs via wait_all. Arrival order is nondeterministic, but the
+    // Every nonzero rank floods rank 0; rank 0 drains through one irecv
+    // per (source, tag) via wait_all. Arrival order is nondeterministic, but the
     // *span* record must not be: per rank, spans come out in
     // chronological begin order with properly nested intervals, rank 0
     // sees exactly one wait_all covering the storm, and each sender's
@@ -20,8 +20,9 @@ fn nine_rank_nonblocking_stress_records_deterministic_spans() {
     let (_, _, timeline) = World::builder(p).run_profiled(move |comm| {
         if comm.rank() == 0 {
             let total = per_sender as usize * (p - 1);
-            let reqs: Vec<_> = (0..total)
-                .map(|_| comm.irecv::<u64>(ANY_SOURCE, ANY_TAG))
+            let reqs: Vec<_> = (1..p)
+                .flat_map(|s| (0..per_sender).map(move |i| (s, i)))
+                .map(|(s, i)| comm.irecv::<u64>(s, i))
                 .collect();
             let payloads = wait_all(reqs);
             assert_eq!(payloads.len(), total);

@@ -190,6 +190,10 @@ mod avx {
 
     /// Load the two complexes at `p`, or only the first (upper half
     /// zero) when `TAIL`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX, and `p` must be valid for reads of four
+    /// `f64`s — two when `TAIL`.
     #[inline(always)]
     unsafe fn load<const TAIL: bool>(p: *const f64) -> __m256d {
         if TAIL {
@@ -200,6 +204,10 @@ mod avx {
     }
 
     /// Store both complexes of `v` at `p`, or only the first when `TAIL`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX, and `p` must be valid for writes of four
+    /// `f64`s — two when `TAIL`.
     #[inline(always)]
     unsafe fn store<const TAIL: bool>(p: *mut f64, v: __m256d) {
         if TAIL {
@@ -211,6 +219,9 @@ mod avx {
 
     /// One twiddle for a whole row pair (`wi` negated first for the
     /// inverse).
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
     #[inline(always)]
     unsafe fn broadcast(w: Complex, conj: bool) -> Twiddle {
         let wi = if conj { -w.im } else { w.im };
@@ -219,6 +230,9 @@ mod avx {
 
     /// `(a + w·b, a − w·b)` in every lane: re `br·wr + bi·(−wi)`, im
     /// `bi·wr + br·wi` — the scalar butterfly's operations.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
     #[inline(always)]
     unsafe fn butterfly(a: __m256d, b: __m256d, (wr, wi): Twiddle) -> (__m256d, __m256d) {
         let swapped = _mm256_permute_pd(b, 0b0101); // [bi, br, bi', br']
@@ -227,12 +241,19 @@ mod avx {
     }
 
     /// The `half == 1` butterfly: `w = 1`, no product.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
     #[inline(always)]
     unsafe fn sum_difference(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
         (_mm256_add_pd(a, b), _mm256_sub_pd(a, b))
     }
 
     /// The first stage alone on `f64`s `i..` of the row pair `p`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX, and both rows must be valid for reads
+    /// and writes of `f64`s `i..i + 4` — `i..i + 2` when `TAIL`.
     #[inline(always)]
     unsafe fn pair_at<const TAIL: bool>(p: [*mut f64; 2], i: usize) {
         let (a, b) = sum_difference(load::<TAIL>(p[0].add(i)), load::<TAIL>(p[1].add(i)));
@@ -245,6 +266,10 @@ mod avx {
     /// `(p2, p3)` with `w[0]`, stage `2h` pairs `(p0, p2)` with `w[1]`
     /// and `(p1, p3)` with `w[2]`. `first` marks `h == 1`, whose stage
     /// is the bare sum/difference.
+    ///
+    /// # Safety
+    /// The CPU must support AVX, and all four rows must be valid for
+    /// reads and writes of `f64`s `i..i + 4` — `i..i + 2` when `TAIL`.
     #[inline(always)]
     unsafe fn quartet_at<const TAIL: bool>(
         p: [*mut f64; 4],
@@ -287,6 +312,13 @@ mod avx {
         // A row holds whole complexes: `paired` `f64`s fill whole
         // registers, and an odd last lane is the two-`f64` tail.
         let (len, paired) = (2 * lanes, 4 * (lanes / 2));
+        // SAFETY (every row pointer and access below): `row(r)` is taken
+        // only for `r < n`, so it starts a row segment the contract makes
+        // valid for its `len` `f64`s. Full registers move `f64`s
+        // `i..i + 4` with `i + 4 ≤ paired ≤ len`; the tail moves
+        // `paired..paired + 2 = len`, so nothing reaches past the segment
+        // (the last row may end the buffer) or into the row's padding
+        // beyond `lanes`.
         let row = |r: usize| base.add(2 * r * stride);
         let mut half = 1usize;
         if n.trailing_zeros() % 2 == 1 {
@@ -453,6 +485,37 @@ mod tests {
     fn more_lanes_than_stride_panics() {
         let mut buf = vec![Complex::default(); 64];
         Fft::new(8).batched(Transform::Forward, &mut buf, 5, 4);
+    }
+
+    /// An odd lane count puts the last lane of every row in the
+    /// two-`f64` tail, and a buffer that ends with the last row's last
+    /// lane leaves no slack behind that tail: every lane still matches
+    /// the per-line transform bit for bit.
+    #[test]
+    fn odd_lanes_in_an_exactly_long_buffer_match_the_per_line_transform() {
+        for n in [2usize, 4, 8, 32, 64] {
+            let plan = Fft::new(n);
+            for lanes in [1usize, 3, 5, 17] {
+                for stride in [lanes, lanes + 3] {
+                    for transform in TRANSFORMS {
+                        let input = noise((n - 1) * stride + lanes, (n * 7 + lanes) as u64);
+                        let mut fast = input.clone();
+                        plan.batched(transform, &mut fast, lanes, stride);
+                        for c in 0..lanes {
+                            let mut line: Vec<Complex> =
+                                (0..n).map(|r| input[r * stride + c]).collect();
+                            plan.apply(transform, &mut line);
+                            let got: Vec<Complex> = (0..n).map(|r| fast[r * stride + c]).collect();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&line),
+                                "{transform:?} n={n} lanes={lanes} stride={stride} column {c}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -211,9 +211,10 @@ pub(crate) fn stage(data: &mut [Complex], half: usize, tw: &[Complex], conj: boo
     );
     match body {
         #[cfg(target_arch = "x86_64")]
-        Body::Avx if half >= 2 => {
-            // SAFETY: AVX was detected when `body` was chosen; `half ≥ 2`
-            // is a power of two and the shape is checked above.
+        Body::Avx if half >= 2 && half.is_multiple_of(2) => {
+            // SAFETY: AVX was detected when `body` was chosen; `half` is
+            // even (the guard) and the shape is checked above, which is
+            // `stage_avx`'s contract.
             unsafe { x86::stage_avx(data, half, tw, conj) }
         }
         _ => stage_scalar(data, half, tw, conj),
@@ -300,25 +301,31 @@ mod x86 {
     /// Two complexes per 256-bit vector, each with its own twiddle.
     ///
     /// # Safety
-    /// Caller guarantees AVX support (runtime-detected), `half >= 2`,
-    /// and the slice-shape invariants of [`super::stage`].
+    /// The CPU must support AVX; `half` must be even, `tw.len() ==
+    /// half` and `data.len()` a multiple of `2·half`.
     #[target_feature(enable = "avx")]
     pub(super) unsafe fn stage_avx(data: &mut [Complex], half: usize, tw: &[Complex], conj: bool) {
         debug_assert!(half >= 2 && half.is_multiple_of(2));
         let width = 2 * half;
         let neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0); // flip both real lanes
         let neg_im = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0); // flip both imag lanes
+        let tp = tw.as_ptr().cast::<f64>();
         for block in data.chunks_exact_mut(width) {
             let (lo, hi) = block.split_at_mut(half);
+            let (lo, hi) = (lo.as_mut_ptr().cast::<f64>(), hi.as_mut_ptr().cast::<f64>());
             for k in (0..half).step_by(2) {
-                let mut w = _mm256_loadu_pd(&tw[k].re); // [wr0, wi0, wr1, wi1]
+                // SAFETY: `k` is even and `half` even, so `k + 1 < half`:
+                // each 4-`f64` access covers complexes `k, k + 1` of
+                // `tw`, `lo` or `hi`, all of length `half`, through
+                // pointers taken from those whole slices.
+                let mut w = _mm256_loadu_pd(tp.add(2 * k)); // [wr0, wi0, wr1, wi1]
                 if conj {
                     w = _mm256_xor_pd(w, neg_im);
                 }
-                let a = _mm256_loadu_pd(&lo[k].re);
-                let t = mul_lanes(_mm256_loadu_pd(&hi[k].re), w, neg_re);
-                _mm256_storeu_pd(&mut lo[k].re, _mm256_add_pd(a, t));
-                _mm256_storeu_pd(&mut hi[k].re, _mm256_sub_pd(a, t));
+                let a = _mm256_loadu_pd(lo.add(2 * k));
+                let t = mul_lanes(_mm256_loadu_pd(hi.add(2 * k)), w, neg_re);
+                _mm256_storeu_pd(lo.add(2 * k), _mm256_add_pd(a, t));
+                _mm256_storeu_pd(hi.add(2 * k), _mm256_sub_pd(a, t));
             }
         }
     }
@@ -327,6 +334,10 @@ mod x86 {
     /// [wr0, wi0, wr1, wi1]`): in-lane unpacks broadcast each complex's
     /// re/im within its own 128-bit sublane; `neg_re` flips both real
     /// lanes.
+    ///
+    /// # Safety
+    /// The CPU must support AVX (every caller is an `avx` target-feature
+    /// function).
     #[inline(always)]
     unsafe fn mul_lanes(b: __m256d, w: __m256d, neg_re: __m256d) -> __m256d {
         let br = _mm256_unpacklo_pd(b, b); // [br0, br0, br1, br1]
@@ -344,7 +355,7 @@ mod x86 {
     /// `tw2[k..]` and `(p1, p3)` with `tw2[k + half..]`.
     ///
     /// # Safety
-    /// Caller guarantees AVX support, `half ≥ 2` even, `tw1.len() ==
+    /// The CPU must support AVX; `half ≥ 2` must be even, `tw1.len() ==
     /// tw2.len() / 2 == half` and `data.len()` a multiple of `4·half`.
     #[target_feature(enable = "avx")]
     pub(super) unsafe fn stage_pair_avx(
@@ -364,6 +375,12 @@ mod x86 {
         let (t1, t2) = (tw1.as_ptr().cast::<f64>(), tw2.as_ptr().cast::<f64>());
         for block in (0..data.len()).step_by(4 * half) {
             for k in (0..half).step_by(2) {
+                // SAFETY: `k` and `half` are even, so `k + 1 < half`. Each
+                // 4-`f64` access covers two complexes: `block + k + j·half`
+                // and the next, `j ≤ 3`, both below `block + 4·half ≤
+                // data.len()`; `tw1[k..k + 2]`, `tw2[k..k + 2]` and
+                // `tw2[k + half..k + half + 2]`, inside `half` and
+                // `2·half` entries.
                 let q0 = p.add(2 * (block + k));
                 let (q1, q2, q3) = (q0.add(2 * half), q0.add(4 * half), q0.add(6 * half));
                 let (a, b) = (_mm256_loadu_pd(q0), _mm256_loadu_pd(q1));
@@ -390,6 +407,9 @@ mod x86 {
     /// `b·w` in both complexes of `b` for one broadcast twiddle
     /// `[wr; 4]`, `[wi; 4]`: `[br·wr − bi·wi, bi·wr + br·wi]`, the scalar
     /// product's operations (its imaginary sum commuted, which is exact).
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
     #[inline(always)]
     unsafe fn mul_broadcast(b: __m256d, wr: __m256d, wi: __m256d) -> __m256d {
         let swapped = _mm256_permute_pd(b, 0b0101); // [bi, br, bi', br']
@@ -398,6 +418,9 @@ mod x86 {
 
     /// `super::radix8` on two groups at once: register `j` holds element
     /// `j` of both, so every butterfly is a vertical operation.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
     #[inline(always)]
     unsafe fn radix8(z: &mut [__m256d; 8], wr: &[__m256d; 6], wi: &[__m256d; 6]) {
         for j in (0..8).step_by(2) {
@@ -443,6 +466,12 @@ mod x86 {
         }
         let mut z = [_mm256_setzero_pd(); 8];
         let mut g = 0;
+        // SAFETY (every load and store below): each moves one complex
+        // (two `f64`s) — complex `index(i)` of `src` or complex `i` of
+        // `dst` for some `i = g + j` or `g + 8 + j < n`, `j < 8`, which
+        // the contract makes readable or writable. A pair's loads all
+        // precede its stores, so `src == dst` under the identity index
+        // reads every element before it is overwritten.
         while g + 16 <= n {
             for (j, v) in z.iter_mut().enumerate() {
                 let lo = _mm_loadu_pd(src.add(2 * index(g + j)));
@@ -573,6 +602,32 @@ mod tests {
                             "half {half} blocks {blocks} {body:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The two-complex vector stage needs an even half-width; an odd one
+    /// must take the scalar stage and match it bit for bit.
+    #[test]
+    fn an_odd_half_width_matches_the_scalar_stage() {
+        for half in [3usize, 5] {
+            let tw = twiddles_for(half);
+            for blocks in [1usize, 2] {
+                for conj in [false, true] {
+                    let input = noise(2 * half * blocks, 0x0DD + half as u64);
+                    let mut fast = input.clone();
+                    let mut slow = input;
+                    stage(&mut fast, half, &tw, conj, Body::detect());
+                    stage_scalar(&mut slow, half, &tw, conj);
+                    let bits = |v: &[Complex]| -> Vec<[u64; 2]> {
+                        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+                    };
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&slow),
+                        "half {half} blocks {blocks} conj {conj}"
+                    );
                 }
             }
         }

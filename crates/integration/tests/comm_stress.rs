@@ -2,14 +2,17 @@
 //! communicator splits, and polling receives under load — the misuse-
 //! adjacent patterns a message-passing runtime must survive.
 
-use beatnik_comm::{World, ANY_SOURCE, ANY_TAG};
+use beatnik_comm::{wait_all, World};
 
 #[test]
 fn many_tags_many_sources_storm() {
     // Every rank sends 50 messages with pseudo-random tags to every other
-    // rank; receivers drain with wildcards and verify totals.
+    // rank; receivers post one irecv per (source, tag), drain them in
+    // whatever order they land, and verify totals.
     let p = 4;
     let per_pair = 50u64;
+    // Distinct for each `i` below 97, so each (source, tag) is one message.
+    let tag_of = |src: u64, i: u64| (src * 1009 + i * 31) % 97;
     World::builder(p).run(move |comm| {
         let me = comm.rank() as u64;
         for dst in 0..p {
@@ -17,19 +20,18 @@ fn many_tags_many_sources_storm() {
                 continue;
             }
             for i in 0..per_pair {
-                let tag = (me * 1009 + i * 31) % 97;
-                comm.send(dst, tag, vec![me * 1_000_000 + i]);
+                comm.send(dst, tag_of(me, i), vec![me * 1_000_000 + i]);
             }
         }
         let expect = per_pair * (p as u64 - 1);
-        let mut seen = 0u64;
-        let mut sum = 0u64;
-        while seen < expect {
-            let (v, src, _tag) = comm.recv_any::<u64>(ANY_SOURCE, ANY_TAG);
-            assert_ne!(src, comm.rank());
-            sum += v[0] % 1_000_000;
-            seen += 1;
-        }
+        let reqs: Vec<_> = (0..p as u64)
+            .filter(|&src| src != me)
+            .flat_map(|src| (0..per_pair).map(move |i| (src, i)))
+            .map(|(src, i)| comm.irecv::<u64>(src as usize, tag_of(src, i)))
+            .collect();
+        let got = wait_all(reqs);
+        assert_eq!(got.len() as u64, expect);
+        let sum: u64 = got.iter().map(|v| v[0] % 1_000_000).sum();
         // Each sender contributed 0..50 payload indices.
         let per_sender: u64 = (0..per_pair).sum();
         assert_eq!(sum, per_sender * (p as u64 - 1));
@@ -57,25 +59,25 @@ fn nested_splits_three_deep() {
 }
 
 #[test]
-fn try_recv_polling_loop() {
+fn irecv_test_polling_loop() {
     World::builder(3).run(|comm| {
         if comm.rank() == 0 {
             // Poll until both workers report, doing "useful work" between
             // polls.
-            let mut got = 0;
+            let mut reqs = [comm.irecv::<u64>(1, 42), comm.irecv::<u64>(2, 42)];
             let mut spins = 0u64;
-            while got < 2 {
-                if let Some(v) = comm.try_recv::<u64>(ANY_SOURCE, 42) {
-                    assert_eq!(v[0], 7);
-                    got += 1;
-                }
+            while !reqs.iter_mut().all(|r| r.test()) {
                 spins += 1;
                 if spins > 50_000_000 {
                     panic!("polling loop never completed");
                 }
             }
+            for r in reqs {
+                assert_eq!(r.wait(), [7]);
+            }
             // Nothing left afterwards.
-            assert!(comm.try_recv::<u64>(ANY_SOURCE, ANY_TAG).is_none());
+            let mut extra = comm.irecv::<u64>(1, 42);
+            assert!(!extra.test());
         } else {
             comm.send(0, 42, vec![7u64]);
         }

@@ -8,11 +8,17 @@
 
 use crate::{JsonError, Value};
 
+/// Arrays and objects nested deeper than this are refused. Each level is
+/// a few stack frames of the recursive descent, so a document of nothing
+/// but `[` would otherwise overflow the stack and abort the process.
+const MAX_DEPTH: usize = 256;
+
 /// Parse one JSON document out of `text`.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -26,6 +32,8 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -61,10 +69,24 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse one nested array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -279,5 +301,19 @@ mod tests {
     fn big_u64_stays_exact() {
         let n = u64::MAX;
         assert_eq!(parse(&n.to_string()).unwrap(), Value::UInt(n));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("nesting deeper than 256 levels"),
+            "{err}"
+        );
+        // A million unclosed brackets used to abort the process.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(100_000)).is_err());
     }
 }

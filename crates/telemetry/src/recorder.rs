@@ -3,6 +3,7 @@
 use crate::span::{algos, flow, CommOp, Span, SpanKind};
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -116,7 +117,10 @@ pub struct SpanRecorder {
     origin: (u64, u64),
     /// Spans whose `start_ns`/`end_ns` hold ticks (see the `clock`
     /// module) until [`snapshot`](SpanRecorder::snapshot) converts them.
-    slots: Box<[UnsafeCell<Span>]>,
+    /// Allocated uninitialised, so building a recorder touches none of
+    /// its memory: slot `i` is written by the `i`-th push and read only
+    /// once `pushed > i`, so no path reads a slot before its first write.
+    slots: Box<[UnsafeCell<MaybeUninit<Span>>]>,
     /// Total spans ever pushed (monotonic; `pushed % capacity` is the
     /// next write index, `pushed - capacity` the drop count).
     pushed: AtomicU64,
@@ -153,8 +157,12 @@ impl SpanRecorder {
     /// An enabled recorder with `capacity` preallocated slots.
     /// `capacity == 0` yields a disabled recorder.
     pub fn new(capacity: usize, epoch: Instant) -> Self {
-        let slots: Vec<UnsafeCell<Span>> =
-            (0..capacity).map(|_| UnsafeCell::new(Span::default())).collect();
+        // SAFETY: `UnsafeCell<MaybeUninit<Span>>` has the layout and the
+        // validity of `MaybeUninit<Span>`, for which uninitialised memory
+        // is a valid value.
+        let slots = unsafe {
+            Box::<[UnsafeCell<MaybeUninit<Span>>]>::new_uninit_slice(capacity).assume_init()
+        };
         // Disabled recorders never stamp, so they read no clock.
         let origin = if capacity == 0 {
             (0, 0)
@@ -164,7 +172,7 @@ impl SpanRecorder {
         SpanRecorder {
             epoch,
             origin,
-            slots: slots.into_boxed_slice(),
+            slots,
             pushed: AtomicU64::new(0),
             phase_stack: UnsafeCell::new(Vec::with_capacity(8)),
             current_algo: AtomicU8::new(algos::NONE),
@@ -404,7 +412,7 @@ impl SpanRecorder {
         // thread writes this slot, and readers synchronize via the
         // release store below or via thread join.
         unsafe {
-            *self.slots[at as usize].get() = span;
+            (*self.slots[at as usize].get()).write(span);
         }
         self.pushed.store(n + 1, Ordering::Release);
     }
@@ -462,8 +470,11 @@ impl SpanRecorder {
         for i in 0..kept {
             let idx = ((first + i) % cap) as usize;
             // SAFETY: the writer has finished (caller contract), so the
-            // slot is not being concurrently written.
-            let mut span = unsafe { *self.slots[idx].get() };
+            // slot is not being concurrently written; `idx` is one of the
+            // `kept` slots the last `pushed` pushes wrote (all below
+            // `pushed` before the ring wraps, every slot after), so it
+            // holds an initialised span.
+            let mut span = unsafe { (*self.slots[idx].get()).assume_init() };
             span.start_ns = to_ns(span.start_ns);
             span.end_ns = to_ns(span.end_ns);
             out.push(span);
@@ -667,7 +678,7 @@ mod tests {
         }
         {
             let mut g = rec.op(CommOp::Recv);
-            g.peer(usize::MAX); // ANY_SOURCE maps to -1
+            g.peer(usize::MAX); // no single peer maps to -1
         }
         let (spans, _) = rec.snapshot();
         assert_eq!(spans[0].kind, SpanKind::Op(CommOp::Alltoallv));

@@ -12,6 +12,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== cargo check benchmark/ =="
+# The benchmark crate sits outside the root workspace, so the build and
+# test steps above never compile it; a removed API its probes call must
+# fail here, not first in a benchmark run.
+cargo check --offline --manifest-path benchmark/Cargo.toml
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== cargo clippy -- -D warnings =="
     cargo clippy --workspace --all-targets -- -D warnings
