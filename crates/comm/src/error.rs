@@ -14,9 +14,9 @@ pub enum CommError {
     Timeout {
         /// Receiving rank.
         rank: usize,
-        /// Source selector the receive was matching (usize::MAX = any).
+        /// Source rank the receive was waiting on.
         src: usize,
-        /// Tag selector the receive was matching (u64::MAX = any).
+        /// Tag the receive was waiting on.
         tag: u64,
     },
     /// A rank index was out of range for the communicator.
