@@ -14,8 +14,9 @@
 //!    poll slice must never show up here.
 //!
 //! 2. **Recovery cost vs. checkpoint interval** — total wall time of a
-//!    rocketrig run that loses a rank mid-flight and recovers via
-//!    revoke/shrink/restore, across checkpoint cadences. A clean run of
+//!    rocketrig run that loses a rank mid-flight and recovers by
+//!    relaunching the survivors from the newest checkpoint, across
+//!    checkpoint cadences. A clean run of
 //!    the same deck is the baseline; `recovery_time` is the difference.
 //!    Tighter cadences re-execute fewer steps after restore but pay the
 //!    gather/write on more steps — this table is that trade-off.
@@ -106,16 +107,12 @@ fn faulted_run(p: usize, every: usize, dir: &std::path::Path) -> f64 {
     let ckpt = dir.join("checkpoint.json");
     let _ = std::fs::remove_file(&ckpt);
     let plan = FaultPlan::parse("kill:r1@step5", 0).expect("static plan");
+    let world = |ranks| World::builder(ranks).recv_timeout(TIMEOUT);
     let start = Instant::now();
-    let report = World::builder(p).recv_timeout(TIMEOUT).fault_plan(&plan).run_ft(move |comm| {
-        run_rig_ft(comm, &cfg, every, &ckpt)
-    });
+    let run = run_rig_ft(world, p, Some(plan), &cfg, every, &ckpt);
     let ns = start.elapsed().as_nanos() as f64;
-    assert_eq!(report.killed, [1], "kill did not land");
-    assert!(
-        report.results.iter().any(|r| r.is_some()),
-        "no survivor finished the run"
-    );
+    assert_eq!(run.killed, [1], "kill did not land");
+    assert_eq!(run.relaunches.len(), 1, "one relaunch finishes the run");
     ns
 }
 

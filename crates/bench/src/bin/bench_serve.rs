@@ -19,10 +19,9 @@
 //!    p50/p99 end-to-end latency, and mean queue wait, plus a Jain
 //!    fairness index over per-job slowdowns in the summary.
 //!
-//! 3. **Dead-gang recovery** — a job whose gang suffers a hard rank
-//!    death mid-service (the `RankKilled` payload unwinding out of the
-//!    worker) must be requeued and finished, with bystander jobs
-//!    unharmed and zero jobs lost. The recorded number is the dead
+//! 3. **Dead-gang recovery** — a job whose fault plan kills one of its
+//!    ranks mid-run must be requeued from its checkpoint and finished,
+//!    with bystander jobs unharmed and zero jobs lost. The recorded number is the dead
 //!    job's submit→completed wall time, dominated by detection plus
 //!    the re-run epoch.
 //!
@@ -96,34 +95,6 @@ fn wait_state(addr: &str, id: u64, want: &str, timeout: Duration) -> Value {
     }
 }
 
-/// A rig runner whose gang dies once: the first dispatch of the marked
-/// job panics with the FT control-flow payload a killed rank's worker
-/// observes (`RankKilled` unwinding out of `run`), and every later
-/// epoch delegates to the real runner. This is what a hard rank death
-/// inside a gang looks like to the scheduler.
-struct DieOnce {
-    inner: RigRunner,
-    deaths_left: std::sync::atomic::AtomicU64,
-}
-
-impl JobRunner for DieOnce {
-    fn run(&self, ctx: &JobContext) -> Result<JobOutcome, String> {
-        if ctx.spec.name == "phoenix"
-            && self
-                .deaths_left
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-        {
-            std::panic::panic_any(beatnik_comm::RankKilled {
-                world_rank: 1,
-                step: None,
-                op: 0,
-            });
-        }
-        self.inner.run(ctx)
-    }
-}
-
 /// Phase 3: dead-gang recovery through the full HTTP surface. A job's
 /// gang dies mid-service; the scheduler must reclaim the ranks, requeue
 /// the job, and finish it — with bystander jobs unharmed and zero jobs
@@ -137,10 +108,7 @@ fn dead_gang_demo(scratch: &std::path::Path) -> f64 {
     let scheduler = Arc::new(Scheduler::new(
         cfg,
         Arc::new(MetricsRegistry::new()),
-        Arc::new(DieOnce {
-            inner: RigRunner::new(),
-            deaths_left: std::sync::atomic::AtomicU64::new(1),
-        }),
+        Arc::new(RigRunner::new()),
     ));
     let handle = serve("127.0.0.1:0", scheduler).expect("cannot bind loopback");
     let addr = handle.addr().to_string();
@@ -148,7 +116,8 @@ fn dead_gang_demo(scratch: &std::path::Path) -> f64 {
     let start = Instant::now();
     let phoenix = post_job(
         &addr,
-        r#"{"name":"phoenix","order":"low","mesh_n":16,"steps":8,"ranks":2,"priority":5}"#,
+        r#"{"name":"phoenix","order":"low","mesh_n":16,"steps":8,"ranks":2,"priority":5,
+            "faults":"kill:r1@step3","checkpoint_every":2}"#,
     );
     let bystanders: Vec<u64> = (0..3)
         .map(|i| {

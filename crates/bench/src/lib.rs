@@ -105,7 +105,7 @@ mod tests {
         let c1024 = fabric_contention(&m, 1024);
         assert_eq!(c4, 1.0);
         assert!(c64 > 1.5);
-        // Slope change: growth per doubling shrinks past 256 GPUs.
+        // Slope change: growth per doubling falls past 256 GPUs.
         let early_slope = c256 - c64;
         let late_slope = c1024 - c256;
         assert!(late_slope < early_slope, "{early_slope} vs {late_slope}");

@@ -12,7 +12,7 @@ use crate::trace::OpKind;
 use beatnik_telemetry::CommOp;
 
 /// Block until all ranks of `comm` have entered, or surface a group
-/// failure / revocation / deadline as a `CommError` instead of hanging.
+/// failure or the deadline as a `CommError` instead of hanging.
 pub(crate) fn barrier(comm: &Communicator) -> Result<(), CommError> {
     comm.coll_begin(OpKind::Barrier);
     // RAII guard: the span closes on every exit path (incl. p == 1).

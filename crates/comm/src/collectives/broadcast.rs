@@ -12,8 +12,7 @@ use beatnik_telemetry::CommOp;
 
 /// Broadcast `root`'s buffer to all ranks. The root passes `Some(data)`,
 /// all other ranks pass `None`; every rank returns the full buffer.
-/// A group failure, revocation, or the receive deadline surfaces as a
-/// `CommError`.
+/// A group failure or the receive deadline surfaces as a `CommError`.
 ///
 /// # Panics
 /// Panics if the root passes `None` or a non-root passes `Some` (a

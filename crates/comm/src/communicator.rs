@@ -74,17 +74,13 @@ thread_local! {
     static MAILBOX_SLEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Whose death or revocation ends a [`Communicator::wait_until`].
+/// Whose death ends a [`Communicator::wait_until`].
 #[derive(Clone, Copy)]
 pub(crate) enum Watch {
-    /// The source the wait is pending on, plus revocation of this
-    /// communicator.
+    /// The source the wait is pending on.
     Source,
     /// Every member of the group: a collective depends on all of them.
     Group,
-    /// Nobody: the recovery ops must make progress *despite* failures
-    /// and on revoked communicators.
-    Nobody,
 }
 
 /// Stamp the envelope a receive completed with onto its span.
@@ -123,12 +119,6 @@ pub struct Communicator {
     /// with derived communicators so the op count is per-rank, not
     /// per-communicator.
     fault: Option<Arc<FaultInjector>>,
-    /// Registry revoke epoch at construction. Any revocation issued after
-    /// this communicator was built counts as revoking it too, so ranks
-    /// blocked on derived sub-communicators (whose groups may not contain
-    /// the failed rank) unblock as soon as any survivor revokes, instead
-    /// of waiting out their full receive deadline.
-    born_epoch: u64,
     /// The installed transport's receive progress, if it has any: then
     /// [`Communicator::wait_until`] reads this rank's wire itself instead
     /// of sleeping on the mailbox. Chosen once, here.
@@ -153,7 +143,6 @@ impl Communicator {
         telemetry: Arc<SpanRecorder>,
         recv_timeout: Duration,
     ) -> Self {
-        let born_epoch = registry.revoke_epoch();
         let progress = registry.transport().and_then(|t| t.progress());
         let yield_turns = registry.yield_turns();
         Communicator {
@@ -166,7 +155,6 @@ impl Communicator {
             telemetry,
             recv_timeout,
             fault: None,
-            born_epoch,
             progress,
             yield_turns,
         }
@@ -195,7 +183,6 @@ impl Communicator {
             telemetry: Arc::clone(&self.telemetry),
             recv_timeout,
             fault: self.fault.clone(),
-            born_epoch: self.born_epoch,
             progress: self.progress.clone(),
             yield_turns: self.yield_turns,
         }
@@ -250,8 +237,8 @@ impl Communicator {
 
     /// Blocking claim of a posted receive slot under a `wait` span, for
     /// [`crate::request::RecvRequest`]: drains the slot first, then
-    /// surfaces peer failure, revocation, or the receive deadline as a
-    /// `CommError` instead of hanging.
+    /// surfaces peer failure or the receive deadline as a `CommError`
+    /// instead of hanging.
     pub(crate) fn claim(&self, posted: PostedId, src: usize, tag: Tag) -> Result<Envelope, CommError> {
         let mut span = self.telemetry.op(CommOp::Wait);
         let mb = self.user_mailbox();
@@ -264,7 +251,7 @@ impl Communicator {
     }
 
     /// The one failure-aware wait loop under every blocking receive,
-    /// claim, batched wait and agreement round.
+    /// claim and batched wait.
     ///
     /// `poll(since, wait)` takes what the caller is waiting for if it is
     /// there, and otherwise sleeps on `mb` for at most `wait` (not at
@@ -274,8 +261,8 @@ impl Communicator {
     /// the mailbox's interrupt sequence, drains, *then* reads the abort
     /// flag, the `watch`ed part of the failure ledger and the deadline,
     /// and only then sleeps against that snapshot. So a message sent
-    /// before its sender died is still delivered (ULFM allows
-    /// non-uniform completion), a death that predates the call is seen
+    /// before its sender died is still delivered (non-uniform
+    /// completion), a death that predates the call is seen
     /// before the first sleep, and one that lands between the check and
     /// the sleep cuts the sleep short: the poll slice is a backstop for
     /// the abort flag, never a detection latency.
@@ -319,7 +306,6 @@ impl Communicator {
             let failure = match watch {
                 Watch::Source => self.group_error(Some(src)),
                 Watch::Group => self.group_error(None),
-                Watch::Nobody => None,
             };
             if let Some(e) = failure {
                 return Err(e);
@@ -352,28 +338,22 @@ impl Communicator {
 
     /// Convert a `CommError` from a blocking (non-`try`) op into the
     /// panic the panicking API promises: timeouts keep the historical
-    /// "deadlock" message; peer failure and revocation carry a
-    /// [`CollectiveFailed`] payload so recovery drivers can catch and
-    /// downcast them; local argument errors keep the plain "op: error"
-    /// string panic they have always had.
+    /// "deadlock" message; a peer failure carries a [`CollectiveFailed`]
+    /// payload, which [`crate::WorldBuilder::run_ft`] reports as a dead
+    /// world instead of a bug; local argument errors keep the plain
+    /// "op: error" string panic they have always had.
     pub(crate) fn escalate(&self, op: &'static str, e: CommError) -> ! {
         match e {
             CommError::Timeout { .. } => {
                 panic!("{op} deadlock on rank {}: {e}", self.rank)
             }
-            error @ (CommError::RankFailed { .. } | CommError::Revoked { .. }) => {
-                panic_any(CollectiveFailed { op, error })
-            }
+            error @ CommError::RankFailed { .. } => panic_any(CollectiveFailed { op, error }),
             e => panic!("{op}: {e}"),
         }
     }
 
-    /// Collective entry/progress check: `Err(Revoked)` if this
-    /// communicator was revoked, `Err(RankFailed)` naming the
-    /// lowest-numbered dead member if any member died. The ULFM-style
-    /// recovery ops (`agree`, [`Communicator::shrink`])
-    /// deliberately bypass this — they must make progress *despite*
-    /// failures.
+    /// Collective entry check: `Err(RankFailed)` naming the
+    /// lowest-numbered dead member if any member died.
     pub(crate) fn check_group_alive(&self) -> Result<(), CommError> {
         match self.group_error(None) {
             Some(e) => Err(e),
@@ -382,13 +362,9 @@ impl Communicator {
     }
 
     /// The error a blocking wait should fail with right now, if any:
-    /// revocation of this communicator, or the death of the peer `src`
-    /// it waits on — of any member, lowest world rank first, for `None`
-    /// (a collective depends on all of them).
+    /// the death of the peer `src` it waits on — of any member, lowest
+    /// world rank first, for `None` (a collective depends on all of them).
     fn group_error(&self, src: Option<usize>) -> Option<CommError> {
-        if self.is_revoked() {
-            return Some(CommError::Revoked { rank: self.rank });
-        }
         if !self.registry.any_failed() {
             return None;
         }
@@ -435,8 +411,8 @@ impl Communicator {
 
     /// The fallible receive under every blocking receive path: `Err`
     /// when a watched rank dies (the source on the user channel, any
-    /// group member on the collective one), the communicator is revoked,
-    /// or the receive deadline passes — never a hang.
+    /// group member on the collective one) or the receive deadline
+    /// passes — never a hang.
     fn ft_recv(
         &self,
         channel: CommId,
@@ -594,8 +570,8 @@ impl Communicator {
     ///
     /// # Panics
     /// Panics if no matching message arrives within the configured receive
-    /// timeout, if the source dies or the communicator is revoked first
-    /// (a [`CollectiveFailed`] payload), or if the message's element type
+    /// timeout, if the source dies first (a [`CollectiveFailed`]
+    /// payload), or if the message's element type
     /// differs from `T`.
     pub fn recv<T: CommData>(&self, src: usize, tag: Tag) -> Vec<T> {
         self.check_rank(src).expect("recv: invalid source");
@@ -706,8 +682,8 @@ impl Communicator {
     }
 
     /// Fallible receive on the collective channel: `Err(RankFailed)` when
-    /// any group member dies mid-collective, `Err(Revoked)` after
-    /// revocation, `Err(Timeout)` past the deadline — never a hang.
+    /// any group member dies mid-collective, `Err(Timeout)` past the
+    /// deadline — never a hang.
     pub(crate) fn try_coll_recv<T: CommData>(
         &self,
         src: usize,
@@ -739,8 +715,8 @@ impl Communicator {
     //
     // One entry point per collective. Each checks its arguments locally,
     // then runs the algorithm; any error reaches the caller through
-    // [`Communicator::escalate`], so a peer death or a revocation
-    // arrives as the [`CollectiveFailed`] panic recovery drivers catch.
+    // [`Communicator::escalate`], so a peer death arrives as the
+    // [`CollectiveFailed`] panic that ends a fault-tolerant world.
     // ------------------------------------------------------------------
 
     /// Block until every rank of the communicator has entered the barrier.
@@ -750,8 +726,8 @@ impl Communicator {
         }
     }
 
-    /// Fallible [`Communicator::barrier`]: `Err(RankFailed)` / `Err(Revoked)`
-    /// / `Err(Timeout)` instead of panicking when the group cannot complete.
+    /// Fallible [`Communicator::barrier`]: `Err(RankFailed)` /
+    /// `Err(Timeout)` instead of panicking when the group cannot complete.
     /// The one collective with an error-returning form: a fault-tolerant
     /// loop uses it to fence a step without unwinding.
     pub fn try_barrier(&self) -> Result<(), CommError> {
@@ -909,134 +885,6 @@ impl Communicator {
     }
 
     // ------------------------------------------------------------------
-    // ULFM-style recovery operations
-    // ------------------------------------------------------------------
-
-    /// Revoke this communicator (ULFM's `MPI_Comm_revoke`): every pending
-    /// and future operation on it — on every rank — errors with
-    /// [`CommError::Revoked`]. The first step of recovery: one rank
-    /// observes a failure, revokes, and all ranks converge on the error
-    /// path instead of some completing and some hanging.
-    pub fn revoke(&self) {
-        self.telemetry.instant(
-            SpanKind::Phase(crate::fault::REVOKE_PHASE),
-            self.rank as i64,
-            self.comm_id,
-            0,
-        );
-        self.registry.revoke(self.comm_id);
-    }
-
-    /// Whether this communicator counts as revoked: either its id was
-    /// revoked directly, or *any* revocation was issued after it was
-    /// built. The epoch clause is how revocation reaches derived
-    /// sub-communicators — a rank blocked in a pencil-FFT row exchange
-    /// whose group excludes the failed rank still unblocks the moment a
-    /// survivor revokes the parent. Communicators built after the
-    /// revocation (the child of a [`Communicator::shrink`]) are clean.
-    pub fn is_revoked(&self) -> bool {
-        self.registry.is_revoked(self.comm_id) || self.registry.revoke_epoch() > self.born_epoch
-    }
-
-    /// Fault-tolerant agreement on the surviving group (ULFM's
-    /// `MPI_Comm_agree`, specialised to the failure ledger): returns the
-    /// world ranks of this communicator's live members, in comm-rank
-    /// order. Works on revoked communicators and *despite* failures: the
-    /// survivors run a dissemination barrier among themselves, tagged by
-    /// a hash of the observed failed set, and restart with fresh tags
-    /// whenever a new failure lands mid-agreement. Because the failed set
-    /// only grows, every restart uses tags no earlier attempt used, so
-    /// stale tokens from an interrupted attempt can never satisfy a later
-    /// one.
-    fn agree(&self) -> Result<Vec<usize>, CommError> {
-        let deadline = Instant::now() + self.recv_timeout;
-        let mb = self.mailbox_for(COLLECTIVE_CHANNEL, self.rank);
-        'attempt: loop {
-            let snap = self.registry.failed_snapshot();
-            let survivors: Vec<usize> = (0..self.size)
-                .filter(|&r| !snap.contains(&self.world_of[r]))
-                .collect();
-            let me = survivors
-                .iter()
-                .position(|&r| r == self.rank)
-                .expect("agree: calling rank is marked failed");
-            let p = survivors.len();
-            let tagbase = agree_tagbase(&snap);
-            let mut dist = 1usize;
-            let mut round = 0u64;
-            while dist < p {
-                let dst = survivors[(me + dist) % p];
-                let src = survivors[(me + p - dist) % p];
-                let tag = tagbase + round;
-                self.coll_send::<u8>(dst, tag, Vec::new(), OpKind::Barrier);
-                // The wait ignores the ledger; a death that lands while
-                // it sleeps interrupts it, and the round then reports
-                // "no token" so the attempt restarts with fresh tags.
-                let token = self.wait_until(&mb, deadline, Watch::Nobody, "agree", |since, wait| {
-                    if mb.recv_matching_timeout(src, tag, since, wait).is_some() {
-                        Ok(true)
-                    } else if self.registry.failed_snapshot() != snap {
-                        Ok(false)
-                    } else {
-                        Err((src, tag))
-                    }
-                })?;
-                if !token {
-                    continue 'attempt;
-                }
-                dist *= 2;
-                round += 1;
-            }
-            if self.registry.failed_snapshot() != snap {
-                continue 'attempt;
-            }
-            return Ok(survivors.iter().map(|&r| self.world_of[r]).collect());
-        }
-    }
-
-    /// Build a new communicator containing only the surviving ranks
-    /// (ULFM's `MPI_Comm_shrink`). Survivors keep their relative order;
-    /// the new communicator gets a fresh id (fresh mailboxes, so stale
-    /// messages from before the failure cannot pollute recovery). If a
-    /// further failure strikes during the shrink itself, the closing
-    /// barrier errors and the caller retries `shrink()` on the parent.
-    pub fn shrink(&self) -> Result<Communicator, CommError> {
-        let survivors_world = self.agree()?;
-        let me_world = self.world_of[self.rank];
-        let new_rank = survivors_world
-            .iter()
-            .position(|&w| w == me_world)
-            .expect("shrink: calling rank is marked failed");
-        let size = survivors_world.len();
-        let new_id = self.registry.shrink_id(self.comm_id, &survivors_world);
-        self.telemetry.instant(
-            SpanKind::Phase(crate::fault::SHRINK_PHASE),
-            new_rank as i64,
-            size as u64,
-            0,
-        );
-        let child = Communicator::new(
-            Arc::clone(&self.registry),
-            new_id,
-            new_rank,
-            size,
-            Arc::new(survivors_world),
-            Arc::clone(&self.trace),
-            Arc::clone(&self.telemetry),
-            self.recv_timeout,
-        )
-        .with_fault(self.fault.clone());
-        // Confirm every survivor reached the same group. If agreement was
-        // broken by a failure racing the barrier above, ranks land in
-        // different child communicators and this times out quickly (short
-        // deadline) — a retryable error, not a hang.
-        child
-            .with_recv_timeout(self.recv_timeout.min(Duration::from_secs(5)))
-            .try_barrier()?;
-        Ok(child)
-    }
-
-    // ------------------------------------------------------------------
     // Group management
     // ------------------------------------------------------------------
 
@@ -1112,20 +960,6 @@ impl Communicator {
         self.split(Some(0), self.rank as i64)
             .expect("duplicate: split returned None")
     }
-}
-
-/// Tag base for one `agree` attempt: an FNV-1a hash of the observed
-/// failed set, shifted into a high tag region so agreement tokens can
-/// never collide with ordinary collective tags on the shadow channel.
-/// The failed set is monotone, so each distinct set — and therefore each
-/// restarted attempt — gets tags no earlier attempt used.
-fn agree_tagbase(snap: &[usize]) -> Tag {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &r in snap {
-        h ^= r as u64 + 1;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (0xA9EE_u64 << 48) | ((h & 0xFFFF_FFFF) << 16)
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub enum CommError {
         /// The size the caller supplied.
         got: usize,
     },
-    /// A peer rank the operation depends on has died (ULFM's
+    /// A peer rank the operation depends on has died (MPI's
     /// `MPI_ERR_PROC_FAILED`). Collectives report the lowest-numbered
     /// failed member of the communicator.
     RankFailed {
@@ -52,13 +52,6 @@ pub enum CommError {
         rank: usize,
         /// World rank of the failed peer.
         failed: usize,
-    },
-    /// The communicator was revoked (ULFM's `MPI_ERR_REVOKED`): some rank
-    /// called `revoke()` to interrupt all pending and future operations,
-    /// typically as the first step of recovery.
-    Revoked {
-        /// Rank that observed the revocation.
-        rank: usize,
     },
     /// A wire stream to a peer ended without a goodbye: EOF, a socket
     /// error, or bytes no frame can be made of. Distinct from
@@ -107,9 +100,6 @@ impl fmt::Display for CommError {
                 f,
                 "rank {rank} detected failure of world rank {failed}"
             ),
-            CommError::Revoked { rank } => {
-                write!(f, "communicator revoked (observed on rank {rank})")
-            }
             CommError::LinkDown { peer } => {
                 write!(f, "stream to world rank {peer} ended without a goodbye")
             }
@@ -123,30 +113,6 @@ impl fmt::Display for CommError {
                 "message type mismatch: received {got} from rank {src} (tag {tag}) but tried \
                  to receive as Vec<{expected}>"
             ),
-        }
-    }
-}
-
-impl CommError {
-    /// Whether a caller can plausibly continue past this error with the
-    /// ULFM recovery toolkit (agree → revoke → shrink → resume from
-    /// checkpoint) rather than tearing the job down.
-    ///
-    /// Failure-class errors — a dead peer, a revoked communicator, a
-    /// dead link, a timed-out receive — are recoverable: they describe
-    /// the state of the *world*, and a smaller world can carry on.
-    /// Usage errors (bad rank, bad dims, size or type mismatches) are
-    /// bugs in the caller and retrying cannot fix them.
-    pub fn is_recoverable(&self) -> bool {
-        match self {
-            CommError::Timeout { .. }
-            | CommError::RankFailed { .. }
-            | CommError::Revoked { .. }
-            | CommError::LinkDown { .. } => true,
-            CommError::InvalidRank { .. }
-            | CommError::BadDims { .. }
-            | CommError::SizeMismatch { .. }
-            | CommError::TypeMismatch { .. } => false,
         }
     }
 }
@@ -180,8 +146,6 @@ mod tests {
         assert!(e.to_string().contains("expected 4, got 3"));
         let e = CommError::RankFailed { rank: 0, failed: 2 };
         assert!(e.to_string().contains("world rank 2"));
-        let e = CommError::Revoked { rank: 1 };
-        assert!(e.to_string().contains("revoked"));
         let e = CommError::LinkDown { peer: 3 };
         assert!(e.to_string().contains("world rank 3"));
         assert!(e.to_string().contains("without a goodbye"));
@@ -193,28 +157,5 @@ mod tests {
         };
         assert!(e.to_string().contains("message type mismatch"));
         assert!(e.to_string().contains("Vec<f64>"));
-    }
-
-    #[test]
-    fn failure_class_errors_are_recoverable_usage_errors_are_not() {
-        assert!(CommError::Timeout { rank: 0, src: 1, tag: 2 }.is_recoverable());
-        assert!(CommError::RankFailed { rank: 0, failed: 1 }.is_recoverable());
-        assert!(CommError::Revoked { rank: 0 }.is_recoverable());
-        assert!(CommError::LinkDown { peer: 1 }.is_recoverable());
-        assert!(!CommError::InvalidRank { rank: 9, size: 4 }.is_recoverable());
-        assert!(!CommError::BadDims { product: 6, size: 4 }.is_recoverable());
-        assert!(!CommError::SizeMismatch {
-            what: "x",
-            expected: 1,
-            got: 2
-        }
-        .is_recoverable());
-        assert!(!CommError::TypeMismatch {
-            expected: "f64",
-            got: "u32",
-            src: 0,
-            tag: 0
-        }
-        .is_recoverable());
     }
 }

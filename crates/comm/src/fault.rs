@@ -59,12 +59,8 @@ pub const FAULT_KILL_PHASE: &str = "fault-kill";
 pub const FAULT_DROP_PHASE: &str = "fault-drop";
 /// Telemetry phase name spanning an injected message delay.
 pub const FAULT_DELAY_PHASE: &str = "fault-delay";
-/// Telemetry phase name stamped when a communicator is revoked.
-pub const REVOKE_PHASE: &str = "revoke";
-/// Telemetry phase name stamped when a `shrink` builds a survivor comm.
-pub const SHRINK_PHASE: &str = "shrink";
-/// Telemetry phase name spanning an app-level recovery epoch
-/// (revoke + shrink + checkpoint restore in the driver).
+/// Telemetry phase name spanning a relaunched world's checkpoint
+/// restore in the driver.
 pub const RECOVERY_PHASE: &str = "recovery";
 
 /// Read the fault seed from `BEATNIK_FAULT_SEED`, falling back to
@@ -234,7 +230,7 @@ impl FaultPlan {
     }
 
     /// Whether *every* action fires at the wire layer. A link-only plan
-    /// needs no per-rank injectors or recovery driver — it only delays
+    /// needs no per-rank injectors or checkpoints — it only delays
     /// frames, and the run result must match a clean run.
     pub fn link_only(&self) -> bool {
         self.actions
@@ -249,6 +245,30 @@ impl FaultPlan {
             .filter(|a| matches!(a.trigger, Trigger::Link(_)))
             .cloned()
             .collect()
+    }
+
+    /// The plan a relaunched world carries after a world running this
+    /// one fired `fired` and lost the ranks in `killed`: every action
+    /// that has not fired, renumbered to the survivors' dense ranks (in
+    /// their old order). Actions on a killed rank, or on a link to one,
+    /// go with it. So `kill:r2@step5` cannot fire again in a world
+    /// restored from a step-4 checkpoint.
+    pub fn unfired(&self, fired: &[FaultEvent], killed: &[usize]) -> FaultPlan {
+        let alive = |r: &usize| !killed.contains(r);
+        let renumber = |r: usize| r - killed.iter().filter(|&&k| k < r).count();
+        let unfired = self.actions.iter().filter(|a| !fired.iter().any(|e| e.fired(a)));
+        let actions = unfired
+            .filter(|a| alive(&a.rank) && a.peer.iter().all(alive))
+            .map(|a| FaultAction {
+                rank: renumber(a.rank),
+                peer: a.peer.map(renumber),
+                ..a.clone()
+            })
+            .collect();
+        FaultPlan {
+            actions,
+            seed: self.seed,
+        }
     }
 
     /// Render the plan back into spec text (`parse` ∘ `to_spec` is the
@@ -442,6 +462,17 @@ pub struct FaultEvent {
     pub delay_ns: u64,
 }
 
+impl FaultEvent {
+    /// Whether this event is the firing of `a`.
+    fn fired(&self, a: &FaultAction) -> bool {
+        let at = match a.trigger {
+            Trigger::Step(n) => self.step == Some(n),
+            Trigger::Op(n) | Trigger::Link(n) => self.step.is_none() && self.op_index == n,
+        };
+        at && (self.kind, self.rank, self.peer) == (a.kind.label(), a.rank, a.peer)
+    }
+}
+
 impl std::fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.peer {
@@ -464,8 +495,8 @@ impl std::fmt::Display for FaultEvent {
 
 /// Per-rank injection state: op counter, this rank's actions, and the
 /// seeded jitter stream. Shared (`Arc`) between the communicator and any
-/// communicators derived from it by `split`/`duplicate`/`shrink`, so the
-/// op count is global to the rank, not per-communicator.
+/// communicators derived from it by `split`/`duplicate`, so the op count
+/// is global to the rank, not per-communicator.
 pub struct FaultInjector {
     world_rank: usize,
     actions: Vec<FaultAction>,
@@ -592,9 +623,8 @@ pub struct RankKilled {
 }
 
 /// Panic payload thrown by the panicking collective wrappers when a
-/// *peer failure* — not a local bug — prevented completion. Recovery
-/// drivers (`rocketrig`'s fault loop) catch and downcast for this to
-/// start shrink/restart instead of crashing.
+/// *peer failure* — not a local bug — prevented completion.
+/// [`crate::WorldBuilder::run_ft`] reads it as a dead world, not a bug.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectiveFailed {
     /// Name of the collective that could not complete.
@@ -607,6 +637,29 @@ impl std::fmt::Display for CollectiveFailed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} failed: {}", self.op, self.error)
     }
+}
+
+/// Whether a rank's panic payload is the failure path rather than a
+/// bug: an injected kill, a peer's death seen in a wait
+/// ([`CollectiveFailed`]), a receive deadline (a dropped message), or
+/// the abort that unwinds the ranks a failure left blocked.
+pub(crate) fn is_failure(p: &(dyn std::any::Any + Send)) -> bool {
+    let msg = panic_message(p);
+    p.is::<RankKilled>()
+        || p.is::<CollectiveFailed>()
+        || msg.contains(" deadlock on rank ")
+        || is_abort(msg)
+}
+
+/// Whether a panic message is the abort a failure elsewhere sets off.
+pub(crate) fn is_abort(msg: &str) -> bool {
+    msg.contains("a peer rank failed")
+}
+
+/// The message of a string panic payload (empty for any other).
+pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> &str {
+    let owned = p.downcast_ref::<String>().map(String::as_str);
+    owned.or_else(|| p.downcast_ref::<&str>().copied()).unwrap_or("")
 }
 
 #[cfg(test)]
@@ -688,6 +741,38 @@ mod tests {
             assert_eq!(plan.to_spec(), spec);
             assert_eq!(FaultPlan::parse(&plan.to_spec(), 7).unwrap(), plan);
         }
+    }
+
+    #[test]
+    fn unfired_drops_fired_actions_and_renumbers_the_survivors() {
+        let plan = FaultPlan::parse(
+            "kill:r2@step5,kill:r3@step7,drop:r1@op4,delay:r3>r0@link2:1ms,drop:r2@op9",
+            3,
+        )
+        .unwrap();
+        let kill_2 = FaultEvent {
+            kind: "kill",
+            rank: 2,
+            peer: None,
+            op_index: 40,
+            step: Some(5),
+            delay_ns: 0,
+        };
+        let drop_1 = FaultEvent {
+            kind: "drop",
+            rank: 1,
+            peer: None,
+            op_index: 4,
+            step: None,
+            delay_ns: 0,
+        };
+        // Rank 2's own drop dies with it; rank 3 becomes rank 2.
+        let rest = plan.unfired(&[kill_2.clone(), drop_1], &[2]);
+        assert_eq!(rest.to_spec(), "kill:r2@step7,delay:r2>r0@link2:1ms");
+        assert_eq!(rest.seed, 3);
+        // An event at another op or step is not this action's firing.
+        let early = FaultEvent { step: Some(4), ..kill_2 };
+        assert_eq!(plan.unfired(&[early], &[]), plan);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use config::{
 pub use error::CommError;
 pub use fault::{
     seed_from_env, CollectiveFailed, FaultEvent, FaultKind, FaultPlan, FaultSpecError, RankKilled,
-    DEFAULT_FAULT_SEED, FAULT_SEED_ENV, RECOVERY_PHASE, SHRINK_PHASE,
+    DEFAULT_FAULT_SEED, FAULT_SEED_ENV, RECOVERY_PHASE,
 };
 pub use metrics::MetricsPlane;
 pub use rankpool::{RankLease, RankPool};

@@ -169,8 +169,8 @@ impl Mailbox {
 
     /// Wake every waiter — blocked receives, claim waits, batched-wait
     /// watchers — so they return early and let their callers re-examine
-    /// failure state. Called when a rank is marked failed or a
-    /// communicator revoked; without it, news of a death would wait out
+    /// failure state. Called when a rank is marked failed or the world
+    /// aborts; without it, news of a death would wait out
     /// the full timeout slice of every sleeping receiver.
     pub fn interrupt(&self) {
         let st = self.state.lock();

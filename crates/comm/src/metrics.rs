@@ -9,7 +9,7 @@
 //! * the per-rank [`SpanRecorder`]s (dropped-span counts, always-on
 //!   phase-entry counts),
 //! * and, at snapshot time, the world registry itself (mailbox
-//!   posted-receive depth, failure ledger, revoke epoch).
+//!   posted-receive depth, failure ledger).
 //!
 //! The hot paths never see the plane: ranks write through the atomic
 //! handles `RankTrace` obtained at registration. The plane only *reads*
@@ -38,7 +38,6 @@ pub struct MetricsPlane {
     posted: Vec<Gauge>,
     rank_failed: Vec<Gauge>,
     ranks_failed: Gauge,
-    revoke_epoch: Gauge,
 }
 
 impl MetricsPlane {
@@ -79,11 +78,6 @@ impl MetricsPlane {
             "Number of world ranks marked dead",
             &[],
         );
-        let revoke_epoch = registry.gauge(
-            "beatnik_revoke_epoch",
-            "Number of communicator revocations issued in this world",
-            &[],
-        );
         MetricsPlane {
             registry,
             traces,
@@ -92,7 +86,6 @@ impl MetricsPlane {
             posted,
             rank_failed,
             ranks_failed,
-            revoke_epoch,
         }
     }
 
@@ -117,7 +110,6 @@ impl MetricsPlane {
             g.set(u64::from(failed.contains(&rank)));
         }
         self.ranks_failed.set(failed.len() as u64);
-        self.revoke_epoch.set(world.revoke_epoch());
     }
 
     /// Refresh the pull gauges, copy the registry, and append the
@@ -297,13 +289,11 @@ mod tests {
         plane.traces[0].sent(crate::trace::OpKind::Send, 300, false, 1, "halo", algos::NONE);
         plane.recorders[1].phase("halo");
         world.mark_failed(1);
-        world.revoke(0);
 
         let snap = plane.snapshot(&world);
         assert_eq!(snap.value("beatnik_rank_failed", &[("rank", "1")]), Some(1));
         assert_eq!(snap.value("beatnik_rank_failed", &[("rank", "0")]), Some(0));
         assert_eq!(snap.value("beatnik_ranks_failed", &[]), Some(1));
-        assert_eq!(snap.value("beatnik_revoke_epoch", &[]), Some(1));
         assert_eq!(
             snap.value("beatnik_phase_entries_total", &[("rank", "1"), ("phase", "halo")]),
             Some(1)

@@ -19,11 +19,6 @@
 //! * [`EXIT_KILLED`] (86) — the rank died by fault injection
 //!   ([`crate::fault::RankKilled`]); the parent records it and carries on,
 //! * anything else — a real failure; the parent panics after reaping.
-//!
-//! Communicator ids that normally come from shared-memory interning
-//! (`shrink` children) switch to hash-derived ids via
-//! [`Registry::set_deterministic_ids`], since survivor processes cannot
-//! share an interning table.
 
 use crate::communicator::Communicator;
 use crate::config::CommConfig;
@@ -174,7 +169,6 @@ where
     F: FnOnce(Communicator) -> R,
 {
     let registry = Arc::new(Registry::new());
-    registry.set_deterministic_ids();
     registry.install_transport(Arc::clone(&transport));
     transport.attach(&registry);
 

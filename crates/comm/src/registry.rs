@@ -8,16 +8,15 @@
 //!
 //! The registry is also the world's **failure ledger** (the shared-memory
 //! analogue of an MPI runtime's out-of-band failure detector): a dying
-//! rank marks itself failed here, every mailbox is interrupted so blocked
-//! receives re-check the ledger, and revoked communicator ids and agreed
-//! shrink ids live here so all survivors converge on the same recovery
-//! state without extra messages.
+//! rank marks itself failed here, and every mailbox is interrupted so
+//! blocked receives re-check the ledger. The abort flag beside it ends
+//! the whole world once any rank unwinds.
 
 use crate::mailbox::Mailbox;
 use crate::message::Envelope;
 use crate::sync::{Mutex, RwLock};
 use crate::transport::{CtrlMsg, Route, Transport};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,23 +37,6 @@ pub struct Registry {
     /// World ranks marked dead, with the instant each was first marked
     /// (the reference point for detection-latency measurements).
     failed: Mutex<HashMap<usize, Instant>>,
-    /// Communicator ids revoked ULFM-style: every pending and future
-    /// operation on them errors with [`crate::CommError::Revoked`].
-    revoked: RwLock<HashSet<CommId>>,
-    /// Count of revocations ever issued in this world. Communicators
-    /// snapshot it at construction; one created *before* a revocation
-    /// treats itself as revoked too. This is the propagation mechanism
-    /// ULFM gets from out-of-band runtime messages: a rank blocked on a
-    /// derived sub-communicator whose group does not contain the failed
-    /// rank would otherwise never learn the world is being torn down and
-    /// would sit out its full receive deadline. Communicators created
-    /// after the revocation (the fresh child a `shrink` builds) observe
-    /// an unchanged epoch and are unaffected.
-    revoke_epoch: AtomicU64,
-    /// Interned `(parent, survivor world ranks) -> child id` so every
-    /// survivor of a `shrink` lands on the same fresh communicator id
-    /// without communicating (they all observe the same failed set).
-    shrink_ids: Mutex<HashMap<(CommId, Vec<usize>), CommId>>,
     /// The world's metrics plane, installed by the `World` runners after
     /// every per-rank publisher exists. `None` only for registries built
     /// outside a `World` (unit tests, ad-hoc harnesses).
@@ -64,11 +46,6 @@ pub struct Registry {
     /// `None` means direct mailbox delivery — the behavior raw-registry
     /// unit tests and ad-hoc harnesses have always had.
     transport: RwLock<Option<Arc<dyn Transport>>>,
-    /// When set (multi-process worlds), `shrink_id` derives child ids by
-    /// hashing instead of interning from the local counter, so survivors
-    /// in *different processes* — which cannot share an interning table —
-    /// still converge on the same id.
-    deterministic_ids: AtomicBool,
     /// Typed causes for transport-declared peer deaths: one
     /// [`CommError::LinkDown`] per stream that tore. The
     /// failure ledger records *that* a rank died; this records *why*.
@@ -88,12 +65,8 @@ impl Registry {
             next_comm_id: AtomicU64::new(WORLD_COMM_ID + 1),
             abort: AtomicBool::new(false),
             failed: Mutex::new(HashMap::new()),
-            revoked: RwLock::new(HashSet::new()),
-            revoke_epoch: AtomicU64::new(0),
-            shrink_ids: Mutex::new(HashMap::new()),
             metrics: Mutex::new(None),
             transport: RwLock::new(None),
-            deterministic_ids: AtomicBool::new(false),
             link_downs: Mutex::new(Vec::new()),
             yield_turns: AtomicU32::new(0),
         }
@@ -135,12 +108,6 @@ impl Registry {
         }
     }
 
-    /// Switch `shrink_id` to hash-derived ids (multi-process worlds; see
-    /// the `deterministic_ids` field).
-    pub fn set_deterministic_ids(&self) {
-        self.deterministic_ids.store(true, Ordering::SeqCst);
-    }
-
     /// Broadcast failure-ledger news through the transport, if one is
     /// installed and has peers to tell.
     fn publish_ctrl(&self, msg: CtrlMsg) {
@@ -156,12 +123,6 @@ impl Registry {
         match msg {
             CtrlMsg::Failed(rank) => {
                 self.failed.lock().entry(rank).or_insert_with(Instant::now);
-                self.interrupt_all();
-            }
-            CtrlMsg::Revoke(comm) => {
-                if self.revoked.write().insert(comm) {
-                    self.revoke_epoch.fetch_add(1, Ordering::SeqCst);
-                }
                 self.interrupt_all();
             }
             CtrlMsg::Abort => {
@@ -257,59 +218,6 @@ impl Registry {
         self.failed.lock().get(&world_rank).copied()
     }
 
-    /// Revoke a communicator: all its pending and future operations error
-    /// with `CommError::Revoked`. Also advances the revoke epoch so every
-    /// communicator that existed before this call — including derived
-    /// sub-communicators whose groups are disjoint from the failure —
-    /// observes the revocation, and interrupts every mailbox so sleepers
-    /// re-check promptly.
-    pub fn revoke(&self, comm: CommId) {
-        let fresh = self.revoked.write().insert(comm);
-        if fresh {
-            self.revoke_epoch.fetch_add(1, Ordering::SeqCst);
-        }
-        self.interrupt_all();
-        if fresh {
-            self.publish_ctrl(CtrlMsg::Revoke(comm));
-        }
-    }
-
-    /// Whether a communicator id has been revoked directly.
-    pub fn is_revoked(&self, comm: CommId) -> bool {
-        self.revoked.read().contains(&comm)
-    }
-
-    /// Number of revocations issued so far (see the `revoke_epoch` field).
-    pub fn revoke_epoch(&self) -> u64 {
-        self.revoke_epoch.load(Ordering::SeqCst)
-    }
-
-    /// The communicator id every survivor of a `shrink` of `parent` with
-    /// the given surviving world ranks agrees on, allocating it on first
-    /// ask. Survivors need not communicate: they all observe the same
-    /// failed set, compute the same key, and intern the same id.
-    pub fn shrink_id(&self, parent: CommId, survivors: &[usize]) -> CommId {
-        if self.deterministic_ids.load(Ordering::SeqCst) {
-            // Multi-process worlds cannot share an interning table, so
-            // derive the id as an FNV hash of the key. Bit 62 marks the
-            // id as hash-allocated (counter ids stay far below it); bit
-            // 63 stays clear — it is the collective-channel bit.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            mix(parent);
-            for &s in survivors {
-                mix(s as u64 + 1);
-            }
-            return (h & !(1 << 63)) | (1 << 62);
-        }
-        let mut ids = self.shrink_ids.lock();
-        *ids.entry((parent, survivors.to_vec()))
-            .or_insert_with(|| self.allocate_comm_ids(1))
-    }
-
     /// Wake every sleeping waiter in every mailbox so they re-check the
     /// failure ledger, and every rank asleep on its own wire (see
     /// [`crate::transport::Progress`]).
@@ -393,27 +301,5 @@ mod tests {
         assert!(reg.any_failed());
         assert!(reg.is_failed(1) && reg.is_failed(3) && !reg.is_failed(0));
         assert_eq!(reg.failed_snapshot(), vec![1, 3]);
-    }
-
-    #[test]
-    fn revocation_and_shrink_ids_are_stable() {
-        let reg = Registry::new();
-        assert!(!reg.is_revoked(7));
-        assert_eq!(reg.revoke_epoch(), 0);
-        reg.revoke(7);
-        assert!(reg.is_revoked(7));
-        // Each revocation advances the epoch so pre-existing communicators
-        // (which snapshot it at construction) observe the teardown.
-        assert_eq!(reg.revoke_epoch(), 1);
-        reg.revoke(9);
-        assert_eq!(reg.revoke_epoch(), 2);
-        // Every survivor asking for the same (parent, survivors) key must
-        // intern the same fresh id; a different survivor set gets its own.
-        let a = reg.shrink_id(0, &[0, 1, 3]);
-        let b = reg.shrink_id(0, &[0, 1, 3]);
-        let c = reg.shrink_id(0, &[0, 1]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a > WORLD_COMM_ID && c > WORLD_COMM_ID);
     }
 }

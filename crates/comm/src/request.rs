@@ -185,8 +185,8 @@ pub fn wait_all<T: CommData>(requests: Vec<RecvRequest<'_, T>>) -> Vec<Vec<T>> {
     try_wait_all(requests).unwrap_or_else(|e| comm.escalate("wait_all", e))
 }
 
-/// The body of [`wait_all`], with peer failure, revocation and the
-/// receive deadline as a [`CommError`]. On error the incomplete requests
+/// The body of [`wait_all`], with peer failure and the receive deadline
+/// as a [`CommError`]. On error the incomplete requests
 /// are dropped (cancelling their posted slots); completed payloads
 /// absorbed before the failure are discarded with them, matching MPI's
 /// non-uniform-completion semantics.

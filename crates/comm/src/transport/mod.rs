@@ -24,8 +24,7 @@
 //!   its own inbound sockets (see [`Progress`]); an event loop drains the
 //!   streams of ranks that are busy. EOF or a socket error on a stream
 //!   whose peer has not said `BYE` marks the peer failed in the ledger,
-//!   so ULFM-style revoke/shrink works across real process and machine
-//!   boundaries.
+//!   so a dead process ends its world the way a dead thread-rank does.
 //!
 //! ## The contract (DESIGN.md §13 in full)
 //!
@@ -127,8 +126,6 @@ pub struct Route {
 pub enum CtrlMsg {
     /// A world rank died; peers must mark it in their ledgers.
     Failed(usize),
-    /// A communicator was revoked ULFM-style.
-    Revoke(CommId),
     /// A rank panicked with a genuine bug; the world is tearing down.
     Abort,
     /// Clean goodbye from a world rank: its connection closing is a

@@ -20,8 +20,8 @@
 //! EOF, a reset or any other socket error on a stream whose peer has not
 //! said `BYE` (the control frame of a clean shutdown) ends the link at
 //! once: [`Registry::record_link_down`] posts a typed
-//! [`CommError::LinkDown`] and marks the peer failed, and ULFM recovery
-//! (revoke, agree, shrink) takes over. Bytes the receiver cannot take
+//! [`CommError::LinkDown`] and marks the peer failed, and the world ends
+//! the way it does for any dead rank. Bytes the receiver cannot take
 //! end the link the same way: a length over [`MAX_FRAME`], a frame
 //! [`wire::decode`] refuses, or a `HANDOFF` token, which means something
 //! only inside the shmem process that minted it. Nothing is retried and
@@ -47,7 +47,7 @@
 //!
 //! The doorbell is one end of a socket pair, readable while a ring is
 //! pending. [`Registry`] rings every doorbell when it interrupts the
-//! mailboxes (abort, failure, revoke), so a rank asleep on its sockets
+//! mailboxes (abort, failure), so a rank asleep on its sockets
 //! wakes at once, not at the end of its poll slice. Each rank also
 //! counts the frames delivered to it; a waiter reads that count before
 //! it looks in its mailbox and does not sleep once it has moved. That
@@ -1334,7 +1334,7 @@ mod tests {
                                 .collect();
                             wire::encode_data(WORLD_COMM_ID, 1, &Envelope::new(0, 9, data))
                         }
-                        _ => wire::encode_ctrl(CtrlMsg::Revoke(rng.next_u64())),
+                        _ => wire::encode_ctrl(CtrlMsg::Failed(rng.next_u64() as usize)),
                     };
                     stream.extend(stream_frame(inner.len(), |out| {
                         out.extend_from_slice(&inner)

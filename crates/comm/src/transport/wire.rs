@@ -11,7 +11,7 @@
 //! DATA:    0x00 | comm u64 | dst_local u32 | src u32 | tag u64 | ctx u64
 //!               | count u64 | elem_size u32 | name_len u16 | name bytes
 //!               | payload_len u64 | payload bytes
-//! CTRL:    0x01 | code u8 (0 FAILED, 1 REVOKE, 2 ABORT, 3 BYE) | arg u64
+//! CTRL:    0x01 | code u8 (0 FAILED, 2 ABORT, 3 BYE) | arg u64
 //! HANDOFF: 0x02 | comm u64 | dst_local u32 | token u64
 //! ```
 //!
@@ -73,7 +73,8 @@ const KIND_CTRL: u8 = 0x01;
 const KIND_HANDOFF: u8 = 0x02;
 
 const CTRL_FAILED: u8 = 0;
-const CTRL_REVOKE: u8 = 1;
+// Code 1 is retired (it carried communicator revocations, which no
+// longer exist) and decodes as an unknown code.
 const CTRL_ABORT: u8 = 2;
 const CTRL_BYE: u8 = 3;
 
@@ -135,7 +136,6 @@ pub fn encode_handoff(comm: u64, dst_local: usize, token: u64) -> Vec<u8> {
 pub fn encode_ctrl(msg: CtrlMsg) -> Vec<u8> {
     let (code, arg) = match msg {
         CtrlMsg::Failed(rank) => (CTRL_FAILED, rank as u64),
-        CtrlMsg::Revoke(comm) => (CTRL_REVOKE, comm),
         CtrlMsg::Abort => (CTRL_ABORT, 0),
         CtrlMsg::Bye(rank) => (CTRL_BYE, rank as u64),
     };
@@ -226,7 +226,6 @@ pub fn decode(buf: &[u8]) -> Result<Frame, String> {
             let arg = r.u64()?;
             let msg = match code {
                 CTRL_FAILED => CtrlMsg::Failed(arg as usize),
-                CTRL_REVOKE => CtrlMsg::Revoke(arg),
                 CTRL_ABORT => CtrlMsg::Abort,
                 CTRL_BYE => CtrlMsg::Bye(arg as usize),
                 other => return Err(format!("unknown ctrl code {other}")),
@@ -328,17 +327,19 @@ mod tests {
 
     #[test]
     fn ctrl_frames_roundtrip() {
-        for msg in [
-            CtrlMsg::Failed(2),
-            CtrlMsg::Revoke(9 | (1 << 62)),
-            CtrlMsg::Abort,
-            CtrlMsg::Bye(7),
-        ] {
+        for msg in [CtrlMsg::Failed(2), CtrlMsg::Abort, CtrlMsg::Bye(7)] {
             match decode(&encode_ctrl(msg)).unwrap() {
                 Frame::Ctrl(got) => assert_eq!(got, msg),
                 other => panic!("wrong frame: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_retired_ctrl_code_1_is_unknown() {
+        let mut frame = encode_ctrl(CtrlMsg::Abort);
+        frame[1] = 1;
+        assert_eq!(decode(&frame).unwrap_err(), "unknown ctrl code 1");
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //!
 //! `run_traced` adds the aggregated [`WorldTrace`], `run_profiled` adds
 //! the span [`WorldTimeline`], and `run_ft` returns an [`FtReport`]
-//! where injected rank deaths are data instead of propagated panics.
+//! where a world that failure ends — an injected death, a peer's death
+//! seen in a wait, a receive deadline — is data instead of a propagated
+//! panic.
 
 use crate::affinity::CpuMask;
 use crate::communicator::Communicator;
 use crate::config::CommConfig;
+use crate::fault::{is_abort, is_failure, panic_message};
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan, RankKilled};
 use crate::metrics::MetricsPlane;
 use crate::registry::{Registry, WORLD_COMM_ID};
@@ -42,10 +45,11 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(120);
 pub struct World;
 
 /// Outcome of a fault-tolerant run ([`WorldBuilder::run_ft`]): unlike the
-/// plain runners, an injected rank death is *data*, not a propagated panic.
+/// plain runners, a world that failure ends is *data*, not a propagated
+/// panic.
 pub struct FtReport<R> {
-    /// Per-rank results; `None` for ranks that died (by injection) before
-    /// producing one.
+    /// Per-rank results; `None` for ranks that died by injection or
+    /// unwound on the failure path before producing one.
     pub results: Vec<Option<R>>,
     /// World ranks killed by fault injection, in rank order.
     pub killed: Vec<usize>,
@@ -119,8 +123,8 @@ impl WorldBuilder {
     }
 
     /// Inject faults from `plan` (deterministic; see [`FaultPlan`]).
-    /// Meaningful with [`WorldBuilder::run_ft`], which reports injected
-    /// deaths instead of propagating them.
+    /// Meaningful with [`WorldBuilder::run_ft`], which reports the
+    /// failures they cause instead of propagating them.
     pub fn fault_plan(mut self, plan: &FaultPlan) -> Self {
         self.fault_plan = Some(plan.clone());
         self
@@ -147,7 +151,7 @@ impl WorldBuilder {
         R: Send,
         F: Fn(Communicator) -> R + Send + Sync,
     {
-        let report = self.launch(f);
+        let report = self.launch(f, false);
         (Self::unwrap_results(report.results), report.trace)
     }
 
@@ -162,7 +166,7 @@ impl WorldBuilder {
         if self.span_capacity.is_none() {
             self.span_capacity = Some(TRACED_SPAN_CAPACITY);
         }
-        let report = self.launch(f);
+        let report = self.launch(f, false);
         (
             Self::unwrap_results(report.results),
             report.trace,
@@ -170,18 +174,21 @@ impl WorldBuilder {
         )
     }
 
-    /// Fault-tolerant runner: ranks killed by the fault plan terminate
-    /// quietly (recorded in [`FtReport::killed`]) instead of tearing the
-    /// world down, and survivors observe the death as
+    /// Fault-tolerant runner, with MPI's default error handler: ranks
+    /// killed by the fault plan terminate quietly (recorded in
+    /// [`FtReport::killed`]), and survivors observe the death as
     /// `CommError::RankFailed` / `Timeout` on their next blocking op.
-    /// Panics that are *not* injected kills propagate exactly as in
-    /// [`WorldBuilder::run`].
+    /// The first rank that unwinds on it aborts the world, so every
+    /// blocked rank unwinds promptly; the report then holds `None` for
+    /// each rank that did not finish. Recovery is a relaunch from a
+    /// checkpoint, by the caller. Panics that are bugs, not failures,
+    /// propagate exactly as in [`WorldBuilder::run`].
     pub fn run_ft<R, F>(self, f: F) -> FtReport<R>
     where
         R: Send,
         F: Fn(Communicator) -> R + Send + Sync,
     {
-        self.launch(f)
+        self.launch(f, true)
     }
 
     fn unwrap_results<R>(results: Vec<Option<R>>) -> Vec<R> {
@@ -194,8 +201,9 @@ impl WorldBuilder {
     /// The one launch path every terminal runner shares: build the
     /// transport, the metrics plane, and one communicator per rank; run
     /// the ranks as scoped threads; tear the transport down after every
-    /// rank has joined.
-    fn launch<R, F>(self, f: F) -> FtReport<R>
+    /// rank has joined. With `ft`, rank panics that are all failures
+    /// end the world without propagating.
+    fn launch<R, F>(self, f: F, ft: bool) -> FtReport<R>
     where
         R: Send,
         F: Fn(Communicator) -> R + Send + Sync,
@@ -303,8 +311,8 @@ impl WorldBuilder {
                             Ok(r) => *slot = Some(r),
                             Err(p) => {
                                 // An injected kill is part of the
-                                // experiment: record it and let survivors
-                                // carry on. Anything else is a real bug.
+                                // experiment: the ledger already holds it,
+                                // and survivors see it there.
                                 if let Some(k) = p.downcast_ref::<RankKilled>() {
                                     killed_ref.lock().push(k.world_rank);
                                 } else {
@@ -316,24 +324,23 @@ impl WorldBuilder {
                     })
                 })
                 .collect();
-            // Prefer the root-cause panic over secondary "peer failed"
-            // abort panics from ranks that were merely blocked on it.
+            // Prefer a bug over the failures it set off, and the root
+            // cause over secondary "peer failed" abort panics from ranks
+            // that were merely blocked on it.
             let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
             for h in handles {
                 if let Err(p) = h.join() {
                     panics.push(p);
                 }
             }
-            if !panics.is_empty() {
-                let is_secondary = |p: &Box<dyn std::any::Any + Send>| {
-                    let msg = p
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| p.downcast_ref::<&str>().copied())
-                        .unwrap_or("");
-                    msg.contains("a peer rank failed")
-                };
-                let idx = panics.iter().position(|p| !is_secondary(p)).unwrap_or(0);
+            // A fault-tolerant world that only failures ended reports
+            // them instead.
+            let failures_only = ft && panics.iter().all(|p| is_failure(&**p));
+            if !panics.is_empty() && !failures_only {
+                let bug = panics.iter().position(|p| !is_failure(&**p));
+                let idx = bug
+                    .or_else(|| panics.iter().position(|p| !is_abort(panic_message(&**p))))
+                    .unwrap_or(0);
                 // The transport must not outlive the world even when a
                 // rank panic propagates out of the launch.
                 transport.shutdown();
@@ -383,25 +390,25 @@ impl WorldBuilder {
         }
     }
 
-    /// Install (once, process-wide) a panic hook that swallows the two
-    /// panic payloads fault tolerance uses as control flow: the
-    /// [`RankKilled`] payload injection takes a rank down with, and the
-    /// [`crate::fault::CollectiveFailed`] payload
-    /// [`Communicator::escalate`] throws for recovery drivers to catch.
-    /// Both are the *experiment*, not a bug — the default hook's "thread
-    /// panicked" banner and backtrace for each would bury real failures
-    /// in noise. Every other panic reaches the previous hook untouched,
-    /// and the payloads themselves still propagate to whoever catches
-    /// (or fails to catch) them.
+    /// Install (once, process-wide) a panic hook that swallows the
+    /// three panics a failure sets off: the [`RankKilled`] payload
+    /// injection takes a rank down with, the
+    /// [`crate::fault::CollectiveFailed`] payload a peer's death raises
+    /// in the ranks that wait on it, and the abort that unwinds the
+    /// ranks left blocked. All are the *experiment*, not a bug — the
+    /// default hook's "thread panicked" banner and backtrace for each
+    /// would bury real failures in noise. Every other panic (a receive
+    /// deadline included) reaches the previous hook untouched, and the
+    /// payloads themselves still propagate to whoever catches (or fails
+    /// to catch) them.
     fn silence_injected_kills() {
         static ONCE: std::sync::Once = std::sync::Once::new();
         ONCE.call_once(|| {
             let previous = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
                 let p = info.payload();
-                if p.downcast_ref::<RankKilled>().is_none()
-                    && p.downcast_ref::<crate::fault::CollectiveFailed>().is_none()
-                {
+                let aborted = info.payload_as_str().is_some_and(is_abort);
+                if !p.is::<RankKilled>() && !p.is::<crate::fault::CollectiveFailed>() && !aborted {
                     previous(info);
                 }
             }));
@@ -476,6 +483,34 @@ mod tests {
             if c.rank() == 2 {
                 panic!("rank 2 exploded");
             }
+        });
+    }
+
+    #[test]
+    fn run_ft_reports_a_world_a_failure_ends() {
+        let plan = FaultPlan::parse("kill:r2@step1", 0).expect("static plan");
+        let report = World::builder(4).fault_plan(&plan).run_ft(|c| {
+            c.fault_step(1);
+            // Ranks 0, 1 and 3 see the death here, and the first of them
+            // to unwind aborts the others.
+            c.barrier();
+            c.allreduce_sum(1.0)
+        });
+        assert_eq!(report.killed, [2]);
+        assert!(report.results.iter().all(Option::is_none));
+        assert_eq!(report.fault_events.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 exploded")]
+    fn run_ft_propagates_a_bug() {
+        let plan = FaultPlan::parse("kill:r2@step1", 0).expect("static plan");
+        World::builder(3).fault_plan(&plan).run_ft(|c| {
+            c.fault_step(1);
+            if c.rank() == 1 {
+                panic!("rank 1 exploded");
+            }
+            c.barrier();
         });
     }
 

@@ -1,5 +1,5 @@
 //! The backend matrix: collective correctness, non-overtaking
-//! point-to-point, and fault kill/shrink behavior must hold on every
+//! point-to-point, and fault-kill behavior must hold on every
 //! transport backend — the suites below run unmodified over the thread,
 //! shared-memory, and TCP loopback transports via [`backend_matrix!`].
 //!
@@ -192,27 +192,6 @@ backend_matrix! {
         }
     }
 
-    /// After a death, `shrink` yields a dense working communicator whose
-    /// collectives run over the same backend.
-    fn shrink_after_death_recovers(kind: TransportKind) {
-        let plan = FaultPlan::parse("kill:r2@step1", 0).expect("static plan");
-        let report = World::builder(4)
-            .transport(kind)
-            .recv_timeout(TIMEOUT)
-            .fault_plan(&plan)
-            .run_ft(|comm| {
-                comm.fault_step(1); // rank 2 dies here
-                let shrunk = comm.shrink().expect("survivors agree and shrink");
-                assert_eq!(shrunk.size(), 3);
-                let sum = shrunk.allreduce(comm.rank() as f64, &SumOp);
-                assert_eq!(sum, 4.0); // world ranks 0 + 1 + 3
-                shrunk.rank()
-            });
-        assert_eq!(report.killed, [2]);
-        let mut new_ranks: Vec<usize> = report.results.into_iter().flatten().collect();
-        new_ranks.sort_unstable();
-        assert_eq!(new_ranks, [0, 1, 2], "survivors renumber densely");
-    }
     /// Causal flow contexts survive the wire on every backend: a
     /// profiled run leaves no orphan recv endpoint (every recv-side
     /// flow matches a recorded send), and both message classes show up

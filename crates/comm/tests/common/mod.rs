@@ -4,8 +4,8 @@ use beatnik_comm::{CollectiveFailed, CommError, Communicator};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Run one call of the panicking collective API and hand back the
-/// failure it raised as a `CommError`, the way recovery drivers read it:
-/// the [`CollectiveFailed`] payload a peer death or revocation throws,
+/// failure it raised as a `CommError`: the [`CollectiveFailed`] payload
+/// a peer death throws,
 /// or a `Timeout` for the "deadlock" panic a receive deadline raises
 /// (that message does not carry the pending source and tag, so they read
 /// as `usize::MAX` and `u64::MAX`). Any other panic is a bug and keeps

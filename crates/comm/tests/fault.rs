@@ -1,13 +1,14 @@
 //! Fault-injection integration tests: every collective must surface a
 //! mid-operation rank death as `RankFailed` or `Timeout` (the payload of
-//! its panic, read as a recovery driver reads it) within its deadline —
-//! never hang — and the seeded fault engine must replay byte-identically.
+//! its panic) within its deadline — never hang — and the seeded fault
+//! engine must replay byte-identically.
 
 mod common;
 
 use beatnik_comm::{AllToAllAlgo, CommError, Communicator, FaultPlan, SumOp, TransportKind, World};
 use common::caught;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -79,7 +80,7 @@ fn assert_failed_fast(survivors: &[Survivor], what: &str) {
 /// The victim is rank 2 so it is an interior participant of every
 /// algorithm (tree child and parent, ring member, exchange peer). The
 /// cases drive the panicking entry points and read the failure from
-/// their payload, the path recovery drivers take.
+/// their payload, the path that ends a fault-tolerant world.
 type Case = Box<dyn Fn(&Communicator) -> Result<(), CommError> + Send + Sync>;
 
 fn all_collectives_fail_fast(p: usize) {
@@ -189,28 +190,6 @@ fn delayed_message_is_still_delivered() {
     assert!(report.fault_events[0].delay_ns > 0, "jittered delay recorded");
 }
 
-/// The full ULFM recovery sequence: a rank dies, survivors shrink, and
-/// collectives on the shrunken communicator work — with the dead rank
-/// still in the failure ledger.
-#[test]
-fn shrink_after_death_yields_working_communicator() {
-    let plan = FaultPlan::parse("kill:r2@step1", 0).expect("static plan");
-    let report = World::builder(4).recv_timeout(WORLD_TIMEOUT).fault_plan(&plan).run_ft(|comm| {
-        comm.fault_step(1); // rank 2 dies here
-        let shrunk = comm.shrink().expect("survivors agree and shrink");
-        assert_eq!(shrunk.size(), 3);
-        // World ranks 0, 1, 3 survive; their sum distinguishes a correct
-        // group from one that silently kept or renumbered the dead rank.
-        let sum = shrunk.allreduce(comm.rank() as f64, &SumOp);
-        assert_eq!(sum, 4.0);
-        shrunk.rank()
-    });
-    assert_eq!(report.killed, [2]);
-    let mut new_ranks: Vec<usize> = report.results.into_iter().flatten().collect();
-    new_ranks.sort_unstable();
-    assert_eq!(new_ranks, [0, 1, 2], "survivors renumber densely");
-}
-
 /// Same seed, same plan, same program: the fault ledger — including
 /// jittered delay durations — and the kill set replay identically.
 #[test]
@@ -261,16 +240,16 @@ fn different_seed_changes_delay_jitter() {
     );
 }
 
-/// A rank death must be *observable*, not just survivable: the
-/// revoke/shrink/recovery sequence has to show up in the span timeline
-/// (what the Chrome trace is written from), in the metrics snapshot's
-/// phase-entry counters, and in the per-phase communication matrix —
-/// where the dead rank's rows freeze at their pre-death values.
+/// A rank death must be *observable*, not just survivable: the dead
+/// world's report names the kill and freezes the dead rank's matrix
+/// rows, the relaunched world carries none of the fired plan, and its
+/// recovery phase shows up in the span timeline (what the Chrome trace
+/// is written from), in the metrics snapshot's phase-entry counters and
+/// in the per-phase communication matrix.
 #[test]
 fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
     use beatnik_comm::telemetry::metrics::{MetricValue, MetricsSnapshot};
     use beatnik_comm::telemetry::{SpanKind, DEFAULT_SPAN_CAPACITY};
-    use std::sync::Mutex;
 
     // Sum every sample of `name` whose labels contain all of `want`.
     fn family_sum(snap: &MetricsSnapshot, name: &str, want: &[(&str, &str)]) -> u64 {
@@ -288,95 +267,85 @@ fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
             })
             .sum()
     }
+    let has_phase = |timeline: &beatnik_comm::WorldTimeline, phase: &'static str| {
+        timeline
+            .ranks
+            .iter()
+            .flat_map(|r| &r.spans)
+            .any(|s| s.kind == SpanKind::Phase(phase))
+    };
 
+    // The world that dies: one clean step, then rank 2 is killed and
+    // the survivors' next allreduce fails. Nobody catches it, so the
+    // first survivor to unwind aborts the rest.
     let plan = FaultPlan::parse("kill:r2@step2", 0).expect("static plan");
+    let world = World::builder(4).recv_timeout(WORLD_TIMEOUT).span_capacity(DEFAULT_SPAN_CAPACITY);
+    let died = world.fault_plan(&plan).run_ft(|comm| {
+        let comm = comm.with_recv_timeout(DETECT);
+        {
+            // One clean step so the victim has matrix rows to freeze.
+            let _p = comm.telemetry().phase("step");
+            assert_eq!(comm.allreduce(1.0f64, &SumOp), 4.0);
+        }
+        // Rank 2 leaves this barrier only once every rank has entered
+        // it, so no rank can still be inside the clean allreduce when
+        // the death lands.
+        comm.barrier();
+        comm.fault_step(2); // rank 2 dies here
+        let _p = comm.telemetry().phase("failed-step");
+        comm.allreduce(1.0f64, &SumOp)
+    });
+    assert_eq!(died.killed, [2]);
+    assert!(died.results.iter().all(Option::is_none), "every rank ends on the failure path");
+    assert!(has_phase(died.timeline.as_ref().expect("profiled"), "fault-kill"));
+    let cells = died.trace.phased_matrix();
+    let from_2 = |phase: &str| -> u64 {
+        cells.iter().filter(|c| c.src == 2 && c.phase == phase).map(|c| c.bytes).sum()
+    };
+    assert!(from_2("step") > 0);
+    assert_eq!(from_2("failed-step"), 0, "the dead rank's rows freeze at its death");
+
+    // The relaunch: the three survivors, renumbered, with nothing left
+    // of the plan to fire.
+    let rest = plan.unfired(&died.fault_events, &died.killed);
+    assert!(rest.actions.is_empty(), "the kill fired and stays fired: {rest:?}");
     let snap_slot: Mutex<Option<MetricsSnapshot>> = Mutex::new(None);
-    let report = World::builder(4).recv_timeout(WORLD_TIMEOUT).span_capacity(DEFAULT_SPAN_CAPACITY).fault_plan(&plan).run_ft(|comm| {
-            let comm = comm.with_recv_timeout(DETECT);
-            comm.fault_step(1);
-            {
-                // One clean step so the victim has matrix rows to freeze.
-                let _p = comm.telemetry().phase("step");
-                let sum = comm.allreduce(1.0f64, &SumOp);
-                assert_eq!(sum, 4.0);
+    let world = World::builder(3).recv_timeout(WORLD_TIMEOUT).span_capacity(DEFAULT_SPAN_CAPACITY);
+    let relaunched = world.fault_plan(&rest).run_ft(|comm| {
+        {
+            let _span = comm.telemetry().phase(beatnik_comm::RECOVERY_PHASE);
+            assert_eq!(comm.allreduce(comm.rank() as f64, &SumOp), 3.0);
+        }
+        // Quiesce before sampling: ranks hand rank 0 a token as their
+        // final send (peer-traffic counters are bumped before a message
+        // is enqueued, so receiving the token means every earlier byte
+        // from that rank is already counted). Nothing is sent
+        // afterwards, so the snapshot equals the final totals.
+        if comm.rank() == 0 {
+            for src in 1..comm.size() {
+                let _ = comm.recv::<u8>(src, 77);
             }
-            // Rank 2 leaves this barrier only once every rank has entered
-            // it, so no rank can still be inside the clean allreduce when
-            // the death (and the revokes it sets off) lands. A slow rank
-            // may see that death in the barrier itself; it then fails the
-            // next allreduce like everyone else.
-            let _ = comm.try_barrier();
-            comm.fault_step(2); // rank 2 dies here
-            if caught(&comm, || comm.allreduce(1.0f64, &SumOp)).is_err() {
-                comm.revoke();
-            }
-            let shrunk = {
-                let _span = comm.telemetry().phase(beatnik_comm::RECOVERY_PHASE);
-                let shrunk = comm.shrink().expect("survivors shrink");
-                let sum = shrunk.allreduce(comm.rank() as f64, &SumOp);
-                assert_eq!(sum, 4.0); // world ranks 0 + 1 + 3
-                shrunk
-            };
-            // Quiesce before sampling: survivors hand rank 0 a token as
-            // their final send (peer-traffic counters are bumped before a
-            // message is enqueued, so receiving the token means every
-            // earlier byte from that rank is already counted). Nothing is
-            // sent afterwards, so the snapshot equals the final totals.
-            if shrunk.rank() == 0 {
-                for src in 1..shrunk.size() {
-                    let _ = shrunk.recv::<u8>(src, 77);
-                }
-                *snap_slot.lock().unwrap() = comm.metrics_snapshot();
-            } else {
-                shrunk.send(0, 77, vec![1u8]);
-            }
-        },
-    );
-    assert_eq!(report.killed, [2]);
+            *snap_slot.lock().unwrap() = comm.metrics_snapshot();
+        } else {
+            comm.send(0, 77, vec![1u8]);
+        }
+    });
+    assert!(relaunched.killed.is_empty() && relaunched.fault_events.is_empty());
+    assert!(relaunched.results.iter().all(Option::is_some));
+    assert!(has_phase(relaunched.timeline.as_ref().expect("profiled"), beatnik_comm::RECOVERY_PHASE));
 
-    // The recovery sequence is on the span timeline (the Chrome trace is
-    // a straight serialization of these spans).
-    let timeline = report.timeline.expect("profiled run has a timeline");
-    for phase in ["revoke", "shrink", beatnik_comm::RECOVERY_PHASE] {
-        assert!(
-            timeline
-                .ranks
-                .iter()
-                .flat_map(|r| &r.spans)
-                .any(|s| s.kind == SpanKind::Phase(phase)),
-            "phase {phase:?} missing from the timeline"
-        );
-    }
-
+    // Each of the three relaunched ranks enters recovery exactly once,
+    // and each sends recovery-phase traffic.
     let snap = snap_slot.into_inner().unwrap().expect("rank 0 snapshot");
-
-    // ...and in the always-on phase-entry counters: each of the three
-    // survivors revokes, shrinks, and enters recovery exactly once.
-    for phase in ["revoke", "shrink", beatnik_comm::RECOVERY_PHASE] {
-        assert_eq!(
-            family_sum(&snap, "beatnik_phase_entries_total", &[("phase", phase)]),
-            3,
-            "phase {phase:?} entry count"
-        );
-    }
-
-    // The dead rank earned matrix rows in the clean step, then froze:
-    // no recovery-phase traffic may carry src=2.
-    let matrix = "beatnik_comm_matrix_bytes_total";
-    assert!(family_sum(&snap, matrix, &[("src", "2"), ("phase", "step")]) > 0);
     assert_eq!(
-        family_sum(
-            &snap,
-            "beatnik_comm_matrix_messages_total",
-            &[("src", "2"), ("phase", "recovery")]
-        ),
-        0,
-        "dead rank must not appear in recovery-phase matrix rows"
+        family_sum(&snap, "beatnik_phase_entries_total", &[("phase", beatnik_comm::RECOVERY_PHASE)]),
+        3
     );
-    for survivor in ["0", "1", "3"] {
+    let matrix = "beatnik_comm_matrix_bytes_total";
+    for rank in ["0", "1", "2"] {
         assert!(
-            family_sum(&snap, matrix, &[("src", survivor), ("phase", "recovery")]) > 0,
-            "survivor {survivor} must have recovery-phase matrix bytes"
+            family_sum(&snap, matrix, &[("src", rank), ("phase", "recovery")]) > 0,
+            "rank {rank} must have recovery-phase matrix bytes"
         );
     }
 
@@ -384,8 +353,8 @@ fn killed_run_surfaces_recovery_in_metrics_and_timeline() {
     // same total as the post-join phased matrix and the classic P×P
     // byte matrix.
     let snap_total = family_sum(&snap, matrix, &[]);
-    let phased_total: u64 = report.trace.phased_matrix().iter().map(|c| c.bytes).sum();
-    let classic_total: u64 = report
+    let phased_total: u64 = relaunched.trace.phased_matrix().iter().map(|c| c.bytes).sum();
+    let classic_total: u64 = relaunched
         .trace
         .peer_matrix()
         .iter()
@@ -499,10 +468,16 @@ enum Waiter {
 }
 
 /// Rank 0 blocks in `irecv(1, 5).wait()`, with nothing coming, and
-/// rank 1 does `event` (see [`Waiter`]). Returns how rank 0's wait
-/// ended and how long after the event, fastest of three worlds so one
-/// preempted attempt cannot fail it.
-fn blocked_waiter_sees<F>(waiter: Waiter, plan: Option<&FaultPlan>, event: F) -> (String, Duration)
+/// rank 1 does `event` (see [`Waiter`]) once every other rank has died:
+/// each rank from 2 up takes step 1 of `plan`, whose kills it must hold.
+/// Returns how rank 0's wait ended and how long after the event, fastest
+/// of three worlds so one preempted attempt cannot fail it.
+fn blocked_waiter_sees<F>(
+    waiter: Waiter,
+    ranks: usize,
+    plan: Option<&FaultPlan>,
+    event: F,
+) -> (String, Duration)
 where
     F: Fn(&Communicator) + Send + Sync,
 {
@@ -513,7 +488,8 @@ where
     let attempt = || {
         let acted: Mutex<Option<Instant>> = Mutex::new(None);
         let ended: Mutex<Option<(String, Instant)>> = Mutex::new(None);
-        let mut world = World::builder(2).transport(kind).recv_timeout(WORLD_TIMEOUT);
+        let left = AtomicUsize::new(0);
+        let mut world = World::builder(ranks).transport(kind).recv_timeout(WORLD_TIMEOUT);
         if let Some(plan) = plan {
             world = world.fault_plan(plan);
         }
@@ -522,12 +498,23 @@ where
         let _ = catch_unwind(AssertUnwindSafe(|| {
             world.run_ft(|comm| {
                 comm.barrier();
+                left.fetch_add(1, Ordering::SeqCst);
                 if comm.rank() == 0 {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         caught(&comm, || comm.irecv::<u8>(1, 5).wait())
                     }));
                     *ended.lock().unwrap() = Some((ending(outcome), Instant::now()));
+                } else if comm.rank() > 1 {
+                    // Die only once every rank has left the barrier, so
+                    // that none sees the death inside it.
+                    while left.load(Ordering::SeqCst) < ranks {
+                        std::thread::yield_now();
+                    }
+                    comm.fault_step(1);
                 } else {
+                    while comm.failed_ranks().len() < ranks - 2 {
+                        std::thread::yield_now();
+                    }
                     std::thread::sleep(delay);
                     *acted.lock().unwrap() = Some(Instant::now());
                     event(&comm);
@@ -559,7 +546,7 @@ where
 
 fn sees_a_peer_killed(waiter: Waiter) {
     let plan = FaultPlan::parse("kill:r1@step1", 0).expect("static plan");
-    let (how, latency) = blocked_waiter_sees(waiter, Some(&plan), |comm| comm.fault_step(1));
+    let (how, latency) = blocked_waiter_sees(waiter, 2, Some(&plan), |comm| comm.fault_step(1));
     assert_eq!(how, format!("{:?}", CommError::RankFailed { rank: 0, failed: 1 }));
     assert!(latency < Duration::from_millis(10), "detection took {latency:?}");
 }
@@ -567,17 +554,21 @@ fn sees_a_peer_killed(waiter: Waiter) {
 fn sees_a_peer_panic(waiter: Waiter) {
     // `resume_unwind` skips the panic hook, whose report (a backtrace,
     // when enabled) would otherwise sit between the event and the abort.
-    let (how, latency) = blocked_waiter_sees(waiter, None, |_| {
+    let (how, latency) = blocked_waiter_sees(waiter, 2, None, |_| {
         std::panic::resume_unwind(Box::new("a genuine bug on rank 1".to_string()))
     });
     assert!(how.contains("a peer rank failed"), "wait ended with {how}");
     assert!(latency < Duration::from_millis(10), "abort took {latency:?}");
 }
 
-fn sees_a_revocation(waiter: Waiter) {
-    let (how, latency) = blocked_waiter_sees(waiter, None, |comm| comm.revoke());
-    assert!(how.starts_with("Revoked"), "wait ended with {how}");
-    assert!(latency < Duration::from_millis(10), "revocation took {latency:?}");
+/// Rank 0 waits on rank 1, which is alive; rank 2 dies. Rank 1 sees
+/// the death in a barrier and unwinds, and its unwinding aborts the
+/// world: rank 0 never waited on the dead rank, and still ends at once.
+fn sees_a_failure_elsewhere(waiter: Waiter) {
+    let plan = FaultPlan::parse("kill:r2@step1", 0).expect("static plan");
+    let (how, latency) = blocked_waiter_sees(waiter, 3, Some(&plan), |comm| comm.barrier());
+    assert!(how.contains("a peer rank failed"), "wait ended with {how}");
+    assert!(latency < Duration::from_millis(10), "abort took {latency:?}");
 }
 
 #[test]
@@ -591,8 +582,8 @@ fn a_rank_blocked_on_its_sockets_sees_a_peer_panic() {
 }
 
 #[test]
-fn a_rank_blocked_on_its_sockets_sees_a_revocation() {
-    sees_a_revocation(Waiter::OnSockets);
+fn a_rank_blocked_on_its_sockets_sees_a_failure_elsewhere() {
+    sees_a_failure_elsewhere(Waiter::OnSockets);
 }
 
 #[cfg(target_os = "linux")]
@@ -609,6 +600,6 @@ fn a_rank_yielding_on_one_cpu_sees_a_peer_panic() {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn a_rank_yielding_on_one_cpu_sees_a_revocation() {
-    sees_a_revocation(Waiter::YieldingOnOneCpu);
+fn a_rank_yielding_on_one_cpu_sees_a_failure_elsewhere() {
+    sees_a_failure_elsewhere(Waiter::YieldingOnOneCpu);
 }

@@ -140,7 +140,7 @@ mod tests {
             // Shift *one* target by a full period in x: its velocity from
             // the periodic sum must be (nearly) unchanged — each source's
             // image lattice looks identical from x and x+L up to the
-            // outermost truncated shell, so the defect shrinks as the
+            // outermost truncated shell, so the defect falls as the
             // shell count grows.
             let mine = &pts[comm.rank() * 8..comm.rank() * 8 + 8];
             let defect = |m: usize| -> f64 {
@@ -156,7 +156,7 @@ mod tests {
             };
             let d1 = defect(1);
             let d4 = defect(4);
-            assert!(d4 < 0.35 * d1, "defect must shrink with shells: {d1} vs {d4}");
+            assert!(d4 < 0.35 * d1, "defect must fall with shells: {d1} vs {d4}");
         });
     }
 

@@ -168,7 +168,7 @@ mod tests {
             let reference = run(512);
             let e1 = (run(4) - reference).abs();
             let e2 = (run(8) - reference).abs();
-            // Third order: halving dt shrinks error ~8x (allow slack).
+            // Third order: halving dt cuts error ~8x (allow slack).
             assert!(e1 / e2 > 5.0, "convergence ratio {}", e1 / e2);
         });
     }

@@ -522,12 +522,20 @@ mod avx {
     const RE: [f64; 4] = [-0.0, 0.0, -0.0, 0.0];
 
     /// `[p, q]` → `[q, p]`: the register's two complexes exchanged.
+    ///
+    /// # Safety
+    /// AVX: only the `#[target_feature(enable = "avx")]` kernels below
+    /// call it. It touches no memory.
     #[inline(always)]
     unsafe fn swap(v: __m256d) -> __m256d {
         _mm256_permute2f128_pd(v, v, 0x01)
     }
 
     /// `[re, im]` → `[im, re]` in each complex.
+    ///
+    /// # Safety
+    /// AVX: only the `#[target_feature(enable = "avx")]` kernels below
+    /// call it. It touches no memory.
     #[inline(always)]
     unsafe fn flip(v: __m256d) -> __m256d {
         _mm256_permute_pd(v, 0b0101)
@@ -535,6 +543,10 @@ mod avx {
 
     /// Per-lane `x·y` with `Complex`'s `Mul` operations in its order:
     /// `[xr·yr − xi·yi, xr·yi + xi·yr]`.
+    ///
+    /// # Safety
+    /// AVX: only the `#[target_feature(enable = "avx")]` kernels below
+    /// call it. It touches no memory.
     #[inline(always)]
     unsafe fn mul(x: __m256d, y: __m256d) -> __m256d {
         let (xr, xi) = (_mm256_unpacklo_pd(x, x), _mm256_unpackhi_pd(x, x));

@@ -223,8 +223,12 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid \\u escape"))?;
-        let n = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // `from_str_radix` alone would take a sign: `\u+041` is not JSON.
+        if !chunk.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let s = std::str::from_utf8(chunk).expect("hex digits are ASCII");
+        let n = u32::from_str_radix(s, 16).expect("four hex digits fit u32");
         self.pos += 4;
         Ok(n)
     }
@@ -293,6 +297,14 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "tru", "\"unterminated", "1 2", "{\"a\" 1}", "nan"] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_no_sign() {
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Value::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
     }

@@ -40,26 +40,29 @@ fn main() {
 
     let start = std::time::Instant::now();
     let (log, trace, timeline) = if opts.fault_tolerant() {
-        let plan = opts.fault_plan();
         std::fs::create_dir_all(&cfg.out_dir).expect("cannot create output dir");
         let ckpt = cfg.out_dir.join("checkpoint.json");
         let _ = std::fs::remove_file(&ckpt); // stale state must not leak in
-        let every = opts.checkpoint_every;
-        let report = {
-            let (cfg2, ckpt2) = (cfg.clone(), ckpt.clone());
-            let mut builder = World::builder(opts.ranks)
+        let world = |ranks| {
+            let builder = World::builder(ranks)
                 .transport(opts.transport)
                 .recv_timeout(FT_RECV_TIMEOUT);
             if opts.profiling() {
-                builder = builder.span_capacity(DEFAULT_SPAN_CAPACITY);
+                builder.span_capacity(DEFAULT_SPAN_CAPACITY)
+            } else {
+                builder
             }
-            if let Some(p) = plan.as_ref() {
-                builder = builder.fault_plan(p);
-            }
-            builder.run_ft(move |comm| run_rig_ft(comm, &cfg2, every, &ckpt2))
         };
+        let report =
+            run_rig_ft(world, opts.ranks, opts.fault_plan(), &cfg, opts.checkpoint_every, &ckpt);
         if !report.killed.is_empty() {
             println!("ranks killed by fault injection: {:?}", report.killed);
+        }
+        for r in &report.relaunches {
+            match r.from_step {
+                0 => println!("relaunched on {} ranks from the start", r.ranks),
+                s => println!("relaunched on {} ranks from the step-{s} checkpoint", r.ranks),
+            }
         }
         for ev in &report.fault_events {
             println!("fault: {ev}");
@@ -70,13 +73,7 @@ fn main() {
                 .expect("failed to write fault events");
             println!("fault events written to {}", path.display());
         }
-        let log = report
-            .results
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("no surviving rank produced a log");
-        (log, report.trace, report.timeline)
+        (report.log, report.trace, report.timeline)
     } else {
         let cfg2 = cfg.clone();
         if opts.profiling() {
@@ -325,6 +322,12 @@ mod sig {
     }
 
     pub fn install() {
+        // SAFETY: `signal` is the C library's, declared with its C
+        // signature, and both signal numbers are valid. `on_signal` is
+        // an `extern "C" fn(i32)` that lives for the whole program and
+        // is async-signal-safe: it only stores to a lock-free atomic.
+        // A failed install (`SIG_ERR`, ignored) keeps the default
+        // disposition, under which the signal ends the process as before.
         unsafe {
             signal(SIGTERM, on_signal);
             signal(SIGINT, on_signal);
@@ -333,5 +336,23 @@ mod sig {
 
     pub fn requested() -> bool {
         SHUTDOWN.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    extern "C" {
+        fn raise(signum: i32) -> i32;
+    }
+
+    #[test]
+    fn a_raised_sigterm_reaches_the_flag() {
+        super::sig::install();
+        assert!(!super::sig::requested());
+        // SAFETY: `raise` is the C library's, declared with its C
+        // signature; the handler installed above takes the signal, so
+        // it does not end the test process.
+        assert_eq!(unsafe { raise(15) }, 0, "SIGTERM");
+        assert!(super::sig::requested());
     }
 }

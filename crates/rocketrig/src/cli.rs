@@ -133,7 +133,8 @@ OPTIONS:
                                     (seeded by BEATNIK_FAULT_SEED)
     --checkpoint-every <N>          checkpoint cadence    [0 = off];
                                     writes <out>/checkpoint.json and
-                                    enables shrink+restart recovery
+                                    enables relaunch from it after
+                                    a failure
     --help                          print this text
 ";
 

@@ -17,14 +17,15 @@
 //! 4. single-mode high-order (cutoff) **strong** scaling — load
 //!    imbalance, dynamic irregular communication.
 
-use beatnik_comm::Communicator;
+use beatnik_comm::{Communicator, FaultEvent, FaultPlan, WorldBuilder, WorldTimeline, WorldTrace};
 use beatnik_core::solver::BrChoice;
 use beatnik_core::{Diagnostics, InitialCondition, Order, Params, Solver, SolverConfig};
 use beatnik_dfft::FftConfig;
 use beatnik_io::stats::{RunLog, StepRecord};
 use beatnik_json::{impl_json_struct, impl_json_unit_enum};
 use beatnik_mesh::{BoundaryCondition, SpatialMesh, SurfaceMesh};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 pub mod cli;
 pub mod serve_driver;
@@ -178,6 +179,12 @@ impl RigConfig {
         }
     }
 
+    /// The run log's label: deck, order, mesh and steps.
+    fn label(&self) -> String {
+        let (deck, order, n, steps) = (self.deck, self.order, self.mesh_n, self.steps);
+        format!("{deck:?}/{order}/{n}^2/{steps} steps")
+    }
+
     /// Construct the surface mesh for one rank. Collective.
     pub fn build_mesh(&self, comm: &Communicator) -> SurfaceMesh {
         let (lo, hi) = self.deck.domain(self.order);
@@ -208,27 +215,39 @@ impl RigConfig {
 /// Run a configured rocket-rig simulation on this rank. Returns the run
 /// log (identical on every rank). Collective.
 pub fn run_rig(comm: &Communicator, cfg: &RigConfig) -> RunLog {
-    let mesh = cfg.build_mesh(comm);
-    let bc = cfg.boundary_condition();
-    let mut solver = Solver::new(mesh, bc, cfg.solver_config());
-    let smesh = cfg.spatial_mesh(cfg.ownership_ranks.unwrap_or_else(|| comm.size()));
-    let mut log = RunLog::new(format!(
-        "{:?}/{}/{}^2/{} steps",
-        cfg.deck, cfg.order, cfg.mesh_n, cfg.steps
-    ));
+    let mut solver = Solver::new(cfg.build_mesh(comm), cfg.boundary_condition(), cfg.solver_config());
+    let mut log = RunLog::new(cfg.label());
+    drive(comm, cfg, &mut solver, 0, Path::new(""), |rec| log.push(rec));
+    log
+}
 
+/// Step `solver` to `cfg.steps`, handing each diagnostics record to
+/// `record` and writing VTK dumps, metrics and (every `checkpoint_every`
+/// steps, 0 = never) checkpoints to `ckpt` on their cadences. Each step
+/// starts at the fault engine, where step-triggered kills fire.
+/// Collective.
+fn drive(
+    comm: &Communicator,
+    cfg: &RigConfig,
+    solver: &mut Solver,
+    checkpoint_every: usize,
+    ckpt: &Path,
+    mut record: impl FnMut(StepRecord),
+) {
+    let smesh = cfg.spatial_mesh(cfg.ownership_ranks.unwrap_or_else(|| comm.size()));
     if cfg.vtk_every > 0 && comm.rank() == 0 {
         std::fs::create_dir_all(&cfg.out_dir).expect("cannot create output dir");
     }
-
-    for _ in 0..cfg.steps {
+    while solver.step_count() < cfg.steps {
+        // Step-triggered kills fire at the start of the step (1-based).
+        comm.fault_step(solver.step_count() as u64 + 1);
         solver.step();
         let s = solver.step_count();
         if cfg.diag_every > 0 && s.is_multiple_of(cfg.diag_every) {
             let ownership = cfg
                 .record_ownership
                 .then(|| beatnik_core::diagnostics::ownership_fractions(solver.problem(), &smesh));
-            log.push(StepRecord {
+            record(StepRecord {
                 step: s,
                 time: solver.time(),
                 diagnostics: Diagnostics::compute(solver.problem()),
@@ -239,9 +258,16 @@ pub fn run_rig(comm: &Communicator, cfg: &RigConfig) -> RunLog {
             let path = cfg.out_dir.join(format!("surface_{s:05}.vtk"));
             beatnik_io::vtk::write_vtk(solver.problem(), path).expect("vtk write failed");
         }
+        if checkpoint_every > 0 && s.is_multiple_of(checkpoint_every) {
+            beatnik_io::checkpoint::save(solver.problem(), s, solver.time(), ckpt)
+                .expect("checkpoint write failed");
+            // Rank 0 writes after the others have sent their blocks: no
+            // rank starts step s + 1, where a failure could end the
+            // world, before step s is on disk.
+            comm.barrier();
+        }
         maybe_flush_metrics(comm, cfg, s);
     }
-    log
 }
 
 /// Flush the live metrics files when the step cadence (or the final
@@ -284,131 +310,140 @@ pub fn flush_metrics(comm: &Communicator, path: &std::path::Path) {
 /// two-minute deadlock window.
 pub const FT_RECV_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(15);
 
-/// Attempt cap for the fault-tolerant driver: each rank death or dropped
-/// message costs one restart, so a bounded plan converges well under
+/// Launch cap for the fault-tolerant driver: each rank death or dropped
+/// message costs one relaunch, so a bounded plan converges well under
 /// this; an unbounded retry loop would mask a genuine solver bug.
 const MAX_FT_ATTEMPTS: usize = 8;
 
-/// Fault-tolerant driver loop (the ULFM recovery pattern): run the rig,
-/// checkpointing every `checkpoint_every` steps to `ckpt_path`, and when
-/// a peer rank dies mid-step, revoke the communicator, shrink to the
-/// agreed survivor group, rebuild the solver at the smaller world size,
-/// and restart from the last complete checkpoint. Message-loss timeouts
-/// recover the same way (the "shrunk" group is simply everyone, on a
-/// fresh communicator with clean mailboxes).
-///
-/// Survivors return the run log for the completed simulation; a rank
-/// killed by fault injection never returns (its `RankKilled` panic
-/// propagates to [`beatnik_comm::WorldBuilder::run_ft`], which records it).
-/// Each recovery epoch is stamped as a `recovery` telemetry phase span.
-///
-/// # Panics
-/// Propagates non-failure panics (genuine bugs), and gives up with a
-/// panic after [`MAX_FT_ATTEMPTS`] restarts.
-pub fn run_rig_ft(
-    comm: Communicator,
-    cfg: &RigConfig,
-    checkpoint_every: usize,
-    ckpt_path: &std::path::Path,
-) -> RunLog {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let mut comm = comm;
-    let mut log = RunLog::new(format!(
-        "{:?}/{}/{}^2/{} steps (fault-tolerant)",
-        cfg.deck, cfg.order, cfg.mesh_n, cfg.steps
-    ));
-    for _attempt in 0..MAX_FT_ATTEMPTS {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_ft_attempt(&comm, cfg, checkpoint_every, ckpt_path, &mut log)
-        }));
-        match outcome {
-            Ok(()) => return log,
-            Err(p) => {
-                if p.downcast_ref::<beatnik_comm::RankKilled>().is_some() {
-                    // This rank is the casualty: die for real so the world
-                    // runner records it.
-                    resume_unwind(p);
-                }
-                let failure = p.downcast_ref::<beatnik_comm::CollectiveFailed>().is_some();
-                let deadlock = p
-                    .downcast_ref::<String>()
-                    .is_some_and(|m| m.contains(" deadlock on rank "));
-                if !failure && !deadlock {
-                    resume_unwind(p); // a genuine bug, not a peer failure
-                }
-                comm = recover(&comm);
-            }
-        }
-    }
-    panic!(
-        "rank {} giving up after {MAX_FT_ATTEMPTS} recovery attempts",
-        comm.rank()
-    );
+/// One relaunch of a fault-tolerant run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Relaunch {
+    /// Ranks the relaunched world ran on.
+    pub ranks: usize,
+    /// Step of the checkpoint it resumed from (0: none had been written).
+    pub from_step: usize,
 }
 
-/// One run attempt on the current communicator: (re)build the solver,
-/// restore the newest checkpoint if one exists, and step to completion,
-/// checkpointing on the configured cadence. Log records for recomputed
-/// steps replace the ones lost to the failure.
-fn run_ft_attempt(
+/// What [`run_rig_ft`] hands back.
+pub struct FtRun {
+    /// The run log. Steps a relaunch replayed replace the records lost
+    /// with the world that died.
+    pub log: RunLog,
+    /// Ranks killed by fault injection, numbered as in the first world,
+    /// in rank order.
+    pub killed: Vec<usize>,
+    /// Every fault that fired, ranks numbered as in the first world,
+    /// sorted by `(rank, op_index)`.
+    pub fault_events: Vec<FaultEvent>,
+    /// Each relaunch, in order.
+    pub relaunches: Vec<Relaunch>,
+    /// Communication trace of the world that finished the run.
+    pub trace: WorldTrace,
+    /// Span timeline of that world, when `world` builds profiled worlds.
+    pub timeline: Option<WorldTimeline>,
+}
+
+/// Fault-tolerant run: recovery is restart, as under MPI's default
+/// `MPI_ERRORS_ARE_FATAL` with checkpoint/restart. Launch a world of
+/// `ranks` ranks from `world(ranks)` with `plan` attached, checkpointing
+/// every `checkpoint_every` steps to `ckpt_path`. A failure ends that
+/// whole world ([`beatnik_comm::WorldBuilder::run_ft`]); the driver then
+/// relaunches a world of the survivors' size from the newest
+/// checkpoint, carrying only the plan's actions that have not fired,
+/// renumbered to the survivors' ranks. Each relaunched rank stamps its
+/// rebuild and restore as a `recovery` telemetry phase span.
+///
+/// # Panics
+/// Propagates panics that are bugs rather than failures, and gives up
+/// after [`MAX_FT_ATTEMPTS`] launches or once every rank has died.
+pub fn run_rig_ft(
+    world: impl Fn(usize) -> WorldBuilder,
+    ranks: usize,
+    plan: Option<FaultPlan>,
+    cfg: &RigConfig,
+    checkpoint_every: usize,
+    ckpt_path: &Path,
+) -> FtRun {
+    let shared = Mutex::new((RunLog::new(cfg.label()), Vec::new()));
+    // The first world's rank behind each rank of the current one.
+    let mut first: Vec<usize> = (0..ranks).collect();
+    let (mut plan, mut killed, mut fault_events) = (plan, Vec::new(), Vec::new());
+    for launch in 0..MAX_FT_ATTEMPTS {
+        assert!(!first.is_empty(), "every rank died");
+        let mut builder = world(first.len());
+        if let Some(p) = &plan {
+            builder = builder.fault_plan(p);
+        }
+        let report = builder.run_ft(|comm| {
+            ft_attempt(&comm, cfg, checkpoint_every, ckpt_path, launch > 0, &shared)
+        });
+        killed.extend(report.killed.iter().map(|&r| first[r]));
+        fault_events.extend(report.fault_events.iter().map(|e| FaultEvent {
+            rank: first[e.rank],
+            peer: e.peer.map(|p| first[p]),
+            ..e.clone()
+        }));
+        if report.results.iter().all(Option::is_some) {
+            killed.sort_unstable();
+            fault_events.sort_by_key(|e| (e.rank, e.op_index));
+            let (log, relaunches) = shared.into_inner().expect("no rank panics holding the log");
+            return FtRun {
+                log,
+                killed,
+                fault_events,
+                relaunches,
+                trace: report.trace,
+                timeline: report.timeline,
+            };
+        }
+        plan = plan.map(|p| p.unfired(&report.fault_events, &report.killed));
+        first = (0..first.len())
+            .filter(|r| !report.killed.contains(r))
+            .map(|r| first[r])
+            .collect();
+    }
+    panic!("giving up after {MAX_FT_ATTEMPTS} launches");
+}
+
+/// One launch of [`run_rig_ft`] on this rank: (re)build the solver,
+/// restore the newest checkpoint if one exists, and step to completion.
+/// Rank 0 keeps the shared log and notes the relaunch.
+fn ft_attempt(
     comm: &Communicator,
     cfg: &RigConfig,
     checkpoint_every: usize,
-    ckpt_path: &std::path::Path,
-    log: &mut RunLog,
+    ckpt_path: &Path,
+    relaunch: bool,
+    shared: &Mutex<(RunLog, Vec<Relaunch>)>,
 ) {
-    let mesh = cfg.build_mesh(comm);
-    let bc = cfg.boundary_condition();
-    let mut solver = Solver::new(mesh, bc, cfg.solver_config());
-    if ckpt_path.exists() {
-        let (step, time) = beatnik_io::checkpoint::load(solver.problem_mut(), ckpt_path)
-            .expect("checkpoint restore failed");
-        solver.restore_clock(step, time);
-    }
-    let start_step = solver.step_count();
-    log.steps.retain(|r| r.step <= start_step);
-    let smesh = cfg.spatial_mesh(cfg.ownership_ranks.unwrap_or_else(|| comm.size()));
-
-    while solver.step_count() < cfg.steps {
-        // Step-triggered kills fire at the start of the step (1-based).
-        comm.fault_step(solver.step_count() as u64 + 1);
-        solver.step();
-        let s = solver.step_count();
-        if cfg.diag_every > 0 && s.is_multiple_of(cfg.diag_every) {
-            let ownership = cfg
-                .record_ownership
-                .then(|| beatnik_core::diagnostics::ownership_fractions(solver.problem(), &smesh));
-            log.push(StepRecord {
-                step: s,
-                time: solver.time(),
-                diagnostics: Diagnostics::compute(solver.problem()),
-                ownership,
+    let mut solver = {
+        let _recovery = relaunch.then(|| comm.telemetry().phase(beatnik_comm::RECOVERY_PHASE));
+        let mut solver =
+            Solver::new(cfg.build_mesh(comm), cfg.boundary_condition(), cfg.solver_config());
+        if ckpt_path.exists() {
+            let (step, time) = beatnik_io::checkpoint::load(solver.problem_mut(), ckpt_path)
+                .expect("checkpoint restore failed");
+            solver.restore_clock(step, time);
+        }
+        solver
+    };
+    let from_step = solver.step_count();
+    let lead = comm.rank() == 0;
+    if lead {
+        let (log, relaunches) = &mut *shared.lock().expect("no rank panics holding the log");
+        log.steps.retain(|r| r.step <= from_step);
+        if relaunch {
+            relaunches.push(Relaunch {
+                ranks: comm.size(),
+                from_step,
             });
         }
-        if checkpoint_every > 0 && s.is_multiple_of(checkpoint_every) {
-            beatnik_io::checkpoint::save(solver.problem(), s, solver.time(), ckpt_path)
-                .expect("checkpoint write failed");
-        }
-        maybe_flush_metrics(comm, cfg, s);
     }
-}
-
-/// Recovery epoch: revoke the damaged communicator (so stragglers blocked
-/// in its collectives fail fast instead of timing out), then shrink to
-/// the agreed survivor group, retrying while agreement itself is racing a
-/// new failure. Spanned as a `recovery` telemetry phase.
-fn recover(comm: &Communicator) -> Communicator {
-    let telemetry = std::sync::Arc::clone(comm.telemetry());
-    let _span = telemetry.phase(beatnik_comm::RECOVERY_PHASE);
-    comm.revoke();
-    for _ in 0..MAX_FT_ATTEMPTS {
-        match comm.shrink() {
-            Ok(next) => return next,
-            Err(beatnik_comm::CommError::Timeout { .. }) => continue,
-            Err(e) => panic!("recovery failed on rank {}: {e}", comm.rank()),
+    drive(comm, cfg, &mut solver, checkpoint_every, ckpt_path, |rec| {
+        if lead {
+            shared.lock().expect("no rank panics holding the log").0.push(rec);
         }
-    }
-    panic!("rank {} could not agree on a survivor group", comm.rank());
+    });
 }
 
 /// The paper's four benchmark test cases (§4).

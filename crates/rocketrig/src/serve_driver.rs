@@ -24,20 +24,21 @@
 //! scheduler resume a preempted 8-rank job on the 2 slots that happen
 //! to be free.
 //!
-//! Jobs with a fault plan run [`run_rig_ft`] instead: their recovery
-//! protocol owns the communicator mid-step (revoke/shrink/restart), so
-//! they ignore preemption and only honor cancel between dispatches.
+//! ## Fault plans
+//!
+//! A job with a fault plan runs the same epoch with the plan attached.
+//! A failure ends the whole gang ([`World`]'s `run_ft`), and the epoch
+//! reports [`JobOutcome::GangDied`]: the scheduler requeues the job, and
+//! the next dispatch resumes from the checkpoint like any preempted
+//! job. Every outcome that requeues carries the plan's actions that
+//! have not fired, so a kill fires once, not once per dispatch.
 
-use crate::{run_rig_ft, Deck, RigConfig, FT_RECV_TIMEOUT};
-use beatnik_comm::{Communicator, TransportKind, World, WorldTimeline};
+use crate::{Deck, RigConfig, FT_RECV_TIMEOUT};
+use beatnik_comm::{Communicator, FaultPlan, TransportKind, World, WorldTimeline};
 use beatnik_core::{Diagnostics, Order, Solver};
-use beatnik_serve::events::JobEvents;
 use beatnik_serve::scheduler::{JobContext, JobOutcome, JobRunner};
 use beatnik_comm::telemetry::StragglerDetector;
 use beatnik_serve::JobSpec;
-use std::path::Path;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-step verdict codes broadcast by rank 0.
@@ -98,25 +99,16 @@ struct StepDiag {
     last_bytes: u64,
 }
 
-/// One dispatch epoch: build the solver, restore the checkpoint when
-/// resuming, and step to completion or to a broadcast verdict. Rank 0
-/// publishes one NDJSON line per step onto `events` (step wall time,
-/// its comm-byte delta, the online straggler verdict, and the live
-/// deadline margin) — the payload behind `GET /jobs/{id}/events`.
-#[allow(clippy::too_many_arguments)]
-fn epoch(
-    comm: &Communicator,
-    cfg: &RigConfig,
-    checkpoint_every: usize,
-    ckpt: &Path,
-    restore: bool,
-    preempt: &AtomicBool,
-    cancel: &AtomicBool,
-    events: &JobEvents,
-    deadline_remaining_ms: Option<i64>,
-) -> EpochEnd {
+/// One dispatch epoch of `ctx`'s job: build the solver, restore the
+/// checkpoint when resuming, and step to completion or to a broadcast
+/// verdict. Rank 0 publishes one NDJSON line per step onto the job's
+/// events (step wall time, its comm-byte delta, the online straggler
+/// verdict, and the live deadline margin) — the payload behind
+/// `GET /jobs/{id}/events`.
+fn epoch(comm: &Communicator, cfg: &RigConfig, ctx: &JobContext) -> EpochEnd {
+    let (ckpt, checkpoint_every) = (&ctx.ckpt_path, ctx.spec.checkpoint_every);
     let mut solver = Solver::new(cfg.build_mesh(comm), cfg.boundary_condition(), cfg.solver_config());
-    if restore {
+    if ctx.resume && ckpt.exists() {
         let (step, time) = beatnik_io::checkpoint::load(solver.problem_mut(), ckpt)
             .expect("checkpoint restore failed");
         solver.restore_clock(step, time);
@@ -128,10 +120,9 @@ fn epoch(
     });
     while solver.step_count() < cfg.steps {
         let verdict = if comm.rank() == 0 {
-            use std::sync::atomic::Ordering;
-            let code = if cancel.load(Ordering::Relaxed) {
+            let code = if ctx.cancel_requested() {
                 STOP
-            } else if preempt.load(Ordering::Relaxed) {
+            } else if ctx.preempt_requested() {
                 YIELD
             } else {
                 GO
@@ -150,6 +141,7 @@ fn epoch(
             STOP => return EpochEnd::Stopped { at_step },
             _ => {}
         }
+        comm.fault_step(at_step as u64 + 1);
         let step_t0 = Instant::now();
         solver.step();
         let s = solver.step_count();
@@ -161,11 +153,11 @@ fn epoch(
             let total = comm.trace().total_bytes();
             let comm_bytes = total.saturating_sub(d.last_bytes);
             d.last_bytes = total;
-            let margin = match deadline_remaining_ms {
+            let margin = match ctx.deadline_remaining_ms {
                 Some(r) => (r - d.started.elapsed().as_millis() as i64).to_string(),
                 None => "null".to_string(),
             };
-            events.publish(format!(
+            ctx.events.publish(format!(
                 "{{\"event\":\"step\",\"step\":{s},\"step_ms\":{:.3},\"comm_bytes\":{comm_bytes},\
                  \"straggler\":{straggler},\"deadline_margin_ms\":{margin}}}",
                 step_ns as f64 / 1e6,
@@ -223,67 +215,19 @@ impl JobRunner for RigRunner {
         let cfg = rig_config(spec)?;
         let transport: TransportKind = spec.transport.parse()?;
 
-        // Fault-plan jobs: the ULFM-style recovery driver, checkpoint
-        // cadence included. Not preemptible (see module docs).
-        if let Some(fspec) = &spec.faults {
-            let plan = beatnik_comm::FaultPlan::parse(fspec, beatnik_comm::seed_from_env())?;
-            let mut ft_cfg = cfg;
-            ft_cfg.diag_every = 1; // final diagnostics come from the log
-            let ckpt = ctx.ckpt_path.clone();
-            let every = spec.checkpoint_every;
-            let report = World::builder(ctx.ranks)
-                .transport(transport)
-                .recv_timeout(FT_RECV_TIMEOUT)
-                .fault_plan(&plan)
-                .run_ft(move |comm| run_rig_ft(comm, &ft_cfg, every, &ckpt));
-            let log = report
-                .results
-                .into_iter()
-                .flatten()
-                .next()
-                .ok_or_else(|| "no surviving rank produced a log".to_string())?;
-            let last = log
-                .steps
-                .last()
-                .ok_or_else(|| "fault-tolerant run produced no step records".to_string())?;
-            return Ok(JobOutcome::Completed {
-                steps: spec.steps,
-                amplitude: last.diagnostics.amplitude,
-                enstrophy: last.diagnostics.enstrophy,
-                critical_path: None,
-            });
+        let plan = spec
+            .faults
+            .as_deref()
+            .map(|f| FaultPlan::parse(f, beatnik_comm::seed_from_env()))
+            .transpose()?;
+        let mut world = World::builder(ctx.ranks).transport(transport);
+        if spec.profile {
+            world = world.profiled();
         }
-
-        let restore = ctx.resume && ctx.ckpt_path.exists();
-        let every = spec.checkpoint_every;
-        let ckpt = ctx.ckpt_path.clone();
-        let preempt = Arc::clone(&ctx.preempt);
-        let cancel = Arc::clone(&ctx.cancel);
-        let events = Arc::clone(&ctx.events);
-        let deadline_remaining_ms = ctx.deadline_remaining_ms;
-        let run = move |comm: Communicator| {
-            epoch(
-                &comm,
-                &cfg,
-                every,
-                &ckpt,
-                restore,
-                &preempt,
-                &cancel,
-                &events,
-                deadline_remaining_ms,
-            )
-        };
-
-        let (ends, trace, timeline) = if spec.profile {
-            let (ends, trace, timeline) = World::builder(ctx.ranks)
-                .transport(transport)
-                .run_profiled(run);
-            (ends, trace, Some(timeline))
-        } else {
-            let (ends, trace) = World::builder(ctx.ranks).transport(transport).run_traced(run);
-            (ends, trace, None)
-        };
+        if let Some(plan) = &plan {
+            world = world.recv_timeout(FT_RECV_TIMEOUT).fault_plan(plan);
+        }
+        let report = world.run_ft(|comm| epoch(&comm, &cfg, ctx));
 
         // Per-job communication volume, labelled into the service
         // registry so `GET /metrics` exposes it next to the job state.
@@ -293,9 +237,19 @@ impl JobRunner for RigRunner {
                 "payload bytes moved by the job's world",
                 &[("job", &ctx.id.to_string())],
             )
-            .add(trace.total_bytes());
+            .add(report.trace.total_bytes());
 
-        let end = *ends.first().ok_or_else(|| "world produced no result".to_string())?;
+        let faults_left = plan
+            .map(|p| p.unfired(&report.fault_events, &report.killed))
+            .filter(|p| !p.actions.is_empty())
+            .map(|p| p.to_spec());
+        let Some(ends) = report.results.into_iter().collect::<Option<Vec<_>>>() else {
+            return Ok(JobOutcome::GangDied {
+                at_step: ctx.steps_done,
+                faults_left,
+            });
+        };
+        let end = ends[0];
         Ok(match end {
             EpochEnd::Done {
                 amplitude,
@@ -304,9 +258,12 @@ impl JobRunner for RigRunner {
                 steps: spec.steps,
                 amplitude,
                 enstrophy,
-                critical_path: timeline.as_ref().map(critical_path_summary),
+                critical_path: report.timeline.as_ref().map(critical_path_summary),
             },
-            EpochEnd::Yielded { at_step } => JobOutcome::Preempted { at_step },
+            EpochEnd::Yielded { at_step } => JobOutcome::Preempted {
+                at_step,
+                faults_left,
+            },
             EpochEnd::Stopped { at_step } => JobOutcome::Canceled { at_step },
         })
     }

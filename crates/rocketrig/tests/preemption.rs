@@ -75,7 +75,7 @@ fn preempted_job_resumed_on_fewer_ranks_matches_uninterrupted_run() {
     let outcome = RigRunner::new().run(&ctx).expect("epoch 1 failed");
     watcher.join().unwrap();
     let at_step = match outcome {
-        JobOutcome::Preempted { at_step } => at_step,
+        JobOutcome::Preempted { at_step, .. } => at_step,
         other => panic!("job was not preempted (finished too fast?): {other:?}"),
     };
     assert!(

@@ -1,9 +1,10 @@
 //! End-to-end fault recovery: a rocketrig run that loses a rank
-//! mid-flight must revoke, shrink, restore the last checkpoint, and
-//! finish — with physics matching a fault-free run of the same deck.
+//! mid-flight must relaunch on the survivors from the last checkpoint
+//! and finish — with physics matching a fault-free run of the same deck.
 
 use beatnik_comm::{FaultPlan, World};
-use beatnik_rocketrig::{run_rig, run_rig_ft, RigConfig, FT_RECV_TIMEOUT};
+use beatnik_io::stats::RunLog;
+use beatnik_rocketrig::{run_rig, run_rig_ft, FtRun, Relaunch, RigConfig, FT_RECV_TIMEOUT};
 
 /// Rank-count-sensitive reduction orders (the distributed FFT sums in a
 /// different order on 3 ranks than on 4) bound how closely the recovered
@@ -23,38 +24,28 @@ fn config(dir: &std::path::Path) -> RigConfig {
     cfg
 }
 
-#[test]
-fn killed_run_recovers_from_checkpoint_and_matches_clean_run() {
-    let dir = std::env::temp_dir().join("beatnik_recovery_test");
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Fault-free reference on the full world.
-    let cfg = config(&dir);
-    let clean = World::builder(4).run(move |comm| run_rig(&comm, &cfg))
+/// The fault-free reference on the full 4-rank world.
+fn clean_run(dir: &std::path::Path) -> RunLog {
+    let cfg = config(dir);
+    World::builder(4)
+        .run(move |comm| run_rig(&comm, &cfg))
         .into_iter()
         .next()
-        .expect("reference log");
+        .expect("reference log")
+}
 
-    // Faulted run: rank 2 dies at the start of step 5. The survivors
-    // revoke, shrink to 3 ranks, restore the step-4 checkpoint, and
-    // replay steps 5..8.
-    let cfg = config(&dir);
+/// `spec` on 4 ranks, checkpointing every 2 steps.
+fn faulted_run(dir: &std::path::Path, spec: &str) -> FtRun {
     let ckpt = dir.join("checkpoint.json");
     let _ = std::fs::remove_file(&ckpt);
-    let plan = FaultPlan::parse("kill:r2@step5", 0).expect("static plan");
-    let report = World::builder(4).recv_timeout(FT_RECV_TIMEOUT).fault_plan(&plan).run_ft(move |comm| {
-        run_rig_ft(comm, &cfg, 2, &ckpt)
-    });
-    assert_eq!(report.killed, [2], "the kill must land");
-    let recovered = report
-        .results
-        .into_iter()
-        .flatten()
-        .next()
-        .expect("a survivor must produce a log");
+    let plan = FaultPlan::parse(spec, 0).expect("static plan");
+    let world = |ranks| World::builder(ranks).recv_timeout(FT_RECV_TIMEOUT);
+    run_rig_ft(world, 4, Some(plan), &config(dir), 2, &ckpt)
+}
 
-    // Every step of the faulted run — including the replayed ones —
-    // must match the clean reference.
+/// Every step of the faulted run — including the replayed ones — must
+/// match the clean reference.
+fn assert_matches(recovered: &RunLog, clean: &RunLog) {
     assert_eq!(recovered.steps.len(), clean.steps.len());
     for (got, want) in recovered.steps.iter().zip(&clean.steps) {
         assert_eq!(got.step, want.step);
@@ -67,4 +58,42 @@ fn killed_run_recovers_from_checkpoint_and_matches_clean_run() {
             got.step
         );
     }
+}
+
+#[test]
+fn killed_run_recovers_from_checkpoint_and_matches_clean_run() {
+    let dir = std::env::temp_dir().join("beatnik_recovery_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = clean_run(&dir);
+
+    // Rank 2 dies at the start of step 5. The world ends, and the
+    // driver relaunches the 3 survivors from the step-4 checkpoint to
+    // replay steps 5..8.
+    let run = faulted_run(&dir, "kill:r2@step5");
+    assert_eq!(run.killed, [2], "the kill must land");
+    assert_eq!(run.relaunches, [Relaunch { ranks: 3, from_step: 4 }]);
+    assert_matches(&run.log, &clean);
+}
+
+/// A fired action does not fire again after a relaunch: rank 0's delay
+/// fires in the first world and in neither relaunch, and the step-5
+/// kill goes with its rank. The second world restores from step 4, runs
+/// step 5 again, and carries only the step-7 kill — now aimed at rank 1
+/// of the 3 survivors, the same rank. The run finishes on 2 ranks.
+#[test]
+fn each_action_fires_once_across_relaunches() {
+    let dir = std::env::temp_dir().join("beatnik_recovery_twice_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = clean_run(&dir);
+
+    let run = faulted_run(&dir, "kill:r2@step5,kill:r1@step7,delay:r0@op3:1ms");
+    assert_eq!(run.killed, [1, 2]);
+    assert_eq!(
+        run.relaunches,
+        [Relaunch { ranks: 3, from_step: 4 }, Relaunch { ranks: 2, from_step: 6 }]
+    );
+    let fired: Vec<_> = run.fault_events.iter().map(|e| (e.kind, e.rank, e.step)).collect();
+    assert_eq!(fired, [("delay", 0, None), ("kill", 1, Some(7)), ("kill", 2, Some(5))]);
+    assert_eq!(run.trace.num_ranks(), 2, "the last world ran on 2 ranks");
+    assert_matches(&run.log, &clean);
 }

@@ -61,16 +61,24 @@ fn err(msg: impl Into<String>) -> HttpError {
     HttpError(msg.into())
 }
 
-/// Read one request from `stream`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut head_bytes = 0usize;
+/// Read one request from `stream`: at most [`MAX_HEAD_BYTES`] of head
+/// and [`MAX_BODY_BYTES`] of body, plus what one buffered read takes
+/// beyond them.
+pub fn read_request(stream: impl Read) -> Result<Request, HttpError> {
+    // The head is read through a window one byte wider than its cap: a
+    // head that fills the window is too large, however its lines run.
+    let mut head = BufReader::new(stream).take(MAX_HEAD_BYTES as u64 + 1);
+    let mut next_line = |what: &str| {
+        let mut line = String::new();
+        head.read_line(&mut line)
+            .map_err(|e| err(format!("read {what}: {e}")))?;
+        match head.limit() {
+            0 => Err(err("request head too large")),
+            _ => Ok(line),
+        }
+    };
 
-    reader
-        .read_line(&mut line)
-        .map_err(|e| err(format!("read request line: {e}")))?;
-    head_bytes += line.len();
+    let line = next_line("request line")?;
     let line = line.trim_end();
     if line.is_empty() {
         return Err(err("empty request"));
@@ -89,14 +97,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 
     let mut headers = Vec::new();
     loop {
-        let mut hline = String::new();
-        reader
-            .read_line(&mut hline)
-            .map_err(|e| err(format!("read header: {e}")))?;
-        head_bytes += hline.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(err("request head too large"));
-        }
+        let hline = next_line("header")?;
         let hline = hline.trim_end();
         if hline.is_empty() {
             break;
@@ -122,7 +123,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         )));
     }
     let mut body = vec![0u8; content_length];
-    reader
+    head.into_inner()
         .read_exact(&mut body)
         .map_err(|e| err(format!("read body: {e}")))?;
     let body = String::from_utf8(body).map_err(|_| err("body is not UTF-8"))?;
@@ -430,6 +431,107 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(parse_via_socket(oversized.as_bytes()).is_err());
+    }
+
+    /// A reader over `bytes` that counts what the parser takes from it.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        taken: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            self.taken += n;
+            Ok(n)
+        }
+    }
+
+    /// Parse `bytes` from memory; also return how many bytes were read.
+    fn parse_counted(bytes: &[u8]) -> (Result<Request, HttpError>, usize) {
+        let mut input = Counted { bytes, taken: 0 };
+        let out = read_request(&mut input);
+        (out, input.taken)
+    }
+
+    /// What a parse may read at most: the head and body caps, plus one
+    /// buffer fill of the reader beyond them.
+    const READ_BOUND: usize = MAX_HEAD_BYTES + 1 + MAX_BODY_BYTES + (8 << 10);
+
+    #[test]
+    fn an_endless_head_line_is_refused_within_the_head_cap() {
+        for raw in [
+            vec![b'a'; 4 * MAX_HEAD_BYTES],
+            [b"GET / HTTP/1.1\r\nX: ".as_slice(), &[b'b'; 4 * MAX_HEAD_BYTES]].concat(),
+        ] {
+            let (out, taken) = parse_counted(&raw);
+            let e = out.expect_err("an endless line");
+            assert_eq!(e.0, "request head too large");
+            assert!(taken <= MAX_HEAD_BYTES + (8 << 10), "read {taken} bytes");
+        }
+    }
+
+    /// Valid requests, cut, flipped, grown and padded: each parses or
+    /// fails with an `HttpError`, reading no more than the caps allow.
+    #[test]
+    fn seeded_hostile_requests_parse_or_fail_within_bounds() {
+        use beatnik_prng::Rng;
+        let valid: [&[u8]; 4] = [
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 27\r\n\r\n{\"mesh_n\": 16, \"steps\": 4}\n",
+            b"GET /jobs/3/events?follow=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            b"DELETE /jobs/7 HTTP/1.0\r\n\r\n",
+            b"GET /metrics HTTP/1.1\r\nAccept: text/plain\r\ncontent-length: 0\r\n\r\n",
+        ];
+        let (mut ok, mut refused) = (0, 0);
+        for seed in 0..1_500u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut raw = valid[rng.gen_index(0..valid.len())].to_vec();
+            match rng.gen_index(0..5) {
+                0 => raw.truncate(rng.gen_index(0..raw.len() + 1)),
+                1 => {
+                    for _ in 0..1 + rng.gen_index(0..4) {
+                        let at = rng.gen_index(0..raw.len());
+                        raw[at] ^= 1 << rng.gen_index(0..8);
+                    }
+                }
+                2 => {
+                    const BYTES: &[u8] = b"\r\n: 0123456789-\xff";
+                    let at = rng.gen_index(0..raw.len() + 1);
+                    let extra: Vec<u8> = (0..1 + rng.gen_index(0..8))
+                        .map(|_| BYTES[rng.gen_index(0..BYTES.len())])
+                        .collect();
+                    raw.splice(at..at, extra);
+                }
+                3 => {
+                    // Many header lines, over the head cap or not.
+                    let at = raw.iter().position(|&b| b == b'\n').map_or(0, |p| p + 1);
+                    let line = b"X-Pad: 0123456789abcdef\r\n";
+                    let n = rng.gen_index(0..2 * MAX_HEAD_BYTES / line.len());
+                    raw.splice(at..at, line.repeat(n));
+                }
+                _ => {
+                    // A body length out of all proportion to the body.
+                    let len = [MAX_BODY_BYTES, MAX_BODY_BYTES + 1, usize::MAX][rng.gen_index(0..3)];
+                    let head = format!("POST /jobs HTTP/1.1\r\ncontent-length: {len}\r\n\r\n");
+                    raw = [head.as_bytes(), &raw].concat();
+                }
+            }
+            let started = std::time::Instant::now();
+            let (out, taken) = parse_counted(&raw);
+            assert!(taken <= READ_BOUND, "seed {seed}: read {taken} bytes");
+            assert!(started.elapsed() < Duration::from_secs(1), "seed {seed}: slow parse");
+            match out {
+                Ok(req) => {
+                    assert!(req.body.len() <= MAX_BODY_BYTES, "seed {seed}");
+                    ok += 1;
+                }
+                Err(HttpError(msg)) => {
+                    assert!(!msg.is_empty(), "seed {seed}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(ok > 100 && refused > 100, "{ok} parsed, {refused} refused");
     }
 
     #[test]

@@ -62,9 +62,9 @@ pub struct JobSpec {
     /// Transport backend: `thread`, `shmem`, or `tcp` (defaults to
     /// `thread`).
     pub transport: String,
-    /// Fault-injection plan spec (see `beatnik_comm::FaultPlan`).
-    /// Fault-plan jobs run the fault-tolerant driver and are not
-    /// preemptible.
+    /// Fault-injection plan spec (see `beatnik_comm::FaultPlan`). A
+    /// requeue after a preemption or a dead gang rewrites it to the
+    /// actions that have not fired yet.
     pub faults: Option<String>,
     /// Checkpoint cadence in steps (0 = only when preempted).
     pub checkpoint_every: usize,
@@ -318,8 +318,8 @@ pub struct JobRecord {
     /// Times the job was requeued after its gang died mid-run (a rank
     /// death, not a cooperative yield).
     pub recoveries: u64,
-    /// Gang size of each dispatch, in order (elastic resumes may
-    /// shrink).
+    /// Gang size of each dispatch, in order (an elastic resume may
+    /// run narrower).
     pub ranks_history: Vec<usize>,
     /// Steps completed so far (monotone across preemptions).
     pub steps_done: usize,

@@ -21,9 +21,10 @@
 //! checkpoint, and return [`JobOutcome::Preempted`]; the scheduler
 //! requeues them, and a later dispatch resumes from the checkpoint —
 //! possibly with a smaller gang (the checkpoint format is rank-count
-//! independent). Jobs running under a fault plan use the
-//! fault-tolerant driver, which has its own recovery collectives mid
-//! step; they are not preemptible.
+//! independent). A job whose gang dies ([`JobOutcome::GangDied`]) is
+//! requeued the same way, so a fault-plan job is an ordinary job with
+//! its plan attached, preemptible like any other; each requeue carries
+//! only the actions of its plan that have not fired.
 //!
 //! The scheduler is runner-agnostic: the actual physics lives behind
 //! [`JobRunner`] (implemented by `beatnik-rocketrig`'s serve driver),
@@ -63,6 +64,9 @@ pub enum JobOutcome {
     Preempted {
         /// Steps completed when the checkpoint was written.
         at_step: usize,
+        /// The fault plan the requeued job carries: the spec's actions
+        /// that have not fired (`None` when none are left).
+        faults_left: Option<String>,
     },
     /// Observed the cancel flag and stopped (no checkpoint kept).
     Canceled {
@@ -77,6 +81,8 @@ pub enum JobOutcome {
         /// Steps known complete when the gang died (the job resumes
         /// from its last on-disk checkpoint, which may be further on).
         at_step: usize,
+        /// The fault plan the requeued job carries, as for `Preempted`.
+        faults_left: Option<String>,
     },
 }
 
@@ -231,9 +237,6 @@ struct RunningJob {
     cancel: Arc<AtomicBool>,
     ranks: usize,
     priority: u8,
-    /// Fault-plan jobs cannot be preempted (their driver owns the
-    /// mid-step recovery collectives).
-    preemptible: bool,
 }
 
 #[derive(Default)]
@@ -516,11 +519,7 @@ impl Scheduler {
             }
             self.shared.metrics.queue_depth.set(0);
             for run in st.running.values() {
-                if run.preemptible {
-                    run.preempt.store(true, Ordering::Relaxed);
-                } else {
-                    run.cancel.store(true, Ordering::Relaxed);
-                }
+                run.preempt.store(true, Ordering::Relaxed);
             }
         }
         self.shared.cv.notify_all();
@@ -640,7 +639,7 @@ fn try_elastic(shared: &Shared, spec: &JobSpec) -> Option<beatnik_comm::RankLeas
     None
 }
 
-/// If strictly lower-priority preemptible jobs hold enough slots to
+/// If strictly lower-priority jobs hold enough slots to
 /// seat `spec`, flag them and reserve the pool for job `id`. Returns
 /// whether a reservation was placed.
 fn arrange_preemption(shared: &Shared, st: &mut SchedState, id: u64, spec: &JobSpec) -> bool {
@@ -649,7 +648,7 @@ fn arrange_preemption(shared: &Shared, st: &mut SchedState, id: u64, spec: &JobS
     let mut victims: Vec<(u64, u8, usize)> = st
         .running
         .iter()
-        .filter(|(_, r)| r.preemptible && r.priority < spec.priority)
+        .filter(|(_, r)| r.priority < spec.priority)
         .filter(|(_, r)| !r.preempt.load(Ordering::Relaxed))
         .map(|(&vid, r)| (vid, r.priority, r.ranks))
         .collect();
@@ -718,7 +717,6 @@ fn start_job(shared: &Arc<Shared>, st: &mut SchedState, id: u64, lease: beatnik_
             cancel: Arc::clone(&cancel),
             ranks: granted,
             priority: spec.priority,
-            preemptible: spec.faults.is_none(),
         },
     );
     shared.metrics.ranks_busy.add(granted as u64);
@@ -741,24 +739,11 @@ fn start_job(shared: &Arc<Shared>, st: &mut SchedState, id: u64, lease: beatnik_
         .name(format!("serve-job-{id}"))
         .spawn(move || {
             let started = Instant::now();
-            // A panic that unwinds out of the runner is either the
-            // fault-tolerance control flow announcing a dead gang —
-            // a rank killed, or a collective that failed past the
-            // recovery driver — or a genuine bug. The former becomes
-            // GangDied (requeue from checkpoint); the latter fails the
-            // job with the panic message.
+            // A dead gang is an outcome the runner reports; a panic
+            // that unwinds out of it is a bug, and fails the job with
+            // the panic message.
             let outcome = catch_unwind(AssertUnwindSafe(|| shared.runner.run(&ctx)))
-                .unwrap_or_else(|p| {
-                    if p.downcast_ref::<beatnik_comm::RankKilled>().is_some()
-                        || p.downcast_ref::<beatnik_comm::CollectiveFailed>().is_some()
-                    {
-                        Ok(JobOutcome::GangDied {
-                            at_step: ctx.steps_done,
-                        })
-                    } else {
-                        Err(panic_message(&p))
-                    }
-                });
+                .unwrap_or_else(|p| Err(panic_message(&p)));
             finish_job(&shared, &ctx, outcome, started.elapsed());
             drop(lease);
             shared.cv.notify_all();
@@ -805,8 +790,9 @@ fn finish_job(
                     .observe(rec.latency_ms().unwrap_or(0));
                 let _ = std::fs::remove_file(&ctx.ckpt_path);
             }
-            Ok(JobOutcome::Preempted { at_step }) => {
+            Ok(JobOutcome::Preempted { at_step, faults_left }) => {
                 rec.steps_done = at_step;
+                rec.spec.faults = faults_left;
                 rec.preemptions += 1;
                 shared.metrics.preemptions.inc();
                 shared.set_state(rec, JobState::Preempted);
@@ -815,8 +801,12 @@ fn finish_job(
                 // it.
                 requeue = !shutting_down;
             }
-            Ok(JobOutcome::GangDied { at_step }) => {
+            Ok(JobOutcome::GangDied {
+                at_step,
+                faults_left,
+            }) => {
                 rec.steps_done = rec.steps_done.max(at_step);
+                rec.spec.faults = faults_left;
                 rec.recoveries += 1;
                 shared.metrics.jobs_recovered.inc();
                 if shutting_down {
@@ -923,7 +913,10 @@ mod tests {
                     return Ok(JobOutcome::Canceled { at_step: step });
                 }
                 if ctx.preempt_requested() {
-                    return Ok(JobOutcome::Preempted { at_step: step });
+                    return Ok(JobOutcome::Preempted {
+                        at_step: step,
+                        faults_left: None,
+                    });
                 }
                 std::thread::sleep(Duration::from_millis(self.step_ms));
                 step += 1;
@@ -963,8 +956,8 @@ mod tests {
         }
     }
 
-    /// A runner whose gang dies (a `RankKilled` panic unwinds out of
-    /// the epoch) a fixed number of times before running clean.
+    /// A runner whose gang dies a fixed number of times before running
+    /// clean.
     struct DyingGangRunner {
         deaths_left: std::sync::atomic::AtomicU64,
         die_at: usize,
@@ -980,9 +973,10 @@ mod tests {
                         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                         .is_ok()
                 {
-                    // What a killed rank's worker observes: the FT
-                    // control-flow payload unwinding out of run().
-                    std::panic::panic_any(beatnik_comm::RankKilled { world_rank: 1, step: None, op: 0 });
+                    return Ok(JobOutcome::GangDied {
+                        at_step: step,
+                        faults_left: None,
+                    });
                 }
                 std::thread::sleep(Duration::from_millis(1));
                 step += 1;

@@ -22,7 +22,10 @@ impl JobRunner for SleepRunner {
                 return Ok(JobOutcome::Canceled { at_step: 0 });
             }
             if ctx.preempt_requested() {
-                return Ok(JobOutcome::Preempted { at_step: 0 });
+                return Ok(JobOutcome::Preempted {
+                    at_step: 0,
+                    faults_left: None,
+                });
             }
             std::thread::sleep(Duration::from_millis(2));
         }

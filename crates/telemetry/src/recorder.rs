@@ -135,7 +135,7 @@ pub struct SpanRecorder {
     /// rounds via [`algo_scope`](SpanRecorder::algo_scope).
     current_algo: AtomicU8,
     /// Always-on phase entry counters (phase name → entries), published
-    /// into the metrics snapshot so recovery/revoke/shrink occurrences
+    /// into the metrics snapshot so recovery and fault-kill occurrences
     /// are visible without span recording. Entered phases are not hot
     /// (a handful per timestep), so an uncontended mutex is fine here.
     phase_counts: Mutex<BTreeMap<&'static str, u64>>,
@@ -274,7 +274,7 @@ impl SpanRecorder {
     #[inline]
     pub fn instant_flow(&self, kind: SpanKind, peer: i64, tag: u64, bytes: u64, flow: u64) {
         if let SpanKind::Phase(name) = kind {
-            // Instant phase markers (revoke, shrink, fault injections)
+            // Instant phase markers (fault injections)
             // count as phase entries even when span recording is off.
             self.count_phase(name);
         }
@@ -701,13 +701,13 @@ mod tests {
             let _halo2 = rec.phase("halo");
         }
         assert_eq!(rec.current_phase(), "");
-        rec.instant(SpanKind::Phase("revoke"), -1, 0, 0);
+        rec.instant(SpanKind::Phase("fault-kill"), -1, 0, 0);
         assert_eq!(rec.total_pushed(), 0, "disabled ring stays empty");
         let counts: std::collections::BTreeMap<_, _> =
             rec.phase_counts().into_iter().collect();
         assert_eq!(counts.get("step"), Some(&1));
         assert_eq!(counts.get("halo"), Some(&2));
-        assert_eq!(counts.get("revoke"), Some(&1));
+        assert_eq!(counts.get("fault-kill"), Some(&1));
     }
 
     #[test]

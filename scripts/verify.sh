@@ -95,9 +95,10 @@ hostile() {
 hostile --dt nan
 hostile --epsilon inf
 
-echo "== chaos smoke: kill rank 2 at step 5, recover via shrink+restart =="
-# The run must exit 0 despite the death, report the injected kill, and
-# stamp a recovery epoch into the Chrome trace.
+echo "== chaos smoke: kill rank 2 at step 5, relaunch 3 ranks from the step-4 checkpoint =="
+# The run must exit 0 despite the death, report the injected kill and
+# the relaunch of the 3 survivors from the step-4 checkpoint, and stamp
+# the relaunch's recovery phase into the Chrome trace.
 # Capture to a file rather than piping into grep -q: -q exits at first
 # match and the resulting broken pipe would fail the run under pipefail.
 "$RIG" --n 16 --steps 8 --ranks 4 --faults kill:r2@step5 \
@@ -105,7 +106,7 @@ echo "== chaos smoke: kill rank 2 at step 5, recover via shrink+restart =="
     --profile "$PROF_DIR/ftout/trace.json" > "$PROF_DIR/ftout.log"
 grep -q 'ranks killed by fault injection: \[2\]' "$PROF_DIR/ftout.log"
 grep -q '"recovery"' "$PROF_DIR/ftout/trace.json"
-grep -q '"shrink"' "$PROF_DIR/ftout/trace.json"
+grep -q 'relaunched on 3 ranks from the step-4 checkpoint' "$PROF_DIR/ftout.log"
 test -s "$PROF_DIR/ftout/fault-events.json"
 
 echo "== transport backend matrix: thread / shmem / tcp loopback =="
@@ -155,6 +156,20 @@ done
 test "$(ls "$PROF_DIR/cutoff-thread" | grep -c '\.vtk$')" -eq 4
 for f in "$PROF_DIR"/cutoff-thread/*.vtk; do
     cmp "$f" "$PROF_DIR/cutoff-tcp/${f##*/}"
+done
+# The same for medium order (the Z-Model's Birkhoff-Rott velocity on
+# the multimode deck) and for high order with the exact solver's ring
+# pass.
+for run in medium:cutoff high:exact; do
+    for backend in thread tcp; do
+        "$RIG" --transport "$backend" --order "${run%:*}" --solver "${run#*:}" \
+            --n 16 --steps 4 --ranks 4 --vtk-every 1 \
+            --out "$PROF_DIR/${run%:*}-$backend" >/dev/null
+    done
+    test "$(ls "$PROF_DIR/${run%:*}-thread" | grep -c '\.vtk$')" -eq 4
+    for f in "$PROF_DIR/${run%:*}-thread"/*.vtk; do
+        cmp "$f" "$PROF_DIR/${run%:*}-tcp/${f##*/}"
+    done
 done
 # An unknown --solver value must fail at the prompt and name itself.
 if "$RIG" --solver tree --n 16 --steps 1 --ranks 1 \
