@@ -128,7 +128,9 @@ fn clean_run(p: usize, dir: &std::path::Path) -> f64 {
 /// — how long after a peer process dies abruptly (no `BYE`) does the
 /// survivor read the EOF of its stream and post the failure to the
 /// registry? Rank 1 exits hard right after a barrier; rank 0 stamps the
-/// clock and polls the failure ledger.
+/// clock and polls the failure ledger, testing a receive posted on the
+/// dead peer between looks: a rank reads its own streams only when it
+/// calls in.
 fn tcp_detection() -> f64 {
     let (ns, _killed) = proc::spmd_with(
         2,
@@ -143,11 +145,13 @@ fn tcp_detection() -> f64 {
                 std::process::exit(proc::EXIT_KILLED);
             }
             let start = Instant::now();
+            let mut from_dead = comm.irecv::<u8>(1, 1);
             while comm.failed_ranks().is_empty() {
                 assert!(
                     start.elapsed() < Duration::from_secs(30),
                     "survivor never detected the dead peer"
                 );
+                assert!(!from_dead.test(), "the dead peer sent nothing");
                 std::thread::sleep(Duration::from_millis(1));
             }
             start.elapsed().as_nanos() as f64

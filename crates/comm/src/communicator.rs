@@ -123,8 +123,8 @@ pub struct Communicator {
     /// [`Communicator::wait_until`] reads this rank's wire itself instead
     /// of sleeping on the mailbox. Chosen once, here.
     progress: Option<Arc<dyn Progress>>,
-    /// Yield turns before a mailbox sleep (see [`YIELD_TURNS`]), read
-    /// from the registry once, here.
+    /// Yield turns before the first sleep of a wait (see
+    /// [`YIELD_TURNS`]), read from the registry once, here.
     yield_turns: u32,
 }
 
@@ -144,7 +144,10 @@ impl Communicator {
         recv_timeout: Duration,
     ) -> Self {
         let progress = registry.transport().and_then(|t| t.progress());
-        let yield_turns = registry.yield_turns();
+        let yield_turns = match &progress {
+            Some(p) if !p.yields() => 0,
+            _ => registry.yield_turns(),
+        };
         Communicator {
             registry,
             comm_id,
@@ -230,6 +233,14 @@ impl Communicator {
         self.mailbox_for(0, self.rank)
     }
 
+    /// One zero-wait drain of this rank's inbound wire, the progress
+    /// `MPI_Test` makes (nothing on a backend whose senders deliver).
+    pub(crate) fn drain_inbound(&self) {
+        if let Some(p) = &self.progress {
+            p.drain(&self.registry, self.world_of[self.rank]);
+        }
+    }
+
     /// The configured deadlock-detection window for blocking receives.
     pub(crate) fn recv_timeout(&self) -> Duration {
         self.recv_timeout
@@ -269,17 +280,17 @@ impl Communicator {
     ///
     /// On a transport with [`Progress`], the sleep is on this rank's own
     /// wire instead of the mailbox: the rank delivers what has arrived
-    /// for it, and sleeps only if its delivered count has not moved
-    /// since the turn began, before the zero-wait check. Ledger
-    /// interrupts ring the wire's doorbell the way they interrupt the
-    /// mailbox.
+    /// for it, and sleeps only if its epoch has not moved since the turn
+    /// began, before the zero-wait check. Ledger interrupts ring the
+    /// wire's doorbell the way they interrupt the mailbox.
     ///
-    /// On the mailbox, the first sleep of a wait comes after
-    /// [`YIELD_TURNS`] turns that hand the CPU to a runnable peer instead
-    /// (none when the ranks do not outnumber the CPUs). A yield turn is a
-    /// whole turn of the loop — snapshot, drain, abort, ledger, deadline —
-    /// so failure news and the deadline are read exactly as often as
-    /// without it.
+    /// The first sleep of a wait comes after [`YIELD_TURNS`] turns that
+    /// hand the CPU to a runnable peer instead (none when the ranks do
+    /// not outnumber the CPUs, and none on TCP, see [`Progress::yields`]);
+    /// on a wire, a yield turn drains first and skips the yield when
+    /// that moved the epoch. A yield turn is a whole turn of the loop —
+    /// snapshot, drain, abort, ledger, deadline — so failure news and the
+    /// deadline are read exactly as often as without it.
     pub(crate) fn wait_until<R>(
         &self,
         mb: &Mailbox,
@@ -292,7 +303,7 @@ impl Communicator {
         let mut yields = 0;
         loop {
             let since = mb.interrupt_seq();
-            let seen = self.progress.as_ref().map_or(0, |p| p.delivered(me));
+            let seen = self.progress.as_ref().map_or(0, |p| p.epoch(me));
             let (src, tag) = match poll(since, Duration::ZERO) {
                 Ok(got) => return Ok(got),
                 Err(pending) => pending,
@@ -319,12 +330,19 @@ impl Communicator {
                 });
             }
             let slice = left.min(Duration::from_millis(100));
+            if yields < self.yield_turns {
+                yields += 1;
+                if let Some(p) = &self.progress {
+                    p.drain(&self.registry, me);
+                    if p.epoch(me) != seen {
+                        continue;
+                    }
+                }
+                std::thread::yield_now();
+                continue;
+            }
             match &self.progress {
                 Some(p) => p.progress(&self.registry, me, seen, slice),
-                None if yields < self.yield_turns => {
-                    yields += 1;
-                    std::thread::yield_now();
-                }
                 None => {
                     #[cfg(test)]
                     MAILBOX_SLEEPS.with(|n| n.set(n.get() + 1));

@@ -16,8 +16,8 @@
 //!   payload bytes; the *last* receiver to claim the
 //!   buffer takes the allocation itself (`Arc::try_unwrap`), earlier
 //!   ones clone.
-//! * **Raw** — bytes reconstructed from a wire frame by the shmem/TCP
-//!   pollers.
+//! * **Raw** — bytes reconstructed from a wire frame by a shmem or TCP
+//!   reader.
 //!
 //! The envelope carries the metadata MPI would put on the wire: source
 //! rank, tag, and the payload size in bytes (used by the instrumentation

@@ -106,16 +106,28 @@ impl<'c, T: CommData> RecvRequest<'c, T> {
         Ok(())
     }
 
-    /// Nonblocking poll: absorb the message if it has been delivered to
-    /// this request's posted slot. Returns whether the request is
-    /// complete.
+    /// Nonblocking poll: take one zero-wait drain of this rank's inbound
+    /// wire, as `MPI_Test` makes progress, then absorb the message if it
+    /// has been delivered to this request's posted slot. Returns whether
+    /// the request is complete.
     pub fn test(&mut self) -> bool {
+        if self.data.is_some() {
+            return true;
+        }
+        self.comm.drain_inbound();
+        self.absorb_delivered()
+    }
+
+    /// Absorb the message if it is in this request's posted slot,
+    /// without draining the wire. Returns whether the request is
+    /// complete.
+    fn absorb_delivered(&mut self) -> bool {
         if self.data.is_some() {
             return true;
         }
         let mb = self.comm.user_mailbox();
         if let Some(env) = mb.try_claim(self.posted) {
-            // Receive-side flow marker for causal tracing: `test` is how
+            // Receive-side flow marker for causal tracing: this is how
             // batched waits absorb envelopes, so each claimed message
             // gets its own instant edge endpoint inside the enclosing
             // blocking span (a no-op on untraced runs).
@@ -207,10 +219,11 @@ fn try_wait_all<T: CommData>(
     let mut first = (requests[0].src, requests[0].tag);
     comm.wait_until(&mb, deadline, Watch::Source, "wait_all", |since, wait| {
         if wait.is_zero() {
-            // Drain: absorb whatever has landed, note what is still out.
+            // Absorb whatever has landed (the wait loop drained the wire
+            // already), note what is still out.
             pending.clear();
             for r in requests.iter_mut() {
-                if !r.test() {
+                if !r.absorb_delivered() {
                     if pending.is_empty() {
                         first = (r.src, r.tag);
                     }

@@ -13,18 +13,29 @@
 //!   buffers moving by pointer between rank threads. Zero copies beyond
 //!   what the protocol itself charges.
 //! * [`shmem::ShmemTransport`] — envelopes are serialized into
-//!   memory-mapped SPSC byte rings, one ring per ordered rank pair, and
-//!   a poller thread on the receiving side deserializes frames into the
-//!   local mailboxes. The rings are plain files under a shared
-//!   directory, so the same code serves a single process (loopback
-//!   mode, used by the backend test matrix) and one process per rank
-//!   (spawned by [`crate::proc`]).
+//!   memory-mapped SPSC byte rings, one ring per ordered rank pair. The
+//!   rings are plain files under a shared directory, so the same code
+//!   serves a single process (loopback mode, used by the backend test
+//!   matrix) and one process per rank (spawned by [`crate::proc`]).
 //! * [`tcp::TcpTransport`] — length-prefixed frames over one plain TCP
-//!   stream per rank pair, with `TCP_NODELAY`. A rank that waits reads
-//!   its own inbound sockets (see [`Progress`]); an event loop drains the
-//!   streams of ranks that are busy. EOF or a socket error on a stream
-//!   whose peer has not said `BYE` marks the peer failed in the ledger,
-//!   so a dead process ends its world the way a dead thread-rank does.
+//!   stream per rank pair, with `TCP_NODELAY`. EOF or a socket error on
+//!   a stream whose peer has not said `BYE` marks the peer failed in the
+//!   ledger, so a dead process ends its world the way a dead thread-rank
+//!   does.
+//!
+//! ## Progress on call
+//!
+//! No wire backend runs a thread of its own. Only rank threads move
+//! bytes from a wire into a mailbox ([`Progress`]), as an MPI library
+//! makes progress when a rank calls into it: a rank that waits drains
+//! its own inbound and sleeps on it, `test()` drains once, and a writer
+//! blocked on a full ring or socket drains its own inbound between
+//! tries, so two ranks that each write more than the wire holds to the
+//! other cannot deadlock. A rank whose closure has returned keeps
+//! draining until every rank of its process has returned (the
+//! `MPI_Finalize` analogue), so no sender is left blocked on it. The
+//! one thread a transport may spawn is the link-down reporter, started
+//! after a failure ([`report_link_down`]).
 //!
 //! ## The contract (DESIGN.md §13 in full)
 //!
@@ -52,7 +63,7 @@ pub mod wire;
 
 use crate::message::Envelope;
 use crate::registry::{CommId, Registry};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// The selectable transport backends.
@@ -139,8 +150,8 @@ pub trait Transport: Send + Sync {
     /// Which backend this is (metrics labels, diagnostics).
     fn kind(&self) -> TransportKind;
 
-    /// One-time wiring after the world's registry exists; wire backends
-    /// start their pollers here.
+    /// One-time wiring after the world's registry exists: wire backends
+    /// keep a weak handle to it for failure reports and writer exits.
     fn attach(&self, _registry: &Arc<Registry>) {}
 
     /// Deliver `env` along `route`. Must preserve per-(sender,
@@ -153,41 +164,75 @@ pub trait Transport: Send + Sync {
     /// No-op for backends whose ranks share one.
     fn publish_ctrl(&self, _ctrl: CtrlMsg) {}
 
-    /// Stop pollers and release wire resources. Called by the world
-    /// runner after every rank thread has joined (loopback) or by the
-    /// process teardown path (multi-process).
+    /// Take one last drain on the calling thread and release wire
+    /// resources. Called by the world runner after every rank thread has
+    /// joined (loopback) or by the process teardown path (multi-process).
     fn shutdown(&self) {}
 
-    /// The receive progress a waiting rank drives on its own thread, for
-    /// backends whose inbound bytes it can read itself. `None` (the
-    /// default): something else delivers, and a waiting rank sleeps on
-    /// its mailbox.
+    /// The receive progress a rank drives on its own thread, for
+    /// backends whose inbound bytes it reads itself. `None` (the
+    /// default): the sender delivers, and a waiting rank sleeps on its
+    /// mailbox.
     fn progress(&self) -> Option<Arc<dyn Progress>> {
         None
     }
 }
 
-/// Receive progress made by the rank that waits for it: instead of
+/// Receive progress made by the rank that needs it: instead of
 /// sleeping on its mailbox until another thread delivers, a rank reads
 /// its own inbound wire and sleeps on the wire itself.
 ///
 /// The protocol that keeps a delivery from slipping between a check and
-/// a sleep: read [`Progress::delivered`] *before* looking in the
-/// mailbox, and hand that count to [`Progress::progress`], which does
-/// not sleep once the count has moved past it. Interrupts of the
-/// failure ledger reach a rank sleeping here through
-/// [`Progress::ring_all`].
+/// a sleep: read [`Progress::epoch`] *before* looking in the mailbox,
+/// and hand it to [`Progress::progress`], which does not sleep once the
+/// epoch has moved past it. Interrupts of the failure ledger reach a
+/// rank sleeping here through [`Progress::ring_all`].
 pub trait Progress: Send + Sync {
-    /// Frames delivered so far into `rank`'s mailboxes, by any thread.
-    fn delivered(&self, rank: usize) -> u64;
+    /// A count for `rank` that moves whenever a frame is delivered to
+    /// it, by any thread; a backend may also move it when a frame is
+    /// written toward the rank or its doorbell rings.
+    fn epoch(&self, rank: usize) -> u64;
 
-    /// Deliver what has arrived for `rank`. If the delivered count
-    /// still equals `seen`, sleep until bytes arrive for it, its
-    /// doorbell rings, or `timeout` passes, and deliver what woke it.
+    /// Deliver what has arrived for `rank`, without sleeping.
+    fn drain(&self, registry: &Registry, rank: usize);
+
+    /// Deliver what has arrived for `rank`. If the epoch still equals
+    /// `seen`, sleep until bytes arrive for it, its doorbell rings, or
+    /// `timeout` passes, and deliver what woke it.
     fn progress(&self, registry: &Registry, rank: usize, seen: u64, timeout: Duration);
 
-    /// Wake every rank sleeping in [`Progress::progress`].
+    /// Wake every rank sleeping in [`Progress::progress`] or blocked on
+    /// a full wire.
     fn ring_all(&self);
+
+    /// Whether a waiting rank takes its yield turns
+    /// ([`crate::communicator::YIELD_TURNS`]) before its first sleep
+    /// here. TCP says no: its waits sleep in `poll(2)` at once, and
+    /// whether yield turns help them is unmeasured.
+    fn yields(&self) -> bool {
+        true
+    }
+}
+
+/// Report that `observer`'s link from `peer` ended on bytes or a socket
+/// state no frame can be made of: [`Registry::record_link_down`] posts a
+/// typed [`crate::CommError::LinkDown`] and marks the peer failed. The
+/// report runs on a thread of its own, because marking a peer failed
+/// broadcasts through [`Transport::publish_ctrl`], which may wait on a
+/// full wire, and the thread that found the fault may be a writer
+/// draining its own inbound while it holds that wire.
+pub(crate) fn report_link_down(registry: &Weak<Registry>, peer: usize, observer: usize) {
+    let Some(registry) = registry.upgrade() else {
+        return;
+    };
+    eprintln!(
+        "beatnik-comm: {} (observed by rank {observer})",
+        crate::error::CommError::LinkDown { peer }
+    );
+    std::thread::Builder::new()
+        .name("beatnik-link-down".into())
+        .spawn(move || registry.record_link_down(peer))
+        .expect("spawning the link-down reporter");
 }
 
 /// Build a loopback transport: all `num_ranks` ranks live in this

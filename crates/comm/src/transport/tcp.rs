@@ -20,57 +20,53 @@
 //! EOF, a reset or any other socket error on a stream whose peer has not
 //! said `BYE` (the control frame of a clean shutdown) ends the link at
 //! once: [`Registry::record_link_down`] posts a typed
-//! [`CommError::LinkDown`] and marks the peer failed, and the world ends
+//! [`crate::CommError::LinkDown`] and marks the peer failed, and the world ends
 //! the way it does for any dead rank. Bytes the receiver cannot take
 //! end the link the same way: a length over [`MAX_FRAME`], a frame
 //! [`wire::decode`] refuses, or a `HANDOFF` token, which means something
 //! only inside the shmem process that minted it. Nothing is retried and
 //! nothing panics. A peer that said `BYE` first ends its link quietly.
 //!
-//! The report runs on a thread of its own. Marking a peer failed
-//! broadcasts the news through [`Transport::publish_ctrl`], which takes
-//! every link's write lock and may wait for peers to drain; the thread
-//! that found the tear drains streams itself, so it must not wait there.
+//! The report runs on a thread of its own
+//! ([`super::report_link_down`]): marking a peer failed broadcasts the
+//! news through [`Transport::publish_ctrl`], which may wait for peers to
+//! drain, and the thread that found the tear may be a writer draining
+//! its own streams while it holds a link's write lock.
 //!
 //! ## Who reads a stream
 //!
 //! Sockets are nonblocking. The streams a rank reads are kept with that
-//! rank ([`Inbound`]), not with a thread. A rank that waits for a
-//! message reads its own streams: [`Progress::progress`] drains them on
-//! the rank's thread and, when nothing new has arrived, sleeps in
-//! `poll(2)` on those sockets and on the rank's doorbell. A frame
-//! therefore reaches its mailbox on the thread that waits for it, with
-//! no hand-off between threads. The event loop drains the streams of
-//! ranks that are *not* waiting (busy computing, finished, or blocked in
-//! a plain mailbox wait), so their peers' writes keep moving; it leaves
-//! a waiting rank's streams alone.
+//! rank ([`Inbound`]), not with a thread, and only the rank's own
+//! threads read them ([`Progress`]). A rank that waits for a message
+//! drains its streams and, when nothing new has arrived, sleeps in
+//! `poll(2)` on those sockets and on the rank's doorbell. `test()`
+//! drains once. A frame therefore reaches its mailbox on the thread
+//! that needs it, with one delivery path and no hand-off between
+//! threads.
 //!
 //! The doorbell is one end of a socket pair, readable while a ring is
 //! pending. [`Registry`] rings every doorbell when it interrupts the
-//! mailboxes (abort, failure), so a rank asleep on its sockets
-//! wakes at once, not at the end of its poll slice. Each rank also
-//! counts the frames delivered to it; a waiter reads that count before
-//! it looks in its mailbox and does not sleep once it has moved. That
-//! closes the one race left — the event loop delivering for a rank just
-//! as it starts to wait — and the loop rings the doorbell when it finds
-//! that the rank began waiting while it drained.
+//! mailboxes (abort, failure), so a rank asleep on its sockets wakes at
+//! once, not at the end of its poll slice. Each rank also counts the
+//! frames delivered to it; a waiter reads that count before it looks in
+//! its mailbox and does not sleep once it has moved, so a frame another
+//! thread of the rank delivers in between is not slept through.
 //!
 //! ## Locks
 //!
-//! **No reader lock is held across `poll(2)`, and the event loop never
-//! waits on a lock a sender can hold across socket I/O.** A rank's
-//! reader list is locked by whoever drains it, for the drain only; the
-//! event loop only `try_lock`s it, and a waiting rank gathers its
-//! sockets under the lock and releases it before it sleeps. Each link
-//! has one more lock, its write lock: a sender holds it while it writes
-//! one whole frame, so frames stay whole on the stream. Readers never
-//! take it. A sender that finds the socket buffer full yields a few
-//! times, then sleeps in `poll(2)` until the stream takes bytes again or
-//! its rank's doorbell rings, and gives the frame up once the world
-//! aborts, the peer is marked failed or the transport stops. The event
-//! loop wakes every [`TEND_PERIOD`] to drain the streams of ranks that
-//! are not waiting; while it finds bytes it keeps draining, and
-//! otherwise it sleeps to the next tick.
+//! **No reader lock is held across `poll(2)`.** A rank's reader list is
+//! locked by whoever drains it, for the drain only; a waiting rank
+//! gathers its sockets under the lock and releases it before it sleeps.
+//! Each link has one more lock, its write lock: a sender holds it while
+//! it writes one whole frame, so frames stay whole on the stream. A
+//! drain never takes it. A sender that finds the socket buffer full
+//! drains its own rank's streams (with `try_lock`: a thread that holds
+//! them is draining already) — the peer it waits on may itself be
+//! blocked writing to it — yields a few times, then sleeps in `poll(2)`
+//! until the stream takes bytes again, its own streams turn readable or
+//! its rank's doorbell rings. It gives the frame up once the world
+//! aborts, the peer is marked failed or said `BYE`, or the transport
+//! stops.
 //!
 //! Like the shmem backend, two modes share the code: **loopback**
 //! (ranks are threads, both socket ends live in this process) and
@@ -79,7 +75,6 @@
 
 use super::{wire, CtrlMsg, Progress, Route, Transport, TransportKind};
 use crate::config::CommConfig;
-use crate::error::CommError;
 use crate::message::Envelope;
 use crate::registry::Registry;
 use crate::sync::Mutex;
@@ -87,7 +82,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -99,10 +94,6 @@ const MAX_FRAME: usize = 1 << 30;
 /// Largest rendezvous frame (a hello or the address table) either side
 /// accepts: room for tens of thousands of ranks' addresses.
 const MAX_HANDSHAKE_FRAME: usize = 1 << 20;
-
-/// How often the event loop wakes to drain the streams of ranks that
-/// are not waiting.
-const TEND_PERIOD: Duration = Duration::from_millis(1);
 
 /// Receive-buffer sizing: the initial size, and the least free space a
 /// read is given.
@@ -130,52 +121,26 @@ thread_local! {
 }
 
 /// Write all of `bytes` (every socket here is nonblocking once its link
-/// exists). On a full buffer the writer yields [`WRITE_YIELD_TURNS`]
-/// times, then sleeps in `poll(2)` until the stream takes bytes again or
-/// `bell` rings. After each sleep `give_up` decides whether to stop with
-/// an error (an abort, say: the reader may never drain). A ring may be
-/// meant for a rank asleep on the same doorbell, so the writer never
-/// takes it: once it has heard one, it sleeps on the stream alone, in
-/// [`TEND_PERIOD`] slices, asking `give_up` after each.
+/// exists). On a full buffer `blocked(turn)` runs, `turn` counting the
+/// full buffers since bytes last went out: it waits for room, or returns
+/// an error to give the write up.
 fn write_all(
     mut stream: &TcpStream,
     bytes: &[u8],
-    bell: Option<&sys::Doorbell>,
-    give_up: impl Fn() -> bool,
+    mut blocked: impl FnMut(u32) -> io::Result<()>,
 ) -> io::Result<()> {
     let mut off = 0;
-    let mut yields = 0;
-    let mut bell = bell;
+    let mut turn = 0;
     while off < bytes.len() {
         match stream.write(&bytes[off..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => {
                 off += n;
-                yields = 0;
+                turn = 0;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if yields < WRITE_YIELD_TURNS {
-                    yields += 1;
-                    #[cfg(test)]
-                    WRITE_YIELDS.with(|n| n.set(n.get() + 1));
-                    std::thread::yield_now();
-                    continue;
-                }
-                let mut fds = [sys::PollFd::writable(stream), sys::PollFd::none()];
-                let (n, slice) = match bell {
-                    Some(bell) => {
-                        fds[1] = bell.poll_fd();
-                        (2, WRITE_SLICE)
-                    }
-                    None => (1, TEND_PERIOD),
-                };
-                sys::wait(&mut fds[..n], slice);
-                if n == 2 && fds[1].ready() {
-                    bell = None;
-                }
-                if give_up() {
-                    return Err(io::ErrorKind::ConnectionAborted.into());
-                }
+                blocked(turn)?;
+                turn += 1;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -267,15 +232,6 @@ mod sys {
             }
         }
 
-        /// An entry `poll(2)` skips (a negative fd).
-        pub fn none() -> PollFd {
-            PollFd {
-                fd: -1,
-                events: 0,
-                revents: 0,
-            }
-        }
-
         /// Whether the last [`wait`] found this entry ready.
         pub fn ready(&self) -> bool {
             self.revents != 0
@@ -341,17 +297,13 @@ mod sys {
             PollFd
         }
 
-        pub fn none() -> PollFd {
-            PollFd
-        }
-
         pub fn ready(&self) -> bool {
             false
         }
     }
 
     pub fn wait(_: &mut [PollFd], timeout: Duration) -> bool {
-        std::thread::sleep(timeout.min(super::TEND_PERIOD));
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
         true
     }
 
@@ -452,8 +404,7 @@ impl Inbox {
 }
 
 /// The read half of one link: the stream its peer writes toward its
-/// owner, drained by the owner while it waits and by the event loop
-/// otherwise.
+/// owner, drained by the owner's threads.
 struct Reader {
     link: Arc<Link>,
     inbox: Inbox,
@@ -468,9 +419,6 @@ struct Inbound {
     readers: Mutex<Vec<Reader>>,
     /// Frames applied to the rank's mailboxes and ledger so far.
     delivered: AtomicU64,
-    /// Threads of the rank inside [`Progress::progress`]. The event loop
-    /// leaves the streams of a waiting rank alone.
-    waiting: AtomicU32,
     doorbell: sys::Doorbell,
 }
 
@@ -480,7 +428,6 @@ impl Inbound {
             rank,
             readers: Mutex::new(Vec::new()),
             delivered: AtomicU64::new(0),
-            waiting: AtomicU32::new(0),
             doorbell: sys::Doorbell::new()?,
         })
     }
@@ -501,26 +448,9 @@ impl Inbound {
         heard
     }
 
-    /// The event loop's share: drain the streams unless the rank is
-    /// waiting (it reads them itself) or draining them right now. A rank
-    /// that began to wait during the drain may have read its count
-    /// before these deliveries, so it is rung.
-    fn sweep(&self, shared: &Shared, registry: &Registry) -> bool {
-        if self.waiting.load(Ordering::SeqCst) > 0 {
-            return false;
-        }
-        let Some(mut readers) = self.readers.try_lock() else {
-            return false;
-        };
-        let before = self.delivered.load(Ordering::SeqCst);
-        let heard = self.drain(&mut readers, shared, registry);
-        drop(readers);
-        if self.delivered.load(Ordering::SeqCst) != before
-            && self.waiting.load(Ordering::SeqCst) > 0
-        {
-            self.doorbell.ring();
-        }
-        heard
+    /// Readable entries for the rank's open streams, appended to `fds`.
+    fn poll_readers(&self, readers: &[Reader], fds: &mut Vec<sys::PollFd>) {
+        fds.extend(readers.iter().map(|r| sys::PollFd::readable(&r.link.stream)));
     }
 }
 
@@ -531,7 +461,7 @@ thread_local! {
     static POLL_SET: RefCell<Vec<sys::PollFd>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Everything the event loop shares with the transport facade.
+/// The transport's state, shared with the ranks' [`Progress`] handles.
 struct Shared {
     /// `(owner_world, peer_world) -> link`, fixed after construction.
     links: HashMap<(usize, usize), Arc<Link>>,
@@ -550,21 +480,55 @@ impl Shared {
     }
 
     /// Write one whole stream frame on `link`, under its write lock. A
-    /// writer blocked on a full buffer also hears its rank's doorbell,
-    /// and stops once the world aborts, the peer is marked failed or the
-    /// transport shuts down. Callers drop a failed write: the stream is
-    /// broken (this link's reader sees the same break as EOF or an error
-    /// and ends the link, see the module docs) or nobody will read it.
-    fn send(&self, link: &Link, frame: &[u8]) -> io::Result<()> {
+    /// writer blocked on a full buffer drains its own rank's streams and
+    /// sleeps as the module docs say, and stops once the world aborts,
+    /// the peer is marked failed or said `BYE`, or the transport stops.
+    /// Callers drop a failed write: the stream is broken (this link's
+    /// reader sees the same break as EOF or an error and ends the link,
+    /// see the module docs) or nobody will read it.
+    fn send(&self, link: &Link, frame: &[u8], registry: &Registry) -> io::Result<()> {
         let _write = link.write.lock();
-        let bell = self.inbound_of(link.owner).map(|i| &i.doorbell);
-        write_all(&link.stream, frame, bell, || {
-            self.stop.load(Ordering::Acquire)
-                || self
-                    .registry
-                    .get()
-                    .and_then(Weak::upgrade)
-                    .is_some_and(|r| r.aborted() || r.is_failed(link.peer))
+        let inbound = self.inbound_of(link.owner);
+        // A ring may be meant for a rank asleep on the same doorbell, so
+        // the writer never takes it: once it has heard one, it sleeps on
+        // its sockets alone.
+        let mut bell_heard = false;
+        write_all(&link.stream, frame, |turn| {
+            if let Some(inbound) = inbound {
+                if let Some(mut readers) = inbound.readers.try_lock() {
+                    inbound.drain(&mut readers, self, registry);
+                }
+            }
+            if self.stop.load(Ordering::Acquire)
+                || link.saw_bye.load(Ordering::Acquire)
+                || registry.aborted()
+                || registry.is_failed(link.peer)
+            {
+                return Err(io::ErrorKind::ConnectionAborted.into());
+            }
+            if turn < WRITE_YIELD_TURNS {
+                #[cfg(test)]
+                WRITE_YIELDS.with(|n| n.set(n.get() + 1));
+                std::thread::yield_now();
+                return Ok(());
+            }
+            POLL_SET.with_borrow_mut(|fds| {
+                fds.push(sys::PollFd::writable(&link.stream));
+                let mut bell = false;
+                if let Some(inbound) = inbound {
+                    if let Some(readers) = inbound.readers.try_lock() {
+                        inbound.poll_readers(&readers, fds);
+                    }
+                    if !bell_heard {
+                        fds.push(inbound.doorbell.poll_fd());
+                        bell = true;
+                    }
+                }
+                sys::wait(fds, WRITE_SLICE);
+                bell_heard |= bell && fds.last().is_some_and(sys::PollFd::ready);
+                fds.clear();
+            });
+            Ok(())
         })
     }
 
@@ -572,33 +536,21 @@ impl Shared {
     /// take). After a `BYE`, or while the transport shuts down, that is
     /// the end of the conversation. Otherwise the stream is closed —
     /// the peer sees EOF, and a sender still writing to it gets an
-    /// error instead of waiting — and the peer is reported failed, on a
-    /// thread of its own (see the module docs).
+    /// error instead of waiting — and the peer is reported failed.
     fn end_link(&self, link: &Link) {
         if link.saw_bye.load(Ordering::Acquire) || self.stop.load(Ordering::Acquire) {
             return;
         }
         let _ = link.stream.shutdown(Shutdown::Both);
-        let Some(registry) = self.registry.get().and_then(Weak::upgrade) else {
-            return;
-        };
-        let peer = link.peer;
-        eprintln!(
-            "beatnik-comm: {} (observed by rank {})",
-            CommError::LinkDown { peer },
-            link.owner
-        );
-        std::thread::Builder::new()
-            .name("beatnik-tcp-down".into())
-            .spawn(move || registry.record_link_down(peer))
-            .expect("spawning the link-down reporter");
+        if let Some(registry) = self.registry.get() {
+            super::report_link_down(registry, link.peer, link.owner);
+        }
     }
 }
 
 /// The TCP transport. See the module docs for the two modes.
 pub struct TcpTransport {
     shared: Arc<Shared>,
-    event_loop: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 /// Collects links during rendezvous, then freezes into `Shared`.
@@ -636,7 +588,6 @@ impl MeshBuilder {
                 registry: OnceLock::new(),
                 inbound,
             }),
-            event_loop: Mutex::new(None),
         })
     }
 }
@@ -768,8 +719,10 @@ fn write_frame(stream: &TcpStream, payload: &[u8]) -> io::Result<()> {
     write_all(
         stream,
         &stream_frame(payload.len(), |out| out.extend_from_slice(payload)),
-        None,
-        || false,
+        |_| {
+            sys::wait(&mut [sys::PollFd::writable(stream)], WRITE_SLICE);
+            Ok(())
+        },
     )
 }
 
@@ -946,47 +899,27 @@ fn drain_reader(reader: &mut Reader, registry: &Registry, delivered: &AtomicU64)
     (heard, true)
 }
 
-/// The event loop: every [`TEND_PERIOD`] it drains the streams of ranks
-/// that are not waiting; while it finds bytes it keeps draining, and
-/// otherwise it sleeps to the next tick (or until shutdown unparks it).
-fn run_event_loop(shared: Arc<Shared>, registry: Arc<Registry>) {
-    loop {
-        let stopping = shared.stop.load(Ordering::Acquire);
-        let mut drained = false;
-        for inbound in &shared.inbound {
-            drained |= inbound.sweep(&shared, &registry);
-        }
-        if drained {
-            continue;
-        }
-        if stopping {
-            return;
-        }
-        // Parked rather than asleep, so shutdown need not wait a tick.
-        std::thread::park_timeout(TEND_PERIOD);
-    }
-}
-
 impl Progress for Shared {
-    fn delivered(&self, rank: usize) -> u64 {
+    fn epoch(&self, rank: usize) -> u64 {
         self.inbound_of(rank)
             .map_or(0, |i| i.delivered.load(Ordering::SeqCst))
+    }
+
+    fn drain(&self, registry: &Registry, rank: usize) {
+        if let Some(inbound) = self.inbound_of(rank) {
+            inbound.drain(&mut inbound.readers.lock(), self, registry);
+        }
     }
 
     fn progress(&self, registry: &Registry, rank: usize, seen: u64, timeout: Duration) {
         let inbound = self
             .inbound_of(rank)
             .expect("a waiting rank is hosted by its transport");
-        inbound.waiting.fetch_add(1, Ordering::SeqCst);
         POLL_SET.with_borrow_mut(|fds| {
             {
                 let mut readers = inbound.readers.lock();
                 inbound.drain(&mut readers, self, registry);
-                fds.extend(
-                    readers
-                        .iter()
-                        .map(|r| sys::PollFd::readable(&r.link.stream)),
-                );
+                inbound.poll_readers(&readers, fds);
             }
             if inbound.delivered.load(Ordering::SeqCst) == seen {
                 fds.push(inbound.doorbell.poll_fd());
@@ -999,13 +932,16 @@ impl Progress for Shared {
             }
             fds.clear();
         });
-        inbound.waiting.fetch_sub(1, Ordering::SeqCst);
     }
 
     fn ring_all(&self) {
         for inbound in &self.inbound {
             inbound.doorbell.ring();
         }
+    }
+
+    fn yields(&self) -> bool {
+        false
     }
 }
 
@@ -1016,13 +952,6 @@ impl Transport for TcpTransport {
 
     fn attach(&self, registry: &Arc<Registry>) {
         let _ = self.shared.registry.set(Arc::downgrade(registry));
-        let shared = Arc::clone(&self.shared);
-        let registry = Arc::clone(registry);
-        let handle = std::thread::Builder::new()
-            .name("beatnik-tcp-link".into())
-            .spawn(move || run_event_loop(shared, registry))
-            .expect("spawning the tcp link thread");
-        *self.event_loop.lock() = Some(handle);
     }
 
     fn deliver(&self, registry: &Registry, route: Route, env: Envelope) {
@@ -1038,32 +967,37 @@ impl Transport for TcpTransport {
             .unwrap_or_else(|| {
                 panic!("no tcp link for {} -> {}", route.src_world, route.dst_world)
             });
-        let _ = self.shared.send(
-            link,
-            &stream_frame(wire::data_len(&env), |out| {
-                wire::encode_data_into(out, route.comm, route.dst_local, &env)
-            }),
-        );
+        let frame = stream_frame(wire::data_len(&env), |out| {
+            wire::encode_data_into(out, route.comm, route.dst_local, &env)
+        });
+        let _ = self.shared.send(link, &frame, registry);
     }
 
     fn publish_ctrl(&self, ctrl: CtrlMsg) {
         // Loopback worlds share the ledger; only per-process mode (one
         // local rank) needs to broadcast.
-        if self.shared.inbound.len() != 1 {
+        let shared = &self.shared;
+        let Some(registry) = shared.registry.get().and_then(Weak::upgrade) else {
+            return;
+        };
+        if shared.inbound.len() != 1 {
             return;
         }
         let inner = wire::encode_ctrl(ctrl);
         let frame = stream_frame(inner.len(), |out| out.extend_from_slice(&inner));
-        for link in self.shared.links.values() {
-            let _ = self.shared.send(link, &frame);
+        for link in shared.links.values() {
+            let _ = shared.send(link, &frame, &registry);
         }
     }
 
     fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.event_loop.lock().take() {
-            handle.thread().unpark();
-            let _ = handle.join();
+        let shared = &self.shared;
+        shared.stop.store(true, Ordering::Release);
+        shared.ring_all();
+        if let Some(registry) = shared.registry.get().and_then(Weak::upgrade) {
+            for inbound in &shared.inbound {
+                inbound.drain(&mut inbound.readers.lock(), shared, &registry);
+            }
         }
     }
 
@@ -1076,6 +1010,7 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::communicator::Communicator;
+    use crate::error::CommError;
     use crate::registry::WORLD_COMM_ID;
     use crate::trace::RankTrace;
     use crate::transport::Route;
@@ -1092,11 +1027,20 @@ mod tests {
         }
     }
 
-    fn recv_u64(registry: &Registry, src: usize, rank: usize, tag: u64) -> Vec<u64> {
+    /// Drain `rank`'s streams until `(src, tag)` arrives.
+    fn recv_u64(t: &TcpTransport, registry: &Registry, src: usize, rank: usize, tag: u64)
+        -> Vec<u64> {
         let mb = registry.mailbox(WORLD_COMM_ID, rank);
-        mb.recv_matching_timeout(src, tag, mb.interrupt_seq(), Duration::from_secs(10))
-            .unwrap_or_else(|| panic!("rank {rank} timed out waiting for tag {tag}"))
-            .into_data::<u64>()
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            Progress::drain(&*t.shared, registry, rank);
+            let env = mb.recv_matching_timeout(src, tag, mb.interrupt_seq(), Duration::ZERO);
+            if let Some(env) = env {
+                return env.into_data::<u64>();
+            }
+            assert!(Instant::now() < deadline, "rank {rank} timed out waiting for tag {tag}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Poll `done` until it holds, failing after `limit`.
@@ -1136,10 +1080,10 @@ mod tests {
             route(0, 1),
             Envelope::new(0, 7, vec![1u64, 2, 3]),
         );
-        assert_eq!(recv_u64(&registry, 0, 1, 7), vec![1, 2, 3]);
+        assert_eq!(recv_u64(&t, &registry, 0, 1, 7), vec![1, 2, 3]);
         // Self-sends bypass the wire entirely.
         t.deliver(&registry, route(1, 1), Envelope::new(1, 8, vec![9u64]));
-        assert_eq!(recv_u64(&registry, 1, 1, 8), vec![9]);
+        assert_eq!(recv_u64(&t, &registry, 1, 1, 8), vec![9]);
         t.shutdown();
     }
 
@@ -1406,35 +1350,31 @@ mod tests {
     }
 
     /// The race the delivered count closes, played out in order on one
-    /// thread of an unattached pair: rank 1 reads its count, the event
-    /// loop's path delivers a frame for it, and only then does rank 1
-    /// call `progress` — which must return without sleeping, leaving the
-    /// frame in the mailbox. With the count current and nothing coming,
-    /// the same call does sleep, until its timeout or a ring.
+    /// thread of an unattached pair: rank 1 reads its count, a frame from
+    /// its peer arrives and another drain of rank 1's (a blocked writer's
+    /// or `test()`'s) delivers it, and only then does rank 1 call
+    /// `progress` — which must return without sleeping, leaving the frame
+    /// in the mailbox. A peer's frame that is still on the socket when
+    /// `progress` runs is drained there, without a sleep too. With the
+    /// count current and nothing coming, the same call does sleep, until
+    /// its timeout or a ring.
     #[test]
     fn a_delivery_between_the_count_and_the_sleep_is_not_slept_through() {
         let registry = Arc::new(Registry::new());
         let t = TcpTransport::loopback(2).unwrap();
         let shared = &*t.shared;
-        let inbound = shared.inbound_of(1).unwrap();
-        let seen = shared.delivered(1);
+        let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
+        let take = |tag| {
+            let since = mailbox.interrupt_seq();
+            let env = mailbox.recv_matching_timeout(0, tag, since, Duration::ZERO);
+            env.unwrap_or_else(|| panic!("tag {tag} delivered")).into_data::<u64>()
+        };
+        let seen = shared.epoch(1);
         t.deliver(&registry, route(0, 1), Envelope::new(0, 7, vec![5u64]));
-
-        // The event loop leaves a waiting rank's streams alone...
-        inbound.waiting.store(1, Ordering::SeqCst);
-        assert!(!inbound.sweep(shared, &registry));
-        assert_eq!(shared.delivered(1), seen);
-        inbound.waiting.store(0, Ordering::SeqCst);
-        // ...and drains those of a rank that is not.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while shared.delivered(1) == seen {
-            assert!(
-                Instant::now() < deadline,
-                "the event loop's drain never delivered"
-            );
-            inbound.sweep(shared, &registry);
-        }
-
+        within(Duration::from_secs(10), "another drain delivered", || {
+            Progress::drain(shared, &registry, 1);
+            shared.epoch(1) != seen
+        });
         let started = Instant::now();
         shared.progress(&registry, 1, seen, Duration::from_secs(10));
         assert!(
@@ -1442,12 +1382,23 @@ mod tests {
             "slept {:?} past a delivery",
             started.elapsed()
         );
-        let mailbox = registry.mailbox(WORLD_COMM_ID, 1);
-        let env = mailbox.recv_matching_timeout(0, 7, mailbox.interrupt_seq(), Duration::ZERO);
-        assert_eq!(env.expect("frame delivered").into_data::<u64>(), vec![5]);
+        assert_eq!(take(7), vec![5]);
+
+        let seen = shared.epoch(1);
+        t.deliver(&registry, route(0, 1), Envelope::new(0, 8, vec![6u64]));
+        let started = Instant::now();
+        while shared.epoch(1) == seen {
+            shared.progress(&registry, 1, seen, Duration::from_secs(10));
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "slept {:?} past a frame on the socket",
+            started.elapsed()
+        );
+        assert_eq!(take(8), vec![6]);
 
         let started = Instant::now();
-        shared.progress(&registry, 1, shared.delivered(1), Duration::from_millis(30));
+        shared.progress(&registry, 1, shared.epoch(1), Duration::from_millis(30));
         assert!(
             started.elapsed() >= Duration::from_millis(25),
             "woke with nothing to read"
@@ -1461,7 +1412,7 @@ mod tests {
             })
         };
         let started = Instant::now();
-        shared.progress(&registry, 1, shared.delivered(1), Duration::from_secs(10));
+        shared.progress(&registry, 1, shared.epoch(1), Duration::from_secs(10));
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "a ring did not wake the sleeper"
@@ -1489,7 +1440,7 @@ mod tests {
         })
     }
 
-    /// Rank 0 writes a frame rank 1 does not read (no event loop runs):
+    /// Rank 0 writes a frame rank 1 does not read:
     /// the writer blocks, and sleeps in `poll(2)` instead of yielding
     /// for as long as the stall lasts; once the test drains rank 1's
     /// stream the whole frame arrives and the write succeeds.
@@ -1502,7 +1453,7 @@ mod tests {
         let mb = registry.mailbox(WORLD_COMM_ID, 1);
         std::thread::scope(|s| {
             let writer = s.spawn(|| {
-                let wrote = t.shared.send(link, &frame);
+                let wrote = t.shared.send(link, &frame, &registry);
                 (wrote, WRITE_YIELDS.with(std::cell::Cell::get))
             });
             std::thread::sleep(Duration::from_millis(100));
@@ -1533,10 +1484,11 @@ mod tests {
     #[test]
     fn a_stream_torn_under_a_blocked_writer_ends_the_write_with_an_error() {
         let t = TcpTransport::loopback(2).unwrap();
+        let registry = Registry::new();
         let frame = stalling_frame();
         let link = &t.shared.links[&(0, 1)];
         std::thread::scope(|s| {
-            let writer = s.spawn(|| t.shared.send(link, &frame));
+            let writer = s.spawn(|| t.shared.send(link, &frame, &registry));
             std::thread::sleep(Duration::from_millis(50));
             assert!(!writer.is_finished(), "the frame fit the socket buffers");
             let torn = Instant::now();
@@ -1554,12 +1506,11 @@ mod tests {
         let t = Arc::new(TcpTransport::loopback(2).unwrap());
         let registry = Arc::new(Registry::new());
         registry.install_transport(Arc::clone(&t) as Arc<dyn Transport>);
-        // The registry without `attach`: no event loop drains rank 1.
-        let _ = t.shared.registry.set(Arc::downgrade(&registry));
+        t.attach(&registry);
         let frame = stalling_frame();
         let link = &t.shared.links[&(0, 1)];
         std::thread::scope(|s| {
-            let writer = s.spawn(|| t.shared.send(link, &frame));
+            let writer = s.spawn(|| t.shared.send(link, &frame, &registry));
             std::thread::sleep(Duration::from_millis(50));
             assert!(!writer.is_finished(), "the frame fit the socket buffers");
             let aborted = Instant::now();
@@ -1592,11 +1543,10 @@ mod tests {
         parent_reg.install_transport(Arc::clone(&parent) as Arc<dyn Transport>);
         parent.attach(&parent_reg);
         drop(child_t);
-        within(
-            Duration::from_secs(5),
-            "the dead peer marked failed",
-            || parent_reg.is_failed(1),
-        );
+        within(Duration::from_secs(5), "the dead peer marked failed", || {
+            Progress::drain(&*parent.shared, &parent_reg, 0);
+            parent_reg.is_failed(1)
+        });
         assert_eq!(parent_reg.link_downs(), [CommError::LinkDown { peer: 1 }]);
         parent.shutdown();
     }
@@ -1662,12 +1612,12 @@ mod tests {
         let (t, registry) = attached_pair();
         let bye = wire::encode_ctrl(CtrlMsg::Bye(1));
         let link = &t.shared.links[&(1, 0)];
-        t.shared
-            .send(link, &stream_frame(bye.len(), |out| out.extend_from_slice(&bye)))
-            .unwrap();
+        let frame = stream_frame(bye.len(), |out| out.extend_from_slice(&bye));
+        t.shared.send(link, &frame, &registry).unwrap();
         link.stream.shutdown(Shutdown::Write).unwrap();
         let rank0 = t.shared.inbound_of(0).unwrap();
         within(Duration::from_secs(10), "rank 0 read the EOF", || {
+            Progress::drain(&*t.shared, &registry, 0);
             rank0.readers.lock().is_empty()
         });
         // Give a failure report, had one been sent, time to land.

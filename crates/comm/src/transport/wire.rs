@@ -24,8 +24,8 @@
 //! slab and pushes only this ~21-byte token frame through the ring, so
 //! FIFO order with smaller serialized frames is preserved while the
 //! payload allocation moves by pointer. The token is meaningless outside
-//! the process that minted it, which is why only the shmem poller (which
-//! shares the sender's slab) may apply one — [`apply`] refuses it.
+//! the process that minted it, which is why only a shmem reader (which
+//! shares the sender's slab) may claim one — [`apply`] refuses it.
 //!
 //! Frames are self-delimiting inside a shmem ring record; on TCP each
 //! frame follows the `u32` length prefix the stream layer reserves in
@@ -57,7 +57,7 @@ pub enum Frame {
     Ctrl(CtrlMsg),
     /// A zero-copy handoff token for mailbox `(comm, dst_local)`: the
     /// envelope itself is stashed in the sending process's slab under
-    /// `token`. Only meaningful to a poller sharing that slab.
+    /// `token`. Only meaningful to a reader sharing that slab.
     Handoff {
         /// Communicator id (channel bit included).
         comm: u64,
@@ -249,9 +249,10 @@ pub fn apply(frame: Frame, registry: &Registry) {
         Frame::Ctrl(msg) => registry.apply_remote_ctrl(msg),
         // A handoff token references a slab in the *sending* process;
         // resolving it here would be type confusion across processes.
-        // The shmem poller claims these itself before calling `apply`.
+        // Both wire readers take these out before calling `apply`: shmem
+        // claims them, TCP ends the link.
         Frame::Handoff { token, .. } => {
-            panic!("handoff token {token:#x} reached a poller without the sender's slab")
+            panic!("handoff token {token:#x} reached a reader without the sender's slab")
         }
     }
 }

@@ -27,9 +27,10 @@ use crate::metrics::MetricsPlane;
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::sync::Mutex;
 use crate::trace::{RankTrace, WorldTrace};
-use crate::transport::TransportKind;
+use crate::transport::{Progress, TransportKind};
 use beatnik_telemetry::metrics::MetricsRegistry;
 use beatnik_telemetry::{RankTimeline, SpanRecorder, WorldTimeline, TRACED_SPAN_CAPACITY};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -280,8 +281,11 @@ impl WorldBuilder {
 
         let mut results: Vec<Option<R>> = (0..num_ranks).map(|_| None).collect();
         let killed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let returned = AtomicUsize::new(0);
+        let progress = transport.progress();
         let f = &f;
         let killed_ref = &killed;
+        let (returned, progress) = (&returned, progress.as_deref());
         std::thread::scope(|scope| {
             let handles: Vec<_> = results
                 .iter_mut()
@@ -307,6 +311,12 @@ impl WorldBuilder {
                         // On panic, flag the world so peers blocked in
                         // receives fail fast rather than timing out.
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
+                        let last = returned.fetch_add(1, Ordering::SeqCst) + 1 == num_ranks;
+                        match (progress, &out) {
+                            (Some(p), _) if last => p.ring_all(),
+                            (Some(p), Ok(_)) => finalize(p, &reg, rank, returned, num_ranks),
+                            _ => {}
+                        }
                         match out {
                             Ok(r) => *slot = Some(r),
                             Err(p) => {
@@ -413,6 +423,26 @@ impl WorldBuilder {
                 }
             }));
         });
+    }
+}
+
+/// A rank whose closure has returned keeps draining its own inbound
+/// until every rank of the world has returned or the world aborts — the
+/// `MPI_Finalize` analogue — so a peer still writing to it is never left
+/// blocked on a full wire. The last rank to return rings every doorbell.
+fn finalize(
+    progress: &dyn Progress,
+    registry: &Registry,
+    rank: usize,
+    returned: &AtomicUsize,
+    num_ranks: usize,
+) {
+    loop {
+        let seen = progress.epoch(rank);
+        if returned.load(Ordering::SeqCst) == num_ranks || registry.aborted() {
+            return;
+        }
+        progress.progress(registry, rank, seen, Duration::from_millis(100));
     }
 }
 

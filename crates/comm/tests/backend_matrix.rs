@@ -9,9 +9,12 @@
 
 mod common;
 
-use beatnik_comm::{backend_matrix, AllToAllAlgo, CommError, FaultPlan, OpKind, SumOp, World};
+use beatnik_comm::{
+    backend_matrix, AllToAllAlgo, CommConfig, CommError, FaultPlan, OpKind, SumOp, TransportKind,
+    World,
+};
 use common::caught;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-op receive deadline: long enough for a loaded CI machine, short
 /// enough that a lost wire frame fails the test rather than hanging it.
@@ -349,9 +352,67 @@ backend_matrix! {
             });
         });
     }
+
+    /// The receiver computes for 200 ms without a comm call while the
+    /// sender writes more than the wire holds: a 16 MiB message, more
+    /// than the socket buffers, and 4,000 small frames, more than a
+    /// 64 KiB shmem ring. On a wire backend the sender blocks until the
+    /// receiver's next wait drains it, and then everything arrives.
+    fn a_busy_receiver_unblocks_its_sender_at_its_next_wait(kind: TransportKind) {
+        finishes(move || {
+            let done = small_ring_world(kind).run(|c| {
+                let n = (16 << 20) / 8;
+                if c.rank() == 0 {
+                    c.send(1, 1, pattern(16, n));
+                    for i in 0..4_000u64 {
+                        c.send(1, 2, vec![i; 32]);
+                    }
+                } else {
+                    let busy = Instant::now();
+                    while busy.elapsed() < Duration::from_millis(200) {
+                        std::hint::spin_loop();
+                    }
+                    let waits = Instant::now();
+                    let got: Vec<u64> = c.recv(0, 1);
+                    assert_eq!(checksum(&got), checksum(&pattern(16, n)));
+                    for i in 0..4_000u64 {
+                        assert_eq!(c.recv::<u64>(0, 2), [i; 32]);
+                    }
+                    return waits;
+                }
+                Instant::now()
+            });
+            if kind != TransportKind::Thread {
+                assert!(done[0] > done[1], "the sender finished before the receiver waited");
+            }
+        });
+    }
+
+    /// A 16 MiB message and 4,000 small frames past a 64 KiB shmem ring
+    /// that are never received: the receiver returns at once and keeps
+    /// draining until its sender has returned too, so the world ends.
+    fn messages_never_received_do_not_keep_the_world_from_ending(kind: TransportKind) {
+        finishes(move || {
+            small_ring_world(kind).run(|c| {
+                if c.rank() == 0 {
+                    c.send(1, 1, pattern(16, (16 << 20) / 8));
+                    for i in 0..4_000u64 {
+                        c.send(1, 2, vec![i; 32]);
+                    }
+                }
+            });
+        });
+    }
 }
 
-
+/// A two-rank world on `kind` whose shmem rings hold 64 KiB.
+fn small_ring_world(kind: TransportKind) -> beatnik_comm::WorldBuilder {
+    let config = CommConfig {
+        shm_ring_bytes: 64 << 10,
+        ..CommConfig::default()
+    };
+    World::builder(2).config(config).transport(kind).recv_timeout(TIMEOUT)
+}
 
 /// Run a world on a thread of its own and fail — not hang the suite —
 /// if it is still running after 30 s.

@@ -2,7 +2,7 @@
 //! multi-sender mailbox storms drained through irecv and out-of-order
 //! `wait_all` completion at several rank counts.
 
-use beatnik_comm::{wait_all, World};
+use beatnik_comm::{backend_matrix, wait_all, World};
 use std::time::Duration;
 
 #[test]
@@ -99,24 +99,26 @@ fn wait_all_completes_out_of_order_at_several_sizes() {
     }
 }
 
-#[test]
-fn test_poll_makes_progress_without_blocking() {
-    // irecv::test() returns false until the message exists, then
-    // completes without ever blocking the receiver.
-    World::builder(2).run(|comm| {
-        if comm.rank() == 0 {
-            let mut req = comm.irecv::<u64>(1, 0);
-            let mut polls = 0u64;
-            while !req.test() {
-                polls += 1;
-                if polls > 100_000_000 {
-                    panic!("test() never completed");
+backend_matrix! {
+    fn test_poll_makes_progress_without_blocking(kind: TransportKind) {
+        // irecv::test() returns false until the message exists, then
+        // completes without ever blocking the receiver: each call drains
+        // the receiver's wire once, so it needs no other thread.
+        World::builder(2).transport(kind).run(|comm| {
+            if comm.rank() == 0 {
+                let mut req = comm.irecv::<u64>(1, 0);
+                let mut polls = 0u64;
+                while !req.test() {
+                    polls += 1;
+                    if polls > 100_000_000 {
+                        panic!("test() never completed");
+                    }
                 }
+                assert_eq!(req.wait(), vec![17]);
+            } else {
+                std::thread::sleep(Duration::from_millis(20));
+                comm.send(0, 0, vec![17u64]);
             }
-            assert_eq!(req.wait(), vec![17]);
-        } else {
-            std::thread::sleep(Duration::from_millis(20));
-            comm.send(0, 0, vec![17u64]);
-        }
-    });
+        });
+    }
 }

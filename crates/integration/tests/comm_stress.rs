@@ -2,7 +2,7 @@
 //! communicator splits, and polling receives under load — the misuse-
 //! adjacent patterns a message-passing runtime must survive.
 
-use beatnik_comm::{wait_all, World};
+use beatnik_comm::{backend_matrix, wait_all, World};
 
 #[test]
 fn many_tags_many_sources_storm() {
@@ -58,30 +58,31 @@ fn nested_splits_three_deep() {
     });
 }
 
-#[test]
-fn irecv_test_polling_loop() {
-    World::builder(3).run(|comm| {
-        if comm.rank() == 0 {
-            // Poll until both workers report, doing "useful work" between
-            // polls.
-            let mut reqs = [comm.irecv::<u64>(1, 42), comm.irecv::<u64>(2, 42)];
-            let mut spins = 0u64;
-            while !reqs.iter_mut().all(|r| r.test()) {
-                spins += 1;
-                if spins > 50_000_000 {
-                    panic!("polling loop never completed");
+backend_matrix! {
+    fn irecv_test_polling_loop(kind: TransportKind) {
+        World::builder(3).transport(kind).run(|comm| {
+            if comm.rank() == 0 {
+                // Poll until both workers report, doing "useful work"
+                // between polls.
+                let mut reqs = [comm.irecv::<u64>(1, 42), comm.irecv::<u64>(2, 42)];
+                let mut spins = 0u64;
+                while !reqs.iter_mut().all(|r| r.test()) {
+                    spins += 1;
+                    if spins > 50_000_000 {
+                        panic!("polling loop never completed");
+                    }
                 }
+                for r in reqs {
+                    assert_eq!(r.wait(), [7]);
+                }
+                // Nothing left afterwards.
+                let mut extra = comm.irecv::<u64>(1, 42);
+                assert!(!extra.test());
+            } else {
+                comm.send(0, 42, vec![7u64]);
             }
-            for r in reqs {
-                assert_eq!(r.wait(), [7]);
-            }
-            // Nothing left afterwards.
-            let mut extra = comm.irecv::<u64>(1, 42);
-            assert!(!extra.test());
-        } else {
-            comm.send(0, 42, vec![7u64]);
-        }
-    });
+        });
+    }
 }
 
 #[test]

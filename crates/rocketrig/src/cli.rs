@@ -258,7 +258,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 .into(),
         );
     }
-    opts.config.params.validate()?;
+    opts.config.validate()?;
     Ok(opts)
 }
 
@@ -445,6 +445,19 @@ mod tests {
             br(&["--solver", "exact", "--solver", "cutoff"]),
             BrChoice::Cutoff { .. }
         ));
+    }
+
+    /// The FFT orders need periodic boundaries: on the open deck they
+    /// fail at the prompt with one line, not on every rank.
+    #[test]
+    fn fft_orders_on_the_open_deck_are_refused() {
+        for order in ["low", "medium"] {
+            let err = parse_args(&sv(&["--order", order, "--deck", "singlemode"])).unwrap_err();
+            assert!(err.contains(&format!("order {order} needs periodic boundaries")), "{err}");
+            assert!(!err.contains('\n'), "{err}");
+        }
+        assert!(parse_args(&sv(&["--order", "high", "--deck", "singlemode"])).is_ok());
+        assert!(parse_args(&sv(&["--order", "medium", "--deck", "multimode"])).is_ok());
     }
 
     #[test]

@@ -152,6 +152,21 @@ impl Default for RigConfig {
 }
 
 impl RigConfig {
+    /// Refuse a configuration no rank could run, before any rank starts:
+    /// parameters out of range, and an FFT order on the open deck (its
+    /// spectral derivatives need periodic boundaries).
+    pub fn validate(&self) -> Result<(), String> {
+        self.params.validate()?;
+        if self.order.needs_fft() && !self.deck.periodic() {
+            return Err(format!(
+                "order {} needs periodic boundaries; the singlemode deck is open \
+                 (run it at order high)",
+                self.order
+            ));
+        }
+        Ok(())
+    }
+
     /// The spatial mesh matching this config's domain and rank count
     /// (used by the cutoff solver and the ownership diagnostics).
     pub fn spatial_mesh(&self, ranks: usize) -> SpatialMesh {

@@ -77,7 +77,7 @@ pub fn rig_config(spec: &JobSpec) -> Result<RigConfig, String> {
     if let Some(dt) = spec.dt {
         cfg.params.dt = dt;
     }
-    cfg.params.validate()?;
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -210,6 +210,10 @@ impl RigRunner {
 }
 
 impl JobRunner for RigRunner {
+    fn admit(&self, spec: &JobSpec) -> Result<(), String> {
+        rig_config(spec).map(|_| ())
+    }
+
     fn run(&self, ctx: &JobContext) -> Result<JobOutcome, String> {
         let spec = &ctx.spec;
         let cfg = rig_config(spec)?;
@@ -295,6 +299,29 @@ mod tests {
         assert!(rig_config(&JobSpec { order: "ultra".into(), ..JobSpec::default() }).is_err());
         assert!(rig_config(&JobSpec { deck: "cube".into(), ..JobSpec::default() }).is_err());
         assert!(rig_config(&JobSpec { dt: Some(-1.0), ..JobSpec::default() }).is_err());
+    }
+
+    /// An FFT order on the open deck would panic on every rank of the
+    /// gang; the runner refuses it at admission instead, which the
+    /// scheduler answers with a 400.
+    #[test]
+    fn fft_orders_on_the_open_deck_are_refused_at_admission() {
+        for order in ["low", "medium"] {
+            let spec = JobSpec {
+                order: order.into(),
+                deck: "singlemode".into(),
+                ..JobSpec::default()
+            };
+            let err = RigRunner.admit(&spec).unwrap_err();
+            assert!(err.contains("needs periodic boundaries"), "{order}: {err}");
+            assert_eq!(rig_config(&spec).unwrap_err(), err);
+        }
+        let high = JobSpec {
+            order: "high".into(),
+            deck: "singlemode".into(),
+            ..JobSpec::default()
+        };
+        assert!(RigRunner.admit(&high).is_ok());
     }
 
     #[test]

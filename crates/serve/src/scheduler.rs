@@ -158,6 +158,13 @@ impl JobContext {
 pub trait JobRunner: Send + Sync + 'static {
     /// Run (an epoch of) the job described by `ctx`.
     fn run(&self, ctx: &JobContext) -> Result<JobOutcome, String>;
+
+    /// Refuse, at admission, a spec that passed [`JobSpec::validate`]
+    /// but that this runner cannot run (HTTP 400). Admits every spec by
+    /// default.
+    fn admit(&self, _spec: &JobSpec) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 impl<F> JobRunner for F
@@ -376,7 +383,10 @@ impl Scheduler {
     /// Admit a job: validate, check queue capacity, enqueue. Returns
     /// the assigned id.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        if let Err(msg) = spec.validate(&self.shared.cfg.limits) {
+        let admitted = spec
+            .validate(&self.shared.cfg.limits)
+            .and_then(|()| self.shared.runner.admit(&spec));
+        if let Err(msg) = admitted {
             self.shared.metrics.jobs_rejected_invalid.inc();
             return Err(SubmitError::Invalid(msg));
         }

@@ -130,20 +130,21 @@ grep -q 'process-ranks over shmem' "$PROF_DIR/procs-shmem.log"
     > "$PROF_DIR/procs-tcp.log"
 grep -q 'process-ranks over tcp' "$PROF_DIR/procs-tcp.log"
 # The backends must agree bit for bit: one 2-rank low-order job on the
-# thread backend, over TCP loopback (each rank reads its own sockets
-# while it waits) and over TCP with a process per rank must write
-# identical VTK files at every step, so a progress bug that reorders or
-# drops frames fails here.
-for run in thread tcp tcp-procs; do
+# thread backend, over shmem and TCP loopback (each rank drains its own
+# rings or sockets) and over shmem and TCP with a process per rank must
+# write identical VTK files at every step, so a progress bug that
+# reorders or drops frames fails here.
+for run in thread shmem shmem-procs tcp tcp-procs; do
     args=(--transport "${run%-procs}")
-    [ "$run" = tcp-procs ] && args+=(--procs)
+    [ "$run" != "${run%-procs}" ] && args+=(--procs)
     "$RIG" "${args[@]}" --order low --n 16 --steps 4 --ranks 2 \
         --vtk-every 1 --out "$PROF_DIR/agree-$run" >/dev/null
 done
 test "$(ls "$PROF_DIR/agree-thread" | grep -c '\.vtk$')" -eq 4
 for f in "$PROF_DIR"/agree-thread/*.vtk; do
-    cmp "$f" "$PROF_DIR/agree-tcp/${f##*/}"
-    cmp "$f" "$PROF_DIR/agree-tcp-procs/${f##*/}"
+    for run in shmem shmem-procs tcp tcp-procs; do
+        cmp "$f" "$PROF_DIR/agree-$run/${f##*/}"
+    done
 done
 # The cutoff solver's migrate/halo/return alltoallv cycle must agree
 # the same way: a 4-rank high-order cutoff run on the thread backend and
@@ -178,6 +179,14 @@ if "$RIG" --solver tree --n 16 --steps 1 --ranks 1 \
     exit 1
 fi
 grep -q "unknown solver 'tree'" "$PROF_DIR/solver-tree.log"
+# An FFT order on the open deck must fail at the prompt with one line,
+# not panic on every rank.
+if "$RIG" --order medium --deck singlemode --n 16 --steps 1 --ranks 1 \
+    > "$PROF_DIR/order-deck.log" 2>&1; then
+    echo "rocketrig --order medium --deck singlemode exited 0"
+    exit 1
+fi
+grep -q "order medium needs periodic boundaries" "$PROF_DIR/order-deck.log"
 # Messages larger than the socket buffers (16 MiB one way, 8 MiB both
 # ways, 2 MiB alltoallv blocks) must complete on every backend; each
 # test fails after 30 s instead of hanging.
