@@ -26,7 +26,7 @@ use crate::fault::{FaultInjector, FaultPlan, RankKilled};
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::trace::RankTrace;
 use crate::transport::chaos::{ChaosTransport, LinkChaos};
-use crate::transport::{shmem::ShmemTransport, tcp::TcpTransport, CtrlMsg, Transport, TransportKind};
+use crate::transport::{shmem, tcp, CtrlMsg, Transport, TransportKind};
 use beatnik_telemetry::metrics::MetricsRegistry;
 use beatnik_telemetry::SpanRecorder;
 use std::net::TcpListener;
@@ -213,20 +213,15 @@ fn build_child_transport(
             let dir = std::env::var(SHM_DIR_ENV)
                 .unwrap_or_else(|_| panic!("child missing {SHM_DIR_ENV}"));
             Arc::new(
-                ShmemTransport::for_process(
-                    std::path::Path::new(&dir),
-                    rank,
-                    num_ranks,
-                    config.shm_ring_bytes,
-                )
-                .unwrap_or_else(|e| panic!("rank {rank}: joining shm world: {e}")),
+                shmem::for_process(std::path::Path::new(&dir), rank, num_ranks, config.shm_ring_bytes)
+                    .unwrap_or_else(|e| panic!("rank {rank}: joining shm world: {e}")),
             )
         }
         TransportKind::Tcp => {
             let addr = std::env::var(TCP_PARENT_ENV)
                 .unwrap_or_else(|_| panic!("child missing {TCP_PARENT_ENV}"));
             Arc::new(
-                TcpTransport::child(&addr, rank, num_ranks, config)
+                tcp::child(&addr, rank, num_ranks, config)
                     .unwrap_or_else(|e| panic!("rank {rank}: joining tcp world: {e}")),
             )
         }
@@ -276,6 +271,9 @@ where
     let exe = std::env::current_exe().expect("resolving current executable");
     let chaos = plan.and_then(LinkChaos::from_plan);
     let injector = plan.and_then(|p| p.injector_for(0));
+    // A shmem world's ring files go when this returns or unwinds,
+    // however the world ended.
+    let mut world_dir = None;
 
     // Rendezvous state the children need, plus our own transport.
     let (transport, rendezvous): (Arc<dyn Transport>, (&str, String)) = match config.transport {
@@ -283,18 +281,17 @@ where
             panic!("the thread transport cannot span processes; use shmem or tcp")
         }
         TransportKind::Shmem => {
-            let dir = ShmemTransport::create_world_dir(num_ranks, config.shm_ring_bytes)
-                .expect("creating the shm world directory");
-            let t = ShmemTransport::for_process(&dir, 0, num_ranks, config.shm_ring_bytes)
+            let dir = world_dir.insert(shmem::WorldDir::create().expect("creating the shm world directory"));
+            let t = shmem::for_process(dir.path(), 0, num_ranks, config.shm_ring_bytes)
                 .expect("joining the shm world as rank 0");
-            let dir_str = dir.to_string_lossy().into_owned();
+            let dir_str = dir.path().to_string_lossy().into_owned();
             (ChaosTransport::wrap(Arc::new(t), chaos), (SHM_DIR_ENV, dir_str))
         }
         TransportKind::Tcp => {
             let listener = TcpListener::bind("127.0.0.1:0").expect("binding the parent listener");
             let addr = listener.local_addr().unwrap().to_string();
-            // Children connect while we block in TcpTransport::parent
-            // below, so spawn first, accept after.
+            // Children connect while we block in tcp::parent below, so
+            // spawn first, accept after.
             let children = spawn_children(
                 &exe,
                 child_args,
@@ -306,7 +303,7 @@ where
             // A crashed child leaves the accept loop short; its
             // deadline turns that into a typed error instead of a
             // parent that hangs forever at rendezvous.
-            let t = match TcpTransport::parent(listener, num_ranks, config) {
+            let t = match tcp::parent(listener, num_ranks, config) {
                 Ok(t) => t,
                 Err(e) => {
                     abandon_children(children);

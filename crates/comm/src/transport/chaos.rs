@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn the_decorator_keeps_its_backends_receive_progress() {
         let chaos = || Some(engine("delay:r0>r1@link1:1ms", 0));
-        let tcp = Arc::new(crate::transport::tcp::TcpTransport::loopback(2).unwrap());
+        let tcp = Arc::new(crate::transport::tcp::loopback(2).unwrap());
         assert!(ChaosTransport::wrap(tcp, chaos()).progress().is_some());
         let thread = Arc::new(crate::transport::thread::ThreadTransport);
         assert!(ChaosTransport::wrap(thread, chaos()).progress().is_none());

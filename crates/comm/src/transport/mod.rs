@@ -12,16 +12,19 @@
 //!   envelope is pushed straight into the destination mailbox, payload
 //!   buffers moving by pointer between rank threads. Zero copies beyond
 //!   what the protocol itself charges.
-//! * [`shmem::ShmemTransport`] — envelopes are serialized into
-//!   memory-mapped SPSC byte rings, one ring per ordered rank pair. The
-//!   rings are plain files under a shared directory, so the same code
-//!   serves a single process (loopback mode, used by the backend test
-//!   matrix) and one process per rank (spawned by [`crate::proc`]).
-//! * [`tcp::TcpTransport`] — length-prefixed frames over one plain TCP
-//!   stream per rank pair, with `TCP_NODELAY`. EOF or a socket error on
-//!   a stream whose peer has not said `BYE` marks the peer failed in the
-//!   ledger, so a dead process ends its world the way a dead thread-rank
-//!   does.
+//! * [`wire::Wire`] over a [`wire::Pipe`] — the one wire transport:
+//!   envelopes are serialized into `len u32 | inner` frames, and the two
+//!   byte pipes differ only in how bytes move, what a rank sleeps on,
+//!   and where a read splits the frames. [`shmem::Shm`] copies bytes
+//!   through memory-mapped SPSC rings, one per ordered rank pair, and
+//!   sleeps on a futex word per rank; the rings are plain files under a
+//!   shared directory, so the same code serves a single process
+//!   (loopback mode, used by the backend test matrix) and one process
+//!   per rank (spawned by [`crate::proc`]). [`tcp::Tcp`] writes frames to
+//!   one plain TCP stream per rank pair, with `TCP_NODELAY`, and sleeps
+//!   in `poll(2)`. EOF or a socket error on a stream whose peer has not
+//!   said `BYE` marks the peer failed in the ledger, so a dead process
+//!   ends its world the way a dead thread-rank does.
 //!
 //! ## Progress on call
 //!
@@ -248,12 +251,11 @@ pub(crate) fn build_loopback(
     let bare: Arc<dyn Transport> = match kind {
         TransportKind::Thread => Arc::new(thread::ThreadTransport),
         TransportKind::Shmem => Arc::new(
-            shmem::ShmemTransport::loopback(num_ranks, config.shm_ring_bytes)
+            shmem::loopback(num_ranks, config.shm_ring_bytes)
                 .unwrap_or_else(|e| panic!("shmem transport setup failed: {e}")),
         ),
         TransportKind::Tcp => Arc::new(
-            tcp::TcpTransport::loopback(num_ranks)
-                .unwrap_or_else(|e| panic!("tcp transport setup failed: {e}")),
+            tcp::loopback(num_ranks).unwrap_or_else(|e| panic!("tcp transport setup failed: {e}")),
         ),
     };
     chaos::ChaosTransport::wrap(bare, link_chaos)

@@ -1,52 +1,44 @@
-//! Shared-memory transport: memory-mapped SPSC byte rings, one per
-//! ordered rank pair.
+//! The shared-memory pipe: memory-mapped SPSC byte rings, one per
+//! ordered rank pair, under [`Wire`].
 //!
 //! Each ring is a plain file (`ring-<src>-<dst>`) under a shared
 //! directory, mapped with `MAP_SHARED` so any process that opens it
 //! sees the same bytes. The first two cachelines hold the consumer
 //! (`head`) and producer (`tail`) cursors as monotonically increasing
-//! byte counts; the rest is payload. Records are `u32` length-prefixed
-//! wire frames (see [`super::wire`]) written with wraparound — the
-//! producer publishes `tail` once per whole record, so a consumer that
-//! observes `tail - head >= 4` always has a complete record to read.
+//! byte counts; the rest is payload. A ring is a byte pipe, as a socket
+//! is: [`wire`] frames (`len u32 | inner`) go through it back to back,
+//! written with wraparound, and a frame larger than the ring goes
+//! through in pieces while its reader drains.
 //!
-//! A ring is read by the rank it is addressed to, on its own thread
-//! ([`Progress`]). A waiting rank drains its rings in ring order and
-//! sleeps on its **doorbell**: a futex word in the shared `bells` file
-//! that every writer to the rank, and every ledger interrupt, rings.
-//! The word counts rings, so it is the rank's [`Progress::epoch`]. A
-//! writer on a full ring drains its own rings, then sleeps on its own
-//! doorbell, which a consumer that frees space rings; it gives the
-//! frame up once the world aborts, the peer is marked failed or said
-//! `BYE`, or the transport stops. Bytes a reader cannot take — cursors
-//! or a length outside what was published, a frame [`wire::decode`]
-//! refuses, a `HANDOFF` token with nothing stashed under it — end that
-//! ring's link as a torn TCP stream does ([`super::report_link_down`]);
-//! nothing panics.
+//! What the pipe adds to the wire:
 //!
-//! * **loopback** — all ranks are threads of this process (the backend
-//!   test matrix runs here). Wire-safe envelopes of
-//!   [`HANDOFF_MIN_BYTES`] or more skip serialization: the envelope
-//!   waits in a process-local **handoff slab** and a ~21-byte `HANDOFF`
-//!   token rides the ring, in FIFO order with serialized frames, so the
-//!   payload moves by pointer (`bytes_copied_per_op == 0`) and may be
-//!   larger than the ring.
-//! * **per-process** ([`ShmemTransport::for_process`]) — each rank is
-//!   its own process ([`crate::proc`]); failure-ledger news travels as
-//!   CTRL frames through the same rings.
+//! * **bytes** — the writer copies what fits in behind `tail` and
+//!   publishes it with one release store; the rank the ring is
+//!   addressed to copies what was published out. Cursors that publish
+//!   more than the ring holds end the ring's link like bytes no frame
+//!   can be made of; nothing panics;
+//! * **sleep** — a futex word per rank in the shared `bells` file: every
+//!   writer to the rank and every ledger interrupt rings it, and the
+//!   word counts rings, so it is the rank's epoch. A writer on a full
+//!   ring sleeps on its own word, which a consumer that frees space
+//!   rings. Waits take their yield turns first.
+//!
+//! Two modes share the code: **loopback** ([`loopback`]: every rank is a
+//! thread of this process; the files are unlinked once mapped) and
+//! **per-process** ([`for_process`]: each rank is its own process
+//! ([`crate::proc`]), in a directory the launching process owns as a
+//! [`WorldDir`]). Failure-ledger news travels as CTRL frames through the
+//! same rings.
 //!
 //! No external crates: `mmap`, `munmap` and `futex` are declared
 //! against the C library that `std` already links.
 
-use super::{wire, CtrlMsg, Progress, Route, Transport, TransportKind};
-use crate::message::Envelope;
-use crate::registry::Registry;
-use crate::sync::Mutex;
-use std::collections::HashMap;
+use super::wire::{Pipe, Wire};
+use super::TransportKind;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Ring header size: one cacheline for `head`, one for `tail`.
@@ -55,21 +47,9 @@ const HEADER_BYTES: usize = 128;
 /// Smallest ring we will build; below this the header dominates.
 const MIN_RING_BYTES: usize = 4096;
 
-/// Smallest payload that rides the handoff slab when the destination
-/// is in this process; below it a memcpy through the ring is cheaper
-/// than the slab's lock and token round trip.
-const HANDOFF_MIN_BYTES: usize = 8192;
-
 /// One rank's doorbell in the `bells` file: a cacheline holding the
 /// futex word and the count of threads asleep on it.
 const BELL_BYTES: usize = 64;
-
-/// Yields a writer takes on a full ring before it sleeps (the rule of
-/// [`crate::communicator::YIELD_TURNS`]).
-const WRITE_YIELD_TURNS: u32 = crate::communicator::YIELD_TURNS;
-
-/// Longest a blocked writer sleeps before it looks again.
-const WRITE_SLICE: Duration = Duration::from_millis(100);
 
 #[cfg(unix)]
 mod sys {
@@ -205,14 +185,15 @@ impl Drop for Mapping {
 
 impl Mapping {
     /// Map `len` bytes of the file at `path`, creating it zero-filled if
-    /// `create`.
+    /// no process has yet.
     #[cfg(unix)]
-    fn open(path: &Path, len: usize, create: bool) -> io::Result<Mapping> {
+    fn open(path: &Path, len: usize) -> io::Result<Mapping> {
         use std::os::fd::AsRawFd;
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
-            .create(create)
+            .create(true)
+            .truncate(false)
             .open(path)?;
         file.set_len(len as u64)?;
         let ptr = sys::map_shared(file.as_raw_fd(), len)?;
@@ -220,7 +201,7 @@ impl Mapping {
     }
 
     #[cfg(not(unix))]
-    fn open(_path: &Path, _len: usize, _create: bool) -> io::Result<Mapping> {
+    fn open(_path: &Path, _len: usize) -> io::Result<Mapping> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "the shmem transport requires a unix platform (mmap)",
@@ -239,30 +220,28 @@ impl Mapping {
 }
 
 /// One memory-mapped SPSC ring, `HEADER_BYTES + capacity >=
-/// MIN_RING_BYTES` bytes long. Producers are serialized by `write_lock`,
-/// the consumer by its rank's [`Inbound`] lock. Data bytes are touched
-/// in the ring protocol: the producer writes only the free span behind
-/// `tail` and publishes it with a release store of `tail`; the consumer
-/// reads only the published span behind `head`, after an acquire load
-/// of `tail`, and frees it with a release store of `head`. No byte is
-/// read and written at once.
-struct Ring {
+/// MIN_RING_BYTES` bytes long. Producers are serialized by the wire's
+/// write lock of the link, the consumer by its rank's reader lock. Data
+/// bytes are touched in the ring protocol: the producer writes only the
+/// free span behind `tail` and publishes it with a release store of
+/// `tail`; the consumer reads only the published span behind `head`,
+/// after an acquire load of `tail`, and frees it with a release store of
+/// `head`. No byte is read and written at once.
+pub struct Ring {
     map: Mapping,
     capacity: u64,
-    write_lock: Mutex<()>,
 }
 
 impl Ring {
-    fn open(path: &Path, ring_bytes: usize, create: bool) -> io::Result<Ring> {
+    fn open(path: &Path, ring_bytes: usize) -> io::Result<Ring> {
         assert!(
             ring_bytes >= MIN_RING_BYTES,
             "shm ring of {ring_bytes} bytes is below the {MIN_RING_BYTES}-byte minimum"
         );
         // Freshly created files are zero-filled, so head == tail == 0.
         Ok(Ring {
-            map: Mapping::open(path, ring_bytes, create)?,
+            map: Mapping::open(path, ring_bytes)?,
             capacity: (ring_bytes - HEADER_BYTES) as u64,
-            write_lock: Mutex::new(()),
         })
     }
 
@@ -318,45 +297,39 @@ impl Ring {
         }
     }
 
-    /// Whether a record of `need` bytes fits behind `tail`. A head the
-    /// peer moved past the tail reads as a full ring.
-    fn has_room(&self, tail: u64, need: u64) -> bool {
-        tail.wrapping_sub(self.head().load(Ordering::Acquire)) <= self.capacity - need
+    /// Free bytes behind the tail. A head the peer moved past the tail
+    /// reads as a full ring.
+    fn room(&self) -> u64 {
+        let used = self.tail().load(Ordering::Relaxed).wrapping_sub(self.head().load(Ordering::Acquire));
+        self.capacity.saturating_sub(used)
     }
 
-    /// Append one record at `tail` (room checked, write lock held). One
-    /// release store per record: a consumer that sees the new tail sees
-    /// the whole frame.
-    fn publish(&self, tail: u64, frame: &[u8]) {
-        self.write_at(tail, &(frame.len() as u32).to_le_bytes());
-        self.write_at(tail + 4, frame);
-        self.tail().store(tail + 4 + frame.len() as u64, Ordering::Release);
+    /// Copy what fits of `bytes` in behind the tail and publish it with
+    /// one release store. Producer side only (the link's write lock
+    /// held). Returns how many bytes went in.
+    fn write(&self, bytes: &[u8]) -> usize {
+        let tail = self.tail().load(Ordering::Relaxed);
+        let n = self.room().min(bytes.len() as u64);
+        self.write_at(tail, &bytes[..n as usize]);
+        self.tail().store(tail.wrapping_add(n), Ordering::Release);
+        n as usize
     }
 
-    /// Take the next frame if one is complete. Consumer side only. The
-    /// cursors and the length prefix may come from another process: a
-    /// record must lie inside what was published, and that inside the
-    /// ring, or the bytes are refused.
-    fn pop_frame(&self) -> Result<Option<Vec<u8>>, String> {
+    /// Copy out what was published, at most `buf.len()` bytes, and free
+    /// it. Consumer side only. The cursors may come from another
+    /// process: what they publish must fit the ring, or the bytes are
+    /// refused, and they move with wrapping arithmetic, so no cursor
+    /// value panics.
+    fn read(&self, buf: &mut [u8]) -> Result<usize, String> {
         let head = self.head().load(Ordering::Relaxed);
-        let tail = self.tail().load(Ordering::Acquire);
-        if tail == head {
-            return Ok(None);
-        }
-        let published = tail.wrapping_sub(head);
-        if !(4..=self.capacity).contains(&published) {
+        let published = self.tail().load(Ordering::Acquire).wrapping_sub(head);
+        if published > self.capacity {
             return Err(format!("{published} bytes published"));
         }
-        let mut len_bytes = [0u8; 4];
-        self.read_at(head, &mut len_bytes);
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if 4 + len as u64 > published {
-            return Err(format!("a {len}-byte frame in {published} published bytes"));
-        }
-        let mut frame = vec![0u8; len];
-        self.read_at(head + 4, &mut frame);
-        self.head().store(head + 4 + len as u64, Ordering::Release);
-        Ok(Some(frame))
+        let n = published.min(buf.len() as u64);
+        self.read_at(head, &mut buf[..n as usize]);
+        self.head().store(head.wrapping_add(n), Ordering::Release);
+        Ok(n as usize)
     }
 }
 
@@ -387,8 +360,8 @@ impl Bells {
     fn sleep(&self, rank: usize, timeout: Duration, seen: impl FnOnce() -> Option<u32>) {
         let sleepers = self.sleepers(rank);
         sleepers.fetch_add(1, Ordering::SeqCst);
-        // Pairs with the consumer's fence in `Shared::drain_inbound`: the
-        // count is visible before `seen` reads the word and the ring.
+        // Pairs with the consumer's fence in `Shm::try_read`: the count
+        // is visible before `seen` reads the word and the ring.
         fence(Ordering::SeqCst);
         if let Some(seen) = seen() {
             futex::wait(self.word(rank), seen, timeout);
@@ -410,372 +383,169 @@ fn fresh_dir(prefix: &str) -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// The rings toward one rank hosted here, each with its writer, in
-/// sweep order. Locked by whoever drains them, for the drain only; a
-/// ring whose bytes ended its link leaves the list.
-struct Inbound {
-    rank: usize,
-    rings: Mutex<Vec<(usize, Arc<Ring>)>>,
-}
-
-/// The transport's state, shared with the ranks' [`Progress`] handles.
-struct Shared {
-    /// `(src_world, dst_world) -> ring` for every ring a local rank
-    /// writes.
-    rings: HashMap<(usize, usize), Arc<Ring>>,
-    /// Every world rank hosted here (all of them in loopback).
-    inbound: Vec<Inbound>,
+/// The shmem pipe: every rank's doorbell.
+pub struct Shm {
     bells: Bells,
-    /// The world ranks that said `BYE`: a writer gives up on them.
-    bye: Vec<AtomicBool>,
-    stop: AtomicBool,
-    /// Set by `attach`; weak, because the registry holds the transport.
-    registry: OnceLock<Weak<Registry>>,
-    /// Envelopes travelling zero-copy, by token.
-    handoff: Mutex<HashMap<u64, Envelope>>,
-    handoff_seq: AtomicU64,
 }
 
-/// The shared-memory transport. See the module docs for the two modes.
-pub struct ShmemTransport {
-    shared: Arc<Shared>,
-    dir: PathBuf,
-    /// Loopback owns the directory and deletes it on shutdown.
-    owns_dir: bool,
-}
+impl Pipe for Shm {
+    type Link = Arc<Ring>;
+    type Reader = Arc<Ring>;
+    const KIND: TransportKind = TransportKind::Shmem;
+    const YIELDS: bool = true;
 
-impl ShmemTransport {
-    /// Map the files of `num_ranks` ranks under `dir` for the `local`
-    /// ones: every ring a local rank writes or reads, and the doorbells.
-    fn open(
-        dir: PathBuf,
-        local: &[usize],
-        num_ranks: usize,
-        ring_bytes: usize,
-        owns_dir: bool,
-    ) -> io::Result<ShmemTransport> {
-        let mut rings = HashMap::new();
-        for src in 0..num_ranks {
-            for dst in (0..num_ranks).filter(|&d| d != src) {
-                if local.contains(&src) || local.contains(&dst) {
-                    let ring = Ring::open(&ring_path(&dir, src, dst), ring_bytes, owns_dir)?;
-                    rings.insert((src, dst), Arc::new(ring));
-                }
+    fn try_write(&self, ring: &Arc<Ring>, dst: usize, bytes: &[u8]) -> io::Result<usize> {
+        match ring.write(bytes) {
+            0 => Err(io::ErrorKind::WouldBlock.into()),
+            n => {
+                self.bells.ring(dst);
+                Ok(n)
             }
         }
-        let inbound = local
-            .iter()
-            .map(|&me| Inbound {
-                rank: me,
-                rings: Mutex::new(
-                    (0..num_ranks)
-                        .filter(|&src| src != me)
-                        .map(|src| (src, Arc::clone(&rings[&(src, me)])))
-                        .collect(),
-                ),
-            })
-            .collect();
-        rings.retain(|(src, _), _| local.contains(src));
-        let bells = Mapping::open(&dir.join("bells"), num_ranks.max(1) * BELL_BYTES, owns_dir)?;
-        let shared = Shared {
-            rings,
-            inbound,
-            bells: Bells(bells),
-            bye: (0..num_ranks).map(|_| AtomicBool::new(false)).collect(),
-            stop: AtomicBool::new(false),
-            registry: OnceLock::new(),
-            handoff: Mutex::new(HashMap::new()),
-            handoff_seq: AtomicU64::new(0),
-        };
-        Ok(ShmemTransport {
-            shared: Arc::new(shared),
-            dir,
-            owns_dir,
-        })
     }
 
-    /// Build a loopback transport: every rank is a thread of this
-    /// process and rings live in a fresh private directory.
-    pub fn loopback(num_ranks: usize, ring_bytes: usize) -> io::Result<ShmemTransport> {
-        let local: Vec<usize> = (0..num_ranks).collect();
-        ShmemTransport::open(fresh_dir("beatnik-shm")?, &local, num_ranks, ring_bytes, true)
-    }
-
-    /// Join an existing ring directory as world rank `my_rank` (one
-    /// process per rank; the [`crate::proc`] parent creates the files
-    /// with [`ShmemTransport::create_world_dir`]).
-    pub fn for_process(
-        dir: &Path,
-        my_rank: usize,
-        num_ranks: usize,
-        ring_bytes: usize,
-    ) -> io::Result<ShmemTransport> {
-        ShmemTransport::open(dir.to_path_buf(), &[my_rank], num_ranks, ring_bytes, false)
-    }
-
-    /// The ring directory (the proc launcher passes it to children).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Create a fresh world directory with one zero-initialized ring
-    /// file per ordered rank pair and the doorbells file. The
-    /// [`crate::proc`] parent calls this before spawning children, then
-    /// joins the world itself via [`ShmemTransport::for_process`].
-    pub fn create_world_dir(num_ranks: usize, ring_bytes: usize) -> io::Result<PathBuf> {
-        let dir = fresh_dir("beatnik-proc")?;
-        for src in 0..num_ranks {
-            for dst in (0..num_ranks).filter(|&d| d != src) {
-                std::fs::File::create(ring_path(&dir, src, dst))?.set_len(ring_bytes as u64)?;
+    /// Once bytes were taken, ring the writer's doorbell if it sleeps,
+    /// since its ring has room now.
+    fn try_read(&self, ring: &mut Arc<Ring>, src: usize, buf: &mut [u8]) -> Result<usize, Option<String>> {
+        let n = ring.read(buf).map_err(|why| Some(format!("corrupt ring ({why})")))?;
+        if n > 0 {
+            // Orders the head store before the read of the writer's
+            // sleeper count; pairs with the fence in `Bells::sleep`.
+            fence(Ordering::SeqCst);
+            if self.bells.sleepers(src).load(Ordering::SeqCst) > 0 {
+                self.bells.ring(src);
             }
         }
-        std::fs::File::create(dir.join("bells"))?.set_len((num_ranks.max(1) * BELL_BYTES) as u64)?;
-        Ok(dir)
-    }
-}
-
-impl Shared {
-    fn inbound_of(&self, rank: usize) -> Option<&Inbound> {
-        self.inbound.iter().find(|i| i.rank == rank)
+        Ok(n)
     }
 
-    /// Deliver every complete frame on the rings toward `inbound`'s
-    /// rank. A blocked writer passes `wait = false` and skips the drain
-    /// while another thread holds the rings. Rings the writer of a ring
-    /// this drain freed space in, if it sleeps, and the rank's own
-    /// doorbell once frames were delivered, which moves its epoch.
-    fn drain_inbound(&self, inbound: &Inbound, registry: &Registry, wait: bool) {
-        let rings = if wait { Some(inbound.rings.lock()) } else { inbound.rings.try_lock() };
-        let Some(mut rings) = rings else {
-            return;
-        };
-        let mut delivered = false;
-        rings.retain(|(src, ring)| {
-            let (popped, ended) = self.drain_ring(*src, ring, registry);
-            if popped {
-                delivered = true;
-                // Orders the head store before the read of the writer's
-                // sleeper count; pairs with the fence in `Bells::sleep`.
-                fence(Ordering::SeqCst);
-                if self.bells.sleepers(*src).load(Ordering::SeqCst) > 0 {
-                    self.bells.ring(*src);
-                }
-            }
-            if let Some(why) = &ended {
-                self.end_link(*src, inbound.rank, why);
-            }
-            ended.is_none()
-        });
-        drop(rings);
-        if delivered {
-            self.bells.ring(inbound.rank);
-        }
-    }
+    fn hang_up(&self, _: &Arc<Ring>, _: bool) {}
 
-    /// Apply every complete frame on `src`'s ring. Returns whether one
-    /// was popped, and why the ring's bytes end its link, if they do.
-    /// Handoff tokens are claimed here, where the sender's slab is in
-    /// reach, so the stashed envelope keeps its place in ring order.
-    fn drain_ring(&self, src: usize, ring: &Ring, registry: &Registry) -> (bool, Option<String>) {
-        let mut popped = false;
-        let ended = loop {
-            let frame = match ring.pop_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break None,
-                Err(why) => break Some(why),
-            };
-            popped = true;
-            match wire::decode(&frame) {
-                Ok(wire::Frame::Handoff {
-                    comm,
-                    dst_local,
-                    token,
-                }) => match self.handoff.lock().remove(&token) {
-                    Some(env) => registry.mailbox(comm, dst_local).push(env),
-                    None => break Some(format!("handoff token {token} with no stashed envelope")),
-                },
-                Ok(wire::Frame::Ctrl(CtrlMsg::Bye(rank))) if rank == src => {
-                    self.bye[src].store(true, Ordering::Release)
-                }
-                Ok(f) => wire::apply(f, registry),
-                Err(why) => break Some(why),
-            }
-        };
-        (popped, ended)
-    }
-
-    /// `src`'s ring toward `rank` carried bytes no frame can be made of:
-    /// while the transport runs, a failed writer.
-    fn end_link(&self, src: usize, rank: usize, why: &str) {
-        if self.stop.load(Ordering::Acquire) {
-            return;
-        }
-        eprintln!(
-            "beatnik-comm: corrupt shm ring from rank {src} to rank {rank} ({why}); ending the link"
-        );
-        if let Some(registry) = self.registry.get() {
-            super::report_link_down(registry, src, rank);
-        }
-    }
-
-    /// Append `frame` to the ring `src -> dst` and ring `dst`'s doorbell;
-    /// on a full ring, wait as the module docs say.
-    fn push(&self, registry: &Registry, src: usize, dst: usize, frame: &[u8]) {
-        let ring = &self.rings[&(src, dst)];
-        let need = 4 + frame.len() as u64;
-        assert!(
-            need <= ring.capacity,
-            "a {} byte frame exceeds the {} byte shm ring; raise {}",
-            frame.len(),
-            ring.capacity,
-            crate::config::SHM_RING_BYTES_ENV,
-        );
-        let guard = ring.write_lock.lock();
-        let tail = ring.tail().load(Ordering::Relaxed);
-        let mut turns = 0;
-        while !ring.has_room(tail, need) {
-            if let Some(inbound) = self.inbound_of(src) {
-                self.drain_inbound(inbound, registry, false);
-            }
-            if self.stop.load(Ordering::Acquire)
-                || self.bye[dst].load(Ordering::Acquire)
-                || registry.aborted()
-                || registry.is_failed(dst)
-            {
-                return;
-            }
-            if turns < WRITE_YIELD_TURNS {
-                turns += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            self.bells.sleep(src, WRITE_SLICE, || {
-                let seen = self.bells.word(src).load(Ordering::SeqCst);
-                (!ring.has_room(tail, need)).then_some(seen)
-            });
-        }
-        ring.publish(tail, frame);
-        drop(guard);
-        self.bells.ring(dst);
-    }
-}
-
-impl Progress for Shared {
     fn epoch(&self, rank: usize) -> u64 {
         self.bells.word(rank).load(Ordering::SeqCst) as u64
     }
 
-    fn drain(&self, registry: &Registry, rank: usize) {
-        if let Some(inbound) = self.inbound_of(rank) {
-            self.drain_inbound(inbound, registry, true);
-        }
+    fn delivered(&self, rank: usize, _: u64) {
+        self.bells.ring(rank);
     }
 
-    fn progress(&self, registry: &Registry, rank: usize, seen: u64, timeout: Duration) {
-        let inbound = self
-            .inbound_of(rank)
-            .expect("a waiting rank is hosted by its transport");
-        self.drain_inbound(inbound, registry, true);
-        if self.epoch(rank) == seen {
-            self.bells.sleep(rank, timeout, || Some(seen as u32));
-            self.drain_inbound(inbound, registry, true);
-        }
+    fn sleep(&self, rank: usize, seen: u64, timeout: Duration) {
+        self.bells.sleep(rank, timeout, || Some(seen as u32));
     }
 
-    fn ring_all(&self) {
-        for inbound in &self.inbound {
-            self.bells.ring(inbound.rank);
-        }
+    fn sleep_writer(&self, ring: &Arc<Ring>, src: usize, _: &mut bool, timeout: Duration) {
+        self.bells.sleep(src, timeout, || {
+            let seen = self.bells.word(src).load(Ordering::SeqCst);
+            (ring.room() == 0).then_some(seen)
+        });
+    }
+
+    fn ring(&self, rank: usize) {
+        self.bells.ring(rank);
     }
 }
 
-impl Transport for ShmemTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Shmem
-    }
-
-    fn attach(&self, registry: &Arc<Registry>) {
-        let _ = self.shared.registry.set(Arc::downgrade(registry));
-    }
-
-    fn deliver(&self, registry: &Registry, route: Route, env: Envelope) {
-        if route.src_world == route.dst_world {
-            // Self-sends never cross the wire (and may carry types with
-            // drop glue, which the wire would rightly refuse).
-            registry.mailbox(route.comm, route.dst_local).push(env);
-            return;
-        }
-        let shared = &self.shared;
-        // Zero-copy handoff to a destination in this process; droppy
-        // payloads (no wire view) keep the loud serialization failure
-        // rather than silently working only above the threshold.
-        let frame = if env.bytes >= HANDOFF_MIN_BYTES
-            && env.wire_view().is_some()
-            && shared.inbound_of(route.dst_world).is_some()
-        {
-            let token = shared.handoff_seq.fetch_add(1, Ordering::Relaxed);
-            shared.handoff.lock().insert(token, env);
-            wire::encode_handoff(route.comm, route.dst_local, token)
-        } else {
-            wire::encode_data(route.comm, route.dst_local, &env)
-        };
-        shared.push(registry, route.src_world, route.dst_world, &frame);
-    }
-
-    fn publish_ctrl(&self, ctrl: CtrlMsg) {
-        // Loopback worlds share the ledger; only per-process mode needs
-        // to broadcast (its only local rank writes every ring).
-        let shared = &self.shared;
-        let Some(registry) = shared.registry.get().and_then(Weak::upgrade) else {
-            return;
-        };
-        if shared.inbound.len() == 1 {
-            let frame = wire::encode_ctrl(ctrl);
-            for &(src, dst) in shared.rings.keys() {
-                shared.push(&registry, src, dst, &frame);
+/// Map the files of a `num_ranks` world under `dir` for its `hosted`
+/// ranks: every ring a hosted rank writes or reads, and the doorbells.
+/// A file no process has created yet is created zero-filled, so head ==
+/// tail == 0.
+fn open(dir: &Path, hosted: &[usize], num_ranks: usize, ring_bytes: usize) -> io::Result<Wire<Shm>> {
+    let (mut links, mut readers) = (Vec::new(), Vec::new());
+    for src in 0..num_ranks {
+        for dst in (0..num_ranks).filter(|&d| d != src) {
+            let (writes, reads) = (hosted.contains(&src), hosted.contains(&dst));
+            if writes || reads {
+                let ring = Arc::new(Ring::open(&ring_path(dir, src, dst), ring_bytes)?);
+                if writes {
+                    links.push(((src, dst), Arc::clone(&ring)));
+                }
+                if reads {
+                    readers.push((dst, src, ring));
+                }
             }
         }
     }
+    let bells = Bells(Mapping::open(&dir.join("bells"), num_ranks.max(1) * BELL_BYTES)?);
+    Ok(Wire::new(Shm { bells }, num_ranks, hosted, links, readers))
+}
 
-    fn shutdown(&self) {
-        let shared = &self.shared;
-        shared.stop.store(true, Ordering::Release);
-        shared.ring_all();
-        if let Some(registry) = shared.registry.get().and_then(Weak::upgrade) {
-            for inbound in &shared.inbound {
-                shared.drain_inbound(inbound, &registry, true);
-            }
-        }
-        if self.owns_dir {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
+/// Build a loopback wire: every rank is a thread of this process. The
+/// rings live in a fresh directory only until they are mapped.
+pub fn loopback(num_ranks: usize, ring_bytes: usize) -> io::Result<Wire<Shm>> {
+    let dir = WorldDir(fresh_dir("beatnik-shm")?);
+    let hosted: Vec<usize> = (0..num_ranks).collect();
+    open(dir.path(), &hosted, num_ranks, ring_bytes)
+}
+
+/// Join the world in `dir` as world rank `my_rank` (one process per
+/// rank; the [`crate::proc`] launcher owns the directory).
+pub fn for_process(dir: &Path, my_rank: usize, num_ranks: usize, ring_bytes: usize) -> io::Result<Wire<Shm>> {
+    open(dir, &[my_rank], num_ranks, ring_bytes)
+}
+
+/// The directory of one world's ring files, removed with everything in
+/// it when this drops, however the world ended. A mapped file outlives
+/// its name, so only processes that have not joined yet need it.
+pub struct WorldDir(PathBuf);
+
+impl WorldDir {
+    /// A fresh, empty directory for a world of processes under the
+    /// temp dir.
+    pub fn create() -> io::Result<WorldDir> {
+        fresh_dir("beatnik-proc").map(WorldDir)
     }
 
-    fn progress(&self) -> Option<Arc<dyn Progress>> {
-        Some(Arc::clone(&self.shared) as Arc<dyn Progress>)
+    /// Where the files are (the launcher passes it to its children).
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for WorldDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::registry::WORLD_COMM_ID;
+    use crate::message::Envelope;
+    use crate::registry::{Registry, WORLD_COMM_ID};
+    use crate::transport::wire::{self, pipe_tests, Inbox, Incoming};
+    use crate::transport::{CtrlMsg, Progress, Route, Transport};
     use beatnik_prng::Rng;
     use std::time::Instant;
 
-    fn test_ring(bytes: usize) -> (Ring, PathBuf) {
-        let dir = fresh_dir("beatnik-ring-test").unwrap();
-        let ring = Ring::open(&dir.join("ring"), bytes, true).unwrap();
-        (ring, dir)
+    /// A ring in a directory that goes when the ring does.
+    fn test_ring(bytes: usize) -> (Ring, WorldDir) {
+        let dir = WorldDir(fresh_dir("beatnik-ring-test").unwrap());
+        (Ring::open(&dir.path().join("ring"), bytes).unwrap(), dir)
     }
 
-    /// Append a record, waiting (yielding) for room.
-    fn push_frame(ring: &Ring, frame: &[u8]) {
-        let tail = ring.tail().load(Ordering::Relaxed);
-        while !ring.has_room(tail, 4 + frame.len() as u64) {
-            std::thread::yield_now();
+    /// Write all of `inner` as a frame, yielding while the ring is full.
+    fn push_frame(ring: &Ring, inner: &[u8]) {
+        let frame = wire::frame(inner.len(), |out| out.extend_from_slice(inner));
+        let mut rest = &frame[..];
+        while !rest.is_empty() {
+            match ring.write(rest) {
+                0 => std::thread::yield_now(),
+                n => rest = &rest[n..],
+            }
         }
-        ring.publish(tail, frame);
+    }
+
+    /// Read exactly `n` bytes, yielding while the ring is empty.
+    fn pull(ring: &Ring, n: usize) -> Vec<u8> {
+        let mut out = vec![0; n];
+        let mut got = 0;
+        while got < n {
+            match ring.read(&mut out[got..]).unwrap() {
+                0 => std::thread::yield_now(),
+                k => got += k,
+            }
+        }
+        out
     }
 
     fn route(src: usize, dst: usize) -> Route {
@@ -787,41 +557,20 @@ mod tests {
         }
     }
 
-    /// A loopback transport attached to a registry that has it
-    /// installed, as a world runner builds it.
-    fn attached(num_ranks: usize, ring_bytes: usize) -> (Arc<ShmemTransport>, Arc<Registry>) {
-        let registry = Arc::new(Registry::new());
-        let t = Arc::new(ShmemTransport::loopback(num_ranks, ring_bytes).unwrap());
-        registry.install_transport(Arc::clone(&t) as Arc<dyn Transport>);
-        t.attach(&registry);
-        (t, registry)
-    }
-
-    /// Drain `rank`'s rings, then take the next envelope of `(src, tag)`.
-    fn recv(t: &ShmemTransport, registry: &Registry, src: usize, rank: usize, tag: u64)
-        -> Envelope {
-        Progress::drain(&*t.shared, registry, rank);
-        let mb = registry.mailbox(WORLD_COMM_ID, rank);
-        mb.recv_matching_timeout(src, tag, mb.interrupt_seq(), Duration::ZERO)
-            .unwrap_or_else(|| panic!("rank {rank}: nothing from {src} on tag {tag}"))
-    }
-
     #[test]
     fn ring_roundtrips_frames_in_order() {
-        let (ring, path) = test_ring(4096);
-        assert!(ring.pop_frame().unwrap().is_none());
+        let (ring, _dir) = test_ring(4096);
+        assert_eq!(ring.read(&mut [0; 64]), Ok(0));
         push_frame(&ring, b"alpha");
         push_frame(&ring, b"bravo-longer");
-        assert_eq!(ring.pop_frame().unwrap().unwrap(), b"alpha");
-        assert_eq!(ring.pop_frame().unwrap().unwrap(), b"bravo-longer");
-        assert!(ring.pop_frame().unwrap().is_none());
-        drop(ring);
-        let _ = std::fs::remove_dir_all(path);
+        assert_eq!(pull(&ring, 9), b"\x05\0\0\0alpha");
+        assert_eq!(pull(&ring, 16), b"\x0c\0\0\0bravo-longer");
+        assert_eq!(ring.read(&mut [0; 64]), Ok(0));
     }
 
     #[test]
     fn ring_wraps_and_survives_pressure() {
-        let (ring, path) = test_ring(4096);
+        let (ring, _dir) = test_ring(4096);
         // Capacity is 4096 - 128; frames of 1000 bytes force wraps and
         // back-pressure interleaving across many laps.
         let producer_ring = Arc::new(ring);
@@ -831,80 +580,59 @@ mod tests {
                 push_frame(&producer_ring, &vec![(i % 251) as u8; 1000]);
             }
         });
-        let mut seen = 0u32;
-        while seen < 500 {
-            if let Some(frame) = consumer_ring.pop_frame().unwrap() {
-                assert_eq!(frame.len(), 1000);
-                assert!(frame.iter().all(|&b| b == (seen % 251) as u8));
-                seen += 1;
-            } else {
-                std::thread::yield_now();
-            }
+        for seen in 0..500u32 {
+            let frame = pull(&consumer_ring, 1004);
+            assert_eq!(frame[..4], 1000u32.to_le_bytes());
+            assert!(frame[4..].iter().all(|&b| b == (seen % 251) as u8));
         }
         producer.join().unwrap();
-        drop(consumer_ring);
-        let _ = std::fs::remove_dir_all(path);
     }
 
-    /// A length prefix or cursor that points past what was published —
-    /// a peer process that broke the protocol — is refused instead of
-    /// read outside the record, let alone the mapping.
+    /// Cursors that publish more than the ring holds — a peer process
+    /// that broke the protocol — are refused instead of read outside
+    /// the mapping. A length prefix past what was published is a frame
+    /// still on its way: the reader takes what was published and no
+    /// byte more.
     #[test]
-    fn a_record_longer_than_what_was_published_is_refused() {
-        let (ring, path) = test_ring(4096);
+    fn a_cursor_publishing_more_than_the_ring_holds_is_refused() {
+        let (ring, _dir) = test_ring(4096);
+        ring.tail().store(4096, Ordering::Release);
+        let why = ring.read(&mut [0; 64]).expect_err("4 KiB published in a 3,968-byte ring");
+        assert!(why.contains("4096 bytes published"), "{why}");
+        // A tail behind the head (a wrapped subtraction) is refused too.
+        ring.head().store(4104, Ordering::Release);
+        assert!(ring.read(&mut [0; 64]).is_err(), "a tail behind the head");
+        ring.head().store(0, Ordering::Release);
         ring.write_at(0, &(1u32 << 20).to_le_bytes());
         ring.tail().store(8, Ordering::Release);
-        let why = ring.pop_frame().expect_err("a 1 MiB record in 8 bytes");
-        assert!(why.contains("a 1048576-byte frame in 8 published bytes"), "{why}");
-        // A tail behind the head (a wrapped subtraction) is refused too.
-        ring.head().store(16, Ordering::Release);
-        assert!(ring.pop_frame().is_err(), "a tail behind the head");
-        drop(ring);
-        let _ = std::fs::remove_dir_all(path);
+        assert_eq!(ring.read(&mut [0; 64]), Ok(8));
+        assert_eq!(ring.head().load(Ordering::Acquire), 8);
+        // Cursors at the end of their range wrap instead of panicking.
+        ring.head().store(u64::MAX - 2, Ordering::Release);
+        ring.tail().store(5, Ordering::Release);
+        assert_eq!(ring.read(&mut [0; 64]), Ok(8));
+        assert_eq!(ring.head().load(Ordering::Acquire), 5);
     }
 
+    /// A frame twice the ring's size goes through it in pieces while the
+    /// receiver drains.
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_frames_panic_with_the_env_hint() {
-        let (t, registry) = attached(2, 4096);
-        t.shared.push(&registry, 0, 1, &vec![0u8; 8192]);
-    }
-
-    #[test]
-    fn handoff_moves_large_envelopes_without_serialization_in_ring_order() {
-        // The 8-byte messages serialize, the 8 KiB one rides the slab:
-        // it exceeds the 4 KiB ring, so it can only arrive via handoff —
-        // reaching the mailbox at all proves no serialized frame
-        // carried it.
-        let (t, registry) = attached(2, 4096);
+    fn a_frame_larger_than_the_ring_goes_through_in_pieces() {
+        let (t, registry) = pipe_tests::attached(loopback(2, 4096).unwrap());
         let big: Vec<u64> = (0..1024).collect();
-        t.deliver(&registry, route(0, 1), Envelope::new(0, 1, vec![7u64]));
-        t.deliver(&registry, route(0, 1), Envelope::new(0, 1, big.clone()));
-        t.deliver(&registry, route(0, 1), Envelope::new(0, 1, vec![9u64]));
-        // One (src, tag) stream absorbs strictly in arrival order: the
-        // handoff token must not have overtaken frame 1 nor been
-        // overtaken by frame 3.
-        assert_eq!(recv(&t, &registry, 0, 1, 1).into_data::<u64>(), [7]);
-        assert_eq!(recv(&t, &registry, 0, 1, 1).into_data::<u64>(), big);
-        assert_eq!(recv(&t, &registry, 0, 1, 1).into_data::<u64>(), [9]);
-        assert!(t.shared.handoff.lock().is_empty(), "slab must drain");
-        t.shutdown();
-    }
-
-    /// Every rank of a loopback world is local, so an envelope at the
-    /// handoff threshold reaches any of them as the sender's own
-    /// allocation: the received `Vec` has the address the sent one had.
-    #[test]
-    fn handoff_capability_tracks_local_ranks() {
-        let (t, registry) = attached(3, 4096);
-        for dst in [0, 2] {
-            let sent = vec![dst as u8; HANDOFF_MIN_BYTES];
-            let sent_at = sent.as_ptr();
-            t.deliver(&registry, route(1, dst), Envelope::new(1, 4, sent));
-            let got = recv(&t, &registry, 1, dst, 4).into_data::<u8>();
-            assert_eq!(got.as_ptr(), sent_at, "rank {dst} got a copy");
-            assert_eq!(got, vec![dst as u8; HANDOFF_MIN_BYTES]);
-        }
+        std::thread::scope(|s| {
+            s.spawn(|| t.deliver(&registry, route(0, 1), Envelope::new(0, 1, big.clone())));
+            let mb = registry.mailbox(WORLD_COMM_ID, 1);
+            let env = loop {
+                let seen = t.0.epoch(1);
+                let env = mb.recv_matching_timeout(0, 1, mb.interrupt_seq(), Duration::ZERO);
+                if let Some(env) = env {
+                    break env;
+                }
+                t.0.progress(&registry, 1, seen, Duration::from_secs(10));
+            };
+            assert_eq!(env.into_data::<u64>(), big);
+        });
         t.shutdown();
     }
 
@@ -914,7 +642,7 @@ mod tests {
     /// sleep is not slept through.
     #[test]
     fn a_waiting_rank_wakes_for_a_write_toward_it_and_for_a_ring() {
-        let (t, registry) = attached(2, 4096);
+        let (t, registry) = pipe_tests::attached(loopback(2, 4096).unwrap());
         let p = t.progress().unwrap();
         let started = Instant::now();
         p.progress(&registry, 1, p.epoch(1), Duration::from_millis(30));
@@ -945,87 +673,35 @@ mod tests {
         t.shutdown();
     }
 
-    /// Two writers, each on a ring toward the other that fills long
-    /// before either receives: each drains its own inbound while it
-    /// waits for room, so both finish, and every frame arrives in order.
     #[test]
     fn two_writers_on_full_rings_toward_each_other_both_finish() {
-        let (t, registry) = attached(2, 4096);
-        let frames = 200u64;
-        std::thread::scope(|s| {
-            for (src, dst) in [(0, 1), (1, 0)] {
-                let (t, registry) = (&t, &registry);
-                s.spawn(move || {
-                    for i in 0..frames {
-                        let env = Envelope::new(src, 3, vec![i; 8]);
-                        let frame = wire::encode_data(WORLD_COMM_ID, dst, &env);
-                        t.shared.push(registry, src, dst, &frame);
-                    }
-                    // Then receive, as a rank would: the peer may still be
-                    // writing.
-                    let mb = registry.mailbox(WORLD_COMM_ID, src);
-                    for i in 0..frames {
-                        let env = loop {
-                            let seen = t.shared.epoch(src);
-                            let since = mb.interrupt_seq();
-                            let env = mb.recv_matching_timeout(dst, 3, since, Duration::ZERO);
-                            if let Some(env) = env {
-                                break env;
-                            }
-                            t.shared.progress(registry, src, seen, Duration::from_secs(10));
-                        };
-                        assert_eq!(env.into_data::<u64>(), [i; 8]);
-                    }
-                });
-            }
-        });
-        t.shutdown();
+        pipe_tests::two_writers_on_full_links_toward_each_other_both_finish(loopback(2, 4096).unwrap(), 200, 8);
     }
 
-    /// A writer on a full ring gives the frame up once the world aborts,
-    /// the reader is marked failed or says `BYE`, or the transport
-    /// stops; each of these wakes it at once.
     #[test]
     fn a_writer_on_a_full_ring_gives_up_on_abort_failure_bye_and_stop() {
-        for exit in ["abort", "failed", "bye", "stop"] {
-            let (t, registry) = attached(2, 4096);
-            let frame = [0u8; 1000];
-            for _ in 0..3 {
-                t.shared.push(&registry, 0, 1, &frame);
-            }
-            std::thread::scope(|s| {
-                let writer = s.spawn(|| t.shared.push(&registry, 0, 1, &frame));
-                std::thread::sleep(Duration::from_millis(50));
-                assert!(!writer.is_finished(), "{exit}: the frame fit the ring");
-                let started = Instant::now();
-                match exit {
-                    "abort" => registry.signal_abort(),
-                    "failed" => registry.mark_failed(1),
-                    "bye" => t.shared.push(&registry, 1, 0, &wire::encode_ctrl(CtrlMsg::Bye(1))),
-                    _ => t.shutdown(),
-                }
-                writer.join().unwrap();
-                let took = started.elapsed();
-                assert!(took < WRITE_SLICE / 2, "{exit}: took {took:?}");
-            });
-            assert_eq!(t.shared.rings[&(0, 1)].pop_frame().unwrap().map(|f| f.len()), Some(1000));
-            t.shutdown();
-        }
+        // Three of these fill the 3,968 bytes a 4 KiB ring holds.
+        let frame = pipe_tests::data_frame(0, 1, 3, 0, 120);
+        pipe_tests::a_writer_on_a_full_link_gives_up_on_abort_failure_bye_and_stop(
+            || loopback(2, 4096).unwrap(),
+            &frame,
+            3,
+        );
     }
 
-    /// Valid rings of data, ctrl and handoff frames, with a cursor, a
-    /// length prefix or frame bytes mutated: every case is delivered or
-    /// ends the link, with no panic and no read outside the mapping.
+    /// Valid rings of data and ctrl frames, with a cursor, a length
+    /// prefix or frame bytes mutated: every case is delivered (or waits
+    /// for the rest of a frame) or ends the link, with no panic and no
+    /// read outside the mapping.
     #[test]
     fn seeded_ring_mutations_deliver_or_end_the_link_and_never_panic() {
-        let t = ShmemTransport::loopback(2, 4096).unwrap();
-        let shared = &*t.shared;
-        let ring = &shared.rings[&(0, 1)];
+        let t = loopback(2, 4096).unwrap();
+        let core = &*t.0;
+        let ring = Arc::clone(&core.links[&(0, 1)].1);
         let (mut delivered, mut ended) = (0, 0);
         for seed in 0..1_500u64 {
             let mut rng = Rng::seed_from_u64(seed);
             let registry = Registry::new();
-            shared.handoff.lock().clear();
             // Start anywhere in the cursor space, so records wrap.
             let start = rng.next_u64() % (1 << 40);
             ring.head().store(start, Ordering::Release);
@@ -1033,7 +709,7 @@ mod tests {
             let mut prefixes = Vec::new();
             let frames = 1 + rng.gen_index(0..4);
             for _ in 0..frames {
-                let frame = match rng.gen_index(0..4) {
+                let inner = match rng.gen_index(0..3) {
                     0 => {
                         let data: Vec<u64> =
                             (0..rng.gen_index(0..40)).map(|_| rng.next_u64()).collect();
@@ -1044,15 +720,11 @@ mod tests {
                             (0..rng.gen_index(0..300)).map(|_| rng.next_u64() as u8).collect();
                         wire::encode_data(WORLD_COMM_ID, 1, &Envelope::new(0, 9, data))
                     }
-                    2 => {
-                        let token = shared.handoff_seq.fetch_add(1, Ordering::Relaxed);
-                        shared.handoff.lock().insert(token, Envelope::new(0, 5, vec![token]));
-                        wire::encode_handoff(WORLD_COMM_ID, 1, token)
-                    }
                     _ => wire::encode_ctrl(CtrlMsg::Failed(rng.gen_index(0..4))),
                 };
                 prefixes.push(ring.tail().load(Ordering::Relaxed));
-                ring.publish(prefixes[prefixes.len() - 1], &frame);
+                let frame = wire::frame(inner.len(), |out| out.extend_from_slice(&inner));
+                assert_eq!(ring.write(&frame), frame.len());
             }
             let tail = ring.tail().load(Ordering::Relaxed);
             let mutated = rng.gen_index(0..6);
@@ -1082,19 +754,14 @@ mod tests {
                 }
                 _ => {}
             }
-            let (_, end) = shared.drain_ring(0, ring, &registry);
-            match end {
-                Some(_) => ended += 1,
-                None => {
-                    delivered += 1;
-                    if mutated == 5 {
-                        let left = shared.handoff.lock().len();
-                        assert_eq!(left, 0, "seed {seed}: tokens left behind");
-                    }
-                }
+            let mut link = Incoming { src: 0, inbox: Inbox::new(), reader: Arc::clone(&ring) };
+            let end = core.read_link(&registry, &mut link, &mut 0);
+            match &end {
+                Err(_) => ended += 1,
+                Ok(()) => delivered += 1,
             }
             if mutated == 5 {
-                assert!(end.is_none(), "seed {seed}: a clean ring ended its link: {end:?}");
+                assert!(end.is_ok(), "seed {seed}: a clean ring ended its link: {end:?}");
             }
         }
         assert!(delivered > 200 && ended > 200, "{delivered} delivered, {ended} ended");

@@ -53,6 +53,46 @@ fn tcp_world_spans_three_processes() {
     spmd_smoke(3, TransportKind::Tcp, "tcp_world_spans_three_processes");
 }
 
+/// Rank 1 of a 3-process shmem world sends rank 0 the ring directory
+/// every child joined, which exists while the world runs; `crash` makes
+/// rank 1 exit with a failure code once it has. Returns what rank 0
+/// heard, and whether the world ended without a panic.
+fn shmem_world_dir(test_name: &str, crash: bool) -> (std::path::PathBuf, bool) {
+    let heard = &std::sync::OnceLock::new();
+    let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        proc::spmd(3, TransportKind::Shmem, &reexec_args(test_name), move |comm| {
+            if comm.rank() == 1 {
+                let dir = std::env::var(proc::SHM_DIR_ENV).expect("a child knows its ring directory");
+                assert!(std::path::Path::new(&dir).is_dir(), "{dir} exists while the world runs");
+                comm.send(0, 1, dir.into_bytes());
+                if crash {
+                    std::process::exit(3);
+                }
+            } else if comm.rank() == 0 {
+                heard.set(String::from_utf8(comm.recv::<u8>(1, 1)).unwrap()).unwrap();
+            }
+        })
+    }));
+    (heard.get().expect("rank 1 sent its directory").into(), ended.is_ok())
+}
+
+/// The launching process owns a shmem world's ring directory: it is
+/// gone once the world has ended.
+#[test]
+fn a_shmem_world_removes_its_directory_when_it_ends() {
+    let (dir, ended) = shmem_world_dir("a_shmem_world_removes_its_directory_when_it_ends", false);
+    assert!(ended, "a clean world ends without a panic");
+    assert!(!dir.exists(), "{} left behind", dir.display());
+}
+
+/// ... and when a child crashes, which fails the world.
+#[test]
+fn a_shmem_world_removes_its_directory_when_a_child_crashes() {
+    let (dir, ended) = shmem_world_dir("a_shmem_world_removes_its_directory_when_a_child_crashes", true);
+    assert!(!ended, "a crashed child fails the world");
+    assert!(!dir.exists(), "{} left behind", dir.display());
+}
+
 #[test]
 fn single_process_world_needs_no_children() {
     let (rank, killed) = proc::spmd(

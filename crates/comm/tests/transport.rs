@@ -67,12 +67,11 @@ beatnik_comm::backend_matrix! {
         assert_eq!(trace.rank(0).handoff_bytes(), 65536);
     }
 
-    /// Which backends move pointers end to end: thread always, shmem
-    /// when the peer shares the process (loopback worlds) and the
-    /// message reaches its 8 KiB handoff threshold. There the receiver
-    /// unwraps the very allocation the sender gave up. TCP serializes,
-    /// so its receiver gets a fresh buffer; the address is not compared
-    /// there, because the allocator may hand the freed block out again.
+    /// Which backends move pointers end to end: the thread backend,
+    /// whose receiver unwraps the very allocation the sender gave up.
+    /// The wire backends serialize, so their receiver gets a fresh
+    /// buffer; the address is not compared there, because the allocator
+    /// may hand the freed block out again.
     fn handoff_capability_matches_backend(kind: TransportKind) {
         let same_allocation = World::builder(2)
             .transport(kind)
@@ -90,7 +89,7 @@ beatnik_comm::backend_matrix! {
                     Some(c.recv::<u64>(0, 2) == [got.as_ptr() as u64])
                 }
             });
-        if kind != TransportKind::Tcp {
+        if kind == TransportKind::Thread {
             assert_eq!(same_allocation[1], Some(true), "{kind}");
         }
     }

@@ -319,11 +319,9 @@ pub fn flush_metrics(comm: &Communicator, path: &std::path::Path) {
     beatnik_io::write_metrics_json(&snap, &json).expect("metrics JSON write failed");
 }
 
-/// Receive deadline used by the fault-tolerant driver: long enough for
-/// any smoke-scale solver step, short enough that a dropped message is
-/// detected and recovered from in CI time rather than the plain runner's
-/// two-minute deadlock window.
-pub const FT_RECV_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(15);
+/// Receive deadline used by the fault-tolerant driver (defined with the
+/// serve admission check that bounds fault delays by it).
+pub use beatnik_serve::FT_RECV_TIMEOUT;
 
 /// Launch cap for the fault-tolerant driver: each rank death or dropped
 /// message costs one relaunch, so a bounded plan converges well under

@@ -36,6 +36,14 @@ impl Default for JobLimits {
 /// Highest accepted priority (inclusive). 0 is background; higher wins.
 pub const MAX_PRIORITY: u8 = 9;
 
+/// Receive deadline a fault-plan run goes under, in a serve gang or the
+/// CLI: long enough for any smoke-scale solver step, short enough that a
+/// dropped message is detected and recovered from in CI time rather
+/// than the plain runner's two-minute deadlock window. An injected delay
+/// is a sleep on the sending rank, so admission refuses one longer than
+/// this.
+pub const FT_RECV_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(15);
+
 /// A simulation job as submitted by a tenant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -221,8 +229,17 @@ impl JobSpec {
             }
         }
         if let Some(spec) = &self.faults {
-            beatnik_comm::FaultPlan::parse(spec, 0)
+            let plan = beatnik_comm::FaultPlan::parse(spec, 0)
                 .map_err(|e| format!("bad fault plan: {e}"))?;
+            for action in &plan.actions {
+                if let beatnik_comm::FaultKind::Delay(d) = action.kind {
+                    if d > FT_RECV_TIMEOUT {
+                        return Err(format!(
+                            "bad fault plan: a {d:?} delay exceeds the {FT_RECV_TIMEOUT:?} receive deadline"
+                        ));
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -470,11 +487,67 @@ mod tests {
             (JobSpec { priority: 10, ..ok.clone() }, "priority"),
             (JobSpec { dt: Some(-1.0), ..ok.clone() }, "dt"),
             (JobSpec { faults: Some("explode:r1@step1".into()), ..ok.clone() }, "fault plan"),
+            (JobSpec { faults: Some("delay:r0@op2:16s".into()), ..ok.clone() }, "receive deadline"),
+            (
+                JobSpec { faults: Some("delay:r0>r1@link1:18446744073s".into()), ..ok.clone() },
+                "receive deadline",
+            ),
         ];
         for (spec, needle) in cases {
             let err = spec.validate(&limits).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         }
+    }
+
+    /// A delay of exactly the deadline is admitted.
+    #[test]
+    fn a_delay_up_to_the_receive_deadline_is_admitted() {
+        let spec = JobSpec { faults: Some("delay:r0@op2:15s,delay:r1>r0@link3:15000ms".into()), ..JobSpec::default() };
+        spec.validate(&JobLimits::default()).unwrap();
+    }
+
+    /// `faults` arrives from a client: valid plans with bytes flipped,
+    /// cut, grown or swapped for digits are each admitted or refused
+    /// with an `Err`, never a panic, and no admitted plan delays past
+    /// the receive deadline.
+    #[test]
+    fn seeded_fault_spec_mutations_are_admitted_or_refused_and_never_panic() {
+        let limits = JobLimits::default();
+        let base = "kill:r1@step3,delay:r0@op2:5ms,drop:r2@op7,delay:r0>r1@link3:2s";
+        let (mut admitted, mut refused) = (0, 0);
+        for seed in 0..1_500u64 {
+            let mut rng = beatnik_prng::Rng::seed_from_u64(seed);
+            let mut spec = base.as_bytes().to_vec();
+            for _ in 0..1 + rng.gen_index(0..3) {
+                let at = rng.gen_index(0..spec.len() + 1);
+                match rng.gen_index(0..4) {
+                    0 if at < spec.len() => spec[at] = b"0123456789:@>,rsmuk"[rng.gen_index(0..19)],
+                    1 => spec.truncate(at),
+                    2 => {
+                        let digits = (0..1 + rng.gen_index(0..25)).map(|_| b'0' + rng.gen_index(0..10) as u8);
+                        spec.splice(at..at, digits);
+                    }
+                    _ if at < spec.len() => spec[at] ^= 1 + rng.gen_index(0..255) as u8,
+                    _ => {}
+                }
+            }
+            let spec = JobSpec { faults: Some(String::from_utf8_lossy(&spec).into_owned()), ..JobSpec::default() };
+            let verdict = std::panic::catch_unwind(|| spec.validate(&limits))
+                .unwrap_or_else(|_| panic!("seed {seed}: {:?} panicked", spec.faults));
+            match verdict {
+                Ok(()) => {
+                    admitted += 1;
+                    let plan = beatnik_comm::FaultPlan::parse(spec.faults.as_deref().unwrap(), 0).unwrap();
+                    for action in plan.actions {
+                        if let beatnik_comm::FaultKind::Delay(d) = action.kind {
+                            assert!(d <= FT_RECV_TIMEOUT, "seed {seed}: admitted a {d:?} delay");
+                        }
+                    }
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(admitted > 50 && refused > 500, "{admitted} admitted, {refused} refused");
     }
 
     #[test]

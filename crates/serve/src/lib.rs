@@ -49,7 +49,7 @@ pub mod scheduler;
 pub mod server;
 
 pub use events::JobEvents;
-pub use job::{JobLimits, JobRecord, JobResult, JobSpec, JobState, MAX_PRIORITY};
+pub use job::{JobLimits, JobRecord, JobResult, JobSpec, JobState, FT_RECV_TIMEOUT, MAX_PRIORITY};
 pub use metrics::ServeMetrics;
 pub use scheduler::{
     CancelOutcome, JobContext, JobOutcome, JobRunner, Scheduler, SchedulerConfig, SubmitError,

@@ -123,7 +123,13 @@ for backend in thread shmem tcp; do
     test -s "$PROF_DIR/$backend.json"
 done
 BEATNIK_TRANSPORT=shmem "$RIG" --n 16 --steps 2 --ranks 4 >/dev/null
-"$RIG" --transport shmem --procs --n 16 --steps 2 --ranks 2 \
+# A shmem world of processes keeps its ring files in a directory under
+# TMPDIR that the launching process removes when the world ends; the
+# shmem-procs runs below get a TMPDIR of their own, which must hold no
+# beatnik-proc-* directory afterwards.
+PROCS_TMP="$PROF_DIR/procs-tmp"
+mkdir -p "$PROCS_TMP"
+TMPDIR="$PROCS_TMP" "$RIG" --transport shmem --procs --n 16 --steps 2 --ranks 2 \
     > "$PROF_DIR/procs-shmem.log"
 grep -q 'process-ranks over shmem' "$PROF_DIR/procs-shmem.log"
 "$RIG" --transport tcp --procs --n 16 --steps 2 --ranks 2 \
@@ -137,9 +143,14 @@ grep -q 'process-ranks over tcp' "$PROF_DIR/procs-tcp.log"
 for run in thread shmem shmem-procs tcp tcp-procs; do
     args=(--transport "${run%-procs}")
     [ "$run" != "${run%-procs}" ] && args+=(--procs)
-    "$RIG" "${args[@]}" --order low --n 16 --steps 4 --ranks 2 \
+    TMPDIR="$PROCS_TMP" "$RIG" "${args[@]}" --order low --n 16 --steps 4 --ranks 2 \
         --vtk-every 1 --out "$PROF_DIR/agree-$run" >/dev/null
 done
+if ls "$PROCS_TMP" | grep -q '^beatnik-proc-'; then
+    echo "a shmem --procs world left its ring directory behind:"
+    ls "$PROCS_TMP"
+    exit 1
+fi
 test "$(ls "$PROF_DIR/agree-thread" | grep -c '\.vtk$')" -eq 4
 for f in "$PROF_DIR"/agree-thread/*.vtk; do
     for run in shmem shmem-procs tcp tcp-procs; do
