@@ -327,10 +327,12 @@ fn best_ns_2rank(reps: usize, f: impl Fn(&Communicator) -> Box<dyn FnMut() + '_>
 fn bench_dfft_roundtrip(rows: &mut Vec<Row>, n: usize, reps: usize) {
     let c2c_ns = best_ns_2rank(reps, |comm| {
         let plan = DistributedFft2d::new(comm, [RANKS, 1], n, n, FftConfig::default());
-        let block = noise(plan.local_rect().area());
+        // The round trip's output is the next call's input, as a solver
+        // hands its buffers back to the plan.
+        let mut block = noise(plan.local_rect().area());
         Box::new(move || {
-            let (_, spec) = plan.forward_transposed(block.clone());
-            std::hint::black_box(plan.inverse_transposed(spec));
+            let (_, spec) = plan.forward_transposed(std::mem::take(&mut block));
+            block = std::hint::black_box(plan.inverse_transposed(spec));
         })
     });
     let r2c_ns = best_ns_2rank(reps, |comm| {
@@ -340,8 +342,10 @@ fn bench_dfft_roundtrip(rows: &mut Vec<Row>, n: usize, reps: usize) {
             .map(|z| z.re)
             .collect();
         Box::new(move || {
-            let (_, spec) = plan.forward_real_transposed(&block);
-            std::hint::black_box(plan.inverse_real_transposed(spec));
+            let mut input = plan.take(block.len());
+            input.extend_from_slice(&block);
+            let (_, spec) = plan.forward_real_transposed(input);
+            plan.give(std::hint::black_box(plan.inverse_real_transposed(spec)));
         })
     });
     let points = n * n;
@@ -664,15 +668,6 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_compute.json".into());
     let mut rows: Vec<Row> = Vec::new();
-
-    // glibc serves a request above its mmap threshold with fresh zero
-    // pages, unmaps them on free, and raises the threshold to the size
-    // of the largest such block freed so far. A solver frees a field
-    // larger than any reshape block before its first transform, so its
-    // blocks come from the heap; free one large block here too, or the
-    // 2-rank rows time page faults (256² c2c reads 23–28 ns/pt instead
-    // of 12–17).
-    drop(std::hint::black_box(vec![0u8; 8 << 20]));
 
     // Butterfly kernels: an L1-resident size and an L2-resident size.
     bench_fft(&mut rows, 1024, 2000);

@@ -59,6 +59,20 @@ pub enum AllToAllAlgo {
 /// it, Direct's unsynchronized posts win.
 const PAIRWISE_MIN_BUCKET: usize = 15; // ≥32 KiB
 
+impl AllToAllAlgo {
+    /// The engine this choice runs when a rank hands the exchange
+    /// `total_bytes` over `p` destinations, its own block included:
+    /// [`AllToAllAlgo::Adaptive`] resolved by the table above, the
+    /// others as they are. A caller that keeps its own block out of the
+    /// exchange resolves with it here first, so the choice is the same.
+    pub fn resolve(self, p: usize, total_bytes: u64) -> AllToAllAlgo {
+        match self {
+            AllToAllAlgo::Adaptive => resolve(p, total_bytes),
+            a => a,
+        }
+    }
+}
+
 /// Resolve [`AllToAllAlgo::Adaptive`] from this rank's total send
 /// volume over `p` destinations.
 fn resolve(p: usize, total_bytes: u64) -> AllToAllAlgo {
@@ -89,10 +103,7 @@ pub(crate) fn alltoallv<T: CommData + Clone>(
     comm.check_group_alive()?;
     let p = comm.size();
     let r = comm.rank();
-    let algo = match algo {
-        AllToAllAlgo::Adaptive => resolve(p, total),
-        a => a,
-    };
+    let algo = algo.resolve(p, total);
     let code = if algo == AllToAllAlgo::Pairwise {
         algos::PAIRWISE
     } else {

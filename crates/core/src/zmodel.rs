@@ -125,7 +125,10 @@ impl ZModel {
 
         // --- ∂t z = V, and S = g·z₃ − |V|²/8 from it, row by row --------
         let g = self.params.gravity;
-        let mut s_vals = Vec::with_capacity(n_own);
+        let mut s_vals = match &self.dfft {
+            Some(plan) => plan.take(n_own),
+            None => Vec::with_capacity(n_own),
+        };
         let mut push_s = |v: &[f64], z: &[f64]| {
             s_vals.extend(v.chunks_exact(3).zip(z.chunks_exact(3)).map(|(v, z)| {
                 let v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
@@ -142,7 +145,9 @@ impl ZModel {
                 // optimization).
                 let (rect, w1_spec) = self.forward_comp(pm, w, 0);
                 let (_, w2_spec) = self.forward_comp(pm, w, 1);
-                let w3 = self.inverse_re(self.riesz_block(w1_spec, &w2_spec, &rect));
+                let w3_spec = self.riesz_block(w1_spec, &w2_spec, &rect);
+                self.fft().give(w2_spec);
+                let w3 = self.inverse_re(w3_spec);
                 for (i, r) in rows.clone().enumerate() {
                     let v = &mut zdot.row_mut(r)[zspan.clone()];
                     geometry::unit_normals_row(&z.rows5(r), c0, dy, dx, v);
@@ -155,6 +160,7 @@ impl ZModel {
                     }
                     push_s(v, &z.row(r)[zspan.clone()]);
                 }
+                self.fft().give(w3);
             }
             Order::Medium | Order::High => {
                 let da = dy * dx;
@@ -209,9 +215,12 @@ impl ZModel {
             Order::Low | Order::Medium => {
                 // Spectral path ("the medium-order model uses FFTs for
                 // calculating changes in vorticity", paper §6), in the
-                // transposed layout throughout.
-                let (rect, s_spec) = self.forward_vals(&s_vals);
-                let mut sx = s_spec.clone();
+                // transposed layout throughout. Every buffer goes back
+                // to the plan's free lists once read.
+                let plan = self.fft();
+                let (rect, s_spec) = self.forward_vals(s_vals);
+                let mut sx = plan.take(s_spec.len());
+                sx.extend_from_slice(&s_spec);
                 self.mul_ik(&mut sx, &rect, Axis::X);
                 let mut sy = s_spec;
                 self.mul_ik(&mut sy, &rect, Axis::Y);
@@ -231,6 +240,9 @@ impl ZModel {
                         out[0] = a2 * sy + mu * l1;
                         out[1] = -a2 * sx + mu * l2;
                     }
+                }
+                for buf in [ds_dx, ds_dy, lap1, lap2] {
+                    plan.give(buf);
                 }
             }
         }
@@ -261,12 +273,14 @@ impl ZModel {
             .collect();
 
         // Filter component `k` of `f` as a deviation from `reference`.
+        let plan = self.fft();
         let filter = |f: &mut Field, k: usize, reference: Option<&[f64]>| {
-            let mut vals = mesh.owned_comp(f, k);
+            let mut vals = plan.take(mesh.owned_count());
+            mesh.owned_comp(f, k, &mut vals);
             if let Some(reference) = reference {
                 vals.iter_mut().zip(reference).for_each(|(v, r)| *v -= r);
             }
-            let (_, mut spec) = self.forward_vals(&vals);
+            let (_, mut spec) = self.forward_vals(vals);
             for v in spec.iter_mut() {
                 // Normalized amplitude (forward transform is
                 // unnormalized: divide by the mode count).
@@ -279,6 +293,7 @@ impl ZModel {
                 vals.iter_mut().zip(reference).for_each(|(v, r)| *v += r);
             }
             mesh.set_owned_comp(f, k, &vals);
+            plan.give(vals);
         };
         filter(z, 0, Some(&ref_x));
         filter(z, 1, Some(&ref_y));
@@ -291,8 +306,18 @@ impl ZModel {
     // Distributed spectral helpers
     // ------------------------------------------------------------------
 
+    /// The distributed FFT plan (low and medium order).
+    fn fft(&self) -> &DistributedFft2d {
+        self.dfft.as_ref().expect("fft not configured")
+    }
+
+    /// [`ZModel::forward_vals`] of component `comp` of `f`'s owned nodes,
+    /// gathered into a buffer of the plan's.
     fn forward_comp(&self, pm: &ProblemManager, f: &Field, comp: usize) -> (Rect, Vec<Complex>) {
-        self.forward_vals(&pm.mesh().owned_comp(f, comp))
+        let plan = self.fft();
+        let mut vals = plan.take(pm.mesh().owned_count());
+        pm.mesh().owned_comp(f, comp, &mut vals);
+        plan.forward_real_transposed(vals)
     }
 
     /// Forward transform of a real owned-order field into the
@@ -300,14 +325,12 @@ impl ZModel {
     /// multipliers can map global wavenumbers). Every multiplier below is
     /// Hermitian-symmetric in `k`, so acting on columns `0..=nc/2` alone
     /// acts on the whole spectrum.
-    fn forward_vals(&self, vals: &[f64]) -> (Rect, Vec<Complex>) {
-        let plan = self.dfft.as_ref().expect("fft not configured");
-        plan.forward_real_transposed(vals)
+    fn forward_vals(&self, vals: Vec<f64>) -> (Rect, Vec<Complex>) {
+        self.fft().forward_real_transposed(vals)
     }
 
     fn inverse_re(&self, spec: Vec<Complex>) -> Vec<f64> {
-        let plan = self.dfft.as_ref().expect("fft not configured");
-        plan.inverse_real_transposed(spec)
+        self.fft().inverse_real_transposed(spec)
     }
 
     /// The rows of a spectrum block over `rect`, each with its global row

@@ -115,7 +115,7 @@ impl ZModel {
                 // Spectral path ("the medium-order model uses FFTs for
                 // calculating changes in vorticity", paper §6), in the
                 // transposed layout throughout.
-                let (rect, s_spec) = self.forward_vals(&s_vals);
+                let (rect, s_spec) = self.forward_vals(s_vals);
                 let mut sx = s_spec.clone();
                 self.mul_ik_per_node(&mut sx, &rect, Axis::X);
                 let mut sy = s_spec;
@@ -176,7 +176,7 @@ impl ZModel {
         let filtered: Vec<Vec<f64>> = fields
             .iter()
             .map(|vals| {
-                let (_, mut spec) = self.forward_vals(vals);
+                let (_, mut spec) = self.forward_vals(vals.clone());
                 for v in spec.iter_mut() {
                     // Normalized amplitude (forward transform is
                     // unnormalized: divide by the mode count).
@@ -218,7 +218,7 @@ impl ZModel {
             .owned_indices()
             .map(|(lr, lc, _, _)| f.get(lr, lc, comp))
             .collect();
-        self.forward_vals(&vals)
+        self.forward_vals(vals)
     }
 
     #[inline]

@@ -5,9 +5,10 @@
 //! rectangle copies. The kernels here are stride-aware rather than
 //! element-wise: row runs move as single `memcpy`s, collapsing to ONE
 //! memcpy when the sub-rectangle spans every column of its parent.
-//! [`assemble`] builds a whole destination rectangle from the received
-//! blocks that way, appending each row's runs in column order to a
-//! buffer that is never zero-filled.
+//! [`pack_into`] appends a send block to a buffer; `assemble_into`
+//! appends a whole destination rectangle, each row's runs in column
+//! order, from pieces that are received blocks or a view of the source
+//! buffer itself. Neither writes anything twice or zero-fills first.
 //! (Nothing here moves columns: the column transforms run in place
 //! across the row-major buffer, see [`crate::plan`].)
 
@@ -123,18 +124,28 @@ impl Rect {
 /// Stride-aware: each row run is one `memcpy`, and a full-width `sub`
 /// (every column of `from`, the common case for slab reshapes) is a
 /// single contiguous `memcpy` of the whole region.
-pub fn pack<T: Copy + Default>(buf: &[T], from: &Rect, sub: &Rect) -> Vec<T> {
-    debug_assert_eq!(buf.len(), from.area());
-    if sub.ncols() == from.ncols() && !sub.is_empty() {
-        let start = from.offset(sub.rows.start, sub.cols.start);
-        return buf[start..start + sub.area()].to_vec();
-    }
+pub fn pack<T: Copy>(buf: &[T], from: &Rect, sub: &Rect) -> Vec<T> {
     let mut out = Vec::with_capacity(sub.area());
+    pack_into(buf, from, sub, &mut out);
+    out
+}
+
+/// [`pack`] appending to `out` instead of a new vector.
+pub fn pack_into<T: Copy>(buf: &[T], from: &Rect, sub: &Rect, out: &mut Vec<T>) {
+    debug_assert_eq!(buf.len(), from.area());
+    if sub.is_empty() {
+        return;
+    }
+    if sub.ncols() == from.ncols() {
+        let start = from.offset(sub.rows.start, sub.cols.start);
+        out.extend_from_slice(&buf[start..start + sub.area()]);
+        return;
+    }
+    out.reserve(sub.area());
     for r in sub.rows.clone() {
         let start = from.offset(r, sub.cols.start);
         out.extend_from_slice(&buf[start..start + sub.ncols()]);
     }
-    out
 }
 
 /// Write a row-major `sub`-shaped vector into a row-major buffer laid out
@@ -155,38 +166,47 @@ pub fn unpack<T: Copy>(buf: &mut [T], into: &Rect, sub: &Rect, data: &[T]) {
     }
 }
 
-/// The row-major `into`-shaped buffer built from `pieces` — `(sub,
-/// data)` pairs, each `data` a row-major `sub`-shaped block — whose
-/// rectangles tile `into`. Every element is written once: rows in
-/// order, each row's runs in column order, appended to a buffer that is
-/// never zero-filled. A piece spanning every column of `into` goes in as
-/// one contiguous copy of all its rows.
+/// One source of a destination rectangle: the sub-rectangle `sub` of
+/// the row-major buffer `buf`, which is laid out as `layout` — a
+/// received block (`layout` is `sub` itself) or the source buffer of a
+/// reshape, read in place for the part a rank keeps.
+pub(crate) struct Piece<'a, T> {
+    pub sub: &'a Rect,
+    pub buf: &'a [T],
+    pub layout: &'a Rect,
+}
+
+/// Append the row-major `into`-shaped rectangle to `out`, built from
+/// `pieces` whose rectangles tile `into`. Every element is written
+/// once: rows in order, each row's runs in column order. A piece that
+/// spans every column of `into` and of its own buffer goes in as one
+/// contiguous copy of all its rows.
 ///
 /// # Panics
 /// Panics if the pieces do not tile `into` (a gap or an overlap in some
 /// row).
-pub(crate) fn assemble<T: Copy>(into: &Rect, pieces: &mut [(Rect, Vec<T>)]) -> Vec<T> {
-    pieces.sort_unstable_by_key(|(sub, _)| sub.cols.start);
-    let mut out = Vec::with_capacity(into.area());
+pub(crate) fn assemble_into<T: Copy>(into: &Rect, pieces: &mut [Piece<'_, T>], out: &mut Vec<T>) {
+    pieces.sort_unstable_by_key(|p| p.sub.cols.start);
+    out.reserve(into.area());
     let mut r = into.rows.start;
     while r < into.rows.end {
         let mut col = into.cols.start;
         let mut next = r + 1;
-        for (sub, data) in pieces.iter().filter(|(sub, _)| sub.rows.contains(&r)) {
+        for p in pieces.iter().filter(|p| p.sub.rows.contains(&r)) {
             assert_eq!(
-                sub.cols.start, col,
+                p.sub.cols.start, col,
                 "assemble: pieces do not tile {into:?} at row {r}"
             );
-            debug_assert_eq!(data.len(), sub.area());
-            let start = (r - sub.rows.start) * sub.ncols();
-            let end = if sub.cols == into.cols {
-                next = sub.rows.end;
-                data.len()
+            debug_assert_eq!(p.buf.len(), p.layout.area());
+            let start = p.layout.offset(r, p.sub.cols.start);
+            let end = if p.sub.cols == into.cols && p.sub.cols == p.layout.cols {
+                next = p.sub.rows.end;
+                p.layout.offset(next - 1, p.sub.cols.start) + p.sub.ncols()
             } else {
-                start + sub.ncols()
+                start + p.sub.ncols()
             };
-            out.extend_from_slice(&data[start..end]);
-            col = sub.cols.end;
+            out.extend_from_slice(&p.buf[start..end]);
+            col = p.sub.cols.end;
         }
         assert_eq!(
             col, into.cols.end,
@@ -194,6 +214,23 @@ pub(crate) fn assemble<T: Copy>(into: &Rect, pieces: &mut [(Rect, Vec<T>)]) -> V
         );
         r = next;
     }
+}
+
+/// The row-major `into`-shaped buffer built from `(sub, data)` blocks
+/// by [`assemble_into`]: the reshape's assembly before the part a rank
+/// keeps was read in place, kept for the tests.
+#[cfg(test)]
+pub(crate) fn assemble<T: Copy>(into: &Rect, blocks: &mut [(Rect, Vec<T>)]) -> Vec<T> {
+    let mut pieces: Vec<Piece<'_, T>> = blocks
+        .iter()
+        .map(|(sub, data)| Piece {
+            sub,
+            buf: data,
+            layout: sub,
+        })
+        .collect();
+    let mut out = Vec::new();
+    assemble_into(into, &mut pieces, &mut out);
     out
 }
 

@@ -42,10 +42,12 @@
 //!
 //! * [`layout`] — balanced 1D/2D index distributions and rectangle
 //!   pack/unpack helpers.
-//! * [`redistribute`] — the generic rectangle redistribution engine
-//!   (compute intersections analytically, move one owned block per peer).
+//! * [`redistribute`] — the generic rectangle redistribution engine: a
+//!   [`redistribute::Reshape`] intersects the layouts once, then each run
+//!   moves one owned block per peer through a bounded free list.
 //! * [`plan`] — [`DistributedFft2d`]: slab and pencil pipelines, forward
-//!   and inverse, complex and real.
+//!   and inverse, complex and real, over reshapes planned at
+//!   construction.
 //! * [`config`] — [`FftConfig`] and the Table-1 enumeration.
 
 pub mod config;

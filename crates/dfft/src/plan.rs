@@ -25,6 +25,14 @@
 //! non-redundant bins, and the column layout (with its column FFTs)
 //! covers only those columns, dealt out evenly over the ranks.
 //!
+//! ## Reshapes
+//!
+//! [`DistributedFft2d::new`] plans every reshape the pipelines run (a
+//! [`Reshape`] each, with the communicator it runs on) and allocates no
+//! buffer. Blocks and outputs come from the plan's free lists, one per
+//! element type, and every buffer a transform consumes goes back to
+//! them; callers hand theirs back through [`DistributedFft2d::give`].
+//!
 //! ## Local transforms
 //!
 //! In the row layout each row is one contiguous line and goes through
@@ -37,9 +45,11 @@
 
 use crate::config::FftConfig;
 use crate::layout::{Dist, Rect};
-use crate::redistribute::{no_reorder_penalty, redistribute};
+use crate::redistribute::{no_reorder_penalty, FreeList, Reshape};
+use beatnik_comm::message::CommData;
 use beatnik_comm::{AllToAllAlgo, CartComm, Communicator};
 use beatnik_fft::{Complex, Fft, RealFft, Transform};
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// Split `base` into `parts` balanced sub-ranges and return part `i`.
@@ -49,35 +59,154 @@ fn subrange(base: Range<usize>, parts: usize, i: usize) -> Range<usize> {
     base.start + r.start..base.start + r.end
 }
 
-/// The ranks of one block ↔ intermediate-layout reshape: the
-/// communicator it runs on and the world rank `base + q·stride` of its
-/// member `q`.
+/// The rectangle every world rank holds in each layout of a global
+/// `nr × nc` grid over a `pr × pc` rank grid.
+#[derive(Clone, Copy)]
+struct Layout {
+    nr: usize,
+    nc: usize,
+    pr: usize,
+    pc: usize,
+    pencils: bool,
+}
+
+impl Layout {
+    /// Block rectangle of world rank `w`.
+    fn block(&self, w: usize) -> Rect {
+        let rd = Dist::new(self.nr, self.pr);
+        let cd = Dist::new(self.nc, self.pc);
+        Rect::new(rd.range(w / self.pc), cd.range(w % self.pc))
+    }
+
+    /// Row-layout rectangle of world rank `w` over a `width`-column grid
+    /// (`nc` for full rows, `nc/2 + 1` for half-spectrum rows), every
+    /// column present. Slabs deal the rows over all ranks; pencils give
+    /// rank `(pr, pc)` the `pc`-th slice of block-row `pr`'s rows.
+    fn rows(&self, w: usize, width: usize) -> Rect {
+        let rows = if self.pencils {
+            let rd = Dist::new(self.nr, self.pr);
+            subrange(rd.range(w / self.pc), self.pc, w % self.pc)
+        } else {
+            Dist::new(self.nr, self.pr * self.pc).range(w)
+        };
+        Rect::new(rows, 0..width)
+    }
+
+    /// Column-layout rectangle of world rank `w` over a `width`-column
+    /// grid, every row present. Slabs deal the `width` columns over all
+    /// ranks; pencils give rank `(pr, pc)` the `pr`-th slice of the
+    /// `pc`-th of `Pc` column groups.
+    fn cols(&self, w: usize, width: usize) -> Rect {
+        let cols = if self.pencils {
+            let cd = Dist::new(width, self.pc);
+            subrange(cd.range(w % self.pc), self.pr, w / self.pc)
+        } else {
+            Dist::new(width, self.pr * self.pc).range(w)
+        };
+        Rect::new(0..self.nr, cols)
+    }
+}
+
+/// The communicator a reshape runs on.
+#[derive(Clone, Copy, Debug)]
+enum On {
+    World,
+    Row,
+    Col,
+}
+
+/// The ranks of one reshape: the communicator it runs on and the world
+/// rank `base + q·stride` of its member `q`.
+#[derive(Clone, Copy)]
 struct Group<'a> {
+    on: On,
     comm: &'a Communicator,
     base: usize,
     stride: usize,
 }
 
 impl Group<'_> {
-    fn world_rank(&self, q: usize) -> usize {
-        self.base + q * self.stride
+    /// This rank's part of the reshape from layout `src` to layout `dst`
+    /// (world rank → rectangle) over the group's members.
+    fn plan(
+        &self,
+        src: impl Fn(usize) -> Rect,
+        dst: impl Fn(usize) -> Rect,
+        algo: AllToAllAlgo,
+    ) -> Planned {
+        let world = |q: usize| self.base + q * self.stride;
+        let reshape = Reshape::new(
+            self.comm.rank(),
+            self.comm.size(),
+            &|q| src(world(q)),
+            &|q| dst(world(q)),
+            algo,
+        );
+        Planned { on: self.on, reshape }
+    }
+}
+
+/// A reshape of the plan and the communicator it runs on.
+struct Planned {
+    on: On,
+    reshape: Reshape,
+}
+
+/// The seven reshapes the transforms run, each planned once.
+struct Reshapes {
+    /// Block ↔ full-width rows, inside row subcommunicators for pencils
+    /// (every transform's first reshape and every inverse's last).
+    block_rows: Planned,
+    rows_block: Planned,
+    /// Full-width rows ↔ columns over the world: the complex transforms.
+    rows_cols: Planned,
+    cols_rows: Planned,
+    /// Half-spectrum rows ↔ columns over the world: the real transforms.
+    half_rows_cols: Planned,
+    half_cols_rows: Planned,
+    /// Columns → block, inside column subcommunicators for pencils: the
+    /// last reshape of [`DistributedFft2d::forward`] and `inverse`.
+    cols_block: Planned,
+}
+
+/// An element type a plan keeps a free list of: `f64` for real fields,
+/// [`Complex`] for spectra.
+pub trait Element: CommData + Copy {
+    #[doc(hidden)]
+    fn free_list(plan: &DistributedFft2d) -> &RefCell<FreeList<Self>>;
+}
+
+impl Element for f64 {
+    fn free_list(plan: &DistributedFft2d) -> &RefCell<FreeList<f64>> {
+        &plan.reals
+    }
+}
+
+impl Element for Complex {
+    fn free_list(plan: &DistributedFft2d) -> &RefCell<FreeList<Complex>> {
+        &plan.complex
     }
 }
 
 /// A planned distributed 2D FFT bound to one rank of a Cartesian grid.
 ///
 /// Construction is collective: every rank of `parent` must construct the
-/// plan with identical arguments.
+/// plan with identical arguments. It plans every reshape the transforms
+/// run and allocates no buffer; the plan's free lists fill during its
+/// first transforms, after which a transform takes every block and
+/// output from them and gives every consumed buffer back.
 pub struct DistributedFft2d {
     cart: CartComm,
     row_comm: Communicator,
     col_comm: Communicator,
-    nr: usize,
-    nc: usize,
+    layout: Layout,
     config: FftConfig,
     row_plan: Fft,
     col_plan: Fft,
     real_row_plan: RealFft,
+    reshapes: Reshapes,
+    reals: RefCell<FreeList<f64>>,
+    complex: RefCell<FreeList<Complex>>,
     /// Tests flip this to run `fft_cols` through the gather / per-line /
     /// scatter code it replaced, as the bitwise reference.
     #[cfg(test)]
@@ -88,6 +217,10 @@ pub struct DistributedFft2d {
     /// bitwise reference.
     #[cfg(test)]
     reference_rows: std::cell::Cell<bool>,
+    /// Tests flip this to run every reshape unplanned, through new
+    /// buffers, as the bitwise reference.
+    #[cfg(test)]
+    unplanned: std::cell::Cell<bool>,
 }
 
 impl DistributedFft2d {
@@ -106,26 +239,84 @@ impl DistributedFft2d {
             .expect("distributed fft: proc grid does not match communicator size");
         let row_comm = cart.row_comm();
         let col_comm = cart.col_comm();
+        let [pr, pc] = cart.dims();
+        let [my_pr, my_pc] = cart.coords();
+        let l = Layout {
+            nr,
+            nc,
+            pr,
+            pc,
+            pencils: config.pencils,
+        };
+        let real_row_plan = RealFft::new(nc);
+        let nh = real_row_plan.bins();
+        let algo = if config.all_to_all {
+            // Collective path: let the transport pick the engine per
+            // reshape from the actual exchange volume.
+            AllToAllAlgo::Adaptive
+        } else {
+            AllToAllAlgo::Direct
+        };
+        let all = Group {
+            on: On::World,
+            comm: cart.comm(),
+            base: 0,
+            stride: 1,
+        };
+        // Pencils keep the block ↔ row reshapes inside my row
+        // subcommunicator (member `q` is world rank `(my_pr, q)`) and the
+        // column → block reshape inside my column subcommunicator (member
+        // `q` is `(q, my_pc)`); slabs run them over the world.
+        let (row, col) = if config.pencils {
+            let row = Group {
+                on: On::Row,
+                comm: &row_comm,
+                base: my_pr * pc,
+                stride: 1,
+            };
+            let col = Group {
+                on: On::Col,
+                comm: &col_comm,
+                base: my_pc,
+                stride: pc,
+            };
+            (row, col)
+        } else {
+            (all, all)
+        };
+        let reshapes = Reshapes {
+            block_rows: row.plan(|w| l.block(w), |w| l.rows(w, nc), algo),
+            rows_block: row.plan(|w| l.rows(w, nc), |w| l.block(w), algo),
+            rows_cols: all.plan(|w| l.rows(w, nc), |w| l.cols(w, nc), algo),
+            cols_rows: all.plan(|w| l.cols(w, nc), |w| l.rows(w, nc), algo),
+            half_rows_cols: all.plan(|w| l.rows(w, nh), |w| l.cols(w, nh), algo),
+            half_cols_rows: all.plan(|w| l.cols(w, nh), |w| l.rows(w, nh), algo),
+            cols_block: col.plan(|w| l.cols(w, nc), |w| l.block(w), algo),
+        };
         DistributedFft2d {
             cart,
             row_comm,
             col_comm,
-            nr,
-            nc,
+            layout: l,
             config,
             row_plan: Fft::new(nc),
             col_plan: Fft::new(nr),
-            real_row_plan: RealFft::new(nc),
+            real_row_plan,
+            reshapes,
+            reals: RefCell::new(FreeList::new()),
+            complex: RefCell::new(FreeList::new()),
             #[cfg(test)]
             per_line_cols: std::cell::Cell::new(false),
             #[cfg(test)]
             reference_rows: std::cell::Cell::new(false),
+            #[cfg(test)]
+            unplanned: std::cell::Cell::new(false),
         }
     }
 
     /// Global grid shape `(rows, cols)`.
     pub fn global_shape(&self) -> (usize, usize) {
-        (self.nr, self.nc)
+        (self.layout.nr, self.layout.nc)
     }
 
     /// The tuning configuration.
@@ -133,106 +324,45 @@ impl DistributedFft2d {
         self.config
     }
 
-    fn pr(&self) -> usize {
-        self.cart.dims()[0]
-    }
-
-    fn pc(&self) -> usize {
-        self.cart.dims()[1]
-    }
-
-    fn algo(&self) -> AllToAllAlgo {
-        if self.config.all_to_all {
-            // Collective path: let the transport pick the engine per
-            // reshape from the actual exchange volume.
-            AllToAllAlgo::Adaptive
-        } else {
-            AllToAllAlgo::Direct
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Layouts
-    // ------------------------------------------------------------------
-
-    /// Block rectangle of a world rank.
-    fn block_rect_of(&self, rank: usize) -> Rect {
-        let rd = Dist::new(self.nr, self.pr());
-        let cd = Dist::new(self.nc, self.pc());
-        Rect::new(rd.range(rank / self.pc()), cd.range(rank % self.pc()))
-    }
-
     /// This rank's block rectangle (the caller's buffer layout).
     pub fn local_rect(&self) -> Rect {
-        self.block_rect_of(self.cart.comm().rank())
+        self.layout.block(self.cart.comm().rank())
     }
 
-    /// Row-layout rectangle of world rank `w` over a `width`-column grid
-    /// (`nc` for full rows, `nc/2 + 1` for half-spectrum rows), every
-    /// column present. Slabs deal the rows over all ranks; pencils give
-    /// rank `(pr, pc)` the `pc`-th slice of block-row `pr`'s rows.
-    fn row_rect_of(&self, w: usize, width: usize) -> Rect {
-        let rows = if self.config.pencils {
-            let rd = Dist::new(self.nr, self.pr());
-            subrange(rd.range(w / self.pc()), self.pc(), w % self.pc())
-        } else {
-            Dist::new(self.nr, self.pr() * self.pc()).range(w)
+    /// An empty buffer with room for `capacity` elements, from this
+    /// plan's free list when it holds one that large.
+    pub fn take<T: Element>(&self, capacity: usize) -> Vec<T> {
+        T::free_list(self).borrow_mut().take(capacity)
+    }
+
+    /// Give a buffer the caller is done with to this plan's free list: a
+    /// later reshape packs a block or writes its output into it, or a
+    /// later [`DistributedFft2d::take`] returns it.
+    pub fn give<T: Element>(&self, buf: Vec<T>) {
+        T::free_list(self).borrow_mut().give(buf);
+    }
+
+    /// Run one of the plan's reshapes on `data`, which it consumes,
+    /// returning this rank's destination rectangle's contents: `data`
+    /// itself when the reshape leaves every element in place.
+    fn reshape<T: Element>(&self, planned: &Planned, data: Vec<T>) -> Vec<T> {
+        let comm = match planned.on {
+            On::World => self.cart.comm(),
+            On::Row => &self.row_comm,
+            On::Col => &self.col_comm,
         };
-        Rect::new(rows, 0..width)
-    }
-
-    /// Column-layout rectangle of world rank `w` over a `width`-column
-    /// grid, every row present. Slabs deal the `width` columns over all
-    /// ranks; pencils give rank `(pr, pc)` the `pr`-th slice of the
-    /// `pc`-th of `Pc` column groups.
-    fn col_rect_of(&self, w: usize, width: usize) -> Rect {
-        let cols = if self.config.pencils {
-            let cd = Dist::new(width, self.pc());
-            subrange(cd.range(w % self.pc()), self.pr(), w / self.pc())
-        } else {
-            Dist::new(width, self.pr() * self.pc()).range(w)
-        };
-        Rect::new(0..self.nr, cols)
-    }
-
-    /// Ranks of the block ↔ row-layout reshape: my row subcommunicator
-    /// for pencils (member `q` is world rank `(my_pr, q)`), the world
-    /// for slabs.
-    fn row_group(&self) -> Group<'_> {
-        if self.config.pencils {
-            let base = self.cart.coords()[0] * self.pc();
-            Group {
-                comm: &self.row_comm,
-                base,
-                stride: 1,
-            }
-        } else {
-            Group {
-                comm: self.cart.comm(),
-                base: 0,
-                stride: 1,
-            }
+        #[cfg(test)]
+        if self.unplanned.get() {
+            let (src, dst) = &planned.reshape.layouts;
+            let algo = if self.config.all_to_all {
+                AllToAllAlgo::Adaptive
+            } else {
+                AllToAllAlgo::Direct
+            };
+            let unplanned = crate::redistribute::redistribute_unplanned;
+            return unplanned(comm, &data, &|q| src[q].clone(), &|q| dst[q].clone(), algo).1;
         }
-    }
-
-    /// Ranks of the column-layout ↔ block reshape: my column
-    /// subcommunicator for pencils (member `q` is world rank
-    /// `(q, my_pc)`), the world for slabs.
-    fn col_group(&self) -> Group<'_> {
-        if self.config.pencils {
-            let base = self.cart.coords()[1];
-            Group {
-                comm: &self.col_comm,
-                base,
-                stride: self.pc(),
-            }
-        } else {
-            Group {
-                comm: self.cart.comm(),
-                base: 0,
-                stride: 1,
-            }
-        }
+        planned.reshape.run_owned(comm, data, &mut T::free_list(self).borrow_mut())
     }
 
     fn check_block(&self, len: usize) {
@@ -241,6 +371,15 @@ impl DistributedFft2d {
             self.local_rect().area(),
             "distributed fft: block buffer does not match local rectangle"
         );
+    }
+
+    /// heFFTe's skipped-reorder cost, when the configuration asks for it.
+    fn penalty<T: Element>(&self, buf: &mut [T]) {
+        if !self.config.reorder {
+            let mut scratch = self.take(buf.len());
+            no_reorder_penalty(buf, &mut scratch);
+            self.give(scratch);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -269,7 +408,8 @@ impl DistributedFft2d {
     /// reshapes. Returns the spectrum's rectangle and data.
     pub fn forward_transposed(&self, block: Vec<Complex>) -> (Rect, Vec<Complex>) {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
-        self.to_transposed(&block, Transform::Forward)
+        let spectrum = self.to_transposed(block, Transform::Forward);
+        (self.reshapes.rows_cols.reshape.dst().clone(), spectrum)
     }
 
     /// Inverse transform starting from the transposed (column slab /
@@ -278,61 +418,42 @@ impl DistributedFft2d {
     /// normalized by `1/(nr·nc)`.
     pub fn inverse_transposed(&self, spectrum: Vec<Complex>) -> Vec<Complex> {
         let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
-        let world = self.cart.comm();
-        let algo = self.algo();
-        let nc = self.nc;
-        let my_rect = self.col_rect_of(world.rank(), nc);
+        let rs = &self.reshapes;
+        let my_rect = rs.cols_rows.reshape.src();
         assert_eq!(spectrum.len(), my_rect.area(), "bad transposed spectrum");
         let mut buf = spectrum;
-        self.fft_cols(&mut buf, &my_rect, Transform::Inverse);
-        let cols_of = |w: usize| self.col_rect_of(w, nc);
-        let rows_of = |w: usize| self.row_rect_of(w, nc);
-        let (_, mut buf) = redistribute(world, &buf, &cols_of, &rows_of, algo);
-        self.fft_rows(&mut buf, Transform::Inverse);
-        let g = self.row_group();
-        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
-        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
-        redistribute(g.comm, &buf, &rows_of, &block_of, algo).1
+        self.fft_cols(&mut buf, my_rect, Transform::Inverse);
+        let mut rows = self.reshape(&rs.cols_rows, buf);
+        self.fft_rows(&mut rows, Transform::Inverse);
+        self.reshape(&rs.rows_block, rows)
     }
 
     /// Block → row layout → row transforms → column layout → column
     /// transforms, `transform` applied along both axes.
-    fn to_transposed(&self, block: &[Complex], transform: Transform) -> (Rect, Vec<Complex>) {
+    fn to_transposed(&self, block: Vec<Complex>, transform: Transform) -> Vec<Complex> {
         self.check_block(block.len());
-        let algo = self.algo();
-        let nc = self.nc;
-        let g = self.row_group();
-        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
-        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
-        let (_, mut buf) = redistribute(g.comm, block, &block_of, &rows_of, algo);
-        self.fft_rows(&mut buf, transform);
-        let rows_of = |w: usize| self.row_rect_of(w, nc);
-        let cols_of = |w: usize| self.col_rect_of(w, nc);
-        let (rect, mut buf) = redistribute(self.cart.comm(), &buf, &rows_of, &cols_of, algo);
-        self.fft_cols(&mut buf, &rect, transform);
-        (rect, buf)
+        let rs = &self.reshapes;
+        let mut rows = self.reshape(&rs.block_rows, block);
+        self.fft_rows(&mut rows, transform);
+        let mut cols = self.reshape(&rs.rows_cols, rows);
+        self.fft_cols(&mut cols, rs.rows_cols.reshape.dst(), transform);
+        cols
     }
 
     /// The three-reshape pipeline, block layout in and out.
     fn run(&self, block: Vec<Complex>, transform: Transform) -> Vec<Complex> {
-        let (_, buf) = self.to_transposed(&block, transform);
-        let nc = self.nc;
-        let g = self.col_group();
-        let cols_of = |q: usize| self.col_rect_of(g.world_rank(q), nc);
-        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
-        redistribute(g.comm, &buf, &cols_of, &block_of, self.algo()).1
+        let cols = self.to_transposed(block, transform);
+        self.reshape(&self.reshapes.cols_block, cols)
     }
 
     /// Transform every full-width row of `buf` in place, line by line.
     fn fft_rows(&self, buf: &mut [Complex], transform: Transform) {
-        if !self.config.reorder {
-            no_reorder_penalty(buf);
-        }
+        self.penalty(buf);
         #[cfg(test)]
         if self.reference_rows.get() {
             return reference::fft_rows(&self.row_plan, buf, transform);
         }
-        for row in buf.chunks_exact_mut(self.nc) {
+        for row in buf.chunks_exact_mut(self.layout.nc) {
             self.row_plan.apply(transform, row);
         }
     }
@@ -340,10 +461,8 @@ impl DistributedFft2d {
     /// Transform every full-height column of the `rect`-shaped `buf` in
     /// place, all columns at once.
     fn fft_cols(&self, buf: &mut [Complex], rect: &Rect, transform: Transform) {
-        debug_assert_eq!(rect.nrows(), self.nr);
-        if !self.config.reorder {
-            no_reorder_penalty(buf);
-        }
+        debug_assert_eq!(rect.nrows(), self.layout.nr);
+        self.penalty(buf);
         #[cfg(test)]
         if self.per_line_cols.get() {
             return reference::fft_cols_per_line(&self.col_plan, buf, rect.ncols(), transform);
@@ -356,8 +475,8 @@ impl DistributedFft2d {
     // Real-field transforms
     // ------------------------------------------------------------------
 
-    /// Forward transform of a **real** block-layout field into the
-    /// transposed *half* spectrum: global columns `0..=nc/2` only, the
+    /// Forward transform of a **real** block-layout field, which it
+    /// consumes, into the transposed *half* spectrum: global columns `0..=nc/2` only, the
     /// rest following from `X[r, nc−c] = conj(X[(nr−r) mod nr, c])`.
     /// Same two reshapes as [`DistributedFft2d::forward_transposed`], on
     /// half the bytes: `f64` blocks to the row layout, real-to-complex
@@ -365,24 +484,20 @@ impl DistributedFft2d {
     /// the `nc/2 + 1` columns evenly over the ranks, complex column
     /// transforms. Returns this rank's half-spectrum rectangle (global
     /// indices) and its unnormalized data. Collective.
-    pub fn forward_real_transposed(&self, block: &[f64]) -> (Rect, Vec<Complex>) {
+    pub fn forward_real_transposed(&self, block: Vec<f64>) -> (Rect, Vec<Complex>) {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
         self.check_block(block.len());
-        let algo = self.algo();
-        let (nc, nh) = (self.nc, self.real_row_plan.bins());
-        let g = self.row_group();
-        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
-        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
-        let (_, mut rows) = redistribute(g.comm, block, &block_of, &rows_of, algo);
-        if !self.config.reorder {
-            no_reorder_penalty(&mut rows);
-        }
-        let half = self.real_rows_forward(&rows);
-        let rows_of = |w: usize| self.row_rect_of(w, nh);
-        let cols_of = |w: usize| self.col_rect_of(w, nh);
-        let (rect, mut buf) = redistribute(self.cart.comm(), &half, &rows_of, &cols_of, algo);
-        self.fft_cols(&mut buf, &rect, Transform::Forward);
-        (rect, buf)
+        let rs = &self.reshapes;
+        let mut rows = self.reshape(&rs.block_rows, block);
+        self.penalty(&mut rows);
+        let (nc, nh) = (self.layout.nc, self.real_row_plan.bins());
+        let mut half = self.take(rows.len() / nc * nh);
+        self.real_rows_forward(&rows, &mut half);
+        self.give(rows);
+        let rect = rs.half_rows_cols.reshape.dst();
+        let mut buf = self.reshape(&rs.half_rows_cols, half);
+        self.fft_cols(&mut buf, rect, Transform::Forward);
+        (rect.clone(), buf)
     }
 
     /// Inverse of [`DistributedFft2d::forward_real_transposed`]: consumes
@@ -393,48 +508,43 @@ impl DistributedFft2d {
     /// zero are ignored. Collective.
     pub fn inverse_real_transposed(&self, spectrum: Vec<Complex>) -> Vec<f64> {
         let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
-        let world = self.cart.comm();
-        let algo = self.algo();
-        let (nc, nh) = (self.nc, self.real_row_plan.bins());
-        let my_rect = self.col_rect_of(world.rank(), nh);
+        let rs = &self.reshapes;
+        let my_rect = rs.half_cols_rows.reshape.src();
         assert_eq!(
             spectrum.len(),
             my_rect.area(),
             "bad transposed half spectrum"
         );
         let mut buf = spectrum;
-        self.fft_cols(&mut buf, &my_rect, Transform::InverseUnnormalized);
-        let cols_of = |w: usize| self.col_rect_of(w, nh);
-        let rows_of = |w: usize| self.row_rect_of(w, nh);
-        let (_, mut half) = redistribute(world, &buf, &cols_of, &rows_of, algo);
-        if !self.config.reorder {
-            no_reorder_penalty(&mut half);
-        }
-        let rows = self.real_rows_inverse(&mut half, 1.0 / (self.nr * nc) as f64);
-        let g = self.row_group();
-        let rows_of = |q: usize| self.row_rect_of(g.world_rank(q), nc);
-        let block_of = |q: usize| self.block_rect_of(g.world_rank(q));
-        redistribute(g.comm, &rows, &rows_of, &block_of, algo).1
+        self.fft_cols(&mut buf, my_rect, Transform::InverseUnnormalized);
+        let mut half = self.reshape(&rs.half_cols_rows, buf);
+        self.penalty(&mut half);
+        let (nr, nc, nh) = (self.layout.nr, self.layout.nc, self.real_row_plan.bins());
+        let mut rows = self.take(half.len() / nh * nc);
+        self.real_rows_inverse(&mut half, 1.0 / (nr * nc) as f64, &mut rows);
+        self.give(half);
+        self.reshape(&rs.rows_block, rows)
     }
 
-    /// The real-to-complex transform of every row of the row layout, into
-    /// a new half-spectrum row buffer written once.
-    fn real_rows_forward(&self, rows: &[f64]) -> Vec<Complex> {
+    /// The real-to-complex transform of every row of the row layout,
+    /// appended to `half`, each element written once.
+    fn real_rows_forward(&self, rows: &[f64], half: &mut Vec<Complex>) {
         #[cfg(test)]
         if self.reference_rows.get() {
-            return reference::real_rows_forward(&self.real_row_plan, rows);
+            return half.extend(reference::real_rows_forward(&self.real_row_plan, rows));
         }
-        self.real_row_plan.forward_rows(rows)
+        self.real_row_plan.forward_rows(rows, half);
     }
 
     /// The complex-to-real transform of every half-spectrum row (`half`
-    /// is work space), times `scale`, into a new row buffer written once.
-    fn real_rows_inverse(&self, half: &mut [Complex], scale: f64) -> Vec<f64> {
+    /// is work space), times `scale`, appended to `rows`, each element
+    /// written once.
+    fn real_rows_inverse(&self, half: &mut [Complex], scale: f64, rows: &mut Vec<f64>) {
         #[cfg(test)]
         if self.reference_rows.get() {
-            return reference::real_rows_inverse(&self.real_row_plan, half, scale);
+            return rows.extend(reference::real_rows_inverse(&self.real_row_plan, half, scale));
         }
-        self.real_row_plan.inverse_rows(half, scale)
+        self.real_row_plan.inverse_rows(half, scale, rows);
     }
 }
 
@@ -554,7 +664,7 @@ mod batched_cols_tests {
                             plan.per_line_cols.set(per_line);
                             plan.reference_rows.set(reference_rows);
                             let (_, spec) = plan.forward_transposed(block.clone());
-                            let (_, half) = plan.forward_real_transposed(&real);
+                            let (_, half) = plan.forward_real_transposed(real.clone());
                             let back = plan.inverse_real_transposed(half.clone());
                             let complex = [
                                 bits(&plan.forward(block.clone())),
@@ -572,6 +682,146 @@ mod batched_cols_tests {
                     });
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod planned_tests {
+    use super::*;
+    use crate::redistribute::FREE_LIST_CAP;
+    use beatnik_comm::{dims_create, OpKind, World};
+
+    /// Full-entropy mantissas (xorshift), so a stale or misplaced
+    /// element cannot hide behind round numbers.
+    fn noise(n: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s as f64 / u64::MAX as f64) * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    fn bits(v: &[Complex]) -> Vec<[u64; 2]> {
+        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    }
+
+    /// Every entry point once on inputs drawn from `seed`, as bits.
+    fn entry_points(plan: &DistributedFft2d, seed: u64) -> (Vec<Vec<[u64; 2]>>, Vec<u64>) {
+        let area = plan.local_rect().area();
+        let real = noise(area, seed);
+        let block: Vec<Complex> = noise(2 * area, !seed)
+            .chunks_exact(2)
+            .map(|z| Complex::new(z[0], z[1]))
+            .collect();
+        let (_, spec) = plan.forward_transposed(block.clone());
+        let (_, half) = plan.forward_real_transposed(real.clone());
+        let back = plan.inverse_real_transposed(half.clone());
+        let complex = vec![
+            bits(&plan.forward(block.clone())),
+            bits(&plan.inverse(block)),
+            bits(&plan.inverse_transposed(spec.clone())),
+            bits(&spec),
+            bits(&half),
+        ];
+        plan.give(spec);
+        plan.give(half);
+        (complex, back.iter().map(|x| x.to_bits()).collect())
+    }
+
+    #[test]
+    fn every_entry_point_is_bitwise_the_unplanned_reshapes() {
+        for config in FftConfig::table1() {
+            // 16x16 divides evenly everywhere; 12x10, 7x5 and 9x14 split
+            // unevenly over most rank grids, and 7x5 leaves ranks without
+            // a half-spectrum column at 4 ranks and up.
+            for (nr, nc) in [(16, 16), (12, 10), (7, 5), (9, 14)] {
+                for p in 1..=6 {
+                    World::builder(p).run(move |comm| {
+                        let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, config);
+                        // Later rounds run on free lists the earlier ones
+                        // filled, so a stale element would show there.
+                        for round in 0..3u64 {
+                            let seed = 0x9E37_79B9 + 977 * comm.rank() as u64 + 31 * round;
+                            let planned = entry_points(&plan, seed);
+                            plan.unplanned.set(true);
+                            let unplanned = entry_points(&plan, seed);
+                            plan.unplanned.set(false);
+                            assert_eq!(planned, unplanned, "{config} p={p} {nr}x{nc} round {round}");
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// `(messages, bytes)` this rank has sent so far, point-to-point and
+    /// collective.
+    fn sent(comm: &Communicator) -> (u64, u64) {
+        let t = comm.trace();
+        let (s, a) = (t.get(OpKind::Send), t.get(OpKind::Alltoallv));
+        (s.messages + a.messages, s.bytes + a.bytes)
+    }
+
+    #[test]
+    fn each_reshape_reports_its_traced_messages_and_bytes() {
+        for config in FftConfig::table1() {
+            for p in 1..=6 {
+                World::builder(p).run_traced(move |comm| {
+                    let plan = DistributedFft2d::new(&comm, dims_create(p), 12, 10, config);
+                    let rs = &plan.reshapes;
+                    let all = [
+                        ("block_rows", &rs.block_rows),
+                        ("rows_block", &rs.rows_block),
+                        ("rows_cols", &rs.rows_cols),
+                        ("cols_rows", &rs.cols_rows),
+                        ("half_rows_cols", &rs.half_rows_cols),
+                        ("half_cols_rows", &rs.half_cols_rows),
+                        ("cols_block", &rs.cols_block),
+                    ];
+                    for (name, planned) in all {
+                        let r = &planned.reshape;
+                        let what = format!("{config} p={p} {name}");
+                        let before = sent(&comm);
+                        let out = plan.reshape(planned, vec![0.0f64; r.src().area()]);
+                        let after = sent(&comm);
+                        assert_eq!(out.len(), r.dst().area(), "{what}");
+                        let want = (r.messages() as u64, r.bytes::<f64>());
+                        assert_eq!((after.0 - before.0, after.1 - before.1), want, "{what} f64");
+                        let before = sent(&comm);
+                        plan.reshape(planned, vec![Complex::default(); r.src().area()]);
+                        let after = sent(&comm);
+                        let want = (r.messages() as u64, r.bytes::<Complex>());
+                        assert_eq!((after.0 - before.0, after.1 - before.1), want, "{what} complex");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn free_lists_stay_bounded_over_many_round_trips() {
+        // A ragged 7x5 grid over 3 ranks: blocks of many sizes, and
+        // ranks that own no half-spectrum column.
+        for config in FftConfig::table1() {
+            World::builder(3).run(move |comm| {
+                let plan = DistributedFft2d::new(&comm, dims_create(3), 7, 5, config);
+                let real = noise(plan.local_rect().area(), 7 + comm.rank() as u64);
+                let block: Vec<Complex> = real.iter().map(|&x| Complex::new(x, -x)).collect();
+                for _ in 0..200 {
+                    let (_, half) = plan.forward_real_transposed(real.clone());
+                    plan.give(plan.inverse_real_transposed(half));
+                    let (_, spec) = plan.forward_transposed(block.clone());
+                    plan.give(plan.inverse_transposed(spec));
+                    plan.give(plan.inverse(plan.forward(block.clone())));
+                    assert!(plan.reals.borrow().len() <= FREE_LIST_CAP, "{config}");
+                    assert!(plan.complex.borrow().len() <= FREE_LIST_CAP, "{config}");
+                }
+            });
         }
     }
 }
@@ -877,7 +1127,7 @@ mod real_tests {
         let owned = World::builder(p).run(move |comm| {
             let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, config);
             let block = fill(&plan.local_rect());
-            let (rect, spec) = plan.forward_real_transposed(&block);
+            let (rect, spec) = plan.forward_real_transposed(block.clone());
             assert_eq!(rect.rows, 0..nr, "{config} p={p} {nr}x{nc}");
             assert!(
                 rect.cols.end <= nc / 2 + 1,
@@ -933,7 +1183,7 @@ mod real_tests {
             let plan = DistributedFft2d::new(&comm, dims_create(p), 16, 16, config);
             let block = fill(&plan.local_rect());
             if real {
-                let (_, spec) = plan.forward_real_transposed(&block);
+                let (_, spec) = plan.forward_real_transposed(block);
                 let _ = plan.inverse_real_transposed(spec);
             } else {
                 let block = block.into_iter().map(Complex::real).collect();

@@ -36,10 +36,10 @@
 //! Entry points: [`RealFft::forward_into`] / [`RealFft::inverse_scaled_into`]
 //! transform one row into a caller's slice; [`RealFft::forward_rows`] /
 //! [`RealFft::inverse_rows`] transform every row of a row-major buffer
-//! into a new one, writing each output element once (on the fused path
-//! the register pass fills the new buffer's spare capacity; it is never
-//! zero-filled first); [`RealFft::forward`] / [`RealFft::inverse`] are
-//! allocating one-row wrappers.
+//! onto the end of a caller's vector, writing each output element once
+//! (on the fused path the register pass fills the vector's spare
+//! capacity; it is never zero-filled first); [`RealFft::forward`] /
+//! [`RealFft::inverse`] are allocating one-row wrappers.
 
 use crate::complex::Complex;
 use crate::kernel::Body;
@@ -205,14 +205,13 @@ impl RealFft {
     }
 
     /// [`RealFft::forward_into`] on every length-`n` row of the row-major
-    /// `input`, into a new row-major buffer of `bins()`-bin rows. Each
+    /// `input`, appended to `out` as row-major `bins()`-bin rows. Each
     /// output element is written once: on the fused path the transform
-    /// fills the buffer's spare capacity row by row, with no zero fill
-    /// first.
+    /// fills `out`'s spare capacity row by row, with no zero fill first.
     ///
     /// # Panics
     /// Panics if `input` is not a whole number of rows.
-    pub fn forward_rows(&self, input: &[f64]) -> Vec<Complex> {
+    pub fn forward_rows(&self, input: &[f64], out: &mut Vec<Complex>) {
         assert!(
             input.len().is_multiple_of(self.n),
             "real fft: {} reals are not rows of {}",
@@ -227,13 +226,14 @@ impl RealFft {
             body,
         } = &self.kind
         else {
-            let mut out = vec![Complex::default(); len];
-            for (row, spectrum) in input.chunks_exact(self.n).zip(out.chunks_exact_mut(bins)) {
+            let start = out.len();
+            out.resize(start + len, Complex::default());
+            for (row, spectrum) in input.chunks_exact(self.n).zip(out[start..].chunks_exact_mut(bins)) {
                 self.forward_into(row, spectrum);
             }
-            return out;
+            return;
         };
-        let mut out = Vec::with_capacity(len);
+        out.reserve(len);
         for row in input.chunks_exact(self.n) {
             let (z, nyquist) = out.spare_capacity_mut()[..bins].split_at_mut(bins - 1);
             let z = half.transform_from(pairs(row), z, Direction::Forward);
@@ -244,17 +244,16 @@ impl RealFft {
             // every row.
             unsafe { out.set_len(out.len() + bins) };
         }
-        out
     }
 
     /// [`RealFft::inverse_scaled_into`] on every `bins()`-bin row of the
-    /// row-major `spectrum` (used as work space and left clobbered), into
-    /// a new row-major buffer of `n`-real rows, each element written once
-    /// as in [`RealFft::forward_rows`].
+    /// row-major `spectrum` (used as work space and left clobbered),
+    /// appended to `out` as row-major `n`-real rows, each element written
+    /// once as in [`RealFft::forward_rows`].
     ///
     /// # Panics
     /// Panics if `spectrum` is not a whole number of rows.
-    pub fn inverse_rows(&self, spectrum: &mut [Complex], scale: f64) -> Vec<f64> {
+    pub fn inverse_rows(&self, spectrum: &mut [Complex], scale: f64, out: &mut Vec<f64>) {
         let bins = self.bins();
         assert!(
             spectrum.len().is_multiple_of(bins),
@@ -268,16 +267,17 @@ impl RealFft {
             body,
         } = &self.kind
         else {
-            let mut out = vec![0.0; len];
+            let start = out.len();
+            out.resize(start + len, 0.0);
             for (spec, row) in spectrum
                 .chunks_exact_mut(bins)
-                .zip(out.chunks_exact_mut(self.n))
+                .zip(out[start..].chunks_exact_mut(self.n))
             {
                 self.inverse_scaled_into(spec, row, scale);
             }
-            return out;
+            return;
         };
-        let mut out = Vec::with_capacity(len);
+        out.reserve(len);
         for spec in spectrum.chunks_exact_mut(bins) {
             recombine_inverse(spec, twiddles, scale, *body);
             let row = pairs_uninit(&mut out.spare_capacity_mut()[..self.n]);
@@ -287,7 +287,6 @@ impl RealFft {
             // for every row.
             unsafe { out.set_len(out.len() + self.n) };
         }
-        out
     }
 
     /// [`RealFft::forward_into`] by the unfused route: the reals copied
@@ -932,13 +931,15 @@ mod fused_tests {
             let bins = plan.bins();
             for rows in [0usize, 1, 3] {
                 let x = input(rows * n, 5 + n as u64, Values::Exact);
-                let batch = plan.forward_rows(&x);
+                let mut batch = Vec::new();
+                plan.forward_rows(&x, &mut batch);
                 let mut one_by_one = vec![Complex::default(); rows * bins];
                 for (row, out) in x.chunks_exact(n).zip(one_by_one.chunks_exact_mut(bins)) {
                     plan.forward_reference_into(row, out);
                 }
                 assert_eq!(spectrum_bits(&batch), spectrum_bits(&one_by_one), "n={n}");
-                let back = plan.inverse_rows(&mut batch.clone(), 0.5);
+                let mut back = Vec::new();
+                plan.inverse_rows(&mut batch.clone(), 0.5, &mut back);
                 let mut back_ref = vec![0.0; rows * n];
                 for (spec, out) in one_by_one
                     .chunks_exact_mut(bins)
@@ -975,13 +976,13 @@ mod fused_tests {
     #[test]
     #[should_panic(expected = "are not rows of 64")]
     fn forward_rows_rejects_a_ragged_input() {
-        let _ = RealFft::new(64).forward_rows(&[0.0; 130]);
+        RealFft::new(64).forward_rows(&[0.0; 130], &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "are not rows of 33")]
     fn inverse_rows_rejects_a_ragged_spectrum() {
-        let _ = RealFft::new(64).inverse_rows(&mut [Complex::default(); 34], 1.0);
+        RealFft::new(64).inverse_rows(&mut [Complex::default(); 34], 1.0, &mut Vec::new());
     }
 
     #[test]

@@ -14,12 +14,28 @@
 use std::ops::Range;
 
 /// Dense `rows × cols × ncomp` array of `f64` (rows/cols include halos).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Field {
     data: Vec<f64>,
     rows: usize,
     cols: usize,
     ncomp: usize,
+}
+
+impl Clone for Field {
+    fn clone(&self) -> Self {
+        Field {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into `self`'s own storage, allocating only when it is too
+    /// small (the derived form would allocate a new field every time).
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        (self.rows, self.cols, self.ncomp) = (source.rows, source.cols, source.ncomp);
+    }
 }
 
 impl Field {
@@ -145,14 +161,13 @@ impl Field {
     }
 
     /// Component `k` over the block `rows × cols`, row-major — the order
-    /// the distributed transforms take.
-    pub fn gather_comp(&self, rows: Range<usize>, cols: Range<usize>, k: usize) -> Vec<f64> {
+    /// the distributed transforms take — appended to `out`.
+    pub fn gather_comp(&self, rows: Range<usize>, cols: Range<usize>, k: usize, out: &mut Vec<f64>) {
         assert!(k < self.ncomp, "gather_comp: component out of range");
-        let mut out = Vec::with_capacity(rows.len() * cols.len());
+        out.reserve(rows.len() * cols.len());
         for row in self.block_rows(rows, cols) {
-            out.extend(row.iter().skip(k).step_by(self.ncomp));
+            out.extend(row.chunks_exact(self.ncomp).map(|node| node[k]));
         }
-        out
     }
 
     /// Write `vals` (row-major over the block `rows × cols`) into
@@ -299,6 +314,21 @@ mod tests {
     }
 
     #[test]
+    fn clone_from_copies_into_the_existing_storage() {
+        let source = numbered(6, 5, 3);
+        let mut same_shape = Field::zeros(6, 5, 3);
+        let storage = same_shape.as_slice().as_ptr();
+        same_shape.clone_from(&source);
+        assert_eq!(same_shape, source);
+        assert_eq!(same_shape.as_slice().as_ptr(), storage);
+        // Another shape takes the source's shape as well as its values.
+        let mut other = Field::zeros(2, 2, 1);
+        other.clone_from(&source);
+        assert_eq!(other, source);
+        assert_eq!(other.clone(), source);
+    }
+
+    #[test]
     fn gather_scatter_comp_match_per_node_access() {
         // Owned blocks 1x1 .. 16x9 inside a halo-2 frame, 1-3 components.
         for (nr, nc) in [(1, 1), (1, 7), (5, 1), (12, 10), (16, 9)] {
@@ -306,7 +336,8 @@ mod tests {
                 let f = numbered(nr + 4, nc + 4, ncomp);
                 let (rows, cols) = (2..2 + nr, 2..2 + nc);
                 for k in 0..ncomp {
-                    let got = f.gather_comp(rows.clone(), cols.clone(), k);
+                    let mut got = Vec::new();
+                    f.gather_comp(rows.clone(), cols.clone(), k, &mut got);
                     let want: Vec<f64> = rows
                         .clone()
                         .flat_map(|r| cols.clone().map(move |c| (r, c)))

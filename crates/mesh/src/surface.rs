@@ -211,9 +211,9 @@ impl SurfaceMesh {
 
     /// Component `k` of `f` at the owned nodes in row-major owned order
     /// (the order of [`SurfaceMesh::owned_indices`] and of the
-    /// distributed transforms' real blocks).
-    pub fn owned_comp(&self, f: &Field, k: usize) -> Vec<f64> {
-        f.gather_comp(self.owned_row_range(), self.owned_col_range(), k)
+    /// distributed transforms' real blocks), appended to `out`.
+    pub fn owned_comp(&self, f: &Field, k: usize, out: &mut Vec<f64>) {
+        f.gather_comp(self.owned_row_range(), self.owned_col_range(), k, out);
     }
 
     /// Write owned-order `vals` into component `k` of `f`'s owned nodes.
@@ -468,12 +468,15 @@ mod tests {
                 let flat: Vec<f64> = mesh.owned_rows(&f).flatten().copied().collect();
                 assert_eq!(flat, nodes.concat());
                 for k in 0..2 {
-                    let comp = mesh.owned_comp(&f, k);
+                    let mut comp = Vec::new();
+                    mesh.owned_comp(&f, k, &mut comp);
                     assert_eq!(comp, nodes.iter().map(|n| n[k]).collect::<Vec<_>>());
                     // Scatter into a fresh field touches owned nodes only.
                     let mut g = mesh.make_field(2);
                     mesh.set_owned_comp(&mut g, k, &comp);
-                    assert_eq!(mesh.owned_comp(&g, k), comp);
+                    let mut back = Vec::new();
+                    mesh.owned_comp(&g, k, &mut back);
+                    assert_eq!(back, comp);
                     assert_eq!(g.as_slice().iter().filter(|v| **v != 0.0).count(), {
                         comp.iter().filter(|v| **v != 0.0).count()
                     });

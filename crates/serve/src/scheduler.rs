@@ -907,6 +907,7 @@ fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     /// A fake runner: one "step" is a 1 ms sleep; honors the preempt
     /// and cancel flags at step boundaries and fakes checkpointing via
@@ -940,21 +941,49 @@ mod tests {
         }
     }
 
-    fn sched(pool: usize, max_queue: usize, step_ms: u64) -> Scheduler {
+    /// A test's scheduler over a checkpoint directory of its own under
+    /// the temp dir, which is removed when the test drops it.
+    struct TestSched {
+        sched: Scheduler,
+        dir: PathBuf,
+    }
+
+    impl TestSched {
+        /// `cfg` with a fresh `<prefix>-<pid>-<n>` checkpoint directory.
+        fn new(prefix: &str, cfg: SchedulerConfig, runner: Arc<dyn JobRunner>) -> Self {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+            let cfg = SchedulerConfig {
+                ckpt_dir: dir.clone(),
+                ..cfg
+            };
+            let sched = Scheduler::new(cfg, Arc::new(MetricsRegistry::new()), runner);
+            TestSched { sched, dir }
+        }
+    }
+
+    impl std::ops::Deref for TestSched {
+        type Target = Scheduler;
+        fn deref(&self) -> &Scheduler {
+            &self.sched
+        }
+    }
+
+    impl Drop for TestSched {
+        fn drop(&mut self) {
+            self.sched.shutdown(Duration::from_secs(30));
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn sched(pool: usize, max_queue: usize, step_ms: u64) -> TestSched {
         let cfg = SchedulerConfig {
             pool_ranks: pool,
             max_queue,
-            ckpt_dir: std::env::temp_dir().join(format!(
-                "beatnik-serve-test-{}-{pool}",
-                std::process::id()
-            )),
             ..SchedulerConfig::default()
         };
-        Scheduler::new(
-            cfg,
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(StubRunner { step_ms }),
-        )
+        TestSched::new("beatnik-serve-test", cfg, Arc::new(StubRunner { step_ms }))
     }
 
     fn spec(ranks: usize, priority: u8, steps: usize) -> JobSpec {
@@ -969,7 +998,7 @@ mod tests {
     /// A runner whose gang dies a fixed number of times before running
     /// clean.
     struct DyingGangRunner {
-        deaths_left: std::sync::atomic::AtomicU64,
+        deaths_left: AtomicU64,
         die_at: usize,
     }
 
@@ -1000,24 +1029,17 @@ mod tests {
         }
     }
 
-    fn dying_sched(pool: usize, deaths: u64, die_at: usize) -> Scheduler {
+    fn dying_sched(pool: usize, deaths: u64, die_at: usize) -> TestSched {
         let cfg = SchedulerConfig {
             pool_ranks: pool,
             max_queue: 16,
-            ckpt_dir: std::env::temp_dir().join(format!(
-                "beatnik-serve-gang-test-{}-{deaths}",
-                std::process::id()
-            )),
             ..SchedulerConfig::default()
         };
-        Scheduler::new(
-            cfg,
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(DyingGangRunner {
-                deaths_left: std::sync::atomic::AtomicU64::new(deaths),
-                die_at,
-            }),
-        )
+        let runner = Arc::new(DyingGangRunner {
+            deaths_left: AtomicU64::new(deaths),
+            die_at,
+        });
+        TestSched::new("beatnik-serve-gang-test", cfg, runner)
     }
 
     #[test]

@@ -10,7 +10,17 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo "== cargo test -q =="
-cargo test -q
+# The tests run under a TMPDIR of their own, which must hold no serve
+# scheduler checkpoint directory afterwards: each test removes its own.
+TEST_TMP="$(mktemp -d)"
+trap 'rm -rf "$TEST_TMP"' EXIT
+TMPDIR="$TEST_TMP" cargo test -q
+if ls "$TEST_TMP" | grep -Eq '^beatnik-serve-(gang-)?test-'; then
+    echo "a serve test left its checkpoint directory behind:"
+    ls "$TEST_TMP"
+    exit 1
+fi
+rm -rf "$TEST_TMP"
 
 echo "== cargo check benchmark/ =="
 # The benchmark crate sits outside the root workspace, so the build and
