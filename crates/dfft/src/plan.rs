@@ -353,14 +353,7 @@ impl DistributedFft2d {
         };
         #[cfg(test)]
         if self.unplanned.get() {
-            let (src, dst) = &planned.reshape.layouts;
-            let algo = if self.config.all_to_all {
-                AllToAllAlgo::Adaptive
-            } else {
-                AllToAllAlgo::Direct
-            };
-            let unplanned = crate::redistribute::redistribute_unplanned;
-            return unplanned(comm, &data, &|q| src[q].clone(), &|q| dst[q].clone(), algo).1;
+            return planned.reshape.run_unplanned(comm, &data);
         }
         planned.reshape.run_owned(comm, data, &mut T::free_list(self).borrow_mut())
     }
@@ -621,26 +614,9 @@ mod reference {
 
 #[cfg(test)]
 mod batched_cols_tests {
+    use super::planned_tests::entry_points;
     use super::*;
     use beatnik_comm::{dims_create, World};
-
-    /// Full-entropy mantissas (xorshift), so a reordered or fused
-    /// operation cannot hide behind round numbers.
-    fn noise(n: usize, seed: u64) -> Vec<f64> {
-        let mut s = seed | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s as f64 / u64::MAX as f64) * 2.0 - 1.0
-            })
-            .collect()
-    }
-
-    fn bits(v: &[Complex]) -> Vec<[u64; 2]> {
-        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
-    }
 
     #[test]
     fn every_entry_point_is_bitwise_the_per_line_column_path() {
@@ -653,28 +629,11 @@ mod batched_cols_tests {
                 for p in [1, 2, 3, 4, 6, 9] {
                     World::builder(p).run(move |comm| {
                         let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, config);
-                        let area = plan.local_rect().area();
                         let seed = 0x9E37_79B9 + 977 * comm.rank() as u64;
-                        let real = noise(area, seed);
-                        let block: Vec<Complex> = noise(2 * area, !seed)
-                            .chunks_exact(2)
-                            .map(|z| Complex::new(z[0], z[1]))
-                            .collect();
                         let run = |per_line: bool, reference_rows: bool| {
                             plan.per_line_cols.set(per_line);
                             plan.reference_rows.set(reference_rows);
-                            let (_, spec) = plan.forward_transposed(block.clone());
-                            let (_, half) = plan.forward_real_transposed(real.clone());
-                            let back = plan.inverse_real_transposed(half.clone());
-                            let complex = [
-                                bits(&plan.forward(block.clone())),
-                                bits(&plan.inverse(block.clone())),
-                                bits(&plan.inverse_transposed(spec.clone())),
-                                bits(&spec),
-                                bits(&half),
-                            ];
-                            let real: Vec<u64> = back.iter().map(|x| x.to_bits()).collect();
-                            (complex, real)
+                            entry_points(&plan, seed)
                         };
                         let today = run(false, false);
                         assert_eq!(today, run(true, false), "cols {config} p={p} {nr}x{nc}");
@@ -692,8 +651,8 @@ mod planned_tests {
     use crate::redistribute::FREE_LIST_CAP;
     use beatnik_comm::{dims_create, OpKind, World};
 
-    /// Full-entropy mantissas (xorshift), so a stale or misplaced
-    /// element cannot hide behind round numbers.
+    /// Full-entropy mantissas (xorshift), so a stale, misplaced,
+    /// reordered or fused element cannot hide behind round numbers.
     fn noise(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed | 1;
         (0..n)
@@ -711,7 +670,10 @@ mod planned_tests {
     }
 
     /// Every entry point once on inputs drawn from `seed`, as bits.
-    fn entry_points(plan: &DistributedFft2d, seed: u64) -> (Vec<Vec<[u64; 2]>>, Vec<u64>) {
+    pub(super) fn entry_points(
+        plan: &DistributedFft2d,
+        seed: u64,
+    ) -> (Vec<Vec<[u64; 2]>>, Vec<u64>) {
         let area = plan.local_rect().area();
         let real = noise(area, seed);
         let block: Vec<Complex> = noise(2 * area, !seed)

@@ -135,7 +135,7 @@ pub struct Reshape {
     volume: usize,
     /// The layouts themselves, for the unplanned reference path.
     #[cfg(test)]
-    pub(crate) layouts: (Vec<Rect>, Vec<Rect>),
+    layouts: (Vec<Rect>, Vec<Rect>),
 }
 
 impl Reshape {
@@ -266,6 +266,19 @@ impl Reshape {
         let received = self.exchange(comm, &data, free);
         debug_assert!(received.is_empty());
         data
+    }
+
+    /// The same reshape run by [`redistribute_unplanned`], the bitwise
+    /// reference.
+    #[cfg(test)]
+    pub(crate) fn run_unplanned<T: CommData + Copy>(
+        &self,
+        comm: &Communicator,
+        data: &[T],
+    ) -> Vec<T> {
+        let (src, dst) = &self.layouts;
+        let (src_rect, dest_rect) = (|q: usize| src[q].clone(), |q: usize| dst[q].clone());
+        redistribute_unplanned(comm, data, &src_rect, &dest_rect, self.algo).1
     }
 
     /// Pack and send this rank's blocks, and return the blocks it
