@@ -144,10 +144,7 @@ impl Communicator {
         recv_timeout: Duration,
     ) -> Self {
         let progress = registry.transport().and_then(|t| t.progress());
-        let yield_turns = match &progress {
-            Some(p) if !p.yields() => 0,
-            _ => registry.yield_turns(),
-        };
+        let yield_turns = registry.yield_turns();
         Communicator {
             registry,
             comm_id,
@@ -286,8 +283,7 @@ impl Communicator {
     ///
     /// The first sleep of a wait comes after [`YIELD_TURNS`] turns that
     /// hand the CPU to a runnable peer instead (none when the ranks do
-    /// not outnumber the CPUs, and none on TCP, see [`Progress::yields`]);
-    /// on a wire, a yield turn drains first and skips the yield when
+    /// not outnumber the CPUs); on a wire, a yield turn drains first and skips the yield when
     /// that moved the epoch. A yield turn is a whole turn of the loop —
     /// snapshot, drain, abort, ledger, deadline — so failure news and the
     /// deadline are read exactly as often as without it.
@@ -454,14 +450,16 @@ impl Communicator {
     // ------------------------------------------------------------------
 
     /// The one send path under every entry point, user and collective.
-    /// In order: the fault point (exactly one counted op per message, so
-    /// `@op` ledgers are a function of the program alone), the causal
+    /// In order: the fault point (exactly one counted op per message, and
+    /// one lane frame per message to another rank that it neither drops
+    /// nor kills, so `@op` and `@link` ledgers are a function of the
+    /// program alone), the causal
     /// flow context, the accounting ([`RankTrace::sent`]; `copied` says
     /// whether the wrapper materialised a borrowed slice to build `env`),
     /// delivery through the world's transport unless the fault plan
     /// dropped the message, and the span or marker `op` asks for.
     fn post(&self, dest: usize, env: Envelope, copied: bool, op: SendOp) {
-        let deliver = self.fault_point();
+        let deliver = self.fault_point(dest);
         let (channel, kind, span) = match op {
             SendOp::User(span) => (0, OpKind::Send, Some((span, self.telemetry.begin()))),
             SendOp::Coll(kind) => (COLLECTIVE_CHANNEL, kind, None),
@@ -502,13 +500,15 @@ impl Communicator {
         self.post(dest, env, false, SendOp::User(CommOp::Send));
     }
 
-    /// Fault-injection hook on every send-side op. Returns `false` when
-    /// the message must be dropped; delays sleep in place; kills mark
-    /// this world rank failed, stamp a telemetry instant, and panic with
-    /// a [`RankKilled`] payload. A no-op (`true`) without a fault plan.
-    fn fault_point(&self) -> bool {
+    /// Fault-injection hook on every message to `dest`, the one place
+    /// `@op` and `@link` actions fire. Returns `false` when the message
+    /// must be dropped; delays sleep in place, once for every delay that
+    /// fired on the message; kills mark this world rank failed, stamp a
+    /// telemetry instant, and panic with a [`RankKilled`] payload. A
+    /// no-op (`true`) without a fault plan.
+    fn fault_point(&self, dest: usize) -> bool {
         let Some(inj) = &self.fault else { return true };
-        match inj.on_op() {
+        match inj.on_send(self.world_of[dest]) {
             Injection::Proceed => true,
             Injection::Drop => {
                 self.telemetry.instant(

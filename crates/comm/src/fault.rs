@@ -4,10 +4,10 @@
 //! exercises: a rank is lost mid-collective, a message stalls in a
 //! congested NIC, a packet is dropped. This module injects exactly those
 //! three failure modes — **rank death**, **message delay**, and
-//! **message drop** — at configured `(rank, op-count)` or `(rank, step)`
-//! points, driven by [`beatnik_prng`] so a run with the same
-//! [`FaultPlan`] and seed replays *identically*: same op indices, same
-//! delays, same telemetry.
+//! **message drop** — at configured `(rank, op-count)`, `(rank, step)`
+//! or `(lane, frame-count)` points, driven by [`beatnik_prng`] so a run
+//! with the same [`FaultPlan`] and seed replays *identically*: same op
+//! indices, same delays, same telemetry.
 //!
 //! # Spec grammar
 //!
@@ -28,22 +28,39 @@
 //! scheduling. Step triggers (driver-level, via
 //! [`crate::Communicator::fault_step`]) are only meaningful for `kill`.
 //!
-//! `@linkN` triggers fire *below* the comm layer, in the wire-level
-//! chaos decorator ([`crate::transport::chaos`]): `N` counts the data
-//! frames a specific directed link `rS>rD` has carried (1-based), so
-//! link faults are just as deterministic as op faults. `delay` is the
-//! one `@link` kind: a byte stream never drops, duplicates or corrupts
-//! a frame it delivers, so `dup`, `corrupt`, `partition` and a `drop`
-//! at `@link` are refused with [`FaultSpecError::NotAWireFault`].
+//! `@linkN` counts the data frames the directed lane `rS>rD` has carried
+//! (1-based): a message rank S sends to another rank D is one frame
+//! unless the plan dropped it or killed S on it, so link faults are just
+//! as deterministic as op faults. `delay` is the one `@link` kind: a
+//! byte stream never drops, duplicates or corrupts a frame it delivers,
+//! so `dup`, `corrupt`, `partition` and a `drop` at `@link` are refused
+//! with [`FaultSpecError::NotAWireFault`].
 //!
-//! The seed comes from `BEATNIK_FAULT_SEED` (see [`seed_from_env`]); each
-//! rank derives its own stream as `seed ^ rank`, so delay jitter is
-//! deterministic per rank and uncorrelated across ranks.
+//! A trigger point — rank, peer and trigger — takes one action, and a
+//! spec that names one twice is refused. An `@op` and an `@link` action
+//! on the same message are two points: both fire, and their delays add.
+//!
+//! # One engine
+//!
+//! [`FaultPlan::injector_for`] gives each targeted rank one
+//! [`FaultInjector`] holding all of its actions, `@link` ones on its
+//! outgoing lanes included. The communicator consults it at the fault
+//! point of its one send path and at
+//! [`crate::Communicator::fault_step`], on the rank's own thread, and
+//! every firing lands in the rank's one ledger. It is not a transport
+//! decorator: the send path holds the span recorder the
+//! `fault-kill`/`fault-drop`/`fault-delay` spans go to, sees a killed
+//! message before [`crate::RankTrace`] counts it, and covers the thread
+//! backend, which has no wire.
+//!
+//! The seed is [`crate::CommConfig::fault_seed`] (`BEATNIK_FAULT_SEED`).
+//! Each rank draws its op jitter from `seed ^ rank` and each lane from
+//! `seed ^ lane_salt(S, D)`, so delays are deterministic per rank and
+//! lane and uncorrelated across them.
 
 use crate::error::CommError;
 use crate::sync::Mutex;
 use beatnik_prng::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,15 +79,6 @@ pub const FAULT_DELAY_PHASE: &str = "fault-delay";
 /// Telemetry phase name spanning a relaunched world's checkpoint
 /// restore in the driver.
 pub const RECOVERY_PHASE: &str = "recovery";
-
-/// Read the fault seed from `BEATNIK_FAULT_SEED`, falling back to
-/// [`DEFAULT_FAULT_SEED`].
-pub fn seed_from_env() -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(DEFAULT_FAULT_SEED)
-}
 
 /// What an injected fault does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +111,8 @@ pub enum Trigger {
     /// At the start of solver step `n` (driver calls
     /// [`crate::Communicator::fault_step`]). `kill` only.
     Step(u64),
-    /// On the `n`th data frame (1-based) the directed link
-    /// `rank -> peer` carries. Fires in the wire-level chaos decorator,
-    /// not the per-rank injector.
+    /// On the `n`th data frame (1-based) the directed lane
+    /// `rank -> peer` carries.
     Link(u64),
 }
 
@@ -120,6 +127,19 @@ pub struct FaultAction {
     pub peer: Option<usize>,
     /// When it fires.
     pub trigger: Trigger,
+}
+
+impl FaultAction {
+    /// The trigger point as spec text, e.g. `r0>r1@link7`.
+    fn point(&self) -> String {
+        let peer = self.peer.map(|p| format!(">r{p}")).unwrap_or_default();
+        let (name, n) = match self.trigger {
+            Trigger::Op(n) => ("op", n),
+            Trigger::Step(n) => ("step", n),
+            Trigger::Link(n) => ("link", n),
+        };
+        format!("r{}{peer}@{name}{n}", self.rank)
+    }
 }
 
 /// A parsed, seeded fault plan. Cheap to clone; seed included so two
@@ -196,55 +216,61 @@ impl FaultPlan {
                 "fault spec {spec:?} contains no actions"
             )));
         }
+        for (i, a) in actions.iter().enumerate() {
+            let point = (a.rank, a.peer, a.trigger);
+            if actions[..i].iter().any(|b| (b.rank, b.peer, b.trigger) == point) {
+                return Err(FaultSpecError::Malformed(format!(
+                    "fault spec {spec:?}: two actions at {}; a trigger point takes one",
+                    a.point()
+                )));
+            }
+        }
         Ok(FaultPlan { actions, seed })
     }
 
-    /// Build the per-rank injector for `world_rank`. Returns `None` when
-    /// the plan has no comm-layer actions for that rank, so untargeted
-    /// ranks pay nothing on their send paths. `@link` actions belong to
-    /// the wire-level chaos interposer and are excluded here.
+    /// Build the injector for `world_rank`: its `@op` and `@step`
+    /// actions and the `@link` actions on its outgoing lanes. Returns
+    /// `None` when the plan has no action for that rank, so untargeted
+    /// ranks pay nothing on their send paths.
     pub fn injector_for(&self, world_rank: usize) -> Option<Arc<FaultInjector>> {
         let mine: Vec<FaultAction> = self
             .actions
             .iter()
-            .filter(|a| a.rank == world_rank && !matches!(a.trigger, Trigger::Link(_)))
+            .filter(|a| a.rank == world_rank)
             .cloned()
             .collect();
         if mine.is_empty() {
             return None;
         }
+        let mut lanes: Vec<Lane> = Vec::new();
+        for dst in mine.iter().filter_map(|a| a.peer) {
+            if lanes.iter().all(|l| l.dst != dst) {
+                lanes.push(Lane {
+                    dst,
+                    frames: 0,
+                    rng: Rng::seed_from_u64(self.seed ^ lane_salt(world_rank, dst)),
+                });
+            }
+        }
         Some(Arc::new(FaultInjector {
             world_rank,
             actions: mine,
-            ops: AtomicU64::new(0),
-            rng: Mutex::new(Rng::seed_from_u64(self.seed ^ world_rank as u64)),
-            events: Mutex::new(Vec::new()),
+            state: Mutex::new(State {
+                ops: 0,
+                rng: Rng::seed_from_u64(self.seed ^ world_rank as u64),
+                lanes,
+                events: Vec::new(),
+            }),
         }))
     }
 
-    /// Whether any action fires at the wire layer (`@link`).
-    pub fn has_link_actions(&self) -> bool {
-        self.actions
-            .iter()
-            .any(|a| matches!(a.trigger, Trigger::Link(_)))
-    }
-
-    /// Whether *every* action fires at the wire layer. A link-only plan
-    /// needs no per-rank injectors or checkpoints — it only delays
-    /// frames, and the run result must match a clean run.
+    /// Whether *every* action fires on a lane (`@link`). A link-only
+    /// plan kills no rank — it only delays frames — so it needs no
+    /// checkpoints, and the run result must match a clean run.
     pub fn link_only(&self) -> bool {
         self.actions
             .iter()
             .all(|a| matches!(a.trigger, Trigger::Link(_)))
-    }
-
-    /// Just the `@link` actions, for handing to the chaos interposer.
-    pub fn link_actions(&self) -> Vec<FaultAction> {
-        self.actions
-            .iter()
-            .filter(|a| matches!(a.trigger, Trigger::Link(_)))
-            .cloned()
-            .collect()
     }
 
     /// The plan a relaunched world carries after a world running this
@@ -275,27 +301,11 @@ impl FaultPlan {
     /// identity). Used to ship a plan to spawned rank processes through
     /// the environment.
     pub fn to_spec(&self) -> String {
-        let mut out = String::new();
-        for (i, a) in self.actions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(a.kind.label());
-            out.push_str(&format!(":r{}", a.rank));
-            if let Some(p) = a.peer {
-                out.push_str(&format!(">r{p}"));
-            }
-            match a.trigger {
-                Trigger::Op(n) => out.push_str(&format!("@op{n}")),
-                Trigger::Step(n) => out.push_str(&format!("@step{n}")),
-                Trigger::Link(n) => out.push_str(&format!("@link{n}")),
-            }
-            if let FaultKind::Delay(d) = a.kind {
-                out.push(':');
-                out.push_str(&format_duration(d));
-            }
-        }
-        out
+        let action = |a: &FaultAction| match a.kind {
+            FaultKind::Delay(d) => format!("delay:{}:{}", a.point(), format_duration(d)),
+            kind => format!("{}:{}", kind.label(), a.point()),
+        };
+        self.actions.iter().map(action).collect::<Vec<_>>().join(",")
     }
 }
 
@@ -463,6 +473,12 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
+    /// A world ledger's order: by rank, then count; at one count an op
+    /// or step event comes before a lane event.
+    pub(crate) fn ledger_key(&self) -> (usize, u64, bool) {
+        (self.rank, self.op_index, self.peer.is_some())
+    }
+
     /// Whether this event is the firing of `a`.
     fn fired(&self, a: &FaultAction) -> bool {
         let at = match a.trigger {
@@ -493,95 +509,112 @@ impl std::fmt::Display for FaultEvent {
     }
 }
 
-/// Per-rank injection state: op counter, this rank's actions, and the
-/// seeded jitter stream. Shared (`Arc`) between the communicator and any
-/// communicators derived from it by `split`/`duplicate`, so the op count
-/// is global to the rank, not per-communicator.
+/// One outgoing lane `rank -> dst` that carries `@link` actions: the
+/// data frames it has carried and its seeded jitter stream.
+struct Lane {
+    dst: usize,
+    frames: u64,
+    rng: Rng,
+}
+
+fn lane_salt(src: usize, dst: usize) -> u64 {
+    // Distinct, order-sensitive salt per directed lane so each lane
+    // gets an independent deterministic jitter stream.
+    (src as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((dst as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+}
+
+/// What an injector has counted, drawn and fired so far.
+struct State {
+    ops: u64,
+    rng: Rng,
+    lanes: Vec<Lane>,
+    events: Vec<FaultEvent>,
+}
+
+/// Fire `a` at count `n` (`step` for a step kill): draw a delay's ±50 %
+/// jitter from `rng`, record the event, and say what to inject.
+fn fire(
+    events: &mut Vec<FaultEvent>,
+    rng: &mut Rng,
+    a: &FaultAction,
+    n: u64,
+    step: Option<u64>,
+) -> Injection {
+    let delay_ns = match a.kind {
+        FaultKind::Delay(base) => (base.as_nanos() as f64 * (0.5 + rng.next_f64())).round() as u64,
+        _ => 0,
+    };
+    events.push(FaultEvent {
+        kind: a.kind.label(),
+        rank: a.rank,
+        peer: a.peer,
+        op_index: n,
+        step,
+        delay_ns,
+    });
+    match a.kind {
+        FaultKind::Kill => Injection::Kill,
+        FaultKind::Drop => Injection::Drop,
+        FaultKind::Delay(_) => Injection::Delay(Duration::from_nanos(delay_ns)),
+    }
+}
+
+/// One rank's fault engine: its actions, its op counter and jitter
+/// stream, its lanes, and its ledger. Shared (`Arc`) between the
+/// communicator and any communicators derived from it by
+/// `split`/`duplicate`, so the op count is global to the rank, not
+/// per-communicator.
 pub struct FaultInjector {
     world_rank: usize,
     actions: Vec<FaultAction>,
-    ops: AtomicU64,
-    rng: Mutex<Rng>,
-    events: Mutex<Vec<FaultEvent>>,
+    state: Mutex<State>,
 }
 
 impl FaultInjector {
-    /// Count one send-side op and report what to inject for it.
-    pub fn on_op(&self) -> Injection {
-        let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        let hit = self
-            .actions
-            .iter()
-            .find(|a| a.trigger == Trigger::Op(n));
-        let Some(action) = hit else {
-            return Injection::Proceed;
-        };
-        match action.kind {
-            FaultKind::Kill => {
-                self.record(FaultEvent {
-                    kind: "kill",
-                    rank: self.world_rank,
-                    peer: None,
-                    op_index: n,
-                    step: None,
-                    delay_ns: 0,
-                });
-                Injection::Kill
-            }
-            FaultKind::Drop => {
-                self.record(FaultEvent {
-                    kind: "drop",
-                    rank: self.world_rank,
-                    peer: None,
-                    op_index: n,
-                    step: None,
-                    delay_ns: 0,
-                });
-                Injection::Drop
-            }
-            FaultKind::Delay(base) => {
-                // ±50% jitter from the per-rank seeded stream: identical
-                // across replays, uncorrelated across ranks.
-                let factor = 0.5 + self.rng.lock().next_f64();
-                let jittered = Duration::from_nanos(
-                    (base.as_nanos() as f64 * factor).round() as u64,
-                );
-                self.record(FaultEvent {
-                    kind: "delay",
-                    rank: self.world_rank,
-                    peer: None,
-                    op_index: n,
-                    step: None,
-                    delay_ns: jittered.as_nanos() as u64,
-                });
-                Injection::Delay(jittered)
+    /// Count one send-side op toward world rank `dest` and report what
+    /// to inject for it. Unless the op is dropped or killed, a message to
+    /// another rank also counts one frame on the lane to `dest`; the
+    /// delays of both fire as one.
+    pub fn on_send(&self, dest: usize) -> Injection {
+        let st = &mut *self.state.lock();
+        st.ops += 1;
+        let n = st.ops;
+        let mut delay = None;
+        for a in self.actions.iter().filter(|a| a.trigger == Trigger::Op(n)) {
+            match fire(&mut st.events, &mut st.rng, a, n, None) {
+                Injection::Delay(d) => delay = Some(delay.unwrap_or_default() + d),
+                stop => return stop,
             }
         }
+        let lane = st.lanes.iter_mut().find(|l| l.dst == dest);
+        if let Some(lane) = lane.filter(|_| dest != self.world_rank) {
+            lane.frames += 1;
+            let n = lane.frames;
+            let on_lane = |a: &&FaultAction| a.peer == Some(dest) && a.trigger == Trigger::Link(n);
+            for a in self.actions.iter().filter(on_lane) {
+                if let Injection::Delay(d) = fire(&mut st.events, &mut lane.rng, a, n, None) {
+                    delay = Some(delay.unwrap_or_default() + d);
+                }
+            }
+        }
+        delay.map_or(Injection::Proceed, Injection::Delay)
     }
 
     /// Report whether a step-triggered kill fires at `step`, recording it.
     pub fn on_step(&self, step: u64) -> Injection {
-        let fires = self
-            .actions
-            .iter()
-            .any(|a| a.kind == FaultKind::Kill && a.trigger == Trigger::Step(step));
-        if !fires {
-            return Injection::Proceed;
+        let st = &mut *self.state.lock();
+        let kill = |a: &&FaultAction| a.kind == FaultKind::Kill && a.trigger == Trigger::Step(step);
+        match self.actions.iter().find(kill) {
+            Some(a) => fire(&mut st.events, &mut st.rng, a, st.ops, Some(step)),
+            None => Injection::Proceed,
         }
-        self.record(FaultEvent {
-            kind: "kill",
-            rank: self.world_rank,
-            peer: None,
-            op_index: self.ops.load(Ordering::SeqCst),
-            step: Some(step),
-            delay_ns: 0,
-        });
-        Injection::Kill
     }
 
     /// The rank's current send-side op count.
     pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::SeqCst)
+        self.state.lock().ops
     }
 
     /// World rank this injector belongs to.
@@ -591,11 +624,7 @@ impl FaultInjector {
 
     /// Snapshot of the faults injected so far, in firing order.
     pub fn events(&self) -> Vec<FaultEvent> {
-        self.events.lock().clone()
-    }
-
-    fn record(&self, ev: FaultEvent) {
-        self.events.lock().push(ev);
+        self.state.lock().events.clone()
     }
 }
 
@@ -722,12 +751,7 @@ mod tests {
                 trigger: Trigger::Link(3)
             }
         );
-        assert!(plan.has_link_actions());
         assert!(plan.link_only());
-        assert_eq!(plan.link_actions().len(), 2);
-        // Link actions never reach the per-rank comm-layer injectors.
-        assert!(plan.injector_for(0).is_none());
-        assert!(plan.injector_for(1).is_none());
     }
 
     #[test]
@@ -776,15 +800,16 @@ mod tests {
     }
 
     #[test]
-    fn mixed_plans_split_between_injectors_and_chaos() {
+    fn a_rank_whose_only_actions_are_links_gets_an_injector() {
         let plan = FaultPlan::parse("kill:r1@op5,delay:r0>r1@link2:1ms", 0).unwrap();
-        assert!(plan.has_link_actions());
         assert!(!plan.link_only());
-        assert_eq!(plan.link_actions().len(), 1);
-        let inj = plan.injector_for(1).unwrap();
-        assert_eq!(inj.on_op(), Injection::Proceed);
-        // Rank 0's only action is link-level: no comm-layer injector.
-        assert!(plan.injector_for(0).is_none());
+        assert_eq!(plan.injector_for(1).unwrap().on_send(0), Injection::Proceed);
+        // Rank 0's one action is on its lane to rank 1: its injector
+        // holds it, and fires it on the second frame.
+        let inj = plan.injector_for(0).unwrap();
+        assert_eq!(inj.on_send(1), Injection::Proceed);
+        assert!(matches!(inj.on_send(1), Injection::Delay(_)));
+        assert!(plan.injector_for(2).is_none());
     }
 
     #[test]
@@ -804,6 +829,7 @@ mod tests {
             "delay:r0@link4:1ms",  // @link needs a directed rS>rD target
             "delay:r0>r1@link3",   // delay needs a duration at @link too
             "kill:r0>r1@link2",    // kill targets a rank, not a link
+            "delay:r0@op1:10ms,drop:r0@op1", // one action per trigger point
         ] {
             assert!(
                 matches!(FaultPlan::parse(bad, 0), Err(FaultSpecError::Malformed(_))),
@@ -846,10 +872,10 @@ mod tests {
         let plan = FaultPlan::parse("drop:r1@op3", 42).unwrap();
         assert!(plan.injector_for(0).is_none(), "untargeted rank has no injector");
         let inj = plan.injector_for(1).unwrap();
-        assert_eq!(inj.on_op(), Injection::Proceed);
-        assert_eq!(inj.on_op(), Injection::Proceed);
-        assert_eq!(inj.on_op(), Injection::Drop);
-        assert_eq!(inj.on_op(), Injection::Proceed);
+        assert_eq!(inj.on_send(0), Injection::Proceed);
+        assert_eq!(inj.on_send(0), Injection::Proceed);
+        assert_eq!(inj.on_send(0), Injection::Drop);
+        assert_eq!(inj.on_send(0), Injection::Proceed);
         assert_eq!(inj.op_count(), 4);
         let events = inj.events();
         assert_eq!(events.len(), 1);
@@ -864,7 +890,7 @@ mod tests {
                 .unwrap()
                 .injector_for(0)
                 .unwrap();
-            match inj.on_op() {
+            match inj.on_send(1) {
                 Injection::Delay(d) => d,
                 other => panic!("expected delay, got {other:?}"),
             }
@@ -898,6 +924,142 @@ mod tests {
         assert_eq!(
             FaultPlan::parse("kill:r0@op1", DEFAULT_FAULT_SEED).unwrap().seed,
             DEFAULT_FAULT_SEED
+        );
+    }
+
+    #[test]
+    fn actions_fire_on_exact_frame_of_their_directed_link() {
+        let plan = FaultPlan::parse("delay:r0>r1@link3:1ms,delay:r1>r0@link2:1ms", 1).unwrap();
+        let (r0, r1) = (plan.injector_for(0).unwrap(), plan.injector_for(1).unwrap());
+        // r0 -> r1: frames 1, 2 clean, 3 delayed, 4 clean.
+        let fired = |i: Injection| matches!(i, Injection::Delay(_));
+        assert!(!fired(r0.on_send(1)));
+        assert!(!fired(r0.on_send(1)));
+        assert!(fired(r0.on_send(1)));
+        assert!(!fired(r0.on_send(1)));
+        // The reverse lane counts independently.
+        assert!(!fired(r1.on_send(0)));
+        assert!(fired(r1.on_send(0)));
+        let events = [r0.events(), r1.events()].concat();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            (events[0].kind, events[0].rank, events[0].peer),
+            ("delay", 0, Some(1))
+        );
+        assert_eq!(events[0].op_index, 3);
+        assert_eq!((events[1].rank, events[1].op_index), (1, 2));
+    }
+
+    #[test]
+    fn delay_jitter_is_seeded_per_link() {
+        let engine = |seed| {
+            let plan = FaultPlan::parse("delay:r0>r1@link1:10ms", seed).unwrap();
+            plan.injector_for(0).unwrap()
+        };
+        let d = |seed| match engine(seed).on_send(1) {
+            Injection::Delay(d) => d,
+            other => panic!("expected the frame-1 delay, got {other:?}"),
+        };
+        assert_eq!(d(5), d(5), "same seed replays the same jitter");
+        assert_ne!(d(5), d(6));
+        let j = d(5);
+        assert!(j >= Duration::from_millis(5) && j < Duration::from_millis(15));
+        // The ledger carries the applied (jittered) delay.
+        let inj = engine(5);
+        let Injection::Delay(applied) = inj.on_send(1) else { unreachable!() };
+        assert_eq!(inj.events()[0].delay_ns, applied.as_nanos() as u64);
+    }
+
+    #[test]
+    fn a_self_send_is_never_a_lane_frame() {
+        let inj = FaultPlan::parse("delay:r0>r1@link2:1ms", 0).unwrap().injector_for(0).unwrap();
+        assert_eq!(inj.on_send(1), Injection::Proceed);
+        assert_eq!(inj.on_send(0), Injection::Proceed, "a self-send counts no frame");
+        assert!(matches!(inj.on_send(1), Injection::Delay(_)));
+        assert_eq!((inj.op_count(), inj.events()[0].op_index), (3, 2));
+    }
+
+    #[test]
+    fn a_dropped_message_is_an_op_but_not_a_frame() {
+        let inj = FaultPlan::parse("drop:r0@op1,delay:r0>r1@link1:1ms", 0)
+            .unwrap()
+            .injector_for(0)
+            .unwrap();
+        assert_eq!(inj.on_send(1), Injection::Drop);
+        assert!(matches!(inj.on_send(1), Injection::Delay(_)), "op 2 is frame 1");
+        let events = inj.events();
+        assert_eq!((events[0].kind, events[0].op_index), ("drop", 1));
+        assert_eq!((events[1].kind, events[1].op_index), ("delay", 1));
+        assert_eq!(inj.op_count(), 2);
+    }
+
+    #[test]
+    fn op_and_link_delays_on_one_message_add_up() {
+        let inj = FaultPlan::parse("delay:r0@op1:10ms,delay:r0>r1@link1:10ms", 3)
+            .unwrap()
+            .injector_for(0)
+            .unwrap();
+        let Injection::Delay(slept) = inj.on_send(1) else { panic!("both delays fire") };
+        let events = inj.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(slept.as_nanos() as u64, events[0].delay_ns + events[1].delay_ns);
+        // The same point named twice is refused, by name.
+        let twice = FaultPlan::parse("delay:r0>r1@link1:10ms,delay:r0>r1@link1:10ms", 3);
+        assert!(
+            matches!(&twice, Err(FaultSpecError::Malformed(m)) if m.contains("r0>r1@link1")),
+            "{twice:?}"
+        );
+    }
+
+    /// The one engine fires what the per-rank op injector and the
+    /// world-wide lane engine it replaced fired, with the same jitter:
+    /// these events were recorded from the two engines, fed the same
+    /// sends, and merged in the world runner's `(rank, op_index)` order.
+    #[test]
+    fn a_mixed_op_and_link_ledger_matches_the_two_engine_ledger() {
+        let plan = FaultPlan::parse(
+            "drop:r0@op2,delay:r0@op3:2ms,delay:r0>r2@link1:4ms,delay:r0@op6:1ms,\
+             delay:r0>r1@link3:2ms,delay:r0>r1@link5:3ms,kill:r0@op9",
+            0x5EED,
+        )
+        .unwrap();
+        let inj = plan.injector_for(0).unwrap();
+        let got: Vec<Injection> = [1, 1, 0, 1, 2, 1, 1, 1, 1].map(|d| inj.on_send(d)).into();
+        let ns = |n| Injection::Delay(Duration::from_nanos(n));
+        use Injection::{Drop, Kill, Proceed};
+        let want = [
+            Proceed,
+            Drop,
+            ns(2_868_773),
+            Proceed,
+            ns(4_591_050),
+            ns(1_382_653 + 1_049_377),
+            Proceed,
+            ns(2_942_713),
+            Kill,
+        ];
+        assert_eq!(got, want);
+        let mut ledger = inj.events();
+        ledger.sort_by_key(FaultEvent::ledger_key);
+        let ev = |kind, peer, op_index, delay_ns| FaultEvent {
+            kind,
+            rank: 0,
+            peer,
+            op_index,
+            step: None,
+            delay_ns,
+        };
+        assert_eq!(
+            ledger,
+            [
+                ev("delay", Some(2), 1, 4_591_050),
+                ev("drop", None, 2, 0),
+                ev("delay", None, 3, 2_868_773),
+                ev("delay", Some(1), 3, 1_049_377),
+                ev("delay", Some(1), 5, 2_942_713),
+                ev("delay", None, 6, 1_382_653),
+                ev("kill", None, 9, 0),
+            ]
         );
     }
 }

@@ -77,7 +77,7 @@ pub use config::{
 };
 pub use error::CommError;
 pub use fault::{
-    seed_from_env, CollectiveFailed, FaultEvent, FaultKind, FaultPlan, FaultSpecError, RankKilled,
+    CollectiveFailed, FaultEvent, FaultKind, FaultPlan, FaultSpecError, RankKilled,
     DEFAULT_FAULT_SEED, FAULT_SEED_ENV, RECOVERY_PHASE,
 };
 pub use metrics::MetricsPlane;

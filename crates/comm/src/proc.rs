@@ -25,7 +25,6 @@ use crate::config::CommConfig;
 use crate::fault::{FaultInjector, FaultPlan, RankKilled};
 use crate::registry::{Registry, WORLD_COMM_ID};
 use crate::trace::RankTrace;
-use crate::transport::chaos::{ChaosTransport, LinkChaos};
 use crate::transport::{shmem, tcp, CtrlMsg, Transport, TransportKind};
 use beatnik_telemetry::metrics::MetricsRegistry;
 use beatnik_telemetry::SpanRecorder;
@@ -108,9 +107,8 @@ where
     spmd_with(num_ranks, kind, child_args, None, f)
 }
 
-/// [`spmd`] with a fault plan: op-level actions build per-rank
-/// injectors, `@link` actions build the wire-level chaos engine, and
-/// the whole plan ships to children via [`FAULT_PLAN_ENV`] so every
+/// [`spmd`] with a fault plan: each process arms its rank's injector,
+/// and the whole plan ships to children via [`FAULT_PLAN_ENV`] so every
 /// process replays the same seeded schedule.
 pub fn spmd_with<R, F>(
     num_ranks: usize,
@@ -203,9 +201,8 @@ fn build_child_transport(
     rank: usize,
     num_ranks: usize,
     config: &CommConfig,
-    chaos: Option<Arc<LinkChaos>>,
 ) -> Arc<dyn Transport> {
-    let bare: Arc<dyn Transport> = match config.transport {
+    match config.transport {
         TransportKind::Thread => {
             panic!("the thread transport cannot span processes; use shmem or tcp")
         }
@@ -225,8 +222,7 @@ fn build_child_transport(
                     .unwrap_or_else(|e| panic!("rank {rank}: joining tcp world: {e}")),
             )
         }
-    };
-    ChaosTransport::wrap(bare, chaos)
+    }
 }
 
 /// Reconstruct the launcher's fault plan from the environment (children
@@ -247,10 +243,8 @@ where
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("child missing {SIZE_ENV}"));
-    let plan = plan_from_env(config);
-    let chaos = plan.as_ref().and_then(LinkChaos::from_plan);
-    let injector = plan.as_ref().and_then(|p| p.injector_for(rank));
-    let transport = build_child_transport(rank, num_ranks, config, chaos);
+    let injector = plan_from_env(config).and_then(|p| p.injector_for(rank));
+    let transport = build_child_transport(rank, num_ranks, config);
     match join_world(rank, num_ranks, config, transport, injector, f) {
         Ok(_) => std::process::exit(0),
         Err(p) if p.downcast_ref::<RankKilled>().is_some() => std::process::exit(EXIT_KILLED),
@@ -269,7 +263,6 @@ where
     F: FnOnce(Communicator) -> R,
 {
     let exe = std::env::current_exe().expect("resolving current executable");
-    let chaos = plan.and_then(LinkChaos::from_plan);
     let injector = plan.and_then(|p| p.injector_for(0));
     // A shmem world's ring files go when this returns or unwinds,
     // however the world ended.
@@ -285,7 +278,7 @@ where
             let t = shmem::for_process(dir.path(), 0, num_ranks, config.shm_ring_bytes)
                 .expect("joining the shm world as rank 0");
             let dir_str = dir.path().to_string_lossy().into_owned();
-            (ChaosTransport::wrap(Arc::new(t), chaos), (SHM_DIR_ENV, dir_str))
+            (Arc::new(t), (SHM_DIR_ENV, dir_str))
         }
         TransportKind::Tcp => {
             let listener = TcpListener::bind("127.0.0.1:0").expect("binding the parent listener");
@@ -315,7 +308,7 @@ where
             return Ok(run_parent_rank(
                 num_ranks,
                 config,
-                ChaosTransport::wrap(Arc::new(t), chaos),
+                Arc::new(t),
                 injector,
                 children,
                 f,

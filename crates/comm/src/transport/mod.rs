@@ -58,7 +58,6 @@
 //! wire backends add their own serialization copies, which the protocol
 //! counters never charge.
 
-pub mod chaos;
 pub mod shmem;
 pub mod tcp;
 pub mod thread;
@@ -207,14 +206,6 @@ pub trait Progress: Send + Sync {
     /// Wake every rank sleeping in [`Progress::progress`] or blocked on
     /// a full wire.
     fn ring_all(&self);
-
-    /// Whether a waiting rank takes its yield turns
-    /// ([`crate::communicator::YIELD_TURNS`]) before its first sleep
-    /// here. TCP says no: its waits sleep in `poll(2)` at once, and
-    /// whether yield turns help them is unmeasured.
-    fn yields(&self) -> bool {
-        true
-    }
 }
 
 /// Report that `observer`'s link from `peer` ended on bytes or a socket
@@ -246,9 +237,8 @@ pub(crate) fn build_loopback(
     kind: TransportKind,
     num_ranks: usize,
     config: &crate::config::CommConfig,
-    link_chaos: Option<Arc<chaos::LinkChaos>>,
 ) -> Arc<dyn Transport> {
-    let bare: Arc<dyn Transport> = match kind {
+    match kind {
         TransportKind::Thread => Arc::new(thread::ThreadTransport),
         TransportKind::Shmem => Arc::new(
             shmem::loopback(num_ranks, config.shm_ring_bytes)
@@ -257,8 +247,7 @@ pub(crate) fn build_loopback(
         TransportKind::Tcp => Arc::new(
             tcp::loopback(num_ranks).unwrap_or_else(|e| panic!("tcp transport setup failed: {e}")),
         ),
-    };
-    chaos::ChaosTransport::wrap(bare, link_chaos)
+    }
 }
 
 /// Instantiate a block of transport-parameterized tests once per

@@ -392,7 +392,6 @@ impl Pipe for Shm {
     type Link = Arc<Ring>;
     type Reader = Arc<Ring>;
     const KIND: TransportKind = TransportKind::Shmem;
-    const YIELDS: bool = true;
 
     fn try_write(&self, ring: &Arc<Ring>, dst: usize, bytes: &[u8]) -> io::Result<usize> {
         match ring.write(bytes) {

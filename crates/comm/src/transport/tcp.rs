@@ -229,7 +229,6 @@ impl Pipe for Tcp {
     type Link = Arc<Link>;
     type Reader = Arc<Link>;
     const KIND: TransportKind = TransportKind::Tcp;
-    const YIELDS: bool = false;
 
     fn try_write(&self, link: &Arc<Link>, _dst: usize, bytes: &[u8]) -> io::Result<usize> {
         (&link.stream).write(bytes)

@@ -258,9 +258,6 @@ pub trait Pipe: Send + Sync + Sized + 'static {
     type Reader: Send;
     /// Which backend this is.
     const KIND: TransportKind;
-    /// Whether a waiting rank takes its yield turns before it sleeps
-    /// ([`Progress::yields`]).
-    const YIELDS: bool;
 
     /// Write what `link` takes now of `bytes`, the rest of one frame
     /// toward `dst`: `Ok(n)`, or `WouldBlock` while it takes nothing.
@@ -578,10 +575,6 @@ impl<P: Pipe> Progress for Core<P> {
         for inbound in &self.inbound {
             self.pipe.ring(inbound.rank);
         }
-    }
-
-    fn yields(&self) -> bool {
-        P::YIELDS
     }
 }
 

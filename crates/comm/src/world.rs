@@ -229,18 +229,7 @@ impl WorldBuilder {
             mask.map(|m| m.len()),
         ));
         let starts = start_cpus(num_ranks, mask.as_ref());
-        // Link-level chaos (delayed wire frames) lives in a seeded engine
-        // that decorates the transport; the op-level injectors below
-        // never see those actions.
-        let link_chaos = fault_plan
-            .as_ref()
-            .and_then(crate::transport::chaos::LinkChaos::from_plan);
-        let transport = crate::transport::build_loopback(
-            config.transport,
-            num_ranks,
-            &config,
-            link_chaos.clone(),
-        );
+        let transport = crate::transport::build_loopback(config.transport, num_ranks, &config);
         registry.install_transport(Arc::clone(&transport));
         transport.attach(&registry);
 
@@ -387,10 +376,7 @@ impl WorldBuilder {
             .flatten()
             .flat_map(|inj| inj.events())
             .collect();
-        if let Some(chaos) = &link_chaos {
-            fault_events.extend(chaos.events());
-        }
-        fault_events.sort_by_key(|e| (e.rank, e.op_index));
+        fault_events.sort_by_key(FaultEvent::ledger_key);
         FtReport {
             results,
             killed,

@@ -178,9 +178,9 @@ fn main() {
 /// unavailable in this mode — each process owns only its own trace.
 ///
 /// Wire-level (`@link`) fault plans ride along: the plan ships to every
-/// child via the environment, and each process arms the same seeded
-/// chaos engine on its transport, which delays frames without changing
-/// what arrives.
+/// child via the environment, and each process arms its rank's seeded
+/// fault injector, which delays the frames its rank sends without
+/// changing what arrives.
 fn run_procs(opts: &CliOptions, cfg: &beatnik_rocketrig::RigConfig, args: &[String]) {
     let plan = opts.fault_plan();
     let parent = beatnik_comm::proc::child_rank().is_none();

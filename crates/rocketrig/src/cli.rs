@@ -62,7 +62,7 @@ impl CliOptions {
     /// cannot fail.
     pub fn fault_plan(&self) -> Option<beatnik_comm::FaultPlan> {
         self.fault_spec.as_deref().map(|s| {
-            beatnik_comm::FaultPlan::parse(s, beatnik_comm::seed_from_env())
+            beatnik_comm::FaultPlan::parse(s, beatnik_comm::CommConfig::from_env().fault_seed)
                 .expect("spec validated during argument parsing")
         })
     }
@@ -232,7 +232,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 let spec = take(args, &mut i, flag)?;
                 // Validate eagerly so a typo fails at the prompt, not
                 // five minutes into the run.
-                beatnik_comm::FaultPlan::parse(&spec, beatnik_comm::seed_from_env())?;
+                let seed = beatnik_comm::CommConfig::from_env().fault_seed;
+                beatnik_comm::FaultPlan::parse(&spec, seed)?;
                 opts.fault_spec = Some(spec);
             }
             "--checkpoint-every" => {

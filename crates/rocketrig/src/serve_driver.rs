@@ -222,7 +222,7 @@ impl JobRunner for RigRunner {
         let plan = spec
             .faults
             .as_deref()
-            .map(|f| FaultPlan::parse(f, beatnik_comm::seed_from_env()))
+            .map(|f| FaultPlan::parse(f, beatnik_comm::CommConfig::from_env().fault_seed))
             .transpose()?;
         let mut world = World::builder(ctx.ranks).transport(transport);
         if spec.profile {

@@ -156,43 +156,51 @@ for run in thread shmem shmem-procs tcp tcp-procs; do
     TMPDIR="$PROCS_TMP" "$RIG" "${args[@]}" --order low --n 16 --steps 4 --ranks 2 \
         --vtk-every 1 --out "$PROF_DIR/agree-$run" >/dev/null
 done
-if ls "$PROCS_TMP" | grep -q '^beatnik-proc-'; then
-    echo "a shmem --procs world left its ring directory behind:"
-    ls "$PROCS_TMP"
-    exit 1
-fi
+# Tracing must not change a bit either: the same job, profiled.
+"$RIG" --order low --n 16 --steps 4 --ranks 2 --vtk-every 1 \
+    --out "$PROF_DIR/agree-traced" --profile "$PROF_DIR/agree-traced/trace.json" >/dev/null
 test "$(ls "$PROF_DIR/agree-thread" | grep -c '\.vtk$')" -eq 4
 for f in "$PROF_DIR"/agree-thread/*.vtk; do
-    for run in shmem shmem-procs tcp tcp-procs; do
+    for run in shmem shmem-procs tcp tcp-procs traced; do
         cmp "$f" "$PROF_DIR/agree-$run/${f##*/}"
     done
 done
 # The cutoff solver's migrate/halo/return alltoallv cycle must agree
-# the same way: a 4-rank high-order cutoff run on the thread backend and
-# over TCP loopback writes identical VTK files at every step.
-for backend in thread tcp; do
-    "$RIG" --transport "$backend" --order high --solver cutoff \
+# the same way: a 4-rank high-order cutoff run on the thread backend,
+# over shmem and over TCP loopback writes identical VTK files at every
+# step.
+for backend in thread shmem tcp; do
+    TMPDIR="$PROCS_TMP" "$RIG" --transport "$backend" --order high --solver cutoff \
         --deck singlemode --n 16 --steps 4 --ranks 4 --vtk-every 1 \
         --out "$PROF_DIR/cutoff-$backend" >/dev/null
 done
 test "$(ls "$PROF_DIR/cutoff-thread" | grep -c '\.vtk$')" -eq 4
 for f in "$PROF_DIR"/cutoff-thread/*.vtk; do
-    cmp "$f" "$PROF_DIR/cutoff-tcp/${f##*/}"
+    for backend in shmem tcp; do
+        cmp "$f" "$PROF_DIR/cutoff-$backend/${f##*/}"
+    done
 done
 # The same for medium order (the Z-Model's Birkhoff-Rott velocity on
 # the multimode deck) and for high order with the exact solver's ring
 # pass.
 for run in medium:cutoff high:exact; do
-    for backend in thread tcp; do
-        "$RIG" --transport "$backend" --order "${run%:*}" --solver "${run#*:}" \
-            --n 16 --steps 4 --ranks 4 --vtk-every 1 \
+    for backend in thread shmem tcp; do
+        TMPDIR="$PROCS_TMP" "$RIG" --transport "$backend" --order "${run%:*}" \
+            --solver "${run#*:}" --n 16 --steps 4 --ranks 4 --vtk-every 1 \
             --out "$PROF_DIR/${run%:*}-$backend" >/dev/null
     done
     test "$(ls "$PROF_DIR/${run%:*}-thread" | grep -c '\.vtk$')" -eq 4
     for f in "$PROF_DIR/${run%:*}-thread"/*.vtk; do
-        cmp "$f" "$PROF_DIR/${run%:*}-tcp/${f##*/}"
+        for backend in shmem tcp; do
+            cmp "$f" "$PROF_DIR/${run%:*}-$backend/${f##*/}"
+        done
     done
 done
+if ls "$PROCS_TMP" | grep -q '^beatnik-proc-'; then
+    echo "a shmem world left its ring directory behind:"
+    ls "$PROCS_TMP"
+    exit 1
+fi
 # An unknown --solver value must fail at the prompt and name itself.
 if "$RIG" --solver tree --n 16 --steps 1 --ranks 1 \
     > "$PROF_DIR/solver-tree.log" 2>&1; then
