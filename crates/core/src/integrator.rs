@@ -175,20 +175,38 @@ mod tests {
 
     #[test]
     fn step_is_deterministic_across_rank_counts() {
-        // The FFT path is exact: P=1 and P=4 runs must agree to FP noise.
-        let amp_at = |p: usize| -> f64 {
-            let out = World::builder(p).run(|comm| {
-                let (mut pm, zm) = setup(&comm, 16);
-                let mut ti = TimeIntegrator::new(&pm);
-                for _ in 0..5 {
-                    ti.step(&zm, &mut pm, 1e-2);
-                }
-                amplitude(&pm)
-            });
-            out[0]
-        };
-        let a1 = amp_at(1);
-        let a4 = amp_at(4);
-        assert!((a1 - a4).abs() < 1e-12 * a1.max(1.0), "{a1} vs {a4}");
+        // The FFT path does the same arithmetic on every node at every
+        // rank count: the gathered z and w after five steps are bitwise
+        // the 1-rank ones.
+        for n in [16, 24] {
+            let state_at = |p: usize| {
+                let mut out = World::builder(p).run(move |comm| {
+                    let (mut pm, zm) = setup(&comm, n);
+                    let mut ti = TimeIntegrator::new(&pm);
+                    for _ in 0..5 {
+                        ti.step(&zm, &mut pm, 1e-2);
+                    }
+                    let mesh = pm.mesh();
+                    let nodes = mesh.owned_indices().map(|(_, _, gr, gc)| (gr * n + gc) as u64);
+                    let state = pm.owned_positions().into_iter().zip(pm.owned_vorticity());
+                    let local: Vec<_> = nodes.zip(state).map(|(i, (z, w))| (i, z, w)).collect();
+                    mesh.comm().gather(0, &local).map(|mut all| {
+                        all.sort_by_key(|&(i, ..)| i);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let z: Vec<_> = all.iter().flat_map(|(_, z, _)| bits(z)).collect();
+                        let w: Vec<_> = all.iter().flat_map(|(_, _, w)| bits(w)).collect();
+                        (z, w)
+                    })
+                });
+                out.swap_remove(0).expect("rank 0 gathers the state")
+            };
+            let one = state_at(1);
+            assert_eq!(one.0.len(), 3 * n * n);
+            for p in 2..=9 {
+                let (z, w) = state_at(p);
+                assert!(z == one.0, "z at n={n}, {p} ranks");
+                assert!(w == one.1, "w at n={n}, {p} ranks");
+            }
+        }
     }
 }

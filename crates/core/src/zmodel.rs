@@ -135,7 +135,8 @@ impl ZModel {
                 g * z[2] - v2 / 8.0
             }));
         };
-        zdot.fill(0.0);
+        // Every owned entry of both outputs is written below.
+        mesh.zero_halo(zdot);
         match self.order {
             Order::Low => {
                 // V = W₃·n̂: the only order that needs the unit normals.
@@ -192,7 +193,7 @@ impl ZModel {
         // --- ∂t w = 2A·(∂₂S, −∂₁S) + μ·Δw -------------------------------
         let a2 = 2.0 * self.params.atwood;
         let mu = self.params.mu;
-        wdot.fill(0.0);
+        mesh.zero_halo(wdot);
         match self.order {
             Order::High => {
                 // Stencil path: S needs halos of its own.

@@ -25,6 +25,22 @@
 //! non-redundant bins, and the column layout (with its column FFTs)
 //! covers only those columns, dealt out evenly over the ranks.
 //!
+//! Their row transforms run *inside* the two reshapes, one row at a
+//! time, and no row layout exists as a buffer. Forward, each row is read
+//! from the pieces block → rows leaves (the kept piece in place in the
+//! block, the received blocks) and its bins are written into the send
+//! blocks of half rows → columns and into the kept rows of the column
+//! output; the exchange sends those blocks as they are and copies the
+//! received ones into the output. Inverse is the mirror: each
+//! half-spectrum row is gathered from the pieces of columns → half rows,
+//! and its reals are written into the kept columns of the output block
+//! and into the send blocks of rows → block. A row is read or written
+//! in place when it lies whole in one piece, and goes through one row of
+//! scratch otherwise (`redistribute::{RowsIn, RowsOut}`). Messages,
+//! bytes and bits are those of the reshapes run whole; the unfused
+//! pipeline stays as the `cfg(test)` oracle. With `reorder = false`
+//! heFFTe's skipped-reorder pass runs on each gathered row.
+//!
 //! ## Reshapes
 //!
 //! [`DistributedFft2d::new`] plans every reshape the pipelines run (a
@@ -32,6 +48,8 @@
 //! buffer. Blocks and outputs come from the plan's free lists, one per
 //! element type, and every buffer a transform consumes goes back to
 //! them; callers hand theirs back through [`DistributedFft2d::give`].
+//! The real transforms' row pass keeps one row of scratch per element
+//! type, allocated by its first use.
 //!
 //! ## Local transforms
 //!
@@ -207,18 +225,23 @@ pub struct DistributedFft2d {
     reshapes: Reshapes,
     reals: RefCell<FreeList<f64>>,
     complex: RefCell<FreeList<Complex>>,
+    /// The real transforms' row pass's work space: one row of reals and
+    /// one of bins, each either a row gathered from its pieces or a
+    /// transformed row on its way to its pieces.
+    row_scratch: RefCell<(Vec<f64>, Vec<Complex>)>,
     /// Tests flip this to run `fft_cols` through the gather / per-line /
     /// scatter code it replaced, as the bitwise reference.
     #[cfg(test)]
     per_line_cols: std::cell::Cell<bool>,
     /// Tests flip this to run the row transforms by the unfused route
     /// (no register pass: `Fft::{forward, inverse}_scalar`,
-    /// `RealFft::*_reference_*`, into zero-filled buffers), as the
-    /// bitwise reference.
+    /// `RealFft::*_reference_*`, into zero-filled buffers, the real ones
+    /// in the unfused pipeline of `reference`), as the bitwise reference.
     #[cfg(test)]
     reference_rows: std::cell::Cell<bool>,
     /// Tests flip this to run every reshape unplanned, through new
-    /// buffers, as the bitwise reference.
+    /// buffers, and the real transforms in the unfused pipeline of
+    /// `reference`, as the bitwise reference.
     #[cfg(test)]
     unplanned: std::cell::Cell<bool>,
 }
@@ -305,6 +328,7 @@ impl DistributedFft2d {
             reshapes,
             reals: RefCell::new(FreeList::new()),
             complex: RefCell::new(FreeList::new()),
+            row_scratch: RefCell::default(),
             #[cfg(test)]
             per_line_cols: std::cell::Cell::new(false),
             #[cfg(test)]
@@ -346,16 +370,21 @@ impl DistributedFft2d {
     /// returning this rank's destination rectangle's contents: `data`
     /// itself when the reshape leaves every element in place.
     fn reshape<T: Element>(&self, planned: &Planned, data: Vec<T>) -> Vec<T> {
-        let comm = match planned.on {
-            On::World => self.cart.comm(),
-            On::Row => &self.row_comm,
-            On::Col => &self.col_comm,
-        };
+        let comm = self.comm(planned.on);
         #[cfg(test)]
         if self.unplanned.get() {
             return planned.reshape.run_unplanned(comm, &data);
         }
         planned.reshape.run_owned(comm, data, &mut T::free_list(self).borrow_mut())
+    }
+
+    /// The communicator a reshape runs on.
+    fn comm(&self, on: On) -> &Communicator {
+        match on {
+            On::World => self.cart.comm(),
+            On::Row => &self.row_comm,
+            On::Col => &self.col_comm,
+        }
     }
 
     fn check_block(&self, len: usize) {
@@ -368,11 +397,16 @@ impl DistributedFft2d {
 
     /// heFFTe's skipped-reorder cost, when the configuration asks for it.
     fn penalty<T: Element>(&self, buf: &mut [T]) {
-        if !self.config.reorder {
-            let mut scratch = self.take(buf.len());
+        if let Some(mut scratch) = self.penalty_scratch(buf.len()) {
             no_reorder_penalty(buf, &mut scratch);
             self.give(scratch);
         }
+    }
+
+    /// Room for [`no_reorder_penalty`] on `len` elements when the
+    /// configuration skips the reorder, to be given back.
+    fn penalty_scratch<T: Element>(&self, len: usize) -> Option<Vec<T>> {
+        (!self.config.reorder).then(|| self.take(len))
     }
 
     // ------------------------------------------------------------------
@@ -475,20 +509,45 @@ impl DistributedFft2d {
     /// half the bytes: `f64` blocks to the row layout, real-to-complex
     /// row transforms, half-spectrum rows to a column layout that deals
     /// the `nc/2 + 1` columns evenly over the ranks, complex column
-    /// transforms. Returns this rank's half-spectrum rectangle (global
-    /// indices) and its unnormalized data. Collective.
+    /// transforms. The row transforms read each row from the pieces the
+    /// first reshape leaves and write its bins into the second's send
+    /// blocks and output (module docs). Returns this rank's
+    /// half-spectrum rectangle (global indices) and its unnormalized
+    /// data. Collective.
     pub fn forward_real_transposed(&self, block: Vec<f64>) -> (Rect, Vec<Complex>) {
         let _phase = self.cart.comm().telemetry().phase("dfft-forward");
         self.check_block(block.len());
-        let rs = &self.reshapes;
-        let mut rows = self.reshape(&rs.block_rows, block);
-        self.penalty(&mut rows);
-        let (nc, nh) = (self.layout.nc, self.real_row_plan.bins());
-        let mut half = self.take(rows.len() / nc * nh);
-        self.real_rows_forward(&rows, &mut half);
-        self.give(rows);
-        let rect = rs.half_rows_cols.reshape.dst();
-        let mut buf = self.reshape(&rs.half_rows_cols, half);
+        #[cfg(test)]
+        if self.unplanned.get() || self.reference_rows.get() {
+            return reference::forward_real_transposed(self, block);
+        }
+        let (into, out_of) = (&self.reshapes.block_rows, &self.reshapes.half_rows_cols);
+        let received = into.reshape.exchange_into_rows(
+            self.comm(into.on),
+            &block,
+            &mut self.reals.borrow_mut(),
+        );
+        let rows_in = into.reshape.rows_in(&block, &received);
+        let mut rows_out = out_of.reshape.rows_out(&mut self.complex.borrow_mut());
+        let mut penalty = self.penalty_scratch::<f64>(self.layout.nc);
+        let mut scratch = self.row_scratch.borrow_mut();
+        let (reals, bins) = &mut *scratch;
+        for r in into.reshape.dst().rows.clone() {
+            let row = match &mut penalty {
+                None => rows_in.row(r, reals),
+                Some(penalty) => {
+                    let row = rows_in.gather(r, reals);
+                    no_reorder_penalty(row, penalty);
+                    row
+                }
+            };
+            rows_out.push(bins, |slots| self.real_row_plan.forward_uninit(row, slots));
+        }
+        for buf in received.into_iter().chain([block]).chain(penalty) {
+            self.give(buf);
+        }
+        let rect = out_of.reshape.dst();
+        let mut buf = rows_out.finish(self.comm(out_of.on), &mut self.complex.borrow_mut());
         self.fft_cols(&mut buf, rect, Transform::Forward);
         (rect.clone(), buf)
     }
@@ -496,48 +555,50 @@ impl DistributedFft2d {
     /// Inverse of [`DistributedFft2d::forward_real_transposed`]: consumes
     /// this rank's half-spectrum columns, returns the real block-layout
     /// field normalized by `1/(nr·nc)` (applied once, inside the
-    /// complex-to-real row transforms). The spectrum must be Hermitian
-    /// in the sense above; the imaginary parts that symmetry forces to
-    /// zero are ignored. Collective.
+    /// complex-to-real row transforms, which read each half-spectrum row
+    /// from the pieces the first reshape leaves and write its reals into
+    /// the output block and the second's send blocks). The spectrum must
+    /// be Hermitian in the sense above; the imaginary parts that symmetry
+    /// forces to zero are ignored. Collective.
     pub fn inverse_real_transposed(&self, spectrum: Vec<Complex>) -> Vec<f64> {
         let _phase = self.cart.comm().telemetry().phase("dfft-inverse");
-        let rs = &self.reshapes;
-        let my_rect = rs.half_cols_rows.reshape.src();
+        let (into, out_of) = (&self.reshapes.half_cols_rows, &self.reshapes.rows_block);
+        let my_rect = into.reshape.src();
         assert_eq!(
             spectrum.len(),
             my_rect.area(),
             "bad transposed half spectrum"
         );
+        #[cfg(test)]
+        if self.unplanned.get() || self.reference_rows.get() {
+            return reference::inverse_real_transposed(self, spectrum);
+        }
         let mut buf = spectrum;
         self.fft_cols(&mut buf, my_rect, Transform::InverseUnnormalized);
-        let mut half = self.reshape(&rs.half_cols_rows, buf);
-        self.penalty(&mut half);
-        let (nr, nc, nh) = (self.layout.nr, self.layout.nc, self.real_row_plan.bins());
-        let mut rows = self.take(half.len() / nh * nc);
-        self.real_rows_inverse(&mut half, 1.0 / (nr * nc) as f64, &mut rows);
-        self.give(half);
-        self.reshape(&rs.rows_block, rows)
-    }
-
-    /// The real-to-complex transform of every row of the row layout,
-    /// appended to `half`, each element written once.
-    fn real_rows_forward(&self, rows: &[f64], half: &mut Vec<Complex>) {
-        #[cfg(test)]
-        if self.reference_rows.get() {
-            return half.extend(reference::real_rows_forward(&self.real_row_plan, rows));
+        let received = into.reshape.exchange_into_rows(
+            self.comm(into.on),
+            &buf,
+            &mut self.complex.borrow_mut(),
+        );
+        let rows_in = into.reshape.rows_in(&buf, &received);
+        let mut rows_out = out_of.reshape.rows_out(&mut self.reals.borrow_mut());
+        let scale = 1.0 / (self.layout.nr * self.layout.nc) as f64;
+        let mut penalty = self.penalty_scratch::<Complex>(self.real_row_plan.bins());
+        let mut scratch = self.row_scratch.borrow_mut();
+        let (reals, bins) = &mut *scratch;
+        for r in into.reshape.dst().rows.clone() {
+            let spectrum = rows_in.gather(r, bins);
+            if let Some(penalty) = &mut penalty {
+                no_reorder_penalty(spectrum, penalty);
+            }
+            rows_out.push(reals, |slots| {
+                self.real_row_plan.inverse_uninit(spectrum, slots, scale)
+            });
         }
-        self.real_row_plan.forward_rows(rows, half);
-    }
-
-    /// The complex-to-real transform of every half-spectrum row (`half`
-    /// is work space), times `scale`, appended to `rows`, each element
-    /// written once.
-    fn real_rows_inverse(&self, half: &mut [Complex], scale: f64, rows: &mut Vec<f64>) {
-        #[cfg(test)]
-        if self.reference_rows.get() {
-            return rows.extend(reference::real_rows_inverse(&self.real_row_plan, half, scale));
+        for buf in received.into_iter().chain([buf]).chain(penalty) {
+            self.give(buf);
         }
-        self.real_row_plan.inverse_rows(half, scale, rows);
+        rows_out.finish(self.comm(out_of.on), &mut self.reals.borrow_mut())
     }
 }
 
@@ -560,26 +621,57 @@ mod reference {
         }
     }
 
-    pub(super) fn real_rows_forward(plan: &RealFft, rows: &[f64]) -> Vec<Complex> {
-        let mut half = vec![Complex::default(); rows.len() / plan.len() * plan.bins()];
-        for (row, bins) in rows
-            .chunks_exact(plan.len())
-            .zip(half.chunks_exact_mut(plan.bins()))
-        {
-            plan.forward_reference_into(row, bins);
+    /// [`DistributedFft2d::forward_real_transposed`] as it ran before
+    /// the row pass was fused into its reshapes: the row layout
+    /// assembled, the rows transformed into a half-spectrum buffer, that
+    /// buffer reshaped — through the unplanned reshapes and the
+    /// reference row transforms when the plan's flags ask for them.
+    pub(super) fn forward_real_transposed(
+        plan: &DistributedFft2d,
+        block: Vec<f64>,
+    ) -> (Rect, Vec<Complex>) {
+        let rs = &plan.reshapes;
+        let mut rows = plan.reshape(&rs.block_rows, block);
+        plan.penalty(&mut rows);
+        let rfft = &plan.real_row_plan;
+        let mut half = vec![Complex::default(); rows.len() / rfft.len() * rfft.bins()];
+        for (row, bins) in rows.chunks_exact(rfft.len()).zip(half.chunks_exact_mut(rfft.bins())) {
+            if plan.reference_rows.get() {
+                rfft.forward_reference_into(row, bins);
+            } else {
+                rfft.forward_into(row, bins);
+            }
         }
-        half
+        plan.give(rows);
+        let rect = rs.half_rows_cols.reshape.dst();
+        let mut buf = plan.reshape(&rs.half_rows_cols, half);
+        plan.fft_cols(&mut buf, rect, Transform::Forward);
+        (rect.clone(), buf)
     }
 
-    pub(super) fn real_rows_inverse(plan: &RealFft, half: &mut [Complex], scale: f64) -> Vec<f64> {
-        let mut rows = vec![0.0; half.len() / plan.bins() * plan.len()];
-        for (bins, row) in half
-            .chunks_exact_mut(plan.bins())
-            .zip(rows.chunks_exact_mut(plan.len()))
-        {
-            plan.inverse_reference_scaled_into(bins, row, scale);
+    /// [`DistributedFft2d::inverse_real_transposed`] as it ran before
+    /// the row pass was fused (see [`forward_real_transposed`]).
+    pub(super) fn inverse_real_transposed(
+        plan: &DistributedFft2d,
+        spectrum: Vec<Complex>,
+    ) -> Vec<f64> {
+        let rs = &plan.reshapes;
+        let mut buf = spectrum;
+        plan.fft_cols(&mut buf, rs.half_cols_rows.reshape.src(), Transform::InverseUnnormalized);
+        let mut half = plan.reshape(&rs.half_cols_rows, buf);
+        plan.penalty(&mut half);
+        let rfft = &plan.real_row_plan;
+        let scale = 1.0 / (plan.layout.nr * plan.layout.nc) as f64;
+        let mut rows = vec![0.0; half.len() / rfft.bins() * rfft.len()];
+        for (bins, row) in half.chunks_exact_mut(rfft.bins()).zip(rows.chunks_exact_mut(rfft.len())) {
+            if plan.reference_rows.get() {
+                rfft.inverse_reference_scaled_into(bins, row, scale);
+            } else {
+                rfft.inverse_scaled_into(bins, row, scale);
+            }
         }
-        rows
+        plan.give(half);
+        plan.reshape(&rs.rows_block, rows)
     }
 
     const TILE_COLS: usize = 16;
@@ -695,6 +787,24 @@ mod planned_tests {
         (complex, back.iter().map(|x| x.to_bits()).collect())
     }
 
+    /// The oracle for the real transforms is the pipeline before their
+    /// row pass was fused: the row layout assembled, rows transformed
+    /// into a buffer of their own, that buffer reshaped. The fused row
+    /// pass takes each of its branches on these inputs (pinned by
+    /// `the_oracle_inputs_take_every_fused_branch`):
+    /// * a destination row built from 3 or more pieces: 3, 5 and 6 ranks,
+    ///   whose `1 × 3`, `1 × 5` and `2 × 3` grids split every row of a
+    ///   block over 3 or 5 ranks, and every half-spectrum row over as many
+    ///   column owners;
+    /// * empty pieces: 7x5 at 4 ranks and up deals its 3 half-spectrum
+    ///   columns over more ranks than that, so a rank keeps nothing of
+    ///   its rows and receives into an empty column rectangle;
+    /// * an in-place group: 1 rank, where each row is read in place from
+    ///   the block and its bins written straight into the output;
+    /// * `reorder = false` (Table-1 rows 0, 2, 4, 6): heFFTe's
+    ///   skipped-reorder penalty runs on every row as the row pass
+    ///   gathers it, in its row of scratch, where it ran on the whole
+    ///   row layout before: the same elements through the same pass.
     #[test]
     fn every_entry_point_is_bitwise_the_unplanned_reshapes() {
         for config in FftConfig::table1() {
@@ -719,6 +829,37 @@ mod planned_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_oracle_inputs_take_every_fused_branch() {
+        // `(most pieces in a destination row, a piece or rectangle is
+        // empty, every fused reshape is in place)` of one rank's plan.
+        let branches = |p: usize, nr: usize, nc: usize| {
+            World::builder(p).run(move |comm| {
+                let plan = DistributedFft2d::new(&comm, dims_create(p), nr, nc, FftConfig::default());
+                let rs = &plan.reshapes;
+                let (into, out_of) = (
+                    [&rs.block_rows.reshape, &rs.half_cols_rows.reshape],
+                    [&rs.half_rows_cols.reshape, &rs.rows_block.reshape],
+                );
+                let most = into
+                    .iter()
+                    .flat_map(|r| r.dst().rows.clone().map(|row| r.pieces_in_row(row)))
+                    .max();
+                let empty = into
+                    .iter()
+                    .chain(&out_of)
+                    .any(|r| r.keep().is_empty() || r.src().is_empty() || r.dst().is_empty());
+                let in_place = into.iter().chain(&out_of).all(|r| r.in_place());
+                (most.unwrap_or(0), empty, in_place)
+            })
+        };
+        for p in [3, 5, 6] {
+            assert!(branches(p, 16, 16).iter().all(|&(most, ..)| most >= 3), "p={p}");
+        }
+        assert!(branches(4, 7, 5).iter().any(|&(_, empty, _)| empty));
+        assert!(branches(1, 9, 14).iter().all(|&(_, empty, in_place)| in_place && !empty));
     }
 
     /// `(messages, bytes)` this rank has sent so far, point-to-point and

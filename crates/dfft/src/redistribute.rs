@@ -9,20 +9,36 @@
 //! A [`Reshape`] makes that derivation once, when it is built: this
 //! rank's source and destination rectangles, the peers it sends a block
 //! to and receives one from with each block's rectangle, and the piece
-//! it keeps. [`Reshape::run`] then only copies and exchanges. An element
-//! that travels is written twice — packed into its block, assembled into
-//! the receiver's destination — and an element a rank keeps once,
-//! straight from the source buffer into the destination; a reshape that
-//! keeps every element in place ([`Reshape::in_place`]: any reshape of a
-//! one-rank group) copies nothing and hands its input back. Every block
-//! and output comes from a bounded [`FreeList`], and every received
-//! block goes back to it, so a block received in one run is packed and
-//! sent, or becomes the output, in a later one: a plan run over and over
-//! stops allocating after its first runs. Nothing is zero-filled.
+//! it keeps — checking that the kept piece and the received blocks tile
+//! the destination. [`Reshape::run`] then only copies and exchanges. An
+//! element that travels is written twice — packed into its block,
+//! assembled into the receiver's destination — and an element a rank
+//! keeps once, straight from the source buffer into the destination; a
+//! reshape that keeps every element in place ([`Reshape::in_place`]: any
+//! reshape of a one-rank group) copies nothing and hands its input back.
+//!
+//! The real transforms fuse the *row side* of their reshapes into their
+//! row transforms instead (`plan.rs`). Into a rows layout,
+//! `Reshape::exchange_into_rows` packs and exchanges as `run` does and
+//! `RowsIn` hands out each destination row where it lies — read in
+//! place when one piece holds it whole, gathered into one row of scratch
+//! otherwise — so no row layout is assembled. Out of a rows layout,
+//! `RowsOut` takes each source row as it is transformed and appends its
+//! runs to the send blocks and writes its kept run into the output,
+//! so nothing is packed; `RowsOut::finish` exchanges the blocks as they
+//! are and copies only the received ones into the output. Same blocks,
+//! peers, tag and order as `run`.
+//!
+//! Every block and output comes from a bounded [`FreeList`], and every
+//! received block goes back to it, so a block received in one run is
+//! packed and sent, or becomes the output, in a later one: a plan run
+//! over and over stops allocating after its first runs. Nothing is
+//! zero-filled.
 
 use crate::layout::{assemble_into, pack_into, Piece, Rect};
 use beatnik_comm::message::CommData;
 use beatnik_comm::{wait_all, AllToAllAlgo, Communicator};
+use std::mem::MaybeUninit;
 
 /// Message tag for p2p reshape traffic. One message per `(source, tag)`
 /// per reshape plus the mailbox's non-overtaking guarantee keeps
@@ -114,7 +130,7 @@ impl<T> FreeList<T> {
 /// Either way the packed blocks are handed to the exchange by
 /// ownership. The source rectangles must tile the global index space
 /// (every layout here does); a destination they leave a gap in or
-/// overlap panics when the reshape runs.
+/// overlap panics when the reshape is planned.
 #[derive(Debug)]
 pub struct Reshape {
     rank: usize,
@@ -156,12 +172,27 @@ impl Reshape {
             .map(|d| (d, src.intersect(&dest_rect(d))))
             .filter(|(_, block)| !block.is_empty())
             .collect();
-        let recvs = (0..size)
+        let recvs: Vec<(usize, Rect)> = (0..size)
             .filter(|&s| s != rank)
             .map(|s| (s, src_rect(s).intersect(&dst)))
             .filter(|(_, block)| !block.is_empty())
             .collect();
         let volume = keep.area() + sends.iter().map(|(_, block)| block.area()).sum::<usize>();
+        // Each piece lies inside `dst`, so disjoint pieces that add up to
+        // its area tile it: every run writes each destination element
+        // exactly once, some of them before the exchange.
+        let pieces: Vec<&Rect> = std::iter::once(&keep)
+            .chain(recvs.iter().map(|(_, block)| block))
+            .collect();
+        let disjoint = pieces
+            .iter()
+            .enumerate()
+            .all(|(i, a)| pieces[i + 1..].iter().all(|b| a.intersect(b).is_empty()));
+        let area: usize = pieces.iter().map(|p| p.area()).sum();
+        assert!(
+            disjoint && area == dst.area(),
+            "redistribute: the source layout does not tile {dst:?}"
+        );
         Reshape {
             rank,
             size,
@@ -221,25 +252,9 @@ impl Reshape {
         free: &mut FreeList<T>,
     ) -> Vec<T> {
         let _phase = comm.telemetry().phase("dfft-redistribute");
-        let received = self.exchange(comm, data, free);
-        let mut pieces: Vec<Piece<'_, T>> = Vec::with_capacity(self.recvs.len() + 1);
-        if !self.keep.is_empty() {
-            pieces.push(Piece {
-                sub: &self.keep,
-                buf: data,
-                layout: &self.src,
-            });
-        }
-        for ((s, sub), block) in self.recvs.iter().zip(&received) {
-            assert_eq!(block.len(), sub.area(), "redistribute: bad block from {s}");
-            pieces.push(Piece {
-                sub,
-                buf: block,
-                layout: sub,
-            });
-        }
+        let received = self.exchange_from(comm, data, free);
         let mut out = free.take(self.dst.area());
-        assemble_into(&self.dst, &mut pieces, &mut out);
+        assemble_into(&self.dst, &mut self.pieces(data, &received), &mut out);
         for block in received {
             free.give(block);
         }
@@ -263,9 +278,53 @@ impl Reshape {
             return out;
         }
         let _phase = comm.telemetry().phase("dfft-redistribute");
-        let received = self.exchange(comm, &data, free);
+        let received = self.exchange_from(comm, &data, free);
         debug_assert!(received.is_empty());
         data
+    }
+
+    /// The exchange of a reshape *into* a rows layout (every destination
+    /// row spans every column) whose caller reads the destination rows
+    /// where they lie instead of assembling them: pack and exchange the
+    /// blocks, as [`Reshape::run`] does, and return the blocks received,
+    /// for [`Reshape::rows_in`]. Collective over `comm`.
+    pub(crate) fn exchange_into_rows<T: CommData + Copy>(
+        &self,
+        comm: &Communicator,
+        data: &[T],
+        free: &mut FreeList<T>,
+    ) -> Vec<Vec<T>> {
+        let _phase = comm.telemetry().phase("dfft-redistribute");
+        self.exchange_from(comm, data, free)
+    }
+
+    /// This rank's destination rows, read from the kept piece of `data`
+    /// (the source buffer) and the `received` blocks of
+    /// [`Reshape::exchange_into_rows`].
+    pub(crate) fn rows_in<'a, T: Copy>(
+        &'a self,
+        data: &'a [T],
+        received: &'a [Vec<T>],
+    ) -> RowsIn<'a, T> {
+        let mut pieces = self.pieces(data, received);
+        pieces.sort_unstable_by_key(|p| p.sub.cols.start);
+        RowsIn {
+            dst: &self.dst,
+            pieces,
+        }
+    }
+
+    /// The send blocks and output of a reshape *out of* a rows layout
+    /// (every source row spans every column), for its caller to write a
+    /// source row at a time: the blocks and the output come from `free`,
+    /// empty.
+    pub(crate) fn rows_out<T: Copy>(&self, free: &mut FreeList<T>) -> RowsOut<'_, T> {
+        RowsOut {
+            plan: self,
+            blocks: self.sends.iter().map(|(_, sub)| free.take(sub.area())).collect(),
+            out: free.take(self.dst.area()),
+            next: self.src.rows.start,
+        }
     }
 
     /// The same reshape run by [`redistribute_unplanned`], the bitwise
@@ -281,25 +340,58 @@ impl Reshape {
         redistribute_unplanned(comm, data, &src_rect, &dest_rect, self.algo).1
     }
 
-    /// Pack and send this rank's blocks, and return the blocks it
-    /// receives, in `recvs` order.
-    fn exchange<T: CommData + Copy>(
+    /// The pieces of this rank's destination: the kept one, read in
+    /// place from the source buffer `data`, and the `received` blocks.
+    fn pieces<'a, T>(&'a self, data: &'a [T], received: &'a [Vec<T>]) -> Vec<Piece<'a, T>> {
+        let mut pieces = Vec::with_capacity(self.recvs.len() + 1);
+        if !self.keep.is_empty() {
+            pieces.push(Piece {
+                sub: &self.keep,
+                buf: data,
+                layout: &self.src,
+            });
+        }
+        for ((s, sub), block) in self.recvs.iter().zip(received) {
+            assert_eq!(block.len(), sub.area(), "redistribute: bad block from {s}");
+            pieces.push(Piece {
+                sub,
+                buf: block,
+                layout: sub,
+            });
+        }
+        pieces
+    }
+
+    /// Pack each send block of `data` into a buffer from `free`, and
+    /// [`Reshape::exchange`] them.
+    fn exchange_from<T: CommData + Copy>(
         &self,
         comm: &Communicator,
         data: &[T],
         free: &mut FreeList<T>,
+    ) -> Vec<Vec<T>> {
+        assert_eq!(data.len(), self.src.area(), "redistribute: bad source buffer");
+        let blocks = self.sends.iter().map(|(_, sub)| {
+            let mut block = free.take(sub.area());
+            pack_into(data, &self.src, sub, &mut block);
+            block
+        });
+        self.exchange(comm, blocks)
+    }
+
+    /// Send `blocks`, one per `sends` entry in its order, each as it
+    /// comes, and return the blocks this rank receives, in `recvs` order.
+    fn exchange<T: CommData + Copy>(
+        &self,
+        comm: &Communicator,
+        blocks: impl Iterator<Item = Vec<T>>,
     ) -> Vec<Vec<T>> {
         assert_eq!(
             (comm.rank(), comm.size()),
             (self.rank, self.size),
             "redistribute: planned for another group"
         );
-        assert_eq!(data.len(), self.src.area(), "redistribute: bad source buffer");
-        let mut pack = |sub: &Rect| {
-            let mut block = free.take(sub.area());
-            pack_into(data, &self.src, sub, &mut block);
-            block
-        };
+        let blocks = self.sends.iter().zip(blocks);
         match self.algo {
             AllToAllAlgo::Direct => {
                 // Both sides planned the same intersections, so receiver
@@ -312,10 +404,8 @@ impl Reshape {
                     .iter()
                     .map(|&(s, _)| comm.irecv::<T>(s, DFFT_TAG))
                     .collect();
-                let sends: Vec<_> = self
-                    .sends
-                    .iter()
-                    .map(|(d, sub)| comm.isend_owned(*d, DFFT_TAG, pack(sub)))
+                let sends: Vec<_> = blocks
+                    .map(|((d, _), block)| comm.isend_owned(*d, DFFT_TAG, block))
                     .collect();
                 let got = wait_all(reqs);
                 for s in sends {
@@ -324,17 +414,181 @@ impl Reshape {
                 got
             }
             collective => {
-                let mut blocks: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
-                for (d, sub) in &self.sends {
-                    blocks[*d] = pack(sub);
+                let mut all: Vec<Vec<T>> = (0..self.size).map(|_| Vec::new()).collect();
+                for ((d, _), block) in blocks {
+                    all[*d] = block;
                 }
                 let volume = self.volume * std::mem::size_of::<T>();
                 let algo = collective.resolve(self.size, volume as u64);
-                let mut got = comm.alltoallv_owned(blocks, algo);
+                let mut got = comm.alltoallv_owned(all, algo);
                 self.recvs.iter().map(|&(s, _)| std::mem::take(&mut got[s])).collect()
             }
         }
     }
+
+    /// How many pieces (the kept one and the received blocks) hold part
+    /// of destination row `r`.
+    #[cfg(test)]
+    pub(crate) fn pieces_in_row(&self, r: usize) -> usize {
+        std::iter::once(&self.keep)
+            .chain(self.recvs.iter().map(|(_, block)| block))
+            .filter(|p| !p.is_empty() && p.rows.contains(&r))
+            .count()
+    }
+
+    /// What this rank keeps of its source rectangle.
+    #[cfg(test)]
+    pub(crate) fn keep(&self) -> &Rect {
+        &self.keep
+    }
+}
+
+/// The destination rows of a reshape into a rows layout, read where
+/// they lie: in the kept piece of the source buffer and in the received
+/// blocks ([`Reshape::rows_in`]).
+pub(crate) struct RowsIn<'a, T> {
+    dst: &'a Rect,
+    /// In column order.
+    pieces: Vec<Piece<'a, T>>,
+}
+
+impl<T: Copy> RowsIn<'_, T> {
+    /// Destination row `r`: read in place when one piece holds all of
+    /// it in one run, gathered into `scratch` otherwise.
+    pub(crate) fn row<'s>(&'s self, r: usize, scratch: &'s mut Vec<T>) -> &'s [T] {
+        let mut holding = self.pieces.iter().filter(|p| p.sub.rows.contains(&r));
+        if let (Some(p), None) = (holding.next(), holding.next()) {
+            if p.sub.cols == self.dst.cols && p.layout.cols == self.dst.cols {
+                let start = p.layout.offset(r, p.sub.cols.start);
+                return &p.buf[start..start + p.sub.ncols()];
+            }
+        }
+        self.gather(r, scratch)
+    }
+
+    /// Destination row `r` copied into `scratch`, its runs in column
+    /// order, each copied once.
+    pub(crate) fn gather<'s>(&self, r: usize, scratch: &'s mut Vec<T>) -> &'s mut [T] {
+        scratch.clear();
+        for p in self.pieces.iter().filter(|p| p.sub.rows.contains(&r)) {
+            let start = p.layout.offset(r, p.sub.cols.start);
+            scratch.extend_from_slice(&p.buf[start..start + p.sub.ncols()]);
+        }
+        debug_assert_eq!(scratch.len(), self.dst.ncols());
+        scratch
+    }
+}
+
+/// The send blocks and output of a reshape out of a rows layout
+/// ([`Reshape::rows_out`]), written a source row at a time by
+/// [`RowsOut::push`] and exchanged by [`RowsOut::finish`].
+pub(crate) struct RowsOut<'a, T> {
+    plan: &'a Reshape,
+    /// One per `plan.sends` entry, appended to row by row.
+    blocks: Vec<Vec<T>>,
+    /// Room for `plan.dst`: the kept piece is written into its spare
+    /// capacity as its rows come, the received blocks after the
+    /// exchange.
+    out: Vec<T>,
+    /// The source row `push` writes next.
+    next: usize,
+}
+
+impl<T: CommData + Copy> RowsOut<'_, T> {
+    /// Write the next source row: `fill` writes its `src.ncols()`
+    /// elements into the slots it is given and hands them back written.
+    /// A row this rank keeps whole is written where it goes in the
+    /// output; any other into `scratch`, whose runs are then appended to
+    /// their send blocks and copied into the output.
+    ///
+    /// # Panics
+    /// Panics if every source row has been written already, or if `fill`
+    /// hands back other slots than it was given.
+    pub(crate) fn push<F>(&mut self, scratch: &mut Vec<T>, fill: F)
+    where
+        F: FnOnce(&mut [MaybeUninit<T>]) -> &mut [T],
+    {
+        let Reshape {
+            src,
+            dst,
+            sends,
+            keep,
+            ..
+        } = self.plan;
+        let r = self.next;
+        assert!(src.rows.contains(&r), "rows out: no source row is left to write");
+        self.next += 1;
+        let width = src.ncols();
+        let kept = !keep.is_empty() && keep.rows.contains(&r);
+        if kept && keep.cols == src.cols {
+            let at = dst.offset(r, keep.cols.start);
+            written(&mut self.out.spare_capacity_mut()[at..at + width], fill);
+            return;
+        }
+        scratch.clear();
+        scratch.reserve(width);
+        let row = written(&mut scratch.spare_capacity_mut()[..width], fill);
+        let run = |sub: &Rect| &row[sub.cols.start - src.cols.start..][..sub.ncols()];
+        for ((_, sub), block) in sends.iter().zip(&mut self.blocks) {
+            if sub.rows.contains(&r) {
+                block.extend_from_slice(run(sub));
+            }
+        }
+        if kept {
+            let at = dst.offset(r, keep.cols.start);
+            self.out.spare_capacity_mut()[at..at + keep.ncols()].write_copy_of_slice(run(keep));
+        }
+    }
+
+    /// Exchange the send blocks, copy the received ones into the output
+    /// and return it: this rank's destination rectangle, row-major. The
+    /// blocks received go back to `free`. Collective over `comm`.
+    ///
+    /// # Panics
+    /// Panics if a source row was not written.
+    pub(crate) fn finish(self, comm: &Communicator, free: &mut FreeList<T>) -> Vec<T> {
+        let RowsOut {
+            plan,
+            blocks,
+            mut out,
+            next,
+        } = self;
+        assert_eq!(next, plan.src.rows.end, "rows out: a source row is unwritten");
+        let _phase = comm.telemetry().phase("dfft-redistribute");
+        let received = plan.exchange(comm, blocks.into_iter());
+        let slots = out.spare_capacity_mut();
+        for ((s, sub), block) in plan.recvs.iter().zip(&received) {
+            assert_eq!(block.len(), sub.area(), "redistribute: bad block from {s}");
+            let (at, stride) = (plan.dst.offset(sub.rows.start, sub.cols.start), plan.dst.ncols());
+            for (i, row) in block.chunks_exact(sub.ncols()).enumerate() {
+                slots[at + i * stride..][..row.len()].write_copy_of_slice(row);
+            }
+        }
+        // SAFETY: the kept piece and the received blocks tile `dst`
+        // (checked when the reshape was planned). `push` wrote the kept
+        // piece, a run of each source row, and every source row was
+        // pushed (asserted above); the loop wrote each received block.
+        unsafe { out.set_len(plan.dst.area()) };
+        for block in received {
+            free.give(block);
+        }
+        out
+    }
+}
+
+/// `fill` run on `slots`, checked to hand back those very slots: a
+/// `&mut [T]` over them is proof that every one was written.
+fn written<T, F>(slots: &mut [MaybeUninit<T>], fill: F) -> &mut [T]
+where
+    F: FnOnce(&mut [MaybeUninit<T>]) -> &mut [T],
+{
+    let (at, len) = (slots.as_ptr().cast::<T>(), slots.len());
+    let row = fill(slots);
+    assert!(
+        std::ptr::eq(row.as_ptr(), at) && row.len() == len,
+        "rows out: a row must be written into the slots given"
+    );
+    row
 }
 
 /// Move data from `my_rect` (this rank's rectangle in the source layout,
@@ -567,6 +821,73 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn rows_in_and_rows_out_move_what_run_moves() {
+        // The 7x5 layouts of the test above: ragged blocks into row slabs
+        // (rows from 1 to 5 pieces, kept pieces empty or not), and row
+        // slabs out to blocks and to column slabs narrower than the rank
+        // count.
+        let (nr, nc) = (7usize, 5usize);
+        for p in [1usize, 2, 3, 5, 6] {
+            World::builder(p).run(move |comm| {
+                let me = comm.rank();
+                let pc = if p % 3 == 0 { p / 3 } else { p };
+                let (rd, cd) = (Dist::new(nr, p / pc), Dist::new(nc, pc));
+                let block = move |r: usize| Rect::new(rd.range(r / pc), cd.range(r % pc));
+                let rows = Dist::new(nr, p);
+                let row_slab = move |r: usize| Rect::new(rows.range(r), 0..nc);
+                let cols = Dist::new(nc, p);
+                let col_slab = move |r: usize| Rect::new(0..nr, cols.range(r));
+                let mut free = FreeList::new();
+                let mut scratch = Vec::new();
+                for algo in [AllToAllAlgo::Direct, AllToAllAlgo::Pairwise] {
+                    let into = Reshape::new(me, p, &block, &row_slab, algo);
+                    let data = fill(&block(me));
+                    let want = into.run(&comm, &data, &mut free);
+                    let received = into.exchange_into_rows(&comm, &data, &mut free);
+                    let rows_in = into.rows_in(&data, &received);
+                    for (r, want) in into.dst().rows.clone().zip(want.chunks_exact(nc)) {
+                        assert_eq!(rows_in.row(r, &mut scratch), want, "p={p} row {r}");
+                        assert_eq!(rows_in.gather(r, &mut scratch), want, "p={p} row {r}");
+                    }
+                    let dests: [&dyn Fn(usize) -> Rect; 2] = [&block, &col_slab];
+                    for dst in dests {
+                        let out_of = Reshape::new(me, p, &row_slab, dst, algo);
+                        let data = fill(&row_slab(me));
+                        let want = out_of.run(&comm, &data, &mut free);
+                        let mut rows_out = out_of.rows_out(&mut free);
+                        for row in data.chunks_exact(nc) {
+                            rows_out.push(&mut scratch, |slots| slots.write_copy_of_slice(row));
+                        }
+                        assert_eq!(rows_out.finish(&comm, &mut free), want, "p={p}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "into the slots given")]
+    fn rows_out_rejects_a_row_written_elsewhere() {
+        World::builder(1).run(|comm| {
+            let rect = Rect::new(0..2, 0..3);
+            let reshape = Reshape::new(0, 1, &|_| rect.clone(), &|_| rect.clone(), AllToAllAlgo::Direct);
+            let mut rows_out = reshape.rows_out(&mut FreeList::new());
+            let elsewhere = Box::leak(vec![Complex::default(); 3].into_boxed_slice());
+            rows_out.push(&mut Vec::new(), move |_| elsewhere);
+            let _ = rows_out.finish(&comm, &mut FreeList::new());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "does not tile")]
+    fn a_destination_the_sources_overlap_is_rejected_when_planned() {
+        // Both ranks' sources hold row 1.
+        let src = |r: usize| Rect::new(r..r + 2, 0..4);
+        let dst = |_: usize| Rect::new(0..3, 0..4);
+        let _ = Reshape::new(0, 2, &src, &dst, AllToAllAlgo::Direct);
     }
 
     #[test]

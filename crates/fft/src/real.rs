@@ -33,12 +33,12 @@
 //! keep that unfused route — copy, swap pass, every stage on its own,
 //! scalar recombination — as the reference for tests and the bench.
 //!
-//! Entry points: [`RealFft::forward_into`] / [`RealFft::inverse_scaled_into`]
-//! transform one row into a caller's slice; [`RealFft::forward_rows`] /
-//! [`RealFft::inverse_rows`] transform every row of a row-major buffer
-//! onto the end of a caller's vector, writing each output element once
-//! (on the fused path the register pass fills the vector's spare
-//! capacity; it is never zero-filled first); [`RealFft::forward`] /
+//! Entry points: [`RealFft::forward_uninit`] / [`RealFft::inverse_uninit`]
+//! transform one row into slots not written yet, each written once and
+//! handed back initialized — the distributed transforms write each row
+//! straight into the buffer it goes to, never zero-filled first;
+//! [`RealFft::forward_into`] / [`RealFft::inverse_scaled_into`] do the
+//! same into a caller's slice; [`RealFft::forward`] /
 //! [`RealFft::inverse`] are allocating one-row wrappers.
 
 use crate::complex::Complex;
@@ -131,6 +131,19 @@ impl RealFft {
     /// Forward transform of `n` reals into the `n/2 + 1` bins of `out`
     /// (unnormalized). Allocation-free.
     pub fn forward_into(&self, input: &[f64], out: &mut [Complex]) {
+        // SAFETY: `forward_uninit` writes only transform results.
+        self.forward_uninit(input, unsafe { as_uninit(out) });
+    }
+
+    /// [`RealFft::forward_into`] into slots not written yet: each of the
+    /// `bins()` slots of `out` is written once, and comes back as the
+    /// returned spectrum. The entry of a caller that transforms one row
+    /// at a time into its destination, with no zero fill first.
+    pub fn forward_uninit<'a>(
+        &self,
+        input: &[f64],
+        out: &'a mut [MaybeUninit<Complex>],
+    ) -> &'a mut [Complex] {
         assert_eq!(input.len(), self.n, "real fft: length mismatch");
         assert_eq!(out.len(), self.bins(), "real fft: spectrum length mismatch");
         match &self.kind {
@@ -140,25 +153,28 @@ impl RealFft {
                 body,
             } => {
                 let (z, nyquist) = out.split_at_mut(self.n / 2);
-                // SAFETY: `transform_from` writes only transform results
-                // into its output.
-                let z = unsafe { as_uninit(z) };
                 let z = half.transform_from(pairs(input), z, Direction::Forward);
-                nyquist[0] = recombine_forward(z, twiddles, *body);
+                nyquist[0].write(recombine_forward(z, twiddles, *body));
             }
             Kind::Packed {
                 half_plan,
                 twiddles,
-            } => forward_packed(input, out, twiddles, |z| half_plan.forward(z)),
+            } => {
+                forward_packed(input, out, twiddles, |z| half_plan.forward(z));
+            }
             Kind::Plain { plan, scratch } => {
                 let mut z = scratch.borrow_mut();
                 for (z, &x) in z.iter_mut().zip(input) {
                     *z = Complex::real(x);
                 }
                 plan.forward(&mut z);
-                out.copy_from_slice(&z[..self.bins()]);
+                for (out, z) in out.iter_mut().zip(z.iter()) {
+                    out.write(*z);
+                }
             }
         }
+        // SAFETY: every arm wrote all `bins()` slots.
+        unsafe { assume_init(out) }
     }
 
     /// Inverse transform of the `n/2 + 1` bins in `spectrum` into the `n`
@@ -169,6 +185,19 @@ impl RealFft {
     /// (0 and, for even `n`, `n/2`) are ignored, exactly as taking the
     /// real part of a complex inverse would. Allocation-free.
     pub fn inverse_scaled_into(&self, spectrum: &mut [Complex], out: &mut [f64], scale: f64) {
+        // SAFETY: `inverse_uninit` writes only transform results.
+        self.inverse_uninit(spectrum, unsafe { as_uninit(out) }, scale);
+    }
+
+    /// [`RealFft::inverse_scaled_into`] into slots not written yet, each
+    /// of the `n` written once and returned, as in
+    /// [`RealFft::forward_uninit`].
+    pub fn inverse_uninit<'a>(
+        &self,
+        spectrum: &mut [Complex],
+        out: &'a mut [MaybeUninit<f64>],
+        scale: f64,
+    ) -> &'a mut [f64] {
         assert_eq!(spectrum.len(), self.bins(), "real ifft: length mismatch");
         assert_eq!(out.len(), self.n, "real ifft: output length mismatch");
         match &self.kind {
@@ -179,8 +208,6 @@ impl RealFft {
             } => {
                 recombine_inverse(spectrum, twiddles, scale, *body);
                 let z = &spectrum[..self.n / 2];
-                // SAFETY: as in `forward_into`.
-                let out = unsafe { as_uninit(out) };
                 half.transform_from(z, pairs_uninit(out), Direction::Inverse);
             }
             Kind::Packed {
@@ -198,95 +225,13 @@ impl RealFft {
                 }
                 plan.inverse_unnormalized(&mut z);
                 for (x, z) in out.iter_mut().zip(z.iter()) {
-                    *x = z.re * scale;
+                    x.write(z.re * scale);
                 }
             }
         }
-    }
-
-    /// [`RealFft::forward_into`] on every length-`n` row of the row-major
-    /// `input`, appended to `out` as row-major `bins()`-bin rows. Each
-    /// output element is written once: on the fused path the transform
-    /// fills `out`'s spare capacity row by row, with no zero fill first.
-    ///
-    /// # Panics
-    /// Panics if `input` is not a whole number of rows.
-    pub fn forward_rows(&self, input: &[f64], out: &mut Vec<Complex>) {
-        assert!(
-            input.len().is_multiple_of(self.n),
-            "real fft: {} reals are not rows of {}",
-            input.len(),
-            self.n
-        );
-        let bins = self.bins();
-        let len = input.len() / self.n * bins;
-        let Kind::Fused {
-            half,
-            twiddles,
-            body,
-        } = &self.kind
-        else {
-            let start = out.len();
-            out.resize(start + len, Complex::default());
-            for (row, spectrum) in input.chunks_exact(self.n).zip(out[start..].chunks_exact_mut(bins)) {
-                self.forward_into(row, spectrum);
-            }
-            return;
-        };
-        out.reserve(len);
-        for row in input.chunks_exact(self.n) {
-            let (z, nyquist) = out.spare_capacity_mut()[..bins].split_at_mut(bins - 1);
-            let z = half.transform_from(pairs(row), z, Direction::Forward);
-            nyquist[0].write(recombine_forward(z, twiddles, *body));
-            // SAFETY: `transform_from` wrote the row's first `bins − 1`
-            // slots (it writes every element of its output) and
-            // `nyquist[0].write` its last; the capacity was reserved for
-            // every row.
-            unsafe { out.set_len(out.len() + bins) };
-        }
-    }
-
-    /// [`RealFft::inverse_scaled_into`] on every `bins()`-bin row of the
-    /// row-major `spectrum` (used as work space and left clobbered),
-    /// appended to `out` as row-major `n`-real rows, each element written
-    /// once as in [`RealFft::forward_rows`].
-    ///
-    /// # Panics
-    /// Panics if `spectrum` is not a whole number of rows.
-    pub fn inverse_rows(&self, spectrum: &mut [Complex], scale: f64, out: &mut Vec<f64>) {
-        let bins = self.bins();
-        assert!(
-            spectrum.len().is_multiple_of(bins),
-            "real ifft: {} bins are not rows of {bins}",
-            spectrum.len()
-        );
-        let len = spectrum.len() / bins * self.n;
-        let Kind::Fused {
-            half,
-            twiddles,
-            body,
-        } = &self.kind
-        else {
-            let start = out.len();
-            out.resize(start + len, 0.0);
-            for (spec, row) in spectrum
-                .chunks_exact_mut(bins)
-                .zip(out[start..].chunks_exact_mut(self.n))
-            {
-                self.inverse_scaled_into(spec, row, scale);
-            }
-            return;
-        };
-        out.reserve(len);
-        for spec in spectrum.chunks_exact_mut(bins) {
-            recombine_inverse(spec, twiddles, scale, *body);
-            let row = pairs_uninit(&mut out.spare_capacity_mut()[..self.n]);
-            half.transform_from(&spec[..self.n / 2], row, Direction::Inverse);
-            // SAFETY: `transform_from` wrote all `n/2` complexes of the
-            // row's view, i.e. its `n` reals; the capacity was reserved
-            // for every row.
-            unsafe { out.set_len(out.len() + self.n) };
-        }
+        // SAFETY: every arm wrote all `n` slots (the fused one as the
+        // `n/2` complexes of `pairs_uninit`).
+        unsafe { assume_init(out) }
     }
 
     /// [`RealFft::forward_into`] by the unfused route: the reals copied
@@ -304,9 +249,11 @@ impl RealFft {
             } => {
                 assert_eq!(input.len(), self.n, "real fft: length mismatch");
                 assert_eq!(out.len(), self.bins(), "real fft: spectrum length mismatch");
+                // SAFETY: `forward_packed` writes only transform results.
+                let out = unsafe { as_uninit(out) };
                 forward_packed(input, out, twiddles, |z| {
                     half.transform_staged(z, Direction::Forward, *body)
-                })
+                });
             }
             _ => self.forward_into(input, out),
         }
@@ -328,6 +275,8 @@ impl RealFft {
             } => {
                 assert_eq!(spectrum.len(), self.bins(), "real ifft: length mismatch");
                 assert_eq!(out.len(), self.n, "real ifft: output length mismatch");
+                // SAFETY: `inverse_packed` writes only transform results.
+                let out = unsafe { as_uninit(out) };
                 inverse_packed(spectrum, out, twiddles, scale, |z| {
                     half.transform_staged(z, Direction::Inverse, *body)
                 })
@@ -355,27 +304,30 @@ impl RealFft {
 
 /// The unfused forward route of an even length: pack the reals into
 /// `out` (even samples in `re`, odd in `im`), `transform` the first
-/// `h = n/2` slots in place, recombine in scalar code.
+/// `h = n/2` slots in place, recombine in scalar code. Writes every slot.
 fn forward_packed(
     input: &[f64],
-    out: &mut [Complex],
+    out: &mut [MaybeUninit<Complex>],
     twiddles: &[Complex],
     transform: impl FnOnce(&mut [Complex]),
 ) {
     let h = out.len() - 1;
-    for (z, pair) in out.iter_mut().zip(input.chunks_exact(2)) {
-        *z = Complex::new(pair[0], pair[1]);
+    let (z, last) = out.split_at_mut(h);
+    for (z, pair) in z.iter_mut().zip(input.chunks_exact(2)) {
+        z.write(Complex::new(pair[0], pair[1]));
     }
-    transform(&mut out[..h]);
-    out[h] = recombine_forward(&mut out[..h], twiddles, Body::Portable);
+    // SAFETY: the loop wrote all `h` slots (`input` holds `2h` reals).
+    let z = unsafe { assume_init(z) };
+    transform(z);
+    last[0].write(recombine_forward(z, twiddles, Body::Portable));
 }
 
 /// The unfused inverse route of an even length: recombine in scalar
 /// code, `transform` the first `h` slots in place, unpack them into
-/// `out`.
+/// `out`, writing every slot.
 fn inverse_packed(
     spectrum: &mut [Complex],
-    out: &mut [f64],
+    out: &mut [MaybeUninit<f64>],
     twiddles: &[Complex],
     scale: f64,
     transform: impl FnOnce(&mut [Complex]),
@@ -384,8 +336,8 @@ fn inverse_packed(
     recombine_inverse(spectrum, twiddles, scale, Body::Portable);
     transform(&mut spectrum[..h]);
     for (pair, z) in out.chunks_exact_mut(2).zip(spectrum.iter()) {
-        pair[0] = z.re;
-        pair[1] = z.im;
+        pair[0].write(z.re);
+        pair[1].write(z.im);
     }
 }
 
@@ -493,7 +445,7 @@ fn pairs_uninit(x: &mut [MaybeUninit<f64>]) -> &mut [MaybeUninit<Complex>] {
 }
 
 /// Initialized values seen as slots, for a pass that only writes
-/// initialized values through them (`kernel::first_pass_from`).
+/// initialized values through them (the `*_uninit` entries).
 ///
 /// # Safety
 /// No uninitialized value may be written through the returned view.
@@ -501,6 +453,16 @@ unsafe fn as_uninit<T>(x: &mut [T]) -> &mut [MaybeUninit<T>] {
     // SAFETY: `MaybeUninit<T>` has `T`'s layout; the caller writes only
     // initialized values through the view.
     unsafe { &mut *(x as *mut [T] as *mut [MaybeUninit<T>]) }
+}
+
+/// Slots every one of which has been written, seen as values.
+///
+/// # Safety
+/// Every slot of `x` must hold an initialized value.
+unsafe fn assume_init<T>(x: &mut [MaybeUninit<T>]) -> &mut [T] {
+    // SAFETY: `MaybeUninit<T>` has `T`'s layout; the caller vouches that
+    // every slot is initialized.
+    unsafe { &mut *(x as *mut [MaybeUninit<T>] as *mut [T]) }
 }
 
 /// The recombination, two bins per `__m256d`: bins `k, k + 1` in one
@@ -926,20 +888,28 @@ mod fused_tests {
 
     #[test]
     fn row_batches_are_bitwise_row_by_row() {
+        // Each row transformed into slots never written (a new vector's
+        // spare capacity), as the distributed transforms hand them over.
         for n in lengths() {
             let plan = RealFft::new(n);
             let bins = plan.bins();
             for rows in [0usize, 1, 3] {
                 let x = input(rows * n, 5 + n as u64, Values::Exact);
                 let mut batch = Vec::new();
-                plan.forward_rows(&x, &mut batch);
+                for row in x.chunks_exact(n) {
+                    let mut slots = Vec::with_capacity(bins);
+                    batch.extend_from_slice(plan.forward_uninit(row, &mut slots.spare_capacity_mut()[..bins]));
+                }
                 let mut one_by_one = vec![Complex::default(); rows * bins];
                 for (row, out) in x.chunks_exact(n).zip(one_by_one.chunks_exact_mut(bins)) {
                     plan.forward_reference_into(row, out);
                 }
                 assert_eq!(spectrum_bits(&batch), spectrum_bits(&one_by_one), "n={n}");
                 let mut back = Vec::new();
-                plan.inverse_rows(&mut batch.clone(), 0.5, &mut back);
+                for spec in batch.clone().chunks_exact_mut(bins) {
+                    let mut slots = Vec::with_capacity(n);
+                    back.extend_from_slice(plan.inverse_uninit(spec, &mut slots.spare_capacity_mut()[..n], 0.5));
+                }
                 let mut back_ref = vec![0.0; rows * n];
                 for (spec, out) in one_by_one
                     .chunks_exact_mut(bins)
@@ -971,18 +941,6 @@ mod fused_tests {
     fn fused_inverse_rejects_a_short_output() {
         let plan = RealFft::new(64);
         plan.inverse_scaled_into(&mut [Complex::default(); 33], &mut [0.0; 63], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "are not rows of 64")]
-    fn forward_rows_rejects_a_ragged_input() {
-        RealFft::new(64).forward_rows(&[0.0; 130], &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "are not rows of 33")]
-    fn inverse_rows_rejects_a_ragged_spectrum() {
-        RealFft::new(64).inverse_rows(&mut [Complex::default(); 34], 1.0, &mut Vec::new());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! the rocketrig driver with I/O, deterministically.
 
 use beatnik_comm::World;
+use beatnik_core::Solver;
+use beatnik_io::gather_surface;
 use beatnik_io::stats::RunLog;
 use beatnik_rocketrig::{run_rig, BenchCase, Deck};
 
@@ -45,18 +47,32 @@ fn reruns_are_bitwise_deterministic() {
 
 #[test]
 fn multimode_initial_surface_is_rank_count_invariant() {
-    let amp = |ranks: usize| -> f64 {
-        let cfg = quick(BenchCase::LowOrderWeak);
-        World::builder(ranks).run(move |comm| run_rig(&comm, &cfg))[0]
-            .steps
-            .last()
-            .unwrap()
-            .diagnostics
-            .amplitude
-    };
-    let a1 = amp(1);
-    let a4 = amp(4);
-    assert!((a1 - a4).abs() < 1e-10 * a1, "{a1} vs {a4}");
+    // Every rank count runs the same arithmetic on every node, so the
+    // surface after three low-order steps is bitwise the 1-rank one.
+    for n in [16, 24] {
+        let surface = |ranks: usize| {
+            let cfg = BenchCase::LowOrderWeak.config(n, 3);
+            let mut gathered = World::builder(ranks).run(move |comm| {
+                let mesh = cfg.build_mesh(&comm);
+                let mut solver = Solver::new(mesh, cfg.boundary_condition(), cfg.solver_config());
+                while solver.step_count() < cfg.steps {
+                    solver.step();
+                }
+                gather_surface(solver.problem()).map(|(_, _, points)| {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let (z, w): (Vec<_>, Vec<_>) = points.into_iter().unzip();
+                    (bits(z.as_flattened()), bits(w.as_flattened()))
+                })
+            });
+            gathered.swap_remove(0).expect("rank 0 gathers the surface")
+        };
+        let one = surface(1);
+        for ranks in 2..=9 {
+            let (z, w) = surface(ranks);
+            assert!(z == one.0, "z at n={n}, {ranks} ranks");
+            assert!(w == one.1, "w at n={n}, {ranks} ranks");
+        }
+    }
 }
 
 #[test]

@@ -199,6 +199,19 @@ impl Field {
         self.data.fill(v);
     }
 
+    /// Zero every entry outside the block `rows × cols` (local indices),
+    /// all components: the halo frame around an owned block.
+    pub fn zero_outside(&mut self, rows: Range<usize>, cols: Range<usize>) {
+        let w = self.cols * self.ncomp;
+        let span = cols.start * self.ncomp..cols.end * self.ncomp;
+        self.data[..rows.start * w].fill(0.0);
+        self.data[rows.end * w..].fill(0.0);
+        for row in self.data[rows.start * w..rows.end * w].chunks_exact_mut(w.max(1)) {
+            row[..span.start].fill(0.0);
+            row[span.end..].fill(0.0);
+        }
+    }
+
     /// Pack the sub-rectangle `r0..r1 × c0..c1` (all components,
     /// row-major) into a flat vector.
     pub fn pack(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Vec<f64> {
@@ -243,6 +256,19 @@ impl Field {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_outside_zeroes_the_frame_and_keeps_the_block() {
+        let mut f = Field::zeros(6, 7, 2);
+        f.as_mut_slice().fill(1.0);
+        f.zero_outside(2..4, 1..5);
+        for r in 0..6 {
+            for c in 0..7 {
+                let inside = (2..4).contains(&r) && (1..5).contains(&c);
+                assert_eq!(f.node(r, c), [inside as u8 as f64; 2], "({r},{c})");
+            }
+        }
+    }
 
     #[test]
     fn get_set_roundtrip_with_components() {

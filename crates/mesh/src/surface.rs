@@ -201,6 +201,11 @@ impl SurfaceMesh {
         f.block_rows(self.owned_row_range(), self.owned_col_range())
     }
 
+    /// Zero the halo frame of `f`, leaving its owned block as it is.
+    pub fn zero_halo(&self, f: &mut Field) {
+        f.zero_outside(self.owned_row_range(), self.owned_col_range());
+    }
+
     /// Mutable [`SurfaceMesh::owned_rows`].
     pub fn owned_rows_mut<'a>(
         &self,

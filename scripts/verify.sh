@@ -165,6 +165,22 @@ for f in "$PROF_DIR"/agree-thread/*.vtk; do
         cmp "$f" "$PROF_DIR/agree-$run/${f##*/}"
     done
 done
+# Rank counts must agree bit for bit too: the low-order 24x24 job on
+# 3, 4 and 6 thread ranks, and on 3 ranks over TCP loopback (whose
+# received blocks the transport allocates), writes the 1-rank run's VTK
+# files at every step.
+for run in 1 3 4 6 3-tcp; do
+    args=(--ranks "${run%-tcp}")
+    [ "$run" != "${run%-tcp}" ] && args+=(--transport tcp)
+    "$RIG" "${args[@]}" --order low --n 24 --steps 4 --vtk-every 1 \
+        --out "$PROF_DIR/ranks-$run" >/dev/null
+done
+test "$(ls "$PROF_DIR/ranks-1" | grep -c '\.vtk$')" -eq 4
+for f in "$PROF_DIR"/ranks-1/*.vtk; do
+    for run in 3 4 6 3-tcp; do
+        cmp "$f" "$PROF_DIR/ranks-$run/${f##*/}"
+    done
+done
 # The cutoff solver's migrate/halo/return alltoallv cycle must agree
 # the same way: a 4-rank high-order cutoff run on the thread backend,
 # over shmem and over TCP loopback writes identical VTK files at every
